@@ -27,7 +27,7 @@
 
 use crate::time::Instant;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One scheduled entry: reversed ordering so the `BinaryHeap` max-heap pops
 /// the *earliest* event first.
@@ -64,14 +64,17 @@ pub struct EventKey(u64);
 /// A priority queue of timestamped events with deterministic tie-breaking
 /// (see the module docs for the exact semantics).
 ///
-/// Cancellation is lazy: cancelled entries stay in the heap as tombstones
-/// and are skipped on pop, so both `schedule` and `cancel` stay `O(log n)`.
+/// Cancellation is lazy and `O(1)`: every issued seq owns one "dead" bit,
+/// set when its entry pops or is cancelled. A heap entry whose bit is set
+/// is a tombstone, skipped (and dropped) when it reaches the head, so
+/// `schedule` and `pop` stay `O(log n)` with no per-entry set lookups.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Seqs of live (scheduled, not popped, not cancelled) entries.
-    live: BTreeSet<u64>,
-    /// Seqs of cancelled-but-not-yet-popped entries (tombstones).
-    cancelled: BTreeSet<u64>,
+    /// One bit per issued seq (bit `seq % 64` of word `seq / 64`): set
+    /// once the entry has popped or been cancelled.
+    dead: Vec<u64>,
+    /// Number of live (scheduled, not popped, not cancelled) entries.
+    live: usize,
     next_seq: u64,
     now: Instant,
     /// `(at, seq)` of the most recent pop — the FIFO tie-break witness
@@ -91,8 +94,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: BTreeSet::new(),
-            cancelled: BTreeSet::new(),
+            dead: Vec::new(),
+            live: 0,
             next_seq: 0,
             now: Instant::ZERO,
             #[cfg(feature = "debug-invariants")]
@@ -101,28 +104,36 @@ impl<E> EventQueue<E> {
     }
 
     /// Structural invariants, checked after every mutation when built with
-    /// `debug-invariants`: the live and tombstone sets partition the heap,
-    /// and every tracked seq was actually handed out.
+    /// `debug-invariants`: the heap entries with their dead bit set are
+    /// exactly the tombstones (`heap.len() - live` of them), and every
+    /// heap seq was actually handed out.
     fn debug_check(&self) {
         #[cfg(feature = "debug-invariants")]
         {
+            let tombstones = self.heap.iter().filter(|e| self.is_dead(e.seq)).count();
             debug_assert_eq!(
-                self.live.len() + self.cancelled.len(),
-                self.heap.len(),
-                "live + tombstones must partition the heap"
+                Some(tombstones),
+                self.heap.len().checked_sub(self.live),
+                "dead heap entries must be exactly the tombstones"
             );
             debug_assert!(
-                self.live.intersection(&self.cancelled).next().is_none(),
-                "an entry cannot be both live and cancelled"
-            );
-            debug_assert!(
-                self.live
-                    .iter()
-                    .chain(self.cancelled.iter())
-                    .all(|&s| s < self.next_seq),
-                "tracked seq beyond the allocation counter"
+                self.heap.iter().all(|e| e.seq < self.next_seq),
+                "heap seq beyond the allocation counter"
             );
         }
+    }
+
+    /// True once the entry behind `seq` (an issued seq) popped or was
+    /// cancelled.
+    fn is_dead(&self, seq: u64) -> bool {
+        self.dead[(seq / 64) as usize] >> (seq % 64) & 1 == 1
+    }
+
+    /// Retires a live entry: sets its dead bit and drops it from the live
+    /// count.
+    fn mark_dead(&mut self, seq: u64) {
+        self.dead[(seq / 64) as usize] |= 1 << (seq % 64);
+        self.live -= 1;
     }
 
     /// The current virtual time: the timestamp of the most recently popped
@@ -142,54 +153,52 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        if seq.is_multiple_of(64) {
+            self.dead.push(0);
+        }
         self.heap.push(Entry { at, seq, event });
-        self.live.insert(seq);
+        self.live += 1;
         self.debug_check();
         EventKey(seq)
     }
 
     /// Cancels the entry behind `key`. Returns `true` if the entry was
-    /// still pending; `false` if it already popped or was already
-    /// cancelled. Cancellation never disturbs the ordering of other
-    /// entries.
+    /// still pending; `false` if it already popped, was already
+    /// cancelled, or was never issued. Cancellation never disturbs the
+    /// ordering of other entries.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        if self.live.remove(&key.0) {
-            self.cancelled.insert(key.0);
-            self.debug_check();
-            true
-        } else {
-            false
+        if key.0 >= self.next_seq || self.is_dead(key.0) {
+            return false;
         }
+        self.mark_dead(key.0);
+        self.debug_check();
+        true
     }
 
     /// Removes and returns the earliest live event, advancing the clock to
     /// its timestamp. Cancelled entries are skipped (and dropped). Returns
     /// `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue; // tombstone: discard and keep looking
+        self.live_head()?;
+        let entry = self.heap.pop().expect("live head present");
+        debug_assert!(entry.at >= self.now);
+        // FIFO tie-break stability: pops must strictly ascend in
+        // `(at, seq)` — equal-time events leave in insertion order.
+        #[cfg(feature = "debug-invariants")]
+        {
+            if let Some(last) = self.last_popped {
+                debug_assert!(
+                    (entry.at, entry.seq) > last,
+                    "pop order regressed: {:?} after {last:?}",
+                    (entry.at, entry.seq)
+                );
             }
-            debug_assert!(entry.at >= self.now);
-            // FIFO tie-break stability: pops must strictly ascend in
-            // `(at, seq)` — equal-time events leave in insertion order.
-            #[cfg(feature = "debug-invariants")]
-            {
-                if let Some(last) = self.last_popped {
-                    debug_assert!(
-                        (entry.at, entry.seq) > last,
-                        "pop order regressed: {:?} after {last:?}",
-                        (entry.at, entry.seq)
-                    );
-                }
-                self.last_popped = Some((entry.at, entry.seq));
-            }
-            self.now = entry.at;
-            self.live.remove(&entry.seq);
-            self.debug_check();
-            return Some((entry.at, entry.event));
+            self.last_popped = Some((entry.at, entry.seq));
         }
-        None
+        self.now = entry.at;
+        self.mark_dead(entry.seq);
+        self.debug_check();
+        Some((entry.at, entry.event))
     }
 
     /// Removes and returns the earliest live event **strictly before**
@@ -204,60 +213,49 @@ impl<E> EventQueue<E> {
     /// boundary belong to the *next* window so that boundary-time state
     /// exchanged at the barrier is complete.
     pub fn pop_before(&mut self, limit: Instant) -> Option<(Instant, E)> {
-        loop {
-            let head = self.heap.peek()?;
-            if self.cancelled.contains(&head.seq) {
-                // Tombstone: discard and keep looking.
-                let entry = self.heap.pop().expect("peeked entry must pop");
-                self.cancelled.remove(&entry.seq);
-                self.debug_check();
-                continue;
-            }
-            if head.at >= limit {
-                return None;
-            }
-            return self.pop();
+        if self.live_head()?.at >= limit {
+            return None;
         }
-    }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&self) -> Option<Instant> {
-        self.heap
-            .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .map(|e| e.at)
-            .min()
+        self.pop()
     }
 
     /// Timestamp of the next live event, pruning any leading tombstones.
     ///
-    /// Behaves exactly like [`peek_time`](EventQueue::peek_time) but takes
-    /// `&mut self` so cancelled entries at the head of the heap can be
+    /// Takes `&mut self` so cancelled entries at the head of the heap are
     /// discarded instead of filtered around. Each tombstone is removed at
-    /// most once, so the cost is amortized `O(log n)` versus `peek_time`'s
-    /// `O(n)` full-heap scan — the difference that makes per-window
-    /// quiescence checks affordable in the fleet driver (DESIGN.md §16).
+    /// most once, so the cost is amortized `O(log n)` — cheap enough for
+    /// a session's per-event wake query and the fleet driver's per-window
+    /// quiescence checks (DESIGN.md §16).
     pub fn next_time(&mut self) -> Option<Instant> {
-        loop {
-            let head = self.heap.peek()?;
-            if self.cancelled.contains(&head.seq) {
-                let entry = self.heap.pop().expect("peeked entry must pop");
-                self.cancelled.remove(&entry.seq);
-                self.debug_check();
-                continue;
-            }
-            return Some(head.at);
+        self.live_head().map(|e| e.at)
+    }
+
+    /// Discards tombstones from the top of the heap and returns the
+    /// earliest live entry, if any.
+    fn live_head(&mut self) -> Option<&Entry<E>> {
+        while self.is_dead(self.heap.peek()?.seq) {
+            self.heap.pop();
+            self.debug_check();
         }
+        self.heap.peek()
     }
 
     /// Number of pending (live) events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// True if no live events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of keys handed out so far: every [`schedule`] call ever
+    /// made, whether its entry is still pending, popped or cancelled.
+    ///
+    /// [`schedule`]: EventQueue::schedule
+    pub fn issued(&self) -> u64 {
+        self.next_seq
     }
 }
 
@@ -309,14 +307,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn next_time_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.next_time(), None);
         q.schedule(Instant::from_millis(10), 1);
         q.schedule(Instant::from_millis(5), 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Instant::from_millis(5)));
+        assert_eq!(q.next_time(), Some(Instant::from_millis(5)));
+        assert_eq!(q.len(), 2, "peeking does not consume");
+        assert_eq!(q.issued(), 2);
     }
 
     #[test]
@@ -366,12 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled_head() {
+    fn next_time_skips_cancelled_head() {
         let mut q = EventQueue::new();
         let a = q.schedule(Instant::from_secs(1), "a");
         q.schedule(Instant::from_secs(2), "b");
         assert!(q.cancel(a));
-        assert_eq!(q.peek_time(), Some(Instant::from_secs(2)));
+        assert_eq!(q.next_time(), Some(Instant::from_secs(2)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
@@ -422,13 +422,16 @@ mod tests {
     }
 
     #[test]
-    fn next_time_agrees_with_peek_time() {
+    fn next_time_agrees_with_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.next_time(), None::<Instant>);
         q.schedule(Instant::from_millis(10), 1);
         q.schedule(Instant::from_millis(5), 2);
-        assert_eq!(q.next_time(), q.peek_time());
         assert_eq!(q.next_time(), Some(Instant::from_millis(5)));
+        assert_eq!(q.next_time(), q.pop().map(|(t, _)| t));
+        assert_eq!(q.next_time(), Some(Instant::from_millis(10)));
+        assert_eq!(q.next_time(), q.pop().map(|(t, _)| t));
+        assert_eq!(q.next_time(), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the time base, RNG and event queue.
 
-use abr_event::queue::EventQueue;
+use abr_event::queue::{EventKey, EventQueue};
 use abr_event::rng::SplitMix64;
 use abr_event::time::{Duration, Instant};
 use proptest::prelude::*;
@@ -143,7 +143,7 @@ proptest! {
 
     /// Cancellation removes exactly the cancelled entries and nothing else:
     /// the surviving pop order equals the full pop order with the cancelled
-    /// payloads filtered out, and `peek_time`/`len` agree with the live set
+    /// payloads filtered out, and `next_time`/`len` agree with the live set
     /// at every step.
     #[test]
     fn queue_cancel_removes_exactly_the_cancelled(
@@ -172,7 +172,7 @@ proptest! {
             .collect();
         let mut got = Vec::new();
         loop {
-            prop_assert_eq!(victim.peek_time(), expected.get(got.len()).map(|&(t, _)| t));
+            prop_assert_eq!(victim.next_time(), expected.get(got.len()).map(|&(t, _)| t));
             match victim.pop() {
                 Some(e) => got.push(e),
                 None => break,
@@ -180,6 +180,89 @@ proptest! {
         }
         prop_assert_eq!(got, expected);
         prop_assert!(victim.is_empty());
+    }
+
+    /// Differential: random interleavings of every queue operation agree
+    /// with a plain reference model — a `Vec` of `(at, seq, payload, live)`
+    /// indexed by seq, searched linearly for the `(at, seq)` minimum —
+    /// after every single operation. Cancels hit live, popped,
+    /// already-cancelled and never-issued keys; `next_time` runs only as
+    /// its own operation, so tombstones pile up at the heap head for
+    /// `pop`/`pop_before` to discard.
+    #[test]
+    fn queue_matches_reference_model(
+        ops in proptest::collection::vec((0u8..8, 0u64..20, any::<usize>()), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut keys: Vec<EventKey> = Vec::new();
+        let mut model: Vec<(Instant, u64, usize, bool)> = Vec::new();
+        let mut now = Instant::ZERO;
+        // Issues keys the victim never handed out.
+        let mut foreign: EventQueue<()> = EventQueue::new();
+        // The model's earliest live entry by `(at, seq)`.
+        let head = |model: &[(Instant, u64, usize, bool)]| {
+            model
+                .iter()
+                .filter(|e| e.3)
+                .min_by_key(|e| (e.0, e.1))
+                .map(|e| e.1 as usize)
+        };
+        for (step, &(op, delta, pick)) in ops.iter().enumerate() {
+            match op {
+                0 | 1 => {
+                    let at = now + Duration::from_micros(delta);
+                    let key = q.schedule(at, step);
+                    model.push((at, model.len() as u64, step, true));
+                    keys.push(key);
+                }
+                2 => {
+                    // A live key, when one exists.
+                    let live: Vec<usize> = (0..model.len()).filter(|&i| model[i].3).collect();
+                    if let Some(&i) = live.get(pick % live.len().max(1)) {
+                        prop_assert!(q.cancel(keys[i]), "live key cancels");
+                        model[i].3 = false;
+                    }
+                }
+                3 => {
+                    // Any issued key: live, popped or already cancelled.
+                    if !keys.is_empty() {
+                        let i = pick % keys.len();
+                        prop_assert_eq!(q.cancel(keys[i]), model[i].3);
+                        model[i].3 = false;
+                    }
+                }
+                4 => {
+                    let mut key = foreign.schedule(Instant::ZERO, ());
+                    while foreign.issued() <= q.issued() {
+                        key = foreign.schedule(Instant::ZERO, ());
+                    }
+                    prop_assert!(!q.cancel(key), "never-issued key is a no-op");
+                }
+                5 => {
+                    let expect = head(&model).map(|i| {
+                        model[i].3 = false;
+                        now = model[i].0;
+                        (model[i].0, model[i].2)
+                    });
+                    prop_assert_eq!(q.pop(), expect);
+                }
+                6 => {
+                    let limit = now + Duration::from_micros(delta);
+                    let expect = head(&model).filter(|&i| model[i].0 < limit).map(|i| {
+                        model[i].3 = false;
+                        now = model[i].0;
+                        (model[i].0, model[i].2)
+                    });
+                    prop_assert_eq!(q.pop_before(limit), expect);
+                }
+                _ => {
+                    prop_assert_eq!(q.next_time(), head(&model).map(|i| model[i].0));
+                }
+            }
+            prop_assert_eq!(q.len(), model.iter().filter(|e| e.3).count());
+            prop_assert_eq!(q.now(), now);
+            prop_assert_eq!(q.issued(), model.len() as u64);
+        }
     }
 
     /// A popped or cancelled key can never cancel again, even after many

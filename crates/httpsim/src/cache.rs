@@ -54,18 +54,23 @@ struct Entry {
 type CacheKey = (u64, ObjectId, Option<(u64, u64)>);
 
 /// An LRU cache with a byte-capacity bound.
+///
+/// Every lookup takes a fresh, unique `clock` stamp, so recency is a
+/// total order: the LRU victim is the entry with the smallest
+/// `last_used`, found in `O(log n)` through a stamp-ordered index.
 #[derive(Debug)]
 pub struct CdnCache {
     capacity: Bytes,
     used: Bytes,
     clock: u64,
-    /// Keyed by `(namespace, object, exact range)`. A `BTreeMap` rather
-    /// than a hash map so that iteration (LRU victim scans) is key-ordered
-    /// and the cache's observable behavior is a pure function of the
-    /// request sequence (ABR-L001; `last_used` stamps are unique, so the
-    /// LRU minimum is unambiguous either way — but the ordered map makes
-    /// the scan order itself deterministic).
+    /// Keyed by `(namespace, object, exact range)`. Ordered maps rather
+    /// than hash maps keep every walk key-ordered, so the cache's
+    /// observable behavior is a pure function of the request sequence
+    /// (ABR-L001).
     entries: BTreeMap<CacheKey, Entry>,
+    /// Recency index: each entry's `last_used` stamp → its key. Its first
+    /// element is the LRU victim.
+    by_stamp: BTreeMap<u64, CacheKey>,
     stats: CacheStats,
     obs: ObsHandle,
 }
@@ -79,6 +84,7 @@ impl CdnCache {
             used: Bytes::ZERO,
             clock: 0,
             entries: BTreeMap::new(),
+            by_stamp: BTreeMap::new(),
             stats: CacheStats::default(),
             obs: ObsHandle::disabled(),
         }
@@ -125,10 +131,13 @@ impl CdnCache {
         let (object, range) = req.cache_key();
         let key = (namespace, object, range);
         if let Some(e) = self.entries.get_mut(&key) {
+            let indexed = self.by_stamp.remove(&e.last_used).expect("indexed");
             e.last_used = self.clock;
+            self.by_stamp.insert(self.clock, indexed);
             self.stats.hits += 1;
             let size = e.size;
             self.stats.bytes_from_cache += size;
+            self.debug_check();
             self.record_lookup(req, now, true, size);
             return Ok((true, size));
         }
@@ -140,6 +149,7 @@ impl CdnCache {
                 self.evict_lru();
             }
             self.used += size;
+            self.by_stamp.insert(self.clock, key.clone());
             self.entries.insert(
                 key,
                 Entry {
@@ -148,6 +158,7 @@ impl CdnCache {
                 },
             );
         }
+        self.debug_check();
         self.record_lookup(req, now, false, size);
         Ok((false, size))
     }
@@ -165,16 +176,37 @@ impl CdnCache {
     }
 
     fn evict_lru(&mut self) {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
-            .expect("evict on non-empty cache");
-        let e = self.entries.remove(&victim).expect("present");
+        let (_, victim) = self.by_stamp.pop_first().expect("evict on non-empty cache");
+        let e = self.entries.remove(&victim).expect("indexed entry present");
         self.used -= e.size;
         self.stats.evictions += 1;
         self.obs.count("cache.evictions", 1);
+    }
+
+    /// Structural invariants, checked after every lookup when built with
+    /// `debug-invariants`: the recency index and the entry map hold the
+    /// same keys (each entry's stamp maps back to it), and the stored
+    /// sizes sum to `used`.
+    fn debug_check(&self) {
+        #[cfg(feature = "debug-invariants")]
+        {
+            debug_assert_eq!(
+                self.by_stamp.len(),
+                self.entries.len(),
+                "recency index and entry map must have equal length"
+            );
+            debug_assert!(
+                self.entries
+                    .iter()
+                    .all(|(k, e)| self.by_stamp.get(&e.last_used) == Some(k)),
+                "an entry's stamp must map back to its key"
+            );
+            debug_assert_eq!(
+                self.entries.values().map(|e| e.size.get()).sum::<u64>(),
+                self.used.get(),
+                "entry sizes must sum to used bytes"
+            );
+        }
     }
 
     /// Current counters.

@@ -1,13 +1,15 @@
-//! Property-based tests: cache capacity/accounting invariants and origin
-//! byte-range consistency.
+//! Property-based tests: cache capacity/accounting invariants, the
+//! indexed LRU against a scan-based reference, and origin byte-range
+//! consistency.
 
-use abr_httpsim::cache::CdnCache;
+use abr_httpsim::cache::{CacheStats, CdnCache};
 use abr_httpsim::origin::Origin;
 use abr_httpsim::request::{ObjectId, Request};
 use abr_media::content::Content;
 use abr_media::track::TrackId;
 use abr_media::units::Bytes;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn origin() -> Origin {
     Origin::with_overhead(Content::drama_show(3), Bytes::ZERO)
@@ -27,6 +29,64 @@ fn arb_request() -> impl Strategy<Value = Request> {
             Origin::segment_request(track, chunk)
         }
     })
+}
+
+/// `(namespace, object, exact range)`, as `CdnCache` keys its entries.
+type Key = (u64, ObjectId, Option<(u64, u64)>);
+
+/// Reference LRU cache: the straightforward implementation that finds
+/// each victim by scanning every entry for the smallest `last_used`
+/// stamp. The indexed [`CdnCache`] must agree with it request for request.
+struct ScanCache {
+    capacity: Bytes,
+    used: Bytes,
+    clock: u64,
+    /// Key → (size, last-used stamp).
+    entries: BTreeMap<Key, (Bytes, u64)>,
+    stats: CacheStats,
+}
+
+impl ScanCache {
+    fn new(capacity: Bytes) -> ScanCache {
+        ScanCache {
+            capacity,
+            used: Bytes::ZERO,
+            clock: 0,
+            entries: BTreeMap::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn fetch_keyed(&mut self, origin: &Origin, req: &Request, namespace: u64) -> (bool, Bytes) {
+        self.clock += 1;
+        let (object, range) = req.cache_key();
+        let key = (namespace, object, range);
+        if let Some((size, last_used)) = self.entries.get_mut(&key) {
+            *last_used = self.clock;
+            self.stats.hits += 1;
+            self.stats.bytes_from_cache += *size;
+            return (true, *size);
+        }
+        let size = origin.body_size(req).unwrap();
+        self.stats.misses += 1;
+        self.stats.bytes_from_origin += size;
+        if size <= self.capacity {
+            while self.used + size > self.capacity {
+                let victim = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (_, last_used))| *last_used)
+                    .map(|(k, _)| k.clone())
+                    .unwrap();
+                let (evicted, _) = self.entries.remove(&victim).unwrap();
+                self.used -= evicted;
+                self.stats.evictions += 1;
+            }
+            self.used += size;
+            self.entries.insert(key, (size, self.clock));
+        }
+        (false, size)
+    }
 }
 
 proptest! {
@@ -101,7 +161,6 @@ proptest! {
         capacity_kb in 8u64..512,
     ) {
         use abr_event::time::Instant;
-        use std::collections::BTreeMap;
         let origin = origin();
         let capacity = Bytes(capacity_kb * 1024);
         let mut cache = CdnCache::new(capacity);
@@ -120,6 +179,29 @@ proptest! {
             }
             seen.insert(key, truth);
             prop_assert!(cache.used() <= capacity, "capacity respected under eviction");
+        }
+    }
+
+    /// Differential: the stamp-indexed LRU evicts exactly the entries the
+    /// scan-based reference evicts. Multi-namespace request streams at
+    /// small capacities force evictions on most misses; after every
+    /// request both caches report the same hit and size, counters, bytes
+    /// stored and entry count.
+    #[test]
+    fn indexed_lru_matches_scan_reference(
+        requests in proptest::collection::vec((arb_request(), 0u64..3), 1..200),
+        capacity_kb in 8u64..512,
+    ) {
+        use abr_event::time::Instant;
+        let origin = origin();
+        let mut cache = CdnCache::new(Bytes(capacity_kb * 1024));
+        let mut reference = ScanCache::new(Bytes(capacity_kb * 1024));
+        for (req, ns) in &requests {
+            let got = cache.fetch_keyed(&origin, req, *ns, Instant::ZERO).unwrap();
+            prop_assert_eq!(got, reference.fetch_keyed(&origin, req, *ns));
+            prop_assert_eq!(cache.stats(), reference.stats);
+            prop_assert_eq!(cache.used(), reference.used);
+            prop_assert_eq!(cache.len(), reference.entries.len());
         }
     }
 

@@ -1,13 +1,16 @@
 //! The discrete-event engine behind a [`crate::session::Session`].
 //!
 //! All virtual-time advancement goes through one typed
-//! [`abr_event::EventQueue`]: each loop iteration (re-)arms one scheduled
-//! entry per wake class — transfer completion, playback boundary, buffer
-//! refill, due seek — pops the earliest event, and runs a uniform
+//! [`abr_event::EventQueue`]. Each loop iteration is two halves:
+//! `next_wake` (re-)arms one scheduled entry per wake class — transfer
+//! completion, playback boundary, buffer refill, due seek — and reads the
+//! queue head; `pump` pops that earliest event and runs a uniform
 //! simulation step at its timestamp. Stale wakes are cancelled by
 //! [`abr_event::EventKey`] before re-arming, so the queue never holds more
 //! than one live entry per class (plus the deadline sentinel and the
-//! optional live playlist-refresh tick).
+//! optional live playlist-refresh tick). Every event costs exactly one
+//! arm, whether [`Engine::run`] or an external driver
+//! ([`crate::stepper::SessionStepper`]) turns the loop.
 //!
 //! The deadline is a sentinel event scheduled once at `deadline + 1 µs`:
 //! any event at or before the deadline outranks it, and when it does pop
@@ -131,23 +134,21 @@ impl Engine {
     pub(crate) fn run(mut self) -> (SessionLog, Option<EdgeCache>) {
         let run_span = self.obs.span("session.run");
         self.start();
-        while self.pump() {}
+        while self.next_wake().is_some() && self.pump() {}
         drop(run_span);
         self.finish()
     }
 
-    /// One engine iteration: re-arm the wake classes, pop the earliest
-    /// event, dispatch it. Returns `false` when the session is over —
-    /// playback ended, the queue ran dry (starved with a dead link), or
-    /// the deadline sentinel popped. `run` is exactly
-    /// `start(); while pump() {}; finish()`; an external driver (the
-    /// fleet's [`crate::stepper::SessionStepper`]) interleaves the same
-    /// iterations with other sessions.
+    /// The dispatch half of one engine iteration: pop the event the
+    /// preceding [`Engine::next_wake`] armed and reported, and dispatch
+    /// it. Returns `false` when the session is over — the queue ran dry
+    /// (starved with a dead link) or the deadline sentinel popped. Must
+    /// follow a `next_wake` that returned `Some`: the wakes armed before
+    /// the previous dispatch may be stale. `run` is exactly
+    /// `start(); while next_wake().is_some() && pump() {}; finish()`; an
+    /// external driver (the fleet's [`crate::stepper::SessionStepper`])
+    /// interleaves the same iterations with other sessions.
     pub(crate) fn pump(&mut self) -> bool {
-        if self.playback.state() == PlayState::Ended {
-            return false;
-        }
-        self.arm_wakes();
         let Some((t, ev)) = self.queue.pop() else {
             return false; // nothing left, not even the deadline sentinel
         };
@@ -163,19 +164,18 @@ impl Engine {
         true
     }
 
-    /// The session-local timestamp of the next event `pump` would
-    /// dispatch, after re-arming the wake classes against current state;
-    /// `None` when the session is over. Re-arming here and again in the
-    /// following `pump` is order-neutral: every class is cancelled and
-    /// re-scheduled in the same fixed order both times, so the queue's
-    /// relative tie-break order is unchanged — the property the
-    /// fleet-of-1 parity test pins down.
+    /// The arm half of one engine iteration: re-arm the wake classes
+    /// against current state and return the session-local timestamp of
+    /// the event the following [`Engine::pump`] dispatches; `None` when
+    /// the session is over (playback ended, or nothing is left to pop).
+    /// This is the only place wakes are armed, so each dispatched event
+    /// costs one arm.
     pub(crate) fn next_wake(&mut self) -> Option<Instant> {
         if self.playback.state() == PlayState::Ended {
             return None;
         }
         self.arm_wakes();
-        self.queue.peek_time()
+        self.queue.next_time()
     }
 
     /// Emits the session-start lifecycle, distributes the obs handle,

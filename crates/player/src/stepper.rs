@@ -18,13 +18,12 @@
 //! s.finish()
 //! ```
 //!
-//! produces a byte-identical [`SessionLog`] to `session.run()`. `run` is
-//! `start(); while pump() {}; finish()` over the same engine; the only
-//! extra work here is that `next_wake` re-arms the wake classes a second
-//! time before `dispatch_next` does — a no-op for event order, because
-//! re-arming cancels and re-schedules every class in one fixed order, so
-//! relative tie-breaks are preserved. `tests/fleet_determinism.rs` pins
-//! this down wholesale.
+//! produces a byte-identical [`SessionLog`] to `session.run()`, because
+//! it *is* `run`'s loop: `run` is
+//! `start(); while next_wake().is_some() && pump() {}; finish()` over the
+//! same engine, and the stepper merely hands the two halves of each
+//! iteration to the caller. `tests/fleet_determinism.rs` pins this down
+//! wholesale.
 
 use crate::engine::Engine;
 use crate::log::SessionLog;
@@ -57,8 +56,9 @@ impl SessionStepper {
     }
 
     /// Dispatches the next event (the one [`SessionStepper::next_wake`]
-    /// reported). Returns `false` when the session is over — ended,
-    /// starved, or past its deadline.
+    /// reported). Call it only after a `next_wake` that returned `Some`.
+    /// Returns `false` when the session is over — starved or past its
+    /// deadline.
     pub fn dispatch_next(&mut self) -> bool {
         self.engine.pump()
     }
@@ -75,5 +75,62 @@ impl SessionStepper {
     #[must_use]
     pub fn finish(self) -> SessionLog {
         self.engine.finish().0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{PlayerConfig, SyncMode};
+    use crate::policy::FixedPolicy;
+    use crate::session::Session;
+    use abr_event::time::Duration;
+    use abr_httpsim::origin::Origin;
+    use abr_media::content::Content;
+    use abr_media::units::Bytes;
+    use abr_net::link::Link;
+    use abr_net::trace::Trace;
+
+    /// The Fig 4(b) setup — drama show, dynamic mean-600 Kbps trace with
+    /// 20 ms latency, Shaka's shallow independent pipelines — under a
+    /// fixed mid-ladder policy that this trace starves into stalls.
+    fn f4b_session() -> Session {
+        let content = Content::drama_show(2019);
+        let chunk = content.chunk_duration();
+        let link = Link::with_latency(
+            Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+            Duration::from_millis(20),
+        );
+        let config = PlayerConfig {
+            startup_threshold: chunk,
+            resume_threshold: chunk,
+            max_buffer: Duration::from_secs(10),
+            sync: SyncMode::Independent,
+        };
+        Session::new(
+            Origin::with_overhead(content, Bytes::ZERO),
+            link,
+            Box::new(FixedPolicy { video: 2, audio: 1 }),
+            config,
+        )
+    }
+
+    /// Pins the queue work of one session: the exact number of event
+    /// keys its engine issued. Arming the wake classes a second time per
+    /// event (or any other extra queue traffic) changes this count.
+    #[test]
+    fn one_arm_per_dispatched_event() {
+        let mut stepper = f4b_session().into_stepper();
+        let mut dispatched = 0u64;
+        while stepper.next_wake().is_some() {
+            dispatched += 1;
+            if !stepper.dispatch_next() {
+                break;
+            }
+        }
+        let issued = stepper.engine.queue.issued();
+        let log = stepper.finish();
+        assert_eq!(log, f4b_session().run(), "stepped and run sessions agree");
+        assert!(log.stall_count() > 0, "the f4b trace starves this session");
+        assert_eq!((dispatched, issued), (236, 528));
     }
 }
