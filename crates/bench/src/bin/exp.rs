@@ -379,7 +379,9 @@ fn run_fleet_cli(args: &[String]) {
         }
         i += 1;
     }
-    spec.validate();
+    if let Err(msg) = spec.check() {
+        usage(&msg);
+    }
     let wants_profile = profile || profile_json.is_some();
     if both && wants_profile {
         usage("--profile needs a single delivery mode, not --delivery both");

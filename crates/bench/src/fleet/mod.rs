@@ -112,20 +112,35 @@ impl FleetSpec {
         }
     }
 
-    /// Panics on structurally impossible topologies.
+    /// Rejects structurally impossible topologies with a message naming
+    /// the offending field.
+    pub fn check(&self) -> Result<(), String> {
+        let rules: [(bool, &str); 10] = [
+            (self.sessions > 0, "fleet needs at least one session"),
+            (self.domains > 0, "fleet needs at least one domain"),
+            (self.shards > 0, "fleet needs at least one shard"),
+            (self.titles > 0, "catalog needs at least one title"),
+            (
+                self.zipf_alpha.is_finite() && self.zipf_alpha >= 0.0,
+                "zipf alpha must be a finite non-negative number",
+            ),
+            (self.window_ms > 0, "window must be positive"),
+            (self.uplink_kbps > 0, "dead origin: zero uplink rate"),
+            (self.origin_kbps > 0, "dead origin: zero origin rate"),
+            (self.cache_mb > 0, "zero-capacity cache"),
+            (self.deadline_secs > 0, "zero deadline"),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some(&(_, msg)) => Err(msg.to_string()),
+            None => Ok(()),
+        }
+    }
+
+    /// Panics on structurally impossible topologies ([`FleetSpec::check`]).
     pub fn validate(&self) {
-        assert!(self.sessions > 0, "fleet needs at least one session");
-        assert!(self.domains > 0, "fleet needs at least one domain");
-        assert!(self.shards > 0, "fleet needs at least one shard");
-        assert!(self.titles > 0, "catalog needs at least one title");
-        assert!(
-            self.zipf_alpha.is_finite() && self.zipf_alpha >= 0.0,
-            "zipf alpha must be a finite non-negative number"
-        );
-        assert!(self.window_ms > 0, "window must be positive");
-        assert!(self.uplink_kbps > 0 && self.origin_kbps > 0, "dead origin");
-        assert!(self.cache_mb > 0, "zero-capacity cache");
-        assert!(self.deadline_secs > 0, "zero deadline");
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! CLI-level coverage of `exp --trace/--chrome/--metrics` on sweep
 //! experiments: sweeps used to be an error; they now write one artifact
 //! per session (`<stem>.<n>.<ext>`), identically at any `--jobs` value.
+//! Also: `exp fleet` rejects impossible topologies with exit code 2.
 
 use std::path::Path;
 use std::process::Command;
@@ -123,4 +124,39 @@ fn untraceable_experiment_still_errors() {
         .output()
         .expect("run exp");
     assert!(!out.status.success(), "t1 has no sessions to trace");
+}
+
+#[test]
+fn fleet_rejects_impossible_specs_with_usage() {
+    for (flag, value) in [
+        ("--sessions", "0"),
+        ("--domains", "0"),
+        ("--shards", "0"),
+        ("--titles", "0"),
+        ("--window-ms", "0"),
+        ("--cache-mb", "0"),
+        ("--uplink-kbps", "0"),
+        ("--origin-kbps", "0"),
+        ("--alpha", "nan"),
+        ("--alpha", "-1"),
+    ] {
+        let out = exp()
+            .args(["fleet", flag, value])
+            .output()
+            .expect("run exp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "exp fleet {flag} {value} must exit 2, stderr: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "exp fleet {flag} {value} panicked: {stderr}"
+        );
+        assert!(
+            stderr.contains("usage:"),
+            "exp fleet {flag} {value} must print the usage: {stderr}"
+        );
+    }
 }

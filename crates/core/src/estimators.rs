@@ -64,12 +64,19 @@ impl Ewma {
 
 /// ExoPlayer's sliding percentile: weighted median over recent samples,
 /// with sample weight `sqrt(bytes)` and a total-weight cap.
+///
+/// The median only changes when a sample is added, so `add` recomputes it
+/// once (into a reusable sort buffer) and `median` reads the cached value.
 #[derive(Debug, Clone)]
 pub struct SlidingPercentile {
     max_weight: f64,
     /// Samples in insertion order: (weight, value-bps).
     samples: VecDeque<(f64, f64)>,
     total_weight: f64,
+    /// Scratch for the value-sorted copy of `samples`.
+    sorted: Vec<(f64, f64)>,
+    /// The weighted median as of the last `add`.
+    median: Option<f64>,
 }
 
 impl SlidingPercentile {
@@ -80,6 +87,8 @@ impl SlidingPercentile {
             max_weight,
             samples: VecDeque::new(),
             total_weight: 0.0,
+            sorted: Vec::new(),
+            median: None,
         }
     }
 
@@ -92,24 +101,24 @@ impl SlidingPercentile {
             let (w, _) = self.samples.pop_front().expect("non-empty");
             self.total_weight -= w;
         }
+        self.sorted.clear();
+        self.sorted.extend(self.samples.iter().copied());
+        // Stable sort: equal values keep insertion order, which fixes
+        // where the weight accumulation crosses the half.
+        self.sorted
+            .sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite values"));
+        let half = self.total_weight / 2.0;
+        let mut acc = 0.0;
+        let crossing = self.sorted.iter().find(|(w, _)| {
+            acc += w;
+            acc >= half
+        });
+        self.median = crossing.or(self.sorted.last()).map(|&(_, v)| v);
     }
 
     /// The weighted median; `None` before any sample.
     pub fn median(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<(f64, f64)> = self.samples.iter().copied().collect();
-        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite values"));
-        let half = self.total_weight / 2.0;
-        let mut acc = 0.0;
-        for (w, v) in &sorted {
-            acc += w;
-            if acc >= half {
-                return Some(*v);
-            }
-        }
-        sorted.last().map(|(_, v)| *v)
+        self.median
     }
 }
 

@@ -47,6 +47,12 @@ pub struct MpcPolicy {
     /// Aggregate bandwidth requirement per combination (bps) — used both
     /// as the download-cost model and as the quality proxy.
     combo_bw: Vec<f64>,
+    /// Per-combination quality in Mbps (`combo_bw / 1e6`).
+    q: Vec<f64>,
+    /// The largest entry of `q`: the per-step score bound of `plan`.
+    q_max: f64,
+    /// `plan`'s per-call download-time scratch, reused across calls.
+    download_s: Vec<f64>,
     tput: HarmonicMean,
     /// Relative prediction errors of recent throughput predictions
     /// (RobustMPC's max-error discount).
@@ -63,9 +69,15 @@ impl MpcPolicy {
     pub fn from_combos(mut pairs: Vec<(Combo, BitsPerSec)>) -> MpcPolicy {
         assert!(!pairs.is_empty(), "no combinations");
         pairs.sort_by_key(|&(c, bw)| (bw, c.video, c.audio));
+        let combo_bw: Vec<f64> = pairs.iter().map(|&(_, b)| b.bps() as f64).collect();
+        let q: Vec<f64> = combo_bw.iter().map(|&bw| bw / 1e6).collect();
+        let q_max = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         MpcPolicy {
             combos: pairs.iter().map(|&(c, _)| c).collect(),
-            combo_bw: pairs.iter().map(|&(_, b)| b.bps() as f64).collect(),
+            download_s: Vec::with_capacity(combo_bw.len()),
+            combo_bw,
+            q,
+            q_max,
             tput: HarmonicMean::new(5),
             errors: std::collections::VecDeque::new(),
             last_prediction: None,
@@ -132,24 +144,20 @@ impl MpcPolicy {
     /// first-sequence-wins tie-breaking are all unchanged while shared
     /// prefixes are evaluated once instead of per leaf (the hottest
     /// `policy.select` path in `exp mc`).
-    fn plan(&self, buffer_s: f64, chunk_s: f64, predicted_bps: f64, prev: usize) -> usize {
+    fn plan(&mut self, buffer_s: f64, chunk_s: f64, predicted_bps: f64, prev: usize) -> usize {
         let n = self.combos.len();
         let horizon = self.cfg.horizon.max(1);
         let prev = prev.min(n - 1);
         // Loop-invariant per-combo costs, hoisted with the exact
         // expressions the per-step evaluation used.
-        let download_s: Vec<f64> = self
-            .combo_bw
-            .iter()
-            .map(|&bw| bw * chunk_s / predicted_bps)
-            .collect();
-        let q: Vec<f64> = self.combo_bw.iter().map(|&bw| bw / 1e6).collect();
+        self.download_s.clear();
+        self.download_s
+            .extend(self.combo_bw.iter().map(|&bw| bw * chunk_s / predicted_bps));
         // Admissible per-step bound: every step term is at most q_max
         // (both penalties are non-negative), so a partial plan with
         // `score + remaining × q_max <= best_score` cannot *strictly*
         // beat the incumbent — and only strict improvement changes the
         // winner — making the prune exact, not heuristic.
-        let q_max = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut best_first = prev;
         let mut best_score = f64::NEG_INFINITY;
         #[allow(clippy::too_many_arguments)]
@@ -216,9 +224,9 @@ impl MpcPolicy {
             }
         }
         dfs(
-            &download_s,
-            &q,
-            q_max,
+            &self.download_s,
+            &self.q,
+            self.q_max,
             chunk_s,
             self.cfg.switch_penalty,
             self.cfg.stall_penalty,

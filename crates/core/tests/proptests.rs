@@ -46,7 +46,69 @@ fn arb_pairs() -> impl Strategy<Value = Vec<(Combo, BitsPerSec)>> {
     })
 }
 
+/// Reference sliding percentile: the copy-and-sort median computed on
+/// every query, as `SlidingPercentile` did before it cached the result.
+struct ScanPercentile {
+    max_weight: f64,
+    samples: std::collections::VecDeque<(f64, f64)>,
+    total_weight: f64,
+}
+
+impl ScanPercentile {
+    fn add(&mut self, weight: f64, value: f64) {
+        self.samples.push_back((weight, value));
+        self.total_weight += weight;
+        while self.total_weight > self.max_weight && self.samples.len() > 1 {
+            let (w, _) = self.samples.pop_front().unwrap();
+            self.total_weight -= w;
+        }
+    }
+
+    fn median(&self) -> Option<f64> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        let mut sorted: Vec<(f64, f64)> = self.samples.iter().copied().collect();
+        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        let half = self.total_weight / 2.0;
+        let mut acc = 0.0;
+        for (w, v) in &sorted {
+            acc += w;
+            if acc >= half {
+                return Some(*v);
+            }
+        }
+        sorted.last().map(|(_, v)| *v)
+    }
+}
+
 proptest! {
+    /// Differential: after every `add`, the cached median is bit-identical
+    /// to the reference copy-and-sort median. Values come from a small
+    /// set so ties (where sort stability matters) are common.
+    #[test]
+    fn cached_median_matches_scan_reference(
+        max_weight in 20.0f64..600.0,
+        samples in proptest::collection::vec((0.5f64..150.0, 0u64..6), 1..80),
+    ) {
+        let mut p = SlidingPercentile::new(max_weight);
+        let mut reference = ScanPercentile {
+            max_weight,
+            samples: std::collections::VecDeque::new(),
+            total_weight: 0.0,
+        };
+        prop_assert_eq!(p.median(), None);
+        for &(w, k) in &samples {
+            let value = 250_000.0 * k as f64 + 0.5;
+            p.add(w, value);
+            reference.add(w, value);
+            prop_assert_eq!(
+                p.median().map(f64::to_bits),
+                reference.median().map(f64::to_bits)
+            );
+        }
+    }
+
     /// An EWMA estimate always lies within [min, max] of its samples.
     #[test]
     fn ewma_bounded_by_samples(

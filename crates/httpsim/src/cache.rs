@@ -40,37 +40,49 @@ impl CacheStats {
     }
 }
 
-/// One cached entry in the LRU order bookkeeping.
-#[derive(Debug, Clone)]
-struct Entry {
-    size: Bytes,
-    last_used: u64,
-}
-
 /// Full cache key: `(namespace, object, exact range)`. The namespace
 /// disambiguates identical `ObjectId`s from different catalog titles when
 /// one cache fronts a whole fleet (every title numbers its segments from
 /// chunk 0); single-title callers use namespace 0 throughout.
 type CacheKey = (u64, ObjectId, Option<(u64, u64)>);
 
+/// End-of-list marker for the recency links.
+const NIL: u32 = u32::MAX;
+
+/// One stored entry, threaded on the recency list.
+#[derive(Debug, Clone)]
+struct Slot {
+    key: CacheKey,
+    size: Bytes,
+    /// Neighbor toward the most recently used end (`NIL` at the head).
+    newer: u32,
+    /// Neighbor toward the least recently used end (`NIL` at the tail).
+    older: u32,
+}
+
 /// An LRU cache with a byte-capacity bound.
 ///
-/// Every lookup takes a fresh, unique `clock` stamp, so recency is a
-/// total order: the LRU victim is the entry with the smallest
-/// `last_used`, found in `O(log n)` through a stamp-ordered index.
+/// Entries live in a slot vector threaded on an intrusive doubly linked
+/// recency list: every lookup moves its entry to the most recently used
+/// end, so recency is a total order and the LRU victim is the list's
+/// tail. A hit is one tree lookup plus an O(1) relink; an eviction is an
+/// O(1) unlink plus one tree removal.
 #[derive(Debug)]
 pub struct CdnCache {
     capacity: Bytes,
     used: Bytes,
-    clock: u64,
-    /// Keyed by `(namespace, object, exact range)`. Ordered maps rather
+    /// `(namespace, object, exact range)` → slot. Ordered maps rather
     /// than hash maps keep every walk key-ordered, so the cache's
     /// observable behavior is a pure function of the request sequence
     /// (ABR-L001).
-    entries: BTreeMap<CacheKey, Entry>,
-    /// Recency index: each entry's `last_used` stamp → its key. Its first
-    /// element is the LRU victim.
-    by_stamp: BTreeMap<u64, CacheKey>,
+    index: BTreeMap<CacheKey, u32>,
+    /// Entry storage; vacated slots are listed in `free`.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Most recently used slot (list head), or `NIL` when empty.
+    mru: u32,
+    /// Least recently used slot (list tail, the next victim), or `NIL`.
+    lru: u32,
     stats: CacheStats,
     obs: ObsHandle,
 }
@@ -82,9 +94,11 @@ impl CdnCache {
         CdnCache {
             capacity,
             used: Bytes::ZERO,
-            clock: 0,
-            entries: BTreeMap::new(),
-            by_stamp: BTreeMap::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            mru: NIL,
+            lru: NIL,
             stats: CacheStats::default(),
             obs: ObsHandle::disabled(),
         }
@@ -127,15 +141,13 @@ impl CdnCache {
         namespace: u64,
         now: Instant,
     ) -> Result<(bool, Bytes), HttpError> {
-        self.clock += 1;
         let (object, range) = req.cache_key();
         let key = (namespace, object, range);
-        if let Some(e) = self.entries.get_mut(&key) {
-            let indexed = self.by_stamp.remove(&e.last_used).expect("indexed");
-            e.last_used = self.clock;
-            self.by_stamp.insert(self.clock, indexed);
+        if let Some(&slot) = self.index.get(&key) {
+            self.unlink(slot);
+            self.push_mru(slot);
             self.stats.hits += 1;
-            let size = e.size;
+            let size = self.slots[slot as usize].size;
             self.stats.bytes_from_cache += size;
             self.debug_check();
             self.record_lookup(req, now, true, size);
@@ -149,14 +161,24 @@ impl CdnCache {
                 self.evict_lru();
             }
             self.used += size;
-            self.by_stamp.insert(self.clock, key.clone());
-            self.entries.insert(
-                key,
-                Entry {
-                    size,
-                    last_used: self.clock,
-                },
-            );
+            let entry = Slot {
+                key: key.clone(),
+                size,
+                newer: NIL,
+                older: NIL,
+            };
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slots[slot as usize] = entry;
+                    slot
+                }
+                None => {
+                    self.slots.push(entry);
+                    u32::try_from(self.slots.len() - 1).expect("slot count fits u32")
+                }
+            };
+            self.push_mru(slot);
+            self.index.insert(key, slot);
         }
         self.debug_check();
         self.record_lookup(req, now, false, size);
@@ -176,36 +198,79 @@ impl CdnCache {
     }
 
     fn evict_lru(&mut self) {
-        let (_, victim) = self.by_stamp.pop_first().expect("evict on non-empty cache");
-        let e = self.entries.remove(&victim).expect("indexed entry present");
-        self.used -= e.size;
+        let victim = self.lru;
+        assert_ne!(victim, NIL, "evict on non-empty cache");
+        self.unlink(victim);
+        let slot = &self.slots[victim as usize];
+        self.index.remove(&slot.key).expect("listed entry indexed");
+        self.used -= slot.size;
+        self.free.push(victim);
         self.stats.evictions += 1;
         self.obs.count("cache.evictions", 1);
     }
 
+    /// Detaches `slot` from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Slot { newer, older, .. } = self.slots[slot as usize];
+        match newer {
+            NIL => self.mru = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.lru = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Attaches a detached `slot` at the most recently used end.
+    fn push_mru(&mut self, slot: u32) {
+        let old_head = self.mru;
+        let s = &mut self.slots[slot as usize];
+        s.newer = NIL;
+        s.older = old_head;
+        match old_head {
+            NIL => self.lru = slot,
+            h => self.slots[h as usize].newer = slot,
+        }
+        self.mru = slot;
+    }
+
     /// Structural invariants, checked after every lookup when built with
-    /// `debug-invariants`: the recency index and the entry map hold the
-    /// same keys (each entry's stamp maps back to it), and the stored
+    /// `debug-invariants`: the recency list, walked from the MRU end,
+    /// visits exactly the indexed slots; its `newer`/`older` links agree;
+    /// every listed slot's key maps back to that slot; and the listed
     /// sizes sum to `used`.
     fn debug_check(&self) {
         #[cfg(feature = "debug-invariants")]
         {
+            let mut visited = 0usize;
+            let mut bytes = 0u64;
+            let mut prev = NIL;
+            let mut at = self.mru;
+            while at != NIL {
+                debug_assert!(
+                    visited < self.index.len(),
+                    "recency list longer than the index (cycle?)"
+                );
+                let s = &self.slots[at as usize];
+                debug_assert_eq!(s.newer, prev, "newer link disagrees with the walk");
+                debug_assert_eq!(
+                    self.index.get(&s.key),
+                    Some(&at),
+                    "a listed slot's key must map back to it"
+                );
+                bytes += s.size.get();
+                visited += 1;
+                prev = at;
+                at = s.older;
+            }
+            debug_assert_eq!(self.lru, prev, "list tail must be the LRU slot");
             debug_assert_eq!(
-                self.by_stamp.len(),
-                self.entries.len(),
-                "recency index and entry map must have equal length"
+                visited,
+                self.index.len(),
+                "recency list must visit every indexed slot"
             );
-            debug_assert!(
-                self.entries
-                    .iter()
-                    .all(|(k, e)| self.by_stamp.get(&e.last_used) == Some(k)),
-                "an entry's stamp must map back to its key"
-            );
-            debug_assert_eq!(
-                self.entries.values().map(|e| e.size.get()).sum::<u64>(),
-                self.used.get(),
-                "entry sizes must sum to used bytes"
-            );
+            debug_assert_eq!(bytes, self.used.get(), "entry sizes must sum to used bytes");
         }
     }
 
@@ -221,12 +286,12 @@ impl CdnCache {
 
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 }
 

@@ -1,5 +1,5 @@
 //! Property-based tests: cache capacity/accounting invariants, the
-//! indexed LRU against a scan-based reference, and origin byte-range
+//! recency-list LRU against a scan-based reference, and origin byte-range
 //! consistency.
 
 use abr_httpsim::cache::{CacheStats, CdnCache};
@@ -36,7 +36,8 @@ type Key = (u64, ObjectId, Option<(u64, u64)>);
 
 /// Reference LRU cache: the straightforward implementation that finds
 /// each victim by scanning every entry for the smallest `last_used`
-/// stamp. The indexed [`CdnCache`] must agree with it request for request.
+/// stamp. The list-ordered [`CdnCache`] must agree with it request for
+/// request.
 struct ScanCache {
     capacity: Bytes,
     used: Bytes,
@@ -182,7 +183,7 @@ proptest! {
         }
     }
 
-    /// Differential: the stamp-indexed LRU evicts exactly the entries the
+    /// Differential: the recency-list LRU evicts exactly the entries the
     /// scan-based reference evicts. Multi-namespace request streams at
     /// small capacities force evictions on most misses; after every
     /// request both caches report the same hit and size, counters, bytes

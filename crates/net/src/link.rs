@@ -53,7 +53,7 @@ struct Flow {
     profile: DeliveryProfile,
 }
 
-/// A completed transfer, as reported by [`Link::advance_to`].
+/// A completed transfer, as reported by [`Link::advance_into`].
 #[derive(Debug, Clone)]
 pub struct Completion {
     /// Which flow finished.
@@ -74,8 +74,11 @@ pub struct Completion {
 /// flows live in persistent sorted vectors (id order for delivery, finish
 /// key order for min-remaining queries), a global drain counter stands in
 /// for per-flow subtraction, and a monotone [`TraceCursor`] replaces the
-/// binary search per rate lookup. See DESIGN.md §Performance for the
-/// invariants.
+/// binary search per rate lookup. Completions land in a caller-owned
+/// buffer ([`Link::advance_into`]) and delivery profiles are recycled
+/// through a spare list ([`Link::recycle_profile`]), so a caller that
+/// reuses both allocates nothing per flow in steady state. See DESIGN.md
+/// §Performance for the invariants.
 #[derive(Debug, Clone)]
 pub struct Link {
     trace: Trace,
@@ -96,9 +99,12 @@ pub struct Link {
     by_finish: Vec<(u128, FlowId)>,
     /// Flows awaiting activation, keyed by `(activate_at, id)`, ascending.
     waiting: Vec<(Instant, FlowId)>,
-    /// Monotone rate-schedule cursor for `advance_to`; `next_completion`
+    /// Monotone rate-schedule cursor for `advance_into`; `next_completion`
     /// lookaheads copy it so predictions never perturb its position.
     cursor: TraceCursor,
+    /// Cleared profiles handed back by [`Link::recycle_profile`]; new
+    /// flows take one before allocating.
+    spare: Vec<DeliveryProfile>,
 }
 
 impl Link {
@@ -122,6 +128,7 @@ impl Link {
             by_finish: Vec::new(),
             waiting: Vec::new(),
             cursor: TraceCursor::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -131,7 +138,7 @@ impl Link {
         self.obs = obs;
     }
 
-    /// Current link time (advanced by [`Link::advance_to`]).
+    /// Current link time (advanced by [`Link::advance_into`]).
     pub fn now(&self) -> Instant {
         self.now
     }
@@ -157,6 +164,10 @@ impl Link {
         let work = size.get() as u128 * BITMICROS_PER_BYTE;
         let activate_at = self.now + self.latency + extra;
         let instantly_active = activate_at <= self.now;
+        let profile = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| DeliveryProfile::with_capacity(PROFILE_SEGMENT_HINT));
         self.flows.insert(
             id,
             Flow {
@@ -168,7 +179,7 @@ impl Link {
                 size,
                 opened_at: self.now,
                 activate_at,
-                profile: DeliveryProfile::with_capacity(PROFILE_SEGMENT_HINT),
+                profile,
             },
         );
         if instantly_active {
@@ -187,6 +198,14 @@ impl Link {
             .gauge("link.pending_flows", self.flows.len() as f64);
         self.debug_check();
         id
+    }
+
+    /// Hands a finished flow's profile back for reuse: it is cleared and
+    /// the next [`Link::open_flow_after`] records into it instead of
+    /// allocating a fresh one.
+    pub fn recycle_profile(&mut self, mut profile: DeliveryProfile) {
+        profile.clear();
+        self.spare.push(profile);
     }
 
     /// Number of flows currently transferring or awaiting activation.
@@ -376,18 +395,29 @@ impl Link {
 
     /// Advances link time to `t`, integrating deliveries, and returns the
     /// flows that completed at or before `t`, ordered by completion time
-    /// then flow id. Panics if `t` is in the past.
+    /// then flow id. Panics if `t` is in the past. A convenience wrapper
+    /// over [`Link::advance_into`] with a fresh buffer.
+    pub fn advance_to(&mut self, t: Instant) -> Vec<Completion> {
+        let mut done = Vec::new();
+        self.advance_into(t, &mut done);
+        done
+    }
+
+    /// [`Link::advance_to`] into a caller-owned buffer: appends the flows
+    /// that completed at or before `t`, ordered by completion time then
+    /// flow id, after whatever `done` already holds (only the appended
+    /// part is sorted). Panics if `t` is in the past.
     ///
     /// Allocation-free per span: the active set is maintained
     /// incrementally across calls (no per-span id collection), the
     /// earliest completion comes from the finish-key index in O(1), and
     /// rate lookups ride the monotone trace cursor.
-    pub fn advance_to(&mut self, t: Instant) -> Vec<Completion> {
+    pub fn advance_into(&mut self, t: Instant, done: &mut Vec<Completion>) {
         let _g = self.obs.span("link.advance_to");
         assert!(t >= self.now, "advance into the past: {t} < {}", self.now);
         #[cfg(feature = "debug-invariants")]
         let drained_at_entry = self.drained;
-        let mut done = Vec::new();
+        let first_new = done.len();
         while self.now < t {
             let now = self.now;
             // Promote flows whose activation instant has arrived. (Spans
@@ -528,8 +558,7 @@ impl Link {
             self.drained
         );
         self.debug_check();
-        done.sort_by_key(|c| (c.at, c.id));
-        done
+        done[first_new..].sort_by_key(|c| (c.at, c.id));
     }
 }
 

@@ -77,6 +77,11 @@ impl DeliveryProfile {
         self.segments.push(seg);
     }
 
+    /// Drops every span, keeping the allocation (profile recycling).
+    pub(crate) fn clear(&mut self) {
+        self.segments.clear();
+    }
+
     /// The recorded spans.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
@@ -130,21 +135,17 @@ impl DeliveryProfile {
     }
 
     /// Splits the transfer into consecutive `width` windows starting at the
-    /// first delivered byte and returns `(window_start, bytes_in_window)`
+    /// first delivered byte and yields `(window_start, bytes_in_window)`
     /// for each *complete* window. A trailing partial window is dropped —
     /// matching Shaka, which only scores full sampling intervals.
-    pub fn windows(&self, width: Duration) -> Vec<(Instant, Bytes)> {
+    pub fn windows(&self, width: Duration) -> impl Iterator<Item = (Instant, Bytes)> + '_ {
         assert!(!width.is_zero(), "zero window");
-        let (Some(start), Some(end)) = (self.start(), self.end()) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut t = start;
-        while t + width <= end {
-            out.push((t, self.bytes_between(t, t + width)));
-            t += width;
-        }
-        out
+        // An empty profile yields nothing: `ZERO + width > ZERO`.
+        let start = self.start().unwrap_or(Instant::ZERO);
+        let end = self.end().unwrap_or(Instant::ZERO);
+        std::iter::successors(Some(start), move |&t| Some(t + width))
+            .take_while(move |&t| t + width <= end)
+            .map(move |t| (t, self.bytes_between(t, t + width)))
     }
 }
 
@@ -228,7 +229,7 @@ mod tests {
             end: Instant::from_secs(1),
             rate: BitsPerSec::from_kbps(1000),
         });
-        let w = p.windows(Duration::from_millis(125));
+        let w: Vec<_> = p.windows(Duration::from_millis(125)).collect();
         assert_eq!(w.len(), 8);
         for (_, bytes) in &w {
             assert_eq!(*bytes, Bytes(15_625));
@@ -245,7 +246,7 @@ mod tests {
             rate: BitsPerSec::from_kbps(1000),
         });
         // 300 ms / 125 ms → 2 complete windows.
-        assert_eq!(p.windows(Duration::from_millis(125)).len(), 2);
+        assert_eq!(p.windows(Duration::from_millis(125)).count(), 2);
     }
 
     #[test]
@@ -261,7 +262,7 @@ mod tests {
             end: Instant::from_millis(250),
             rate: BitsPerSec::from_kbps(1000),
         });
-        let w = p.windows(Duration::from_millis(125));
+        let w: Vec<_> = p.windows(Duration::from_millis(125)).collect();
         // Window 0: 100 ms @ 2 Mbps (25000 B) + 25 ms @ 1 Mbps (3125 B).
         assert_eq!(w[0].1, Bytes(28_125));
         // Window 1: 125 ms @ 1 Mbps.
@@ -274,6 +275,6 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.total_bytes(), Bytes::ZERO);
         assert_eq!(p.mean_throughput(), None);
-        assert!(p.windows(Duration::from_millis(125)).is_empty());
+        assert_eq!(p.windows(Duration::from_millis(125)).count(), 0);
     }
 }

@@ -6,11 +6,14 @@
 //! through identical schedules of flow arrivals, cancels and rate traces,
 //! and require field-by-field equality of every `Completion` — id,
 //! instant, size, open time and the full `DeliveryProfile` — plus
-//! matching `next_completion` predictions at every step.
+//! matching `next_completion` predictions at every step. A third link
+//! runs the engine's allocation-free path: `advance_into` a reused,
+//! non-empty buffer, with every completion's profile recycled.
 
 use abr_event::time::{Duration, Instant};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_net::link::{Completion, FlowId, Link};
+use abr_net::profile::DeliveryProfile;
 use abr_net::trace::Trace;
 use proptest::prelude::*;
 
@@ -288,6 +291,38 @@ fn assert_completions_match(new: &[Completion], old: &[legacy::Completion]) {
     }
 }
 
+/// A completion the reused buffer carries ahead of every batch. Its
+/// instant is far in the future, so sorting more than the appended part
+/// would move it and fail the check.
+fn sentinel() -> Completion {
+    Completion {
+        id: FlowId(u64::MAX),
+        at: Instant::from_secs(u64::from(u32::MAX)),
+        size: Bytes(1),
+        opened_at: Instant::ZERO,
+        profile: DeliveryProfile::new(),
+    }
+}
+
+/// Advances `link` to `t` through `advance_into` on the reused buffer
+/// `buf` (which holds only the sentinel on entry and exit), checks the
+/// appended batch against the legacy solver's, and recycles every
+/// completion's profile.
+fn advance_reused(
+    link: &mut Link,
+    buf: &mut Vec<Completion>,
+    t: Instant,
+    old: &[legacy::Completion],
+) {
+    link.advance_into(t, buf);
+    assert_eq!(buf[0].id, FlowId(u64::MAX), "buffer prefix must stay first");
+    assert_eq!(buf[0].at, sentinel().at, "buffer prefix must be untouched");
+    assert_completions_match(&buf[1..], old);
+    for c in buf.drain(1..) {
+        link.recycle_profile(c.profile);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -302,7 +337,9 @@ proptest! {
     ) {
         let latency = Duration::from_millis(latency_ms);
         let mut new = Link::with_latency(trace.clone(), latency);
+        let mut reused = Link::with_latency(trace.clone(), latency);
         let mut old = legacy::Link::with_latency(trace, latency);
+        let mut buf = vec![sentinel()];
         let mut t = Instant::ZERO;
         let mut live: Vec<FlowId> = Vec::new();
         for op in &ops {
@@ -310,9 +347,11 @@ proptest! {
                 Op::Advance(ms) => {
                     t += Duration::from_millis(*ms);
                     prop_assert_eq!(new.next_completion(), old.next_completion());
+                    prop_assert_eq!(reused.next_completion(), old.next_completion());
                     let dn = new.advance_to(t);
                     let dold = old.advance_to(t);
                     assert_completions_match(&dn, &dold);
+                    advance_reused(&mut reused, &mut buf, t, &dold);
                     live.retain(|id| !dn.iter().any(|c| c.id == *id));
                 }
                 Op::Open(size, extra_ms) => {
@@ -320,24 +359,30 @@ proptest! {
                     let a = new.open_flow_after(Bytes(*size), extra);
                     let b = old.open_flow_after(Bytes(*size), extra);
                     prop_assert_eq!(a, b, "flow ids must stay in lockstep");
+                    prop_assert_eq!(reused.open_flow_after(Bytes(*size), extra), a);
                     live.push(a);
                 }
                 Op::Cancel(k) => {
                     if let Some(id) = live.get(*k).copied() {
                         prop_assert_eq!(new.cancel_flow(id), old.cancel_flow(id));
+                        prop_assert!(reused.cancel_flow(id));
                         live.retain(|x| *x != id);
                     }
                 }
             }
             for id in &live {
                 prop_assert_eq!(new.flow_remaining(*id), old.flow_remaining(*id));
+                prop_assert_eq!(reused.flow_remaining(*id), old.flow_remaining(*id));
             }
         }
         // Drain: everything completes on the live tail, identically.
         prop_assert_eq!(new.next_completion(), old.next_completion());
         let horizon = t + Duration::from_secs(3_600 * 24);
-        assert_completions_match(&new.advance_to(horizon), &old.advance_to(horizon));
+        let dold = old.advance_to(horizon);
+        assert_completions_match(&new.advance_to(horizon), &dold);
+        advance_reused(&mut reused, &mut buf, horizon, &dold);
         prop_assert_eq!(new.pending_count(), 0);
+        prop_assert_eq!(reused.pending_count(), 0);
     }
 
     /// `next_completion` lookahead never perturbs subsequent behaviour

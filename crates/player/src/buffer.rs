@@ -21,10 +21,16 @@ pub struct BufferedChunk {
 
 /// A FIFO of buffered chunks for one media type, with partial playout of
 /// the head chunk.
+///
+/// The level is O(1): `total` is the running sum of the queued chunk
+/// durations, kept exact by `push`, `drain` and `flush_to` (durations are
+/// integer microseconds).
 #[derive(Debug, Clone)]
 pub struct ChunkBuffer {
     media: MediaType,
     queue: VecDeque<BufferedChunk>,
+    /// Sum of the queued chunks' durations.
+    total: Duration,
     /// How much of the head chunk has already been played.
     head_played: Duration,
     /// Index of the next chunk playback expects (for contiguity checks).
@@ -37,6 +43,7 @@ impl ChunkBuffer {
         ChunkBuffer {
             media,
             queue: VecDeque::new(),
+            total: Duration::ZERO,
             head_played: Duration::ZERO,
             next_play_index: 0,
         }
@@ -61,13 +68,13 @@ impl ChunkBuffer {
             chunk.index
         );
         assert!(!chunk.duration.is_zero(), "zero-duration chunk");
+        self.total += chunk.duration;
         self.queue.push_back(chunk);
     }
 
     /// Buffered seconds of content remaining to play.
     pub fn level(&self) -> Duration {
-        let total: Duration = self.queue.iter().map(|c| c.duration).sum();
-        total - self.head_played
+        self.total - self.head_played
     }
 
     /// True when nothing is left to play.
@@ -85,11 +92,8 @@ impl ChunkBuffer {
     /// Consumes `dt` of content. Panics if `dt` exceeds the buffered level
     /// (the playback engine is responsible for clamping at boundaries).
     pub fn drain(&mut self, dt: Duration) {
-        assert!(
-            dt <= self.level(),
-            "drain {dt} exceeds level {}",
-            self.level()
-        );
+        let level = self.level();
+        assert!(dt <= level, "drain {dt} exceeds level {level}");
         let mut left = dt;
         while !left.is_zero() {
             let head = self.queue.front().expect("level guaranteed content");
@@ -100,6 +104,7 @@ impl ChunkBuffer {
             } else {
                 left -= head_left;
                 self.next_play_index = head.index + 1;
+                self.total -= head.duration;
                 self.queue.pop_front();
                 self.head_played = Duration::ZERO;
             }
@@ -115,6 +120,7 @@ impl ChunkBuffer {
     /// (a seek). The next chunk pushed — and played — is `index`.
     pub fn flush_to(&mut self, index: usize) {
         self.queue.clear();
+        self.total = Duration::ZERO;
         self.head_played = Duration::ZERO;
         self.next_play_index = index;
     }

@@ -301,7 +301,8 @@ impl Engine {
     fn step(&mut self, t: Instant) {
         // Playout first (consumes pre-existing buffer content over
         // [now, t]); completions arriving at t are usable from t on.
-        let completions = self.link.advance_to(t);
+        let mut completions = std::mem::take(&mut self.flights.completions);
+        self.link.advance_into(t, &mut completions);
         let state_before_advance = self.playback.state();
         self.playback
             .advance(self.now, t, &mut self.audio_buf, &mut self.video_buf);
@@ -313,7 +314,8 @@ impl Engine {
                 _ => {}
             }
         }
-        self.on_completions(completions);
+        self.on_completions(&mut completions);
+        self.flights.completions = completions;
         self.obs
             .gauge("session.pending_requests", self.flights.len() as f64);
         self.apply_due_seeks();

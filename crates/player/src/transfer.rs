@@ -84,6 +84,9 @@ pub(crate) struct FlightBoard {
     /// Reusable interval scratch for [`Engine::meter_window`] — cleared and
     /// refilled each round so the meter never allocates in steady state.
     meter_scratch: Vec<(Instant, Instant)>,
+    /// Reusable completion buffer: the link appends into it each step and
+    /// [`Engine::on_completions`] drains it.
+    pub(crate) completions: Vec<Completion>,
 }
 
 impl FlightBoard {
@@ -234,14 +237,16 @@ impl Engine {
     }
 
     /// Folds a batch of link completions into buffers, the policy's
-    /// estimator feed, the session log and the trace. The first *chunk*
-    /// completion of the batch carries the whole meter window; playlist
-    /// completions re-issue their deferred chunk requests instead.
-    pub(crate) fn on_completions(&mut self, completions: Vec<Completion>) {
+    /// estimator feed, the session log and the trace, draining `completions`.
+    /// The first *chunk* completion of the batch carries the whole meter
+    /// window; playlist completions re-issue their deferred chunk requests
+    /// instead. Every delivery profile goes back to the link once the
+    /// policy has seen it.
+    pub(crate) fn on_completions(&mut self, completions: &mut Vec<Completion>) {
         let _g = self.obs.span("transfer.on_completions");
-        let (window_bytes, window_busy) = self.meter_window(&completions);
+        let (window_bytes, window_busy) = self.meter_window(completions);
         let mut first_completion = true;
-        for c in completions {
+        for c in completions.drain(..) {
             let p = match self
                 .flights
                 .remove(c.id)
@@ -291,6 +296,7 @@ impl Engine {
                     requested_at,
                     then,
                 } => {
+                    self.link.recycle_profile(c.profile);
                     self.on_playlist_arrival(track, requested_at, c.at, then);
                     continue;
                 }
@@ -326,12 +332,13 @@ impl Engine {
         }
     }
 
-    /// Feeds one completed chunk transfer to the policy and appends the
-    /// log row and trace event.
+    /// Feeds one completed chunk transfer to the policy, recycles its
+    /// profile, and appends the log row and trace event.
     fn ingest_transfer(&mut self, record: TransferRecord, flow: FlowId, at: Instant) {
         let (track, chunk, size, opened_at) =
             (record.track, record.chunk, record.size, record.opened_at);
         self.policy.on_transfer(&record);
+        self.link.recycle_profile(record.profile);
         let estimate_after = self.policy.debug_estimate();
         self.log.transfers.push(TransferEvent {
             at,

@@ -1,5 +1,6 @@
-//! Property-based tests: buffer arithmetic, playback drain accounting and
-//! scheduler gating.
+//! Property-based tests: buffer arithmetic (including the O(1) level
+//! against its O(n) definition), playback drain accounting and scheduler
+//! gating.
 
 use abr_event::time::{Duration, Instant};
 use abr_media::track::{MediaType, TrackId};
@@ -18,6 +19,52 @@ fn chunk(index: usize, millis: u64) -> BufferedChunk {
 }
 
 proptest! {
+    /// Differential: the O(1) running level equals the O(n) definition —
+    /// the sum over `chunks()` minus the played part of the head chunk —
+    /// after every step of a random `push`/`drain`/`flush_to` sequence.
+    /// The played part comes from a test-local model of the queue.
+    #[test]
+    fn level_matches_chunk_sum(
+        ops in proptest::collection::vec((0u8..5, 1u64..8_000, 0u64..=100), 1..80),
+    ) {
+        let mut buf = ChunkBuffer::new(MediaType::Video);
+        // Model: queued chunk durations (ms) and the head's played part.
+        let mut model: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
+        let mut head_played = 0u64;
+        for (kind, ms, pct) in ops {
+            match kind {
+                0 | 1 => {
+                    buf.push(chunk(buf.next_download_index(), ms));
+                    model.push_back(ms);
+                }
+                2 | 3 => {
+                    let mut left = buf.level().as_millis() * pct / 100;
+                    buf.drain(Duration::from_millis(left));
+                    while left > 0 {
+                        let head_left = model[0] - head_played;
+                        if left < head_left {
+                            head_played += left;
+                            left = 0;
+                        } else {
+                            left -= head_left;
+                            model.pop_front();
+                            head_played = 0;
+                        }
+                    }
+                }
+                _ => {
+                    buf.flush_to(ms as usize);
+                    model.clear();
+                    head_played = 0;
+                }
+            }
+            let durations: Vec<u64> = buf.chunks().map(|c| c.duration.as_millis()).collect();
+            prop_assert_eq!(&durations, &model.iter().copied().collect::<Vec<_>>());
+            let sum: u64 = durations.iter().sum();
+            prop_assert_eq!(buf.level().as_millis(), sum - head_played);
+        }
+    }
+
     /// Pushing then draining in arbitrary interleavings conserves content:
     /// level == pushed − drained at every step, and drains never exceed
     /// the level.

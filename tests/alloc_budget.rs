@@ -1,0 +1,106 @@
+//! Allocation budget for a whole streaming session.
+//!
+//! The session step is allocation-free in steady state (DESIGN.md §11):
+//! the link appends completions into a reused buffer and recycles delivery
+//! profiles, buffer levels are O(1), and estimator state is cached. What
+//! still allocates is bounded per session — construction, log-vector
+//! growth, first use of each reusable buffer. This test pins that bound
+//! for every DASH player kind, so a per-event allocation that sneaks back
+//! in fails here instead of quietly slowing every workload.
+
+// The only unsafe code in this file is the `GlobalAlloc` impl below: it
+// forwards every call unchanged to `System` and only bumps a counter.
+#![allow(unsafe_code)]
+
+use abr_bench::setup::{self, PlayerKind};
+use abr_event::time::Duration;
+use abr_net::trace::Trace;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Allocations (including reallocations) one session may make.
+const BUDGET: u64 = 64;
+
+thread_local! {
+    /// Set while the current thread's allocations are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations seen on this thread while `COUNTING` was set.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System` plus a per-thread allocation counter.
+struct CountingAlloc;
+
+fn note_allocation() {
+    // `try_with`: the allocator may run during thread teardown.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = COUNT.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations made on this thread while `f` runs.
+fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNT.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, COUNT.with(Cell::get))
+}
+
+#[test]
+fn one_session_stays_within_the_allocation_budget() {
+    let content = setup::drama();
+    let mut report = Vec::new();
+    for kind in [
+        PlayerKind::ExoPlayer,
+        PlayerKind::Shaka,
+        PlayerKind::DashJs,
+        PlayerKind::BestPractice,
+        PlayerKind::Bba,
+        PlayerKind::Mpc,
+    ] {
+        // Policy and trace are built outside the counted region: the
+        // budget covers the session itself.
+        let policy = setup::dash_policy(kind, &content);
+        let trace = Trace::fig4b_varying_600k(Duration::from_secs(3600));
+        let (log, allocations) =
+            count_allocations(|| setup::run_session(&content, kind, policy, trace));
+        assert!(
+            !log.transfers.is_empty(),
+            "{kind:?} session transferred nothing"
+        );
+        report.push((kind, allocations));
+    }
+    for &(kind, allocations) in &report {
+        assert!(
+            allocations <= BUDGET,
+            "{kind:?}: {allocations} allocations in one session (budget {BUDGET}); all: {report:?}"
+        );
+    }
+}
