@@ -151,7 +151,10 @@ fn main() {
     };
 
     if let Some(dir) = &json_dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("error: cannot create json directory `{dir}`: {e}");
+            std::process::exit(1);
+        }
     }
 
     // `--all` shards across experiment ids (each internally serial, to
@@ -172,13 +175,7 @@ fn main() {
         println!("{}", result.text);
         if let Some(dir) = &json_dir {
             let path = format!("{dir}/{}.json", result.id);
-            let mut f = std::fs::File::create(&path).expect("create json file");
-            f.write_all(
-                serde_json::to_string_pretty(&result.json)
-                    .expect("serialize")
-                    .as_bytes(),
-            )
-            .expect("write json");
+            write_json(&path, &result.json, "json");
             println!("[json written to {path}]\n");
         }
         if wants_obs || wants_profile {
@@ -310,13 +307,7 @@ fn run_mc_cli(args: &[String]) {
         );
     }
     if let Some(path) = json_path {
-        let mut f = std::fs::File::create(&path).expect("create mc json file");
-        f.write_all(
-            serde_json::to_string_pretty(&result.json)
-                .expect("serialize")
-                .as_bytes(),
-        )
-        .expect("write mc json");
+        write_json(&path, &result.json, "mc json");
         println!("[json written to {path}]");
     }
 }
@@ -404,13 +395,7 @@ fn run_fleet_cli(args: &[String]) {
         );
     }
     if let Some(path) = json_path {
-        let mut f = std::fs::File::create(&path).expect("create fleet json file");
-        f.write_all(
-            serde_json::to_string_pretty(&result.json)
-                .expect("serialize")
-                .as_bytes(),
-        )
-        .expect("write fleet json");
+        write_json(&path, &result.json, "fleet json");
         println!("[json written to {path}]");
     }
 }
@@ -425,14 +410,18 @@ fn emit_profile(workload: &WorkloadProfile, print_table: bool, json_path: Option
         eprintln!("{}", workload.text());
     }
     if let Some(path) = json_path {
-        let mut f = std::fs::File::create(path).expect("create profile json file");
-        f.write_all(
-            serde_json::to_string_pretty(&workload.json())
-                .expect("serialize")
-                .as_bytes(),
-        )
-        .expect("write profile json");
+        write_json(path, &workload.json(), "profile json");
         eprintln!("[profile json written to {path}]");
+    }
+}
+
+/// Writes `value` as pretty JSON to `path`; an unwritable path is a user
+/// error, reported like `--trace`'s (exit 1), not a panic.
+fn write_json(path: &str, value: &serde_json::Value, what: &str) {
+    let text = serde_json::to_string_pretty(value).expect("serialize");
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: cannot write {what} to `{path}`: {e}");
+        std::process::exit(1);
     }
 }
 

@@ -17,8 +17,8 @@
 //! * **Cross-domain coupling happens only at window barriers.** Workers
 //!   drain their domains strictly below each window boundary
 //!   ([`EventQueue::pop_before`]), pre-sum their own domains' uplink
-//!   demand, publish it to a per-worker slot, and meet at **one** barrier
-//!   per window. After the barrier every worker redundantly folds the
+//!   demand, publish it to a per-worker slot, and meet at **one**
+//!   [`WindowBarrier`] per window. After it every worker redundantly folds the
 //!   slots in fixed worker order and reaches the same decision: when
 //!   fleet demand exceeds the origin's egress capacity, every uplink is
 //!   throttled by the same `origin/demand` factor (the window-sync rule —
@@ -43,7 +43,7 @@ use super::{FleetSpec, PlanSource, SessionPlan, TRACE_SECS};
 use crate::corpus::{TitleCorpus, TitleScenario};
 use crate::setup::{dash_policy_over, player_config};
 use abr_event::arena::{Arena, SlotId};
-use abr_event::sync_model::{fold_slots, next_window, parity_of_round};
+use abr_event::sync_model::{fold_slots, is_last_arrival, next_window, parity_of_round, spins};
 use abr_event::time::{Duration, Instant};
 use abr_event::{EventQueue, WindowClock};
 use abr_httpsim::cache::{CacheStats, CdnCache};
@@ -53,12 +53,16 @@ use abr_media::content::SharedContent;
 use abr_media::units::Bytes;
 use abr_net::link::Link;
 use abr_net::uplink::{UplinkQueue, UplinkStats};
+use abr_obs::HostStopwatch;
 use abr_player::{Session, SessionLog, SessionStepper};
 use abr_qoe::QoeSummary;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread::Thread;
+
+use crate::runner::WorkerStats;
 
 /// Scheduling knobs for the fleet driver. Everything here is *outside*
 /// the artifact contract (DESIGN.md §16): every knob setting produces
@@ -120,11 +124,19 @@ pub(super) struct DriverOutput {
     pub session_bytes: u64,
     /// Largest single-session log footprint (deterministic estimate).
     pub session_bytes_max: u64,
+    /// Per-worker host-time accounting in worker order; empty unless the
+    /// run was profiled.
+    pub workers: Vec<WorkerStats>,
 }
 
 /// What one worker returns: its sessions' outputs (keyed by session
-/// index) and the end-of-run reports of the domains it owned.
-type WorkerResult = (Vec<(usize, SessionOutput)>, Vec<DomainReport>);
+/// index), the end-of-run reports of the domains it owned, and its
+/// host-time ledger when profiling.
+type WorkerResult = (
+    Vec<(usize, SessionOutput)>,
+    Vec<DomainReport>,
+    Option<WorkerStats>,
+);
 
 /// One entry on a domain's fleet-time queue.
 enum Slot {
@@ -263,11 +275,12 @@ impl WindowBoard {
     /// Publishes worker `w`'s pre-summed window data into its parity
     /// slot. `Release` suffices here (downgraded from `SeqCst`, with the
     /// model as evidence — see `lint.toml`): the stores only need to be
-    /// visible to the post-barrier folds, and `Barrier::wait` is itself
-    /// an acquire-release rendezvous, so even `Relaxed` publishes pass
-    /// the model (`relaxed_publish_with_flushing_rendezvous_is_safe`);
-    /// `Release` keeps the slots' own publish edge independent of that
-    /// barrier detail.
+    /// visible to the post-barrier folds, and the [`WindowBarrier`]'s
+    /// `AcqRel` count RMW and `Release`/`Acquire` generation edge already
+    /// order them, so even `Relaxed` publishes pass the model
+    /// (`relaxed_publish_with_flushing_rendezvous_is_safe`); `Release`
+    /// keeps the slots' own publish edge independent of that barrier
+    /// detail.
     fn publish(&self, parity: usize, w: usize, round: u64, demand: u64, alive: u64, next_at: u64) {
         self.demand[parity][w].store(demand, Ordering::Release);
         self.alive[parity][w].store(alive, Ordering::Release);
@@ -300,50 +313,179 @@ impl WindowBoard {
     }
 }
 
-/// Runs the fleet with default scheduling knobs. Returns per-session
-/// outputs in index order and per-domain reports in domain order —
-/// byte-identical at every `jobs` and shard count.
+/// How long a worker that is not the last to arrive spins on the
+/// generation counter before it parks. On a 2-core x86-64 host the
+/// sparse benchmark fleet waits ~8 µs per round behind a condvar
+/// barrier, so most of its rounds release inside the budget without a
+/// futex sleep; there, 10 µs and 5 µs budgets gave back part of the
+/// sparse-fleet gain and did not lower the dense fleets' CPU time. A
+/// scheduling constant outside the artifact contract (DESIGN.md §16),
+/// deliberately not a knob.
+const SPIN_BUDGET_NS: u64 = 20_000;
+
+/// Spins between stopwatch reads while spinning: the clock read costs
+/// about as much as a few dozen `spin_loop` hints.
+const SPINS_PER_CLOCK_READ: u32 = 32;
+
+/// The per-window rendezvous: a generation-counter barrier that spins
+/// briefly, then parks.
+///
+/// `std::sync::Barrier` (a mutex plus condvar) put every worker but the
+/// last to sleep in a futex each round and woke it with `notify_all`;
+/// on sparse fleets that round trip cost more than the window's work.
+/// Here the last arriver releases everyone by bumping `gen`, and waiters
+/// see the bump while still spinning. The happens-before edge the
+/// [`WindowBoard`] folds rely on: slot publish (`Release`) → the
+/// `count` RMW chain (`AcqRel`) → the `gen` bump (`Release`) → the
+/// waiter's `gen` load (`Acquire`) → fold reads. The barrier's operation
+/// order is model-checked as it executes here
+/// (`abr_event::sync_model::WindowModel`, DESIGN.md §17).
+struct WindowBarrier {
+    /// Completed rounds; the last arriver of each round bumps it.
+    gen: AtomicU64,
+    /// Arrivals in the current round.
+    count: AtomicUsize,
+    /// Each worker's thread, for the last arriver's unparks.
+    threads: Vec<OnceLock<Thread>>,
+    /// Whether waiters spin before parking: only when every worker can
+    /// hold a core ([`spins`]); oversubscribed, spinning steals the core
+    /// the last arriver needs.
+    spin: bool,
+}
+
+impl WindowBarrier {
+    fn new(workers: usize) -> WindowBarrier {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        WindowBarrier {
+            gen: AtomicU64::new(0),
+            count: AtomicUsize::new(0),
+            threads: (0..workers).map(|_| OnceLock::new()).collect(),
+            spin: spins(workers, cores),
+        }
+    }
+
+    /// Records the calling thread as worker `w`. Must precede the
+    /// worker's first [`WindowBarrier::wait`]: its `count` RMW then
+    /// orders the registration before the last arriver's unparks.
+    fn register(&self, w: usize) {
+        self.threads[w]
+            .set(std::thread::current())
+            .expect("each worker registers once");
+    }
+
+    /// Blocks worker `w` until all workers have called `wait` for this
+    /// round. Park tokens make an unpark that lands before the park (or
+    /// after the waiter already saw the bump) harmless: `park` then
+    /// returns at once and the loop re-checks `gen`.
+    fn wait(&self, w: usize) {
+        // Read the generation *before* arriving: once this worker's RMW
+        // lands, the last arriver may bump `gen` at any moment.
+        let g = self.gen.load(Ordering::Acquire);
+        let prev = self.count.fetch_add(1, Ordering::AcqRel);
+        if is_last_arrival(prev, self.threads.len()) {
+            // Reset before the bump: a released waiter may arrive for the
+            // next round immediately, and its RMW must count from zero.
+            self.count.store(0, Ordering::Relaxed);
+            self.gen.store(g + 1, Ordering::Release);
+            for (i, thread) in self.threads.iter().enumerate() {
+                if i != w {
+                    thread
+                        .get()
+                        .expect("every worker registers before its first arrival")
+                        .unpark();
+                }
+            }
+            return;
+        }
+        if self.spin {
+            let clock = HostStopwatch::start();
+            let mut spun = 0u32;
+            while self.gen.load(Ordering::Acquire) == g {
+                std::hint::spin_loop();
+                spun = spun.wrapping_add(1);
+                if spun.is_multiple_of(SPINS_PER_CLOCK_READ) && clock.elapsed_ns() >= SPIN_BUDGET_NS
+                {
+                    break;
+                }
+            }
+        }
+        while self.gen.load(Ordering::Acquire) == g {
+            std::thread::park();
+        }
+    }
+}
+
+/// Everything the workers share: the barrier, the slot board, and the
+/// run counters worker 0 keeps.
+struct Shared {
+    barrier: WindowBarrier,
+    board: WindowBoard,
+    windows: AtomicU64,
+    throttled: AtomicU64,
+}
+
+/// A profiled worker's host-time ledger (`exp fleet --profile`):
+/// consecutive laps off one stopwatch, each charged to busy (drain and
+/// fold) or barrier wait, so `busy + wait <= alive` by construction.
+struct Ledger {
+    alive: HostStopwatch,
+    lap: HostStopwatch,
+    busy_ns: u64,
+    wait_ns: u64,
+}
+
+impl Ledger {
+    fn start() -> Ledger {
+        Ledger {
+            alive: HostStopwatch::start(),
+            lap: HostStopwatch::start(),
+            busy_ns: 0,
+            wait_ns: 0,
+        }
+    }
+
+    fn lap(&mut self) -> u64 {
+        let ns = self.lap.elapsed_ns();
+        self.lap = HostStopwatch::start();
+        ns
+    }
+}
+
+/// Runs the fleet. Returns per-session outputs in index order and
+/// per-domain reports in domain order — byte-identical at every `jobs`
+/// value, shard count and knob setting (differential tests sweep the
+/// fast-forward horizon through here). With `profile` each worker also
+/// keeps a host-time ledger ([`DriverOutput::workers`]); the stopwatches
+/// only observe, so the outputs do not change.
 pub(super) fn run(
     spec: &FleetSpec,
     source: &PlanSource,
     jobs: usize,
     keep_logs: bool,
-) -> DriverOutput {
-    run_with_knobs(spec, source, jobs, keep_logs, FleetSchedKnobs::default())
-}
-
-/// [`run`] with explicit scheduling knobs (differential tests sweep the
-/// fast-forward horizon through here).
-pub(super) fn run_with_knobs(
-    spec: &FleetSpec,
-    source: &PlanSource,
-    jobs: usize,
-    keep_logs: bool,
     knobs: FleetSchedKnobs,
+    profile: bool,
 ) -> DriverOutput {
     let workers = effective_workers(spec, jobs, source.len());
-    let barrier = Barrier::new(workers);
     // The shared title catalog: every content cut and manifest view is
     // built exactly once here and read by reference from every worker —
     // the per-worker lazily-filled caches this replaces built each title
     // up to `workers` times over.
     let corpus = TitleCorpus::build(spec.seed, spec.titles);
-    let board = WindowBoard::new(workers);
-    let windows = AtomicU64::new(0);
-    let throttled = AtomicU64::new(0);
+    let shared = Shared {
+        barrier: WindowBarrier::new(workers),
+        board: WindowBoard::new(workers),
+        windows: AtomicU64::new(0),
+        throttled: AtomicU64::new(0),
+    };
 
     let mut worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let corpus = &corpus;
-                let barrier = &barrier;
-                let board = &board;
-                let windows = &windows;
-                let throttled = &throttled;
+                let shared = &shared;
                 scope.spawn(move || {
                     run_worker(
-                        spec, source, corpus, w, workers, keep_logs, knobs, barrier, board,
-                        windows, throttled,
+                        spec, source, corpus, w, workers, keep_logs, knobs, shared, profile,
                     )
                 })
             })
@@ -359,9 +501,11 @@ pub(super) fn run_with_knobs(
     // is independent of which worker produced what.
     let mut outputs: Vec<(usize, SessionOutput)> = Vec::with_capacity(source.len());
     let mut domains: Vec<DomainReport> = Vec::with_capacity(spec.domains);
-    for (outs, doms) in &mut worker_results {
+    let mut worker_stats = Vec::new();
+    for (outs, doms, stats) in &mut worker_results {
         outputs.append(outs);
         domains.append(doms);
+        worker_stats.extend(stats.take());
     }
     outputs.sort_by_key(|(i, _)| *i);
     domains.sort_by_key(|d| d.domain);
@@ -379,11 +523,12 @@ pub(super) fn run_with_knobs(
         domains,
         // `Relaxed` loads: `thread::scope` joined every worker above, and
         // the joins synchronize-with worker completion (see `lint.toml`).
-        windows: windows.load(Ordering::Relaxed),
-        throttled_windows: throttled.load(Ordering::Relaxed),
+        windows: shared.windows.load(Ordering::Relaxed),
+        throttled_windows: shared.throttled.load(Ordering::Relaxed),
         corpus_bytes: corpus.approx_bytes(),
         session_bytes,
         session_bytes_max,
+        workers: worker_stats,
     }
 }
 
@@ -410,11 +555,11 @@ fn run_worker(
     workers: usize,
     keep_logs: bool,
     knobs: FleetSchedKnobs,
-    barrier: &Barrier,
-    board: &WindowBoard,
-    windows: &AtomicU64,
-    throttled: &AtomicU64,
+    shared: &Shared,
+    profile: bool,
 ) -> WorkerResult {
+    let mut ledger = profile.then(Ledger::start);
+    shared.barrier.register(w);
     // This worker's domains, ascending: domain d → shard d % shards →
     // worker (d % shards) % workers.
     let mut domains: Vec<Domain> = (0..spec.domains)
@@ -471,9 +616,17 @@ fn run_worker(
                 my_next = my_next.min(t.as_micros());
             }
         }
-        board.publish(parity, w, round, my_demand, my_alive, my_next);
+        shared
+            .board
+            .publish(parity, w, round, my_demand, my_alive, my_next);
+        if let Some(ledger) = &mut ledger {
+            ledger.busy_ns += ledger.lap();
+        }
 
-        barrier.wait();
+        shared.barrier.wait(w);
+        if let Some(ledger) = &mut ledger {
+            ledger.wait_ns += ledger.lap();
+        }
 
         // Redundant deterministic fold: every worker reads the same
         // parity slots in the same fixed order and reaches the same
@@ -481,7 +634,7 @@ fn run_worker(
         // to publish a leader's verdict. `fold_slots` is the model
         // checker's fold, which proves the totals identical across
         // workers under every bounded interleaving.
-        let fold = fold_slots((0..workers).map(|ww| board.read(parity, ww, round)));
+        let fold = fold_slots((0..workers).map(|ww| shared.board.read(parity, ww, round)));
         let (next_rate, engaged) = throttle_rate(spec, fold.demand);
 
         // Quiescent-window fast-forward: everything before the fold's
@@ -497,9 +650,9 @@ fn run_worker(
             // `Relaxed` suffices for the run counters: worker 0 is the
             // only writer, and the driver reads them only after
             // `thread::scope`'s join edge (see `lint.toml`).
-            windows.fetch_add(1 + skipped, Ordering::Relaxed);
+            shared.windows.fetch_add(1 + skipped, Ordering::Relaxed);
             if engaged {
-                throttled.fetch_add(1, Ordering::Relaxed);
+                shared.throttled.fetch_add(1, Ordering::Relaxed);
             }
         }
         // The rate entering window `next_k`: this window's fold when
@@ -512,6 +665,9 @@ fn run_worker(
         };
         for domain in &mut domains {
             domain.hub.borrow_mut().uplink_mut().set_rate_kbps(applied);
+        }
+        if let Some(ledger) = &mut ledger {
+            ledger.busy_ns += ledger.lap();
         }
         if fold.alive == 0 {
             break;
@@ -547,7 +703,14 @@ fn run_worker(
             }
         })
         .collect();
-    (outputs, reports)
+    let stats = ledger.map(|ledger| WorkerStats {
+        worker: w,
+        items: outputs.len() as u64,
+        claim_ns: ledger.wait_ns,
+        busy_ns: ledger.busy_ns,
+        alive_ns: ledger.alive.elapsed_ns(),
+    });
+    (outputs, reports, stats)
 }
 
 /// Drains one domain strictly below the window boundary: arrivals
@@ -663,6 +826,35 @@ mod tests {
         assert_eq!(effective_workers(&spec, 8, 2), 2);
         assert_eq!(effective_workers(&spec, 8, 1), 1);
         assert_eq!(effective_workers(&spec, 8, 0), 1, "degenerate fleet");
+    }
+
+    /// 20k rounds at 1, 2, 3 and 8 workers: the spin path wherever the
+    /// worker count fits the host's cores, the park path above it (8
+    /// workers oversubscribe any host with fewer than 8 cores). The
+    /// per-round counters are bumped `Relaxed`, so seeing all `n`
+    /// arrivals after `wait` rests on the barrier's own happens-before
+    /// edge.
+    #[test]
+    fn window_barrier_releases_only_after_every_arrival() {
+        const ROUNDS: usize = 20_000;
+        for n in [1usize, 2, 3, 8] {
+            let barrier = WindowBarrier::new(n);
+            let arrivals: Vec<AtomicUsize> = (0..ROUNDS).map(|_| AtomicUsize::new(0)).collect();
+            std::thread::scope(|scope| {
+                for w in 0..n {
+                    let (barrier, arrivals) = (&barrier, &arrivals);
+                    scope.spawn(move || {
+                        barrier.register(w);
+                        for (r, round) in arrivals.iter().enumerate() {
+                            round.fetch_add(1, Ordering::Relaxed);
+                            barrier.wait(w);
+                            let seen = round.load(Ordering::Relaxed);
+                            assert_eq!(seen, n, "worker {w} saw {seen}/{n} arrivals in round {r}");
+                        }
+                    });
+                }
+            });
+        }
     }
 
     #[test]

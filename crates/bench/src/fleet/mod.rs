@@ -330,7 +330,7 @@ fn run_sched_inner(
     knobs: FleetSchedKnobs,
 ) -> FleetResult {
     let source = PlanSource::new(spec);
-    let out = driver::run_with_knobs(spec, &source, jobs, keep_logs, knobs);
+    let out = driver::run(spec, &source, jobs, keep_logs, knobs, false);
     let (text, json) = report::render(spec, &source.title_counts(), &out);
     let logs = keep_logs.then(|| {
         out.outputs
@@ -348,7 +348,9 @@ fn run_sched_inner(
 
 /// [`run_fleet`] with the self-profiling layer on (`exp fleet --profile`):
 /// phase-level host-time accounting — plan realization, the windowed
-/// driver, report rendering — in the standard [`WorkloadProfile`] shape.
+/// driver, report rendering — plus per-worker rows (sessions finished,
+/// drain + fold time as busy, barrier wait as claim, lifetime), in the
+/// standard [`WorkloadProfile`] shape.
 /// Profiling observes host time only; the returned [`FleetResult`] is
 /// byte-identical to [`run_fleet`] at the same `(spec, jobs)`.
 #[must_use]
@@ -361,7 +363,7 @@ pub fn run_fleet_profiled(
     let setup_ns = setup.elapsed_ns();
     let wall = abr_obs::HostStopwatch::start();
     let run = abr_obs::HostStopwatch::start();
-    let out = driver::run(spec, &source, jobs, false);
+    let mut out = driver::run(spec, &source, jobs, false, FleetSchedKnobs::default(), true);
     let run_ns = run.elapsed_ns();
     let merge = abr_obs::HostStopwatch::start();
     let (text, json) = report::render(spec, &source.title_counts(), &out);
@@ -371,6 +373,7 @@ pub fn run_fleet_profiled(
         run_ns,
         merge_ns: merge.elapsed_ns(),
         wall_ns: wall.elapsed_ns(),
+        workers: std::mem::take(&mut out.workers),
         ..crate::runner::RunnerProfile::default()
     };
     // The peak-memory estimate (DESIGN.md §15): deterministic byte

@@ -306,14 +306,18 @@ where
 pub struct WorkerStats {
     /// Worker index within the pool (0-based spawn order).
     pub worker: usize,
-    /// Items this worker claimed and ran.
+    /// Items this worker claimed and ran (fleet workers: the sessions
+    /// that finished in the worker's domains).
     pub items: u64,
     /// Host time spent in the claim phase. Under chunked claiming this is
     /// the per-*chunk* fetch-add rounds only — item execution is timed
     /// separately in `busy_ns`, so `claim_ns + busy_ns <= alive_ns` holds
-    /// per worker (asserted in `profile_determinism`).
+    /// per worker (asserted in `profile_determinism`). Fleet workers
+    /// claim no work; for them this is the time spent waiting at the
+    /// per-window barrier.
     pub claim_ns: u64,
-    /// Host time spent inside job closures.
+    /// Host time spent inside job closures (fleet workers: draining
+    /// their domains and folding the window).
     pub busy_ns: u64,
     /// Worker lifetime from spawn-side entry to loop exit.
     pub alive_ns: u64,

@@ -160,3 +160,43 @@ fn fleet_rejects_impossible_specs_with_usage() {
         );
     }
 }
+
+/// An unwritable output path is a user error: every JSON output flag
+/// exits 1 with an `error:` line, never a panic. The paths sit under a
+/// regular file, so no user (root included) can create them.
+#[test]
+fn unwritable_output_paths_exit_1_without_panicking() {
+    let blocker = tmp("not_a_dir");
+    std::fs::write(&blocker, "a regular file").expect("create blocker file");
+    let under = |name: &str| format!("{blocker}/{name}");
+    let cases = [
+        vec!["mc", "--seeds", "1", "--json", &under("mc.json")],
+        vec![
+            "mc",
+            "--seeds",
+            "1",
+            "--profile-json",
+            &under("mc.profile.json"),
+        ],
+        vec!["fleet", "--sessions", "4", "--json", &under("fleet.json")],
+        vec!["--id", "t1", "--json", &under("json")],
+    ]
+    .map(|args| args.into_iter().map(str::to_owned).collect::<Vec<_>>());
+    for args in cases {
+        let out = exp().args(&args).output().expect("run exp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "exp {args:?} must exit 1, stderr: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "exp {args:?} panicked: {stderr}"
+        );
+        assert!(
+            stderr.contains("error: cannot"),
+            "exp {args:?} must say what it could not write: {stderr}"
+        );
+    }
+}

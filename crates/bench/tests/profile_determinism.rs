@@ -6,7 +6,8 @@
 //!
 //! * `exp mc --profile` produces an [`abr_bench::mc::McResult`] whose
 //!   text table and JSON report are **byte-identical** to the unprofiled
-//!   sweep, at every `jobs` value.
+//!   sweep, at every `jobs` value; `exp fleet --profile` likewise for the
+//!   fleet report, with a consistent per-worker ledger.
 //! * A single traced session returns identical log, event stream and
 //!   metrics snapshot with and without a profiler attached.
 //! * The profile itself is useful: it names the hot dispatch/fetch/link
@@ -15,6 +16,7 @@
 
 use std::rc::Rc;
 
+use abr_bench::fleet::{run_fleet, run_fleet_profiled, FleetSpec};
 use abr_bench::mc::{run_mc, run_mc_profiled};
 use abr_bench::setup::{drama, run_session_obs, run_session_obs_profiled, PlayerKind};
 use abr_core::bestpractice::BestPracticePolicy;
@@ -60,6 +62,42 @@ fn worker_accounting_holds_under_chunked_claiming() {
             assert!(
                 w.claim_ns + w.busy_ns <= w.alive_ns,
                 "worker {}: claim {}ns + busy {}ns exceeds alive {}ns at jobs={jobs}",
+                w.worker,
+                w.claim_ns,
+                w.busy_ns,
+                w.alive_ns
+            );
+        }
+    }
+}
+
+/// The fleet's worker rows: every session finishes in exactly one
+/// worker, drain + fold (busy) and barrier wait (claim) never exceed a
+/// worker's lifetime, and the profiled report is byte-identical to the
+/// unprofiled one. Jobs 8 clamps to the spec's 4 shards, which
+/// oversubscribes a host with fewer cores (the barrier's park path).
+#[test]
+fn fleet_profile_accounts_workers_and_keeps_the_artifact() {
+    let spec = FleetSpec::small(24);
+    let plain = run_fleet(&spec, 1);
+    for jobs in [1usize, 2, 8] {
+        let (profiled, profile) = run_fleet_profiled(&spec, jobs);
+        assert_eq!(
+            plain.text, profiled.text,
+            "fleet report changed with --profile at jobs={jobs}"
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&plain.json).unwrap(),
+            serde_json::to_string_pretty(&profiled.json).unwrap(),
+            "fleet JSON report changed with --profile at jobs={jobs}"
+        );
+        assert_eq!(profile.workers.len(), jobs.min(spec.shards));
+        let finished: u64 = profile.workers.iter().map(|w| w.items).sum();
+        assert_eq!(finished, spec.sessions as u64, "jobs={jobs}");
+        for w in &profile.workers {
+            assert!(
+                w.claim_ns + w.busy_ns <= w.alive_ns,
+                "worker {}: wait {}ns + busy {}ns exceeds alive {}ns at jobs={jobs}",
                 w.worker,
                 w.claim_ns,
                 w.busy_ns,

@@ -6,25 +6,27 @@
 //! hand-argued memory-ordering reasoning: the runner's chunked claimer
 //! hands out disjoint position ranges through a `Relaxed` `fetch_add`,
 //! and the fleet driver's `WindowBoard` reuses per-worker slots by round
-//! parity with a single barrier per window. PR 9's development log
-//! records that an earlier parity scheme (indexing by *window* instead of
-//! *processed round*) was a real race, caught only dynamically as a
-//! deadlock. This module pins both protocols mechanically:
+//! parity behind a single spin-then-park barrier per window. An earlier
+//! parity scheme (indexing by *window* instead of *processed round*) was
+//! a real race, caught only dynamically as a deadlock. This module pins
+//! both protocols mechanically:
 //!
 //! 1. **A shared protocol core.** [`parity_of_round`], [`fold_slots`],
-//!    [`next_window`], [`claim_range`] and [`ranges_partition`] are the
-//!    pure decision functions of the two protocols. The production
-//!    runner and fleet driver call them directly — so the logic the model
-//!    checker exhausts is the *same code* the threads execute, not a
-//!    transcription that can drift.
+//!    [`next_window`], [`is_last_arrival`], [`spins`], [`claim_range`]
+//!    and [`ranges_partition`] are the pure decision functions of the two
+//!    protocols. The production runner and fleet driver call them
+//!    directly — so the logic the model checker exhausts is the *same
+//!    code* the threads execute, not a transcription that can drift.
 //!
 //! 2. **A bounded model checker.** [`WindowModel`] and [`ClaimModel`]
-//!    re-express the protocols' *memory access sequences* as small-step
-//!    state machines over a modeled weak memory ([store buffers for
-//!    `Relaxed` stores](MemOrder)), and [`explore`] enumerates every
-//!    bounded thread interleaving (DFS over [`Choice`] sequences,
-//!    including nondeterministic store-buffer flushes), asserting the
-//!    protocol invariants:
+//!    re-express the protocols' *memory access sequences* — for the
+//!    window barrier, its generation load, count RMW, reset, generation
+//!    bump, unparks and park loop — as small-step state machines over a
+//!    modeled weak memory ([store buffers for `Relaxed`
+//!    stores](MemOrder)), and [`explore`] enumerates every bounded thread
+//!    interleaving up to reordering of independent steps (DFS over
+//!    [`Choice`] sequences with sleep sets, including nondeterministic
+//!    store-buffer flushes), asserting the protocol invariants:
 //!
 //!    * no slot is read in a parity epoch other than the one it was
 //!      written for ([`Violation::StaleSlot`]),
@@ -38,18 +40,22 @@
 //!      rendezvous ([`Violation::Deadlock`]).
 //!
 //! Seeded-bug modes keep the checker honest: [`ParityRule::WindowIndex`]
-//! reverts the PR 9 parity fix, [`ClaimStyle::LoadThenStore`] splits the
-//! claim RMW, `barrier_flushes: false` strips the rendezvous of its
-//! acquire-release edge, and `ff_overshoot` jumps one window too far.
-//! Each must be *found* by the exhaustive search
-//! (`crates/event/tests/sync_model.rs` pins all four), which is the
+//! reverts the round-parity fix, [`ClaimStyle::LoadThenStore`] splits
+//! the claim RMW, `barrier_order: Relaxed` strips the barrier of its
+//! acquire-release edge, `ff_overshoot` jumps one window too far, and
+//! the three [`BarrierRule`] reorderings (reset after bump, generation
+//! read after the RMW, unpark before bump) each strand a worker. Each
+//! must be *found* by the exhaustive search
+//! (`crates/event/tests/sync_model.rs` pins all seven), which is the
 //! evidence the `ABR-L007` allowlist entries in `lint.toml` cite.
 //!
 //! What the model does **not** cover (DESIGN.md §17): real non-x86 weak
 //! memory (the store-buffer model is TSO-shaped; `Acquire`/`Relaxed`
-//! loads read the same value here), compiler reorderings, and unbounded
-//! thread/window counts — random-schedule runs ([`run_random`]) probe
-//! beyond the exhaustive bound but do not prove it.
+//! loads read the same value here), compiler reorderings, the OS futex
+//! behind `park` (parking is modeled by its token semantics), and
+//! unbounded thread/window counts — random-schedule runs
+//! ([`run_random`]) probe beyond the exhaustive bound but do not prove
+//! it.
 
 use std::rc::Rc;
 
@@ -79,8 +85,8 @@ pub struct WindowFold {
 /// *processed rounds* (one per barrier), not the window index —
 /// fast-forward can jump the window index by an odd amount, and window
 /// parity would then reuse a slot with only one barrier in between
-/// (the PR 9 race; [`ParityRule::WindowIndex`] re-creates it in the
-/// model, where the exhaustive search finds it).
+/// (the round-parity race; [`ParityRule::WindowIndex`] re-creates it in
+/// the model, where the exhaustive search finds it).
 #[must_use]
 pub fn parity_of_round(round: u64) -> usize {
     (round & 1) as usize
@@ -126,6 +132,25 @@ pub fn next_window(k: u64, ff_horizon: u64, fold: &WindowFold, clock: &WindowClo
     }
 }
 
+/// Whether the arrival whose `count` RMW returned `prev` is the last of
+/// `n` workers at the window barrier — the one that resets the count,
+/// bumps the generation and unparks the others.
+#[must_use]
+pub fn is_last_arrival(prev: usize, n: usize) -> bool {
+    prev + 1 == n
+}
+
+/// Whether window-barrier waiters spin before parking: only when every
+/// one of `workers` threads can hold one of the host's `cores`.
+/// Oversubscribed, a spinning waiter steals the core the last arriver
+/// needs to finish its window, so waiters park at once. (The model needs
+/// no spin steps: a spin iteration that sees the old generation changes
+/// no state.)
+#[must_use]
+pub fn spins(workers: usize, cores: usize) -> bool {
+    workers <= cores
+}
+
 /// The half-open position range `[p0, min(p0 + chunk, n))` a claimed
 /// counter value covers, or `None` when the counter has run past the
 /// work list. Every claimer maps its `fetch_add` result through this one
@@ -164,23 +189,39 @@ pub fn ranges_partition(ranges: &mut [(usize, usize)], n: usize) -> bool {
 /// Memory orderings the model distinguishes. `Relaxed` stores enter a
 /// per-thread FIFO store buffer and become globally visible only when
 /// flushed (by a nondeterministic [`Choice::Flush`] step, a stronger
-/// store, an RMW, or a flushing rendezvous); `Release`/`SeqCst` stores
-/// drain the buffer and commit immediately. Loads read the thread's own
-/// buffer first (store-to-load forwarding), then committed memory —
-/// `Acquire` and `Relaxed` loads return the same value in this model
-/// (happens-before *edges* are modeled by who flushed when, not by load
-/// annotations), which is the TSO-shaped approximation DESIGN.md §17
-/// documents.
+/// store, or a releasing RMW); `Release`/`AcqRel`/`SeqCst` stores drain
+/// the buffer and commit immediately. Read-modify-writes always act on
+/// the committed value; a releasing one drains the buffer first, a
+/// `Relaxed` one drains only what it must to see the thread's own
+/// pending stores to its location — the thread's other buffered stores
+/// may stay invisible past it. Loads read the thread's own buffer first
+/// (store-to-load forwarding), then committed memory — `Acquire` and
+/// `Relaxed` loads return the same value in this model (happens-before
+/// *edges* are modeled by who flushed when, not by load annotations),
+/// which is the TSO-shaped approximation DESIGN.md §17 documents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemOrder {
-    /// Buffered store / plain load.
+    /// Buffered store / plain load / non-draining RMW.
     Relaxed,
     /// Flushing store (pairs with `Acquire` across a committed value).
     Release,
     /// Plain load (value-equal to `Relaxed` here; see above).
     Acquire,
+    /// Flushing store or RMW (the barrier's `count` RMW).
+    AcqRel,
     /// Flushing store and plain load.
     SeqCst,
+}
+
+impl MemOrder {
+    /// Whether a store or RMW at this ordering drains the thread's store
+    /// buffer first (its release half).
+    fn releases(self) -> bool {
+        matches!(
+            self,
+            MemOrder::Release | MemOrder::AcqRel | MemOrder::SeqCst
+        )
+    }
 }
 
 /// One modeled memory cell: a value stamped with the protocol epoch
@@ -218,12 +259,11 @@ impl ModelMem {
 
     fn store(&mut self, t: usize, cell: usize, value: u64, epoch: u64, order: MemOrder) {
         let write = ModCell { value, epoch };
-        match order {
-            MemOrder::Relaxed | MemOrder::Acquire => self.buffers[t].push((cell, write)),
-            MemOrder::Release | MemOrder::SeqCst => {
-                self.flush_all(t);
-                self.cells[cell] = write;
-            }
+        if order.releases() {
+            self.flush_all(t);
+            self.cells[cell] = write;
+        } else {
+            self.buffers[t].push((cell, write));
         }
     }
 
@@ -238,9 +278,18 @@ impl ModelMem {
     /// Atomic read-modify-write. RMWs on one location always act on the
     /// latest value in its modification order — even at `Relaxed` — which
     /// is exactly what makes the chunked claimer sound; the model
-    /// realizes that by committing through main memory in one step.
-    fn fetch_add(&mut self, t: usize, cell: usize, delta: u64) -> u64 {
-        self.flush_all(t);
+    /// realizes that by committing through main memory in one step. A
+    /// releasing RMW first drains the whole buffer; a `Relaxed` one
+    /// drains (in FIFO order, like a run of flush steps) only through the
+    /// thread's last pending store to `cell`.
+    fn fetch_add(&mut self, t: usize, cell: usize, delta: u64, order: MemOrder) -> u64 {
+        if order.releases() {
+            self.flush_all(t);
+        } else if let Some(last) = self.buffers[t].iter().rposition(|(c, _)| *c == cell) {
+            for _ in 0..=last {
+                self.flush_one(t);
+            }
+        }
         let old = self.cells[cell].value;
         self.cells[cell].value += delta;
         self.cells[cell].epoch = 0;
@@ -417,6 +466,15 @@ pub trait Model: Clone {
     fn choices(&self, out: &mut Vec<Choice>);
     /// Applies one decision, checking invariants on the way.
     fn apply(&mut self, choice: Choice) -> Result<(), Violation>;
+    /// Whether two decisions enabled in this state are independent: they
+    /// touch no common location unless both only read it, so they
+    /// commute and neither enables or disables the other. [`explore`]'s
+    /// sleep sets skip the reorderings of independent decisions. The
+    /// default, never, disables that reduction.
+    fn independent(&self, a: Choice, b: Choice) -> bool {
+        let _ = (a, b);
+        false
+    }
     /// Whether every thread has run its program to completion.
     fn done(&self) -> bool;
     /// End-of-run invariants (partition checks, liveness).
@@ -428,14 +486,22 @@ struct Frame<M> {
     lead: Option<Choice>,
     choices: Vec<Choice>,
     next: usize,
+    /// Decisions whose subtrees an equivalent schedule already covers:
+    /// explored siblings, plus inherited entries independent of every
+    /// decision taken since (Godefroid's sleep sets).
+    sleep: Vec<Choice>,
 }
 
-/// Exhaustively enumerates every schedule of `initial` (DFS over
-/// [`Choice`] sequences), checking invariants at every step and at every
-/// terminal state. Returns the visit counts, or the first
-/// counterexample. Panics if the state space exceeds `max_schedules`
-/// complete schedules — the bound is the test's explicit budget, and
-/// blowing it means the model (not the protocol) needs shrinking.
+/// Exhaustively enumerates every schedule of `initial` up to reordering
+/// of independent decisions (DFS over [`Choice`] sequences with sleep
+/// sets over [`Model::independent`]), checking invariants at every step
+/// and at every terminal state. Sleep sets explore at least one
+/// interleaving of every equivalence class of schedules, so every
+/// reachable deadlock and every invariant breach is still found. Returns
+/// the visit counts, or the first counterexample. Panics if the state
+/// space exceeds `max_schedules` complete schedules — the bound is the
+/// test's explicit budget, and blowing it means the model (not the
+/// protocol) needs shrinking.
 pub fn explore<M: Model>(
     initial: &M,
     max_schedules: u64,
@@ -452,6 +518,7 @@ pub fn explore<M: Model>(
         lead: None,
         choices: root_choices,
         next: 0,
+        sleep: Vec::new(),
     }];
     while let Some(top) = stack.last_mut() {
         if top.choices.is_empty() {
@@ -485,6 +552,16 @@ pub fn explore<M: Model>(
         }
         let choice = top.choices[top.next];
         top.next += 1;
+        if top.sleep.contains(&choice) {
+            continue;
+        }
+        let child_sleep: Vec<Choice> = top
+            .sleep
+            .iter()
+            .copied()
+            .filter(|&asleep| top.state.independent(choice, asleep))
+            .collect();
+        top.sleep.push(choice);
         let mut child = top.state.clone();
         stats.steps += 1;
         path.push(choice);
@@ -501,6 +578,7 @@ pub fn explore<M: Model>(
             lead: Some(choice),
             choices: child_choices,
             next: 0,
+            sleep: child_sleep,
         });
     }
     Ok(stats)
@@ -568,6 +646,54 @@ pub enum ParityRule {
     WindowIndex,
 }
 
+/// The order in which the modeled window barrier runs its operations:
+/// the shipped order ([`BarrierRule::Shipped`], the order
+/// `fleet/driver.rs::WindowBarrier::wait` executes), or one of three
+/// seeded reorderings the exhaustive search must rediscover as a
+/// [`Violation::Deadlock`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BarrierRule {
+    /// Waiters load `gen`, then RMW `count`; the last arriver resets
+    /// `count`, bumps `gen`, then unparks the others.
+    Shipped,
+    /// Seeded bug: the last arriver bumps `gen` before resetting
+    /// `count`, so a released waiter's next-round arrival can be erased
+    /// by the late reset.
+    ResetAfterBump,
+    /// Seeded bug: waiters load `gen` after their `count` RMW, so the
+    /// last arriver can bump first and the waiter then waits for a
+    /// generation that never comes.
+    GenLoadAfterRmw,
+    /// Seeded bug: the last arriver unparks before bumping, so a waiter
+    /// can consume its token, still see the old `gen`, and park again
+    /// with nobody left to unpark it.
+    UnparkBeforeBump,
+}
+
+/// One of the last arriver's release operations; `Unparks` is the run
+/// of one unpark per other worker, in worker order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReleaseOp {
+    Reset,
+    Bump,
+    Unparks,
+}
+
+impl BarrierRule {
+    /// The order in which the last arriver runs its release operations.
+    fn release_order(self) -> [ReleaseOp; 3] {
+        match self {
+            BarrierRule::Shipped | BarrierRule::GenLoadAfterRmw => {
+                [ReleaseOp::Reset, ReleaseOp::Bump, ReleaseOp::Unparks]
+            }
+            BarrierRule::ResetAfterBump => [ReleaseOp::Bump, ReleaseOp::Reset, ReleaseOp::Unparks],
+            BarrierRule::UnparkBeforeBump => {
+                [ReleaseOp::Reset, ReleaseOp::Unparks, ReleaseOp::Bump]
+            }
+        }
+    }
+}
+
 /// Bounds and seeded-bug switches for one [`WindowModel`] run.
 #[derive(Debug, Clone)]
 pub struct WindowModelCfg {
@@ -584,10 +710,13 @@ pub struct WindowModelCfg {
     pub store_order: MemOrder,
     /// Ordering of the slot fold loads.
     pub load_order: MemOrder,
-    /// Real `Barrier::wait` is an acquire-release rendezvous; `false`
-    /// models a hypothetical barrier with no memory semantics (seeded
-    /// bug: `Relaxed` publishes then stay buffered past the rendezvous).
-    pub barrier_flushes: bool,
+    /// Ordering of the barrier's `count` RMW and `gen` bump. The shipped
+    /// barrier uses `AcqRel` (the bump then stores at `Release`); the
+    /// seeded bug `Relaxed` strips the rendezvous of its memory
+    /// semantics, so `Relaxed` publishes stay buffered past it.
+    pub barrier_order: MemOrder,
+    /// Barrier operation order (seeded bugs: see [`BarrierRule`]).
+    pub barrier: BarrierRule,
     /// Seeded bug: jump one window past the fast-forward target, which
     /// must trip the skipped-pending invariant.
     pub ff_overshoot: bool,
@@ -595,8 +724,8 @@ pub struct WindowModelCfg {
 
 impl WindowModelCfg {
     /// The shipped protocol at the production orderings (`Release`
-    /// publishes, `Acquire` folds, flushing rendezvous), over the given
-    /// per-worker event times.
+    /// publishes, `Acquire` folds, the `AcqRel`/`Release` barrier), over
+    /// the given per-worker event times.
     #[must_use]
     pub fn shipped(events: Vec<Vec<u64>>, window_us: u64, ff_horizon: u64) -> WindowModelCfg {
         WindowModelCfg {
@@ -606,20 +735,38 @@ impl WindowModelCfg {
             parity: ParityRule::Round,
             store_order: MemOrder::Release,
             load_order: MemOrder::Acquire,
-            barrier_flushes: true,
+            barrier_order: MemOrder::AcqRel,
+            barrier: BarrierRule::Shipped,
             ff_overshoot: false,
         }
     }
 }
 
 /// Per-worker program position within one round of the window protocol,
-/// mirroring `fleet/driver.rs::run_worker`'s loop body step for step.
+/// mirroring `fleet/driver.rs::run_worker`'s loop body and
+/// `WindowBarrier::wait` step for step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WPhase {
     /// Drain events below the window boundary, pre-sum, publish the slot.
     DrainPublish,
-    /// Arrive at the rendezvous (blocked until all workers arrive).
+    /// Barrier: load `gen` (kept in [`WWorker::gen_seen`]).
+    GenLoad,
+    /// Barrier: `count.fetch_add(1)`; [`is_last_arrival`] decides who
+    /// releases the round.
     Arrive,
+    /// Last arriver: `count = 0`.
+    Reset,
+    /// Last arriver: `gen = gen_seen + 1`.
+    Bump,
+    /// Last arriver: unpark worker `i`.
+    Unpark(usize),
+    /// Waiter: load `gen`; leave the barrier once it moved, else park.
+    /// (The driver's spin phase is a run of these loads that saw the old
+    /// value — stutter steps that change no state — so it needs no
+    /// modeling of its own.)
+    Check,
+    /// Waiter: blocked until its park token is set; consumes it.
+    Park,
     /// Fold: read worker `ww`'s parity slot.
     Read(usize),
     /// Fold complete: decide rate/stop/fast-forward.
@@ -631,25 +778,49 @@ enum WPhase {
 #[derive(Debug, Clone)]
 struct WWorker {
     phase: WPhase,
-    arrived: bool,
     k: u64,
     round: u64,
     next_event: usize,
+    /// The `gen` value this worker's current arrival loaded.
+    gen_seen: u64,
+    /// Whether this worker's `count` RMW made it the last arriver.
+    last: bool,
     /// Slots read so far this round, in worker order.
     acc: Vec<(u64, u64, u64)>,
 }
 
+/// The locations a scheduler decision reads and writes, as bitmasks over
+/// the model's cells, park tokens and store buffers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Footprint {
+    reads: u128,
+    writes: u128,
+}
+
+impl Footprint {
+    fn conflicts(self, other: Footprint) -> bool {
+        self.writes & (other.reads | other.writes) != 0 || other.writes & self.reads != 0
+    }
+}
+
 /// The fleet driver's window protocol as a schedule-driven state
-/// machine: W workers × (drain → publish → rendezvous → redundant fold →
+/// machine: W workers × (drain → publish → barrier → redundant fold →
 /// decide/fast-forward), over the modeled memory, with every protocol
 /// decision delegated to the shared [`fold_slots`]/[`next_window`]/
-/// [`parity_of_round`] core the production driver executes.
+/// [`parity_of_round`]/[`is_last_arrival`] core the production driver
+/// executes. The barrier is modeled as the driver runs it: a `gen` load,
+/// a `count` RMW, and for the last arriver a reset, a `gen` bump and one
+/// unpark per other worker, while the others loop on a `gen` load and a
+/// park that blocks until their token is set.
 #[derive(Debug, Clone)]
 pub struct WindowModel {
     cfg: Rc<WindowModelCfg>,
     clock: WindowClock,
     mem: ModelMem,
     workers: Vec<WWorker>,
+    /// Park tokens, one per worker (`std::thread::park` semantics: set by
+    /// unpark, consumed by park).
+    tokens: Vec<bool>,
     /// First fold recorded per round — later deciders must match it.
     round_folds: Vec<(u64, WindowFold)>,
 }
@@ -667,6 +838,10 @@ impl WindowModel {
     pub fn new(cfg: WindowModelCfg) -> WindowModel {
         let workers = cfg.events.len();
         assert!(workers >= 1, "window model needs at least one worker");
+        assert!(
+            8 * workers + 2 <= 128,
+            "footprint masks cover at most 15 workers"
+        );
         for evs in &cfg.events {
             assert!(
                 evs.windows(2).all(|w| w[0] <= w[1]),
@@ -677,17 +852,19 @@ impl WindowModel {
         WindowModel {
             cfg: Rc::new(cfg),
             clock,
-            mem: ModelMem::new(workers, workers * 2 * 3),
+            mem: ModelMem::new(workers, workers * 2 * 3 + 2),
             workers: (0..workers)
                 .map(|_| WWorker {
                     phase: WPhase::DrainPublish,
-                    arrived: false,
                     k: 0,
                     round: 0,
                     next_event: 0,
+                    gen_seen: 0,
+                    last: false,
                     acc: Vec::new(),
                 })
                 .collect(),
+            tokens: vec![false; workers],
             round_folds: Vec::new(),
         }
     }
@@ -702,6 +879,16 @@ impl WindowModel {
         (parity * self.worker_count() + w) * 3 + field
     }
 
+    /// The barrier's generation counter.
+    fn gen_cell(&self) -> usize {
+        self.worker_count() * 6
+    }
+
+    /// The barrier's arrival counter.
+    fn count_cell(&self) -> usize {
+        self.worker_count() * 6 + 1
+    }
+
     fn parity_of(&self, worker: &WWorker) -> usize {
         match self.cfg.parity {
             ParityRule::Round => parity_of_round(worker.round),
@@ -709,8 +896,53 @@ impl WindowModel {
         }
     }
 
+    /// The phase after `w`'s arrival is complete (both its `gen` load and
+    /// its `count` RMW): release the round when the RMW made it the last
+    /// arriver, else wait.
+    fn after_arrival(&self, w: usize) -> WPhase {
+        if self.workers[w].last {
+            self.release_phase(w, 0)
+        } else {
+            WPhase::Check
+        }
+    }
+
+    /// The last arriver's phase for the first release operation at or
+    /// after position `pos` of the rule's order; `Read(0)` once done.
+    fn release_phase(&self, w: usize, pos: usize) -> WPhase {
+        for op in &self.cfg.barrier.release_order()[pos..] {
+            match op {
+                ReleaseOp::Reset => return WPhase::Reset,
+                ReleaseOp::Bump => return WPhase::Bump,
+                ReleaseOp::Unparks => {
+                    if let Some(i) = self.next_other(w, 0) {
+                        return WPhase::Unpark(i);
+                    }
+                }
+            }
+        }
+        WPhase::Read(0)
+    }
+
+    /// The first worker other than `w` at or after `from`.
+    fn next_other(&self, w: usize, from: usize) -> Option<usize> {
+        (from..self.worker_count()).find(|&i| i != w)
+    }
+
+    /// The last arriver's phase after finishing release operation `op`.
+    fn after_release(&self, w: usize, op: ReleaseOp) -> WPhase {
+        let pos = self
+            .cfg
+            .barrier
+            .release_order()
+            .iter()
+            .position(|o| *o == op);
+        self.release_phase(w, pos.expect("every rule runs every operation") + 1)
+    }
+
     fn step_worker(&mut self, w: usize) -> Result<(), Violation> {
         let phase = self.workers[w].phase;
+        let barrier_order = self.cfg.barrier_order;
         match phase {
             WPhase::DrainPublish => {
                 let (k, round) = (self.workers[w].k, self.workers[w].round);
@@ -741,31 +973,64 @@ impl WindowModel {
                     let cell = self.cell(parity, w, field);
                     self.mem.store(w, cell, value, round, order);
                 }
-                self.workers[w].phase = WPhase::Arrive;
-                Ok(())
+                self.workers[w].phase = if self.cfg.barrier == BarrierRule::GenLoadAfterRmw {
+                    WPhase::Arrive
+                } else {
+                    WPhase::GenLoad
+                };
+            }
+            WPhase::GenLoad => {
+                self.workers[w].gen_seen = self.mem.load(w, self.gen_cell()).value;
+                self.workers[w].phase = if self.cfg.barrier == BarrierRule::GenLoadAfterRmw {
+                    self.after_arrival(w)
+                } else {
+                    WPhase::Arrive
+                };
             }
             WPhase::Arrive => {
-                if self.cfg.barrier_flushes {
-                    self.mem.flush_all(w);
-                }
-                self.workers[w].arrived = true;
-                let all_in = self
-                    .workers
-                    .iter()
-                    .all(|x| x.arrived || x.phase == WPhase::Done);
-                let any_done = self.workers.iter().any(|x| x.phase == WPhase::Done);
-                if all_in && !any_done {
-                    for x in &mut self.workers {
-                        x.arrived = false;
-                        x.phase = WPhase::Read(0);
-                        x.acc.clear();
-                    }
-                }
-                // A worker arriving while another is already Done can
-                // never be released: std::Barrier counts a fixed number
-                // of participants. The stranding is caught as a deadlock
-                // when no runnable step remains.
-                Ok(())
+                let count = self.count_cell();
+                #[allow(clippy::cast_possible_truncation)]
+                let prev = self.mem.fetch_add(w, count, 1, barrier_order) as usize;
+                self.workers[w].last = is_last_arrival(prev, self.worker_count());
+                self.workers[w].phase = if self.cfg.barrier == BarrierRule::GenLoadAfterRmw {
+                    WPhase::GenLoad
+                } else {
+                    self.after_arrival(w)
+                };
+            }
+            WPhase::Reset => {
+                let count = self.count_cell();
+                self.mem.store(w, count, 0, 0, MemOrder::Relaxed);
+                self.workers[w].phase = self.after_release(w, ReleaseOp::Reset);
+            }
+            WPhase::Bump => {
+                let (gen, next) = (self.gen_cell(), self.workers[w].gen_seen + 1);
+                self.mem.store(w, gen, next, 0, barrier_order);
+                self.workers[w].phase = self.after_release(w, ReleaseOp::Bump);
+            }
+            WPhase::Unpark(i) => {
+                // `unpark` synchronizes-with the `park` that consumes the
+                // token (std's token swap is a release store): everything
+                // the unparker stored before it is visible first.
+                self.mem.flush_all(w);
+                self.tokens[i] = true;
+                self.workers[w].phase = match self.next_other(w, i + 1) {
+                    Some(j) => WPhase::Unpark(j),
+                    None => self.after_release(w, ReleaseOp::Unparks),
+                };
+            }
+            WPhase::Check => {
+                let gen = self.mem.load(w, self.gen_cell()).value;
+                self.workers[w].phase = if gen == self.workers[w].gen_seen {
+                    WPhase::Park
+                } else {
+                    WPhase::Read(0)
+                };
+            }
+            WPhase::Park => {
+                debug_assert!(self.tokens[w], "park is scheduled only with its token set");
+                self.tokens[w] = false;
+                self.workers[w].phase = WPhase::Check;
             }
             WPhase::Read(ww) => {
                 let round = self.workers[w].round;
@@ -789,7 +1054,6 @@ impl WindowModel {
                 } else {
                     WPhase::Decide
                 };
-                Ok(())
             }
             WPhase::Decide => {
                 let round = self.workers[w].round;
@@ -813,41 +1077,121 @@ impl WindowModel {
                 self.workers[w].k = nk;
                 self.workers[w].round = round + 1;
                 self.workers[w].phase = WPhase::DrainPublish;
-                Ok(())
             }
             WPhase::Done => unreachable!("done workers are never scheduled"),
+        }
+        Ok(())
+    }
+
+    /// Bit of park token `i` in a [`Footprint`] mask (cells come first).
+    fn token_bit(&self, i: usize) -> u128 {
+        1 << (self.mem.cells.len() + i)
+    }
+
+    /// Bit of thread `t`'s store buffer in a [`Footprint`] mask.
+    fn buffer_bit(&self, t: usize) -> u128 {
+        1 << (self.mem.cells.len() + self.worker_count() + t)
+    }
+
+    /// What a store or RMW to `cell` by thread `t` writes: its own buffer
+    /// when it only enqueues; otherwise also every cell its drain
+    /// commits (conservatively the whole buffer, even for a `Relaxed`
+    /// RMW's partial drain) and `cell` itself.
+    fn write_footprint(&self, t: usize, cell: usize, commits: bool) -> Footprint {
+        let writes = if commits {
+            self.drain_mask(t) | 1 << cell
+        } else {
+            self.buffer_bit(t)
+        };
+        Footprint { reads: 0, writes }
+    }
+
+    /// What draining thread `t`'s store buffer writes: the buffer and
+    /// every cell pending in it.
+    fn drain_mask(&self, t: usize) -> u128 {
+        self.mem.buffers[t]
+            .iter()
+            .fold(self.buffer_bit(t), |mask, (pending, _)| mask | 1 << pending)
+    }
+
+    fn footprint(&self, choice: Choice) -> Footprint {
+        let w = match choice {
+            Choice::Flush(t) => {
+                let (cell, _) = self.mem.buffers[t][0];
+                return Footprint {
+                    reads: 0,
+                    writes: self.buffer_bit(t) | 1 << cell,
+                };
+            }
+            Choice::Step(w) => w,
+        };
+        // Loads need no buffer bit: a flush of the loader's own oldest
+        // entry never changes the value store-to-load forwarding returns.
+        let reads = |cells: &[usize]| Footprint {
+            reads: cells.iter().fold(0, |m, c| m | 1 << c),
+            writes: 0,
+        };
+        let worker = &self.workers[w];
+        match worker.phase {
+            WPhase::DrainPublish => {
+                let parity = self.parity_of(worker);
+                let mut fp = Footprint::default();
+                for field in 0..3 {
+                    let cell = self.cell(parity, w, field);
+                    fp.writes |= self
+                        .write_footprint(w, cell, self.cfg.store_order.releases())
+                        .writes;
+                }
+                fp
+            }
+            WPhase::GenLoad | WPhase::Check => reads(&[self.gen_cell()]),
+            WPhase::Arrive => self.write_footprint(w, self.count_cell(), true),
+            WPhase::Reset => self.write_footprint(w, self.count_cell(), false),
+            WPhase::Bump => {
+                self.write_footprint(w, self.gen_cell(), self.cfg.barrier_order.releases())
+            }
+            WPhase::Unpark(i) => Footprint {
+                reads: 0,
+                writes: self.drain_mask(w) | self.token_bit(i),
+            },
+            WPhase::Park => Footprint {
+                reads: 0,
+                writes: self.token_bit(w),
+            },
+            WPhase::Read(ww) => {
+                let parity = self.parity_of(worker);
+                reads(&[0, 1, 2].map(|field| self.cell(parity, ww, field)))
+            }
+            // Local: the fold reads `acc`, and the cross-worker fold
+            // comparison is an order-insensitive oracle.
+            WPhase::Decide | WPhase::Done => Footprint::default(),
         }
     }
 }
 
 impl Model for WindowModel {
     fn choices(&self, out: &mut Vec<Choice>) {
-        // Sound partial-order reduction: a `Decide` step touches no
-        // modeled shared memory (the fold reads local `acc`; the
-        // cross-worker fold comparison is an order-insensitive oracle),
-        // and an `Arrive` with an empty store buffer only toggles the
-        // rendezvous flag, which other threads' loads and stores never
-        // read. Both commute with every other enabled step, so the
-        // explorer schedules the first such step deterministically
-        // instead of branching — every interleaving it skips is
-        // equivalent (same memory-operation order) to one it keeps.
-        for (w, worker) in self.workers.iter().enumerate() {
-            let forced = match worker.phase {
-                WPhase::Decide => true,
-                WPhase::Arrive => !worker.arrived && !self.mem.has_pending(w),
-                _ => false,
-            };
-            if forced {
-                out.push(Choice::Step(w));
-                return;
-            }
+        // Sound partial-order reduction, part one: a `Decide` step
+        // touches no modeled shared memory (the fold reads local `acc`;
+        // the cross-worker fold comparison is an order-insensitive
+        // oracle), so it commutes with every other step, now and later.
+        // The explorer schedules the first such step deterministically
+        // instead of branching. Part two, the sleep sets over
+        // `independent`, prunes reorderings of steps with disjoint
+        // footprints.
+        if let Some(w) = self
+            .workers
+            .iter()
+            .position(|worker| worker.phase == WPhase::Decide)
+        {
+            out.push(Choice::Step(w));
+            return;
         }
         for (w, worker) in self.workers.iter().enumerate() {
             let runnable = match worker.phase {
                 WPhase::Done => false,
-                // Arrived workers block until the rendezvous releases
-                // them (which happens inside the last arriver's step).
-                WPhase::Arrive => !worker.arrived,
+                // A parked worker runs only once its token is set.
+                WPhase::Park => self.tokens[w],
                 _ => true,
             };
             if runnable {
@@ -867,6 +1211,10 @@ impl Model for WindowModel {
                 Ok(())
             }
         }
+    }
+
+    fn independent(&self, a: Choice, b: Choice) -> bool {
+        !self.footprint(a).conflicts(self.footprint(b))
     }
 
     fn done(&self) -> bool {
@@ -992,7 +1340,10 @@ impl Model for ClaimModel {
             CPhase::Claim => match self.cfg.style {
                 ClaimStyle::FetchAdd => {
                     #[allow(clippy::cast_possible_truncation)]
-                    let p0 = self.mem.fetch_add(t, 0, self.cfg.chunk as u64) as usize;
+                    let p0 = self
+                        .mem
+                        .fetch_add(t, 0, self.cfg.chunk as u64, MemOrder::Relaxed)
+                        as usize;
                     self.take(t, p0)
                 }
                 ClaimStyle::LoadThenStore => {
@@ -1060,6 +1411,27 @@ mod tests {
     }
 
     #[test]
+    fn last_arrival_is_the_nth() {
+        assert!(is_last_arrival(0, 1), "a lone worker always releases");
+        assert!(!is_last_arrival(0, 3));
+        assert!(!is_last_arrival(1, 3));
+        assert!(is_last_arrival(2, 3));
+        assert!(
+            !is_last_arrival(3, 3),
+            "an arrival past the count never releases"
+        );
+    }
+
+    #[test]
+    fn waiters_spin_only_without_oversubscription() {
+        assert!(spins(1, 1));
+        assert!(spins(2, 2));
+        assert!(spins(2, 8));
+        assert!(!spins(3, 2), "oversubscribed: park at once");
+        assert!(!spins(8, 2));
+    }
+
+    #[test]
     fn claim_range_clips_and_ends() {
         assert_eq!(claim_range(0, 4, 10), Some((0, 4)));
         assert_eq!(claim_range(8, 4, 10), Some((8, 10)));
@@ -1081,6 +1453,60 @@ mod tests {
             !ranges_partition(&mut [(0, 10), (10, 10)], 10),
             "empty range"
         );
+    }
+
+    /// A model with the sleep-set reduction switched off.
+    #[derive(Clone)]
+    struct Unreduced(WindowModel);
+
+    impl Model for Unreduced {
+        fn choices(&self, out: &mut Vec<Choice>) {
+            self.0.choices(out);
+        }
+        fn apply(&mut self, choice: Choice) -> Result<(), Violation> {
+            self.0.apply(choice)
+        }
+        fn done(&self) -> bool {
+            self.0.done()
+        }
+        fn finalize(&self) -> Result<(), Violation> {
+            self.0.finalize()
+        }
+    }
+
+    /// The sleep sets prune only reorderings: on a single window, the
+    /// reduced and the full search agree on the verdict for the shipped
+    /// barrier and for every seeded barrier bug, and the reduced search
+    /// visits far fewer schedules.
+    #[test]
+    fn sleep_sets_keep_every_verdict() {
+        let base = || WindowModelCfg::shipped(vec![vec![100_000], vec![150_000]], 1_000_000, 0);
+        let verdict = |r: Result<ExploreStats, Box<CounterExample>>| {
+            r.map(|_| ())
+                .map_err(|cex| std::mem::discriminant(&cex.violation))
+        };
+        let mut configs = vec![base()];
+        for barrier in [
+            BarrierRule::ResetAfterBump,
+            BarrierRule::GenLoadAfterRmw,
+            BarrierRule::UnparkBeforeBump,
+        ] {
+            configs.push(WindowModelCfg { barrier, ..base() });
+        }
+        configs.push(WindowModelCfg {
+            store_order: MemOrder::Relaxed,
+            barrier_order: MemOrder::Relaxed,
+            ..base()
+        });
+        for cfg in configs {
+            let model = WindowModel::new(cfg.clone());
+            let reduced = explore(&model, 1_000_000);
+            let full = explore(&Unreduced(model), 1_000_000);
+            if let (Ok(r), Ok(f)) = (&reduced, &full) {
+                assert!(r.schedules < f.schedules, "{r:?} vs {f:?}");
+            }
+            assert_eq!(verdict(reduced), verdict(full), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -3,22 +3,23 @@
 //! round-parity `WindowBoard` and the runner's chunked claimer.
 //!
 //! The exhaustive tests are the evidence cited by the `ABR-L007`
-//! allowlist entries in `lint.toml`: the shipped protocol passes every
-//! bounded interleaving at the production memory orderings, while each
-//! seeded bug (the PR 9 window-index parity, a rendezvous with no memory
-//! semantics, a fast-forward overshoot, a torn claim RMW) is rediscovered
-//! as a concrete counterexample schedule.
+//! allowlist entries in `lint.toml`: the shipped protocol, including the
+//! spin-then-park window barrier's own operations, passes every bounded
+//! interleaving at the production memory orderings, while each seeded bug
+//! (the window-index parity, `Relaxed` barrier operations, a fast-forward
+//! overshoot, a torn claim RMW, and three reordered barrier operations)
+//! is rediscovered as a concrete counterexample schedule.
 
 use abr_event::rng::SplitMix64;
 use abr_event::sync_model::{
-    explore, run_random, ClaimModel, ClaimModelCfg, ClaimStyle, MemOrder, ParityRule, Violation,
-    WindowModel, WindowModelCfg,
+    explore, run_random, BarrierRule, ClaimModel, ClaimModelCfg, ClaimStyle, MemOrder, ParityRule,
+    Violation, WindowModel, WindowModelCfg,
 };
 use proptest::prelude::*;
 
 /// One million complete schedules: generous for every bounded workload
-/// below (the largest needs ~200k), tight enough to scream if a model
-/// change blows up the state space.
+/// below (the largest needs ~4k under sleep sets), tight enough to
+/// scream if a model change blows up the state space.
 const BUDGET: u64 = 1_000_000;
 
 /// The fast-forward workload: worker 0 drains in window 0; worker 1 has
@@ -36,10 +37,10 @@ fn stepwise_workload() -> WindowModelCfg {
 }
 
 /// A single-window workload for the store-buffer (`Relaxed`) variants:
-/// modeled flush nondeterminism multiplies the state space by ~90,000×
-/// across a second round (measured: 22M schedules vs 3,156), and the
-/// publish→fold visibility being probed is already fully exercised by
-/// one round.
+/// modeled flush nondeterminism multiplies the state space by ~160×
+/// across a second round (measured under sleep sets: 20,480 schedules vs
+/// 128), and the publish→fold visibility being probed is already fully
+/// exercised by one round.
 fn single_window_workload() -> WindowModelCfg {
     WindowModelCfg::shipped(vec![vec![100_000], vec![150_000]], 1_000_000, 0)
 }
@@ -48,11 +49,11 @@ fn single_window_workload() -> WindowModelCfg {
 fn shipped_window_protocol_passes_exhaustively() {
     let stats = explore(&WindowModel::new(jump_workload()), BUDGET)
         .unwrap_or_else(|cex| panic!("shipped protocol violated: {cex}"));
-    // The bound is real work, not a vacuous pass.
-    assert!(
-        stats.schedules > 100,
-        "suspiciously small state space: {stats:?}"
-    );
+    // The bound is real work, not a vacuous pass: with sleep sets a
+    // schedule is one representative per class of reorderings, and the
+    // class count is pinned so a model or reduction change that
+    // collapses (or blows up) the space shows here.
+    assert_eq!(stats.schedules, 80, "state space changed: {stats:?}");
 }
 
 #[test]
@@ -85,8 +86,9 @@ fn relaxed_publish_with_flushing_rendezvous_is_safe() {
     );
 }
 
-/// Strip the rendezvous of its memory semantics and `Relaxed` publishes
-/// stay in the writer's store buffer past the barrier: a reader folds an
+/// Make the barrier's `count` RMW and `gen` bump `Relaxed` and the
+/// rendezvous loses its memory semantics: `Relaxed` publishes stay in
+/// the writer's store buffer past the barrier, and a reader folds an
 /// unwritten (or stale) slot. This is the happens-before edge named by
 /// the `ABR-L007` justifications — without it, weak publishes are racy.
 #[test]
@@ -94,7 +96,7 @@ fn relaxed_publish_without_rendezvous_edge_is_found_unsafe() {
     let cfg = WindowModelCfg {
         store_order: MemOrder::Relaxed,
         load_order: MemOrder::Relaxed,
-        barrier_flushes: false,
+        barrier_order: MemOrder::Relaxed,
         ..single_window_workload()
     };
     let cex = explore(&WindowModel::new(cfg), BUDGET)
@@ -158,18 +160,47 @@ fn fast_forward_overshoot_is_found() {
     );
 }
 
-/// Three workers over one window (10,080 schedules; a second round
-/// pushes past 50M — the exhaustive worker bound is 3, with larger
-/// counts covered by the random-schedule proptests below).
+/// Three workers over the fast-forward workload: two barrier rounds, so
+/// a released waiter's next arrival races the last arriver's reset and
+/// unparks (4,032 schedules under sleep sets; the exhaustive worker
+/// bound is 3, with larger counts covered by the random-schedule
+/// proptests below).
 #[test]
 fn three_worker_window_protocol_passes_exhaustively() {
     let cfg = WindowModelCfg::shipped(
-        vec![vec![100_000], vec![150_000], vec![200_000]],
+        vec![vec![100_000], vec![150_000, 2_100_000], vec![200_000]],
         1_000_000,
-        0,
+        1,
     );
     explore(&WindowModel::new(cfg), BUDGET)
         .unwrap_or_else(|cex| panic!("three-worker protocol violated: {cex}"));
+}
+
+/// Each seeded reordering of the barrier's own operations strands a
+/// worker: the exhaustive search must find the deadlock on the two-round
+/// stepwise workload (a late reset needs a second round to erase an
+/// arrival) — and the shipped order must not deadlock on it.
+#[test]
+fn reordered_barrier_operations_deadlock() {
+    explore(&WindowModel::new(stepwise_workload()), BUDGET)
+        .unwrap_or_else(|cex| panic!("shipped barrier violated: {cex}"));
+    for bug in [
+        BarrierRule::ResetAfterBump,
+        BarrierRule::GenLoadAfterRmw,
+        BarrierRule::UnparkBeforeBump,
+    ] {
+        let cfg = WindowModelCfg {
+            barrier: bug,
+            ..stepwise_workload()
+        };
+        let cex = explore(&WindowModel::new(cfg), BUDGET)
+            .expect_err("a reordered barrier operation must strand a worker");
+        assert_eq!(
+            cex.violation,
+            Violation::Deadlock,
+            "{bug:?}: expected a deadlock, got: {cex}"
+        );
+    }
 }
 
 #[test]

@@ -217,6 +217,9 @@ pub const RULES: &[Rule] = &[
             "Condvar",
             "thread::scope",
             "thread::spawn",
+            "thread::park",
+            "unpark",
+            "OnceLock",
             "mpsc",
         ]),
     },

@@ -22,6 +22,11 @@ fn share<T>(x: std::sync::Arc<T>) -> std::sync::Arc<T> {
     x
 }
 
+fn hand_rolled_wait(waker: &std::sync::OnceLock<std::thread::Thread>) { // VIOLATION (col 40)
+    std::thread::park(); // VIOLATION (col 10)
+    waker.get().map(std::thread::Thread::unpark); // VIOLATION (col 42)
+}
+
 #[cfg(test)]
 mod tests {
     // Test harness code may synchronize however it likes.

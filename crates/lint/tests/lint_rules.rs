@@ -269,6 +269,9 @@ fn l008_concurrency_primitives_fire_outside_designated_modules() {
             ("ABR-L008", 10, 17), // AtomicU64::new
             ("ABR-L008", 11, 10), // thread::scope
             ("ABR-L008", 14, 13), // Mutex::new
+            ("ABR-L008", 25, 40), // OnceLock
+            ("ABR-L008", 26, 10), // thread::park
+            ("ABR-L008", 27, 42), // unpark
         ],
         "Arc and cfg(test) Mutex must not fire"
     );
