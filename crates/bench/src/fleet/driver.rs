@@ -52,10 +52,11 @@ use abr_httpsim::shared::{FleetHub, SharedEdge};
 use abr_media::content::SharedContent;
 use abr_media::units::Bytes;
 use abr_net::link::Link;
+use abr_net::trace::Trace;
 use abr_net::uplink::{UplinkQueue, UplinkStats};
 use abr_obs::HostStopwatch;
-use abr_player::{Session, SessionLog, SessionStepper};
-use abr_qoe::QoeSummary;
+use abr_player::{Session, SessionDigest, SessionLog, SessionStepper};
+use abr_qoe::{ContentProfile, QoeSummary, QoeWeights};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -87,9 +88,12 @@ impl Default for FleetSchedKnobs {
 pub(super) struct SessionOutput {
     /// QoE summary of the finished session.
     pub summary: QoeSummary,
-    /// Deterministic estimate of the session's log heap footprint at
-    /// finish (feeds the `--profile` memory note, never the artifact).
-    pub approx_bytes: u64,
+    /// Deterministic estimate of the session's QoE digest footprint
+    /// (feeds the `--profile` memory note, never the artifact).
+    pub digest_bytes: u64,
+    /// Deterministic estimate of the session's access-link trace
+    /// footprint (the same note).
+    pub trace_bytes: u64,
     /// The raw log, kept only when the caller asked for it.
     pub log: Option<SessionLog>,
 }
@@ -120,9 +124,14 @@ pub(super) struct DriverOutput {
     pub throttled_windows: u64,
     /// Shared title-corpus footprint (deterministic estimate, bytes).
     pub corpus_bytes: u64,
-    /// Summed per-session log footprints (deterministic estimate, bytes).
-    pub session_bytes: u64,
-    /// Largest single-session log footprint (deterministic estimate).
+    /// Summed per-session digest footprints (deterministic estimate,
+    /// bytes).
+    pub digest_bytes: u64,
+    /// Summed per-session trace footprints (deterministic estimate,
+    /// bytes).
+    pub trace_bytes: u64,
+    /// Largest single-session digest + trace footprint (deterministic
+    /// estimate).
     pub session_bytes_max: u64,
     /// Per-worker host-time accounting in worker order; empty unless the
     /// run was profiled.
@@ -150,11 +159,13 @@ enum Slot {
 
 /// A live session: its stepper, its fleet-wide index (the result merge
 /// key, carried because wakes address the arena slot, not the index),
-/// and the arrival offset translating its local clock onto fleet time.
+/// the arrival offset translating its local clock onto fleet time, and
+/// its trace footprint for the memory note.
 struct ActiveSession {
     index: usize,
     stepper: SessionStepper,
     offset: Duration,
+    trace_bytes: u64,
 }
 
 /// One link domain owned by a worker. Live sessions sit in a
@@ -180,22 +191,32 @@ pub(super) fn build_hub(spec: &FleetSpec) -> FleetHub {
     )
 }
 
-/// Builds the session a plan describes, wired onto `hub`. Shared by the
-/// fleet driver and the fleet-of-1 parity comparator so that "the same
-/// session" means the same construction code, not a re-implementation.
-pub(super) fn build_session(
-    spec: &FleetSpec,
-    plan: &SessionPlan,
-    scenario: &TitleScenario,
-    hub: Rc<RefCell<FleetHub>>,
-) -> Session {
-    let origin = Origin::with_overhead(SharedContent::clone(&scenario.content), Bytes::ZERO);
-    let trace = abr_net::corpus::nth(
+/// The access-link trace a plan draws, trimmed to its length: the
+/// session holds it for its whole life, so spare capacity would stay
+/// live with it.
+pub(super) fn session_trace(plan: &SessionPlan) -> Trace {
+    let mut trace = abr_net::corpus::nth(
         Duration::from_secs(TRACE_SECS),
         plan.trace_seed,
         plan.trace_index,
     )
     .1;
+    trace.shrink_to_fit();
+    trace
+}
+
+/// Builds the session a plan describes over its [`session_trace`], wired
+/// onto `hub`. Shared by the fleet driver and the fleet-of-1 parity
+/// comparator so that "the same session" means the same construction
+/// code, not a re-implementation.
+pub(super) fn build_session(
+    spec: &FleetSpec,
+    plan: &SessionPlan,
+    scenario: &TitleScenario,
+    trace: Trace,
+    hub: Rc<RefCell<FleetHub>>,
+) -> Session {
+    let origin = Origin::with_overhead(SharedContent::clone(&scenario.content), Bytes::ZERO);
     let link = Link::with_latency(trace, Duration::from_millis(20));
     let policy = dash_policy_over(plan.kind, &scenario.content, &scenario.dash);
     let config = player_config(plan.kind, scenario.content.chunk_duration());
@@ -512,10 +533,11 @@ pub(super) fn run(
     assert_eq!(outputs.len(), source.len(), "every session must finish");
     assert_eq!(domains.len(), spec.domains, "every domain must report");
 
-    let session_bytes: u64 = outputs.iter().map(|(_, o)| o.approx_bytes).sum();
+    let digest_bytes = outputs.iter().map(|(_, o)| o.digest_bytes).sum();
+    let trace_bytes = outputs.iter().map(|(_, o)| o.trace_bytes).sum();
     let session_bytes_max = outputs
         .iter()
-        .map(|(_, o)| o.approx_bytes)
+        .map(|(_, o)| o.digest_bytes + o.trace_bytes)
         .max()
         .unwrap_or(0);
     DriverOutput {
@@ -526,7 +548,8 @@ pub(super) fn run(
         windows: shared.windows.load(Ordering::Relaxed),
         throttled_windows: shared.throttled.load(Ordering::Relaxed),
         corpus_bytes: corpus.approx_bytes(),
-        session_bytes,
+        digest_bytes,
+        trace_bytes,
         session_bytes_max,
         workers: worker_stats,
     }
@@ -731,20 +754,32 @@ fn drain_window(
         match slot {
             Slot::Arrival(i) => {
                 let plan = source.plan(i);
-                let scenario = corpus.title(plan.title);
-                let mut stepper =
-                    build_session(spec, &plan, scenario, Rc::clone(&domain.hub)).into_stepper();
-                match stepper.next_wake() {
+                let trace = session_trace(&plan);
+                let trace_bytes = trace.approx_bytes();
+                let session = build_session(
+                    spec,
+                    &plan,
+                    corpus.title(plan.title),
+                    trace,
+                    Rc::clone(&domain.hub),
+                );
+                let mut session = ActiveSession {
+                    index: i,
+                    stepper: if keep_logs {
+                        session.into_stepper()
+                    } else {
+                        session.into_digest_stepper()
+                    },
+                    offset: plan.arrival,
+                    trace_bytes,
+                };
+                match session.stepper.next_wake() {
                     Some(local) => {
-                        let id = domain.active.insert(ActiveSession {
-                            index: i,
-                            stepper,
-                            offset: plan.arrival,
-                        });
+                        let id = domain.active.insert(session);
                         domain.queue.schedule(local + plan.arrival, Slot::Wake(id));
                         domain.peak_active = domain.peak_active.max(domain.active.len());
                     }
-                    None => finalize(domain, i, stepper, keep_logs, outputs),
+                    None => finalize(domain, session, keep_logs, outputs),
                 }
             }
             Slot::Wake(id) => {
@@ -762,7 +797,7 @@ fn drain_window(
                     }
                     None => {
                         let session = domain.active.remove(id).expect("just present");
-                        finalize(domain, session.index, session.stepper, keep_logs, outputs);
+                        finalize(domain, session, keep_logs, outputs);
                     }
                 }
             }
@@ -770,24 +805,30 @@ fn drain_window(
     }
 }
 
-/// Finishes a session: summarize, keep the log only when asked.
+/// Finishes a session and summarizes its digest: the streamed one, or
+/// the kept log replayed into one (the same summary code either way).
 fn finalize(
     domain: &mut Domain,
-    index: usize,
-    stepper: SessionStepper,
+    session: ActiveSession,
     keep_logs: bool,
     outputs: &mut Vec<(usize, SessionOutput)>,
 ) {
-    let log = stepper.finish();
-    let summary = abr_qoe::summarize(&log);
-    let approx_bytes = log.approx_heap_bytes();
+    let (digest, log) = if keep_logs {
+        let log = session.stepper.finish();
+        (SessionDigest::from_log(&log), Some(log))
+    } else {
+        (session.stepper.finish_digest(), None)
+    };
+    let summary =
+        abr_qoe::summarize_digest(&digest, QoeWeights::default(), ContentProfile::NEUTRAL);
     domain.finished += 1;
     outputs.push((
-        index,
+        session.index,
         SessionOutput {
             summary,
-            approx_bytes,
-            log: keep_logs.then_some(log),
+            digest_bytes: digest.approx_bytes(),
+            trace_bytes: session.trace_bytes,
+            log,
         },
     ));
 }

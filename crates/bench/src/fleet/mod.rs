@@ -377,22 +377,26 @@ pub fn run_fleet_profiled(
         ..crate::runner::RunnerProfile::default()
     };
     // The peak-memory estimate (DESIGN.md §15): deterministic byte
-    // counts, not allocator telemetry — per-session log footprints are a
-    // pure function of the artifact, peak-active is a driver counter, and
-    // the shared corpus is sized from the content tables. Rendered as a
-    // profile note so the fleet report artifact itself stays untouched.
+    // counts, not allocator telemetry — what a live session holds (its
+    // QoE digest and its trimmed access-link trace) is a pure function of
+    // the spec, peak-active is a driver counter, and the shared corpus is
+    // sized from the content tables. Rendered as a profile note so the
+    // fleet report artifact itself stays untouched.
     let sessions = spec.sessions.max(1) as u64;
-    let mean_session = out.session_bytes / sessions;
+    let fmt = crate::profiling::fmt_bytes;
+    let mean_session = (out.digest_bytes + out.trace_bytes) / sessions;
     let peak_active: u64 = out.domains.iter().map(|d| d.peak_active as u64).sum();
     let peak_estimate = out.corpus_bytes + peak_active * mean_session;
     let memory_note = format!(
-        "memory: ~{}/session (max {}) | shared corpus {} ({} titles) | \
+        "memory: ~{}/session (digest {} + trace {}; max {}) | shared corpus {} ({} titles) | \
          est peak {} @ {} peak-active sessions",
-        crate::profiling::fmt_bytes(mean_session),
-        crate::profiling::fmt_bytes(out.session_bytes_max),
-        crate::profiling::fmt_bytes(out.corpus_bytes),
+        fmt(mean_session),
+        fmt(out.digest_bytes / sessions),
+        fmt(out.trace_bytes / sessions),
+        fmt(out.session_bytes_max),
+        fmt(out.corpus_bytes),
         spec.titles,
-        crate::profiling::fmt_bytes(peak_estimate),
+        fmt(peak_estimate),
         peak_active,
     );
     let result = FleetResult {
@@ -419,7 +423,8 @@ pub fn standalone_log(spec: &FleetSpec, index: usize) -> SessionLog {
     let plan = PlanSource::new(spec).plan(index);
     let scenario = crate::corpus::TitleScenario::build(spec.seed, plan.title);
     let hub = std::rc::Rc::new(std::cell::RefCell::new(driver::build_hub(spec)));
-    driver::build_session(spec, &plan, &scenario, hub).run()
+    let trace = driver::session_trace(&plan);
+    driver::build_session(spec, &plan, &scenario, trace, hub).run()
 }
 
 /// Runs the same topology under demuxed and muxed packaging and renders

@@ -52,7 +52,7 @@ impl McPolicy {
     }
 
     /// Which player configuration the arm runs under.
-    fn player_kind(&self) -> PlayerKind {
+    pub fn player_kind(&self) -> PlayerKind {
         match self {
             McPolicy::Kind(kind) => *kind,
             McPolicy::Capped(_) => PlayerKind::BestPractice,
@@ -62,7 +62,7 @@ impl McPolicy {
     /// Builds the arm's policy over `content` and its already-bound DASH
     /// view (shared from the scenario corpus — the MPD round trip happens
     /// once per realization, not once per session).
-    fn policy(&self, content: &Content, view: &BoundDash) -> Box<dyn AbrPolicy> {
+    pub fn policy(&self, content: &Content, view: &BoundDash) -> Box<dyn AbrPolicy> {
         match self {
             McPolicy::Kind(kind) => dash_policy_over(*kind, content, view),
             McPolicy::Capped(kbps) => {

@@ -45,12 +45,15 @@ impl Instant {
     }
 
     /// Creates an instant from fractional seconds, rounding to the nearest
-    /// microsecond. Panics on negative or non-finite input.
+    /// microsecond. Panics on negative, non-finite or out-of-range input.
     pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid time {secs}");
-        Instant {
-            micros: (secs * MICROS_PER_SEC as f64).round() as u64,
-        }
+        Self::try_from_secs_f64(secs).unwrap_or_else(|e| panic!("invalid time: {e}"))
+    }
+
+    /// [`Instant::from_secs_f64`] for untrusted input: negative,
+    /// non-finite and out-of-range seconds are an error, not a panic.
+    pub fn try_from_secs_f64(secs: f64) -> Result<Self, InvalidSecs> {
+        micros_from_secs_f64(secs).map(Instant::from_micros)
     }
 
     /// This instant as a whole number of microseconds.
@@ -141,6 +144,32 @@ impl fmt::Display for Instant {
     }
 }
 
+/// Fractional seconds that name no representable time: negative, NaN or
+/// infinite, or more microseconds than a `u64` holds. The error of
+/// [`Instant::try_from_secs_f64`] and [`Duration::try_from_secs_f64`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InvalidSecs(pub f64);
+
+impl fmt::Display for InvalidSecs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} s is negative, non-finite or out of range", self.0)
+    }
+}
+
+impl std::error::Error for InvalidSecs {}
+
+/// Rounds fractional seconds to whole microseconds, rejecting every input
+/// a `u64` microsecond count cannot hold (an `as` cast would saturate).
+fn micros_from_secs_f64(secs: f64) -> Result<u64, InvalidSecs> {
+    let micros = secs * MICROS_PER_SEC as f64;
+    // `u64::MAX as f64` is exactly 2^64, the first value out of range.
+    if secs.is_finite() && secs >= 0.0 && micros.round() < u64::MAX as f64 {
+        Ok(micros.round() as u64)
+    } else {
+        Err(InvalidSecs(secs))
+    }
+}
+
 /// A span of virtual time, measured in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration {
@@ -171,12 +200,15 @@ impl Duration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond. Panics on negative or non-finite input.
+    /// microsecond. Panics on negative, non-finite or out-of-range input.
     pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration {secs}");
-        Duration {
-            micros: (secs * MICROS_PER_SEC as f64).round() as u64,
-        }
+        Self::try_from_secs_f64(secs).unwrap_or_else(|e| panic!("invalid duration: {e}"))
+    }
+
+    /// [`Duration::from_secs_f64`] for untrusted input: negative,
+    /// non-finite and out-of-range seconds are an error, not a panic.
+    pub fn try_from_secs_f64(secs: f64) -> Result<Self, InvalidSecs> {
+        micros_from_secs_f64(secs).map(Duration::from_micros)
     }
 
     /// This duration as a whole number of microseconds.
@@ -357,6 +389,34 @@ mod tests {
         assert_eq!(Instant::from_millis(1500).as_micros(), 1_500_000);
         assert_eq!(Instant::from_micros(7).as_micros(), 7);
         assert_eq!(Instant::from_secs_f64(0.125).as_micros(), 125_000);
+    }
+
+    #[test]
+    fn try_from_secs_f64_rejects_unrepresentable_seconds() {
+        assert_eq!(
+            Duration::try_from_secs_f64(1.5),
+            Ok(Duration::from_millis(1500))
+        );
+        assert_eq!(Instant::try_from_secs_f64(0.0), Ok(Instant::ZERO));
+        for bad in [
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            2e13,
+        ] {
+            assert!(Instant::try_from_secs_f64(bad).is_err(), "{bad}");
+            assert!(Duration::try_from_secs_f64(bad).is_err(), "{bad}");
+        }
+        // 2^64 µs is about 1.845e13 s: just below it still converts.
+        assert!(Duration::try_from_secs_f64(1.8e13).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration")]
+    fn from_secs_f64_panics_on_nan() {
+        let _ = Duration::from_secs_f64(f64::NAN);
     }
 
     #[test]

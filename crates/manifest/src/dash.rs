@@ -279,7 +279,7 @@ fn parse_iso8601(s: &str) -> Result<Duration, String> {
     if !num.is_empty() {
         return Err(format!("bad ISO duration `{s}`: trailing `{num}`"));
     }
-    Ok(Duration::from_secs_f64(total))
+    Duration::try_from_secs_f64(total).map_err(|e| format!("bad ISO duration `{s}`: {e}"))
 }
 
 #[cfg(test)]
@@ -373,6 +373,19 @@ mod tests {
         );
         assert!(parse_iso8601("300").is_err());
         assert!(parse_iso8601("PT5").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_unrepresentable_presentation_duration() {
+        let nines = "9".repeat(400);
+        assert!(parse_iso8601(&format!("PT{nines}S")).is_err());
+        let text = format!(
+            r#"<MPD mediaPresentationDuration="PT{nines}S"><Period>
+            <AdaptationSet contentType="video"><Representation id="V1" bandwidth="100000">
+            <SegmentTemplate media="m" duration="4000" timescale="1000"/>
+            </Representation></AdaptationSet></Period></MPD>"#
+        );
+        assert!(Mpd::parse(&text).is_err());
     }
 
     #[test]

@@ -279,14 +279,17 @@ impl MediaPlaylist {
         let mut cur_bitrate: Option<u64> = None;
         for line in lines {
             if let Some(v) = line.strip_prefix("#EXT-X-TARGETDURATION:") {
-                target_duration = Some(Duration::from_secs_f64(
-                    v.parse().map_err(|e| format!("bad TARGETDURATION: {e}"))?,
-                ));
+                let secs = v.parse().map_err(|e| format!("bad TARGETDURATION: {e}"))?;
+                target_duration = Some(
+                    Duration::try_from_secs_f64(secs)
+                        .map_err(|e| format!("bad TARGETDURATION: {e}"))?,
+                );
             } else if let Some(v) = line.strip_prefix("#EXTINF:") {
                 let num = v.trim_end_matches(',');
-                cur_duration = Some(Duration::from_secs_f64(
-                    num.parse().map_err(|e| format!("bad EXTINF: {e}"))?,
-                ));
+                let secs = num.parse().map_err(|e| format!("bad EXTINF: {e}"))?;
+                cur_duration = Some(
+                    Duration::try_from_secs_f64(secs).map_err(|e| format!("bad EXTINF: {e}"))?,
+                );
             } else if let Some(v) = line.strip_prefix("#EXT-X-BYTERANGE:") {
                 let (len, off) = v.split_once('@').ok_or("EXT-X-BYTERANGE missing offset")?;
                 cur_byterange = Some((
@@ -590,5 +593,25 @@ mod tests {
             MediaPlaylist::parse("#EXTM3U\n#EXTINF:4,\nseg.m4s\n").is_err(),
             "missing target duration"
         );
+    }
+
+    #[test]
+    fn media_parse_rejects_unrepresentable_durations() {
+        let playlist = |target: &str, extinf: &str| {
+            format!("#EXTM3U\n#EXT-X-TARGETDURATION:{target}\n#EXTINF:{extinf},\nseg.m4s\n")
+        };
+        assert!(MediaPlaylist::parse(&playlist("4", "4")).is_ok());
+        for (target, extinf) in [
+            ("4", "-1"),
+            ("-4", "4"),
+            ("4", "NaN"),
+            ("inf", "4"),
+            ("4", "1e300"),
+        ] {
+            assert!(
+                MediaPlaylist::parse(&playlist(target, extinf)).is_err(),
+                "TARGETDURATION {target}, EXTINF {extinf}"
+            );
+        }
     }
 }

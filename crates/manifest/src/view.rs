@@ -424,6 +424,19 @@ mod tests {
     }
 
     #[test]
+    fn bound_dash_rejects_combination_naming_a_missing_track() {
+        let c = Content::drama_show(1);
+        let mut mpd = build_mpd(&c);
+        mpd.allowed_combinations = Some(vec![("V1".into(), "A1".into())]);
+        assert!(BoundDash::from_mpd(&mpd).is_ok());
+        for (v, a) in [("V9", "A1"), ("V1", "A9")] {
+            mpd.allowed_combinations = Some(vec![("V1".into(), "A1".into()), (v.into(), a.into())]);
+            let err = BoundDash::from_mpd(&mpd).expect_err("combination names a missing track");
+            assert!(err.contains("missing track"), "{v}+{a}: {err}");
+        }
+    }
+
+    #[test]
     fn bound_hls_rejects_unknown_group() {
         let c = Content::drama_show(1);
         let combos = curated_subset(c.video(), c.audio());

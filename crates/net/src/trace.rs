@@ -170,6 +170,18 @@ impl Trace {
         &self.points
     }
 
+    /// Drops the point list's spare capacity, for a trace that stays
+    /// alive as long as its session does.
+    pub fn shrink_to_fit(&mut self) {
+        self.points.shrink_to_fit();
+    }
+
+    /// Deterministic estimate of the point list's heap footprint (a
+    /// trimmed trace's capacity is its length).
+    pub fn approx_bytes(&self) -> u64 {
+        (self.points.len() * core::mem::size_of::<(Instant, BitsPerSec)>()) as u64
+    }
+
     /// Parses the simple text format `"<seconds> <kbps>"` per line (the
     /// format used by common throughput-trace archives). Lines starting with
     /// `#` and blank lines are ignored. The first entry must be at 0 s.
@@ -191,13 +203,12 @@ impl Trace {
                 .ok_or_else(|| format!("line {}: missing rate", lineno + 1))?
                 .parse()
                 .map_err(|e| format!("line {}: bad rate: {e}", lineno + 1))?;
-            if secs < 0.0 || kbps < 0.0 {
-                return Err(format!("line {}: negative value", lineno + 1));
+            let at = Instant::try_from_secs_f64(secs)
+                .map_err(|e| format!("line {}: bad time: {e}", lineno + 1))?;
+            if !(kbps.is_finite() && kbps >= 0.0) {
+                return Err(format!("line {}: bad rate {kbps}", lineno + 1));
             }
-            points.push((
-                Instant::from_secs_f64(secs),
-                BitsPerSec((kbps * 1000.0).round() as u64),
-            ));
+            points.push((at, BitsPerSec((kbps * 1000.0).round() as u64)));
         }
         if points.is_empty() {
             return Err("no data lines".to_string());
@@ -422,6 +433,13 @@ mod tests {
         assert!(Trace::parse("0 100\n0 200\n").is_err(), "non-ascending");
         assert!(Trace::parse("0 -5\n").is_err(), "negative rate");
         assert!(Trace::parse("0 abc\n").is_err(), "non-numeric");
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_numbers() {
+        for line in ["NaN 5", "inf 5", "-inf 5", "1e300 5", "0 NaN", "0 inf"] {
+            assert!(Trace::parse(&format!("{line}\n")).is_err(), "{line}");
+        }
     }
 
     #[test]

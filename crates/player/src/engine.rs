@@ -20,7 +20,8 @@
 
 use crate::buffer::ChunkBuffer;
 use crate::config::PlayerConfig;
-use crate::log::{BufferSample, SessionLog};
+use crate::digest::Recorder;
+use crate::log::BufferSample;
 use crate::playback::{PlayState, PlaybackEngine};
 use crate::policy::AbrPolicy;
 use crate::session::{DeliveryMode, PlaylistFetch};
@@ -123,15 +124,15 @@ pub(crate) struct Engine {
     pub(crate) wakes: ArmedWakes,
     pub(crate) now: Instant,
     // Outputs.
-    pub(crate) log: SessionLog,
+    pub(crate) record: Recorder,
     pub(crate) obs: ObsHandle,
 }
 
 impl Engine {
     /// Runs the session to completion (content fully played, starvation,
-    /// or deadline) and returns the log plus the possibly-warmed edge
+    /// or deadline) and returns its record plus the possibly-warmed edge
     /// cache.
-    pub(crate) fn run(mut self) -> (SessionLog, Option<EdgeCache>) {
+    pub(crate) fn run(mut self) -> (Recorder, Option<EdgeCache>) {
         let run_span = self.obs.span("session.run");
         self.start();
         while self.next_wake().is_some() && self.pump() {}
@@ -190,7 +191,7 @@ impl Engine {
         }
         self.policy.set_obs(&obs);
         obs.emit(Instant::ZERO, || Event::SessionStart {
-            policy: self.log.policy.clone(),
+            policy: self.record.policy().to_string(),
             chunk_duration: self.chunk_duration,
             num_chunks: self.num_chunks,
         });
@@ -434,7 +435,7 @@ impl Engine {
 
     /// Records the current buffer levels in the log and the trace.
     fn sample(&mut self) {
-        self.log.buffer_samples.push(BufferSample {
+        self.record.sample(BufferSample {
             at: self.now,
             audio: self.audio_buf.level(),
             video: self.video_buf.level(),
@@ -446,14 +447,10 @@ impl Engine {
     }
 
     /// Emits the session-end event, fills the summary fields, and hands
-    /// back the log plus the edge cache.
-    pub(crate) fn finish(mut self) -> (SessionLog, Option<EdgeCache>) {
+    /// back the record plus the edge cache.
+    pub(crate) fn finish(mut self) -> (Recorder, Option<EdgeCache>) {
         self.obs.emit(self.now, || Event::SessionEnd);
-        self.log.startup_at = self.playback.startup_at();
-        self.log.ended_at = self.playback.ended_at();
-        self.log.stalls = self.playback.stalls().to_vec();
-        self.log.seeks = self.playback.seeks().to_vec();
-        self.log.finished_at = self.now;
-        (self.log, self.edge)
+        self.record.finish(&self.playback, self.now);
+        (self.record, self.edge)
     }
 }

@@ -141,7 +141,7 @@ impl Engine {
         }
         let info = self.content.track(track);
         let chunk = ctx.chunk;
-        self.log.selections.push(SelectionEvent {
+        self.record.selection(SelectionEvent {
             at: self.now,
             chunk,
             track,

@@ -19,6 +19,8 @@
 //! * [`stepper`] — the same engine driven by an external clock, one event
 //!   at a time, for fleet simulations (DESIGN.md §14).
 //! * [`log`] — selection/transfer/buffer/stall records for the figures.
+//! * [`digest`] — the online QoE digest a session keeps instead of a log
+//!   when only its summary is wanted (fleet sessions).
 //!
 //! Behind the facade, the run itself is a typed discrete-event engine
 //! split by layer across three private modules: `engine` (the
@@ -31,6 +33,7 @@
 
 pub mod buffer;
 pub mod config;
+pub mod digest;
 mod engine;
 mod fetch;
 pub mod log;
@@ -43,6 +46,7 @@ pub mod stepper;
 mod transfer;
 
 pub use config::{PlayerConfig, SyncMode};
+pub use digest::SessionDigest;
 pub use log::SessionLog;
 pub use policy::{AbrPolicy, SelectionContext, TransferRecord};
 pub use scratch::SessionScratch;

@@ -4,6 +4,7 @@
 //! transfer, buffer-level sample and stall; the experiment harness turns
 //! these into the paper's time-series plots and QoE summaries.
 
+use crate::digest::{BufferStats, ChunkPicks};
 use crate::playback::{Seek, Stall};
 use abr_event::time::{Duration, Instant};
 use abr_media::track::{MediaType, TrackId};
@@ -136,11 +137,13 @@ impl SessionLog {
     /// If a chunk appears twice (hand-built or merged logs — a session
     /// never re-fetches), the later selection wins.
     pub fn selected_tracks(&self, media: MediaType) -> Vec<usize> {
-        let mut out: Vec<Option<usize>> = vec![None; self.num_chunks];
-        for s in self.selections_for(media) {
-            out[s.chunk] = Some(s.track.index);
-        }
-        out.into_iter().flatten().collect()
+        self.picks().tracks(media).collect()
+    }
+
+    /// The log's selections folded into per-chunk picks — the same
+    /// accumulator a streamed [`crate::digest::SessionDigest`] keeps.
+    pub fn picks(&self) -> ChunkPicks {
+        ChunkPicks::from_selections(self.num_chunks, &self.selections)
     }
 
     /// Like [`SessionLog::selected_tracks`] but strict: reports the first
@@ -170,18 +173,12 @@ impl SessionLog {
 
     /// Number of track switches (consecutive chunks on different rungs).
     pub fn switch_count(&self, media: MediaType) -> usize {
-        self.selected_tracks(media)
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .count()
+        self.picks().switch_count(media)
     }
 
     /// Total rebuffering time (open stalls measured to session end).
     pub fn total_stall(&self) -> Duration {
-        self.stalls
-            .iter()
-            .map(|s| s.duration_or(self.finished_at))
-            .sum()
+        Stall::total(&self.stalls, self.finished_at)
     }
 
     /// Number of stall events.
@@ -192,68 +189,28 @@ impl SessionLog {
     /// Mean of the selected tracks' average bitrates over played chunks of
     /// one media type (the paper's Fig 2 y-axis).
     pub fn mean_selected_avg_bitrate(&self, media: MediaType) -> Option<BitsPerSec> {
-        let picks: Vec<&SelectionEvent> = self.selections_for(media).collect();
-        if picks.is_empty() {
-            return None;
-        }
-        let sum: u64 = picks.iter().map(|s| s.avg_bitrate.bps()).sum();
-        Some(BitsPerSec(sum / picks.len() as u64))
+        self.picks().mean_avg_bitrate(media)
     }
 
     /// Time integral of |audio level − video level| divided by session
     /// length: the buffer-imbalance measure for Fig 5(b) and the §4.2
     /// balance recommendation.
     pub fn mean_buffer_imbalance(&self) -> Duration {
-        if self.buffer_samples.len() < 2 {
-            return Duration::ZERO;
-        }
-        let mut weighted: u128 = 0;
-        for w in self.buffer_samples.windows(2) {
-            let dt = (w[1].at - w[0].at).as_micros() as u128;
-            let d0 = imbalance(&w[0]).as_micros() as u128;
-            let d1 = imbalance(&w[1]).as_micros() as u128;
-            weighted += dt * (d0 + d1) / 2;
-        }
-        let span = (self.buffer_samples.last().expect("non-empty").at - self.buffer_samples[0].at)
-            .as_micros() as u128;
-        if span == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_micros((weighted / span) as u64)
+        BufferStats::from_samples(&self.buffer_samples).mean_imbalance()
     }
 
     /// The maximum buffer imbalance observed at any sample.
     pub fn max_buffer_imbalance(&self) -> Duration {
-        self.buffer_samples
-            .iter()
-            .map(imbalance)
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Deterministic estimate of this log's heap footprint: the event
-    /// vectors dominate a finished session's memory, so element counts ×
-    /// element sizes (plus the policy-name string) approximate what one
-    /// retained session costs. A pure function of the log contents —
-    /// never of the allocator — so fleet memory lines are byte-stable.
-    pub fn approx_heap_bytes(&self) -> u64 {
-        use core::mem::size_of;
-        (self.selections.len() * size_of::<SelectionEvent>()
-            + self.transfers.len() * size_of::<TransferEvent>()
-            + self.buffer_samples.len() * size_of::<BufferSample>()
-            + self.stalls.len() * size_of::<Stall>()
-            + self.playlist_fetches.len() * size_of::<PlaylistFetchEvent>()
-            + self.seeks.len() * size_of::<Seek>()
-            + self.policy.len()
-            + size_of::<SessionLog>()) as u64
+        BufferStats::from_samples(&self.buffer_samples).max_imbalance()
     }
 
     /// True when every chunk of both media types was selected and the
     /// content played to the end.
     pub fn completed(&self) -> bool {
+        let picks = self.picks();
         self.ended_at.is_some()
-            && self.selected_tracks(MediaType::Audio).len() == self.num_chunks
-            && self.selected_tracks(MediaType::Video).len() == self.num_chunks
+            && picks.filled(MediaType::Audio) == self.num_chunks
+            && picks.filled(MediaType::Video) == self.num_chunks
     }
 
     /// Reconstructs a session log from a recorded event trace (the events
@@ -416,14 +373,6 @@ impl std::fmt::Display for FromTraceError {
 }
 
 impl std::error::Error for FromTraceError {}
-
-fn imbalance(s: &BufferSample) -> Duration {
-    if s.audio >= s.video {
-        s.audio - s.video
-    } else {
-        s.video - s.audio
-    }
-}
 
 /// Serialization of session records (enabled by the `serde` feature):
 /// each event row becomes a JSON object, a [`SessionLog`] an object of

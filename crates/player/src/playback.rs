@@ -44,6 +44,12 @@ impl Stall {
             .unwrap_or(session_end)
             .saturating_duration_since(self.start)
     }
+
+    /// Summed length of `stalls`, an unresolved one measured to
+    /// `session_end`.
+    pub fn total(stalls: &[Stall], session_end: Instant) -> Duration {
+        stalls.iter().map(|s| s.duration_or(session_end)).sum()
+    }
 }
 
 /// One seek: the jump and how long re-buffering took.
@@ -238,7 +244,7 @@ impl PlaybackEngine {
 
     /// Total stalled wall time, counting an unresolved stall up to `now`.
     pub fn total_stall(&self, now: Instant) -> Duration {
-        self.stalls.iter().map(|s| s.duration_or(now)).sum()
+        Stall::total(&self.stalls, now)
     }
 }
 

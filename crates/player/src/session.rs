@@ -11,6 +11,7 @@
 //! polled.
 
 use crate::config::PlayerConfig;
+use crate::digest::{Recorder, SessionDigest};
 use crate::engine::{ArmedWakes, Engine};
 use crate::log::SessionLog;
 use crate::playback::PlaybackEngine;
@@ -229,13 +230,14 @@ impl Session {
     /// Like [`Session::run`], but also returns the (now warmed) edge cache
     /// so a follow-up session can reuse it.
     pub fn run_with_edge(self) -> (SessionLog, Option<EdgeCache>) {
-        self.into_engine().run()
+        let (record, edge) = self.into_engine().run();
+        (record.into_log(), edge)
     }
 
     /// Runs to completion (content fully played, starvation, or deadline)
     /// and returns the session log.
     pub fn run(self) -> SessionLog {
-        self.into_engine().run().0
+        self.into_engine().run().0.into_log()
     }
 
     /// Like [`Session::run`], but builds the log's event vectors out of a
@@ -248,7 +250,7 @@ impl Session {
     /// [`SessionScratch::reclaim`]: crate::scratch::SessionScratch::reclaim
     pub fn run_with_scratch(self, scratch: &mut crate::scratch::SessionScratch) -> SessionLog {
         let donated = std::mem::take(scratch);
-        self.into_engine_with(donated).run().0
+        self.into_engine_with(donated).run().0.into_log()
     }
 
     /// Consumes the builder into an externally-clocked
@@ -257,6 +259,15 @@ impl Session {
     /// event at a time — the fleet driver's entry point (DESIGN.md §14).
     pub fn into_stepper(self) -> crate::stepper::SessionStepper {
         crate::stepper::SessionStepper::new(self.into_engine())
+    }
+
+    /// [`Session::into_stepper`] keeping only the online QoE digest
+    /// (DESIGN.md §14): what a fleet session that keeps no log runs. Read
+    /// it back with [`SessionStepper::finish_digest`].
+    ///
+    /// [`SessionStepper::finish_digest`]: crate::stepper::SessionStepper::finish_digest
+    pub fn into_digest_stepper(self) -> crate::stepper::SessionStepper {
+        crate::stepper::SessionStepper::new(self.into_digest_engine())
     }
 
     /// Consumes the builder into a ready-to-run engine.
@@ -269,11 +280,7 @@ impl Session {
     /// (DESIGN.md §15). `Engine::finish` hands the vectors back inside the
     /// log; [`crate::scratch::SessionScratch::reclaim`] recovers them.
     pub(crate) fn into_engine_with(self, scratch: crate::scratch::SessionScratch) -> Engine {
-        let content = self.origin.shared_content();
-        let chunk_duration = content.chunk_duration();
-        let num_chunks = content.num_chunks();
-        let total_tracks = content.track_ids().len();
-        let duration = content.duration();
+        let content = self.origin.content();
         let log = SessionLog {
             policy: self.policy.name().to_string(),
             selections: scratch.selections,
@@ -285,9 +292,27 @@ impl Session {
             startup_at: None,
             ended_at: None,
             finished_at: Instant::ZERO,
-            chunk_duration,
-            num_chunks,
+            chunk_duration: content.chunk_duration(),
+            num_chunks: content.num_chunks(),
         };
+        self.into_engine_recording(Recorder::Log(log))
+    }
+
+    /// Consumes the builder into a ready-to-run engine that records only
+    /// the online QoE digest.
+    fn into_digest_engine(self) -> Engine {
+        let digest = SessionDigest::new(self.policy.name(), self.origin.content().num_chunks());
+        self.into_engine_recording(Recorder::Digest(digest))
+    }
+
+    /// Consumes the builder into a ready-to-run engine recording into
+    /// `record`.
+    fn into_engine_recording(self, record: Recorder) -> Engine {
+        let content = self.origin.shared_content();
+        let chunk_duration = content.chunk_duration();
+        let num_chunks = content.num_chunks();
+        let total_tracks = content.track_ids().len();
+        let duration = content.duration();
         Engine {
             content,
             chunk_duration,
@@ -320,7 +345,7 @@ impl Session {
             queue: EventQueue::new(),
             wakes: ArmedWakes::default(),
             now: Instant::ZERO,
-            log,
+            record,
             obs: self.obs,
         }
     }

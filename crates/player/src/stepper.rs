@@ -25,6 +25,7 @@
 //! iteration to the caller. `tests/fleet_determinism.rs` pins this down
 //! wholesale.
 
+use crate::digest::SessionDigest;
 use crate::engine::Engine;
 use crate::log::SessionLog;
 use abr_event::time::Instant;
@@ -71,10 +72,19 @@ impl SessionStepper {
     }
 
     /// Finalizes the session and returns its log (summary fields filled,
-    /// end-of-session lifecycle emitted).
+    /// end-of-session lifecycle emitted). Panics for a stepper built by
+    /// [`crate::session::Session::into_digest_stepper`], which keeps no
+    /// log.
     #[must_use]
     pub fn finish(self) -> SessionLog {
-        self.engine.finish().0
+        self.engine.finish().0.into_log()
+    }
+
+    /// Finalizes the session and returns its QoE digest: the streamed one
+    /// for a digest stepper, the log replayed into one otherwise.
+    #[must_use]
+    pub fn finish_digest(self) -> SessionDigest {
+        self.engine.finish().0.into_digest()
     }
 }
 

@@ -340,7 +340,7 @@ impl Engine {
         self.policy.on_transfer(&record);
         self.link.recycle_profile(record.profile);
         let estimate_after = self.policy.debug_estimate();
-        self.log.transfers.push(TransferEvent {
+        self.record.transfer(TransferEvent {
             at,
             chunk,
             track,
@@ -369,13 +369,11 @@ impl Engine {
         then: Option<ChunkFetch>,
     ) {
         self.playlists_ready.insert(track);
-        self.log
-            .playlist_fetches
-            .push(crate::log::PlaylistFetchEvent {
-                track,
-                requested_at,
-                completed_at: at,
-            });
+        self.record.playlist_fetch(crate::log::PlaylistFetchEvent {
+            track,
+            requested_at,
+            completed_at: at,
+        });
         self.obs.emit(at, || Event::PlaylistFetch {
             track,
             requested_at,

@@ -1,8 +1,10 @@
 //! # abr-qoe — quality-of-experience metrics
 //!
-//! Turns a [`abr_player::SessionLog`] into the quantities the paper argues
-//! about: rebuffering, selected quality, track switching, audio/video
-//! buffer imbalance, and adherence to the manifest's allowed combinations.
+//! Turns a session's [`abr_player::SessionDigest`] (streamed by the
+//! session, or replayed from its [`abr_player::SessionLog`]) into the
+//! quantities the paper argues about: rebuffering, selected quality,
+//! track switching, audio/video buffer imbalance, and adherence to the
+//! manifest's allowed combinations.
 //! Also provides a composite linear QoE score in the style of Yin et al.
 //! (the paper's reference \[25\]) extended with the audio component.
 
@@ -12,7 +14,8 @@
 use abr_event::time::Duration;
 use abr_media::combo::Combo;
 use abr_media::track::MediaType;
-use abr_player::SessionLog;
+use abr_media::units::BitsPerSec;
+use abr_player::{SessionDigest, SessionLog};
 
 /// Content-type weighting for the quality term (§2.1: "for music shows,
 /// the sound quality may be relatively more important than video quality
@@ -112,63 +115,71 @@ pub fn summarize_weighted(log: &SessionLog, w: QoeWeights) -> QoeSummary {
 }
 
 /// Computes the summary with a §2.1 content-type profile weighting the
-/// audio and video components of the quality term.
+/// audio and video components of the quality term: the log replayed into
+/// a [`SessionDigest`], then [`summarize_digest`].
 pub fn summarize_for_content(
     log: &SessionLog,
     w: QoeWeights,
     profile: ContentProfile,
 ) -> QoeSummary {
-    let wall = log.finished_at.as_secs_f64().max(1e-9);
-    let total_stall = log.total_stall();
+    summarize_digest(&SessionDigest::from_log(log), w, profile)
+}
 
-    // Per-chunk combined quality (Mbps) for the score.
-    let audio = log.selected_tracks(MediaType::Audio);
-    let video = log.selected_tracks(MediaType::Video);
-    let per_chunk_mbps: Vec<f64> = chunk_qualities_weighted(log, profile);
-    let quality: f64 = per_chunk_mbps.iter().sum::<f64>() / per_chunk_mbps.len().max(1) as f64;
-    let switching: f64 = per_chunk_mbps
-        .windows(2)
-        .map(|p| (p[1] - p[0]).abs())
+/// Computes the summary from a session's QoE digest — the one
+/// implementation behind every `summarize*` entry point, and what a fleet
+/// session that keeps no log summarizes directly.
+pub fn summarize_digest(d: &SessionDigest, w: QoeWeights, profile: ContentProfile) -> QoeSummary {
+    let wall = d.finished_at.as_secs_f64().max(1e-9);
+    let total_stall = d.total_stall;
+
+    // Per-chunk combined quality (Mbps) for the score, in chunk order.
+    let per_chunk_mbps = || d.picks.pairs().map(|p| chunk_quality(p, profile));
+    let chunks = per_chunk_mbps().count().max(1) as f64;
+    let quality = per_chunk_mbps().sum::<f64>() / chunks;
+    let switching = per_chunk_mbps()
+        .zip(per_chunk_mbps().skip(1))
+        .map(|(q0, q1)| (q1 - q0).abs())
         .sum::<f64>()
-        / per_chunk_mbps.len().max(1) as f64;
-    let startup = log
+        / chunks;
+    let startup = d
         .startup_at
         .map(abr_event::Instant::as_secs_f64)
         .unwrap_or(wall);
     let score = quality
         - w.switch_penalty * switching
-        - w.stall_penalty * total_stall.as_secs_f64() / (log.num_chunks as f64).max(1.0)
-        - w.startup_penalty * startup / (log.num_chunks as f64).max(1.0);
+        - w.stall_penalty * total_stall.as_secs_f64() / (d.num_chunks as f64).max(1.0)
+        - w.startup_penalty * startup / (d.num_chunks as f64).max(1.0);
 
     QoeSummary {
-        policy: log.policy.clone(),
-        completed: log.completed(),
-        startup_delay: log
+        policy: d.policy.clone(),
+        completed: d.completed(),
+        startup_delay: d
             .startup_at
             .map(|t| t.saturating_duration_since(abr_event::time::Instant::ZERO)),
-        stall_count: log.stall_count(),
+        stall_count: d.stall_count,
         total_stall,
         rebuffer_ratio: total_stall.as_secs_f64() / wall,
-        mean_video_kbps: log
-            .mean_selected_avg_bitrate(MediaType::Video)
+        mean_video_kbps: d
+            .picks
+            .mean_avg_bitrate(MediaType::Video)
             .map_or(0, abr_media::BitsPerSec::kbps),
-        mean_audio_kbps: log
-            .mean_selected_avg_bitrate(MediaType::Audio)
+        mean_audio_kbps: d
+            .picks
+            .mean_avg_bitrate(MediaType::Audio)
             .map_or(0, abr_media::BitsPerSec::kbps),
-        video_switches: if video.len() >= 2 {
-            log.switch_count(MediaType::Video)
-        } else {
-            0
-        },
-        audio_switches: if audio.len() >= 2 {
-            log.switch_count(MediaType::Audio)
-        } else {
-            0
-        },
-        mean_imbalance: log.mean_buffer_imbalance(),
-        max_imbalance: log.max_buffer_imbalance(),
+        video_switches: d.picks.switch_count(MediaType::Video),
+        audio_switches: d.picks.switch_count(MediaType::Audio),
+        mean_imbalance: d.buffer.mean_imbalance(),
+        max_imbalance: d.buffer.max_imbalance(),
         score,
     }
+}
+
+/// Weighted combined quality (Mbps) of one chunk's `(audio, video)`
+/// average bitrates.
+fn chunk_quality((audio, video): (BitsPerSec, BitsPerSec), profile: ContentProfile) -> f64 {
+    (profile.audio_weight * audio.bps() as f64 + profile.video_weight * video.bps() as f64)
+        / 1_000_000.0
 }
 
 /// Combined audio+video average bitrate (Mbps) selected for each chunk
@@ -179,24 +190,9 @@ pub fn chunk_qualities(log: &SessionLog) -> Vec<f64> {
 
 /// [`chunk_qualities`] with a §2.1 content-type weighting.
 pub fn chunk_qualities_weighted(log: &SessionLog, profile: ContentProfile) -> Vec<f64> {
-    let mut audio = vec![None; log.num_chunks];
-    let mut video = vec![None; log.num_chunks];
-    for s in &log.selections {
-        match s.track.media {
-            MediaType::Audio => audio[s.chunk] = Some(s.avg_bitrate),
-            MediaType::Video => video[s.chunk] = Some(s.avg_bitrate),
-        }
-    }
-    audio
-        .into_iter()
-        .zip(video)
-        .filter_map(|(a, v)| match (a, v) {
-            (Some(a), Some(v)) => Some(
-                (profile.audio_weight * a.bps() as f64 + profile.video_weight * v.bps() as f64)
-                    / 1_000_000.0,
-            ),
-            _ => None,
-        })
+    log.picks()
+        .pairs()
+        .map(|p| chunk_quality(p, profile))
         .collect()
 }
 
@@ -243,7 +239,6 @@ mod tests {
     use super::*;
     use abr_event::time::Instant;
     use abr_media::track::TrackId;
-    use abr_media::units::BitsPerSec;
     use abr_player::log::SelectionEvent;
     use abr_player::playback::Stall;
 

@@ -6,7 +6,8 @@
 //! still allocates is bounded per session — construction, log-vector
 //! growth, first use of each reusable buffer. This test pins that bound
 //! for every DASH player kind, so a per-event allocation that sneaks back
-//! in fails here instead of quietly slowing every workload.
+//! in fails here instead of quietly slowing every workload. A session
+//! that streams its QoE digest instead of a log has a tighter budget.
 
 // The only unsafe code in this file is the `GlobalAlloc` impl below: it
 // forwards every call unchanged to `System` and only bumps a counter.
@@ -14,12 +15,22 @@
 
 use abr_bench::setup::{self, PlayerKind};
 use abr_event::time::Duration;
+use abr_httpsim::origin::Origin;
+use abr_media::content::SharedContent;
+use abr_media::units::Bytes;
+use abr_net::link::Link;
 use abr_net::trace::Trace;
+use abr_player::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations (including reallocations) one session may make.
 const BUDGET: u64 = 64;
+
+/// Allocations one digest-mode session may make: no event vector grows,
+/// so only construction and first use of reusable buffers remain (22–30
+/// per DASH player kind when this budget was set).
+const DIGEST_BUDGET: u64 = 40;
 
 thread_local! {
     /// Set while the current thread's allocations are being counted.
@@ -101,6 +112,52 @@ fn one_session_stays_within_the_allocation_budget() {
         assert!(
             allocations <= BUDGET,
             "{kind:?}: {allocations} allocations in one session (budget {BUDGET}); all: {report:?}"
+        );
+    }
+}
+
+/// A fleet session that keeps no log streams its QoE digest instead:
+/// driven the way the fleet drives it (digest stepper, one event at a
+/// time), it must allocate strictly less than the same session keeping
+/// a log, and stay within its own budget.
+#[test]
+fn a_digest_session_allocates_less_than_a_logged_one() {
+    let content = setup::drama();
+    let mut report = Vec::new();
+    for kind in [
+        PlayerKind::ExoPlayer,
+        PlayerKind::Shaka,
+        PlayerKind::DashJs,
+        PlayerKind::BestPractice,
+        PlayerKind::Bba,
+        PlayerKind::Mpc,
+    ] {
+        let session = || {
+            Session::new(
+                Origin::with_overhead(SharedContent::clone(&content), Bytes::ZERO),
+                Link::with_latency(
+                    Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+                    Duration::from_millis(20),
+                ),
+                setup::dash_policy(kind, &content),
+                setup::player_config(kind, content.chunk_duration()),
+            )
+        };
+        let (logged, streamed) = (session(), session());
+        let (log, log_allocations) = count_allocations(|| logged.run());
+        let (digest, digest_allocations) = count_allocations(|| {
+            let mut stepper = streamed.into_digest_stepper();
+            while stepper.next_wake().is_some() && stepper.dispatch_next() {}
+            stepper.finish_digest()
+        });
+        assert_eq!(digest.transfers, log.transfers.len() as u64, "{kind:?}");
+        report.push((kind, log_allocations, digest_allocations));
+    }
+    for &(kind, logged, digest) in &report {
+        assert!(
+            digest < logged && digest <= DIGEST_BUDGET,
+            "{kind:?}: {digest} allocations with a digest vs {logged} with a log \
+             (budget {DIGEST_BUDGET}); all (kind, log, digest): {report:?}"
         );
     }
 }

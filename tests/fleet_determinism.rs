@@ -19,8 +19,10 @@
 use std::collections::BTreeSet;
 
 use abr_bench::fleet::{
-    run_fleet_sched, run_fleet_with_logs, standalone_log, FleetResult, FleetSchedKnobs, FleetSpec,
+    run_fleet, run_fleet_sched, run_fleet_with_logs, standalone_log, FleetResult, FleetSchedKnobs,
+    FleetSpec,
 };
+use abr_player::session::DeliveryMode;
 use abr_player::SessionLog;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -187,6 +189,44 @@ fn fleet_artifacts_are_identical_across_shard_counts() {
             reference.logs.as_deref().expect("reference keeps logs"),
             candidate.logs.as_deref().expect("candidate keeps logs"),
         );
+    }
+}
+
+/// The no-log path is the artifact: `exp fleet` and the benchmark run
+/// `run_fleet`, whose sessions stream into a QoE digest instead of
+/// growing a log. Its rendered report and JSON must equal the log-keeping
+/// run's, which summarizes each kept log replayed into the same digest —
+/// across worker counts, shard counts, both deliveries and a sparse fleet.
+#[test]
+fn digest_path_matches_the_log_path() {
+    let mut specs = Vec::new();
+    for delivery in [DeliveryMode::Demuxed, DeliveryMode::Muxed] {
+        for shards in [1, 4] {
+            specs.push(FleetSpec {
+                delivery,
+                shards,
+                ..spec()
+            });
+        }
+    }
+    specs.push(sparse_spec());
+    for spec in &specs {
+        for jobs in [1, 2] {
+            let what = format!(
+                "digest vs log path ({:?}, shards {}, {} sessions, --jobs {jobs})",
+                spec.delivery, spec.shards, spec.sessions
+            );
+            let logged = run_fleet_with_logs(spec, jobs);
+            let digested = run_fleet(spec, jobs);
+            assert!(digested.logs.is_none(), "run_fleet keeps no logs");
+            assert_eq!(
+                logged.text, digested.text,
+                "rendered fleet report diverges under {what}"
+            );
+            if let Some(d) = first_divergence("json", &logged.json, &digested.json) {
+                panic!("fleet JSON artifact diverges under {what}:\n  {d}");
+            }
+        }
     }
 }
 
