@@ -180,13 +180,13 @@ fn mc_grid(seeds: u64) -> (ScenarioCorpus, Vec<McPolicy>, Vec<McCell>) {
 }
 
 /// LPT-style claim-order hint for the grid: MPC cells first (the MPC
-/// arm's horizon search dominates per-session cost — it was 74% of the
-/// sweep wall before the branch-and-bound rewrite and is still the
-/// heaviest arm), everything else in authored order behind them. Longest
-/// work first keeps the tail of the sweep from landing a cluster of
-/// heavy cells on one worker. Claim order is a scheduling knob outside
-/// the artifact contract (DESIGN.md §16); results merge in grid order
-/// regardless.
+/// arm is still the heaviest, at about a quarter of the sweep's session
+/// time with 100 seeds at jobs 1: about 2.1× the ExoPlayer arm and 1.5×
+/// Shaka, the next heaviest), everything else in authored order behind
+/// them. Longest work first keeps the tail of the sweep from landing a
+/// cluster of heavy cells on one worker. Claim order is a scheduling
+/// knob outside the artifact contract (DESIGN.md §16); results merge in
+/// grid order regardless.
 fn lpt_order(policies: &[McPolicy], grid: &[McCell]) -> Vec<usize> {
     let is_heavy = |cell: &McCell| matches!(policies[cell.policy], McPolicy::Kind(PlayerKind::Mpc));
     let mut order = Vec::with_capacity(grid.len());

@@ -30,6 +30,10 @@ pub struct Ewma {
     alpha: f64,
     estimate: f64,
     total_weight: f64,
+    /// The last sample weight and `alpha^weight` for it: Shaka's windows
+    /// all weigh δ, so the power is computed once, not per window.
+    last_weight: f64,
+    last_adj: f64,
 }
 
 impl Ewma {
@@ -41,13 +45,19 @@ impl Ewma {
             alpha: 0.5f64.powf(1.0 / half_life_secs),
             estimate: 0.0,
             total_weight: 0.0,
+            last_weight: 0.0,
+            last_adj: 1.0,
         }
     }
 
     /// Feeds one sample of `value` with `weight` (seconds).
     pub fn sample(&mut self, weight_secs: f64, value: f64) {
         assert!(weight_secs > 0.0 && value.is_finite());
-        let adj = self.alpha.powf(weight_secs);
+        if weight_secs != self.last_weight {
+            self.last_weight = weight_secs;
+            self.last_adj = self.alpha.powf(weight_secs);
+        }
+        let adj = self.last_adj;
         self.estimate = adj * self.estimate + (1.0 - adj) * value;
         self.total_weight += weight_secs;
     }
@@ -185,6 +195,8 @@ pub struct ShakaEstimator {
     fast: Ewma,
     slow: Ewma,
     total_sampled: Bytes,
+    /// The estimate as of the last sampled window.
+    estimate: BitsPerSec,
 }
 
 impl ShakaEstimator {
@@ -192,42 +204,47 @@ impl ShakaEstimator {
     /// default, 128 KB before the measured estimate is trusted, EWMA
     /// half-lives 2 s (fast) and 5 s (slow).
     pub fn new() -> ShakaEstimator {
+        let default = BitsPerSec::from_kbps(500);
         ShakaEstimator {
             delta: Duration::from_millis(125),
             min_bytes: Bytes::from_kib(16),
             min_total_bytes: Bytes(128_000),
-            default: BitsPerSec::from_kbps(500),
+            default,
             fast: Ewma::with_half_life(2.0),
             slow: Ewma::with_half_life(5.0),
             total_sampled: Bytes::ZERO,
+            estimate: default,
         }
     }
 
     /// Feeds a completed transfer: the flow's own delivery profile is cut
     /// into δ windows; only windows carrying at least the filter bytes
-    /// become samples.
+    /// become samples. The estimate is recomputed once, after the last
+    /// window, and only if a window passed the filter.
     pub fn on_transfer(&mut self, rec: &TransferRecord) {
         let w = self.delta.as_secs_f64();
+        let mut sampled = false;
         for (_, bytes) in rec.profile.windows(self.delta) {
             if bytes >= self.min_bytes {
                 let rate = bytes.rate_over_micros(self.delta.as_micros()).bps() as f64;
                 self.fast.sample(w, rate);
                 self.slow.sample(w, rate);
                 self.total_sampled += bytes;
+                sampled = true;
             }
+        }
+        if sampled && self.total_sampled >= self.min_total_bytes {
+            self.estimate = match (self.fast.estimate(), self.slow.estimate()) {
+                (Some(f), Some(s)) => BitsPerSec(f.min(s).round() as u64),
+                _ => self.default,
+            };
         }
     }
 
     /// min(fast, slow) once enough bytes were sampled; the 500 Kbps default
     /// before that — forever, if the filter never passes (Fig 4a).
     pub fn estimate(&self) -> BitsPerSec {
-        if self.total_sampled < self.min_total_bytes {
-            return self.default;
-        }
-        match (self.fast.estimate(), self.slow.estimate()) {
-            (Some(f), Some(s)) => BitsPerSec(f.min(s).round() as u64),
-            _ => self.default,
-        }
+        self.estimate
     }
 
     /// Total bytes accepted by the validity filter (diagnostics).
@@ -249,6 +266,8 @@ impl Default for ShakaEstimator {
 pub struct HarmonicMean {
     window: usize,
     samples: VecDeque<f64>,
+    /// The harmonic mean as of the last `add`.
+    estimate: Option<BitsPerSec>,
 }
 
 impl HarmonicMean {
@@ -258,27 +277,26 @@ impl HarmonicMean {
         HarmonicMean {
             window,
             samples: VecDeque::new(),
+            estimate: None,
         }
     }
 
-    /// Adds a throughput sample in bps.
+    /// Adds a throughput sample in bps and recomputes the mean.
     pub fn add(&mut self, value_bps: f64) {
         assert!(value_bps > 0.0 && value_bps.is_finite());
         self.samples.push_back(value_bps);
         while self.samples.len() > self.window {
             self.samples.pop_front();
         }
+        let recip: f64 = self.samples.iter().map(|v| 1.0 / v).sum();
+        self.estimate = Some(BitsPerSec(
+            (self.samples.len() as f64 / recip).round() as u64
+        ));
     }
 
     /// Harmonic mean of the stored samples; `None` before any sample.
     pub fn estimate(&self) -> Option<BitsPerSec> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let recip: f64 = self.samples.iter().map(|v| 1.0 / v).sum();
-        Some(BitsPerSec(
-            (self.samples.len() as f64 / recip).round() as u64
-        ))
+        self.estimate
     }
 }
 
@@ -287,6 +305,8 @@ impl HarmonicMean {
 #[derive(Debug, Clone)]
 pub struct JointEwma {
     ewma: Ewma,
+    /// The rounded EWMA estimate as of the last sample.
+    estimate: Option<BitsPerSec>,
 }
 
 impl JointEwma {
@@ -294,6 +314,7 @@ impl JointEwma {
     pub fn new(half_life_secs: f64) -> JointEwma {
         JointEwma {
             ewma: Ewma::with_half_life(half_life_secs),
+            estimate: None,
         }
     }
 
@@ -307,11 +328,12 @@ impl JointEwma {
             .rate_over_micros(rec.window_busy.as_micros())
             .bps() as f64;
         self.ewma.sample(rec.window_busy.as_secs_f64(), value);
+        self.estimate = self.ewma.estimate().map(|v| BitsPerSec(v.round() as u64));
     }
 
     /// Current estimate; `None` before any sample.
     pub fn estimate(&self) -> Option<BitsPerSec> {
-        self.ewma.estimate().map(|v| BitsPerSec(v.round() as u64))
+        self.estimate
     }
 }
 

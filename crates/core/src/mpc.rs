@@ -49,10 +49,12 @@ pub struct MpcPolicy {
     combo_bw: Vec<f64>,
     /// Per-combination quality in Mbps (`combo_bw / 1e6`).
     q: Vec<f64>,
-    /// The largest entry of `q`: the per-step score bound of `plan`.
+    /// The largest entry of `q`: the per-step quality bound of `plan`.
     q_max: f64,
     /// `plan`'s per-call download-time scratch, reused across calls.
     download_s: Vec<f64>,
+    /// Search nodes evaluated by `plan` so far.
+    search_nodes: u64,
     tput: HarmonicMean,
     /// Relative prediction errors of recent throughput predictions
     /// (RobustMPC's max-error discount).
@@ -75,6 +77,7 @@ impl MpcPolicy {
         MpcPolicy {
             combos: pairs.iter().map(|&(c, _)| c).collect(),
             download_s: Vec::with_capacity(combo_bw.len()),
+            search_nodes: 0,
             combo_bw,
             q,
             q_max,
@@ -113,8 +116,13 @@ impl MpcPolicy {
         )
     }
 
-    /// Overrides the tunables.
+    /// Overrides the tunables. Panics on a negative (or NaN) penalty:
+    /// `plan`'s pruning bound assumes both are non-negative.
     pub fn with_config(mut self, cfg: MpcConfig) -> MpcPolicy {
+        assert!(
+            cfg.switch_penalty >= 0.0 && cfg.stall_penalty >= 0.0,
+            "MPC penalties must be non-negative"
+        );
         self.cfg = cfg;
         self
     }
@@ -134,112 +142,157 @@ impl MpcPolicy {
 
     /// Exhaustive search over combination sequences of length `horizon`,
     /// returning the best first action. `buffer_s` is the scarcer buffer
-    /// level in seconds.
+    /// level in seconds, `prev` the combination the first step switches
+    /// from.
     ///
-    /// Enumeration is depth-first in lexicographic order with the prefix
-    /// state (score, buffer, previous combo) carried incrementally —
-    /// each node adds exactly the term a flat per-leaf re-evaluation
-    /// would compute at that step, with the same operands in the same
-    /// order, so the float stream, the argmax, and its
-    /// first-sequence-wins tie-breaking are all unchanged while shared
-    /// prefixes are evaluated once instead of per leaf (the hottest
-    /// `policy.select` path in `exp mc`).
-    fn plan(&mut self, buffer_s: f64, chunk_s: f64, predicted_bps: f64, prev: usize) -> usize {
+    /// The search's definition is a flat enumeration: score every leaf
+    /// (sequence) in lexicographic order, accumulating one step term at a
+    /// time (quality − switch penalty − stall penalty, added with
+    /// `score + term`), and return the first element of the first leaf
+    /// with the strictly greatest score. `plan` returns exactly that
+    /// action, float for float, but visits far fewer nodes:
+    ///
+    /// * Enumeration is depth-first in lexicographic order with the prefix
+    ///   state (score, buffer, previous combination) carried down, so
+    ///   shared prefixes are evaluated once and every leaf score is the
+    ///   same float the flat enumeration computes.
+    /// * The `n` constant plans are scored first with the same float
+    ///   operations. Each is a real leaf, so the best of them is a floor
+    ///   on the optimum.
+    /// * After a prefix ending in `c`, the `r` remaining steps add at most
+    ///   `r·q_max − λ·(q_max − q[c])` when `λ < r` and `r·q[c]` otherwise
+    ///   (penalties are non-negative; the switch penalties of any path
+    ///   that peaks at quality `M` sum to at least `λ·(M − q[c])`). A
+    ///   subtree is pruned when that bound, plus a rounding slack, is
+    ///   below the floor or does not exceed the best leaf found so far:
+    ///   none of its leaves can be the first strict maximum.
+    ///
+    /// The bound is compared in floats, so it carries a rounding slack
+    /// `ε·(|score| + q_max)` with `ε = 2u·(h + 3)·(h + 5)·(1 + λ)`,
+    /// `u = 2⁻⁵³` and `h` the horizon: it exceeds the float error between
+    /// a subtree's computed leaf scores and the real-valued bound with a
+    /// margin of about 2× (DESIGN.md §11 derives it). The prune is
+    /// therefore exact, not heuristic; `mpc_plan_matches_flat_enumeration`
+    /// (`crates/core/tests/proptests.rs`) holds `plan` to the flat
+    /// enumeration.
+    pub fn plan(&mut self, buffer_s: f64, chunk_s: f64, predicted_bps: f64, prev: usize) -> usize {
         let n = self.combos.len();
         let horizon = self.cfg.horizon.max(1);
         let prev = prev.min(n - 1);
+        let lambda = self.cfg.switch_penalty;
         // Loop-invariant per-combo costs, hoisted with the exact
         // expressions the per-step evaluation used.
         self.download_s.clear();
         self.download_s
             .extend(self.combo_bw.iter().map(|&bw| bw * chunk_s / predicted_bps));
-        // Admissible per-step bound: every step term is at most q_max
-        // (both penalties are non-negative), so a partial plan with
-        // `score + remaining × q_max <= best_score` cannot *strictly*
-        // beat the incumbent — and only strict improvement changes the
-        // winner — making the prune exact, not heuristic.
-        let mut best_first = prev;
-        let mut best_score = f64::NEG_INFINITY;
-        #[allow(clippy::too_many_arguments)]
-        fn dfs(
-            download_s: &[f64],
-            q: &[f64],
-            q_max: f64,
-            chunk_s: f64,
-            switch_penalty: f64,
-            stall_penalty: f64,
-            horizon: usize,
-            depth: usize,
-            score: f64,
-            buf: f64,
-            last: usize,
-            first: usize,
-            best_score: &mut f64,
-            best_first: &mut usize,
-        ) {
-            if depth == horizon {
-                if score > *best_score {
-                    *best_score = score;
-                    *best_first = first;
-                }
-                return;
-            }
-            let remaining = horizon - depth - 1;
-            for c in 0..download_s.len() {
-                let stall = (download_s[c] - buf).max(0.0);
-                let next_buf = (buf - download_s[c]).max(0.0) + chunk_s;
-                // The step term is fully evaluated before accumulating,
-                // exactly as `score += term` did — float addition is not
-                // associative, and the artifact contract cares.
-                let term = q[c] - switch_penalty * (q[c] - q[last]).abs() - stall_penalty * stall;
-                let next_score = score + term;
-                // The bound accumulates q_max step by step, mirroring how
-                // the real score accumulates terms ≤ q_max: float addition
-                // is monotonic per operand, so this dominates every
-                // reachable leaf score even under rounding (a one-shot
-                // `r × q_max` would not).
-                let mut bound = next_score;
-                for _ in 0..remaining {
-                    bound += q_max;
-                }
-                if bound <= *best_score {
-                    continue;
-                }
-                dfs(
-                    download_s,
-                    q,
-                    q_max,
-                    chunk_s,
-                    switch_penalty,
-                    stall_penalty,
-                    horizon,
-                    depth + 1,
-                    next_score,
-                    next_buf,
-                    c,
-                    if depth == 0 { c } else { first },
-                    best_score,
-                    best_first,
-                );
-            }
-        }
-        dfs(
-            &self.download_s,
-            &self.q,
-            self.q_max,
+        let h = horizon as f64;
+        let mut search = Search {
+            download_s: &self.download_s,
+            q: &self.q,
+            q_max: self.q_max,
             chunk_s,
-            self.cfg.switch_penalty,
-            self.cfg.stall_penalty,
+            switch_penalty: lambda,
+            stall_penalty: self.cfg.stall_penalty,
             horizon,
-            0,
-            0.0,
-            buffer_s,
-            prev,
-            prev,
-            &mut best_score,
-            &mut best_first,
-        );
-        best_first
+            // 2u = f64::EPSILON.
+            slack_eps: f64::EPSILON * (h + 3.0) * (h + 5.0) * (1.0 + lambda),
+            floor: f64::NEG_INFINITY,
+            best_score: f64::NEG_INFINITY,
+            best_first: prev,
+            nodes: 0,
+        };
+        // The floor: the best constant plan, scored like any leaf.
+        for c in 0..n {
+            let (mut score, mut buf, mut last) = (0.0, buffer_s, prev);
+            for _ in 0..horizon {
+                let (term, next_buf) = search.step(buf, last, c);
+                score += term;
+                (buf, last) = (next_buf, c);
+            }
+            search.floor = search.floor.max(score);
+        }
+        search.dfs(0, 0.0, buffer_s, prev, prev);
+        self.search_nodes += search.nodes;
+        search.best_first
+    }
+
+    /// Search nodes (step terms) `plan` has evaluated over this policy's
+    /// lifetime: the work measure the pruning bound is judged by.
+    pub fn search_nodes(&self) -> u64 {
+        self.search_nodes
+    }
+}
+
+/// One [`MpcPolicy::plan`] call's search state.
+struct Search<'a> {
+    download_s: &'a [f64],
+    q: &'a [f64],
+    q_max: f64,
+    chunk_s: f64,
+    switch_penalty: f64,
+    stall_penalty: f64,
+    horizon: usize,
+    /// `ε` of the rounding slack `ε·(|score| + q_max)`.
+    slack_eps: f64,
+    /// The best constant plan's score: a leaf, so a lower bound on the
+    /// optimum.
+    floor: f64,
+    best_score: f64,
+    best_first: usize,
+    nodes: u64,
+}
+
+impl Search<'_> {
+    /// The score term of choosing `c` after `last` with `buf` seconds
+    /// buffered, and the buffer after that download.
+    #[inline]
+    fn step(&self, buf: f64, last: usize, c: usize) -> (f64, f64) {
+        let stall = (self.download_s[c] - buf).max(0.0);
+        let next_buf = (buf - self.download_s[c]).max(0.0) + self.chunk_s;
+        // The step term is fully evaluated before it is added to the
+        // score: float addition is not associative, and the artifact
+        // contract cares.
+        let term = self.q[c]
+            - self.switch_penalty * (self.q[c] - self.q[last]).abs()
+            - self.stall_penalty * stall;
+        (term, next_buf)
+    }
+
+    /// Expands every child of the prefix `(score, buf, last)` at `depth`
+    /// in lexicographic order; `first` is the prefix's first action.
+    fn dfs(&mut self, depth: usize, score: f64, buf: f64, last: usize, first: usize) {
+        let n = self.q.len();
+        self.nodes += n as u64;
+        let remaining = self.horizon - depth - 1;
+        if remaining == 0 {
+            // Leaves: only a strict improvement changes the winner.
+            for c in 0..n {
+                let (term, _) = self.step(buf, last, c);
+                let leaf = score + term;
+                if leaf > self.best_score {
+                    self.best_score = leaf;
+                    self.best_first = if depth == 0 { c } else { first };
+                }
+            }
+            return;
+        }
+        let r = remaining as f64;
+        for c in 0..n {
+            let (term, next_buf) = self.step(buf, last, c);
+            let next_score = score + term;
+            // The tail bound and the rounding slack (see `plan`).
+            let rest = if self.switch_penalty < r {
+                r * self.q_max - self.switch_penalty * (self.q_max - self.q[c])
+            } else {
+                r * self.q[c]
+            };
+            let bound = next_score + rest + self.slack_eps * (next_score.abs() + self.q_max);
+            if bound < self.floor || bound <= self.best_score {
+                continue;
+            }
+            let first = if depth == 0 { c } else { first };
+            self.dfs(depth + 1, next_score, next_buf, c, first);
+        }
     }
 }
 

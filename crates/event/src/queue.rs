@@ -167,12 +167,18 @@ impl<E> EventQueue<E> {
     /// cancelled, or was never issued. Cancellation never disturbs the
     /// ordering of other entries.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        if key.0 >= self.next_seq || self.is_dead(key.0) {
+        if !self.is_pending(key) {
             return false;
         }
         self.mark_dead(key.0);
         self.debug_check();
         true
+    }
+
+    /// True while the entry behind `key` is scheduled: not yet popped,
+    /// not cancelled.
+    pub fn is_pending(&self, key: EventKey) -> bool {
+        key.0 < self.next_seq && !self.is_dead(key.0)
     }
 
     /// Removes and returns the earliest live event, advancing the clock to
@@ -454,6 +460,19 @@ mod tests {
     fn cancel_rejects_unknown_key() {
         let mut q: EventQueue<()> = EventQueue::new();
         // A key that was never handed out (seq beyond next_seq).
+        assert!(!q.is_pending(EventKey(42)));
         assert!(!q.cancel(EventKey(42)));
+    }
+
+    #[test]
+    fn is_pending_until_popped_or_cancelled() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(Instant::from_secs(1), "a");
+        let b = q.schedule(Instant::from_secs(2), "b");
+        assert!(q.is_pending(a) && q.is_pending(b));
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert!(!q.is_pending(a), "popped");
+        assert!(q.cancel(b));
+        assert!(!q.is_pending(b), "cancelled");
     }
 }

@@ -260,6 +260,9 @@ proptest! {
                 }
             }
             prop_assert_eq!(q.len(), model.iter().filter(|e| e.3).count());
+            for (&key, entry) in keys.iter().zip(&model) {
+                prop_assert_eq!(q.is_pending(key), entry.3);
+            }
             prop_assert_eq!(q.now(), now);
             prop_assert_eq!(q.issued(), model.len() as u64);
         }

@@ -138,14 +138,32 @@ impl DeliveryProfile {
     /// first delivered byte and yields `(window_start, bytes_in_window)`
     /// for each *complete* window. A trailing partial window is dropped —
     /// matching Shaka, which only scores full sampling intervals.
+    ///
+    /// Each window's bytes equal `bytes_between(t, t + width)`: the same
+    /// per-segment overlaps summed in segment order. One forward sweep
+    /// finds them, skipping the segments that end before the window, so
+    /// the cost is O(windows + segments), not their product.
     pub fn windows(&self, width: Duration) -> impl Iterator<Item = (Instant, Bytes)> + '_ {
         assert!(!width.is_zero(), "zero window");
         // An empty profile yields nothing: `ZERO + width > ZERO`.
         let start = self.start().unwrap_or(Instant::ZERO);
         let end = self.end().unwrap_or(Instant::ZERO);
+        // The first segment that ends after the current window's start.
+        let mut first = 0;
         std::iter::successors(Some(start), move |&t| Some(t + width))
             .take_while(move |&t| t + width <= end)
-            .map(move |t| (t, self.bytes_between(t, t + width)))
+            .map(move |t| {
+                let t1 = t + width;
+                while self.segments[first].end <= t {
+                    first += 1;
+                }
+                let bytes = self.segments[first..]
+                    .iter()
+                    .take_while(|s| s.start < t1)
+                    .map(|s| s.bytes_between(t, t1))
+                    .sum();
+                (t, bytes)
+            })
     }
 }
 

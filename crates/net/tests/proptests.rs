@@ -4,6 +4,7 @@ use abr_event::time::{Duration, Instant};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_net::link::Link;
 use abr_net::packet::{PacketLink, DEFAULT_MTU};
+use abr_net::profile::{DeliveryProfile, Segment};
 use abr_net::trace::Trace;
 use abr_net::UplinkQueue;
 use proptest::prelude::*;
@@ -248,5 +249,37 @@ proptest! {
         let trace = Trace::steps(&steps);
         let back = Trace::parse(&trace.to_text()).unwrap();
         prop_assert_eq!(trace, back);
+    }
+
+    /// The one-pass window sweep equals `bytes_between` over each window
+    /// on profiles with gaps, rate changes and segments shorter than a
+    /// window; it yields exactly the complete windows.
+    #[test]
+    fn windows_match_bytes_between(
+        start_us in 0u64..1_000_000,
+        spans in proptest::collection::vec((0u64..3, 0u64..400_000, 1u64..600_000, 0u64..5_000), 1..20),
+        width_us in 1_000u64..400_000,
+    ) {
+        let mut profile = DeliveryProfile::new();
+        let mut t = Instant::from_micros(start_us);
+        for &(gap_kind, gap_us, len_us, kbps) in &spans {
+            // One span in three follows a gap; the others are contiguous.
+            if gap_kind == 0 {
+                t += Duration::from_micros(gap_us);
+            }
+            let end = t + Duration::from_micros(len_us);
+            profile.push(Segment { start: t, end, rate: BitsPerSec::from_kbps(kbps) });
+            t = end;
+        }
+        let width = Duration::from_micros(width_us);
+        let (first, last) = (profile.start().unwrap(), profile.end().unwrap());
+        let mut expect = Vec::new();
+        let mut w = first;
+        while w + width <= last {
+            expect.push((w, profile.bytes_between(w, w + width)));
+            w += width;
+        }
+        let got: Vec<(Instant, Bytes)> = profile.windows(width).collect();
+        prop_assert_eq!(got, expect);
     }
 }

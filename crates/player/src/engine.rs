@@ -5,11 +5,12 @@
 //! `next_wake` (re-)arms one scheduled entry per wake class — transfer
 //! completion, playback boundary, buffer refill, due seek — and reads the
 //! queue head; `pump` pops that earliest event and runs a uniform
-//! simulation step at its timestamp. Stale wakes are cancelled by
-//! [`abr_event::EventKey`] before re-arming, so the queue never holds more
-//! than one live entry per class (plus the deadline sentinel and the
-//! optional live playlist-refresh tick). Every event costs exactly one
-//! arm, whether [`Engine::run`] or an external driver
+//! simulation step at its timestamp. A wake whose time changed is
+//! cancelled by [`abr_event::EventKey`] and re-scheduled; one whose time
+//! did not change stays armed. The queue never holds more than one live
+//! entry per class (plus the deadline sentinel and the optional live
+//! playlist-refresh tick), and each event costs at most one re-arm per
+//! changed wake class, whether [`Engine::run`] or an external driver
 //! ([`crate::stepper::SessionStepper`]) turns the loop.
 //!
 //! The deadline is a sentinel event scheduled once at `deadline + 1 µs`:
@@ -73,14 +74,16 @@ impl SessionEvent {
     }
 }
 
-/// The live [`EventKey`] per re-armable wake class. Each is cancelled and
-/// re-scheduled every iteration so exactly one entry per class is live.
+/// The live [`EventKey`] and time per re-armable wake class, so at most
+/// one entry per class is live, plus the key of the latest refresh tick.
 #[derive(Debug, Default)]
 pub(crate) struct ArmedWakes {
-    completion: Option<EventKey>,
-    boundary: Option<EventKey>,
-    refill: Option<EventKey>,
-    seek: Option<EventKey>,
+    completion: Option<(EventKey, Instant)>,
+    boundary: Option<(EventKey, Instant)>,
+    refill: Option<(EventKey, Instant)>,
+    seek: Option<(EventKey, Instant)>,
+    /// The most recently scheduled [`SessionEvent::PlaylistRefresh`].
+    refresh: Option<EventKey>,
 }
 
 /// A running session: every piece of mutable state behind
@@ -170,7 +173,7 @@ impl Engine {
     /// the event the following [`Engine::pump`] dispatches; `None` when
     /// the session is over (playback ended, or nothing is left to pop).
     /// This is the only place wakes are armed, so each dispatched event
-    /// costs one arm.
+    /// costs at most one re-arm per wake class whose time changed.
     pub(crate) fn next_wake(&mut self) -> Option<Instant> {
         if self.playback.state() == PlayState::Ended {
             return None;
@@ -203,8 +206,10 @@ impl Engine {
             SessionEvent::Deadline,
         );
         if let Some(period) = self.refresh_period {
-            self.queue
-                .schedule(Instant::ZERO + period, SessionEvent::PlaylistRefresh);
+            self.wakes.refresh = Some(
+                self.queue
+                    .schedule(Instant::ZERO + period, SessionEvent::PlaylistRefresh),
+            );
         }
         if self.playlist_fetch == PlaylistFetch::Eager {
             for i in 0..self.content.track_ids().len() {
@@ -217,9 +222,10 @@ impl Engine {
         self.debug_check_flights();
     }
 
-    /// Re-arms the four wake classes against current state. Each class's
-    /// previous entry is cancelled first, so the queue holds at most one
-    /// live entry per class and a stale wake can never fire.
+    /// Re-arms the four wake classes against current state. A class whose
+    /// time changed has its previous entry cancelled first, so the queue
+    /// holds at most one live entry per class and a stale wake can never
+    /// fire.
     fn arm_wakes(&mut self) {
         let _g = self.obs.span("engine.arm_wakes");
         let completion = self.link.next_completion();
@@ -254,44 +260,55 @@ impl Engine {
         } else {
             None
         };
+        let q = &mut self.queue;
+        let w = &mut self.wakes;
+        let tick = w.refresh;
         Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.completion,
+            q,
+            &mut w.completion,
             completion,
             SessionEvent::TransferComplete,
+            tick,
         );
         Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.boundary,
+            q,
+            &mut w.boundary,
             boundary,
             SessionEvent::PlaybackBoundary,
+            tick,
         );
-        Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.refill,
-            refill,
-            SessionEvent::BufferRefill,
-        );
-        Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.seek,
-            seek,
-            SessionEvent::SeekDue,
-        );
+        Self::rearm(q, &mut w.refill, refill, SessionEvent::BufferRefill, tick);
+        Self::rearm(q, &mut w.seek, seek, SessionEvent::SeekDue, tick);
     }
 
-    /// Cancels a wake class's previous entry (if any) and schedules the
-    /// fresh one.
+    /// Points a wake class's slot at `at`. The previous entry stays armed
+    /// when its time is unchanged, it is still pending, and it is newer
+    /// than the latest refresh `tick`; otherwise it is cancelled (if any)
+    /// and a fresh one scheduled.
+    ///
+    /// A kept entry has an older seq than a fresh one would get, but the
+    /// set of queued times is the same. Ties among the four wake classes
+    /// do not matter (each runs the same `step`), the deadline sentinel
+    /// (seq 0) still wins every tie, and the `tick` condition keeps the
+    /// one order that could change: a refresh tick still pops before a
+    /// wake at the same instant, as it did when every wake was
+    /// re-scheduled after it.
     fn rearm(
         queue: &mut EventQueue<SessionEvent>,
-        slot: &mut Option<EventKey>,
+        slot: &mut Option<(EventKey, Instant)>,
         at: Option<Instant>,
         ev: SessionEvent,
+        tick: Option<EventKey>,
     ) {
-        if let Some(key) = slot.take() {
+        if let (Some((key, armed_at)), Some(t)) = (*slot, at) {
+            if armed_at == t && queue.is_pending(key) && tick.is_none_or(|tick| key > tick) {
+                return;
+            }
+        }
+        if let Some((key, _)) = slot.take() {
             queue.cancel(key);
         }
-        *slot = at.map(|t| queue.schedule(t, ev));
+        *slot = at.map(|t| (queue.schedule(t, ev), t));
     }
 
     /// One simulation step at `t`: advance the link and playout, fold in
@@ -428,8 +445,10 @@ impl Engine {
         self.obs
             .emit(t, || Event::PlaylistRefreshTick { refetched });
         if let Some(period) = self.refresh_period {
-            self.queue
-                .schedule(t + period, SessionEvent::PlaylistRefresh);
+            self.wakes.refresh = Some(
+                self.queue
+                    .schedule(t + period, SessionEvent::PlaylistRefresh),
+            );
         }
     }
 

@@ -91,10 +91,12 @@ impl SessionStepper {
 #[cfg(test)]
 mod tests {
     use crate::config::{PlayerConfig, SyncMode};
+    use crate::log::SessionLog;
     use crate::policy::FixedPolicy;
     use crate::session::Session;
-    use abr_event::time::Duration;
+    use abr_event::time::{Duration, Instant};
     use abr_httpsim::origin::Origin;
+    use abr_manifest::build::Packaging;
     use abr_media::content::Content;
     use abr_media::units::Bytes;
     use abr_net::link::Link;
@@ -125,10 +127,11 @@ mod tests {
     }
 
     /// Pins the queue work of one session: the exact number of event
-    /// keys its engine issued. Arming the wake classes a second time per
-    /// event (or any other extra queue traffic) changes this count.
+    /// keys its engine issued. A wake whose time did not change stays
+    /// armed, so re-scheduling unchanged wakes (or any other extra queue
+    /// traffic) changes this count.
     #[test]
-    fn one_arm_per_dispatched_event() {
+    fn only_changed_wakes_are_rearmed() {
         let mut stepper = f4b_session().into_stepper();
         let mut dispatched = 0u64;
         while stepper.next_wake().is_some() {
@@ -141,6 +144,44 @@ mod tests {
         let log = stepper.finish();
         assert_eq!(log, f4b_session().run(), "stepped and run sessions agree");
         assert!(log.stall_count() > 0, "the f4b trace starves this session");
-        assert_eq!((dispatched, issued), (236, 528));
+        assert_eq!((dispatched, issued), (236, 350));
+    }
+
+    /// FNV-1a over a log's debug rendering: one number that pins every
+    /// field of it.
+    fn log_digest(log: &SessionLog) -> u64 {
+        format!("{log:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// A seek falls due exactly on the 20 s playlist-refresh tick. Its
+    /// wake is armed once playback starts and keeps its time, so it stays
+    /// armed across events; only the refresh-tick condition in `rearm`
+    /// makes the tick pop first, as it did when every wake was
+    /// re-scheduled on every event. The digest was recorded with that
+    /// older engine.
+    #[test]
+    fn refresh_tick_wins_a_tie_with_a_kept_wake() {
+        let session = || {
+            f4b_session()
+                .with_playlist_refresh(Duration::from_secs(5), Packaging::SingleFile)
+                .with_seeks(vec![(Instant::from_secs(20), Duration::from_secs(60))])
+        };
+        let log = session().run();
+        assert_eq!(log.seeks.len(), 1, "the seek applies");
+        assert!(log.startup_at.unwrap() < Instant::from_secs(20));
+        assert!(
+            log.playlist_fetches
+                .iter()
+                .any(|f| f.requested_at == Instant::from_secs(20)),
+            "the 20 s tick polls"
+        );
+        let mut stepper = session().into_stepper();
+        while stepper.next_wake().is_some() && stepper.dispatch_next() {}
+        assert_eq!(stepper.finish(), log, "stepped and run sessions agree");
+        assert_eq!(log_digest(&log), 0x57dc_725c_e0c0_d71a);
     }
 }
