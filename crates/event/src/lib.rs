@@ -26,7 +26,7 @@ pub mod time;
 pub mod window;
 
 pub use arena::{Arena, SlotId};
-pub use queue::{EventKey, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use time::{busy_union, Duration, Instant};
 pub use window::WindowClock;

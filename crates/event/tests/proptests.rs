@@ -1,6 +1,6 @@
 //! Property-based tests for the time base, RNG and event queue.
 
-use abr_event::queue::{EventKey, EventQueue};
+use abr_event::queue::EventQueue;
 use abr_event::rng::SplitMix64;
 use abr_event::time::{Duration, Instant};
 use proptest::prelude::*;
@@ -141,64 +141,17 @@ proptest! {
         prop_assert_eq!(ids, (0..times.len()).collect::<Vec<_>>());
     }
 
-    /// Cancellation removes exactly the cancelled entries and nothing else:
-    /// the surviving pop order equals the full pop order with the cancelled
-    /// payloads filtered out, and `next_time`/`len` agree with the live set
-    /// at every step.
-    #[test]
-    fn queue_cancel_removes_exactly_the_cancelled(
-        times in proptest::collection::vec(0u64..1000, 1..150),
-        cancel_picks in proptest::collection::vec(any::<usize>(), 0..60),
-    ) {
-        // Reference: schedule everything, pop everything.
-        let mut reference = EventQueue::new();
-        let mut victim = EventQueue::new();
-        let mut keys = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            reference.schedule(Instant::from_micros(t), i);
-            keys.push(victim.schedule(Instant::from_micros(t), i));
-        }
-        // Cancel an arbitrary subset (with repeats, exercising idempotence).
-        let mut cancelled = std::collections::BTreeSet::new();
-        for &p in &cancel_picks {
-            let i = p % times.len();
-            let newly = victim.cancel(keys[i]);
-            prop_assert_eq!(newly, cancelled.insert(i), "cancel return tracks liveness");
-        }
-        prop_assert_eq!(victim.len(), times.len() - cancelled.len());
-
-        let expected: Vec<(Instant, usize)> = std::iter::from_fn(|| reference.pop())
-            .filter(|&(_, i)| !cancelled.contains(&i))
-            .collect();
-        let mut got = Vec::new();
-        loop {
-            prop_assert_eq!(victim.next_time(), expected.get(got.len()).map(|&(t, _)| t));
-            match victim.pop() {
-                Some(e) => got.push(e),
-                None => break,
-            }
-        }
-        prop_assert_eq!(got, expected);
-        prop_assert!(victim.is_empty());
-    }
-
     /// Differential: random interleavings of every queue operation agree
     /// with a plain reference model — a `Vec` of `(at, seq, payload, live)`
     /// indexed by seq, searched linearly for the `(at, seq)` minimum —
-    /// after every single operation. Cancels hit live, popped,
-    /// already-cancelled and never-issued keys; `next_time` runs only as
-    /// its own operation, so tombstones pile up at the heap head for
-    /// `pop`/`pop_before` to discard.
+    /// after every single operation.
     #[test]
     fn queue_matches_reference_model(
-        ops in proptest::collection::vec((0u8..8, 0u64..20, any::<usize>()), 1..300),
+        ops in proptest::collection::vec((0u8..5, 0u64..20), 1..300),
     ) {
         let mut q = EventQueue::new();
-        let mut keys: Vec<EventKey> = Vec::new();
         let mut model: Vec<(Instant, u64, usize, bool)> = Vec::new();
         let mut now = Instant::ZERO;
-        // Issues keys the victim never handed out.
-        let mut foreign: EventQueue<()> = EventQueue::new();
         // The model's earliest live entry by `(at, seq)`.
         let head = |model: &[(Instant, u64, usize, bool)]| {
             model
@@ -207,38 +160,14 @@ proptest! {
                 .min_by_key(|e| (e.0, e.1))
                 .map(|e| e.1 as usize)
         };
-        for (step, &(op, delta, pick)) in ops.iter().enumerate() {
+        for (step, &(op, delta)) in ops.iter().enumerate() {
             match op {
                 0 | 1 => {
                     let at = now + Duration::from_micros(delta);
-                    let key = q.schedule(at, step);
+                    q.schedule(at, step);
                     model.push((at, model.len() as u64, step, true));
-                    keys.push(key);
                 }
                 2 => {
-                    // A live key, when one exists.
-                    let live: Vec<usize> = (0..model.len()).filter(|&i| model[i].3).collect();
-                    if let Some(&i) = live.get(pick % live.len().max(1)) {
-                        prop_assert!(q.cancel(keys[i]), "live key cancels");
-                        model[i].3 = false;
-                    }
-                }
-                3 => {
-                    // Any issued key: live, popped or already cancelled.
-                    if !keys.is_empty() {
-                        let i = pick % keys.len();
-                        prop_assert_eq!(q.cancel(keys[i]), model[i].3);
-                        model[i].3 = false;
-                    }
-                }
-                4 => {
-                    let mut key = foreign.schedule(Instant::ZERO, ());
-                    while foreign.issued() <= q.issued() {
-                        key = foreign.schedule(Instant::ZERO, ());
-                    }
-                    prop_assert!(!q.cancel(key), "never-issued key is a no-op");
-                }
-                5 => {
                     let expect = head(&model).map(|i| {
                         model[i].3 = false;
                         now = model[i].0;
@@ -246,7 +175,7 @@ proptest! {
                     });
                     prop_assert_eq!(q.pop(), expect);
                 }
-                6 => {
+                3 => {
                     let limit = now + Duration::from_micros(delta);
                     let expect = head(&model).filter(|&i| model[i].0 < limit).map(|i| {
                         model[i].3 = false;
@@ -260,30 +189,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(q.len(), model.iter().filter(|e| e.3).count());
-            for (&key, entry) in keys.iter().zip(&model) {
-                prop_assert_eq!(q.is_pending(key), entry.3);
-            }
             prop_assert_eq!(q.now(), now);
-            prop_assert_eq!(q.issued(), model.len() as u64);
-        }
-    }
-
-    /// A popped or cancelled key can never cancel again, even after many
-    /// further schedules reuse the queue.
-    #[test]
-    fn queue_keys_are_single_use(times in proptest::collection::vec(0u64..100, 1..50)) {
-        let mut q = EventQueue::new();
-        let keys: Vec<_> = times
-            .iter()
-            .map(|&t| q.schedule(Instant::from_micros(t), t))
-            .collect();
-        // Cancel the first half, pop the rest.
-        for k in &keys[..keys.len() / 2] {
-            q.cancel(*k);
-        }
-        while q.pop().is_some() {}
-        for k in keys {
-            prop_assert!(!q.cancel(k), "spent keys never cancel");
         }
     }
 

@@ -208,12 +208,16 @@ impl Mpd {
                 if timescale == 0 {
                     return Err("zero timescale".into());
                 }
+                let dur_micros = dur_units
+                    .checked_mul(1_000_000)
+                    .ok_or("SegmentTemplate duration out of range")?
+                    / timescale;
                 let segment = SegmentTemplate {
                     media: st
                         .get_attr("media")
                         .ok_or("SegmentTemplate missing media")?
                         .to_string(),
-                    segment_duration: Duration::from_micros(dur_units * 1_000_000 / timescale),
+                    segment_duration: Duration::from_micros(dur_micros),
                     start_number: st
                         .get_attr("startNumber")
                         .unwrap_or("1")

@@ -213,10 +213,12 @@ pub struct SegmentEntry {
 
 impl SegmentEntry {
     /// The segment's bitrate if derivable from this entry alone: byte-range
-    /// length over duration, or the explicit `EXT-X-BITRATE` tag.
+    /// length over duration (none for a zero-length `EXTINF`), or the
+    /// explicit `EXT-X-BITRATE` tag.
     pub fn derived_bitrate(&self) -> Option<BitsPerSec> {
         if let Some((len, _)) = self.byterange {
-            return Some(len.rate_over_micros(self.duration.as_micros()));
+            let micros = self.duration.as_micros();
+            return (micros > 0).then(|| len.rate_over_micros(micros));
         }
         self.bitrate_kbps.map(BitsPerSec::from_kbps)
     }
@@ -301,7 +303,11 @@ impl MediaPlaylist {
                         .map_err(|e| format!("bad byterange offset: {e}"))?,
                 ));
             } else if let Some(v) = line.strip_prefix("#EXT-X-BITRATE:") {
-                cur_bitrate = Some(v.parse().map_err(|e| format!("bad EXT-X-BITRATE: {e}"))?);
+                let kbps: u64 = v.parse().map_err(|e| format!("bad EXT-X-BITRATE: {e}"))?;
+                // Whole bits per second must fit the rate type.
+                kbps.checked_mul(1_000)
+                    .ok_or_else(|| format!("EXT-X-BITRATE {kbps} out of range"))?;
+                cur_bitrate = Some(kbps);
             } else if line == "#EXT-X-ENDLIST" {
                 break;
             } else if line.starts_with('#') {

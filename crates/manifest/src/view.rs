@@ -82,6 +82,16 @@ impl BoundDash {
     pub fn from_mpd(mpd: &Mpd) -> Result<BoundDash, String> {
         let mut video: Vec<Option<BitsPerSec>> = Vec::new();
         let mut audio: Vec<Option<BitsPerSec>> = Vec::new();
+        // A complete set of `m` rungs has `m` representations, so no rung
+        // index reaches the document's count for its media.
+        let declared = |media: MediaType| -> usize {
+            mpd.adaptation_sets
+                .iter()
+                .filter(|a| a.content_type == media)
+                .map(|a| a.representations.len())
+                .sum()
+        };
+        let (video_reps, audio_reps) = (declared(MediaType::Video), declared(MediaType::Audio));
         for aset in &mpd.adaptation_sets {
             for rep in &aset.representations {
                 let (media, idx) = parse_track_name(&rep.id)
@@ -92,10 +102,16 @@ impl BoundDash {
                         rep.id, aset.content_type
                     ));
                 }
-                let slot = match media {
-                    MediaType::Video => &mut video,
-                    MediaType::Audio => &mut audio,
+                let (slot, reps) = match media {
+                    MediaType::Video => (&mut video, video_reps),
+                    MediaType::Audio => (&mut audio, audio_reps),
                 };
+                if idx >= reps {
+                    return Err(format!(
+                        "representation `{}` beyond the document's {reps} {media} representations",
+                        rep.id
+                    ));
+                }
                 if slot.len() <= idx {
                     slot.resize(idx + 1, None);
                 }
@@ -191,6 +207,13 @@ impl BoundHls {
             if media != MediaType::Audio {
                 return Err(format!("audio group `{}` names a video track", m.group_id));
             }
+            if idx >= master.media.len() {
+                return Err(format!(
+                    "audio group `{}` beyond the playlist's {} renditions",
+                    m.group_id,
+                    master.media.len()
+                ));
+            }
             group_to_audio.insert(m.group_id.clone(), idx);
             audio_listing.push(idx);
         }
@@ -200,6 +223,13 @@ impl BoundHls {
                 .ok_or_else(|| format!("unparseable variant URI `{}`", v.uri))?;
             if media != MediaType::Video {
                 return Err(format!("variant URI `{}` is not a video track", v.uri));
+            }
+            if vidx >= master.variants.len() {
+                return Err(format!(
+                    "variant URI `{}` beyond the playlist's {} variants",
+                    v.uri,
+                    master.variants.len()
+                ));
             }
             let group = v
                 .audio_group

@@ -20,7 +20,6 @@ use crate::trace::{Trace, TraceCursor};
 use abr_event::time::{Duration, Instant};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_obs::{Event, ObsHandle};
-use std::collections::BTreeMap;
 
 /// Segment capacity every new flow's [`DeliveryProfile`] is pre-sized to:
 /// most transfers see only a handful of share changes, so the common case
@@ -40,17 +39,33 @@ const BITMICROS_PER_BYTE: u128 = 8 * 1_000_000;
 
 #[derive(Debug, Clone)]
 struct Flow {
-    /// While the flow awaits activation: its total work in
-    /// bit-microseconds (`bytes × 8 × 10⁶`). Once active: its *finish
-    /// key* — the link's cumulative drain counter at activation plus the
-    /// work, so that `remaining = work_bm - Link::drained` at any later
-    /// instant. Every active flow drains at the same rate (equal share),
-    /// which is what makes one global counter exact per flow.
+    id: FlowId,
+    /// False while the flow awaits activation (request latency). A flow
+    /// whose activation instant equals `now` may still be inactive until
+    /// the next `advance_into`; it has drained nothing either way.
+    active: bool,
+    /// While inactive: the flow's total work in bit-microseconds
+    /// (`bytes × 8 × 10⁶`). Once active: its *finish key* — the link's
+    /// cumulative drain counter at activation plus the work, so that
+    /// `remaining = work_bm - Link::drained` at any later instant. Every
+    /// active flow drains at the same rate (equal share), which is what
+    /// makes one global counter exact per flow.
     work_bm: u128,
     size: Bytes,
     opened_at: Instant,
     activate_at: Instant,
     profile: DeliveryProfile,
+}
+
+impl Flow {
+    /// Remaining work in bit-microseconds, given the link's drain counter.
+    fn remaining_bm(&self, drained: u128) -> u128 {
+        if self.active {
+            self.work_bm - drained
+        } else {
+            self.work_bm
+        }
+    }
 }
 
 /// A completed transfer, as reported by [`Link::advance_into`].
@@ -70,35 +85,31 @@ pub struct Completion {
 
 /// A shared bottleneck link with a piecewise-constant capacity schedule.
 ///
-/// The solver is amortized-O(1) and allocation-free per event: active
-/// flows live in persistent sorted vectors (id order for delivery, finish
-/// key order for min-remaining queries), a global drain counter stands in
-/// for per-flow subtraction, and a monotone [`TraceCursor`] replaces the
-/// binary search per rate lookup. Completions land in a caller-owned
-/// buffer ([`Link::advance_into`]) and delivery profiles are recycled
-/// through a spare list ([`Link::recycle_profile`]), so a caller that
-/// reuses both allocates nothing per flow in steady state. See DESIGN.md
-/// §Performance for the invariants.
+/// The solver is allocation-free per event: the pending flows live in
+/// one vector in ascending id order (a session has a handful in flight,
+/// so the earliest finish key, the active count and the next activation
+/// are short scans), a global drain counter stands in for per-flow
+/// subtraction, and a monotone [`TraceCursor`] replaces the binary search
+/// per rate lookup. Completions land in a caller-owned buffer
+/// ([`Link::advance_into`]) and delivery profiles are recycled through a
+/// spare list ([`Link::recycle_profile`]), so a caller that reuses both
+/// allocates nothing per flow in steady state. See DESIGN.md §11 for the
+/// invariants.
 #[derive(Debug, Clone)]
 pub struct Link {
     trace: Trace,
     latency: Duration,
     now: Instant,
-    flows: BTreeMap<FlowId, Flow>,
+    /// Every pending flow, active or awaiting activation, in ascending id
+    /// order — the delivery iteration order, which also fixes the
+    /// emission order of `TransferProgress` events.
+    flows: Vec<Flow>,
     next_id: u64,
     obs: ObsHandle,
     /// Cumulative per-flow drain (bit-µs) applied to every active flow
     /// since the link was created. An active flow's remaining work is
     /// `flow.work_bm - drained` (see [`Flow::work_bm`]).
     drained: u128,
-    /// Active flow ids, ascending — the delivery iteration order, which
-    /// also fixes the emission order of `TransferProgress` events.
-    active: Vec<FlowId>,
-    /// Active flows keyed by `(finish key, id)`, ascending: the front is
-    /// the next flow to finish, making min-remaining an O(1) query.
-    by_finish: Vec<(u128, FlowId)>,
-    /// Flows awaiting activation, keyed by `(activate_at, id)`, ascending.
-    waiting: Vec<(Instant, FlowId)>,
     /// Monotone rate-schedule cursor for `advance_into`; `next_completion`
     /// lookaheads copy it so predictions never perturb its position.
     cursor: TraceCursor,
@@ -120,13 +131,10 @@ impl Link {
             trace,
             latency,
             now: Instant::ZERO,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             next_id: 0,
             obs: ObsHandle::disabled(),
             drained: 0,
-            active: Vec::new(),
-            by_finish: Vec::new(),
-            waiting: Vec::new(),
             cursor: TraceCursor::new(),
             spare: Vec::new(),
         }
@@ -163,36 +171,21 @@ impl Link {
         self.next_id += 1;
         let work = size.get() as u128 * BITMICROS_PER_BYTE;
         let activate_at = self.now + self.latency + extra;
-        let instantly_active = activate_at <= self.now;
+        let active = activate_at <= self.now;
         let profile = self
             .spare
             .pop()
             .unwrap_or_else(|| DeliveryProfile::with_capacity(PROFILE_SEGMENT_HINT));
-        self.flows.insert(
+        // Ids ascend, so the new flow always sorts last.
+        self.flows.push(Flow {
             id,
-            Flow {
-                work_bm: if instantly_active {
-                    self.drained + work
-                } else {
-                    work
-                },
-                size,
-                opened_at: self.now,
-                activate_at,
-                profile,
-            },
-        );
-        if instantly_active {
-            // Ids ascend, so the new flow always sorts last.
-            self.active.push(id);
-            let key = (self.drained + work, id);
-            let at = self.by_finish.binary_search(&key).unwrap_err();
-            self.by_finish.insert(at, key);
-        } else {
-            let key = (activate_at, id);
-            let at = self.waiting.binary_search(&key).unwrap_err();
-            self.waiting.insert(at, key);
-        }
+            active,
+            work_bm: if active { self.drained + work } else { work },
+            size,
+            opened_at: self.now,
+            activate_at,
+            profile,
+        });
         self.obs.count("link.flows_opened", 1);
         self.obs
             .gauge("link.pending_flows", self.flows.len() as f64);
@@ -213,23 +206,25 @@ impl Link {
         self.flows.len()
     }
 
+    /// The pending flow behind `id`, if any.
+    fn flow(&self, id: FlowId) -> Option<&Flow> {
+        let at = self.flows.binary_search_by_key(&id, |f| f.id).ok()?;
+        Some(&self.flows[at])
+    }
+
     /// Delivery history so far of an in-progress flow.
     pub fn flow_profile(&self, id: FlowId) -> Option<&DeliveryProfile> {
-        self.flows.get(&id).map(|f| &f.profile)
+        self.flow(id).map(|f| &f.profile)
     }
 
     /// Cancels an in-progress flow (the client closed the connection).
     /// Returns true if the flow existed. Bytes already delivered stay
     /// delivered; the flow simply stops competing for capacity.
     pub fn cancel_flow(&mut self, id: FlowId) -> bool {
-        let Some(f) = self.flows.remove(&id) else {
+        let Ok(at) = self.flows.binary_search_by_key(&id, |f| f.id) else {
             return false;
         };
-        if let Ok(at) = self.waiting.binary_search(&(f.activate_at, id)) {
-            self.waiting.remove(at);
-        } else {
-            self.drop_active(id, f.work_bm);
-        }
+        self.flows.remove(at);
         self.obs.count("link.flows_cancelled", 1);
         self.obs
             .gauge("link.pending_flows", self.flows.len() as f64);
@@ -238,80 +233,53 @@ impl Link {
     }
 
     /// Structural invariants of the finish-key solver, checked after every
-    /// mutation when built with `debug-invariants` (DESIGN.md §12): both
-    /// sorted indices strictly ascend, they agree with each other and with
-    /// the flow table, and no finish key has drained past zero remaining.
+    /// mutation when built with `debug-invariants` (DESIGN.md §12): flow
+    /// ids strictly ascend, and no active finish key has drained past zero
+    /// remaining.
     fn debug_check(&self) {
         #[cfg(feature = "debug-invariants")]
         {
             debug_assert!(
-                self.active.windows(2).all(|w| w[0] < w[1]),
-                "active ids must strictly ascend"
+                self.flows.windows(2).all(|w| w[0].id < w[1].id),
+                "flow ids must strictly ascend"
             );
-            debug_assert!(
-                self.by_finish.windows(2).all(|w| w[0] < w[1]),
-                "by_finish must strictly ascend in (key, id)"
-            );
-            debug_assert_eq!(
-                self.by_finish.len(),
-                self.active.len(),
-                "both active indices must cover the same flows"
-            );
-            debug_assert!(
-                self.waiting.windows(2).all(|w| w[0] < w[1]),
-                "waiting must strictly ascend in (activate_at, id)"
-            );
-            debug_assert_eq!(
-                self.flows.len(),
-                self.active.len() + self.waiting.len(),
-                "every flow is exactly one of active or waiting"
-            );
-            for &(key, id) in &self.by_finish {
+            for f in self.flows.iter().filter(|f| f.active) {
                 debug_assert!(
-                    self.active.binary_search(&id).is_ok(),
-                    "finish-keyed flow {id:?} missing from active"
-                );
-                debug_assert!(
-                    key >= self.drained,
-                    "flow {id:?} finish key {key} drained past empty ({})",
+                    f.work_bm >= self.drained,
+                    "flow {:?} finish key {} drained past empty ({})",
+                    f.id,
+                    f.work_bm,
                     self.drained
                 );
             }
         }
     }
 
-    /// Removes an active flow from both sorted indices.
-    fn drop_active(&mut self, id: FlowId, key: u128) {
-        let at = self.active.binary_search(&id).expect("active flow indexed");
-        self.active.remove(at);
-        let at = self
-            .by_finish
-            .binary_search(&(key, id))
-            .expect("active flow keyed");
-        self.by_finish.remove(at);
-    }
-
-    /// True if the flow has not yet started delivering. (A flow whose
-    /// activation instant equals `now` may still sit in the waiting queue
-    /// until the next `advance_to`; it has drained nothing either way.)
-    fn is_waiting(&self, f: &Flow, id: FlowId) -> bool {
-        self.waiting.binary_search(&(f.activate_at, id)).is_ok()
-    }
-
-    /// Remaining work of a live flow in bit-microseconds.
-    fn remaining_bm(&self, f: &Flow, id: FlowId) -> u128 {
-        if self.is_waiting(f, id) {
-            f.work_bm
-        } else {
-            f.work_bm - self.drained
-        }
-    }
-
     /// Bytes still owed to an in-progress flow (rounded up).
     pub fn flow_remaining(&self, id: FlowId) -> Option<Bytes> {
+        self.flow(id)
+            .map(|f| Bytes(f.remaining_bm(self.drained).div_ceil(BITMICROS_PER_BYTE) as u64))
+    }
+
+    /// Count and minimum remaining work of the flows `pick` selects.
+    fn delivering(&self, pick: impl Fn(&Flow) -> bool) -> (usize, Option<u128>) {
+        let mut n = 0;
+        let mut min_rem = None;
+        for f in self.flows.iter().filter(|f| pick(f)) {
+            let r = f.remaining_bm(self.drained);
+            min_rem = Some(min_rem.map_or(r, |m: u128| m.min(r)));
+            n += 1;
+        }
+        (n, min_rem)
+    }
+
+    /// Earliest activation instant of an inactive flow after `t`.
+    fn next_activation_after(&self, t: Instant) -> Option<Instant> {
         self.flows
-            .get(&id)
-            .map(|f| Bytes(self.remaining_bm(f, id).div_ceil(BITMICROS_PER_BYTE) as u64))
+            .iter()
+            .filter(|f| !f.active && f.activate_at > t)
+            .map(|f| f.activate_at)
+            .min()
     }
 
     /// Exact instant of the earliest future completion, or `None` if no
@@ -321,10 +289,10 @@ impl Link {
     /// Allocation-free lookahead: because every active flow drains at the
     /// same rate, only the *minimum* remaining work matters, and it only
     /// shrinks by the shared drain or drops when a waiting flow activates
-    /// — O(1) work per boundary instead of a scan over all flows. No flow
-    /// other than the eventual answer can complete during the lookahead
-    /// (the minimum completes first), so the active *set* never shrinks
-    /// before the function returns.
+    /// — a short scan per activation crossed instead of a re-simulation
+    /// of every flow. No flow other than the eventual answer can complete during
+    /// the lookahead (the minimum completes first), so the active *set*
+    /// never shrinks before the function returns.
     pub fn next_completion(&self) -> Option<Instant> {
         let _g = self.obs.span("link.next_completion");
         if self.flows.is_empty() {
@@ -332,22 +300,11 @@ impl Link {
         }
         let mut t = self.now;
         let mut cursor = self.cursor;
-        let mut n_active = self.active.len();
-        let mut min_rem: Option<u128> = self.by_finish.first().map(|&(k, _)| k - self.drained);
-        // Waiting flows activate in queue order; fold each into the
-        // running minimum as the lookahead crosses its activation.
-        // (A flow whose activation instant equals `now` may still be
-        // queued; it has drained nothing, so its full work is exact.)
-        let mut widx = 0;
-        while let Some(&(a, id)) = self.waiting.get(widx) {
-            if a > t {
-                break;
-            }
-            let r0 = self.flows[&id].work_bm;
-            min_rem = Some(min_rem.map_or(r0, |m| m.min(r0)));
-            n_active += 1;
-            widx += 1;
-        }
+        // Every flow delivering at `now`: active ones with what they have
+        // left, and inactive ones whose activation instant has arrived
+        // (they have drained nothing, so their full work is exact).
+        let (mut n_active, mut min_rem) = self.delivering(|f| f.active || f.activate_at <= t);
+        let mut next_activation = self.next_activation_after(t);
         loop {
             let rate = cursor.rate_at(&self.trace, t).bps();
             let share = if n_active == 0 {
@@ -357,7 +314,7 @@ impl Link {
             };
             // Candidate boundaries: next activation, next trace change,
             // earliest completion under current share.
-            let mut boundary: Option<Instant> = self.waiting.get(widx).map(|&(a, _)| a);
+            let mut boundary = next_activation;
             if let Some(c) = cursor.next_change_after(&self.trace, t) {
                 boundary = Some(boundary.map_or(c, |b: Instant| b.min(c)));
             }
@@ -380,16 +337,16 @@ impl Link {
                     *mr -= share as u128 * (b - t).as_micros() as u128;
                 }
             }
-            t = b;
-            while let Some(&(a, id)) = self.waiting.get(widx) {
-                if a > t {
-                    break;
-                }
-                let r0 = self.flows[&id].work_bm;
-                min_rem = Some(min_rem.map_or(r0, |m| m.min(r0)));
-                n_active += 1;
-                widx += 1;
+            if next_activation == Some(b) {
+                // Fold in the flows that activate at the new boundary
+                // (none activates inside the span: the next activation
+                // bounds it).
+                let (n, m) = self.delivering(|f| !f.active && f.activate_at == b);
+                n_active += n;
+                min_rem = min_rem.into_iter().chain(m).min();
+                next_activation = self.next_activation_after(b);
             }
+            t = b;
         }
     }
 
@@ -408,10 +365,10 @@ impl Link {
     /// flow id, after whatever `done` already holds (only the appended
     /// part is sorted). Panics if `t` is in the past.
     ///
-    /// Allocation-free per span: the active set is maintained
-    /// incrementally across calls (no per-span id collection), the
-    /// earliest completion comes from the finish-key index in O(1), and
-    /// rate lookups ride the monotone trace cursor.
+    /// Allocation-free per span: one pass over the flow vector promotes
+    /// due activations and finds the active count, the earliest finish
+    /// key and the next activation; rate lookups ride the monotone trace
+    /// cursor.
     pub fn advance_into(&mut self, t: Instant, done: &mut Vec<Completion>) {
         let _g = self.obs.span("link.advance_to");
         assert!(t >= self.now, "advance into the past: {t} < {}", self.now);
@@ -420,38 +377,39 @@ impl Link {
         let first_new = done.len();
         while self.now < t {
             let now = self.now;
-            // Promote flows whose activation instant has arrived. (Spans
-            // always break at activation instants, so promotion at the
-            // top of each span is exhaustive.)
-            while let Some(&(a, id)) = self.waiting.first() {
-                if a > now {
-                    break;
+            // Promote flows whose activation instant has arrived (spans
+            // always break at activation instants, so promotion at the top
+            // of each span is exhaustive), and scan the rest.
+            let mut n = 0usize;
+            let mut min_key: Option<u128> = None;
+            let mut next_activation: Option<Instant> = None;
+            for f in &mut self.flows {
+                if !f.active && f.activate_at <= now {
+                    f.active = true;
+                    f.work_bm += self.drained;
                 }
-                self.waiting.remove(0);
-                let f = self.flows.get_mut(&id).expect("waiting flow exists");
-                f.work_bm += self.drained;
-                let key = (f.work_bm, id);
-                let at = self.by_finish.binary_search(&key).unwrap_err();
-                self.by_finish.insert(at, key);
-                let at = self.active.binary_search(&id).unwrap_err();
-                self.active.insert(at, id);
+                if f.active {
+                    n += 1;
+                    min_key = Some(min_key.map_or(f.work_bm, |k| k.min(f.work_bm)));
+                } else {
+                    next_activation =
+                        Some(next_activation.map_or(f.activate_at, |a| a.min(f.activate_at)));
+                }
             }
-
-            let n = self.active.len();
             let rate = self.cursor.rate_at(&self.trace, now).bps();
             let share = if n == 0 { 0 } else { rate / n as u64 };
 
             // Boundary: min of t, next activation, next trace change, and
             // the earliest completion at the current share.
             let mut boundary = t;
-            if let Some(&(a, _)) = self.waiting.first() {
+            if let Some(a) = next_activation {
                 boundary = boundary.min(a);
             }
             if let Some(c) = self.cursor.next_change_after(&self.trace, now) {
                 boundary = boundary.min(c);
             }
             if share > 0 {
-                if let Some(&(key, _)) = self.by_finish.first() {
+                if let Some(key) = min_key {
                     let min_rem = key - self.drained;
                     let fin = now + Duration::from_micros(min_rem.div_ceil(share as u128) as u64);
                     boundary = boundary.min(fin);
@@ -495,9 +453,12 @@ impl Link {
                 }
                 let share_rate = BitsPerSec(share);
                 let mut i = 0;
-                while i < self.active.len() {
-                    let id = self.active[i];
-                    let f = self.flows.get_mut(&id).expect("active flow exists");
+                while i < self.flows.len() {
+                    let f = &mut self.flows[i];
+                    if !f.active {
+                        i += 1;
+                        continue;
+                    }
                     let rem = f.work_bm - self.drained;
                     if delivered >= rem {
                         let fin = now + Duration::from_micros(rem.div_ceil(share as u128) as u64);
@@ -507,20 +468,13 @@ impl Link {
                             end: fin,
                             rate: share_rate,
                         });
-                        let key = f.work_bm;
-                        let f = self.flows.remove(&id).expect("present");
-                        self.active.remove(i);
-                        let at = self
-                            .by_finish
-                            .binary_search(&(key, id))
-                            .expect("active flow keyed");
-                        self.by_finish.remove(at);
+                        let f = self.flows.remove(i);
                         self.obs.count("link.flows_completed", 1);
                         self.obs.observe("link.flow_bytes", f.size.get() as f64);
                         self.obs
                             .gauge("link.pending_flows", self.flows.len() as f64);
                         done.push(Completion {
-                            id,
+                            id: f.id,
                             at: fin,
                             size: f.size,
                             opened_at: f.opened_at,
@@ -532,7 +486,7 @@ impl Link {
                             end: boundary,
                             rate: share_rate,
                         });
-                        let (size, remaining_bm) = (f.size, rem - delivered);
+                        let (id, size, remaining_bm) = (f.id, f.size, rem - delivered);
                         self.obs.emit(boundary, || {
                             let remaining = Bytes(remaining_bm.div_ceil(BITMICROS_PER_BYTE) as u64);
                             Event::TransferProgress {

@@ -6,7 +6,9 @@
 //! through identical schedules of flow arrivals, cancels and rate traces,
 //! and require field-by-field equality of every `Completion` — id,
 //! instant, size, open time and the full `DeliveryProfile` — plus
-//! matching `next_completion` predictions at every step. A third link
+//! matching `next_completion` predictions at every step. Schedules include
+//! bursts of flows sharing one activation instant and cancels aimed at
+//! flows that have not started delivering. A third link
 //! runs the engine's allocation-free path: `advance_into` a reused,
 //! non-empty buffer, with every completion's profile recycled.
 
@@ -251,20 +253,26 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 enum Op {
     /// Advance both clocks by this many milliseconds.
     Advance(u64),
-    /// Open a flow of this size with this extra activation delay (ms).
-    Open(u64, u64),
+    /// Open this many flows of this size with this extra activation
+    /// delay (ms); a burst of several activates at one instant.
+    Open(usize, u64, u64),
     /// Cancel the k-th oldest live flow, if any.
     Cancel(usize),
+    /// Cancel the k-th oldest live flow that has not started delivering
+    /// (activation instant at or after the current time), if any.
+    CancelWaiting(usize),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..6, 1u64..1_500_000, 0u64..3_000, 0usize..4), 2..40).prop_map(
+    proptest::collection::vec((0u8..8, 1u64..1_500_000, 0u64..3_000, 0usize..4), 2..40).prop_map(
         |raw| {
             raw.into_iter()
                 .map(|(kind, size, ms, k)| match kind {
                     0 | 1 => Op::Advance(ms),
                     2 => Op::Cancel(k),
-                    _ => Op::Open(size, ms % 200),
+                    3 => Op::CancelWaiting(k),
+                    4 => Op::Open(2 + k % 3, size, ms % 200),
+                    _ => Op::Open(1, size, ms % 200),
                 })
                 .collect()
         },
@@ -341,38 +349,44 @@ proptest! {
         let mut old = legacy::Link::with_latency(trace, latency);
         let mut buf = vec![sentinel()];
         let mut t = Instant::ZERO;
-        let mut live: Vec<FlowId> = Vec::new();
+        // Live flows with their activation instants.
+        let mut live: Vec<(FlowId, Instant)> = Vec::new();
         for op in &ops {
-            match op {
+            let mut cancel = None;
+            match *op {
                 Op::Advance(ms) => {
-                    t += Duration::from_millis(*ms);
+                    t += Duration::from_millis(ms);
                     prop_assert_eq!(new.next_completion(), old.next_completion());
                     prop_assert_eq!(reused.next_completion(), old.next_completion());
                     let dn = new.advance_to(t);
                     let dold = old.advance_to(t);
                     assert_completions_match(&dn, &dold);
                     advance_reused(&mut reused, &mut buf, t, &dold);
-                    live.retain(|id| !dn.iter().any(|c| c.id == *id));
+                    live.retain(|(id, _)| !dn.iter().any(|c| c.id == *id));
                 }
-                Op::Open(size, extra_ms) => {
-                    let extra = Duration::from_millis(*extra_ms);
-                    let a = new.open_flow_after(Bytes(*size), extra);
-                    let b = old.open_flow_after(Bytes(*size), extra);
-                    prop_assert_eq!(a, b, "flow ids must stay in lockstep");
-                    prop_assert_eq!(reused.open_flow_after(Bytes(*size), extra), a);
-                    live.push(a);
-                }
-                Op::Cancel(k) => {
-                    if let Some(id) = live.get(*k).copied() {
-                        prop_assert_eq!(new.cancel_flow(id), old.cancel_flow(id));
-                        prop_assert!(reused.cancel_flow(id));
-                        live.retain(|x| *x != id);
+                Op::Open(n, size, extra_ms) => {
+                    let extra = Duration::from_millis(extra_ms);
+                    for _ in 0..n {
+                        let a = new.open_flow_after(Bytes(size), extra);
+                        let b = old.open_flow_after(Bytes(size), extra);
+                        prop_assert_eq!(a, b, "flow ids must stay in lockstep");
+                        prop_assert_eq!(reused.open_flow_after(Bytes(size), extra), a);
+                        live.push((a, t + latency + extra));
                     }
                 }
+                Op::Cancel(k) => cancel = live.get(k).map(|&(id, _)| id),
+                Op::CancelWaiting(k) => {
+                    cancel = live.iter().filter(|&&(_, a)| a >= t).nth(k).map(|&(id, _)| id);
+                }
             }
-            for id in &live {
-                prop_assert_eq!(new.flow_remaining(*id), old.flow_remaining(*id));
-                prop_assert_eq!(reused.flow_remaining(*id), old.flow_remaining(*id));
+            if let Some(id) = cancel {
+                prop_assert_eq!(new.cancel_flow(id), old.cancel_flow(id));
+                prop_assert!(reused.cancel_flow(id));
+                live.retain(|(x, _)| *x != id);
+            }
+            for &(id, _) in &live {
+                prop_assert_eq!(new.flow_remaining(id), old.flow_remaining(id));
+                prop_assert_eq!(reused.flow_remaining(id), old.flow_remaining(id));
             }
         }
         // Drain: everything completes on the live tail, identically.

@@ -1,4 +1,8 @@
-//! Property-based tests: conservation and consistency of the fluid link.
+//! Property-based tests: conservation and consistency of the fluid link,
+//! and hostile edits of trace text.
+
+#[path = "../../manifest/tests/support/mutate.rs"]
+mod mutate;
 
 use abr_event::time::{Duration, Instant};
 use abr_media::units::{BitsPerSec, Bytes};
@@ -7,6 +11,7 @@ use abr_net::packet::{PacketLink, DEFAULT_MTU};
 use abr_net::profile::{DeliveryProfile, Segment};
 use abr_net::trace::Trace;
 use abr_net::UplinkQueue;
+use mutate::mutate;
 use proptest::prelude::*;
 
 /// An arbitrary piecewise-constant trace (rates may include zero).
@@ -281,5 +286,25 @@ proptest! {
         }
         let got: Vec<(Instant, Bytes)> = profile.windows(width).collect();
         prop_assert_eq!(got, expect);
+    }
+
+    /// Hostile edits of a well-formed trace file — truncation, byte flips,
+    /// duplicated or dropped lines, hostile numbers, stray quotes and
+    /// commas — make `Trace::parse` answer with an error or a trace, never
+    /// a panic, and a parsed trace answers rate queries.
+    #[test]
+    fn hostile_trace_text_never_panics(
+        trace in arb_trace(),
+        edits in proptest::collection::vec((0u8..6, any::<usize>()), 1..4),
+    ) {
+        let text = edits
+            .iter()
+            .fold(trace.to_text(), |t, &(kind, pick)| mutate(&t, kind, pick));
+        if let Ok(parsed) = Trace::parse(&text) {
+            let _ = parsed.rate_at(Instant::ZERO);
+            let _ = parsed.next_change_after(Instant::ZERO);
+            let _ = parsed.mean_over(Instant::ZERO, Instant::from_secs(1));
+            let _ = Trace::parse(&parsed.to_text());
+        }
     }
 }

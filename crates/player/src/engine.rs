@@ -1,16 +1,14 @@
 //! The discrete-event engine behind a [`crate::session::Session`].
 //!
-//! All virtual-time advancement goes through one typed
-//! [`abr_event::EventQueue`]. Each loop iteration is two halves:
-//! `next_wake` (re-)arms one scheduled entry per wake class — transfer
-//! completion, playback boundary, buffer refill, due seek — and reads the
-//! queue head; `pump` pops that earliest event and runs a uniform
-//! simulation step at its timestamp. A wake whose time changed is
-//! cancelled by [`abr_event::EventKey`] and re-scheduled; one whose time
-//! did not change stays armed. The queue never holds more than one live
-//! entry per class (plus the deadline sentinel and the optional live
-//! playlist-refresh tick), and each event costs at most one re-arm per
-//! changed wake class, whether [`Engine::run`] or an external driver
+//! All virtual-time advancement goes through one typed [`Clock`]: a
+//! fixed table with one pending-event slot per [`SessionEvent`] class.
+//! Each loop iteration is two halves: `next_wake` (re-)arms the slot of
+//! each wake class — transfer completion, playback boundary, buffer
+//! refill, due seek — and reads the clock head; `pump` pops that earliest
+//! event and runs a uniform simulation step at its timestamp. A wake
+//! whose time changed overwrites its slot with a fresh seq; one whose
+//! time did not change stays armed. Each event costs at most one re-arm
+//! per changed wake class, whether [`Engine::run`] or an external driver
 //! ([`crate::stepper::SessionStepper`]) turns the loop.
 //!
 //! The deadline is a sentinel event scheduled once at `deadline + 1 µs`:
@@ -20,6 +18,7 @@
 //! plain two-instant loop, byte for byte.
 
 use crate::buffer::ChunkBuffer;
+use crate::clock::{Clock, SessionEvent};
 use crate::config::PlayerConfig;
 use crate::digest::Recorder;
 use crate::log::BufferSample;
@@ -28,7 +27,6 @@ use crate::policy::AbrPolicy;
 use crate::session::{DeliveryMode, PlaylistFetch};
 use crate::transfer::FlightBoard;
 use abr_event::time::{Duration, Instant};
-use abr_event::{EventKey, EventQueue};
 use abr_httpsim::edge::{EdgeCache, TransferPath};
 use abr_httpsim::origin::Origin;
 use abr_media::content::SharedContent;
@@ -38,58 +36,10 @@ use abr_net::link::Link;
 use abr_obs::{Event, ObsHandle};
 use std::collections::VecDeque;
 
-/// The typed event vocabulary of the session engine. Every way virtual
-/// time can advance is one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SessionEvent {
-    /// The link's earliest in-flight transfer finishes.
-    TransferComplete,
-    /// Playback reaches the instant the scarcer buffer runs dry (or the
-    /// presentation ends).
-    PlaybackBoundary,
-    /// An idle pipeline's buffer drains back below the target and may
-    /// fetch again.
-    BufferRefill,
-    /// A scheduled user seek comes due.
-    SeekDue,
-    /// The simulation deadline sentinel (scheduled once, never re-armed).
-    Deadline,
-    /// A live playlist-refresh timer fires (only with
-    /// [`crate::session::Session::with_playlist_refresh`]).
-    PlaylistRefresh,
-}
-
-impl SessionEvent {
-    /// Profiler span name for dispatching one event of this class
-    /// (DESIGN.md §13: per-event-class cost attribution).
-    pub(crate) fn span_name(self) -> &'static str {
-        match self {
-            SessionEvent::TransferComplete => "dispatch.transfer_complete",
-            SessionEvent::PlaybackBoundary => "dispatch.playback_boundary",
-            SessionEvent::BufferRefill => "dispatch.buffer_refill",
-            SessionEvent::SeekDue => "dispatch.seek_due",
-            SessionEvent::Deadline => "dispatch.deadline",
-            SessionEvent::PlaylistRefresh => "dispatch.playlist_refresh",
-        }
-    }
-}
-
-/// The live [`EventKey`] and time per re-armable wake class, so at most
-/// one entry per class is live, plus the key of the latest refresh tick.
-#[derive(Debug, Default)]
-pub(crate) struct ArmedWakes {
-    completion: Option<(EventKey, Instant)>,
-    boundary: Option<(EventKey, Instant)>,
-    refill: Option<(EventKey, Instant)>,
-    seek: Option<(EventKey, Instant)>,
-    /// The most recently scheduled [`SessionEvent::PlaylistRefresh`].
-    refresh: Option<EventKey>,
-}
-
 /// A running session: every piece of mutable state behind
 /// [`crate::session::Session::run`], advanced exclusively by popping the
-/// event queue. Construction happens in `session.rs`
-/// (`Session::into_engine`); behavior is split by layer — queue dispatch
+/// clock. Construction happens in `session.rs`
+/// (`Session::into_engine`); behavior is split by layer — event dispatch
 /// here, transfer bookkeeping in `transfer.rs`, fetch scheduling in
 /// `fetch.rs`.
 pub(crate) struct Engine {
@@ -123,8 +73,7 @@ pub(crate) struct Engine {
     pub(crate) current_video: Option<usize>,
     pub(crate) playlists_ready: TrackSet,
     // The clock.
-    pub(crate) queue: EventQueue<SessionEvent>,
-    pub(crate) wakes: ArmedWakes,
+    pub(crate) clock: Clock,
     pub(crate) now: Instant,
     // Outputs.
     pub(crate) record: Recorder,
@@ -145,7 +94,7 @@ impl Engine {
 
     /// The dispatch half of one engine iteration: pop the event the
     /// preceding [`Engine::next_wake`] armed and reported, and dispatch
-    /// it. Returns `false` when the session is over — the queue ran dry
+    /// it. Returns `false` when the session is over — the clock ran dry
     /// (starved with a dead link) or the deadline sentinel popped. Must
     /// follow a `next_wake` that returned `Some`: the wakes armed before
     /// the previous dispatch may be stale. `run` is exactly
@@ -153,7 +102,7 @@ impl Engine {
     /// external driver (the fleet's [`crate::stepper::SessionStepper`])
     /// interleaves the same iterations with other sessions.
     pub(crate) fn pump(&mut self) -> bool {
-        let Some((t, ev)) = self.queue.pop() else {
+        let Some((t, ev)) = self.clock.pop() else {
             return false; // nothing left, not even the deadline sentinel
         };
         let _dispatch = self.obs.span(ev.span_name());
@@ -179,7 +128,7 @@ impl Engine {
             return None;
         }
         self.arm_wakes();
-        self.queue.next_time()
+        self.clock.next_time()
     }
 
     /// Emits the session-start lifecycle, distributes the obs handle,
@@ -201,15 +150,13 @@ impl Engine {
         // The sentinel is scheduled first, so its seq breaks any tie at
         // `deadline + 1 µs` in its favor: events *at* the deadline still
         // process, anything later never does.
-        self.queue.schedule(
+        self.clock.schedule(
             self.deadline + Duration::from_micros(1),
             SessionEvent::Deadline,
         );
         if let Some(period) = self.refresh_period {
-            self.wakes.refresh = Some(
-                self.queue
-                    .schedule(Instant::ZERO + period, SessionEvent::PlaylistRefresh),
-            );
+            self.clock
+                .schedule(Instant::ZERO + period, SessionEvent::PlaylistRefresh);
         }
         if self.playlist_fetch == PlaylistFetch::Eager {
             for i in 0..self.content.track_ids().len() {
@@ -223,9 +170,7 @@ impl Engine {
     }
 
     /// Re-arms the four wake classes against current state. A class whose
-    /// time changed has its previous entry cancelled first, so the queue
-    /// holds at most one live entry per class and a stale wake can never
-    /// fire.
+    /// time changed overwrites its slot, so a stale wake can never fire.
     fn arm_wakes(&mut self) {
         let _g = self.obs.span("engine.arm_wakes");
         let completion = self.link.next_completion();
@@ -260,60 +205,15 @@ impl Engine {
         } else {
             None
         };
-        let q = &mut self.queue;
-        let w = &mut self.wakes;
-        let tick = w.refresh;
-        Self::rearm(
-            q,
-            &mut w.completion,
-            completion,
-            SessionEvent::TransferComplete,
-            tick,
-        );
-        Self::rearm(
-            q,
-            &mut w.boundary,
-            boundary,
-            SessionEvent::PlaybackBoundary,
-            tick,
-        );
-        Self::rearm(q, &mut w.refill, refill, SessionEvent::BufferRefill, tick);
-        Self::rearm(q, &mut w.seek, seek, SessionEvent::SeekDue, tick);
-    }
-
-    /// Points a wake class's slot at `at`. The previous entry stays armed
-    /// when its time is unchanged, it is still pending, and it is newer
-    /// than the latest refresh `tick`; otherwise it is cancelled (if any)
-    /// and a fresh one scheduled.
-    ///
-    /// A kept entry has an older seq than a fresh one would get, but the
-    /// set of queued times is the same. Ties among the four wake classes
-    /// do not matter (each runs the same `step`), the deadline sentinel
-    /// (seq 0) still wins every tie, and the `tick` condition keeps the
-    /// one order that could change: a refresh tick still pops before a
-    /// wake at the same instant, as it did when every wake was
-    /// re-scheduled after it.
-    fn rearm(
-        queue: &mut EventQueue<SessionEvent>,
-        slot: &mut Option<(EventKey, Instant)>,
-        at: Option<Instant>,
-        ev: SessionEvent,
-        tick: Option<EventKey>,
-    ) {
-        if let (Some((key, armed_at)), Some(t)) = (*slot, at) {
-            if armed_at == t && queue.is_pending(key) && tick.is_none_or(|tick| key > tick) {
-                return;
-            }
-        }
-        if let Some((key, _)) = slot.take() {
-            queue.cancel(key);
-        }
-        *slot = at.map(|t| (queue.schedule(t, ev), t));
+        self.clock.rearm(SessionEvent::TransferComplete, completion);
+        self.clock.rearm(SessionEvent::PlaybackBoundary, boundary);
+        self.clock.rearm(SessionEvent::BufferRefill, refill);
+        self.clock.rearm(SessionEvent::SeekDue, seek);
     }
 
     /// One simulation step at `t`: advance the link and playout, fold in
     /// completions, apply due seeks, (re)start playback, schedule fetches,
-    /// sample buffers. Every popped wake — whichever class won the queue —
+    /// sample buffers. Every popped wake — whichever class won the clock —
     /// runs this same step, which is what makes the engine equivalent to
     /// the min-of-candidates loop it replaced.
     fn step(&mut self, t: Instant) {
@@ -445,10 +345,8 @@ impl Engine {
         self.obs
             .emit(t, || Event::PlaylistRefreshTick { refetched });
         if let Some(period) = self.refresh_period {
-            self.wakes.refresh = Some(
-                self.queue
-                    .schedule(t + period, SessionEvent::PlaylistRefresh),
-            );
+            self.clock
+                .schedule(t + period, SessionEvent::PlaylistRefresh);
         }
     }
 

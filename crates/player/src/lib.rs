@@ -23,8 +23,8 @@
 //!   when only its summary is wanted (fleet sessions).
 //!
 //! Behind the facade, the run itself is a typed discrete-event engine
-//! split by layer across three private modules: `engine` (the
-//! [`abr_event::EventQueue`] dispatch loop and time advancement),
+//! split by layer across four private modules: `engine` (the dispatch
+//! loop and time advancement), `clock` (its per-class event table),
 //! `transfer` (in-flight requests, edge-cache delay, bandwidth meter) and
 //! `fetch` (scheduler/policy interaction). See DESIGN.md §3.
 
@@ -32,6 +32,7 @@
 #![deny(missing_docs)]
 
 pub mod buffer;
+mod clock;
 pub mod config;
 pub mod digest;
 mod engine;

@@ -4,21 +4,21 @@
 //! One session streams one piece of content through one policy over one
 //! link and produces a [`SessionLog`]. [`Session`] itself is only the
 //! builder: `run` hands the configured parts to the engine (`engine.rs`),
-//! which advances virtual time exclusively by popping a typed
-//! [`abr_event::EventQueue`] — transfer completions, playback boundaries,
+//! which advances virtual time exclusively by popping a typed per-class
+//! event clock — transfer completions, playback boundaries,
 //! buffer refills, seeks, playlist-refresh ticks and the deadline are all
 //! events. All state transitions happen at exact instants; nothing is
 //! polled.
 
+use crate::clock::Clock;
 use crate::config::PlayerConfig;
 use crate::digest::{Recorder, SessionDigest};
-use crate::engine::{ArmedWakes, Engine};
+use crate::engine::Engine;
 use crate::log::SessionLog;
 use crate::playback::PlaybackEngine;
 use crate::policy::AbrPolicy;
 use crate::transfer::FlightBoard;
 use abr_event::time::{Duration, Instant};
-use abr_event::EventQueue;
 use abr_httpsim::origin::Origin;
 use abr_media::track::{MediaType, TrackSet, TrackTable};
 use abr_net::link::Link;
@@ -342,8 +342,7 @@ impl Session {
             current_audio: None,
             current_video: None,
             playlists_ready: TrackSet::new(),
-            queue: EventQueue::new(),
-            wakes: ArmedWakes::default(),
+            clock: Clock::default(),
             now: Instant::ZERO,
             record,
             obs: self.obs,

@@ -1,7 +1,7 @@
 //! Externally-clocked session driving for fleet simulations.
 //!
 //! [`crate::session::Session::run`] owns its clock: it pops its private
-//! event queue until the session ends. A fleet interleaves *many*
+//! per-class event table until the session ends. A fleet interleaves *many*
 //! sessions in one global timeline, so it needs the same engine with the
 //! clock turned inside out: "when is your next event?" / "dispatch it".
 //! [`SessionStepper`] is that inversion — a thin public shell over the
@@ -50,7 +50,7 @@ impl SessionStepper {
 
     /// The session-local time of the next event to dispatch, re-arming
     /// the engine's wake classes against current state first. `None`
-    /// means the session is over (playback ended or the queue ran dry) —
+    /// means the session is over (playback ended or the clock ran dry) —
     /// call [`SessionStepper::finish`].
     pub fn next_wake(&mut self) -> Option<Instant> {
         self.engine.next_wake()
@@ -126,9 +126,9 @@ mod tests {
         )
     }
 
-    /// Pins the queue work of one session: the exact number of event
-    /// keys its engine issued. A wake whose time did not change stays
-    /// armed, so re-scheduling unchanged wakes (or any other extra queue
+    /// Pins the clock work of one session: the exact number of event
+    /// seqs its engine issued. A wake whose time did not change stays
+    /// armed, so re-scheduling unchanged wakes (or any other extra clock
     /// traffic) changes this count.
     #[test]
     fn only_changed_wakes_are_rearmed() {
@@ -140,7 +140,7 @@ mod tests {
                 break;
             }
         }
-        let issued = stepper.engine.queue.issued();
+        let issued = stepper.engine.clock.issued();
         let log = stepper.finish();
         assert_eq!(log, f4b_session().run(), "stepped and run sessions agree");
         assert!(log.stall_count() > 0, "the f4b trace starves this session");

@@ -24,13 +24,14 @@ use abr_player::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations (including reallocations) one session may make.
-const BUDGET: u64 = 64;
+/// Allocations (including reallocations) one session may make (34–41
+/// per DASH player kind when this budget was set).
+const BUDGET: u64 = 48;
 
 /// Allocations one digest-mode session may make: no event vector grows,
-/// so only construction and first use of reusable buffers remain (22–30
+/// so only construction and first use of reusable buffers remain (14–21
 /// per DASH player kind when this budget was set).
-const DIGEST_BUDGET: u64 = 40;
+const DIGEST_BUDGET: u64 = 24;
 
 thread_local! {
     /// Set while the current thread's allocations are being counted.
