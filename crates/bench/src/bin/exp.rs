@@ -29,9 +29,7 @@
 //! Output is byte-identical regardless of the worker count; the
 //! `parallel_determinism` integration suite holds that contract.
 
-use abr_bench::experiments::{
-    all_ids, profiled_sessions, run_jobs, traced_sessions, ExperimentResult,
-};
+use abr_bench::experiments::{all_ids, run_jobs, run_sessions, ExperimentResult};
 use abr_bench::profiling::WorkloadProfile;
 use abr_bench::report::table;
 use abr_bench::runner;
@@ -74,53 +72,14 @@ fn main() {
         match args[i].as_str() {
             "--list" => list = true,
             "--all" => run_all = true,
-            "--id" => {
-                i += 1;
-                id = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--id needs a value"))
-                        .clone(),
-                );
-            }
-            "--json" => {
-                i += 1;
-                json_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--json needs a value"))
-                        .clone(),
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--trace needs a value"))
-                        .clone(),
-                );
-            }
-            "--chrome" => {
-                i += 1;
-                chrome_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--chrome needs a value"))
-                        .clone(),
-                );
-            }
+            "--id" => id = Some(value(&args, &mut i)),
+            "--json" => json_dir = Some(value(&args, &mut i)),
+            "--trace" => trace_path = Some(value(&args, &mut i)),
+            "--chrome" => chrome_path = Some(value(&args, &mut i)),
             "--metrics" => metrics = true,
             "--profile" => profile = true,
-            "--profile-json" => {
-                i += 1;
-                profile_json = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--profile-json needs a value"))
-                        .clone(),
-                );
-            }
-            "--jobs" => {
-                i += 1;
-                jobs =
-                    parse_jobs_flag(args.get(i).unwrap_or_else(|| usage("--jobs needs a value")));
-            }
+            "--profile-json" => profile_json = Some(value(&args, &mut i)),
+            "--jobs" => jobs = parse_jobs_flag(&value(&args, &mut i)),
             other => usage(&format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -182,28 +141,14 @@ fn main() {
             // Profiled runs reuse the profiled outcomes for --trace/
             // --chrome/--metrics too: the artifacts are byte-identical
             // (profile_determinism suite), so the sessions run once.
-            let (outcomes, workload) = if wants_profile {
-                match profiled_sessions(id, jobs) {
-                    Some((outcomes, workload)) => (Some(outcomes), Some(workload)),
-                    None => (None, None),
-                }
-            } else {
-                (traced_sessions(id, jobs), None)
-            };
-            let Some(outcomes) = outcomes else {
+            let Some((outcomes, workload)) = run_sessions(id, jobs, wants_profile) else {
                 eprintln!(
                     "experiment `{id}` is a pure table or shares state across \
                      sessions; nothing to trace or profile"
                 );
                 std::process::exit(2);
             };
-            if let Some(workload) = &workload {
-                emit_profile(
-                    workload,
-                    profile || profile_json.is_none(),
-                    profile_json.as_deref(),
-                );
-            }
+            emit_profile(workload.as_ref(), profile, profile_json.as_deref());
             let multi = outcomes.len() > 1;
             for (n, outcome) in outcomes.iter().enumerate() {
                 if let Some(path) = &trace_path {
@@ -255,57 +200,25 @@ fn run_mc_cli(args: &[String]) {
     while i < args.len() {
         match args[i].as_str() {
             "--profile" => profile = true,
-            "--profile-json" => {
-                i += 1;
-                profile_json = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--profile-json needs a value"))
-                        .clone(),
-                );
-            }
+            "--profile-json" => profile_json = Some(value(args, &mut i)),
             "--seeds" => {
-                i += 1;
-                seeds = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--seeds needs a value"))
+                seeds = value(args, &mut i)
                     .parse::<u64>()
                     .ok()
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("--seeds needs a positive integer"));
             }
-            "--jobs" => {
-                i += 1;
-                jobs =
-                    parse_jobs_flag(args.get(i).unwrap_or_else(|| usage("--jobs needs a value")));
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--json needs a value"))
-                        .clone(),
-                );
-            }
+            "--jobs" => jobs = parse_jobs_flag(&value(args, &mut i)),
+            "--json" => json_path = Some(value(args, &mut i)),
             other => usage(&format!("unknown `mc` flag `{other}`")),
         }
         i += 1;
     }
     let wants_profile = profile || profile_json.is_some();
-    let (result, workload) = if wants_profile {
-        let (result, workload) = abr_bench::mc::run_mc_profiled(seeds, jobs);
-        (result, Some(workload))
-    } else {
-        (abr_bench::mc::run_mc(seeds, jobs), None)
-    };
+    let (result, workload) = abr_bench::mc::run_mc_with(seeds, jobs, wants_profile);
     println!("=== mc — Monte Carlo fleet sweep ===");
     println!("{}", result.text);
-    if let Some(workload) = &workload {
-        emit_profile(
-            workload,
-            profile || profile_json.is_none(),
-            profile_json.as_deref(),
-        );
-    }
+    emit_profile(workload.as_ref(), profile, profile_json.as_deref());
     if let Some(path) = json_path {
         write_json(&path, &result.json, "mc json");
         println!("[json written to {path}]");
@@ -320,7 +233,7 @@ fn run_mc_cli(args: &[String]) {
 /// head-to-head. Stdout is the deterministic artifact: byte-identical at
 /// every `--jobs` value and shard count.
 fn run_fleet_cli(args: &[String]) {
-    use abr_bench::fleet::{run_fleet, run_fleet_comparison, run_fleet_profiled, FleetSpec};
+    use abr_bench::fleet::{run_fleet_comparison, run_fleet_with, FleetOptions, FleetSpec};
     use abr_player::session::DeliveryMode;
 
     let mut spec = FleetSpec::small(500);
@@ -332,30 +245,24 @@ fn run_fleet_cli(args: &[String]) {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        let mut value = |name: &str| -> String {
-            i += 1;
-            args.get(i)
-                .unwrap_or_else(|| usage(&format!("{name} needs a value")))
-                .clone()
-        };
         fn parse<T: std::str::FromStr>(name: &str, raw: &str) -> T {
             raw.parse::<T>()
                 .unwrap_or_else(|_| usage(&format!("{name} got unparsable value `{raw}`")))
         }
         match flag {
-            "--sessions" => spec.sessions = parse(flag, &value(flag)),
-            "--domains" => spec.domains = parse(flag, &value(flag)),
-            "--shards" => spec.shards = parse(flag, &value(flag)),
-            "--titles" => spec.titles = parse(flag, &value(flag)),
-            "--alpha" => spec.zipf_alpha = parse(flag, &value(flag)),
-            "--arrival-secs" => spec.arrival_secs = parse(flag, &value(flag)),
-            "--uplink-kbps" => spec.uplink_kbps = parse(flag, &value(flag)),
-            "--origin-kbps" => spec.origin_kbps = parse(flag, &value(flag)),
-            "--cache-mb" => spec.cache_mb = parse(flag, &value(flag)),
-            "--window-ms" => spec.window_ms = parse(flag, &value(flag)),
-            "--seed" => spec.seed = parse(flag, &value(flag)),
-            "--jobs" => jobs = parse_jobs_flag(&value(flag)),
-            "--delivery" => match value(flag).as_str() {
+            "--sessions" => spec.sessions = parse(flag, &value(args, &mut i)),
+            "--domains" => spec.domains = parse(flag, &value(args, &mut i)),
+            "--shards" => spec.shards = parse(flag, &value(args, &mut i)),
+            "--titles" => spec.titles = parse(flag, &value(args, &mut i)),
+            "--alpha" => spec.zipf_alpha = parse(flag, &value(args, &mut i)),
+            "--arrival-secs" => spec.arrival_secs = parse(flag, &value(args, &mut i)),
+            "--uplink-kbps" => spec.uplink_kbps = parse(flag, &value(args, &mut i)),
+            "--origin-kbps" => spec.origin_kbps = parse(flag, &value(args, &mut i)),
+            "--cache-mb" => spec.cache_mb = parse(flag, &value(args, &mut i)),
+            "--window-ms" => spec.window_ms = parse(flag, &value(args, &mut i)),
+            "--seed" => spec.seed = parse(flag, &value(args, &mut i)),
+            "--jobs" => jobs = parse_jobs_flag(&value(args, &mut i)),
+            "--delivery" => match value(args, &mut i).as_str() {
                 "demuxed" => spec.delivery = DeliveryMode::Demuxed,
                 "muxed" => spec.delivery = DeliveryMode::Muxed,
                 "both" => both = true,
@@ -363,9 +270,9 @@ fn run_fleet_cli(args: &[String]) {
                     "--delivery must be demuxed|muxed|both, got `{other}`"
                 )),
             },
-            "--json" => json_path = Some(value(flag)),
+            "--json" => json_path = Some(value(args, &mut i)),
             "--profile" => profile = true,
-            "--profile-json" => profile_json = Some(value(flag)),
+            "--profile-json" => profile_json = Some(value(args, &mut i)),
             other => usage(&format!("unknown `fleet` flag `{other}`")),
         }
         i += 1;
@@ -379,34 +286,33 @@ fn run_fleet_cli(args: &[String]) {
     }
     let (result, workload) = if both {
         (run_fleet_comparison(&spec, jobs), None)
-    } else if wants_profile {
-        let (result, workload) = run_fleet_profiled(&spec, jobs);
-        (result, Some(workload))
     } else {
-        (run_fleet(&spec, jobs), None)
+        let options = FleetOptions {
+            profile: wants_profile,
+            ..FleetOptions::default()
+        };
+        run_fleet_with(&spec, jobs, options)
     };
     println!("=== fleet — shared-fate fleet engine ===");
     println!("{}", result.text);
-    if let Some(workload) = &workload {
-        emit_profile(
-            workload,
-            profile || profile_json.is_none(),
-            profile_json.as_deref(),
-        );
-    }
+    emit_profile(workload.as_ref(), profile, profile_json.as_deref());
     if let Some(path) = json_path {
         write_json(&path, &result.json, "fleet json");
         println!("[json written to {path}]");
     }
 }
 
-/// Prints the profile table and/or writes the JSON profile artifact.
+/// Prints the profile table (with `--profile`, or when no JSON path was
+/// given) and/or writes the JSON profile artifact; no-op when unprofiled.
 ///
 /// Both go to stderr/file, never stdout: stdout carries the experiment
 /// artifact, which must stay byte-identical with and without `--profile`
 /// (the CI profile matrix diffs it).
-fn emit_profile(workload: &WorkloadProfile, print_table: bool, json_path: Option<&str>) {
-    if print_table {
+fn emit_profile(workload: Option<&WorkloadProfile>, table: bool, json_path: Option<&str>) {
+    let Some(workload) = workload else {
+        return;
+    };
+    if table || json_path.is_none() {
         eprintln!("{}", workload.text());
     }
     if let Some(path) = json_path {
@@ -451,6 +357,16 @@ fn session_path(path: &str, n: usize, multi: bool) -> String {
         Some(dot) => format!("{dir}{}.{n}{}", &file[..dot], &file[dot..]),
         None => format!("{dir}{file}.{n}"),
     }
+}
+
+/// The value after the flag at `args[*i]`, advancing `i` onto it; a
+/// missing value is a usage error.
+fn value(args: &[String], i: &mut usize) -> String {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+        .clone()
 }
 
 /// Parses a `--jobs` value: a positive integer, or `auto` for the host

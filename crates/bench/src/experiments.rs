@@ -1,6 +1,7 @@
 //! One function per paper artifact. See DESIGN.md §7 for the index and
 //! EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 
+use crate::profiling::WorkloadProfile;
 use crate::report::{ascii_plot, table, Series};
 use crate::runner::{self, SessionOutcome, SessionSpec};
 use crate::setup::*;
@@ -223,7 +224,7 @@ fn observed_session(
 /// cannot be observed independently.
 pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
     fn single(id: &'static str, label: &str) -> Vec<SessionSpec> {
-        vec![SessionSpec::new_profiled(
+        vec![SessionSpec::new(
             format!("{id}/{label}"),
             SEED,
             0,
@@ -244,7 +245,7 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
             .iter()
             .enumerate()
             .map(|(arm, name)| {
-                SessionSpec::new_profiled(
+                SessionSpec::new(
                     format!("f3fix/{name}"),
                     SEED,
                     arm as u64,
@@ -256,7 +257,7 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
             .into_iter()
             .enumerate()
             .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new_profiled(
+                SessionSpec::new(
                     format!("bp1/{tname}/{kind:?}"),
                     SEED,
                     arm as u64,
@@ -268,7 +269,7 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
             .into_iter()
             .enumerate()
             .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new_profiled(
+                SessionSpec::new(
                     format!("bp5/{tname}/{kind:?}"),
                     SEED,
                     arm as u64,
@@ -284,26 +285,33 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
 /// `min(jobs, cores)` workers; outcomes come back in spec order, so the
 /// emitted per-session artifacts are identical at every `jobs` value.
 pub fn traced_sessions(id: &str, jobs: usize) -> Option<Vec<SessionOutcome>> {
-    let specs = session_specs(id)?;
-    Some(runner::run_specs(&specs, jobs))
+    run_sessions(id, jobs, false).map(|(outcomes, _)| outcomes)
 }
 
-/// [`traced_sessions`] with span profiling (`exp --id <id> --profile`):
-/// every session runs with a private profiler wired into its `ObsHandle`,
-/// and the pool reports the merged span tree plus its own phase/worker
-/// accounting. Outcomes are byte-identical to [`traced_sessions`].
-pub fn profiled_sessions(
+/// The one body behind `exp --id <id>` with `--trace/--chrome/--metrics`
+/// and `--profile`. With `profile` every session runs with a private
+/// profiler wired into its `ObsHandle`, and the returned
+/// [`WorkloadProfile`] carries the merged span tree plus the pool's
+/// phase/worker accounting. Outcomes are byte-identical either way.
+pub fn run_sessions(
     id: &str,
     jobs: usize,
-) -> Option<(Vec<SessionOutcome>, crate::profiling::WorkloadProfile)> {
-    let setup = abr_obs::HostStopwatch::start();
+    profile: bool,
+) -> Option<(Vec<SessionOutcome>, Option<WorkloadProfile>)> {
+    let setup = runner::Lap::start(profile);
     let specs = session_specs(id)?;
-    let setup_ns = setup.elapsed_ns();
-    let (outcomes, pool) = runner::run_specs_profiled(&specs, jobs);
-    Some((
-        outcomes,
-        crate::profiling::WorkloadProfile::from_pool(id, setup_ns, pool),
-    ))
+    let setup_ns = setup.ns();
+    let (outcomes, pool) = runner::run_pool(
+        specs.len(),
+        jobs,
+        runner::adaptive_chunk(specs.len(), jobs),
+        None,
+        profile,
+        || (),
+        |(), i, profiler| specs[i].run(profiler),
+    );
+    let profile = pool.map(|pool| WorkloadProfile::from_pool(id, setup_ns, pool));
+    Some((outcomes, profile))
 }
 
 /// Re-runs the single canonical session underlying an experiment with a
@@ -321,7 +329,7 @@ pub fn traced_session(
     if specs.len() != 1 {
         return None;
     }
-    let outcome = specs[0].run();
+    let outcome = specs[0].run(None);
     Some((outcome.log, outcome.events, outcome.metrics))
 }
 

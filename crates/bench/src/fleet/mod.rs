@@ -28,6 +28,8 @@ mod report;
 
 pub use driver::FleetSchedKnobs;
 
+use crate::profiling::WorkloadProfile;
+use crate::runner::{Lap, RunnerProfile};
 use crate::setup::PlayerKind;
 use abr_event::rng::SplitMix64;
 use abr_event::time::Duration;
@@ -300,94 +302,102 @@ pub struct FleetResult {
 /// every `jobs` value and shard count.
 #[must_use]
 pub fn run_fleet(spec: &FleetSpec, jobs: usize) -> FleetResult {
-    run_inner(spec, jobs, false)
+    run_fleet_with(spec, jobs, FleetOptions::default()).0
 }
 
 /// [`run_fleet`] keeping every per-session [`SessionLog`] (the lockstep
 /// parity and determinism tests compare them field-by-field).
 #[must_use]
 pub fn run_fleet_with_logs(spec: &FleetSpec, jobs: usize) -> FleetResult {
-    run_inner(spec, jobs, true)
+    let options = FleetOptions {
+        keep_logs: true,
+        ..FleetOptions::default()
+    };
+    run_fleet_with(spec, jobs, options).0
 }
 
-/// [`run_fleet_with_logs`] with explicit scheduling knobs — the entry
-/// point the fast-forward differential tests use to sweep
-/// [`FleetSchedKnobs::ff_horizon`] (including 0 = stepwise) and assert
-/// the artifact never moves.
+/// How [`run_fleet_with`] runs a fleet. No field reaches the report: the
+/// artifact is byte-identical under every setting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FleetOptions {
+    /// Keep every per-session [`SessionLog`] in [`FleetResult::logs`].
+    pub keep_logs: bool,
+    /// Driver scheduling knobs; the fast-forward differential tests sweep
+    /// [`FleetSchedKnobs::ff_horizon`] (including 0 = stepwise) here.
+    pub knobs: FleetSchedKnobs,
+    /// Self-profiling (`exp fleet --profile`): phase-level host time —
+    /// plan realization, the windowed driver, report rendering — plus
+    /// per-worker rows (sessions finished, drain + fold time as busy,
+    /// barrier wait as claim, lifetime) and a peak-memory note.
+    pub profile: bool,
+}
+
+/// The one fleet body: runs `spec` over `min(jobs, shards)` workers as
+/// `options` asks and returns the report, plus a [`WorkloadProfile`]
+/// when profiling.
 #[must_use]
-pub fn run_fleet_sched(spec: &FleetSpec, jobs: usize, knobs: FleetSchedKnobs) -> FleetResult {
-    run_sched_inner(spec, jobs, true, knobs)
-}
-
-fn run_inner(spec: &FleetSpec, jobs: usize, keep_logs: bool) -> FleetResult {
-    run_sched_inner(spec, jobs, keep_logs, FleetSchedKnobs::default())
-}
-
-fn run_sched_inner(
+pub fn run_fleet_with(
     spec: &FleetSpec,
     jobs: usize,
-    keep_logs: bool,
-    knobs: FleetSchedKnobs,
-) -> FleetResult {
+    options: FleetOptions,
+) -> (FleetResult, Option<WorkloadProfile>) {
+    let setup = Lap::start(options.profile);
     let source = PlanSource::new(spec);
-    let out = driver::run(spec, &source, jobs, keep_logs, knobs, false);
+    let setup_ns = setup.ns();
+    let wall = Lap::start(options.profile);
+    let mut out = driver::run(
+        spec,
+        &source,
+        jobs,
+        options.keep_logs,
+        options.knobs,
+        options.profile,
+    );
+    let run_ns = wall.ns();
+    let merge = Lap::start(options.profile);
     let (text, json) = report::render(spec, &source.title_counts(), &out);
-    let logs = keep_logs.then(|| {
+    let profile = options.profile.then(|| {
+        let pool = RunnerProfile {
+            jobs: driver::effective_workers(spec, jobs, spec.sessions),
+            items: spec.sessions as u64,
+            run_ns,
+            merge_ns: merge.ns(),
+            wall_ns: wall.ns(),
+            workers: std::mem::take(&mut out.workers),
+            ..RunnerProfile::default()
+        };
+        let mut profile = WorkloadProfile::from_pool("fleet", setup_ns, pool);
+        profile.notes.push(memory_note(spec, &out));
+        profile
+    });
+    let logs = options.keep_logs.then(|| {
         out.outputs
             .into_iter()
             .map(|o| o.log.expect("keep_logs retains every log"))
             .collect()
     });
-    FleetResult {
+    let result = FleetResult {
         text,
         json,
         sessions: spec.sessions,
         logs,
-    }
+    };
+    (result, profile)
 }
 
-/// [`run_fleet`] with the self-profiling layer on (`exp fleet --profile`):
-/// phase-level host-time accounting — plan realization, the windowed
-/// driver, report rendering — plus per-worker rows (sessions finished,
-/// drain + fold time as busy, barrier wait as claim, lifetime), in the
-/// standard [`WorkloadProfile`] shape.
-/// Profiling observes host time only; the returned [`FleetResult`] is
-/// byte-identical to [`run_fleet`] at the same `(spec, jobs)`.
-#[must_use]
-pub fn run_fleet_profiled(
-    spec: &FleetSpec,
-    jobs: usize,
-) -> (FleetResult, crate::profiling::WorkloadProfile) {
-    let setup = abr_obs::HostStopwatch::start();
-    let source = PlanSource::new(spec);
-    let setup_ns = setup.elapsed_ns();
-    let wall = abr_obs::HostStopwatch::start();
-    let run = abr_obs::HostStopwatch::start();
-    let mut out = driver::run(spec, &source, jobs, false, FleetSchedKnobs::default(), true);
-    let run_ns = run.elapsed_ns();
-    let merge = abr_obs::HostStopwatch::start();
-    let (text, json) = report::render(spec, &source.title_counts(), &out);
-    let pool = crate::runner::RunnerProfile {
-        jobs: driver::effective_workers(spec, jobs, spec.sessions),
-        items: spec.sessions as u64,
-        run_ns,
-        merge_ns: merge.elapsed_ns(),
-        wall_ns: wall.elapsed_ns(),
-        workers: std::mem::take(&mut out.workers),
-        ..crate::runner::RunnerProfile::default()
-    };
-    // The peak-memory estimate (DESIGN.md §15): deterministic byte
-    // counts, not allocator telemetry — what a live session holds (its
-    // QoE digest and its trimmed access-link trace) is a pure function of
-    // the spec, peak-active is a driver counter, and the shared corpus is
-    // sized from the content tables. Rendered as a profile note so the
-    // fleet report artifact itself stays untouched.
+/// The peak-memory estimate (DESIGN.md §15): deterministic byte counts,
+/// not allocator telemetry — what a live session holds (its QoE digest
+/// and its trimmed access-link trace) is a pure function of the spec,
+/// peak-active is a driver counter, and the shared corpus is sized from
+/// the content tables. Rendered as a profile note so the fleet report
+/// artifact itself stays untouched.
+fn memory_note(spec: &FleetSpec, out: &driver::DriverOutput) -> String {
     let sessions = spec.sessions.max(1) as u64;
     let fmt = crate::profiling::fmt_bytes;
     let mean_session = (out.digest_bytes + out.trace_bytes) / sessions;
     let peak_active: u64 = out.domains.iter().map(|d| d.peak_active as u64).sum();
     let peak_estimate = out.corpus_bytes + peak_active * mean_session;
-    let memory_note = format!(
+    format!(
         "memory: ~{}/session (digest {} + trace {}; max {}) | shared corpus {} ({} titles) | \
          est peak {} @ {} peak-active sessions",
         fmt(mean_session),
@@ -398,16 +408,7 @@ pub fn run_fleet_profiled(
         spec.titles,
         fmt(peak_estimate),
         peak_active,
-    );
-    let result = FleetResult {
-        text,
-        json,
-        sessions: spec.sessions,
-        logs: None,
-    };
-    let mut profile = crate::profiling::WorkloadProfile::from_pool("fleet", setup_ns, pool);
-    profile.notes.push(memory_note);
-    (result, profile)
+    )
 }
 
 /// The fleet-of-1 parity comparator: builds session `index` of the plan

@@ -9,7 +9,7 @@
 //!
 //! Determinism: the grid is authored up front in a fixed order (seed-major,
 //! then corpus order, then policy order) and sharded with
-//! [`runner::run_indexed`], so the aggregate is byte-identical at every
+//! [`runner::run_pool`], so the aggregate is byte-identical at every
 //! `--jobs` value. Per-seed realizations derive from the experiment-wide
 //! [`SEED`] by offset, never from host state.
 
@@ -26,7 +26,7 @@ use abr_manifest::view::BoundDash;
 use abr_media::combo::{combo_bitrate, curated_subset, Combo};
 use abr_media::content::Content;
 use abr_media::units::BitsPerSec;
-use abr_obs::{HostStopwatch, ObsHandle, Profiler};
+use abr_obs::{ObsHandle, Profiler};
 use abr_player::policy::AbrPolicy;
 use abr_player::SessionScratch;
 use abr_qoe::QoeSummary;
@@ -237,45 +237,33 @@ fn run_cell(
 /// policies), sharded over `min(jobs, cores)` workers. Deterministic at
 /// every `jobs` value.
 pub fn run_mc(seeds: u64, jobs: usize) -> McResult {
-    assert!(seeds > 0, "mc sweep needs at least one seed");
-    let (corpus, policies, grid) = mc_grid(seeds);
-    let order = lpt_order(&policies, &grid);
-    let summaries: Vec<QoeSummary> = runner::run_indexed_with_hinted(
-        grid.len(),
-        jobs,
-        &order,
-        SessionScratch::new,
-        |scratch, i| run_cell(&policies, &corpus, grid[i], None, scratch),
-    );
-    aggregate(seeds, &corpus.trace_names(), &policies, &grid, &summaries)
+    run_mc_with(seeds, jobs, false).0
 }
 
-/// [`run_mc`] with the self-profiling layer on (`exp mc --profile`):
-/// every session runs with a private span profiler, the pool reports its
-/// phase/worker accounting, and the merged [`WorkloadProfile`] names
-/// where the sweep's host time went. The returned [`McResult`] is
-/// byte-identical to [`run_mc`] at the same `(seeds, jobs)` — profiling
-/// observes, never perturbs (`tests/profile_determinism.rs`).
-pub fn run_mc_profiled(seeds: u64, jobs: usize) -> (McResult, WorkloadProfile) {
+/// The one sweep body behind `exp mc` with and without `--profile`. With
+/// `profile` every session runs with a private span profiler, the pool
+/// reports its phase/worker accounting, and the returned
+/// [`WorkloadProfile`] names where the sweep's host time went. The
+/// [`McResult`] is byte-identical either way — profiling observes, never
+/// perturbs (`tests/profile_determinism.rs`) — and both runs share the
+/// claim order, chunking and per-worker session scratch.
+pub fn run_mc_with(seeds: u64, jobs: usize, profile: bool) -> (McResult, Option<WorkloadProfile>) {
     assert!(seeds > 0, "mc sweep needs at least one seed");
-    let setup = HostStopwatch::start();
+    let setup = runner::Lap::start(profile);
     let (corpus, policies, grid) = mc_grid(seeds);
     let order = lpt_order(&policies, &grid);
-    let setup_ns = setup.elapsed_ns();
-    let (summaries, pool) = runner::run_profiled_sched(
+    let setup_ns = setup.ns();
+    let (summaries, pool) = runner::run_pool(
         grid.len(),
         jobs,
         runner::adaptive_chunk(grid.len(), jobs),
         Some(&order),
-        |i| {
-            let profiler = Rc::new(Profiler::new());
-            let mut scratch = SessionScratch::new();
-            let q = run_cell(&policies, &corpus, grid[i], Some(&profiler), &mut scratch);
-            (q, profiler.report())
-        },
+        profile,
+        SessionScratch::new,
+        |scratch, i, profiler| run_cell(&policies, &corpus, grid[i], profiler, scratch),
     );
     let result = aggregate(seeds, &corpus.trace_names(), &policies, &grid, &summaries);
-    let profile = WorkloadProfile::from_pool("mc", setup_ns, pool);
+    let profile = pool.map(|pool| WorkloadProfile::from_pool("mc", setup_ns, pool));
     (result, profile)
 }
 

@@ -208,20 +208,24 @@ impl WorkloadProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_indexed_profiled;
-    use abr_obs::Profiler;
-    use std::rc::Rc;
+    use crate::runner::run_pool;
 
     fn sample() -> WorkloadProfile {
-        let (_, pool) = run_indexed_profiled(4, 2, |i| {
-            let prof = Rc::new(Profiler::new());
-            {
+        let (_, pool) = run_pool(
+            4,
+            2,
+            1,
+            None,
+            true,
+            || (),
+            |(), i, prof| {
+                let prof = prof.expect("profiled run");
                 let _s = prof.span("session.run");
                 let _d = prof.span("dispatch.transfer_complete");
-            }
-            (i, prof.report())
-        });
-        WorkloadProfile::from_pool("test", 123, pool)
+                i
+            },
+        );
+        WorkloadProfile::from_pool("test", 123, pool.expect("profiled run"))
     }
 
     #[test]

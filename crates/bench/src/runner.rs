@@ -1,9 +1,9 @@
 //! Deterministic parallel sweep engine.
 //!
 //! Every multi-session artifact in this repo (the `exp --all` set, the
-//! BP sweeps, the scan binaries, the Criterion groups) is a pure function
-//! of its session specs: content synthesis, traces and policies all seed
-//! their own RNG streams, and the simulated clock never observes the host.
+//! BP sweeps, `exp mc`, the Criterion groups) is a pure function of its
+//! session specs: content synthesis, traces and policies all seed their
+//! own RNG streams, and the simulated clock never observes the host.
 //! That makes wall-clock parallelism safe *if and only if* two rules hold,
 //! and this module is the one place they are enforced (DESIGN.md §10):
 //!
@@ -16,20 +16,19 @@
 //!    so downstream tables, JSON artifacts and merged metrics are
 //!    byte-identical at any `--jobs` value.
 //!
-//! The pool is `std::thread::scope` over `min(jobs, n)` workers claiming
-//! *chunks* of indices from an atomic counter — no dependencies, no work
-//! stealing, no ordering hazards. Chunk size and claim order are
-//! scheduling knobs **outside** the artifact contract (DESIGN.md §16):
-//! callers may pass an LPT-style longest-first hint
-//! ([`run_indexed_sched`]) and the pool may batch claims however it
-//! likes, because results are always re-assembled in index order. The
-//! merge itself is streamed: the main thread places batches into a
-//! pre-sized slot vector *while workers run*, so merge cost no longer
-//! grows with session count after the pool drains.
-//! `tests/parallel_determinism.rs` holds the contract: representative
-//! experiments run at `--jobs 1/2/8` (and random chunk sizes / claim
-//! orders) must produce identical `SessionLog`s, JSON artifacts and
-//! merged metrics.
+//! The pool ([`run_pool`]) is `std::thread::scope` over `min(jobs, n)`
+//! workers claiming *chunks* of indices from an atomic counter — no
+//! dependencies, no work stealing, no ordering hazards. Chunk size, claim
+//! order and profiling are knobs **outside** the artifact contract
+//! (DESIGN.md §16): callers may pass an LPT-style longest-first hint, and
+//! a profiled sweep runs the same claim loop as a plain one, because
+//! results are always re-assembled in index order. The merge itself is
+//! streamed: the main thread places batches into a pre-sized slot vector
+//! *while workers run*, so merge cost does not grow with session count
+//! after the pool drains. `tests/parallel_determinism.rs` holds the
+//! contract: representative experiments run at `--jobs 1/2/8` (and random
+//! chunk sizes / claim orders, profiled or not) must produce identical
+//! `SessionLog`s, JSON artifacts and merged metrics.
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,16 +46,6 @@ pub fn available_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZero::get)
         .unwrap_or(1)
-}
-
-/// Clamps a requested worker count to `min(jobs, cores)`, floor 1. Use
-/// this when *defaulting* a jobs value; [`run_indexed`] honors an
-/// explicit request above the core count (the OS time-slices, and by the
-/// determinism contract the output cannot depend on worker count — that
-/// is also what lets the differential suite exercise real thread
-/// interleavings on single-core CI runners).
-pub fn effective_jobs(requested: usize) -> usize {
-    requested.clamp(1, available_cores())
 }
 
 /// The default worker count: the `ABR_JOBS` environment variable when set
@@ -81,21 +70,6 @@ pub fn parse_jobs(value: &str) -> Option<usize> {
         return Some(available_cores());
     }
     value.parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Jobs for the small calibration binaries: a `--jobs N` argument when
-/// present (including `--jobs auto`), else [`jobs_from_env`]. (The `exp`
-/// CLI does its own argument parsing and only uses the env fallback.)
-pub fn jobs_from_args_or_env() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for pair in args.windows(2) {
-        if pair[0] == "--jobs" {
-            if let Some(n) = parse_jobs(&pair[1]) {
-                return n;
-            }
-        }
-    }
-    jobs_from_env()
 }
 
 /// Chunk size used when the caller does not fix one: aim for roughly
@@ -124,181 +98,288 @@ fn debug_check_permutation(order: &[usize], n: usize) {
     }
 }
 
+/// A host stopwatch that runs only while profiling: switched off, it
+/// reads no clock and every lap is 0 ns.
+pub(crate) struct Lap(Option<HostStopwatch>);
+
+impl Lap {
+    /// Starts now when `on`, else never.
+    pub(crate) fn start(on: bool) -> Lap {
+        Lap(on.then(HostStopwatch::start))
+    }
+
+    /// Nanoseconds since [`Lap::start`], or 0 when switched off.
+    pub(crate) fn ns(&self) -> u64 {
+        self.0.as_ref().map_or(0, HostStopwatch::elapsed_ns)
+    }
+}
+
 /// Runs `f(0..n)` across `min(jobs, n)` scoped workers and returns the
 /// results **in index order**, regardless of completion order. With
-/// `jobs <= 1` (or a single item) it degenerates to the serial loop, so
-/// the serial path and the parallel path are the same code shape and any
-/// divergence between them is a bug in `f`, not in scheduling.
+/// `jobs <= 1` (or a single item) the same claim loop runs inline on the
+/// calling thread, so the serial path and the parallel path are the same
+/// code and any divergence between them is a bug in `f`, not in
+/// scheduling.
 ///
 /// `f` must be a pure function of its index (plus captured immutable
 /// state); the differential suite exists to catch violations. A panic in
-/// any worker propagates out of the scope — a sweep never silently drops
+/// any worker propagates out of the pool — a sweep never silently drops
 /// a session.
 pub fn run_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_chunked(n, jobs, adaptive_chunk(n, jobs), None, || (), |(), i| f(i))
+    let chunk = adaptive_chunk(n, jobs);
+    run_pool(n, jobs, chunk, None, false, || (), |(), i, _| f(i)).0
 }
 
-/// [`run_indexed`] with every scheduling knob exposed: a fixed claim
-/// chunk size and an optional claim-order hint (a permutation of `0..n`;
-/// pass the heaviest items first for LPT-style scheduling). Both knobs
-/// are outside the artifact contract — the result vector is index-ordered
-/// and byte-identical for *any* `(jobs, chunk, order)` combination, which
-/// the determinism proptests sweep directly through this entry point.
-pub fn run_indexed_sched<T, F>(
-    n: usize,
-    jobs: usize,
-    chunk: usize,
-    order: Option<&[usize]>,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked(n, jobs, chunk, order, || (), |(), i| f(i))
-}
-
-/// [`run_indexed`] with per-worker scratch state: each worker (or the
-/// serial loop) builds one `S` via `init` and threads it mutably through
-/// every item it claims. The state is *scratch only* — reusable
-/// allocations like [`abr_player::SessionScratch`] — and must never
-/// influence an item's result: outputs remain a pure function of the
-/// index, which the determinism suite checks by comparing jobs values.
-pub fn run_indexed_with<S, T, I, F>(n: usize, jobs: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_chunked(n, jobs, adaptive_chunk(n, jobs), None, init, f)
-}
-
-/// [`run_indexed_with`] plus a claim-order hint (see
-/// [`run_indexed_sched`]). This is the entry point for heavy-tailed
-/// sweeps with per-worker scratch — `exp mc` passes its MPC-first order
-/// here.
-pub fn run_indexed_with_hinted<S, T, I, F>(
-    n: usize,
-    jobs: usize,
-    order: &[usize],
-    init: I,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_chunked(n, jobs, adaptive_chunk(n, jobs), Some(order), init, f)
-}
-
-/// The shared pool core: `min(jobs, n)` scoped workers claim chunks of
-/// claim *positions* from an atomic counter, map each position through
-/// the optional claim-order hint, and send completed batches back over a
-/// channel. The main thread streams batches into a pre-sized slot vector
-/// while workers are still running (the "streamed merge"), so the only
-/// post-scope work is the index-ordered unwrap walk.
+/// The sweep pool. `min(jobs, n)` scoped workers claim chunks of claim
+/// *positions* from an atomic counter, map each position through the
+/// optional claim-order hint (a permutation of `0..n`; pass the heaviest
+/// items first for LPT-style scheduling) and send finished batches back
+/// over a channel. The calling thread places batches into a pre-sized
+/// slot vector while workers still run (the streamed merge), so the only
+/// post-scope work is the index-ordered unwrap walk. With `jobs <= 1`
+/// (or a single item) the claim loop runs inline on the calling thread in
+/// natural index order: the hint is a scheduling concern, and scheduling
+/// is the identity when there is one lane.
 ///
-/// With `jobs <= 1` (or a single item) this degenerates to the serial
-/// loop in natural index order — the hint is a scheduling concern and
-/// scheduling is the identity when there is one lane.
-fn run_chunked<S, T, I, F>(
+/// Each lane builds one scratch `S` via `init` and threads it mutably
+/// through every item it claims. Scratch holds reusable allocations only
+/// (like [`abr_player::SessionScratch`]) and must never influence a
+/// result.
+///
+/// With `profile` on, each item gets a private [`Profiler`] (profilers
+/// are `Rc`-shared and never cross threads; only the owned
+/// [`ProfileReport`] does), the pool times every claim and item, merges
+/// the item reports in index order and returns its own accounting. With
+/// it off, `f` gets `None` and the pool reads no clock and allocates
+/// nothing per item. Chunk size, claim order, worker count and `profile`
+/// are all outside the artifact contract (DESIGN.md §16): the result
+/// vector is identical for any combination, which the determinism
+/// proptests sweep through this entry point.
+pub fn run_pool<S, T, I, F>(
     n: usize,
     jobs: usize,
     chunk: usize,
     order: Option<&[usize]>,
+    profile: bool,
     init: I,
     f: F,
-) -> Vec<T>
+) -> (Vec<T>, Option<RunnerProfile>)
 where
     T: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, usize, Option<&Rc<Profiler>>) -> T + Sync,
 {
     if let Some(order) = order {
         debug_check_permutation(order, n);
     }
+    let wall = Lap::start(profile);
     let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let chunk = chunk.max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Vec<(usize, T)>>();
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    // Dynamic half of the model checker's partition invariant: record
-    // every claimed range and assert they tile `0..n` exactly once.
-    #[cfg(feature = "debug-invariants")]
-    let claim_ledger = std::sync::Mutex::new(Vec::<(usize, usize)>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            let init = &init;
-            let f = &f;
-            #[cfg(feature = "debug-invariants")]
-            let claim_ledger = &claim_ledger;
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    // `Relaxed` claim: RMWs on one location have a total
-                    // modification order even at `Relaxed`, so every
-                    // counter value — hence every `claim_range` — is
-                    // handed out exactly once; results synchronize via
-                    // the mpsc channel. Model-checked as
-                    // `sync_model::ClaimModel` (see `lint.toml`).
-                    let claimed = claim_range(next.fetch_add(chunk, Ordering::Relaxed), chunk, n);
-                    let Some((p0, p1)) = claimed else {
-                        break;
-                    };
-                    #[cfg(feature = "debug-invariants")]
-                    claim_ledger.lock().expect("claim ledger").push((p0, p1));
-                    let batch: Vec<(usize, T)> = (p0..p1)
-                        .map(|p| {
-                            let i = order.map_or(p, |o| o[p]);
-                            (i, f(&mut state, i))
-                        })
-                        .collect();
-                    if tx.send(batch).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Streamed merge: place batches while workers run. The loop ends
-        // when every worker has dropped its sender; a worker panic also
-        // drops its sender, and the scope re-raises the panic before the
-        // unwrap walk below can observe the hole.
-        for batch in rx {
-            for (i, value) in batch {
-                debug_assert!(slots[i].is_none(), "index {i} produced twice");
-                slots[i] = Some(value);
+    let claim = Claim {
+        next: AtomicUsize::new(0),
+        chunk: chunk.max(1),
+        order: order.filter(|_| jobs > 1),
+        n,
+        profile,
+        #[cfg(feature = "debug-invariants")]
+        ledger: std::sync::Mutex::new(Vec::new()),
+    };
+    let mut merge = Merge::new(n, profile);
+    let mut spawn_ns = 0;
+    let run = Lap::start(profile);
+    let workers: Vec<WorkerStats> = if jobs <= 1 {
+        vec![claim.work(0, &init, &f, |batch| {
+            merge.place(batch);
+            true
+        })]
+    } else {
+        let (tx, rx) = mpsc::channel::<Batch<T>>();
+        std::thread::scope(|scope| {
+            let spawn = Lap::start(profile);
+            let handles: Vec<_> = (0..jobs)
+                .map(|w| {
+                    let tx = tx.clone();
+                    let (claim, init, f) = (&claim, &init, &f);
+                    scope.spawn(move || claim.work(w, init, f, |batch| tx.send(batch).is_ok()))
+                })
+                .collect();
+            spawn_ns = spawn.ns();
+            drop(tx);
+            // The loop ends when every worker has dropped its sender; a
+            // worker panic also drops its sender, and the join below
+            // re-raises it before the unwrap walk can observe the hole.
+            for batch in rx {
+                merge.place(batch);
             }
-        }
-    });
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+    let run_ns = run.ns();
+    // Dynamic half of the model checker's partition invariant: every
+    // claimed range, from every lane, tiles `0..n` exactly once.
     #[cfg(feature = "debug-invariants")]
     {
-        let mut ranges = claim_ledger.into_inner().expect("claim ledger");
+        let mut ranges = claim.ledger.into_inner().expect("claim ledger");
         debug_assert!(
             abr_event::sync_model::ranges_partition(&mut ranges, n),
             "claimed ranges must partition 0..{n}"
         );
     }
-    slots
+    let unwrap = Lap::start(profile);
+    let out = merge
+        .slots
         .into_iter()
         .enumerate()
         .map(|(i, v)| v.unwrap_or_else(|| panic!("worker dropped index {i}")))
-        .collect()
+        .collect();
+    let pool = merge.profile.map(|(item_wall, spans)| RunnerProfile {
+        jobs,
+        items: n as u64,
+        spawn_ns,
+        run_ns,
+        merge_ns: unwrap.ns(),
+        wall_ns: wall.ns(),
+        workers,
+        item_wall: item_wall.snapshot(),
+        spans,
+    });
+    (out, pool)
 }
 
-/// Host-time accounting for one pool worker (or the serial pseudo-worker
-/// with `jobs <= 1`): how many items it ran, how long it spent claiming
+/// One claimed chunk's results: `(index, value, report)`, the report
+/// `Some` only when profiling.
+type Batch<T> = Vec<(usize, T, Option<ProfileReport>)>;
+
+/// The claim state every lane shares.
+struct Claim<'a> {
+    /// Next unclaimed claim position.
+    next: AtomicUsize,
+    chunk: usize,
+    order: Option<&'a [usize]>,
+    n: usize,
+    profile: bool,
+    /// Every claimed `(p0, p1)` range, checked to partition `0..n`.
+    #[cfg(feature = "debug-invariants")]
+    ledger: std::sync::Mutex<Vec<(usize, usize)>>,
+}
+
+impl Claim<'_> {
+    /// One lane's claim loop: claim a chunk, run its items, hand the
+    /// batch to `emit` (which returns `false` once nobody is listening),
+    /// until the positions run out. Returns the lane's host-time ledger;
+    /// claim laps and item runs are disjoint, so `claim_ns + busy_ns <=
+    /// alive_ns` holds by construction.
+    fn work<S, T>(
+        &self,
+        worker: usize,
+        init: &impl Fn() -> S,
+        f: &impl Fn(&mut S, usize, Option<&Rc<Profiler>>) -> T,
+        mut emit: impl FnMut(Batch<T>) -> bool,
+    ) -> WorkerStats {
+        let alive = Lap::start(self.profile);
+        let mut stats = WorkerStats {
+            worker,
+            ..WorkerStats::default()
+        };
+        let mut state = init();
+        loop {
+            let claim = Lap::start(self.profile);
+            // `Relaxed` claim: RMWs on one location have a total
+            // modification order even at `Relaxed`, so every counter
+            // value — hence every `claim_range` — is handed out exactly
+            // once; results synchronize via the mpsc channel. Model-checked
+            // as `sync_model::ClaimModel` (see `lint.toml`).
+            let claimed = claim_range(
+                self.next.fetch_add(self.chunk, Ordering::Relaxed),
+                self.chunk,
+                self.n,
+            );
+            stats.claim_ns += claim.ns();
+            let Some((p0, p1)) = claimed else {
+                break;
+            };
+            #[cfg(feature = "debug-invariants")]
+            self.ledger.lock().expect("claim ledger").push((p0, p1));
+            let batch: Batch<T> = (p0..p1)
+                .map(|p| {
+                    let i = self.order.map_or(p, |o| o[p]);
+                    if !self.profile {
+                        return (i, f(&mut state, i, None), None);
+                    }
+                    let profiler = Rc::new(Profiler::new());
+                    let item = HostStopwatch::start();
+                    let value = f(&mut state, i, Some(&profiler));
+                    stats.busy_ns += item.elapsed_ns();
+                    (i, value, Some(profiler.report()))
+                })
+                .collect();
+            stats.items += batch.len() as u64;
+            if !emit(batch) {
+                break;
+            }
+        }
+        stats.alive_ns = alive.ns();
+        stats
+    }
+}
+
+/// The calling thread's half of the pool: index-addressed result slots
+/// and, when profiling, the item reports awaiting the span merge.
+struct Merge<T> {
+    slots: Vec<Option<T>>,
+    /// Per-item reports not merged yet (empty unless profiling).
+    reports: Vec<Option<ProfileReport>>,
+    /// Index of the first report not merged yet.
+    frontier: usize,
+    /// Per-item wall histogram and merged span tree, when profiling.
+    profile: Option<(Histogram, ProfileReport)>,
+}
+
+impl<T> Merge<T> {
+    fn new(n: usize, profile: bool) -> Merge<T> {
+        Merge {
+            slots: (0..n).map(|_| None).collect(),
+            reports: if profile { vec![None; n] } else { Vec::new() },
+            frontier: 0,
+            profile: profile.then(|| {
+                (
+                    Histogram::with_bounds(SPAN_BOUNDS_NS),
+                    ProfileReport::default(),
+                )
+            }),
+        }
+    }
+
+    /// Places a batch, then merges reports along the filled prefix. The
+    /// merged tree is reported to the user, so the span merge must run in
+    /// index order; advancing a frontier lets it overlap execution
+    /// instead of trailing it.
+    fn place(&mut self, batch: Batch<T>) {
+        for (i, value, report) in batch {
+            debug_assert!(self.slots[i].is_none(), "index {i} produced twice");
+            self.slots[i] = Some(value);
+            if report.is_some() {
+                self.reports[i] = report;
+            }
+        }
+        if let Some((item_wall, spans)) = &mut self.profile {
+            while let Some(report) = self.reports.get_mut(self.frontier).and_then(Option::take) {
+                item_wall.observe(report.wall_ns as f64);
+                spans.merge(&report);
+                self.frontier += 1;
+            }
+        }
+    }
+}
+
+/// Host-time accounting for one pool worker (or the serial lane with
+/// `jobs <= 1`): how many items it ran, how long it spent claiming
 /// indices vs. running jobs, and its total lifetime. `busy_ns /
 /// alive_ns` is the worker's utilization — the signal that distinguishes
 /// "the pool starves on work" from "the work itself is slow".
@@ -335,15 +416,14 @@ pub struct RunnerProfile {
     pub items: u64,
     /// End-to-end host time of the profiled call.
     pub wall_ns: u64,
-    /// Time to set up the pool and spawn workers.
+    /// Time to spawn workers (0 on the serial path).
     pub spawn_ns: u64,
-    /// Time inside the worker scope (claim + run + the streamed placement
-    /// of result batches, bounded by the slowest worker).
+    /// Time inside the pool (claim + run + the streamed placement of
+    /// result batches, bounded by the slowest worker).
     pub run_ns: u64,
-    /// Post-scope merge remainder. Placement and the index-ordered span
+    /// Post-pool merge remainder. Placement and the index-ordered span
     /// merge are streamed while workers run, so this is only the final
-    /// unwrap walk plus whatever span merging the stream had not yet
-    /// caught up on — it no longer grows with session count.
+    /// unwrap walk — it does not grow with session count.
     pub merge_ns: u64,
     /// Per-worker accounting, in worker order.
     pub workers: Vec<WorkerStats>,
@@ -351,172 +431,6 @@ pub struct RunnerProfile {
     pub item_wall: HistogramSnapshot,
     /// Per-item span trees merged in index (= spec) order.
     pub spans: ProfileReport,
-}
-
-/// [`run_indexed`] with host-time accounting: `f` additionally returns
-/// the item's [`ProfileReport`], and the pool reports where its own time
-/// went. Ordering semantics are identical to [`run_indexed`] — results
-/// and span merges happen in index order, so profiled artifacts stay
-/// byte-identical at any `jobs` value. Only the `RunnerProfile` (which
-/// never feeds artifacts) varies run to run.
-pub fn run_indexed_profiled<T, F>(n: usize, jobs: usize, f: F) -> (Vec<T>, RunnerProfile)
-where
-    T: Send,
-    F: Fn(usize) -> (T, ProfileReport) + Sync,
-{
-    run_profiled_sched(n, jobs, adaptive_chunk(n, jobs), None, f)
-}
-
-/// [`run_indexed_profiled`] with the scheduling knobs exposed (fixed
-/// chunk size, optional claim-order hint) — the profiled twin of
-/// [`run_indexed_sched`]. `exp mc --profile` routes here with its
-/// MPC-first hint so profiled and unprofiled runs schedule identically.
-pub fn run_profiled_sched<T, F>(
-    n: usize,
-    jobs: usize,
-    chunk: usize,
-    order: Option<&[usize]>,
-    f: F,
-) -> (Vec<T>, RunnerProfile)
-where
-    T: Send,
-    F: Fn(usize) -> (T, ProfileReport) + Sync,
-{
-    if let Some(order) = order {
-        debug_check_permutation(order, n);
-    }
-    let wall = HostStopwatch::start();
-    let jobs = jobs.max(1).min(n.max(1));
-    let mut profile = RunnerProfile {
-        jobs,
-        items: n as u64,
-        ..RunnerProfile::default()
-    };
-    let mut item_wall = Histogram::with_bounds(SPAN_BOUNDS_NS);
-    if jobs <= 1 {
-        let mut out = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(n);
-        let mut stats = WorkerStats::default();
-        let run = HostStopwatch::start();
-        for i in 0..n {
-            let item = HostStopwatch::start();
-            let (value, report) = f(i);
-            stats.items += 1;
-            stats.busy_ns += item.elapsed_ns();
-            out.push(value);
-            reports.push(report);
-        }
-        profile.run_ns = run.elapsed_ns();
-        stats.alive_ns = profile.run_ns;
-        profile.workers.push(stats);
-        let merge = HostStopwatch::start();
-        for report in &reports {
-            item_wall.observe(report.wall_ns as f64);
-            profile.spans.merge(report);
-        }
-        profile.merge_ns = merge.elapsed_ns();
-        profile.item_wall = item_wall.snapshot();
-        profile.wall_ns = wall.elapsed_ns();
-        return (out, profile);
-    }
-    let chunk = chunk.max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Vec<(usize, T, ProfileReport)>>();
-    let (stx, srx) = mpsc::channel::<WorkerStats>();
-    // Dynamic half of the model checker's partition invariant, as in
-    // `run_chunked`.
-    #[cfg(feature = "debug-invariants")]
-    let claim_ledger = std::sync::Mutex::new(Vec::<(usize, usize)>::new());
-    let spawn = HostStopwatch::start();
-    let run = HostStopwatch::start();
-    let mut slots: Vec<Option<(T, ProfileReport)>> = (0..n).map(|_| None).collect();
-    // Index of the first slot whose span report has not been merged yet.
-    // The stream loop advances it in index order while workers run, so
-    // span merging (which must be index-ordered — the merged tree is
-    // reported to the user) overlaps execution instead of trailing it.
-    let mut frontier = 0usize;
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let tx = tx.clone();
-            let stx = stx.clone();
-            let next = &next;
-            let f = &f;
-            #[cfg(feature = "debug-invariants")]
-            let claim_ledger = &claim_ledger;
-            scope.spawn(move || {
-                let alive = HostStopwatch::start();
-                let mut stats = WorkerStats {
-                    worker: w,
-                    ..WorkerStats::default()
-                };
-                loop {
-                    let claim = HostStopwatch::start();
-                    // `Relaxed` claim — same protocol and model evidence
-                    // as `run_chunked` (see `lint.toml`).
-                    let claimed = claim_range(next.fetch_add(chunk, Ordering::Relaxed), chunk, n);
-                    stats.claim_ns += claim.elapsed_ns();
-                    let Some((p0, p1)) = claimed else {
-                        break;
-                    };
-                    #[cfg(feature = "debug-invariants")]
-                    claim_ledger.lock().expect("claim ledger").push((p0, p1));
-                    let mut batch = Vec::with_capacity(p1 - p0);
-                    for p in p0..p1 {
-                        let i = order.map_or(p, |o| o[p]);
-                        let item = HostStopwatch::start();
-                        let (value, report) = f(i);
-                        stats.items += 1;
-                        stats.busy_ns += item.elapsed_ns();
-                        batch.push((i, value, report));
-                    }
-                    if tx.send(batch).is_err() {
-                        break;
-                    }
-                }
-                stats.alive_ns = alive.elapsed_ns();
-                let _ = stx.send(stats);
-            });
-        }
-        profile.spawn_ns = spawn.elapsed_ns();
-        drop(tx);
-        for batch in rx {
-            for (i, value, report) in batch {
-                debug_assert!(slots[i].is_none(), "index {i} produced twice");
-                slots[i] = Some((value, report));
-            }
-            while let Some(Some((_, report))) = slots.get(frontier) {
-                item_wall.observe(report.wall_ns as f64);
-                profile.spans.merge(report);
-                frontier += 1;
-            }
-        }
-    });
-    #[cfg(feature = "debug-invariants")]
-    {
-        let mut ranges = claim_ledger.into_inner().expect("claim ledger");
-        debug_assert!(
-            abr_event::sync_model::ranges_partition(&mut ranges, n),
-            "claimed ranges must partition 0..{n}"
-        );
-    }
-    profile.run_ns = run.elapsed_ns();
-    drop(stx);
-    let merge = HostStopwatch::start();
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (value, report) = slot.unwrap_or_else(|| panic!("worker dropped index {i}"));
-        if i >= frontier {
-            item_wall.observe(report.wall_ns as f64);
-            profile.spans.merge(&report);
-        }
-        out.push(value);
-    }
-    profile.workers = srx.iter().collect();
-    profile.workers.sort_by_key(|s| s.worker);
-    profile.merge_ns = merge.elapsed_ns();
-    profile.item_wall = item_wall.snapshot();
-    profile.wall_ns = wall.elapsed_ns();
-    (out, profile)
 }
 
 /// Everything a session run sends back across the worker boundary. All
@@ -577,23 +491,10 @@ type SessionJob =
 impl SessionSpec {
     /// A new spec. `stream` must be stable across runs (use the spec's
     /// position in the authored sweep, or any other value derived from
-    /// the sweep definition alone).
+    /// the sweep definition alone). Under `--profile` the job receives
+    /// the per-session span profiler to wire into its `ObsHandle`,
+    /// otherwise `None`.
     pub fn new<F>(label: impl Into<String>, seed: u64, stream: u64, job: F) -> SessionSpec
-    where
-        F: Fn(&mut SplitMix64) -> SessionOutcome + Send + Sync + 'static,
-    {
-        SessionSpec {
-            label: label.into(),
-            seed,
-            stream,
-            job: Box::new(move |rng, _prof| job(rng)),
-        }
-    }
-
-    /// A new spec whose job is profiler-aware: under `--profile` it
-    /// receives the per-session span profiler to wire into its
-    /// `ObsHandle`, otherwise `None`.
-    pub fn new_profiled<F>(label: impl Into<String>, seed: u64, stream: u64, job: F) -> SessionSpec
     where
         F: Fn(&mut SplitMix64, Option<&Rc<Profiler>>) -> SessionOutcome + Send + Sync + 'static,
     {
@@ -611,18 +512,12 @@ impl SessionSpec {
         SplitMix64::for_stream(self.seed, self.stream)
     }
 
-    /// Runs the session serially, in the calling thread. The outcome's
-    /// label is stamped from the spec.
-    pub fn run(&self) -> SessionOutcome {
-        let mut outcome = (self.job)(&mut self.rng(), None);
-        outcome.label = self.label.clone();
-        outcome
-    }
-
-    /// Runs the session with a span profiler attached. Must produce the
-    /// exact same outcome as [`SessionSpec::run`].
-    pub fn run_profiled(&self, profiler: &Rc<Profiler>) -> SessionOutcome {
-        let mut outcome = (self.job)(&mut self.rng(), Some(profiler));
+    /// Runs the session in the calling thread, optionally with a span
+    /// profiler attached; the profiler observes and never steers, so the
+    /// outcome is the same either way. The outcome's label is stamped
+    /// from the spec.
+    pub fn run(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
+        let mut outcome = (self.job)(&mut self.rng(), profiler);
         outcome.label = self.label.clone();
         outcome
     }
@@ -636,27 +531,6 @@ impl std::fmt::Debug for SessionSpec {
             .field("stream", &self.stream)
             .finish_non_exhaustive()
     }
-}
-
-/// Shards `specs` across `min(jobs, cores)` workers and returns outcomes
-/// **in spec order**.
-pub fn run_specs(specs: &[SessionSpec], jobs: usize) -> Vec<SessionOutcome> {
-    run_indexed(specs.len(), jobs, |i| specs[i].run())
-}
-
-/// [`run_specs`] with profiling: each worker builds a session-private
-/// [`Profiler`] (profilers are `Rc`-shared and never cross threads —
-/// only the owned [`ProfileReport`] does), and the pool merges the
-/// per-session span trees in spec order.
-pub fn run_specs_profiled(
-    specs: &[SessionSpec],
-    jobs: usize,
-) -> (Vec<SessionOutcome>, RunnerProfile) {
-    run_indexed_profiled(specs.len(), jobs, |i| {
-        let profiler = Rc::new(Profiler::new());
-        let outcome = specs[i].run_profiled(&profiler);
-        (outcome, profiler.report())
-    })
 }
 
 /// Merges per-session metrics snapshots in spec order (the deterministic
@@ -726,36 +600,48 @@ mod tests {
     #[test]
     fn run_indexed_with_matches_run_indexed() {
         for jobs in [1, 2, 8] {
-            let out = run_indexed_with(37, jobs, Vec::<usize>::new, |scratch, i| {
-                scratch.push(i); // worker-local scratch, result ignores it
-                i * i
-            });
+            let chunk = adaptive_chunk(37, jobs);
+            let (out, pool) = run_pool(
+                37,
+                jobs,
+                chunk,
+                None,
+                false,
+                Vec::<usize>::new,
+                |scratch, i, _| {
+                    scratch.push(i); // worker-local scratch, result ignores it
+                    i * i
+                },
+            );
             assert_eq!(
                 out,
                 (0..37).map(|i| i * i).collect::<Vec<_>>(),
                 "jobs={jobs}"
             );
+            assert!(pool.is_none());
         }
-        assert!(run_indexed_with(0, 4, || (), |_, i| i).is_empty());
-    }
-
-    #[test]
-    fn effective_jobs_clamps() {
-        assert_eq!(effective_jobs(0), 1);
-        assert!(effective_jobs(usize::MAX) <= available_cores());
-        assert!(available_cores() >= 1);
+        assert!(run_pool(0, 4, 1, None, false, || (), |_, i, _| i)
+            .0
+            .is_empty());
     }
 
     #[test]
     fn run_indexed_profiled_matches_plain_results() {
         for jobs in [1, 2, 8] {
-            let (out, profile) = run_indexed_profiled(23, jobs, |i| {
-                let prof = Rc::new(Profiler::new());
-                {
-                    let _g = prof.span("item");
-                }
-                (i * 3, prof.report())
-            });
+            let chunk = adaptive_chunk(23, jobs);
+            let (out, profile) = run_pool(
+                23,
+                jobs,
+                chunk,
+                None,
+                true,
+                || (),
+                |_, i, prof| {
+                    let _g = prof.expect("profiling is on").span("item");
+                    i * 3
+                },
+            );
+            let profile = profile.expect("profiled");
             assert_eq!(
                 out,
                 (0..23).map(|i| i * 3).collect::<Vec<_>>(),
@@ -774,9 +660,11 @@ mod tests {
             assert_eq!(profile.item_wall.count, 23);
             assert!(profile.wall_ns >= profile.run_ns);
         }
-        let (out, profile) = run_indexed_profiled(0, 4, |_| unreachable!());
-        let _: Vec<usize> = out;
-        assert_eq!(profile.items, 0);
+        let (out, profile) = run_pool(0, 4, 1, None, true, Vec::<usize>::new, |_, _, _| -> usize {
+            unreachable!()
+        });
+        assert!(out.is_empty());
+        assert_eq!(profile.expect("profiled").items, 0);
     }
 
     #[test]
@@ -797,7 +685,7 @@ mod tests {
                 num_chunks: 0,
             }
         }
-        let spec = SessionSpec::new_profiled("p/x", 2019, 3, |rng, prof| {
+        let spec = SessionSpec::new("p/x", 2019, 3, |rng, prof| {
             if let Some(p) = prof {
                 let _g = p.span("job");
             }
@@ -807,9 +695,9 @@ mod tests {
                 MetricsSnapshot::default(),
             ))
         });
-        let plain = spec.run();
+        let plain = spec.run(None);
         let profiler = Rc::new(Profiler::new());
-        let profiled = spec.run_profiled(&profiler);
+        let profiled = spec.run(Some(&profiler));
         // Same derived RNG, same outcome, profiler only observed.
         assert_eq!(plain.log.policy, profiled.log.policy);
         assert_eq!(plain.label, profiled.label);
@@ -819,7 +707,7 @@ mod tests {
     #[test]
     fn spec_rng_ignores_execution_order() {
         let mk = |stream: u64| {
-            SessionSpec::new(format!("s{stream}"), 2019, stream, |_rng| unreachable!())
+            SessionSpec::new(format!("s{stream}"), 2019, stream, |_, _| unreachable!())
         };
         let forward: Vec<u64> = (0..8).map(|s| mk(s).rng().next_u64()).collect();
         let backward: Vec<u64> = (0..8).rev().map(|s| mk(s).rng().next_u64()).collect();

@@ -8,7 +8,7 @@
 use abr_core::{
     BbaPolicy, BestPracticePolicy, DashJsPolicy, ExoPlayerPolicy, MpcPolicy, ShakaPolicy,
 };
-use abr_event::time::{Duration, Instant};
+use abr_event::time::Duration;
 use abr_httpsim::origin::Origin;
 use abr_manifest::build::{build_master_playlist, build_mpd};
 use abr_manifest::hls::MasterPlaylist;
@@ -324,12 +324,6 @@ pub fn stall_windows(log: &SessionLog) -> Vec<(f64, f64)> {
             )
         })
         .collect()
-}
-
-/// A generous deadline for pathological sessions (keeps starved runs
-/// bounded while letting heavy rebuffering play out).
-pub fn far_deadline() -> Instant {
-    Instant::from_secs(3_600)
 }
 
 #[cfg(test)]

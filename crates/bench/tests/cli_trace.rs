@@ -1,7 +1,8 @@
 //! CLI-level coverage of `exp --trace/--chrome/--metrics` on sweep
 //! experiments: sweeps used to be an error; they now write one artifact
 //! per session (`<stem>.<n>.<ext>`), identically at any `--jobs` value.
-//! Also: `exp fleet` rejects impossible topologies with exit code 2.
+//! Also: `exp fleet` rejects impossible topologies, and every subcommand
+//! rejects hostile flags, with exit code 2.
 
 use std::path::Path;
 use std::process::Command;
@@ -126,6 +127,26 @@ fn untraceable_experiment_still_errors() {
     assert!(!out.status.success(), "t1 has no sessions to trace");
 }
 
+/// Runs `exp` with `args` and asserts a usage error: exit 2, an
+/// `error:` line plus the usage text on stderr, and no panic.
+fn assert_usage_error(args: &[&str]) {
+    let out = exp().args(args).output().expect("run exp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "exp {args:?} must exit 2, stderr: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "exp {args:?} panicked: {stderr}"
+    );
+    assert!(
+        stderr.contains("error:") && stderr.contains("usage:"),
+        "exp {args:?} must print an error and the usage: {stderr}"
+    );
+}
+
 #[test]
 fn fleet_rejects_impossible_specs_with_usage() {
     for (flag, value) in [
@@ -140,24 +161,36 @@ fn fleet_rejects_impossible_specs_with_usage() {
         ("--alpha", "nan"),
         ("--alpha", "-1"),
     ] {
-        let out = exp()
-            .args(["fleet", flag, value])
-            .output()
-            .expect("run exp");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "exp fleet {flag} {value} must exit 2, stderr: {stderr}"
-        );
-        assert!(
-            !stderr.contains("panicked"),
-            "exp fleet {flag} {value} panicked: {stderr}"
-        );
-        assert!(
-            stderr.contains("usage:"),
-            "exp fleet {flag} {value} must print the usage: {stderr}"
-        );
+        assert_usage_error(&["fleet", flag, value]);
+    }
+}
+
+/// The flags of `exp --id` and `exp mc` answer hostile values, missing
+/// values, unknown flags and impossible combinations with a usage error.
+#[test]
+fn hostile_flags_exit_2_with_usage() {
+    let cases: &[&[&str]] = &[
+        &["mc", "--seeds", "0"],
+        &["mc", "--seeds", "-1"],
+        &["mc", "--seeds", "abc"],
+        &["--id", "f4a", "--jobs", "0"],
+        &["--id", "f4a", "--jobs", "-3"],
+        &["--id", "f4a", "--jobs", "x"],
+        &["mc", "--jobs", "0"],
+        &["mc", "--jobs", "-3"],
+        &["mc", "--jobs", "x"],
+        &["--id"],
+        &["mc", "--seeds"],
+        &["--id", "f4a", "--profile-json"],
+        &["mc", "--profile-json"],
+        &["--bogus"],
+        &["--id", "f4a", "--bogus"],
+        &["mc", "--bogus"],
+        &["fleet", "--bogus"],
+        &["--all", "--profile"],
+    ];
+    for args in cases {
+        assert_usage_error(args);
     }
 }
 

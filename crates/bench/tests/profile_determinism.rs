@@ -9,20 +9,38 @@
 //!   sweep, at every `jobs` value; `exp fleet --profile` likewise for the
 //!   fleet report, with a consistent per-worker ledger.
 //! * A single traced session returns identical log, event stream and
-//!   metrics snapshot with and without a profiler attached.
+//!   metrics snapshot with and without a profiler attached, and so does
+//!   every session of `exp --id <id> --profile` at any `jobs` value.
 //! * The profile itself is useful: it names the hot dispatch/fetch/link
 //!   spans and attributes ≥ 95% of measured session wall time to named
 //!   spans (the ISSUE acceptance bar).
 
 use std::rc::Rc;
 
-use abr_bench::fleet::{run_fleet, run_fleet_profiled, FleetSpec};
-use abr_bench::mc::{run_mc, run_mc_profiled};
+use abr_bench::experiments::{run_sessions, traced_sessions};
+use abr_bench::fleet::{run_fleet, run_fleet_with, FleetOptions, FleetResult, FleetSpec};
+use abr_bench::mc::{run_mc, run_mc_with, McResult};
+use abr_bench::profiling::WorkloadProfile;
+use abr_bench::runner::merged_metrics;
 use abr_bench::setup::{drama, run_session_obs, run_session_obs_profiled, PlayerKind};
 use abr_core::bestpractice::BestPracticePolicy;
 use abr_event::time::Duration;
 use abr_net::trace::Trace;
 use abr_obs::Profiler;
+
+fn run_mc_profiled(seeds: u64, jobs: usize) -> (McResult, WorkloadProfile) {
+    let (result, profile) = run_mc_with(seeds, jobs, true);
+    (result, profile.expect("profiled run returns a profile"))
+}
+
+fn run_fleet_profiled(spec: &FleetSpec, jobs: usize) -> (FleetResult, WorkloadProfile) {
+    let options = FleetOptions {
+        profile: true,
+        ..FleetOptions::default()
+    };
+    let (result, profile) = run_fleet_with(spec, jobs, options);
+    (result, profile.expect("profiled run returns a profile"))
+}
 
 #[test]
 fn mc_sweep_is_byte_identical_with_profiling_on() {
@@ -133,6 +151,43 @@ fn traced_session_is_identical_with_profiler_attached() {
     // And the profiler actually saw the session.
     let report = profiler.report();
     assert!(!report.roots.is_empty(), "profiler recorded nothing");
+}
+
+/// `exp --id <id> --profile` runs the same sessions as the plain path:
+/// for a three-arm sweep, a 24-session grid and a single session, at
+/// every worker count, the profiled outcomes match the serial unprofiled
+/// ones and the pool's worker rows account for every spec.
+#[test]
+fn profiled_sessions_match_traced_sessions() {
+    for id in ["f3fix", "bp1", "f4b"] {
+        let plain = traced_sessions(id, 1).expect("traceable experiment");
+        for jobs in [1usize, 2, 8] {
+            let (outcomes, profile) = run_sessions(id, jobs, true).expect("traceable experiment");
+            let profile = profile.expect("profiled run returns a profile");
+            assert_eq!(plain.len(), outcomes.len(), "{id} at jobs={jobs}");
+            for (a, b) in plain.iter().zip(&outcomes) {
+                assert_eq!(a.label, b.label, "{id}: session order at jobs={jobs}");
+                assert!(
+                    a.log == b.log,
+                    "{}: log changed with --profile at jobs={jobs}",
+                    a.label
+                );
+                assert!(
+                    a.events == b.events,
+                    "{}: events changed with --profile at jobs={jobs}",
+                    a.label
+                );
+            }
+            assert_eq!(
+                merged_metrics(&plain).rows(),
+                merged_metrics(&outcomes).rows(),
+                "{id}: merged metrics changed with --profile at jobs={jobs}"
+            );
+            let items: u64 = profile.workers.iter().map(|w| w.items).sum();
+            assert_eq!(items, plain.len() as u64, "{id} at jobs={jobs}");
+            assert_eq!(profile.sessions, plain.len() as u64, "{id} at jobs={jobs}");
+        }
+    }
 }
 
 #[test]

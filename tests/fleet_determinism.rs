@@ -19,8 +19,8 @@
 use std::collections::BTreeSet;
 
 use abr_bench::fleet::{
-    run_fleet, run_fleet_sched, run_fleet_with_logs, standalone_log, FleetResult, FleetSchedKnobs,
-    FleetSpec,
+    run_fleet, run_fleet_with, run_fleet_with_logs, standalone_log, FleetOptions, FleetResult,
+    FleetSchedKnobs, FleetSpec,
 };
 use abr_player::session::DeliveryMode;
 use abr_player::SessionLog;
@@ -255,6 +255,16 @@ fn fleet_of_one_matches_the_standalone_session() {
             logs,
         );
     }
+}
+
+/// [`run_fleet_with`] keeping logs, under explicit scheduling knobs.
+fn run_fleet_sched(spec: &FleetSpec, jobs: usize, knobs: FleetSchedKnobs) -> FleetResult {
+    let options = FleetOptions {
+        keep_logs: true,
+        knobs,
+        profile: false,
+    };
+    run_fleet_with(spec, jobs, options).0
 }
 
 /// A sparse fleet: two sessions spread over ~7 minutes of fleet time, so

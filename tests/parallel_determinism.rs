@@ -14,11 +14,13 @@
 //! single-core CI machines.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use abr_bench::experiments::{run_jobs, traced_sessions};
-use abr_bench::runner::{merged_metrics, run_indexed_sched, SessionOutcome};
+use abr_bench::runner::{merged_metrics, run_pool, SessionOutcome};
 use abr_event::rng::SplitMix64;
 use abr_obs::export::to_jsonl;
+use abr_obs::Profiler;
 use abr_player::SessionLog;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -201,10 +203,13 @@ fn random_permutation(n: usize, seed: u64) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Chunk size, worker count and claim-order hint are scheduling
-    /// knobs, not semantics (DESIGN.md §16): for any `(n, jobs, chunk)`
-    /// and any permutation hint, `run_indexed_sched` returns exactly the
-    /// serial map, in index order.
+    /// Chunk size, worker count, claim-order hint and profiling are
+    /// scheduling knobs, not semantics (DESIGN.md §16): for any `(n,
+    /// jobs, chunk)`, any permutation hint and per-worker scratch that
+    /// the items ignore, the pool returns exactly the serial map, in
+    /// index order. Profiled, it also accounts for every item: worker
+    /// rows sum to `n`, each worker's claim and busy time fit in its
+    /// lifetime, and the merged spans and item histogram count `n` items.
     #[test]
     fn chunked_claiming_is_schedule_blind(
         n in 0usize..97,
@@ -213,10 +218,36 @@ proptest! {
         hint_seed in any::<u64>(),
     ) {
         let reference: Vec<u64> = (0..n).map(item_value).collect();
-        let unhinted = run_indexed_sched(n, jobs, chunk, None, item_value);
+        // Scratch collects the indices a worker ran; results ignore it.
+        let item = |scratch: &mut Vec<usize>, i: usize, prof: Option<&Rc<Profiler>>| {
+            let _span = prof.map(|p| p.span("item"));
+            scratch.push(i);
+            item_value(i)
+        };
+        let (unhinted, pool) = run_pool(n, jobs, chunk, None, false, Vec::new, item);
         prop_assert_eq!(&reference, &unhinted);
+        prop_assert!(pool.is_none());
         let order = random_permutation(n, hint_seed);
-        let hinted = run_indexed_sched(n, jobs, chunk, Some(&order), item_value);
+        let (hinted, _) = run_pool(n, jobs, chunk, Some(&order), false, Vec::new, item);
         prop_assert_eq!(&reference, &hinted);
+        let (profiled, pool) = run_pool(n, jobs, chunk, Some(&order), true, Vec::new, item);
+        prop_assert_eq!(&reference, &profiled);
+        let pool = pool.expect("profiled run returns a profile");
+        prop_assert_eq!(pool.items, n as u64);
+        prop_assert_eq!(pool.jobs, jobs.min(n.max(1)));
+        prop_assert_eq!(pool.workers.iter().map(|w| w.items).sum::<u64>(), n as u64);
+        for w in &pool.workers {
+            prop_assert!(
+                w.claim_ns + w.busy_ns <= w.alive_ns,
+                "worker {}: claim {}ns + busy {}ns exceeds alive {}ns",
+                w.worker,
+                w.claim_ns,
+                w.busy_ns,
+                w.alive_ns
+            );
+        }
+        prop_assert_eq!(pool.spans.roots.iter().map(|r| r.count).sum::<u64>(), n as u64);
+        prop_assert_eq!(pool.item_wall.count, n as u64);
+        prop_assert!(pool.wall_ns >= pool.run_ns);
     }
 }
