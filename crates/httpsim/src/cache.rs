@@ -1,14 +1,16 @@
 //! LRU CDN cache.
 //!
 //! Models an edge cache between clients and the origin, keyed by
-//! `(object, exact range)`. Used by the §1 motivation experiment: with
-//! demuxed tracks, user B's request for video variant V1 hits the cache
-//! warmed by user A even though their audio choices differ; with muxed
-//! packaging every (V, A) pairing is a distinct object and misses.
+//! `(namespace, object, exact range)`. Used by the §1 motivation
+//! experiment: with demuxed tracks, user B's request for video variant
+//! V1 hits the cache warmed by user A even though their audio choices
+//! differ; with muxed packaging every (V, A) pairing is a distinct object
+//! and misses.
 
 use crate::origin::{HttpError, Origin};
 use crate::request::{ObjectId, Request};
 use abr_event::time::Instant;
+use abr_media::track::{MediaType, TrackId};
 use abr_media::units::Bytes;
 use abr_obs::{Event, ObsHandle};
 use std::collections::BTreeMap;
@@ -43,21 +45,97 @@ impl CacheStats {
 /// Full cache key: `(namespace, object, exact range)`. The namespace
 /// disambiguates identical `ObjectId`s from different catalog titles when
 /// one cache fronts a whole fleet (every title numbers its segments from
-/// chunk 0); single-title callers use namespace 0 throughout.
+/// chunk 0); single-title callers use namespace 0 throughout. Only keys
+/// without dense coordinates (byte ranges and documents) are stored in
+/// this form.
 type CacheKey = (u64, ObjectId, Option<(u64, u64)>);
 
-/// End-of-list marker for the recency links.
+/// End-of-list marker for the recency links, the empty cell of the
+/// dense table, and the `title` of a slot indexed by the side map.
 const NIL: u32 = u32::MAX;
 
-/// One stored entry, threaded on the recency list.
-#[derive(Debug, Clone)]
+/// Where a request's entry lives in the index.
+enum Addr {
+    /// An unranged segment, muxed segment or track file: cell
+    /// `[stream][position]` of namespace `namespace`'s table.
+    Dense {
+        namespace: u64,
+        stream: u32,
+        position: u32,
+    },
+    /// Anything else: an exact key in the side map.
+    Keyed(CacheKey),
+}
+
+impl Addr {
+    /// The address of `req` under `namespace`. Dense coordinates are pure
+    /// arithmetic on the object's ladder indices and chunk, never on the
+    /// content: `stream` is `3·s + kind`, where `s` is `2·index + media`
+    /// for a track (kind 0 a segment, kind 1 the whole track file) and
+    /// the Szudzik pairing of `(video, audio)` for a muxed combo (kind 2),
+    /// and `position` is the chunk. Coordinates that overflow `u32` fall
+    /// back to the side map.
+    fn of(req: &Request, namespace: u64) -> Addr {
+        let dense = match (&req.object, req.range) {
+            (ObjectId::Segment { track, chunk }, None) => {
+                coordinates(track_stream(*track), 0, *chunk)
+            }
+            (ObjectId::TrackFile { track }, None) => coordinates(track_stream(*track), 1, 0),
+            (ObjectId::MuxedSegment { combo, chunk }, None) => {
+                coordinates(pair(combo.video, combo.audio), 2, *chunk)
+            }
+            _ => None,
+        };
+        match dense {
+            Some((stream, position)) => Addr::Dense {
+                namespace,
+                stream,
+                position,
+            },
+            None => {
+                let (object, range) = req.cache_key();
+                Addr::Keyed((namespace, object, range))
+            }
+        }
+    }
+}
+
+/// `2·index + media`: the per-track stream number (audio even, video odd).
+fn track_stream(track: TrackId) -> Option<usize> {
+    let media = usize::from(track.media == MediaType::Video);
+    track.index.checked_mul(2)?.checked_add(media)
+}
+
+/// Szudzik's pairing: a bijection from `(a, b)` onto the naturals that
+/// stays compact while both indices are small.
+fn pair(a: usize, b: usize) -> Option<usize> {
+    if a >= b {
+        a.checked_mul(a)?.checked_add(a)?.checked_add(b)
+    } else {
+        b.checked_mul(b)?.checked_add(a)
+    }
+}
+
+/// `(3·s + kind, position)` as table coordinates, if both fit `u32`.
+fn coordinates(s: Option<usize>, kind: usize, position: usize) -> Option<(u32, u32)> {
+    let stream = s?.checked_mul(3)?.checked_add(kind)?;
+    Some((u32::try_from(stream).ok()?, u32::try_from(position).ok()?))
+}
+
+/// One stored entry, threaded on the recency list. It carries only its
+/// compact table coordinates; an entry of the side map has `title ==
+/// NIL`, and its full key is found by the side map's slot value.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    key: CacheKey,
     size: Bytes,
     /// Neighbor toward the most recently used end (`NIL` at the head).
     newer: u32,
     /// Neighbor toward the least recently used end (`NIL` at the tail).
     older: u32,
+    /// Index into `tables`, or `NIL` for a side-map entry.
+    title: u32,
+    stream: u32,
+    position: u32,
 }
 
 /// An LRU cache with a byte-capacity bound.
@@ -65,17 +143,29 @@ struct Slot {
 /// Entries live in a slot vector threaded on an intrusive doubly linked
 /// recency list: every lookup moves its entry to the most recently used
 /// end, so recency is a total order and the LRU victim is the list's
-/// tail. A hit is one tree lookup plus an O(1) relink; an eviction is an
-/// O(1) unlink plus one tree removal.
+/// tail. An unranged segment, muxed segment or track file finds its slot
+/// through a dense per-title table indexed by arithmetic on the object's
+/// coordinates (see `Addr::of`), so a hit is one small namespace lookup,
+/// two vector indexings and an O(1) relink; an eviction is an O(1)
+/// unlink and one cell reset. Once the tables have grown to the request
+/// mix, nothing allocates. Byte ranges (single-file packaging) and
+/// documents take an exact-key side map instead; no workload sends them
+/// through a cache.
 #[derive(Debug)]
 pub struct CdnCache {
     capacity: Bytes,
     used: Bytes,
-    /// `(namespace, object, exact range)` → slot. Ordered maps rather
-    /// than hash maps keep every walk key-ordered, so the cache's
-    /// observable behavior is a pure function of the request sequence
-    /// (ABR-L001).
-    index: BTreeMap<CacheKey, u32>,
+    /// Namespace (catalog title) → index into `tables`: one entry per
+    /// title ever stored.
+    titles: BTreeMap<u64, u32>,
+    /// Per title, `[stream][position]` → slot, `NIL` where nothing is
+    /// stored. Streams and positions grow on first insert and never
+    /// shrink.
+    tables: Vec<Vec<Vec<u32>>>,
+    /// `(namespace, object, exact range)` → slot for the requests without
+    /// dense coordinates: byte ranges and documents. Ordered, so any walk
+    /// is key-ordered (ABR-L001).
+    side: BTreeMap<CacheKey, u32>,
     /// Entry storage; vacated slots are listed in `free`.
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -94,7 +184,9 @@ impl CdnCache {
         CdnCache {
             capacity,
             used: Bytes::ZERO,
-            index: BTreeMap::new(),
+            titles: BTreeMap::new(),
+            tables: Vec::new(),
+            side: BTreeMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             mru: NIL,
@@ -141,9 +233,8 @@ impl CdnCache {
         namespace: u64,
         now: Instant,
     ) -> Result<(bool, Bytes), HttpError> {
-        let (object, range) = req.cache_key();
-        let key = (namespace, object, range);
-        if let Some(&slot) = self.index.get(&key) {
+        let addr = Addr::of(req, namespace);
+        if let Some(slot) = self.find(&addr) {
             self.unlink(slot);
             self.push_mru(slot);
             self.stats.hits += 1;
@@ -161,28 +252,89 @@ impl CdnCache {
                 self.evict_lru();
             }
             self.used += size;
+            let slot = match self.free.pop() {
+                Some(slot) => slot,
+                None => u32::try_from(self.slots.len()).expect("slot count fits u32"),
+            };
+            let (title, stream, position) = self.bind(addr, slot);
             let entry = Slot {
-                key: key.clone(),
                 size,
                 newer: NIL,
                 older: NIL,
+                title,
+                stream,
+                position,
             };
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.slots[slot as usize] = entry;
-                    slot
-                }
-                None => {
-                    self.slots.push(entry);
-                    u32::try_from(self.slots.len() - 1).expect("slot count fits u32")
-                }
-            };
+            match self.slots.get_mut(slot as usize) {
+                Some(vacated) => *vacated = entry,
+                None => self.slots.push(entry),
+            }
             self.push_mru(slot);
-            self.index.insert(key, slot);
         }
         self.debug_check();
         self.record_lookup(req, now, false, size);
         Ok((false, size))
+    }
+
+    /// The slot stored at `addr`, if any. Searches nothing but the
+    /// one-entry-per-title namespace map on the dense path.
+    fn find(&self, addr: &Addr) -> Option<u32> {
+        match addr {
+            Addr::Dense {
+                namespace,
+                stream,
+                position,
+            } => {
+                let title = *self.titles.get(namespace)?;
+                let cell = *self.tables[title as usize]
+                    .get(*stream as usize)?
+                    .get(*position as usize)?;
+                #[cfg(feature = "debug-invariants")]
+                if cell != NIL {
+                    let s = &self.slots[cell as usize];
+                    debug_assert_eq!(
+                        (s.title, s.stream, s.position),
+                        (title, *stream, *position),
+                        "a table cell must point at the slot stored there"
+                    );
+                }
+                (cell != NIL).then_some(cell)
+            }
+            Addr::Keyed(key) => self.side.get(key).copied(),
+        }
+    }
+
+    /// Records `slot` at the (absent) `addr`, growing the namespace's
+    /// table as needed, and returns the slot's `(title, stream,
+    /// position)`.
+    fn bind(&mut self, addr: Addr, slot: u32) -> (u32, u32, u32) {
+        match addr {
+            Addr::Dense {
+                namespace,
+                stream,
+                position,
+            } => {
+                let fresh = u32::try_from(self.tables.len()).expect("title count fits u32");
+                let title = *self.titles.entry(namespace).or_insert(fresh);
+                if title == fresh {
+                    self.tables.push(Vec::new());
+                }
+                let streams = &mut self.tables[title as usize];
+                if streams.len() <= stream as usize {
+                    streams.resize_with(stream as usize + 1, Vec::new);
+                }
+                let cells = &mut streams[stream as usize];
+                if cells.len() <= position as usize {
+                    cells.resize(position as usize + 1, NIL);
+                }
+                cells[position as usize] = slot;
+                (title, stream, position)
+            }
+            Addr::Keyed(key) => {
+                self.side.insert(key, slot);
+                (NIL, 0, 0)
+            }
+        }
     }
 
     fn record_lookup(&self, req: &Request, now: Instant, hit: bool, size: Bytes) {
@@ -201,8 +353,14 @@ impl CdnCache {
         let victim = self.lru;
         assert_ne!(victim, NIL, "evict on non-empty cache");
         self.unlink(victim);
-        let slot = &self.slots[victim as usize];
-        self.index.remove(&slot.key).expect("listed entry indexed");
+        let slot = self.slots[victim as usize];
+        if slot.title == NIL {
+            // No workload sends ranges or documents through a cache, so
+            // a walk of the side map is cheap enough.
+            self.side.retain(|_, &mut s| s != victim);
+        } else {
+            self.tables[slot.title as usize][slot.stream as usize][slot.position as usize] = NIL;
+        }
         self.used -= slot.size;
         self.free.push(victim);
         self.stats.evictions += 1;
@@ -237,28 +395,39 @@ impl CdnCache {
 
     /// Structural invariants, checked after every lookup when built with
     /// `debug-invariants`: the recency list, walked from the MRU end,
-    /// visits exactly the indexed slots; its `newer`/`older` links agree;
-    /// every listed slot's key maps back to that slot; and the listed
-    /// sizes sum to `used`.
+    /// visits every stored slot; its `newer`/`older` links agree; every
+    /// listed slot's coordinates, or a side-map key, map back to that
+    /// slot; the side map holds as many keys as there are listed side
+    /// entries (so its keys and those entries correspond one to one); and
+    /// the listed sizes sum to `used`. The check allocates nothing, so it
+    /// leaves allocation counts unchanged.
     fn debug_check(&self) {
         #[cfg(feature = "debug-invariants")]
         {
             let mut visited = 0usize;
+            let mut keyed = 0usize;
             let mut bytes = 0u64;
             let mut prev = NIL;
             let mut at = self.mru;
             while at != NIL {
                 debug_assert!(
-                    visited < self.index.len(),
-                    "recency list longer than the index (cycle?)"
+                    visited < self.len(),
+                    "recency list longer than the entry count (cycle?)"
                 );
                 let s = &self.slots[at as usize];
                 debug_assert_eq!(s.newer, prev, "newer link disagrees with the walk");
-                debug_assert_eq!(
-                    self.index.get(&s.key),
-                    Some(&at),
-                    "a listed slot's key must map back to it"
-                );
+                if s.title == NIL {
+                    keyed += 1;
+                    debug_assert!(
+                        self.side.values().any(|&v| v == at),
+                        "a listed side entry must have a side key"
+                    );
+                } else {
+                    debug_assert_eq!(
+                        self.tables[s.title as usize][s.stream as usize][s.position as usize], at,
+                        "a listed slot's coordinates must map back to it"
+                    );
+                }
                 bytes += s.size.get();
                 visited += 1;
                 prev = at;
@@ -267,8 +436,13 @@ impl CdnCache {
             debug_assert_eq!(self.lru, prev, "list tail must be the LRU slot");
             debug_assert_eq!(
                 visited,
-                self.index.len(),
-                "recency list must visit every indexed slot"
+                self.len(),
+                "recency list must visit every stored slot"
+            );
+            debug_assert_eq!(
+                keyed,
+                self.side.len(),
+                "side map must hold one key per listed side entry"
             );
             debug_assert_eq!(bytes, self.used.get(), "entry sizes must sum to used bytes");
         }
@@ -286,12 +460,12 @@ impl CdnCache {
 
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 }
 

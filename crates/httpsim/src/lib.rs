@@ -7,8 +7,8 @@
 //!   per-request header overhead.
 //! * [`origin`] — the origin server: resolves requests against a
 //!   [`abr_media::Content`] and yields exact transfer sizes.
-//! * [`cache`] — an LRU CDN cache keyed by `(object, range)`, with hit/miss
-//!   and byte accounting. Reproduces the §1 motivation: demuxed tracks give
+//! * [`cache`] — an LRU CDN cache keyed by `(namespace, object, range)`,
+//!   with hit/miss and byte accounting. Reproduces the §1 motivation: demuxed tracks give
 //!   cross-user cache hits that muxed M×N packaging cannot.
 //! * [`edge`] — the [`edge::TransferPath`] trait (what sits between player
 //!   and origin) and the miss-penalty [`edge::EdgeCache`] path built on the

@@ -2,33 +2,106 @@
 //! recency-list LRU against a scan-based reference, and origin byte-range
 //! consistency.
 
+use abr_event::time::{Duration, Instant};
 use abr_httpsim::cache::{CacheStats, CdnCache};
 use abr_httpsim::origin::Origin;
 use abr_httpsim::request::{ObjectId, Request};
+use abr_media::combo::Combo;
 use abr_media::content::Content;
-use abr_media::track::TrackId;
+use abr_media::ladder::Ladder;
+use abr_media::track::{MediaType, TrackId};
 use abr_media::units::Bytes;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// The one document every test origin publishes.
+const DOCUMENT: &str = "manifest.mpd";
+
+/// The drama show (6 video + 3 audio tracks, 75 chunks) with a published
+/// manifest.
 fn origin() -> Origin {
-    Origin::with_overhead(Content::drama_show(3), Bytes::ZERO)
+    let mut origin = Origin::with_overhead(Content::drama_show(3), Bytes::ZERO);
+    origin.publish_document(DOCUMENT, "<MPD/>");
+    origin
+}
+
+/// A smaller title than [`origin`]: 4 video + 2 audio tracks and 40
+/// chunks, with a manifest of a different size. Its requests share
+/// `ObjectId`s with the drama show's, so under one namespace the two
+/// collide exactly as the cache's key says they must.
+fn small_origin() -> Origin {
+    let video = Ladder::new(
+        MediaType::Video,
+        Ladder::table1_video().iter().take(4).cloned().collect(),
+    );
+    let audio = Ladder::new(
+        MediaType::Audio,
+        Ladder::table1_audio().iter().take(2).cloned().collect(),
+    );
+    let content = Content::new(video, audio, Duration::from_secs(4), 40, 11);
+    let mut origin = Origin::with_overhead(content, Bytes::ZERO);
+    origin.publish_document(DOCUMENT, "<MPD type=\"static\"/>");
+    origin
+}
+
+/// Raw draws for one request: a shape selector and four numbers that
+/// [`request_on`] reduces into the bounds of a given origin.
+type Draw = (u8, usize, usize, u64, u64);
+
+fn arb_draw() -> impl Strategy<Value = Draw> {
+    (
+        0u8..6,
+        any::<usize>(),
+        any::<usize>(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+}
+
+/// An in-bounds request on `origin`, of any key shape the cache sees:
+/// segments, whole track files and muxed segments (the dense index), and
+/// chunk byte ranges, other byte ranges into a track file and a document
+/// (the side map). The other ranges sit on a coarse grid so that some of
+/// them repeat.
+fn request_on(origin: &Origin, (shape, t, chunk, x, y): Draw) -> Request {
+    let content = origin.content();
+    let (videos, audios) = (content.video().len(), content.audio().len());
+    let t = t % (videos + audios);
+    let track = if t < videos {
+        TrackId::video(t)
+    } else {
+        TrackId::audio(t - videos)
+    };
+    let chunk = chunk % content.num_chunks();
+    match shape {
+        0 => Origin::segment_request(track, chunk),
+        1 => Request::whole(ObjectId::TrackFile { track }),
+        2 => Request::whole(ObjectId::MuxedSegment {
+            combo: Combo::new(t % videos, usize::try_from(x).unwrap() % audios),
+            chunk,
+        }),
+        3 => origin.range_request(track, chunk).unwrap(),
+        4 => {
+            let size = content.track_bytes(track).get();
+            let offset = x % 4 * (size / 4);
+            let len = 1 + y % 4 * ((size - offset) / 4);
+            Request::ranged(ObjectId::TrackFile { track }, offset, Bytes(len))
+        }
+        _ => Request::whole(ObjectId::Document {
+            path: DOCUMENT.into(),
+        }),
+    }
 }
 
 /// A random request against the drama show.
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0usize..9, 0usize..75, any::<bool>()).prop_map(|(t, chunk, whole_track)| {
-        let track = if t < 6 {
-            TrackId::video(t)
-        } else {
-            TrackId::audio(t - 6)
-        };
-        if whole_track {
-            Request::whole(ObjectId::TrackFile { track })
-        } else {
-            Origin::segment_request(track, chunk)
-        }
-    })
+    let origin = origin();
+    arb_draw().prop_map(move |draw| request_on(&origin, draw))
+}
+
+/// A title namespace: three small ones and the largest.
+fn arb_namespace() -> impl Strategy<Value = u64> {
+    (0u64..4).prop_map(|ns| if ns == 3 { u64::MAX } else { ns })
 }
 
 /// `(namespace, object, exact range)`, as `CdnCache` keys its entries.
@@ -158,10 +231,9 @@ proptest! {
     /// back to the origin, never to another title's bytes.
     #[test]
     fn hits_never_serve_stale_or_foreign_bytes(
-        requests in proptest::collection::vec((arb_request(), 0u64..3), 1..150),
+        requests in proptest::collection::vec((arb_request(), arb_namespace()), 1..150),
         capacity_kb in 8u64..512,
     ) {
-        use abr_event::time::Instant;
         let origin = origin();
         let capacity = Bytes(capacity_kb * 1024);
         let mut cache = CdnCache::new(capacity);
@@ -190,10 +262,9 @@ proptest! {
     /// stored and entry count.
     #[test]
     fn indexed_lru_matches_scan_reference(
-        requests in proptest::collection::vec((arb_request(), 0u64..3), 1..200),
+        requests in proptest::collection::vec((arb_request(), arb_namespace()), 1..200),
         capacity_kb in 8u64..512,
     ) {
-        use abr_event::time::Instant;
         let origin = origin();
         let mut cache = CdnCache::new(Bytes(capacity_kb * 1024));
         let mut reference = ScanCache::new(Bytes(capacity_kb * 1024));
@@ -206,12 +277,36 @@ proptest! {
         }
     }
 
+    /// Differential, content-blind coordinates: two titles of different
+    /// ladder sizes and chunk counts share namespace 0, so a request of
+    /// one title may hit the other's entry exactly when their keys are
+    /// equal. The cache must still agree with the reference request for
+    /// request, which it cannot if its index depended on the content.
+    #[test]
+    fn coordinates_do_not_depend_on_the_content(
+        requests in proptest::collection::vec((any::<bool>(), arb_draw()), 1..200),
+        capacity_kb in 8u64..2_048,
+    ) {
+        let origins = [origin(), small_origin()];
+        let mut cache = CdnCache::new(Bytes(capacity_kb * 1024));
+        let mut reference = ScanCache::new(Bytes(capacity_kb * 1024));
+        for &(small, draw) in &requests {
+            let origin = &origins[usize::from(small)];
+            let req = request_on(origin, draw);
+            let got = cache.fetch_keyed(origin, &req, 0, Instant::ZERO).unwrap();
+            prop_assert_eq!(got, reference.fetch_keyed(origin, &req, 0));
+            prop_assert_eq!(cache.stats(), reference.stats);
+            prop_assert_eq!(cache.used(), reference.used);
+            prop_assert_eq!(cache.len(), reference.entries.len());
+        }
+    }
+
     /// Muxed segment sizes equal the sum of their components, for every
     /// combination and chunk.
     #[test]
     fn muxed_segments_are_sums(v in 0usize..6, a in 0usize..3, chunk in 0usize..75) {
         let origin = origin();
-        let combo = abr_media::combo::Combo::new(v, a);
+        let combo = Combo::new(v, a);
         let muxed = origin
             .body_size(&Request::whole(ObjectId::MuxedSegment { combo, chunk }))
             .unwrap();

@@ -7,19 +7,26 @@
 //! growth, first use of each reusable buffer. This test pins that bound
 //! for every DASH player kind, so a per-event allocation that sneaks back
 //! in fails here instead of quietly slowing every workload. A session
-//! that streams its QoE digest instead of a log has a tighter budget.
+//! that streams its QoE digest instead of a log has a tighter budget, and
+//! a fleet domain's warm shared cache allocates nothing per request.
 
 // The only unsafe code in this file is the `GlobalAlloc` impl below: it
 // forwards every call unchanged to `System` and only bumps a counter.
 #![allow(unsafe_code)]
 
 use abr_bench::setup::{self, PlayerKind};
-use abr_event::time::Duration;
+use abr_event::time::{Duration, Instant};
+use abr_httpsim::cache::CdnCache;
 use abr_httpsim::origin::Origin;
+use abr_httpsim::request::{ObjectId, Request};
+use abr_httpsim::shared::FleetHub;
+use abr_media::combo::Combo;
 use abr_media::content::SharedContent;
+use abr_media::track::TrackId;
 use abr_media::units::Bytes;
 use abr_net::link::Link;
 use abr_net::trace::Trace;
+use abr_net::uplink::UplinkQueue;
 use abr_player::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -161,4 +168,64 @@ fn a_digest_session_allocates_less_than_a_logged_one() {
              (budget {DIGEST_BUDGET}); all (kind, log, digest): {report:?}"
         );
     }
+}
+
+/// A fleet domain's shared hub allocates nothing per request once warm.
+/// Three titles' viewers each fetch a video segment, an audio segment and
+/// a muxed segment per chunk (leading, so they miss) and then re-fetch
+/// the video and audio of two chunks back (lagging, so they hit), through
+/// a cache far smaller than the working set (so misses evict). After two
+/// warm-up rounds, a third round of hits, misses and evictions must make
+/// no allocation at all.
+#[test]
+fn a_warm_fleet_hub_allocates_nothing_per_request() {
+    let content = setup::drama();
+    let origin = Origin::with_overhead(SharedContent::clone(&content), Bytes::ZERO);
+    let chunks = content.num_chunks();
+    let mut round = Vec::new();
+    for chunk in 0..chunks {
+        let lagged = (chunk + chunks - 2) % chunks;
+        for t in 0..3 {
+            let title = u64::try_from(t).unwrap();
+            let (video, audio) = (TrackId::video(2 + t), TrackId::audio(t));
+            let muxed = ObjectId::MuxedSegment {
+                combo: Combo::new(t, t),
+                chunk,
+            };
+            round.push((title, Origin::segment_request(video, chunk)));
+            round.push((title, Origin::segment_request(audio, chunk)));
+            round.push((title, Request::whole(muxed)));
+            round.push((title, Origin::segment_request(video, lagged)));
+            round.push((title, Origin::segment_request(audio, lagged)));
+        }
+    }
+    let mut hub = FleetHub::new(
+        CdnCache::new(Bytes(8_000_000)),
+        UplinkQueue::new(40_000),
+        Duration::from_millis(60),
+    );
+    let mut at = Instant::ZERO;
+    let mut run_round = |hub: &mut FleetHub| {
+        for (title, req) in &round {
+            at += Duration::from_millis(10);
+            hub.request(&origin, req, *title, at);
+        }
+    };
+    run_round(&mut hub);
+    run_round(&mut hub);
+    let before = hub.cache_stats().unwrap();
+    let ((), allocations) = count_allocations(|| run_round(&mut hub));
+    let after = hub.cache_stats().unwrap();
+    assert!(
+        after.hits > before.hits
+            && after.misses > before.misses
+            && after.evictions > before.evictions,
+        "the counted round must hit, miss and evict: {before:?} -> {after:?}"
+    );
+    assert_eq!(
+        allocations,
+        0,
+        "{allocations} allocations over {} warm hub requests",
+        round.len()
+    );
 }

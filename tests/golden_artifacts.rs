@@ -15,6 +15,10 @@
 //! * `results/fleet_comparison.txt` — the demuxed-vs-muxed head-to-head
 //!   over the same topology (`exp fleet … --delivery both`), the fleet
 //!   engine's headline artifact.
+//! * `results/fleet_evict.txt` — the same head-to-head with 64 sessions
+//!   behind a 16 MB per-domain cache, so thousands of LRU evictions per
+//!   domain reach the artifact (the goldens above never evict): pins the
+//!   cache's victim order end to end.
 //!
 //! After an *intentional* behavior change, regenerate with:
 //!
@@ -108,4 +112,15 @@ fn fleet_comparison_matches_golden() {
     };
     let result = abr_bench::fleet::run_fleet_comparison(&spec, 1);
     check_golden("results/fleet_comparison.txt", &result.text);
+}
+
+#[test]
+fn fleet_evict_matches_golden() {
+    let spec = abr_bench::fleet::FleetSpec {
+        arrival_secs: 30,
+        cache_mb: 16,
+        ..abr_bench::fleet::FleetSpec::small(64)
+    };
+    let result = abr_bench::fleet::run_fleet_comparison(&spec, 1);
+    check_golden("results/fleet_evict.txt", &result.text);
 }
