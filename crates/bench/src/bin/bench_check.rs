@@ -1,17 +1,13 @@
-//! Bench-history regression gate CLI (`scripts/bench_check`).
+//! Bench-history regression gate CLI (see `abr_bench::history`).
 //!
 //! ```text
-//! bench_check check --file BENCH_sim.json [--file BENCH_runner.json ...]
-//!     Gate the latest entry of each history document against its own
-//!     recorded past (abr-bench-history-v1; see abr_bench::history).
-//!     Exit 1 if any benchmark regressed beyond tolerance.
-//!
-//! bench_check append --file BENCH_sim.json --entry new_entry.json
-//!     Append a measurement entry (a JSON object) to a history document
-//!     in place. Entries are append-only; nothing is ever rewritten.
-//!     `--entry -` reads the entry from stdin (what bench_sim.sh and
-//!     bench_runner.sh pipe in).
+//! bench_check check --file BENCH.json
+//!     Gate the latest entry; exit 1 if it fails a rule.
+//! bench_check append --file BENCH.json --entry new_entry.json|-
+//!     Append one entry (`-` reads it from stdin); nothing is rewritten.
 //! ```
+//!
+//! Exit 2 on a usage error, 1 on an unreadable or malformed file or entry.
 
 use std::io::Read as _;
 use std::process::ExitCode;
@@ -21,128 +17,71 @@ use serde_json::Value;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_check check --file F [--file F2 ...]\n       bench_check append --file F --entry E.json|-"
+        "usage: bench_check check --file F\n       bench_check append --file F --entry E.json|-"
     );
     ExitCode::from(2)
 }
 
-fn read_doc(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: {e:?}"))
+/// Parses `text`, read from `source`, naming the source in any error.
+fn parse(source: &str, text: std::io::Result<String>) -> Result<Value, String> {
+    let text = text.map_err(|e| format!("{source}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("{source}: {e}"))
 }
 
-fn cmd_check(files: &[String]) -> ExitCode {
-    let mut failed = false;
-    for path in files {
-        let doc = match read_doc(path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("bench_check: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match history::check(&doc) {
-            Ok(outcome) => {
-                print!("{path}:\n{}", outcome.render());
-                failed |= !outcome.passed();
-            }
-            Err(e) => {
-                eprintln!("bench_check: {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+fn read_json(path: &str) -> Result<Value, String> {
+    parse(path, std::fs::read_to_string(path))
 }
 
-fn cmd_append(file: &str, entry_src: &str) -> ExitCode {
-    let entry_text = if entry_src == "-" {
+fn cmd_check(file: &str) -> Result<bool, String> {
+    let outcome = history::check(&read_json(file)?, &history::benchmark()?)
+        .map_err(|e| format!("{file}: {e}"))?;
+    print!("{file}:\n{}", outcome.render());
+    Ok(outcome.passed())
+}
+
+fn cmd_append(file: &str, entry: &str) -> Result<bool, String> {
+    let entry = if entry == "-" {
         let mut buf = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-            eprintln!("bench_check: stdin: {e}");
-            return ExitCode::FAILURE;
-        }
-        buf
+        let read = std::io::stdin().read_to_string(&mut buf).map(|_| buf);
+        parse("stdin", read)?
     } else {
-        match std::fs::read_to_string(entry_src) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench_check: {entry_src}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        read_json(entry)?
     };
-    let entry: Value = match serde_json::from_str(&entry_text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bench_check: entry: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut doc = match read_doc(file) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = history::append_entry(&mut doc, entry) {
-        eprintln!("bench_check: {file}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let rendered = match serde_json::to_string_pretty(&doc) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench_check: serialize: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(file, rendered + "\n") {
-        eprintln!("bench_check: write {file}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let mut doc = read_json(file)?;
+    history::append_entry(&mut doc, entry).map_err(|e| format!("{file}: {e}"))?;
+    let rendered = history::render(&doc).map_err(|e| format!("{file}: {e}"))?;
+    std::fs::write(file, rendered).map_err(|e| format!("write {file}: {e}"))?;
     println!("bench_check: appended entry to {file}");
-    ExitCode::SUCCESS
+    Ok(true)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    let mut files: Vec<String> = Vec::new();
-    let mut entry: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) => files.push(f.clone()),
-                    None => return usage(),
-                }
-            }
-            "--entry" => {
-                i += 1;
-                match args.get(i) {
-                    Some(e) => entry = Some(e.clone()),
-                    None => return usage(),
-                }
-            }
+    let mut file: Option<&str> = None;
+    let mut entry: Option<&str> = None;
+    let mut flags = args.iter().skip(1);
+    while let Some(flag) = flags.next() {
+        let slot = match flag.as_str() {
+            "--file" => &mut file,
+            "--entry" => &mut entry,
+            _ => return usage(),
+        };
+        match flags.next() {
+            Some(value) if slot.is_none() => *slot = Some(value),
             _ => return usage(),
         }
-        i += 1;
     }
-    match cmd.as_str() {
-        "check" if !files.is_empty() && entry.is_none() => cmd_check(&files),
-        "append" => match (files.as_slice(), entry) {
-            ([file], Some(entry)) => cmd_append(file, &entry),
-            _ => usage(),
-        },
-        _ => usage(),
+    let result = match (args.first().map(String::as_str), file, entry) {
+        (Some("check"), Some(file), None) => cmd_check(file),
+        (Some("append"), Some(file), Some(entry)) => cmd_append(file, entry),
+        _ => return usage(),
+    };
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("bench_check: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -36,21 +36,7 @@ use abr_bench::runner;
 use std::io::Write as _;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--assert-release` (used by scripts/bench_sim.sh and
-    // scripts/bench_fleet.sh): refuse to time a debug build. Accepted in
-    // any position and stripped before normal flag parsing.
-    if let Some(pos) = args.iter().position(|a| a == "--assert-release") {
-        args.remove(pos);
-        if cfg!(debug_assertions) {
-            eprintln!(
-                "error: exp was built without --release (debug_assertions on); \
-                 bench timings from a debug build are meaningless. \
-                 Rebuild with `cargo build --release`."
-            );
-            std::process::exit(3);
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("mc") {
         return run_mc_cli(&args[1..]);
     }

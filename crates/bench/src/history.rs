@@ -1,108 +1,137 @@
 //! Append-only bench history and the regression gate behind
-//! `scripts/bench_check`.
+//! `bench_check` (DESIGN.md §13).
 //!
-//! `BENCH_sim.json` and `BENCH_runner.json` hold an `entries` list in
-//! recording order (format [`FORMAT`]). Each entry is one measurement
-//! session: its `host_cores`, optional `criterion_medians_us` map, and
-//! free-form wall-clock fields. Entries are never rewritten — a new
-//! measurement appends (`bench_check append`), so the files accumulate
-//! the performance story the ROADMAP's "10× the hot path" work needs.
-//!
-//! The gate ([`check`]) compares the **latest** entry's criterion medians
-//! against the best (minimum) median among **prior** entries recorded on
-//! a host with the same core count — cross-host numbers are not
-//! comparable, and the 1-core CI runner must not be judged against a
-//! 16-core workstation. A benchmark regresses when
-//! `current > baseline * tolerance`; tolerances are per-benchmark with a
-//! document default, because criterion medians on shared CI runners are
-//! noisy in the ±20–40% range.
-//!
-//! Parallel "speedup" fields are *recorded*, never gated on a 1-core
-//! host: there they measure scheduler noise, which is why entries carry a
-//! `speedup_reliable` flag (false when `host_cores == 1`) instead of
-//! pretending 0.91× is signal.
-//!
-//! On a genuinely multi-core host the story flips: an entry carrying a
-//! `scaling` matrix (recorded by `scripts/bench_scale.sh` — per-workload
-//! wall seconds keyed by jobs level) **is** gated. The scaling gate
-//! (DESIGN.md §16) requires the mc sweep's jobs-2 speedup to reach
-//! [`MIN_JOBS2_SPEEDUP`] and the fleet's best parallel wall to beat its
-//! serial wall, considering only jobs levels the host can actually run
-//! (`jobs <= host_cores`). When `host_cores == 1` the gate is skipped
-//! with a visible note — recorded, not judged.
+//! `BENCH.json` (format [`FORMAT`]) holds one entry per run of
+//! `scripts/bench_record.sh`: the result line of `benchmark/run.sh`
+//! (`correct`, `attempted`, `failed` and the `<workload>/<metric>` map)
+//! plus `recorded`, `commit`, `host_cores`, `parallel_ratio` and
+//! `speedup_reliable`. [`check`] judges the latest entry against the most
+//! recent prior entry with the same `host_cores`, with the end-to-end
+//! metric names, directions and bounds of `BENCHMARK.json`; a
+//! `speedup_reliable` entry must also clear the jobs-2 scaling floors.
 
-use serde_json::Value;
+use serde_json::{Map, Value};
 
 /// Version tag every history document carries.
-pub const FORMAT: &str = "abr-bench-history-v1";
+pub const FORMAT: &str = "abr-bench-history-v2";
 
-/// Default tolerance multiplier when a document does not set one: the
-/// current median may be up to 50% above the recorded baseline before
-/// the gate fails.
-pub const DEFAULT_TOLERANCE: f64 = 1.5;
-
-/// Default scaling-efficiency floor: on a `host_cores >= 2` host, the mc
-/// sweep at `--jobs 2` must be at least this much faster than `--jobs 1`.
-/// Overridable per document via `scaling_gate.min_jobs2_speedup`.
+/// Scaling floor on a `speedup_reliable` entry: the mc sweep at jobs 2
+/// must run at least this much faster than at jobs 1.
 pub const MIN_JOBS2_SPEEDUP: f64 = 1.5;
 
-/// One benchmark whose latest median exceeded its tolerance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Criterion benchmark id.
-    pub benchmark: String,
-    /// Best prior median on a same-core-count host (µs).
-    pub baseline_us: f64,
-    /// Latest entry's median (µs).
-    pub current_us: f64,
-    /// `current / baseline`.
-    pub ratio: f64,
-    /// The tolerance the ratio was held against.
-    pub tolerance: f64,
+/// Parses the checked-in `BENCHMARK.json`.
+pub fn benchmark() -> Result<Value, String> {
+    serde_json::from_str(include_str!("../../../BENCHMARK.json"))
+        .map_err(|e| format!("BENCHMARK.json: {e}"))
+}
+
+/// `(name, higher_is_better, bound)` for every end-to-end metric of a
+/// benchmark description; the bound is the share of the baseline by
+/// which the metric may worsen.
+fn bounds(benchmark: &Value) -> Result<Vec<(&str, bool, f64)>, String> {
+    let list = benchmark["end_to_end"]
+        .as_array()
+        .ok_or("benchmark description has no end_to_end list")?;
+    list.iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let bound = m["bound"].as_f64().filter(|b| *b >= 0.0);
+            match (m["name"].as_str(), m["better"].as_str(), bound) {
+                (Some(name), Some(better @ ("lower" | "higher")), Some(bound)) => {
+                    Ok((name, better == "higher", bound))
+                }
+                _ => Err(format!(
+                    "end_to_end[{i}] needs a name, better (lower|higher) and a bound >= 0"
+                )),
+            }
+        })
+        .collect()
+}
+
+/// The fields of one entry the gate reads.
+struct Entry<'a> {
+    host_cores: u64,
+    parallel_ratio: f64,
+    speedup_reliable: bool,
+    correct: bool,
+    attempted: u64,
+    failed: u64,
+    metrics: &'a Map,
+}
+
+impl<'a> Entry<'a> {
+    fn parse(entry: &'a Value) -> Result<Self, String> {
+        if !entry.is_object() {
+            return Err("entry must be a JSON object".to_string());
+        }
+        let bad = |key: &str, what: &str| format!("entry {key} must be {what}");
+        let uint = |key: &str| {
+            entry[key]
+                .as_u64()
+                .ok_or_else(|| bad(key, "an integer >= 0"))
+        };
+        let flag = |key: &str| {
+            entry[key]
+                .as_bool()
+                .ok_or_else(|| bad(key, "true or false"))
+        };
+        Ok(Entry {
+            host_cores: uint("host_cores")?,
+            parallel_ratio: entry["parallel_ratio"]
+                .as_f64()
+                .ok_or_else(|| bad("parallel_ratio", "a number"))?,
+            speedup_reliable: flag("speedup_reliable")?,
+            correct: flag("correct")?,
+            attempted: uint("attempted")?,
+            failed: uint("failed")?,
+            metrics: entry["metrics"]
+                .as_object()
+                .ok_or_else(|| bad("metrics", "an object"))?,
+        })
+    }
+
+    fn failed_share(&self) -> f64 {
+        self.failed as f64 / self.attempted.max(1) as f64
+    }
+
+    fn value(&self, key: &str) -> Option<f64> {
+        self.metrics.get(key)?.get("value")?.as_f64()
+    }
 }
 
 /// The result of gating one history document.
 #[derive(Debug, Clone, Default)]
 pub struct CheckOutcome {
-    /// Benchmarks compared against a baseline.
+    /// Metrics compared against a baseline or a floor.
     pub checked: usize,
-    /// Benchmarks skipped (no prior same-host entry to compare against).
+    /// End-to-end metrics recorded without a baseline value to compare with.
     pub skipped: usize,
-    /// Benchmarks over tolerance.
-    pub regressions: Vec<Regression>,
-    /// Scaling-gate violations (multi-core hosts only; DESIGN.md §16).
-    pub scaling_failures: Vec<String>,
+    /// Every reason the latest entry fails, one line each.
+    pub failures: Vec<String>,
     /// Human-readable observations (skips, unreliable speedups, …).
     pub notes: Vec<String>,
 }
 
 impl CheckOutcome {
-    /// True when nothing regressed and the scaling gate held.
+    /// True when the latest entry failed no rule.
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.scaling_failures.is_empty()
+        self.failures.is_empty()
     }
 
     /// One-line-per-fact rendering for CI logs.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for r in &self.regressions {
-            out.push_str(&format!(
-                "REGRESSION {}: {:.2} µs vs baseline {:.2} µs ({:.2}x > {:.2}x allowed)\n",
-                r.benchmark, r.current_us, r.baseline_us, r.ratio, r.tolerance
-            ));
-        }
-        for f in &self.scaling_failures {
-            out.push_str(&format!("SCALING {f}\n"));
+        for f in &self.failures {
+            out.push_str(&format!("FAIL {f}\n"));
         }
         for n in &self.notes {
             out.push_str(&format!("note: {n}\n"));
         }
         out.push_str(&format!(
-            "bench_check: {} checked, {} skipped, {} regression(s), {} scaling failure(s)\n",
+            "bench_check: {} checked, {} skipped, {} failure(s)\n",
             self.checked,
             self.skipped,
-            self.regressions.len(),
-            self.scaling_failures.len()
+            self.failures.len()
         ));
         out
     }
@@ -110,44 +139,19 @@ impl CheckOutcome {
 
 fn entries(doc: &Value) -> Result<&Vec<Value>, String> {
     if doc.get("format").and_then(Value::as_str) != Some(FORMAT) {
-        return Err(format!(
-            "not a {FORMAT} document (run the conversion or re-record)"
-        ));
+        return Err(format!("not an {FORMAT} document"));
     }
     doc.get("entries")
         .and_then(Value::as_array)
         .ok_or_else(|| "document has no entries array".to_string())
 }
 
-fn medians(entry: &Value) -> Vec<(&str, f64)> {
-    entry
-        .get("criterion_medians_us")
-        .and_then(Value::as_object)
-        .map(|m| {
-            m.iter()
-                .filter_map(|(k, v)| v.as_f64().map(|f| (k.as_str(), f)))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-fn tolerance_for(doc: &Value, benchmark: &str) -> f64 {
-    let table = doc.get("tolerances");
-    table
-        .and_then(|t| t.get(benchmark))
-        .or_else(|| table.and_then(|t| t.get("default")))
-        .and_then(Value::as_f64)
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
-
-/// Appends a measurement entry to a history document, validating the
-/// format tag. Entries are append-only by construction — this is the only
-/// mutation `bench_check` performs.
+/// Appends a measurement entry to a history document after checking the
+/// format tag and the entry's shape. Entries are append-only by
+/// construction — this is the only mutation `bench_check` performs.
 pub fn append_entry(doc: &mut Value, entry: Value) -> Result<(), String> {
-    entries(doc)?; // format + shape validation
-    if !entry.is_object() {
-        return Err("entry must be a JSON object".to_string());
-    }
+    entries(doc)?;
+    Entry::parse(&entry)?;
     if let Value::Object(map) = doc {
         if let Some(Value::Array(list)) = map.get_mut("entries") {
             list.push(entry);
@@ -157,10 +161,45 @@ pub fn append_entry(doc: &mut Value, entry: Value) -> Result<(), String> {
     unreachable!("entries() validated the document shape")
 }
 
-/// Gates the latest entry of a history document against its recorded
-/// past. See the module docs for the comparison rules.
-pub fn check(doc: &Value) -> Result<CheckOutcome, String> {
-    let entries = entries(doc)?;
+/// Renders a history document with one compact entry per line, so an
+/// append adds one line to the file.
+pub fn render(doc: &Value) -> Result<String, String> {
+    entries(doc)?;
+    let Value::Object(map) = doc else {
+        unreachable!("entries() validated the document shape")
+    };
+    let mut out = String::from("{");
+    for (i, (key, value)) in map.iter().enumerate() {
+        out.push_str(if i == 0 { "\n  " } else { ",\n  " });
+        serde_json::to_string_into(key, &mut out);
+        out.push_str(": ");
+        match value {
+            Value::Array(list) if key == "entries" && !list.is_empty() => {
+                for (j, entry) in list.iter().enumerate() {
+                    out.push_str(if j == 0 { "[\n    " } else { ",\n    " });
+                    serde_json::to_string_into(entry, &mut out);
+                }
+                out.push_str("\n  ]");
+            }
+            other => serde_json::to_string_into(other, &mut out),
+        }
+    }
+    out.push_str("\n}\n");
+    Ok(out)
+}
+
+/// Gates the latest entry of a history document with the end-to-end
+/// bounds of `benchmark` (a parsed `BENCHMARK.json`). It fails when the
+/// run is not correct, when its failed share rose, when a workload's
+/// end-to-end metric is worse than the baseline's by more than its bound,
+/// or when a `speedup_reliable` entry misses a scaling floor.
+pub fn check(doc: &Value, benchmark: &Value) -> Result<CheckOutcome, String> {
+    let bounds = bounds(benchmark)?;
+    let entries = entries(doc)?
+        .iter()
+        .enumerate()
+        .map(|(i, e)| Entry::parse(e).map_err(|err| format!("entries[{i}]: {err}")))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut outcome = CheckOutcome::default();
     let Some((latest, prior)) = entries.split_last() else {
         outcome
@@ -168,152 +207,85 @@ pub fn check(doc: &Value) -> Result<CheckOutcome, String> {
             .push("history is empty; nothing to gate".into());
         return Ok(outcome);
     };
-    let cores = latest.get("host_cores").and_then(Value::as_u64);
-    if cores.is_none() {
+    if !latest.correct {
         outcome
-            .notes
-            .push("latest entry records no host_cores; comparing against all prior entries".into());
+            .failures
+            .push("correct is false: an output check of the run failed".into());
     }
-    if latest.get("speedup_reliable").and_then(Value::as_bool) == Some(false) {
-        outcome.notes.push(
-            "parallel speedup fields in the latest entry are marked unreliable (1-core host)"
-                .into(),
-        );
+    let cores = latest.host_cores;
+    let baseline = prior.iter().rev().find(|e| e.host_cores == cores);
+    if let Some(base) = baseline.filter(|b| latest.failed_share() > b.failed_share()) {
+        outcome.failures.push(format!(
+            "failed share {}/{} is above the baseline's {}/{}",
+            latest.failed, latest.attempted, base.failed, base.attempted
+        ));
     }
-    let comparable: Vec<&Value> = prior
-        .iter()
-        .filter(|e| cores.is_none() || e.get("host_cores").and_then(Value::as_u64) == cores)
-        .collect();
-    for (benchmark, current_us) in medians(latest) {
-        let baseline_us = comparable
-            .iter()
-            .flat_map(|e| medians(e))
-            .filter(|(name, _)| *name == benchmark)
-            .map(|(_, v)| v)
-            .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a| a.min(v))));
-        let Some(baseline_us) = baseline_us else {
+    for key in latest.metrics.keys() {
+        let Some(&(_, higher_is_better, bound)) = key
+            .split_once('/')
+            .and_then(|(_, name)| bounds.iter().find(|b| b.0 == name))
+        else {
+            continue;
+        };
+        let current = latest.value(key);
+        let base = baseline.and_then(|b| b.value(key)).filter(|b| *b > 0.0);
+        let (Some(current), Some(base)) = (current, base) else {
             outcome.skipped += 1;
-            outcome.notes.push(format!(
-                "{benchmark}: no prior entry on a {}-core host; recorded, not gated",
-                cores.map_or_else(|| "?".to_string(), |c| c.to_string())
-            ));
             continue;
         };
         outcome.checked += 1;
-        let tolerance = tolerance_for(doc, benchmark);
-        let ratio = if baseline_us > 0.0 {
-            current_us / baseline_us
+        let delta = if higher_is_better {
+            base - current
         } else {
-            1.0
+            current - base
         };
-        if ratio > tolerance {
-            outcome.regressions.push(Regression {
-                benchmark: benchmark.to_string(),
-                baseline_us,
-                current_us,
-                ratio,
-                tolerance,
-            });
+        if delta / base > bound {
+            outcome.failures.push(format!(
+                "{key}: {current} vs baseline {base} is {:.1}% worse (bound {:.0}%)",
+                100.0 * delta / base,
+                100.0 * bound
+            ));
         }
     }
-    scaling_gate(doc, latest, &mut outcome);
+    if outcome.skipped > 0 {
+        outcome.notes.push(format!(
+            "{} end-to-end metric(s) have no value in a prior {cores}-core entry; \
+             recorded, not gated",
+            outcome.skipped
+        ));
+    }
+    scaling_gate(latest, &mut outcome);
     Ok(outcome)
 }
 
-/// The latest entry's `scaling` matrix as `(workload, [(jobs, wall_s)])`
-/// rows, jobs ascending. Missing or malformed sections yield no rows.
-fn scaling_walls(entry: &Value) -> Vec<(String, Vec<(u64, f64)>)> {
-    let Some(scaling) = entry.get("scaling").and_then(Value::as_object) else {
-        return Vec::new();
-    };
-    scaling
-        .iter()
-        .filter_map(|(workload, section)| {
-            let walls = section.get("wall_s").and_then(Value::as_object)?;
-            let mut rows: Vec<(u64, f64)> = walls
-                .iter()
-                .filter_map(|(jobs, wall)| {
-                    Some((
-                        jobs.parse::<u64>().ok()?,
-                        wall.as_f64().filter(|w| *w > 0.0)?,
-                    ))
-                })
-                .collect();
-            rows.sort_unstable_by_key(|(jobs, _)| *jobs);
-            Some((workload.clone(), rows))
-        })
-        .collect()
-}
-
-/// Enforces the scaling-efficiency gate (DESIGN.md §16) on the latest
-/// entry when it carries a `scaling` matrix. Multi-core hosts are gated:
-/// the mc jobs-2 speedup must reach the configured floor, and every
-/// workload's best parallel wall must beat its serial wall. Only jobs
-/// levels the host can genuinely run in parallel (`jobs <= host_cores`)
-/// are judged. One-core hosts get a visible skip note instead — their
-/// curve is scheduler noise by definition.
-fn scaling_gate(doc: &Value, latest: &Value, outcome: &mut CheckOutcome) {
-    let walls = scaling_walls(latest);
-    if walls.is_empty() {
-        return;
-    }
-    let cores = latest
-        .get("host_cores")
-        .and_then(Value::as_u64)
-        .unwrap_or(1);
-    if cores < 2 {
-        outcome.skipped += walls.len();
+/// The scaling floors (DESIGN.md §16), judged only on an entry whose
+/// parallel-capacity probe passed.
+fn scaling_gate(latest: &Entry, outcome: &mut CheckOutcome) {
+    let (cores, ratio) = (latest.host_cores, latest.parallel_ratio);
+    if !latest.speedup_reliable {
         outcome.notes.push(format!(
-            "SCALING GATE SKIPPED: host_cores = {cores} — the speedup matrix is \
-             recorded but parallel efficiency cannot be judged on a 1-core host"
+            "SCALING GATE SKIPPED: speedup_reliable is false (host_cores = {cores}, \
+             parallel_ratio = {ratio}); runner.speedup_j2 is recorded, not judged"
         ));
         return;
     }
-    let min_jobs2 = doc
-        .get("scaling_gate")
-        .and_then(|g| g.get("min_jobs2_speedup"))
-        .and_then(Value::as_f64)
-        .unwrap_or(MIN_JOBS2_SPEEDUP);
-    for (workload, rows) in walls {
-        let serial = rows.iter().find(|(jobs, _)| *jobs == 1).map(|(_, w)| *w);
-        let Some(serial) = serial else {
-            outcome.skipped += 1;
-            outcome.notes.push(format!(
-                "scaling/{workload}: no jobs-1 wall recorded; not gated"
-            ));
+    let floors = [
+        ("mc/runner.speedup_j2", ">=", MIN_JOBS2_SPEEDUP),
+        ("fleet_dense/runner.speedup_j2", ">", 1.0),
+    ];
+    for (key, rule, floor) in floors {
+        let Some(speedup) = latest.value(key) else {
+            outcome
+                .notes
+                .push(format!("{key} not recorded; scaling floor not gated"));
             continue;
         };
         outcome.checked += 1;
-        if workload == "mc" {
-            match rows.iter().find(|(jobs, _)| *jobs == 2) {
-                Some((_, wall2)) => {
-                    let speedup = serial / wall2;
-                    if speedup < min_jobs2 {
-                        outcome.scaling_failures.push(format!(
-                            "mc jobs-2 speedup {speedup:.2}x < {min_jobs2:.2}x floor \
-                             (jobs-1 {serial:.2}s, jobs-2 {wall2:.2}s, {cores} cores)"
-                        ));
-                    }
-                }
-                None => outcome
-                    .notes
-                    .push("scaling/mc: no jobs-2 wall recorded; speedup floor not gated".into()),
-            }
-        }
-        let best_parallel = rows
-            .iter()
-            .filter(|(jobs, _)| *jobs >= 2 && *jobs <= cores)
-            .map(|(_, w)| *w)
-            .fold(None::<f64>, |acc, w| Some(acc.map_or(w, |a| a.min(w))));
-        match best_parallel {
-            Some(best) if best >= serial => outcome.scaling_failures.push(format!(
-                "{workload} best parallel wall {best:.2}s is not below jobs-1 wall \
-                 {serial:.2}s ({cores} cores)"
-            )),
-            Some(_) => {}
-            None => outcome.notes.push(format!(
-                "scaling/{workload}: no parallel jobs level within {cores} cores; not gated"
-            )),
+        if speedup < floor || (rule == ">" && speedup <= floor) {
+            outcome.failures.push(format!(
+                "SCALING {key} {speedup:.2}x, needs {rule} {floor:.2}x \
+                 ({cores} cores, parallel_ratio = {ratio})"
+            ));
         }
     }
 }
@@ -323,223 +295,221 @@ mod tests {
     use super::*;
     use serde_json::json;
 
+    fn bench() -> Value {
+        json!({ "end_to_end": vec![
+            json!({ "name": "wall_s", "better": "lower", "bound": 0.25 }),
+            json!({ "name": "ops_per_s", "better": "higher", "bound": 0.25 }),
+        ] })
+    }
+
     fn doc(entries: Vec<Value>) -> Value {
+        json!({ "format": FORMAT, "entries": entries })
+    }
+
+    /// A correct, unreliable entry with `mc` wall and throughput.
+    fn entry(cores: u64, wall: f64, ops: f64) -> Value {
         json!({
-            "format": FORMAT,
-            "benchmark": "test",
-            "tolerances": json!({ "default": 1.5, "tight/bench": 1.1 }),
-            "entries": entries,
+            "host_cores": cores,
+            "parallel_ratio": 1.9,
+            "speedup_reliable": false,
+            "correct": true,
+            "attempted": 100u64,
+            "failed": 0u64,
+            "metrics": json!({
+                "mc/wall_s": json!({ "value": wall, "unit": "s" }),
+                "mc/ops_per_s": json!({ "value": ops, "unit": "1/s" }),
+            }),
         })
     }
 
-    fn entry(cores: u64, medians: Value) -> Value {
-        json!({ "host_cores": cores, "criterion_medians_us": medians })
+    fn set(mut e: Value, key: &str, value: Value) -> Value {
+        if let Value::Object(map) = &mut e {
+            map.insert(key.into(), value);
+        }
+        e
+    }
+
+    /// A reliable 2-core entry with the given jobs-2 speedups.
+    fn scaling(mc: f64, fleet: f64) -> Value {
+        let metrics = json!({
+            "mc/runner.speedup_j2": json!({ "value": mc }),
+            "fleet_dense/runner.speedup_j2": json!({ "value": fleet }),
+        });
+        let e = set(entry(2, 1.0, 100.0), "metrics", metrics);
+        let e = set(e, "parallel_ratio", json!(1.05));
+        set(e, "speedup_reliable", json!(true))
+    }
+
+    fn gate(entries: Vec<Value>) -> CheckOutcome {
+        check(&doc(entries), &bench()).unwrap()
     }
 
     #[test]
-    fn rejects_wrong_format() {
-        assert!(check(&json!({"benchmark": "old-shape"})).is_err());
-        let mut old = json!({"format": "something-else", "entries": Vec::<Value>::new()});
-        assert!(append_entry(&mut old, json!({})).is_err());
+    fn rejects_wrong_format_and_bad_bounds() {
+        let mut v1 = json!({ "format": "abr-bench-history-v1", "entries": Vec::<Value>::new() });
+        assert!(check(&v1, &bench()).unwrap_err().contains(FORMAT));
+        assert!(append_entry(&mut v1, entry(1, 1.0, 1.0)).is_err());
+        let bad = json!({ "end_to_end": vec![json!({ "name": "wall_s", "better": "up" })] });
+        assert!(check(&doc(vec![]), &bad)
+            .unwrap_err()
+            .contains("end_to_end[0]"));
+        assert!(check(&doc(vec![]), &json!({})).is_err());
     }
 
     #[test]
     fn empty_and_first_entry_pass() {
-        let outcome = check(&doc(vec![])).unwrap();
-        assert!(outcome.passed());
-        // A lone entry has no baseline: skipped, not failed.
-        let outcome = check(&doc(vec![entry(1, json!({"a/b": 100.0}))])).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.skipped, 1);
-        assert_eq!(outcome.checked, 0);
-    }
-
-    #[test]
-    fn seeded_synthetic_regression_fails() {
-        // Baseline 100 µs, "current" run seeded at 2x: must fail the
-        // default 1.5x tolerance — this is the CI self-test scenario.
-        let d = doc(vec![
-            entry(1, json!({"a/b": 100.0})),
-            entry(1, json!({"a/b": 200.0})),
-        ]);
-        let outcome = check(&d).unwrap();
-        assert!(!outcome.passed());
-        assert_eq!(outcome.regressions.len(), 1);
-        let r = &outcome.regressions[0];
-        assert_eq!(r.benchmark, "a/b");
-        assert_eq!(r.baseline_us, 100.0);
-        assert_eq!(r.current_us, 200.0);
-        assert!((r.ratio - 2.0).abs() < 1e-9);
-        assert!(outcome.render().contains("REGRESSION a/b"));
-    }
-
-    #[test]
-    fn within_tolerance_passes_and_uses_best_prior() {
-        let d = doc(vec![
-            entry(1, json!({"a/b": 100.0})),
-            entry(1, json!({"a/b": 90.0})), // best prior: 90
-            entry(1, json!({"a/b": 130.0})),
-        ]);
-        let outcome = check(&d).unwrap();
-        assert!(outcome.passed(), "130/90 = 1.44 < 1.5");
-        let d = doc(vec![
-            entry(1, json!({"a/b": 100.0})),
-            entry(1, json!({"a/b": 90.0})),
-            entry(1, json!({"a/b": 140.0})),
-        ]);
-        assert!(!check(&d).unwrap().passed(), "140/90 = 1.56 > 1.5");
-    }
-
-    #[test]
-    fn per_benchmark_tolerance_overrides_default() {
-        let d = doc(vec![
-            entry(1, json!({"tight/bench": 100.0})),
-            entry(1, json!({"tight/bench": 120.0})),
-        ]);
-        let outcome = check(&d).unwrap();
-        assert!(!outcome.passed(), "1.2x > 1.1x tight tolerance");
-        assert_eq!(outcome.regressions[0].tolerance, 1.1);
-    }
-
-    #[test]
-    fn cross_core_count_entries_do_not_gate() {
-        let d = doc(vec![
-            entry(16, json!({"a/b": 10.0})),
-            entry(1, json!({"a/b": 100.0})),
-        ]);
-        let outcome = check(&d).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.skipped, 1);
-        assert!(outcome.notes.iter().any(|n| n.contains("1-core")));
-    }
-
-    #[test]
-    fn unreliable_speedup_is_noted_not_fatal() {
-        let e = json!({
-            "host_cores": 1u64,
-            "criterion_medians_us": json!({}),
-            "speedup_reliable": false,
-        });
-        let outcome = check(&doc(vec![e])).unwrap();
-        assert!(outcome.passed());
-        assert!(outcome.notes.iter().any(|n| n.contains("unreliable")));
-    }
-
-    fn scaling_entry(cores: u64, mc_walls: Value, fleet_walls: Value) -> Value {
-        let mc = json!({ "seeds": 25, "wall_s": mc_walls });
-        let fleet = json!({ "sessions": 2000, "wall_s": fleet_walls });
-        let scaling = json!({ "mc": mc, "fleet": fleet });
-        json!({
-            "host_cores": cores,
-            "speedup_reliable": cores >= 2,
-            "scaling": scaling,
-        })
-    }
-
-    #[test]
-    fn scaling_gate_passes_a_healthy_curve() {
-        let e = scaling_entry(
-            4,
-            json!({"1": 4.0, "2": 2.2, "4": 1.4, "8": 1.3}),
-            json!({"1": 10.0, "2": 6.0, "4": 4.0, "8": 3.9}),
-        );
-        let outcome = check(&doc(vec![e])).unwrap();
+        let outcome = gate(vec![]);
+        assert!(outcome.passed() && outcome.notes[0].contains("empty"));
+        // A lone entry has no baseline: skipped visibly, not failed.
+        let outcome = gate(vec![entry(1, 1.0, 100.0)]);
         assert!(outcome.passed(), "{}", outcome.render());
-        assert_eq!(outcome.checked, 2, "mc and fleet both gated");
-        assert!(outcome.scaling_failures.is_empty());
+        assert_eq!((outcome.checked, outcome.skipped), (0, 2));
+        assert!(outcome.notes[0].starts_with("2 end-to-end metric(s) have no value"));
     }
 
     #[test]
-    fn scaling_gate_fails_a_flat_mc_curve() {
-        // jobs-2 speedup 4.0/3.0 = 1.33x < 1.5x floor.
-        let e = scaling_entry(4, json!({"1": 4.0, "2": 3.0}), json!({"1": 10.0, "2": 6.0}));
-        let outcome = check(&doc(vec![e])).unwrap();
-        assert!(!outcome.passed());
-        assert_eq!(outcome.scaling_failures.len(), 1);
-        assert!(outcome.scaling_failures[0].contains("mc jobs-2 speedup"));
-        assert!(outcome.render().contains("SCALING mc jobs-2"));
+    fn seeded_wall_regression_fails_and_names_the_metric() {
+        // 1.3x the baseline wall: 30% worse than a 25% bound.
+        let outcome = gate(vec![entry(1, 1.0, 100.0), entry(1, 1.3, 100.0)]);
+        assert_eq!(outcome.failures.len(), 1);
+        assert!(outcome.failures[0].starts_with("mc/wall_s: 1.3 vs baseline 1 is 30.0% worse"));
+        assert!(outcome.render().contains("FAIL mc/wall_s"));
     }
 
     #[test]
-    fn scaling_gate_fails_fleet_that_never_beats_serial() {
-        let e = scaling_entry(
-            4,
-            json!({"1": 4.0, "2": 2.0}),
-            json!({"1": 10.0, "2": 11.0, "4": 10.5}),
-        );
-        let outcome = check(&doc(vec![e])).unwrap();
-        assert!(!outcome.passed());
-        assert!(outcome
-            .scaling_failures
-            .iter()
-            .any(|f| f.contains("fleet best parallel wall")));
+    fn seeded_throughput_regression_fails() {
+        // Higher is better: 70 against 100 is 30% worse.
+        let outcome = gate(vec![entry(1, 1.0, 100.0), entry(1, 1.0, 70.0)]);
+        assert_eq!(outcome.failures.len(), 1, "{}", outcome.render());
+        assert!(outcome.failures[0].starts_with("mc/ops_per_s"));
     }
 
     #[test]
-    fn scaling_gate_ignores_jobs_beyond_host_cores() {
-        // On a 2-core host the jobs-4/8 walls are oversubscription noise:
-        // they may be slower than serial without failing the gate.
-        let e = scaling_entry(
-            2,
-            json!({"1": 4.0, "2": 2.2, "4": 4.5, "8": 5.0}),
-            json!({"1": 10.0, "2": 6.0, "4": 12.0}),
-        );
-        let outcome = check(&doc(vec![e])).unwrap();
+    fn within_bound_and_improvements_pass() {
+        let outcome = gate(vec![entry(1, 1.0, 100.0), entry(1, 1.2, 80.0)]);
         assert!(outcome.passed(), "{}", outcome.render());
+        assert_eq!(outcome.checked, 2);
+        assert!(gate(vec![entry(1, 1.0, 100.0), entry(1, 0.5, 200.0)]).passed());
     }
 
     #[test]
-    fn scaling_gate_skips_visibly_on_one_core() {
-        // The terrible 1-core curve must be recorded, noted, never fatal.
-        let e = scaling_entry(
-            1,
-            json!({"1": 4.0, "2": 4.4}),
-            json!({"1": 10.0, "2": 11.0}),
-        );
-        let outcome = check(&doc(vec![e])).unwrap();
+    fn baseline_is_the_most_recent_same_core_entry() {
+        // Against the oldest entry 1.3 s would fail; the baseline is the
+        // 1.2 s entry, and 1.3 / 1.2 is within the bound.
+        let e = |wall| entry(1, wall, 100.0);
+        let outcome = gate(vec![e(1.0), e(1.2), entry(4, 0.1, 900.0), e(1.3)]);
+        assert!(outcome.passed(), "{}", outcome.render());
+        assert_eq!(outcome.checked, 2);
+    }
+
+    #[test]
+    fn other_core_counts_are_skipped_not_gated() {
+        let outcome = gate(vec![entry(16, 0.1, 1000.0), entry(1, 1.0, 100.0)]);
         assert!(outcome.passed());
-        assert_eq!(outcome.skipped, 2);
+        assert_eq!((outcome.checked, outcome.skipped), (0, 2));
         assert!(outcome
             .notes
             .iter()
-            .any(|n| n.contains("SCALING GATE SKIPPED: host_cores = 1")));
-        assert!(outcome.render().contains("SCALING GATE SKIPPED"));
+            .any(|n| n.contains("prior 1-core entry")));
+        // A baseline without the metric skips just that metric.
+        let old = set(entry(1, 1.0, 100.0), "metrics", json!({}));
+        assert_eq!(gate(vec![old, entry(1, 9.0, 1.0)]).skipped, 2);
     }
 
     #[test]
-    fn scaling_gate_floor_is_configurable() {
-        let e = scaling_entry(
-            4,
-            json!({"1": 4.0, "2": 3.0}), // 1.33x: under the default floor
-            json!({"1": 10.0, "2": 6.0}),
-        );
-        let entries = Value::from(vec![e]);
-        let gate = json!({ "min_jobs2_speedup": 1.2 });
-        // Relax the floor below 1.33x: the same entry now passes.
-        let d = json!({
-            "format": FORMAT,
-            "benchmark": "test",
-            "scaling_gate": gate,
-            "entries": entries,
-        });
-        assert!(check(&d).unwrap().passed());
+    fn incorrect_run_and_rising_failed_share_fail() {
+        let outcome = gate(vec![set(entry(1, 1.0, 100.0), "correct", json!(false))]);
+        assert!(outcome.failures[0].contains("correct is false"));
+        let failing = set(entry(1, 1.0, 100.0), "failed", json!(3u64));
+        let outcome = gate(vec![entry(1, 1.0, 100.0), failing.clone()]);
+        assert_eq!(outcome.failures.len(), 1, "{}", outcome.render());
+        assert!(outcome.failures[0].contains("failed share 3/100"));
+        // The same share as the baseline is no rise.
+        assert!(gate(vec![failing.clone(), failing]).passed());
     }
 
     #[test]
-    fn entries_without_scaling_are_untouched_by_the_gate() {
-        let outcome = check(&doc(vec![entry(1, json!({"a/b": 100.0}))])).unwrap();
-        assert!(outcome.scaling_failures.is_empty());
-        assert!(!outcome.render().contains("SCALING"));
-    }
-
-    #[test]
-    fn append_grows_entries_in_order() {
-        let mut d = doc(vec![entry(1, json!({"a/b": 100.0}))]);
-        append_entry(&mut d, entry(1, json!({"a/b": 110.0}))).unwrap();
-        assert_eq!(d["entries"].as_array().unwrap().len(), 2);
-        assert!(append_entry(&mut d, json!("not an object")).is_err());
-        let outcome = check(&d).unwrap();
-        assert_eq!(outcome.checked, 1);
+    fn unreliable_entry_skips_the_scaling_floor_visibly() {
+        let flat = set(scaling(1.0, 0.8), "speedup_reliable", json!(false));
+        let outcome = gate(vec![flat]);
         assert!(outcome.passed());
+        assert!(outcome.render().contains(
+            "SCALING GATE SKIPPED: speedup_reliable is false (host_cores = 2, \
+             parallel_ratio = 1.05)"
+        ));
+    }
+
+    #[test]
+    fn reliable_speedups_are_gated() {
+        let outcome = gate(vec![scaling(1.8, 1.3)]);
+        assert!(outcome.passed(), "{}", outcome.render());
+        assert_eq!(outcome.checked, 2);
+        assert!(!outcome.render().contains("SCALING"));
+        let reliable = set(entry(2, 1.0, 100.0), "speedup_reliable", json!(true));
+        let outcome = gate(vec![reliable]);
+        assert!(outcome.passed() && outcome.notes[1].contains("floor not gated"));
+    }
+
+    #[test]
+    fn reliable_flat_mc_speedup_fails() {
+        let outcome = gate(vec![scaling(1.33, 1.3)]);
+        assert_eq!(outcome.failures.len(), 1);
+        assert!(outcome.failures[0].starts_with("SCALING mc/runner.speedup_j2 1.33x, needs >="));
+    }
+
+    #[test]
+    fn reliable_fleet_that_never_beats_serial_fails() {
+        let outcome = gate(vec![scaling(1.8, 1.0)]);
+        assert_eq!(outcome.failures.len(), 1);
+        assert!(outcome.failures[0].contains("fleet_dense/runner.speedup_j2 1.00x, needs > 1.00x"));
+    }
+
+    #[test]
+    fn append_keeps_order_and_checks_the_entry() {
+        let mut d = doc(vec![entry(1, 1.0, 100.0)]);
+        append_entry(&mut d, entry(1, 1.1, 100.0)).unwrap();
+        append_entry(&mut d, entry(1, 1.2, 100.0)).unwrap();
+        let walls: Vec<f64> = (d["entries"].as_array().unwrap().iter())
+            .map(|e| e["metrics"]["mc/wall_s"]["value"].as_f64().unwrap())
+            .collect();
+        assert_eq!(walls, [1.0, 1.1, 1.2]);
+        let err = append_entry(&mut d, json!("not an object")).unwrap_err();
+        assert!(err.contains("JSON object"));
+        assert!(append_entry(&mut d, set(entry(1, 1.0, 1.0), "metrics", json!(7u64))).is_err());
+        assert_eq!(d["entries"].as_array().unwrap().len(), 3);
+        // A hand-edited prior entry is an error, not a silent skip.
+        let d = doc(vec![json!({ "host_cores": 1u64 }), entry(1, 1.0, 1.0)]);
+        let err = check(&d, &bench()).unwrap_err();
+        assert!(
+            err.starts_with("entries[0]: entry parallel_ratio must be a number"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn render_puts_one_entry_per_line_and_round_trips() {
+        let mut d = doc(vec![]);
+        let empty = format!("{{\n  \"entries\": [],\n  \"format\": \"{FORMAT}\"\n}}\n");
+        assert_eq!(render(&d).unwrap(), empty);
+        append_entry(&mut d, entry(1, 1.0, 100.0)).unwrap();
+        append_entry(&mut d, entry(1, 0.1 + 0.2, 100.0)).unwrap();
+        let text = render(&d).unwrap();
+        assert_eq!(text.lines().count(), 7, "{text}");
+        assert_eq!(serde_json::from_str(&text).unwrap(), d);
+        assert!(render(&json!({ "entries": Vec::<Value>::new() })).is_err());
+    }
+
+    /// The checked-in benchmark description and history parse, and the
+    /// latest recorded entry passes its own gate.
+    #[test]
+    fn checked_in_history_passes_the_checked_in_bounds() {
+        let benchmark = benchmark().unwrap();
+        assert!(bounds(&benchmark)
+            .unwrap()
+            .contains(&("wall_s", false, 0.25)));
+        let history: Value = serde_json::from_str(include_str!("../../../BENCH.json")).unwrap();
+        assert!(!history["entries"].as_array().unwrap().is_empty());
+        let outcome = check(&history, &benchmark).unwrap();
+        assert!(outcome.passed(), "{}", outcome.render());
     }
 }

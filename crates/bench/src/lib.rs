@@ -22,9 +22,9 @@
 //!   merges per-session span trees with the pool's phase/worker
 //!   accounting into a [`profiling::WorkloadProfile`] (text table + JSON
 //!   artifact). Host-time telemetry only; never feeds artifacts.
-//! * [`history`] — the append-only bench-history format behind
-//!   `BENCH_sim.json`/`BENCH_runner.json` and the `scripts/bench_check`
-//!   regression gate over criterion medians.
+//! * [`history`] — the append-only `BENCH.json` history that
+//!   `scripts/bench_record.sh` fills from `benchmark/run.sh`, and the
+//!   `bench_check` gate over `BENCHMARK.json`'s end-to-end bounds.
 //! * [`fleet`] — the shared-fate fleet engine behind `exp fleet`: many
 //!   sessions over contended link domains (shared CDN cache + origin
 //!   uplink), sharded over workers with conservative window sync, byte-

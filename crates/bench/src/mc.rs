@@ -4,8 +4,8 @@
 //! plus the data-saver [`CappedPolicy`] wrapper) × `seeds` independent
 //! content/trace realizations on the deterministic parallel runner —
 //! thousands of sessions at the default seed count. The report aggregates
-//! QoE per (trace, policy) cell across seeds; `scripts/bench_sim.sh` times
-//! this sweep for `BENCH_sim.json`.
+//! QoE per (trace, policy) cell across seeds; the benchmark's `mc`
+//! workload times this sweep for `BENCH.json`.
 //!
 //! Determinism: the grid is authored up front in a fixed order (seed-major,
 //! then corpus order, then policy order) and sharded with
