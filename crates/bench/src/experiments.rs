@@ -3,7 +3,7 @@
 
 use crate::profiling::WorkloadProfile;
 use crate::report::{ascii_plot, table, Series};
-use crate::runner::{self, SessionOutcome, SessionSpec};
+use crate::runner::{self, SessionOutcome};
 use crate::setup::*;
 use abr_core::{BestPracticePolicy, DashJsPolicy, ExoPlayerPolicy, ShakaPolicy};
 use abr_event::time::Duration;
@@ -12,13 +12,18 @@ use abr_httpsim::origin::Origin;
 use abr_httpsim::request::{ObjectId, Request};
 use abr_httpsim::storage::StorageComparison;
 use abr_media::combo::{all_combos, combo_bitrate, curated_subset, log_staircase, Combo};
+use abr_media::content::SharedContent;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_media::vbr::measure;
 use abr_net::trace::Trace;
+use abr_obs::Profiler;
 use abr_player::config::SyncMode;
+use abr_player::policy::AbrPolicy;
 use abr_player::SessionLog;
 use serde_json::{json, Value};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// A rendered experiment: the regenerated table/figure plus structured
 /// data.
@@ -80,235 +85,266 @@ pub fn run_jobs(id: &str, jobs: usize) -> Option<ExperimentResult> {
     })
 }
 
-/// One observed session of the canonical-figure set: runs the session
-/// named by `(id, arm)` under a deterministic recording `ObsHandle`.
-/// Everything is rebuilt inside the call (content, views, policy), so
-/// the function is a pure closure body for a [`SessionSpec`] job.
-fn observed_session(
-    id: &str,
-    arm: usize,
-    profiler: Option<&std::rc::Rc<abr_obs::Profiler>>,
-) -> SessionOutcome {
-    SessionOutcome::from_obs(match (id, arm) {
-        ("f2a", _) | ("f2b", _) => {
+/// One traceable session, defined once. The figure renders it over a
+/// disabled handle ([`Arm::log`]); `exp --id <id>` with `--trace/
+/// --chrome/--metrics/--profile` observes the same recipe over the
+/// deterministic recording handle ([`Arm::observe`]). Every field is
+/// `Sync`, so a sweep's workers share one arm list.
+struct Arm {
+    /// `<id>/<arm>`: the name an observed session is filed under.
+    label: String,
+    content: SharedContent,
+    kind: PlayerKind,
+    /// Builds a fresh policy for each run of the arm.
+    policy: Box<dyn Fn() -> Box<dyn AbrPolicy> + Send + Sync>,
+    trace: Trace,
+}
+
+impl Arm {
+    fn new(
+        label: String,
+        content: &SharedContent,
+        kind: PlayerKind,
+        policy: impl Fn() -> Box<dyn AbrPolicy> + Send + Sync + 'static,
+        trace: Trace,
+    ) -> Arm {
+        Arm {
+            label,
+            content: SharedContent::clone(content),
+            kind,
+            policy: Box::new(policy),
+            trace,
+        }
+    }
+
+    /// Runs the session over a disabled handle: the figure path.
+    fn log(&self) -> SessionLog {
+        run_session(
+            &self.content,
+            self.kind,
+            (self.policy)(),
+            self.trace.clone(),
+        )
+    }
+
+    /// Runs the session over the deterministic recording handle, with an
+    /// optional span profiler that observes and never steers.
+    fn observe(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
+        let (log, events, metrics) = run_session_obs(
+            &self.content,
+            self.kind,
+            (self.policy)(),
+            self.trace.clone(),
+            profiler,
+        );
+        SessionOutcome {
+            label: self.label.clone(),
+            log,
+            events,
+            metrics,
+        }
+    }
+
+    /// The trace column of a `<id>/<trace>/<kind>` sweep label.
+    fn trace_name(&self) -> &str {
+        self.label.split('/').nth(1).expect("sweep label")
+    }
+}
+
+/// The sessions behind every traceable experiment, in authored order:
+/// one arm for a single-session figure, one per row for the sweeps
+/// (`f3fix`, `bp1`, `bp5`). Content, views and traces are built once per
+/// call and shared by the arms. Returns `None` for pure tables and for
+/// the experiments whose sessions share cache/storage state or override
+/// the canonical session (`bp2`–`bp4`, `m1`–`m3`).
+fn arms(id: &str) -> Option<Vec<Arm>> {
+    use abr_manifest::build::build_master_playlist_ext;
+    use abr_manifest::view::BoundHls;
+    use abr_manifest::MasterPlaylist;
+
+    let label = |name: &str| format!("{id}/{name}");
+    let fixed = |kbps| Trace::constant(BitsPerSec::from_kbps(kbps));
+    let fig3 = || Trace::fig3_varying_600k(Duration::from_secs(3600));
+    Some(match id {
+        "f2a" | "f2b" => {
             let content = if id == "f2b" {
                 drama_high_audio()
             } else {
                 drama_low_audio()
             };
             let view = dash_view(&content);
-            let policy = ExoPlayerPolicy::dash(&view);
-            run_session_obs_profiled(
+            vec![Arm::new(
+                label("exoplayer-dash-900k"),
                 &content,
                 PlayerKind::ExoPlayer,
-                Box::new(policy),
-                Trace::constant(BitsPerSec::from_kbps(900)),
-                profiler,
-            )
+                move || Box::new(ExoPlayerPolicy::dash(&view)),
+                fixed(900),
+            )]
         }
-        ("f3a", _) | ("f3b", _) => {
-            let content = drama();
-            let view = hls_sub_view(&content, &[2, 0, 1]);
-            let policy = ExoPlayerPolicy::hls(&view);
-            run_session_obs_profiled(
-                &content,
-                PlayerKind::ExoPlayer,
-                Box::new(policy),
-                Trace::fig3_varying_600k(Duration::from_secs(3600)),
-                profiler,
-            )
-        }
-        ("f3x", _) => {
-            let content = drama();
-            let view = hls_sub_view(&content, &[0, 1, 2]);
-            let policy = ExoPlayerPolicy::hls(&view);
-            run_session_obs_profiled(
-                &content,
-                PlayerKind::ExoPlayer,
-                Box::new(policy),
-                Trace::constant(BitsPerSec::from_kbps(5000)),
-                profiler,
-            )
-        }
-        ("f3fix", arm) => {
-            use abr_manifest::build::build_master_playlist_ext;
-            use abr_manifest::view::BoundHls;
-            use abr_manifest::MasterPlaylist;
-            use abr_player::policy::AbrPolicy;
-
-            let content = drama();
-            let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
-            let stock_view = hls_sub_view(&content, &[2, 0, 1]);
-            let (kind, policy): (PlayerKind, Box<dyn AbrPolicy>) = match arm {
-                0 => (
-                    PlayerKind::ExoPlayer,
-                    Box::new(ExoPlayerPolicy::hls(&stock_view)),
-                ),
-                1 => {
-                    let combos = curated_subset(content.video(), content.audio());
-                    let ext_master = build_master_playlist_ext(&content, &combos, &[2, 0, 1]);
-                    let ext_view = BoundHls::from_master(
-                        &MasterPlaylist::parse(&ext_master.to_text()).expect("parses"),
-                    )
-                    .expect("binds");
-                    (
-                        PlayerKind::ExoPlayer,
-                        Box::new(ExoPlayerPolicy::hls_fixed(&ext_view).expect("extension present")),
-                    )
-                }
-                _ => (
-                    PlayerKind::BestPractice,
-                    Box::new(BestPracticePolicy::from_hls(&stock_view)),
-                ),
+        "f3a" | "f3b" | "f3x" => {
+            // H_sub with A3 listed first over the varying ~600 Kbps
+            // trace; f3x lists A1 first at 5 Mbps.
+            let (order, trace, name) = if id == "f3x" {
+                ([0, 1, 2], fixed(5000), "exoplayer-hls-5m")
+            } else {
+                ([2, 0, 1], fig3(), "exoplayer-hls-varying600k")
             };
-            run_session_obs_profiled(&content, kind, policy, trace, profiler)
+            let content = drama();
+            let view = hls_sub_view(&content, &order);
+            vec![Arm::new(
+                label(name),
+                &content,
+                PlayerKind::ExoPlayer,
+                move || Box::new(ExoPlayerPolicy::hls(&view)),
+                trace,
+            )]
         }
-        ("f4a", _) => {
+        "f3fix" => {
+            // Stock manifest (A3 first) and extended manifest (same listing).
+            let content = drama();
+            let trace = fig3();
+            let stock = Arc::new(hls_sub_view(&content, &[2, 0, 1]));
+            let combos = curated_subset(content.video(), content.audio());
+            let ext_master = build_master_playlist_ext(&content, &combos, &[2, 0, 1]);
+            let ext = BoundHls::from_master(
+                &MasterPlaylist::parse(&ext_master.to_text()).expect("parses"),
+            )
+            .expect("binds");
+            let best = Arc::clone(&stock);
+            vec![
+                Arm::new(
+                    label("stock-exoplayer-hls"),
+                    &content,
+                    PlayerKind::ExoPlayer,
+                    move || Box::new(ExoPlayerPolicy::hls(&stock)),
+                    trace.clone(),
+                ),
+                Arm::new(
+                    label("exoplayer-hls-fixed"),
+                    &content,
+                    PlayerKind::ExoPlayer,
+                    move || Box::new(ExoPlayerPolicy::hls_fixed(&ext).expect("extension present")),
+                    trace.clone(),
+                ),
+                Arm::new(
+                    label("bestpractice"),
+                    &content,
+                    PlayerKind::BestPractice,
+                    move || Box::new(BestPracticePolicy::from_hls(&best)),
+                    trace,
+                ),
+            ]
+        }
+        "f4a" | "f4b" => {
             let content = drama();
             let view = hls_all_view(&content);
-            let policy = ShakaPolicy::hls(&view);
-            run_session_obs_profiled(
+            let (trace, name) = if id == "f4a" {
+                (fixed(1000), "shaka-hls-1m")
+            } else {
+                (
+                    Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+                    "shaka-hls-varying600k",
+                )
+            };
+            vec![Arm::new(
+                label(name),
                 &content,
                 PlayerKind::Shaka,
-                Box::new(policy),
-                Trace::constant(BitsPerSec::from_kbps(1000)),
-                profiler,
-            )
+                move || Box::new(ShakaPolicy::hls(&view)),
+                trace,
+            )]
         }
-        ("f4b", _) => {
-            let content = drama();
-            let view = hls_all_view(&content);
-            let policy = ShakaPolicy::hls(&view);
-            run_session_obs_profiled(
-                &content,
-                PlayerKind::Shaka,
-                Box::new(policy),
-                Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-                profiler,
-            )
-        }
-        ("f5a", _) | ("f5b", _) => {
+        "f5a" | "f5b" => {
             let content = drama();
             let view = dash_view(&content);
-            let policy = DashJsPolicy::new(&view);
-            run_session_obs_profiled(
+            vec![Arm::new(
+                label("dashjs-700k"),
                 &content,
                 PlayerKind::DashJs,
-                Box::new(policy),
-                Trace::constant(BitsPerSec::from_kbps(700)),
-                profiler,
-            )
+                move || Box::new(DashJsPolicy::new(&view)),
+                fixed(700),
+            )]
         }
-        ("bp1", arm) => {
-            let (_, trace, kind) = bp1_grid().swap_remove(arm);
+        "bp1" | "bp5" => {
+            // The policy shootouts: every policy over DASH on each trace,
+            // one arm per (trace, policy) in row order. BP1 runs four
+            // fixed or paper traces; BP5 every named corpus profile.
+            let traces = if id == "bp1" {
+                vec![
+                    ("700k fixed", fixed(700)),
+                    ("900k fixed", fixed(900)),
+                    ("1M fixed", fixed(1000)),
+                    ("varying-600k", fig3()),
+                ]
+            } else {
+                abr_net::corpus::all(Duration::from_secs(3600), SEED)
+            };
             let content = drama();
-            let policy = dash_policy(kind, &content);
-            run_session_obs_profiled(&content, kind, policy, trace, profiler)
+            let view = Arc::new(dash_view(&content));
+            let mut arms = Vec::new();
+            for (tname, trace) in traces {
+                for kind in [
+                    PlayerKind::ExoPlayer,
+                    PlayerKind::Shaka,
+                    PlayerKind::DashJs,
+                    PlayerKind::Bba,
+                    PlayerKind::Mpc,
+                    PlayerKind::BestPractice,
+                ] {
+                    let (c, v) = (SharedContent::clone(&content), Arc::clone(&view));
+                    let policy = move || dash_policy_over(kind, &c, &v);
+                    let name = label(&format!("{tname}/{kind:?}"));
+                    arms.push(Arm::new(name, &content, kind, policy, trace.clone()));
+                }
+            }
+            arms
         }
-        ("bp5", arm) => {
-            let (_, trace, kind) = bp5_grid().swap_remove(arm);
-            let content = drama();
-            let policy = dash_policy(kind, &content);
-            run_session_obs_profiled(&content, kind, policy, trace, profiler)
-        }
-        _ => unreachable!("observed_session called with untraceable id {id}"),
-    })
-}
-
-/// The per-session specs behind an experiment's `--trace/--chrome/
-/// --metrics` path, in a stable authored order. Single-session figures
-/// yield one spec; the sweep experiments (`f3fix`, `bp1`, `bp5`) yield
-/// one spec per grid cell so tracing a sweep writes per-session files.
-/// Returns `None` for pure tables and for the stateful experiments
-/// (`bp3`, `m1`, `m3`) whose sessions share cache/storage state and
-/// cannot be observed independently.
-pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
-    fn single(id: &'static str, label: &str) -> Vec<SessionSpec> {
-        vec![SessionSpec::new(
-            format!("{id}/{label}"),
-            SEED,
-            0,
-            move |_rng, prof| observed_session(id, 0, prof),
-        )]
-    }
-    Some(match id {
-        "f2a" => single("f2a", "exoplayer-dash-900k"),
-        "f2b" => single("f2b", "exoplayer-dash-900k"),
-        "f3a" => single("f3a", "exoplayer-hls-varying600k"),
-        "f3b" => single("f3b", "exoplayer-hls-varying600k"),
-        "f3x" => single("f3x", "exoplayer-hls-5m"),
-        "f4a" => single("f4a", "shaka-hls-1m"),
-        "f4b" => single("f4b", "shaka-hls-varying600k"),
-        "f5a" => single("f5a", "dashjs-700k"),
-        "f5b" => single("f5b", "dashjs-700k"),
-        "f3fix" => ["stock-exoplayer-hls", "exoplayer-hls-fixed", "bestpractice"]
-            .iter()
-            .enumerate()
-            .map(|(arm, name)| {
-                SessionSpec::new(
-                    format!("f3fix/{name}"),
-                    SEED,
-                    arm as u64,
-                    move |_rng, prof| observed_session("f3fix", arm, prof),
-                )
-            })
-            .collect(),
-        "bp1" => bp1_grid()
-            .into_iter()
-            .enumerate()
-            .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new(
-                    format!("bp1/{tname}/{kind:?}"),
-                    SEED,
-                    arm as u64,
-                    move |_rng, prof| observed_session("bp1", arm, prof),
-                )
-            })
-            .collect(),
-        "bp5" => bp5_grid()
-            .into_iter()
-            .enumerate()
-            .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new(
-                    format!("bp5/{tname}/{kind:?}"),
-                    SEED,
-                    arm as u64,
-                    move |_rng, prof| observed_session("bp5", arm, prof),
-                )
-            })
-            .collect(),
         _ => return None,
     })
 }
 
-/// Runs an experiment's traceable sessions (see [`session_specs`]) across
-/// `min(jobs, cores)` workers; outcomes come back in spec order, so the
-/// emitted per-session artifacts are identical at every `jobs` value.
+/// Runs `arms` over disabled handles across `min(jobs, cores)` workers;
+/// logs come back in arm order.
+fn logs(arms: &[Arm], jobs: usize) -> Vec<SessionLog> {
+    runner::run_indexed(arms.len(), jobs, |i| arms[i].log())
+}
+
+/// The single arm of a one-session figure, with its log.
+fn single(id: &str) -> (Arm, SessionLog) {
+    let arm = arms(id).expect("traceable experiment").swap_remove(0);
+    let log = arm.log();
+    (arm, log)
+}
+
+/// Runs an experiment's traceable sessions across `min(jobs, cores)`
+/// workers; outcomes come back in arm order, so the emitted per-session
+/// artifacts are identical at every `jobs` value.
 pub fn traced_sessions(id: &str, jobs: usize) -> Option<Vec<SessionOutcome>> {
     run_sessions(id, jobs, false).map(|(outcomes, _)| outcomes)
 }
 
 /// The one body behind `exp --id <id>` with `--trace/--chrome/--metrics`
-/// and `--profile`. With `profile` every session runs with a private
-/// profiler wired into its `ObsHandle`, and the returned
-/// [`WorkloadProfile`] carries the merged span tree plus the pool's
-/// phase/worker accounting. Outcomes are byte-identical either way.
+/// and `--profile`: the experiment's arm list, observed. With `profile`
+/// every session runs with a private profiler wired into its `ObsHandle`,
+/// and the returned [`WorkloadProfile`] carries the merged span tree plus
+/// the pool's phase/worker accounting. Outcomes are byte-identical either
+/// way.
 pub fn run_sessions(
     id: &str,
     jobs: usize,
     profile: bool,
 ) -> Option<(Vec<SessionOutcome>, Option<WorkloadProfile>)> {
     let setup = runner::Lap::start(profile);
-    let specs = session_specs(id)?;
+    let arms = arms(id)?;
     let setup_ns = setup.ns();
     let (outcomes, pool) = runner::run_pool(
-        specs.len(),
+        arms.len(),
         jobs,
-        runner::adaptive_chunk(specs.len(), jobs),
+        runner::adaptive_chunk(arms.len(), jobs),
         None,
         profile,
         || (),
-        |(), i, profiler| specs[i].run(profiler),
+        |(), i, profiler| arms[i].observe(profiler),
     );
     let profile = pool.map(|pool| WorkloadProfile::from_pool(id, setup_ns, pool));
     Some((outcomes, profile))
@@ -325,11 +361,11 @@ pub fn traced_session(
     Vec<abr_obs::TracedEvent>,
     abr_obs::MetricsSnapshot,
 )> {
-    let specs = session_specs(id)?;
-    if specs.len() != 1 {
+    let arms = arms(id)?;
+    if arms.len() != 1 {
         return None;
     }
-    let outcome = specs[0].run(None);
+    let outcome = arms[0].observe(None);
     Some((outcome.log, outcome.events, outcome.metrics))
 }
 
@@ -468,24 +504,11 @@ fn log_summary_json(log: &SessionLog) -> Value {
 /// Fig 2(a)/(b): ExoPlayer DASH with the low "B" (or high "C") audio set
 /// at a fixed 900 Kbps.
 fn f2(high_audio: bool) -> ExperimentResult {
-    let content = if high_audio {
-        drama_high_audio()
-    } else {
-        drama_low_audio()
-    };
-    let view = dash_view(&content);
-    let policy = ExoPlayerPolicy::dash(&view);
-    let staircase: Vec<String> = policy
-        .combinations()
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    let log = run_session(
-        &content,
-        PlayerKind::ExoPlayer,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(900)),
-    );
+    let (arm, log) = single(if high_audio { "f2b" } else { "f2a" });
+    let content = &arm.content;
+    // ExoPlayer's DASH rule is the log staircase over the declared rates.
+    let ladder = log_staircase(content.video(), content.audio());
+    let staircase: Vec<String> = ladder.iter().map(ToString::to_string).collect();
     let dominant = abr_qoe::combos_used(&log)
         .into_iter()
         .max_by_key(|&(_, n)| n)
@@ -499,7 +522,7 @@ fn f2(high_audio: bool) -> ExperimentResult {
         // V3+B3: 473 + 128 declared.
         (Combo::new(2, 2), 601)
     };
-    let excluded = !log_staircase(content.video(), content.audio()).contains(&better);
+    let excluded = !ladder.contains(&better);
 
     let v_series = downsample(&selection_series(&log, MediaType::Video), 70);
     let a_series = downsample(&selection_series(&log, MediaType::Audio), 70);
@@ -558,24 +581,10 @@ fn f2(high_audio: bool) -> ExperimentResult {
 // Fig 3 — ExoPlayer HLS
 // ---------------------------------------------------------------------
 
-fn f3_session() -> SessionLog {
-    let content = drama();
-    // H_sub with A3 listed first; time-varying trace averaging 600 Kbps.
-    let view = hls_sub_view(&content, &[2, 0, 1]);
-    let policy = ExoPlayerPolicy::hls(&view);
-    run_session(
-        &content,
-        PlayerKind::ExoPlayer,
-        Box::new(policy),
-        Trace::fig3_varying_600k(Duration::from_secs(3600)),
-    )
-}
-
 /// Fig 3(a): selection timeline — audio pinned at A3, off-manifest combos.
 fn f3a() -> ExperimentResult {
-    let content = drama();
-    let log = f3_session();
-    let allowed = curated_subset(content.video(), content.audio());
+    let (arm, log) = single("f3a");
+    let allowed = curated_subset(arm.content.video(), arm.content.audio());
     let audio_tracks = log.distinct_tracks(MediaType::Audio);
     let off = abr_qoe::off_manifest_chunks(&log, &allowed);
     let combos: Vec<String> = abr_qoe::distinct_combos(&log)
@@ -631,7 +640,7 @@ fn f3a() -> ExperimentResult {
 
 /// Fig 3(b): audio/video buffer levels with stall windows.
 fn f3b() -> ExperimentResult {
-    let log = f3_session();
+    let (_, log) = single("f3b");
     let a = downsample(&buffer_series(&log, MediaType::Audio), 140);
     let v = downsample(&buffer_series(&log, MediaType::Video), 140);
     let mut text = ascii_plot(
@@ -679,15 +688,8 @@ fn f3b() -> ExperimentResult {
 /// §3.2's second HLS experiment (no figure): A1 listed first, 5 Mbps —
 /// audio stays pinned at A1 despite ample headroom.
 fn f3x() -> ExperimentResult {
-    let content = drama();
-    let view = hls_sub_view(&content, &[0, 1, 2]);
-    let policy = ExoPlayerPolicy::hls(&view);
-    let log = run_session(
-        &content,
-        PlayerKind::ExoPlayer,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(5000)),
-    );
+    let (_, log) = single("f3x");
+    let q = abr_qoe::summarize(&log);
     let audio_tracks = log.distinct_tracks(MediaType::Audio);
     let text = format!(
         "link: 5 Mbps fixed; H_sub with A1 listed first\n\
@@ -698,8 +700,8 @@ fn f3x() -> ExperimentResult {
             .iter()
             .map(|i| format!("A{}", i + 1))
             .collect::<Vec<_>>(),
-        abr_qoe::summarize(&log).mean_video_kbps,
-        abr_qoe::summarize(&log).mean_audio_kbps,
+        q.mean_video_kbps,
+        q.mean_audio_kbps,
         log.stall_count(),
     );
     ExperimentResult {
@@ -718,49 +720,16 @@ fn f3x() -> ExperimentResult {
 /// bitrates via the proposed master-playlist extension and (b) the
 /// best-practice player on the same manifest.
 fn f3fix(jobs: usize) -> ExperimentResult {
-    use abr_manifest::build::build_master_playlist_ext;
-    use abr_manifest::view::BoundHls;
-    use abr_manifest::MasterPlaylist;
-    use abr_player::policy::AbrPolicy;
-
-    let content = drama();
-    let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
-    let combos = curated_subset(content.video(), content.audio());
-
-    // Stock manifest (A3 first) and extended manifest (same listing).
-    let stock_view = hls_sub_view(&content, &[2, 0, 1]);
-    let ext_master = build_master_playlist_ext(&content, &combos, &[2, 0, 1]);
-    let ext_view =
-        BoundHls::from_master(&MasterPlaylist::parse(&ext_master.to_text()).expect("parses"))
-            .expect("binds");
-
-    type PolicyThunk<'a> = Box<dyn Fn() -> Box<dyn AbrPolicy> + Send + Sync + 'a>;
-    let arms: Vec<(&'static str, PlayerKind, PolicyThunk<'_>)> = vec![
-        (
-            "stock exoplayer-hls",
-            PlayerKind::ExoPlayer,
-            Box::new(|| Box::new(ExoPlayerPolicy::hls(&stock_view)) as Box<dyn AbrPolicy>),
-        ),
-        (
-            "exoplayer-hls-fixed (§4.1 ext)",
-            PlayerKind::ExoPlayer,
-            Box::new(|| {
-                Box::new(ExoPlayerPolicy::hls_fixed(&ext_view).expect("extension present"))
-                    as Box<dyn AbrPolicy>
-            }),
-        ),
-        (
-            "bestpractice (same manifest)",
-            PlayerKind::BestPractice,
-            Box::new(|| Box::new(BestPracticePolicy::from_hls(&stock_view)) as Box<dyn AbrPolicy>),
-        ),
+    let arms = arms("f3fix").expect("f3fix is traceable");
+    let players = [
+        "stock exoplayer-hls",
+        "exoplayer-hls-fixed (§4.1 ext)",
+        "bestpractice (same manifest)",
     ];
-    let logs = runner::run_indexed(arms.len(), jobs, |i| {
-        run_session(&content, arms[i].1, (arms[i].2)(), trace.clone())
-    });
+    let logs = logs(&arms, jobs);
     let mut rows = Vec::new();
     let mut jrows = Vec::new();
-    for ((label, _, _), log) in arms.iter().zip(&logs) {
+    for (label, log) in players.iter().zip(&logs) {
         let q = abr_qoe::summarize(log);
         let audio_used: Vec<String> = log
             .distinct_tracks(MediaType::Audio)
@@ -816,15 +785,7 @@ fn f3fix(jobs: usize) -> ExperimentResult {
 /// Fig 4(a): Shaka over `H_all` at a fixed 1 Mbps — the 16 KB filter
 /// rejects every sample and the estimate stays at the 500 Kbps default.
 fn f4a() -> ExperimentResult {
-    let content = drama();
-    let view = hls_all_view(&content);
-    let policy = ShakaPolicy::hls(&view);
-    let log = run_session(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(1000)),
-    );
+    let (_, log) = single("f4a");
     let est = estimate_series(&log);
     let est_plot = downsample(&est, 70);
     let mut text = ascii_plot(
@@ -862,15 +823,7 @@ fn f4a() -> ExperimentResult {
 /// Fig 4(b): Shaka over a dynamic mean-600 Kbps trace — under- then
 /// over-estimation.
 fn f4b() -> ExperimentResult {
-    let content = drama();
-    let view = hls_all_view(&content);
-    let policy = ShakaPolicy::hls(&view);
-    let log = run_session(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(policy),
-        Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-    );
+    let (_, log) = single("f4b");
     let est = estimate_series(&log);
     let est_plot = downsample(&est, 70);
     let mut text = ascii_plot(
@@ -961,22 +914,10 @@ fn f4x() -> ExperimentResult {
 // Fig 5 — dash.js
 // ---------------------------------------------------------------------
 
-fn f5_session() -> SessionLog {
-    let content = drama();
-    let view = dash_view(&content);
-    let policy = DashJsPolicy::new(&view);
-    run_session(
-        &content,
-        PlayerKind::DashJs,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(700)),
-    )
-}
-
 /// Fig 5(a): dash.js independent adaptation at 700 Kbps — undesirable
 /// combinations.
 fn f5a() -> ExperimentResult {
-    let log = f5_session();
+    let (_, log) = single("f5a");
     let combos_rle = abr_qoe::combos_used(&log);
     let combos: Vec<String> = abr_qoe::distinct_combos(&log)
         .iter()
@@ -1030,7 +971,7 @@ fn f5a() -> ExperimentResult {
 
 /// Fig 5(b): dash.js audio/video buffer imbalance.
 fn f5b() -> ExperimentResult {
-    let log = f5_session();
+    let (_, log) = single("f5b");
     let a = downsample(&buffer_series(&log, MediaType::Audio), 140);
     let v = downsample(&buffer_series(&log, MediaType::Video), 140);
     let mut text = ascii_plot(
@@ -1072,77 +1013,42 @@ fn f5b() -> ExperimentResult {
 // Best practices (§4) — the paper's future work, evaluated
 // ---------------------------------------------------------------------
 
-/// The BP1 sweep grid — `(trace name, trace, player kind)` in row order.
-/// Shared by the table generator and the traced-session path so both
-/// enumerate exactly the same sessions.
-fn bp1_grid() -> Vec<(&'static str, Trace, PlayerKind)> {
-    let traces: Vec<(&'static str, Trace)> = vec![
-        ("700k fixed", Trace::constant(BitsPerSec::from_kbps(700))),
-        ("900k fixed", Trace::constant(BitsPerSec::from_kbps(900))),
-        ("1M fixed", Trace::constant(BitsPerSec::from_kbps(1000))),
-        (
-            "varying-600k",
-            Trace::fig3_varying_600k(Duration::from_secs(3600)),
-        ),
-    ];
-    let kinds = [
-        PlayerKind::ExoPlayer,
-        PlayerKind::Shaka,
-        PlayerKind::DashJs,
-        PlayerKind::Bba,
-        PlayerKind::Mpc,
-        PlayerKind::BestPractice,
-    ];
-    let mut grid = Vec::new();
-    for (tname, trace) in &traces {
-        for kind in kinds {
-            grid.push((*tname, trace.clone(), kind));
-        }
-    }
-    grid
-}
-
 /// BP1: the four policies over DASH on four traces; QoE table.
 fn bp1(jobs: usize) -> ExperimentResult {
-    let content = drama();
-    let grid = bp1_grid();
-    let logs = runner::run_indexed(grid.len(), jobs, |i| {
-        let (_, trace, kind) = &grid[i];
-        run_session(&content, *kind, dash_policy(*kind, &content), trace.clone())
-    });
+    let arms = arms("bp1").expect("bp1 is traceable");
+    let logs = logs(&arms, jobs);
+    let content = &arms[0].content;
     let allowed = curated_subset(content.video(), content.audio());
     let mut rows = Vec::new();
     let mut jrows = Vec::new();
-    for ((tname, _, _), log) in grid.iter().zip(&logs) {
-        {
-            let tname = *tname;
-            let q = abr_qoe::summarize(log);
-            let off = abr_qoe::off_manifest_chunks(log, &allowed);
-            rows.push(vec![
-                tname.to_string(),
-                q.policy.clone(),
-                format!("{:.2}", q.score),
-                q.stall_count.to_string(),
-                format!("{:.1}", q.total_stall.as_secs_f64()),
-                q.mean_video_kbps.to_string(),
-                q.mean_audio_kbps.to_string(),
-                (q.video_switches + q.audio_switches).to_string(),
-                format!("{:.1}", q.max_imbalance.as_secs_f64()),
-                off.to_string(),
-            ]);
-            jrows.push(json!({
-                "trace": tname,
-                "policy": q.policy,
-                "score": q.score,
-                "stalls": q.stall_count,
-                "total_stall_s": q.total_stall.as_secs_f64(),
-                "mean_video_kbps": q.mean_video_kbps,
-                "mean_audio_kbps": q.mean_audio_kbps,
-                "switches": q.video_switches + q.audio_switches,
-                "max_imbalance_s": q.max_imbalance.as_secs_f64(),
-                "off_curated_chunks": off,
-            }));
-        }
+    for (arm, log) in arms.iter().zip(&logs) {
+        let tname = arm.trace_name();
+        let q = abr_qoe::summarize(log);
+        let off = abr_qoe::off_manifest_chunks(log, &allowed);
+        rows.push(vec![
+            tname.to_string(),
+            q.policy.clone(),
+            format!("{:.2}", q.score),
+            q.stall_count.to_string(),
+            format!("{:.1}", q.total_stall.as_secs_f64()),
+            q.mean_video_kbps.to_string(),
+            q.mean_audio_kbps.to_string(),
+            (q.video_switches + q.audio_switches).to_string(),
+            format!("{:.1}", q.max_imbalance.as_secs_f64()),
+            off.to_string(),
+        ]);
+        jrows.push(json!({
+            "trace": tname,
+            "policy": q.policy,
+            "score": q.score,
+            "stalls": q.stall_count,
+            "total_stall_s": q.total_stall.as_secs_f64(),
+            "mean_video_kbps": q.mean_video_kbps,
+            "mean_audio_kbps": q.mean_audio_kbps,
+            "switches": q.video_switches + q.audio_switches,
+            "max_imbalance_s": q.max_imbalance.as_secs_f64(),
+            "off_curated_chunks": off,
+        }));
     }
     let text = table(
         &[
@@ -1344,13 +1250,9 @@ fn bp4(jobs: usize) -> ExperimentResult {
         &rows,
     );
     text.push_str(concat!(
-        "
-lazy fetching pays a playlist round trip at every first use of a
-",
-        "track (and the adaptation logic is blind to per-track bitrates until
-",
-        "then); eager fetching front-loads the cost into startup, once.
-",
+        "\nlazy fetching pays a playlist round trip at every first use of a\n",
+        "track (and the adaptation logic is blind to per-track bitrates until\n",
+        "then); eager fetching front-loads the cost into startup, once.\n",
     ));
     ExperimentResult {
         id: "bp4",
@@ -1484,10 +1386,7 @@ fn m2(jobs: usize) -> ExperimentResult {
     ];
     let logs = runner::run_indexed(modes.len(), jobs, |i| {
         let policy = Box::new(ShakaPolicy::hls(&view));
-        let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
-        let link = abr_net::link::Link::with_latency(trace.clone(), Duration::from_millis(20));
-        let config = player_config(PlayerKind::Shaka, content.chunk_duration());
-        abr_player::Session::new(origin, link, policy, config)
+        session_for(&content, PlayerKind::Shaka, policy, trace.clone())
             .with_delivery(modes[i].1)
             .run()
     });
@@ -1528,17 +1427,11 @@ fn m2(jobs: usize) -> ExperimentResult {
         &rows,
     );
     text.push_str(concat!(
-        "
-Shaka's per-flow estimator on a 2 Mbps link: demuxed, the two
-",
-        "concurrent flows each sample ~1 Mbps — under the 16 KB filter — so
-",
-        "the estimate never leaves 500 Kbps and quality stays at V2+A2.
-",
-        "Muxed, the single flow samples the full 2 Mbps and quality climbs.
-",
-        "The §1 price: the origin stores every M×N pairing (see M1).
-",
+        "\nShaka's per-flow estimator on a 2 Mbps link: demuxed, the two\n",
+        "concurrent flows each sample ~1 Mbps — under the 16 KB filter — so\n",
+        "the estimate never leaves 500 Kbps and quality stays at V2+A2.\n",
+        "Muxed, the single flow samples the full 2 Mbps and quality climbs.\n",
+        "The §1 price: the origin stores every M×N pairing (see M1).\n",
     ));
     ExperimentResult {
         id: "m2",
@@ -1565,17 +1458,11 @@ fn m3() -> ExperimentResult {
         ("muxed", DeliveryMode::Muxed),
     ] {
         let session = |edge: EdgeCache, audio: usize| {
-            let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
-            let link = abr_net::link::Link::with_latency(
-                Trace::constant(BitsPerSec::from_kbps(1_600)),
-                Duration::from_millis(20),
-            );
-            let config = player_config(PlayerKind::BestPractice, content.chunk_duration());
-            abr_player::Session::new(
-                origin,
-                link,
+            session_for(
+                &content,
+                PlayerKind::BestPractice,
                 Box::new(FixedPolicy { video: 3, audio }),
-                config,
+                Trace::constant(BitsPerSec::from_kbps(1_600)),
             )
             .with_delivery(mode)
             .with_edge_cache(edge)
@@ -1646,37 +1533,13 @@ fn m3() -> ExperimentResult {
 /// (DSL, LTE walk, congested HSPA, bus commute, elevator outage, and the
 /// two paper profiles). One row per (profile, policy); the compact score
 /// column is what a regression dashboard would track.
-/// The BP5 sweep grid — every named corpus profile × every policy, in row
-/// order. Shared by the table generator and the traced-session path.
-fn bp5_grid() -> Vec<(&'static str, Trace, PlayerKind)> {
-    let kinds = [
-        PlayerKind::ExoPlayer,
-        PlayerKind::Shaka,
-        PlayerKind::DashJs,
-        PlayerKind::Bba,
-        PlayerKind::Mpc,
-        PlayerKind::BestPractice,
-    ];
-    let mut grid = Vec::new();
-    for (name, trace) in abr_net::corpus::all(Duration::from_secs(3600), SEED) {
-        for kind in kinds {
-            grid.push((name, trace.clone(), kind));
-        }
-    }
-    grid
-}
-
 fn bp5(jobs: usize) -> ExperimentResult {
-    let content = drama();
-    let grid = bp5_grid();
-    let logs = runner::run_indexed(grid.len(), jobs, |i| {
-        let (_, trace, kind) = &grid[i];
-        run_session(&content, *kind, dash_policy(*kind, &content), trace.clone())
-    });
+    let arms = arms("bp5").expect("bp5 is traceable");
+    let logs = logs(&arms, jobs);
     let mut rows = Vec::new();
     let mut jrows = Vec::new();
-    for ((name, _, _), log) in grid.iter().zip(&logs) {
-        let name = *name;
+    for (arm, log) in arms.iter().zip(&logs) {
+        let name = arm.trace_name();
         let q = abr_qoe::summarize(log);
         rows.push(vec![
             name.to_string(),
@@ -1714,5 +1577,31 @@ fn bp5(jobs: usize) -> ExperimentResult {
         title: "BP5: corpus sweep — every policy over every named network profile",
         text,
         json: json!({ "rows": jrows }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An arm observed with and without a profiler gives the same outcome
+    /// under the same label; the profiler only observes.
+    #[test]
+    fn spec_run_profiled_equals_run() {
+        let arm = &arms("f4a").expect("f4a is traceable")[0];
+        let plain = arm.observe(None);
+        let profiler = Rc::new(Profiler::new());
+        let profiled = arm.observe(Some(&profiler));
+        assert!(plain.log == profiled.log, "log changed with a profiler");
+        assert_eq!(plain.events, profiled.events);
+        assert_eq!(plain.label, "f4a/shaka-hls-1m");
+        assert_eq!(plain.label, profiled.label);
+        let report = profiler.report();
+        let names: Vec<&str> = report
+            .flatten()
+            .iter()
+            .map(|(_, _, node)| node.name.as_str())
+            .collect();
+        assert!(names.contains(&"session.run"), "spans: {names:?}");
     }
 }

@@ -41,17 +41,14 @@
 
 use super::{FleetSpec, PlanSource, SessionPlan, TRACE_SECS};
 use crate::corpus::{TitleCorpus, TitleScenario};
-use crate::setup::{dash_policy_over, player_config};
+use crate::setup::{dash_policy_over, session_for};
 use abr_event::arena::{Arena, SlotId};
 use abr_event::sync_model::{fold_slots, is_last_arrival, next_window, parity_of_round, spins};
 use abr_event::time::{Duration, Instant};
 use abr_event::{EventQueue, WindowClock};
 use abr_httpsim::cache::{CacheStats, CdnCache};
-use abr_httpsim::origin::Origin;
 use abr_httpsim::shared::{FleetHub, SharedEdge};
-use abr_media::content::SharedContent;
 use abr_media::units::Bytes;
-use abr_net::link::Link;
 use abr_net::trace::Trace;
 use abr_net::uplink::{UplinkQueue, UplinkStats};
 use abr_obs::HostStopwatch;
@@ -216,11 +213,8 @@ pub(super) fn build_session(
     trace: Trace,
     hub: Rc<RefCell<FleetHub>>,
 ) -> Session {
-    let origin = Origin::with_overhead(SharedContent::clone(&scenario.content), Bytes::ZERO);
-    let link = Link::with_latency(trace, Duration::from_millis(20));
     let policy = dash_policy_over(plan.kind, &scenario.content, &scenario.dash);
-    let config = player_config(plan.kind, scenario.content.chunk_duration());
-    Session::new(origin, link, policy, config)
+    session_for(&scenario.content, plan.kind, policy, trace)
         .with_delivery(spec.delivery)
         .with_deadline(Instant::from_secs(spec.deadline_secs))
         .with_transfer_path(Box::new(SharedEdge::new(

@@ -1,17 +1,20 @@
 //! Deterministic parallel sweep engine.
 //!
 //! Every multi-session artifact in this repo (the `exp --all` set, the
-//! BP sweeps, `exp mc`, the Criterion groups) is a pure function of its
-//! session specs: content synthesis, traces and policies all seed their
-//! own RNG streams, and the simulated clock never observes the host.
-//! That makes wall-clock parallelism safe *if and only if* two rules hold,
-//! and this module is the one place they are enforced (DESIGN.md §10):
+//! BP sweeps, `exp mc`) is a pure function of its authored item list:
+//! content synthesis, traces and policies all seed their own RNG
+//! streams, and the simulated clock never observes the host.
+//! That makes wall-clock parallelism safe *if and only if* two rules hold
+//! (DESIGN.md §10); the first is kept where items are authored, the
+//! second is enforced here:
 //!
-//! 1. **Seed derivation is scheduling-blind.** A session's random stream
-//!    is [`SplitMix64::for_stream`]`(spec.seed, spec.stream)` — a pure
-//!    function of the spec, never of worker identity, pool size or the
-//!    order in which workers claim work.
-//! 2. **Results merge in spec order.** Workers return `(index, outcome)`
+//! 1. **Seed derivation is scheduling-blind.** Every random stream is
+//!    derived from the item's authored identity — an mc realization's
+//!    seed `SEED + r`, a fleet session's
+//!    [`SplitMix64::for_stream`](abr_event::rng::SplitMix64::for_stream)`(seed, i)`
+//!    — never from worker identity, pool size or the order in which
+//!    workers claim work.
+//! 2. **Results merge in index order.** Workers return `(index, outcome)`
 //!    through a channel; the pool re-assembles the output vector by index,
 //!    so downstream tables, JSON artifacts and merged metrics are
 //!    byte-identical at any `--jobs` value.
@@ -34,7 +37,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use abr_event::rng::SplitMix64;
 use abr_event::sync_model::claim_range;
 use abr_obs::metrics::{Histogram, HistogramSnapshot};
 use abr_obs::profile::SPAN_BOUNDS_NS;
@@ -406,7 +408,7 @@ pub struct WorkerStats {
 
 /// Where a profiled sweep's host time went: pool phases (spawn / run /
 /// merge), per-worker utilization, per-item wall-time distribution, and
-/// the merged span tree from the items themselves (in spec order, per the
+/// the merged span tree from the items themselves (in index order, per the
 /// determinism contract).
 #[derive(Debug, Clone, Default)]
 pub struct RunnerProfile {
@@ -429,7 +431,7 @@ pub struct RunnerProfile {
     pub workers: Vec<WorkerStats>,
     /// Per-item host wall time (ns, [`SPAN_BOUNDS_NS`] buckets).
     pub item_wall: HistogramSnapshot,
-    /// Per-item span trees merged in index (= spec) order.
+    /// Per-item span trees merged in index order.
     pub spans: ProfileReport,
 }
 
@@ -437,7 +439,7 @@ pub struct RunnerProfile {
 /// fields are plain owned data (`Send`); nothing here aliases worker
 /// state.
 pub struct SessionOutcome {
-    /// The spec's label, `<experiment>/<session>` by convention.
+    /// The session's label, `<experiment>/<session>` by convention.
     pub label: String,
     /// The session's directly-recorded log.
     pub log: SessionLog,
@@ -447,93 +449,7 @@ pub struct SessionOutcome {
     pub metrics: MetricsSnapshot,
 }
 
-impl SessionOutcome {
-    /// Wraps the `(log, events, metrics)` triple a
-    /// `run_session_obs`-style runner returns. The label is left empty;
-    /// [`SessionSpec::run`] stamps the spec's own label on, so a job
-    /// closure never has to repeat its spec's identity.
-    pub fn from_obs(parts: (SessionLog, Vec<TracedEvent>, MetricsSnapshot)) -> SessionOutcome {
-        SessionOutcome {
-            label: String::new(),
-            log: parts.0,
-            events: parts.1,
-            metrics: parts.2,
-        }
-    }
-}
-
-/// One session of a sweep: a stable identity (label, seed, stream) plus
-/// the job that realises it. The job receives the spec's derived RNG —
-/// [`SplitMix64::for_stream`]`(seed, stream)` — as its only source of
-/// randomness, so the stream a session sees is fixed at spec-construction
-/// time, not at scheduling time.
-pub struct SessionSpec {
-    /// Human-readable identity, `<experiment>/<session>` by convention.
-    pub label: String,
-    /// Base seed (usually the experiment-wide content seed).
-    pub seed: u64,
-    /// Stable stream index within the sweep (position in the spec list at
-    /// construction time — *not* any runtime ordering).
-    pub stream: u64,
-    /// The job takes the derived RNG plus an optional span profiler. The
-    /// profiler argument is `None` on unprofiled runs and must never
-    /// influence the outcome — profiling observes, artifacts stay
-    /// byte-identical (`tests/profile_determinism.rs`).
-    job: SessionJob,
-}
-
-/// The boxed closure a [`SessionSpec`] realises: derived RNG in, session
-/// outcome out, with an optional span profiler to observe (never steer)
-/// the run.
-type SessionJob =
-    Box<dyn Fn(&mut SplitMix64, Option<&Rc<Profiler>>) -> SessionOutcome + Send + Sync>;
-
-impl SessionSpec {
-    /// A new spec. `stream` must be stable across runs (use the spec's
-    /// position in the authored sweep, or any other value derived from
-    /// the sweep definition alone). Under `--profile` the job receives
-    /// the per-session span profiler to wire into its `ObsHandle`,
-    /// otherwise `None`.
-    pub fn new<F>(label: impl Into<String>, seed: u64, stream: u64, job: F) -> SessionSpec
-    where
-        F: Fn(&mut SplitMix64, Option<&Rc<Profiler>>) -> SessionOutcome + Send + Sync + 'static,
-    {
-        SessionSpec {
-            label: label.into(),
-            seed,
-            stream,
-            job: Box::new(job),
-        }
-    }
-
-    /// The spec's derived RNG stream (order-independent; see
-    /// `crates/event/tests/proptests.rs`).
-    pub fn rng(&self) -> SplitMix64 {
-        SplitMix64::for_stream(self.seed, self.stream)
-    }
-
-    /// Runs the session in the calling thread, optionally with a span
-    /// profiler attached; the profiler observes and never steers, so the
-    /// outcome is the same either way. The outcome's label is stamped
-    /// from the spec.
-    pub fn run(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
-        let mut outcome = (self.job)(&mut self.rng(), profiler);
-        outcome.label = self.label.clone();
-        outcome
-    }
-}
-
-impl std::fmt::Debug for SessionSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionSpec")
-            .field("label", &self.label)
-            .field("seed", &self.seed)
-            .field("stream", &self.stream)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Merges per-session metrics snapshots in spec order (the deterministic
+/// Merges per-session metrics snapshots in session order (the deterministic
 /// ordered merge behind `exp --metrics` on sweeps).
 pub fn merged_metrics(outcomes: &[SessionOutcome]) -> MetricsSnapshot {
     MetricsSnapshot::merge_ordered(outcomes.iter().map(|o| &o.metrics))
@@ -665,55 +581,5 @@ mod tests {
         });
         assert!(out.is_empty());
         assert_eq!(profile.expect("profiled").items, 0);
-    }
-
-    #[test]
-    fn spec_run_profiled_equals_run() {
-        fn empty_log(policy: String) -> SessionLog {
-            SessionLog {
-                policy,
-                selections: Vec::new(),
-                transfers: Vec::new(),
-                buffer_samples: Vec::new(),
-                stalls: Vec::new(),
-                playlist_fetches: Vec::new(),
-                seeks: Vec::new(),
-                startup_at: None,
-                ended_at: None,
-                finished_at: abr_event::time::Instant::ZERO,
-                chunk_duration: abr_event::time::Duration::from_secs(4),
-                num_chunks: 0,
-            }
-        }
-        let spec = SessionSpec::new("p/x", 2019, 3, |rng, prof| {
-            if let Some(p) = prof {
-                let _g = p.span("job");
-            }
-            SessionOutcome::from_obs((
-                empty_log(format!("rng:{}", rng.next_u64())),
-                Vec::new(),
-                MetricsSnapshot::default(),
-            ))
-        });
-        let plain = spec.run(None);
-        let profiler = Rc::new(Profiler::new());
-        let profiled = spec.run(Some(&profiler));
-        // Same derived RNG, same outcome, profiler only observed.
-        assert_eq!(plain.log.policy, profiled.log.policy);
-        assert_eq!(plain.label, profiled.label);
-        assert_eq!(profiler.report().roots[0].name, "job");
-    }
-
-    #[test]
-    fn spec_rng_ignores_execution_order() {
-        let mk = |stream: u64| {
-            SessionSpec::new(format!("s{stream}"), 2019, stream, |_, _| unreachable!())
-        };
-        let forward: Vec<u64> = (0..8).map(|s| mk(s).rng().next_u64()).collect();
-        let backward: Vec<u64> = (0..8).rev().map(|s| mk(s).rng().next_u64()).collect();
-        let reversed: Vec<u64> = backward.into_iter().rev().collect();
-        assert_eq!(forward, reversed);
-        // Sibling streams are distinct.
-        assert_eq!(forward.iter().collect::<HashSet<_>>().len(), forward.len());
     }
 }

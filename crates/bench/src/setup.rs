@@ -19,10 +19,11 @@ use abr_media::content::{Content, SharedContent};
 use abr_media::units::Bytes;
 use abr_net::link::Link;
 use abr_net::trace::Trace;
-use abr_obs::{MetricsSnapshot, ObsHandle, TracedEvent};
+use abr_obs::{MetricsSnapshot, ObsHandle, Profiler, TracedEvent};
 use abr_player::config::{PlayerConfig, SyncMode};
 use abr_player::policy::AbrPolicy;
 use abr_player::{Session, SessionLog};
+use std::rc::Rc;
 
 /// The deterministic seed every experiment uses for content synthesis.
 pub const SEED: u64 = 2019;
@@ -172,11 +173,14 @@ pub fn run_session_pooled(
         .run_with_scratch(scratch)
 }
 
-/// The canonical session builder every runner variant shares: shared
-/// content handle into a zero-overhead origin (keeps the byte arithmetic
-/// aligned with the paper's bitrate tables), 20 ms link latency, `kind`'s
-/// player configuration.
-fn session_for(
+/// The canonical session builder, and the only place a (content, kind,
+/// policy, trace) becomes a [`Session`]: shared content handle into a
+/// zero-overhead origin (keeps the byte arithmetic aligned with the
+/// paper's bitrate tables), 20 ms link latency, `kind`'s player
+/// configuration. Every runner here, the fleet driver and `m2`/`m3` build
+/// on it; `bp2` and `bp4` deliberately vary the sync mode, overhead and
+/// latency, so they build their own.
+pub(crate) fn session_for(
     content: &SharedContent,
     kind: PlayerKind,
     policy: Box<dyn AbrPolicy>,
@@ -191,40 +195,29 @@ fn session_for(
 /// Like [`run_session`], but with a recording tracer and metrics registry
 /// attached: returns the directly-recorded log alongside the captured
 /// event stream and a metrics snapshot. This is the runner behind the
-/// `exp --trace/--chrome/--metrics` flags and the trace-replay
+/// `exp --trace/--chrome/--metrics/--profile` flags and the trace-replay
 /// integration test.
 ///
 /// Observation is *deterministic* ([`ObsHandle::deterministic_recording`]):
 /// `wall_ns` stamps are 0 and host-clock timing histograms are disabled,
 /// so the returned events and snapshot are a pure function of the session
 /// — the property the golden-artifact and parallel-determinism suites
-/// assert. Wall-clock profiling remains available by wiring
-/// [`ObsHandle::recording`] manually (the `obs_overhead` ablation does).
+/// assert. An optional span `profiler` observes host time only: the log,
+/// events and metrics are byte-identical with or without one (the
+/// `profile_determinism` suite holds this), and the spans land in the
+/// caller's [`abr_obs::Profiler`]. Wall-clock tracing remains available
+/// by wiring [`ObsHandle::recording`] manually (the `obs_overhead`
+/// ablation does).
 pub fn run_session_obs(
     content: &SharedContent,
     kind: PlayerKind,
     policy: Box<dyn AbrPolicy>,
     trace: Trace,
-) -> (SessionLog, Vec<TracedEvent>, MetricsSnapshot) {
-    run_session_obs_profiled(content, kind, policy, trace, None)
-}
-
-/// [`run_session_obs`] with an optional span profiler attached to the
-/// deterministic recording handle. Profiling observes host time only: the
-/// returned log, events and metrics are byte-identical with or without a
-/// profiler (the `profile_determinism` suite holds this), and the spans
-/// land in the caller's [`abr_obs::Profiler`] for a later
-/// [`abr_obs::ProfileReport`].
-pub fn run_session_obs_profiled(
-    content: &SharedContent,
-    kind: PlayerKind,
-    policy: Box<dyn AbrPolicy>,
-    trace: Trace,
-    profiler: Option<&std::rc::Rc<abr_obs::Profiler>>,
+    profiler: Option<&Rc<Profiler>>,
 ) -> (SessionLog, Vec<TracedEvent>, MetricsSnapshot) {
     let (mut obs, tracer, metrics) = ObsHandle::deterministic_recording();
     if let Some(p) = profiler {
-        obs = obs.with_profiler(std::rc::Rc::clone(p));
+        obs = obs.with_profiler(Rc::clone(p));
     }
     let log = session_for(content, kind, policy, trace)
         .with_obs(obs)

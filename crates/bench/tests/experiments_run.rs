@@ -1,7 +1,7 @@
 //! Integration: every experiment id runs, renders non-empty text and
 //! structured JSON, and the headline shape claims hold.
 
-use abr_bench::experiments::{all_ids, run};
+use abr_bench::experiments::{all_ids, run, run_jobs, traced_sessions};
 
 #[test]
 fn every_experiment_runs_and_renders() {
@@ -70,4 +70,47 @@ fn headline_shapes_hold_in_json() {
     let demuxed_mb = rows[0]["viewer_b_origin_mb"].as_f64().unwrap();
     let muxed_mb = rows[1]["viewer_b_origin_mb"].as_f64().unwrap();
     assert!(demuxed_mb * 3.0 < muxed_mb, "{demuxed_mb} vs {muxed_mb}");
+}
+
+/// The figure and the `--trace`/`--profile` path run the same sessions:
+/// every traced outcome of every traceable experiment, at jobs 1 and 2,
+/// summarizes to the score and stall count the figure's JSON reports for
+/// that session.
+#[test]
+fn figure_and_trace_paths_run_the_same_sessions() {
+    let mut covered = Vec::new();
+    for id in all_ids() {
+        let Some(serial) = traced_sessions(id, 1) else {
+            continue;
+        };
+        covered.push(id);
+        let json = run_jobs(id, 1).expect("listed id").json;
+        let reported: Vec<&serde_json::Value> = match json["rows"].as_array() {
+            Some(rows) => rows.iter().collect(),
+            None => vec![&json["session"]],
+        };
+        let parallel = traced_sessions(id, 2).expect("traceable at jobs=2");
+        for (jobs, outcomes) in [(1, serial), (2, parallel)] {
+            assert_eq!(outcomes.len(), reported.len(), "{id} at jobs={jobs}");
+            for (outcome, row) in outcomes.iter().zip(&reported) {
+                let q = abr_qoe::summarize(&outcome.log);
+                assert_eq!(
+                    row["score"].as_f64(),
+                    Some(q.score),
+                    "{}: score at jobs={jobs}",
+                    outcome.label
+                );
+                assert_eq!(
+                    row["stalls"].as_u64(),
+                    Some(q.stall_count as u64),
+                    "{}: stalls at jobs={jobs}",
+                    outcome.label
+                );
+            }
+        }
+    }
+    assert_eq!(
+        covered,
+        ["f2a", "f2b", "f3a", "f3b", "f3x", "f3fix", "f4a", "f4b", "f5a", "f5b", "bp1", "bp5"]
+    );
 }

@@ -22,7 +22,7 @@ use abr_bench::fleet::{run_fleet, run_fleet_with, FleetOptions, FleetResult, Fle
 use abr_bench::mc::{run_mc, run_mc_with, McResult};
 use abr_bench::profiling::WorkloadProfile;
 use abr_bench::runner::merged_metrics;
-use abr_bench::setup::{drama, run_session_obs, run_session_obs_profiled, PlayerKind};
+use abr_bench::setup::{drama, run_session_obs, PlayerKind};
 use abr_core::bestpractice::BestPracticePolicy;
 use abr_event::time::Duration;
 use abr_net::trace::Trace;
@@ -133,10 +133,15 @@ fn traced_session_is_identical_with_profiler_attached() {
         Box::new(BestPracticePolicy::from_hls(&view))
     };
     let trace = || Trace::fig4b_varying_600k(Duration::from_secs(600));
-    let (log_a, events_a, metrics_a) =
-        run_session_obs(&content, PlayerKind::BestPractice, make_policy(), trace());
+    let (log_a, events_a, metrics_a) = run_session_obs(
+        &content,
+        PlayerKind::BestPractice,
+        make_policy(),
+        trace(),
+        None,
+    );
     let profiler = Rc::new(Profiler::new());
-    let (log_b, events_b, metrics_b) = run_session_obs_profiled(
+    let (log_b, events_b, metrics_b) = run_session_obs(
         &content,
         PlayerKind::BestPractice,
         make_policy(),

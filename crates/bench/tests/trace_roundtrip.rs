@@ -25,6 +25,7 @@ fn traced_f4b_replay_equals_direct_log() {
         PlayerKind::Shaka,
         Box::new(policy),
         Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+        None,
     );
 
     // The session must actually have exercised the interesting machinery,
@@ -74,6 +75,7 @@ fn metrics_ride_along_with_the_trace() {
         PlayerKind::Shaka,
         Box::new(ShakaPolicy::hls(&view)),
         Trace::constant(BitsPerSec::from_kbps(1000)),
+        None,
     );
     let completed = *metrics
         .counters
