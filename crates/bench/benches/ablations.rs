@@ -9,13 +9,12 @@
 //!   log-staircase vs the full M×N set vs the curated subset.
 //! * `sync_mode/*` — a full best-practice session with chunk-level vs
 //!   independent prefetching (the BP2 ablation).
-//! * `obs_overhead/*` — a full session with no observability handle vs a
-//!   `NullTracer` handle threaded through every instrumented site, vs a
-//!   live span profiler. The disabled path must cost within noise of the
-//!   uninstrumented one (<2%): `emit` closures are never evaluated and
-//!   `span()` is one branch when no profiler is attached. The
-//!   `span_profiler` case pins what turning profiling *on* costs — it is
-//!   allowed to be visible, because `--profile` is opt-in.
+//! * `obs_overhead/*` — a full session over the disabled observability
+//!   handle every instrumented site holds by default, vs a live span
+//!   profiler. On the disabled path `emit` closures are never evaluated
+//!   and `span()` is one branch. The `span_profiler` case pins what
+//!   turning profiling *on* costs — it is allowed to be visible, because
+//!   `--profile` is opt-in.
 
 use abr_bench::setup::{drama, hls_sub_view, player_config, PlayerKind};
 use abr_core::bestpractice::BestPracticePolicy;
@@ -28,7 +27,7 @@ use abr_media::units::{BitsPerSec, Bytes};
 use abr_net::link::Link;
 use abr_net::profile::{DeliveryProfile, Segment};
 use abr_net::trace::Trace;
-use abr_obs::{NullTracer, ObsHandle, Profiler};
+use abr_obs::{ObsHandle, Profiler};
 use abr_player::config::SyncMode;
 use abr_player::policy::TransferRecord;
 use abr_player::Session;
@@ -166,7 +165,7 @@ fn sync_mode(c: &mut Criterion) {
 fn obs_overhead(c: &mut Criterion) {
     let content = drama();
     let view = hls_sub_view(&content, &[0, 1, 2]);
-    let session = |obs: Option<ObsHandle>| {
+    let session = |obs: ObsHandle| {
         let policy = Box::new(BestPracticePolicy::from_hls(&view));
         let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
         let link = Link::with_latency(
@@ -174,28 +173,19 @@ fn obs_overhead(c: &mut Criterion) {
             Duration::from_millis(20),
         );
         let config = player_config(PlayerKind::BestPractice, content.chunk_duration());
-        let mut s = Session::new(origin, link, policy, config);
-        if let Some(obs) = obs {
-            s = s.with_obs(obs);
-        }
-        s.run()
+        Session::new(origin, link, policy, config)
+            .with_obs(obs)
+            .run()
     };
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(20);
-    group.bench_function("uninstrumented", |b| b.iter(|| black_box(session(None))));
-    group.bench_function("null_tracer", |b| {
-        b.iter(|| {
-            black_box(session(Some(
-                ObsHandle::disabled().with_tracer(Rc::new(NullTracer)),
-            )))
-        });
+    group.bench_function("uninstrumented", |b| {
+        b.iter(|| black_box(session(ObsHandle::disabled())));
     });
     group.bench_function("span_profiler", |b| {
         b.iter(|| {
             let profiler = Rc::new(Profiler::new());
-            let log = session(Some(
-                ObsHandle::disabled().with_profiler(Rc::clone(&profiler)),
-            ));
+            let log = session(ObsHandle::disabled().with_profiler(Rc::clone(&profiler)));
             black_box((log, profiler.report()))
         });
     });

@@ -7,16 +7,19 @@
 //! exp --all --jobs 4             ... sharded over 4 workers (same bytes)
 //! exp mc --seeds 25 --jobs 4     Monte Carlo fleet sweep (corpus x policies
 //!                                x seeds); --json F writes the aggregate
+//! exp fleet --sessions 2000      shared-fate fleet engine (edge caches,
+//!                                uplinks, arrivals); --json F writes it
 //!
 //! Observability (with --id):
 //! exp --id f4b --trace out.jsonl    write the event trace as JSONL
 //! exp --id f4b --chrome out.json    write a Chrome trace_event document
 //! exp --id f4b --metrics            print the metrics registry summary
 //!
-//! Self-profiling (--id or mc; DESIGN.md §13):
+//! Self-profiling (--id, mc or fleet; DESIGN.md §13):
 //! exp --id bp1 --profile            print the span self/total-time table
 //! exp mc --profile --profile-json p.json
 //!                                   ... and write the JSON profile artifact
+//! exp fleet --profile               one delivery mode (not --delivery both)
 //!     Profiling measures host time only; the table goes to stderr and
 //!     stdout stays byte-identical with or without it (CI diffs this).
 //! exp --id bp1 --trace bp1.trace.jsonl --jobs 4
@@ -25,7 +28,8 @@
 //! ```
 //!
 //! `--jobs N` shards work across `min(N, cores)` workers. The default
-//! comes from the `ABR_JOBS` environment variable (else 1, fully serial).
+//! comes from the `ABR_JOBS` environment variable, which takes the same
+//! values (`auto` or a positive integer; else 1, fully serial).
 //! Output is byte-identical regardless of the worker count; the
 //! `parallel_determinism` integration suite holds that contract.
 
@@ -84,7 +88,9 @@ fn main() {
     }
     let wants_profile = profile || profile_json.is_some();
     if wants_profile && (run_all || id.is_none()) {
-        usage("--profile/--profile-json need a single experiment (--id) or the mc subcommand");
+        usage(
+            "--profile/--profile-json need a single experiment (--id) or the mc/fleet subcommand",
+        );
     }
 
     let ids: Vec<&str> = if run_all {

@@ -47,7 +47,8 @@ pub fn all_ids() -> Vec<&'static str> {
 }
 
 /// Runs one experiment by id, with the worker count taken from the
-/// `ABR_JOBS` environment variable (default 1 — fully serial). CI runs
+/// `ABR_JOBS` environment variable (`auto` or a positive integer, as for
+/// `--jobs`; default 1 — fully serial). CI runs
 /// the whole suite a second time under `ABR_JOBS=2`; results are
 /// byte-identical by the runner's determinism contract.
 pub fn run(id: &str) -> Option<ExperimentResult> {
@@ -88,7 +89,7 @@ pub fn run_jobs(id: &str, jobs: usize) -> Option<ExperimentResult> {
 /// One traceable session, defined once. The figure renders it over a
 /// disabled handle ([`Arm::log`]); `exp --id <id>` with `--trace/
 /// --chrome/--metrics/--profile` observes the same recipe over the
-/// deterministic recording handle ([`Arm::observe`]). Every field is
+/// recording handle ([`Arm::observe`]). Every field is
 /// `Sync`, so a sweep's workers share one arm list.
 struct Arm {
     /// `<id>/<arm>`: the name an observed session is filed under.
@@ -127,7 +128,7 @@ impl Arm {
         )
     }
 
-    /// Runs the session over the deterministic recording handle, with an
+    /// Runs the session over the recording handle, with an
     /// optional span profiler that observes and never steers.
     fn observe(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
         let (log, events, metrics) = run_session_obs(

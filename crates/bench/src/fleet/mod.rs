@@ -186,10 +186,6 @@ fn zipf_cdf(titles: usize, alpha: f64) -> Vec<f64> {
 /// ([`SplitMix64::for_stream`]) in O(log titles). The driver pulls plans
 /// through this instead of an upfront `Vec<SessionPlan>`, so a
 /// 100k-session fleet never materializes O(fleet) plan memory.
-///
-/// [`realize`] remains as the materialized view (tests, external
-/// callers); `plan_source_matches_realize` pins them equal field for
-/// field.
 pub struct PlanSource {
     sessions: usize,
     domains: usize,
@@ -274,13 +270,6 @@ impl PlanSource {
         }
         counts
     }
-}
-
-/// Realizes the arrival plan as a vector, one RNG stream per session in
-/// session-index order — the materialized view of [`PlanSource`].
-#[must_use]
-pub fn realize(spec: &FleetSpec) -> Vec<SessionPlan> {
-    PlanSource::new(spec).iter().collect()
 }
 
 /// The result of one fleet run: the rendered report, the structured JSON
@@ -459,36 +448,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_source_matches_realize() {
+    fn title_counts_match_the_plan() {
         let spec = FleetSpec {
             zipf_alpha: 0.8,
             ..FleetSpec::small(300)
         };
         let source = PlanSource::new(&spec);
-        let plans = realize(&spec);
-        assert_eq!(source.len(), plans.len());
-        for (i, p) in plans.iter().enumerate() {
-            let q = source.plan(i);
-            assert_eq!(q.index, p.index);
-            assert_eq!(q.domain, p.domain);
-            assert_eq!(q.title, p.title);
-            assert_eq!(q.kind, p.kind);
-            assert_eq!(q.arrival, p.arrival);
-            assert_eq!(q.trace_index, p.trace_index);
-            assert_eq!(q.trace_seed, p.trace_seed);
-        }
         let counts = source.title_counts();
         assert_eq!(counts.iter().sum::<usize>(), spec.sessions);
-        assert_eq!(counts[0], plans.iter().filter(|p| p.title == 0).count());
+        assert_eq!(counts[0], source.iter().filter(|p| p.title == 0).count());
     }
 
     #[test]
     fn realization_is_a_pure_function_of_the_spec() {
         let spec = FleetSpec::small(50);
-        let a = realize(&spec);
-        let b = realize(&spec);
-        assert_eq!(a.len(), 50);
-        for (x, y) in a.iter().zip(&b) {
+        let (a, b) = (PlanSource::new(&spec), PlanSource::new(&spec));
+        assert_eq!(a.iter().count(), 50);
+        for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.title, y.title);
             assert_eq!(x.arrival, y.arrival);
             assert_eq!(x.kind, y.kind);
@@ -507,8 +483,8 @@ mod tests {
             ..FleetSpec::small(2_000)
         };
         let head_share = |spec: &FleetSpec| {
-            let plans = realize(spec);
-            plans.iter().filter(|p| p.title == 0).count() as f64 / plans.len() as f64
+            let source = PlanSource::new(spec);
+            source.iter().filter(|p| p.title == 0).count() as f64 / source.len() as f64
         };
         let flat_share = head_share(&flat);
         let skewed_share = head_share(&skewed);
@@ -541,7 +517,7 @@ mod tests {
     #[test]
     fn arrivals_stay_inside_the_window() {
         let spec = FleetSpec::small(200);
-        for p in realize(&spec) {
+        for p in PlanSource::new(&spec).iter() {
             assert!(p.arrival < Duration::from_secs(spec.arrival_secs));
             assert!(p.domain < spec.domains);
             assert!(p.title < spec.titles);

@@ -384,7 +384,7 @@ mod tests {
         // The tentpole differential: cells running over Arc-shared
         // corpus scenarios must summarize identically to cells that
         // rebuild content, view and trace from their spec alone.
-        use crate::setup::{dash_view, run_session_with_obs, SEED};
+        use crate::setup::{dash_view, run_session, SEED};
         use abr_media::content::SharedContent;
         let (corpus, policies, grid) = mc_grid(2);
         let mut scratch = SessionScratch::new();
@@ -398,13 +398,7 @@ mod tests {
             let arm = policies[cell.policy];
             let view = dash_view(&content);
             let policy = arm.policy(&content, &view);
-            let log = run_session_with_obs(
-                &content,
-                arm.player_kind(),
-                policy,
-                trace,
-                ObsHandle::disabled(),
-            );
+            let log = run_session(&content, arm.player_kind(), policy, trace);
             assert_eq!(shared, abr_qoe::summarize(&log), "cell {cell:?}");
         }
     }

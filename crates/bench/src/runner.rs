@@ -50,16 +50,19 @@ pub fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// The default worker count: the `ABR_JOBS` environment variable when set
-/// to a positive integer, else 1 (serial). This is how CI runs the whole
+/// The default worker count: the `ABR_JOBS` environment variable when it
+/// holds a value [`parse_jobs`] accepts (a positive integer or `auto`,
+/// exactly like `--jobs`), else 1 (serial). This is how CI runs the whole
 /// existing test suite under parallelism without every call site growing
 /// a flag.
 pub fn jobs_from_env() -> usize {
-    std::env::var("ABR_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    jobs_or_serial(std::env::var("ABR_JOBS").ok().as_deref())
+}
+
+/// [`jobs_from_env`]'s resolution of an optional `ABR_JOBS` value: unset
+/// or rejected by [`parse_jobs`] falls back to 1.
+fn jobs_or_serial(value: Option<&str>) -> usize {
+    value.and_then(parse_jobs).unwrap_or(1)
 }
 
 /// Parses a `--jobs` value: a positive integer, or the literal `auto`
@@ -486,6 +489,16 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::Mutex;
+
+    #[test]
+    fn abr_jobs_values_resolve_like_the_jobs_flag() {
+        assert_eq!(jobs_or_serial(Some("auto")), available_cores());
+        assert_eq!(jobs_or_serial(Some("3")), 3);
+        assert_eq!(jobs_or_serial(Some("0")), 1);
+        assert_eq!(jobs_or_serial(Some("-2")), 1);
+        assert_eq!(jobs_or_serial(Some("four")), 1);
+        assert_eq!(jobs_or_serial(None), 1);
+    }
 
     #[test]
     fn run_indexed_preserves_index_order() {

@@ -135,30 +135,14 @@ pub fn run_session(
     policy: Box<dyn AbrPolicy>,
     trace: Trace,
 ) -> SessionLog {
-    run_session_with_obs(content, kind, policy, trace, ObsHandle::disabled())
+    session_for(content, kind, policy, trace).run()
 }
 
-/// [`run_session`] with an explicit [`ObsHandle`]. A disabled handle is
-/// exactly what a bare `Session` starts with, so `run_session` and this
-/// function are the same code path; `exp mc --profile`
-/// passes a handle that carries only a span profiler, which observes
-/// host time and never touches the log (the byte-identity the
-/// `profile_determinism` suite pins).
-pub fn run_session_with_obs(
-    content: &SharedContent,
-    kind: PlayerKind,
-    policy: Box<dyn AbrPolicy>,
-    trace: Trace,
-    obs: ObsHandle,
-) -> SessionLog {
-    session_for(content, kind, policy, trace)
-        .with_obs(obs)
-        .run()
-}
-
-/// [`run_session_with_obs`] building the log's event vectors out of a
-/// worker-local [`abr_player::SessionScratch`] pool — the sweep hot path.
-/// Logs are byte-identical to the unpooled runner; hand the log back to
+/// [`run_session`] with an explicit [`ObsHandle`], building the log's
+/// event vectors out of a worker-local [`abr_player::SessionScratch`]
+/// pool — the sweep hot path (`exp mc --profile` passes a handle that
+/// carries only a span profiler, which never touches the log). Logs are
+/// byte-identical to the unpooled runner; hand the log back to
 /// [`abr_player::SessionScratch::reclaim`] once summarized.
 pub fn run_session_pooled(
     content: &SharedContent,
@@ -198,16 +182,13 @@ pub(crate) fn session_for(
 /// `exp --trace/--chrome/--metrics/--profile` flags and the trace-replay
 /// integration test.
 ///
-/// Observation is *deterministic* ([`ObsHandle::deterministic_recording`]):
-/// `wall_ns` stamps are 0 and host-clock timing histograms are disabled,
-/// so the returned events and snapshot are a pure function of the session
-/// — the property the golden-artifact and parallel-determinism suites
-/// assert. An optional span `profiler` observes host time only: the log,
-/// events and metrics are byte-identical with or without one (the
-/// `profile_determinism` suite holds this), and the spans land in the
-/// caller's [`abr_obs::Profiler`]. Wall-clock tracing remains available
-/// by wiring [`ObsHandle::recording`] manually (the `obs_overhead`
-/// ablation does).
+/// The returned events and snapshot are a pure function of the session
+/// ([`ObsHandle::recording`] reads no host clock) — the property the
+/// golden-artifact and parallel-determinism suites assert. An optional
+/// span `profiler` observes host time only: the log, events and metrics
+/// are byte-identical with or without one (the `profile_determinism`
+/// suite holds this), and the spans land in the caller's
+/// [`abr_obs::Profiler`].
 pub fn run_session_obs(
     content: &SharedContent,
     kind: PlayerKind,
@@ -215,7 +196,7 @@ pub fn run_session_obs(
     trace: Trace,
     profiler: Option<&Rc<Profiler>>,
 ) -> (SessionLog, Vec<TracedEvent>, MetricsSnapshot) {
-    let (mut obs, tracer, metrics) = ObsHandle::deterministic_recording();
+    let (mut obs, tracer, metrics) = ObsHandle::recording();
     if let Some(p) = profiler {
         obs = obs.with_profiler(Rc::clone(p));
     }

@@ -149,14 +149,6 @@ impl ExoMeter {
         }
     }
 
-    /// Overrides the pre-measurement estimate.
-    pub fn with_initial(initial: BitsPerSec) -> ExoMeter {
-        ExoMeter {
-            initial,
-            ..ExoMeter::new()
-        }
-    }
-
     /// Feeds a completed transfer (uses the aggregate window fields).
     pub fn on_transfer(&mut self, rec: &TransferRecord) {
         if rec.window_bytes.get() == 0 || rec.window_busy.is_zero() {

@@ -66,13 +66,6 @@ impl BitsPerSec {
         assert!(den != 0);
         BitsPerSec(((self.0 as u128 * num as u128) / den as u128) as u64)
     }
-
-    /// Scales by a float factor, rounding to nearest. Panics on negative or
-    /// non-finite factors.
-    pub fn mul_f64(self, factor: f64) -> BitsPerSec {
-        assert!(factor.is_finite() && factor >= 0.0, "bad factor {factor}");
-        BitsPerSec((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl Add for BitsPerSec {

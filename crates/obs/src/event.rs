@@ -2,9 +2,8 @@
 //!
 //! Every observable state change in the simulator maps to one [`Event`]
 //! variant. Events are *facts about the simulation*, stamped with the
-//! simulated clock by the emitter and with the host wall clock by the
-//! recording tracer — so a trace can both reconstruct a
-//! `SessionLog` exactly and be opened in a host-time profiler.
+//! simulated clock by the emitter — so a trace reconstructs a
+//! `SessionLog` exactly and is a pure function of the session.
 
 use abr_event::time::{Duration, Instant};
 use abr_media::track::{MediaType, TrackId};
@@ -178,15 +177,16 @@ impl Event {
 }
 
 /// An [`Event`] as captured by a recording tracer: stamped with a
-/// monotonic sequence number, the simulated clock, and the host wall
-/// clock (nanoseconds since the tracer was created).
+/// monotonic sequence number and the simulated clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracedEvent {
     /// Monotonic per-tracer sequence number (total order of emission).
     pub seq: u64,
     /// Simulated time the event happened at.
     pub at: Instant,
-    /// Host wall-clock nanoseconds since the tracer started.
+    /// Always 0 from the recording tracer, which reads no host clock; the
+    /// field keeps the JSONL `wall_ns` key, and so every existing trace,
+    /// byte-identical.
     pub wall_ns: u64,
     /// The event payload.
     pub event: Event,

@@ -8,8 +8,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Default histogram bucket upper bounds: whole decades from 10 to 1e9,
-/// wide enough for both nanosecond latencies and per-flow byte counts. A
-/// final +∞ bucket is implicit.
+/// wide enough for per-flow byte counts. A final +∞ bucket is implicit.
 pub const DEFAULT_BOUNDS: &[f64] = &[1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
 
 /// A fixed-bucket histogram with running sum / min / max.
@@ -219,15 +218,6 @@ impl MetricsRegistry {
             .entry(name)
             .or_insert_with(|| Histogram::with_bounds(DEFAULT_BOUNDS))
             .observe(value);
-    }
-
-    /// Pre-registers histogram `name` with custom bucket bounds (no-op if
-    /// it already exists).
-    pub fn register_histogram(&self, name: &'static str, bounds: &'static [f64]) {
-        self.histograms
-            .borrow_mut()
-            .entry(name)
-            .or_insert_with(|| Histogram::with_bounds(bounds));
     }
 
     /// Current value of a counter (0 when absent).

@@ -122,13 +122,12 @@ impl Engine {
         }
     }
 
-    /// Runs (and times) one policy selection, validates it, records it as
-    /// the current track for its media, and logs + traces it.
+    /// Runs (and profiles) one policy selection, validates it, records it
+    /// as the current track for its media, and logs + traces it.
     fn select(&mut self, ctx: &SelectionContext) -> TrackId {
-        let obs = self.obs.clone();
         let track = {
-            let _g = obs.span("policy.select");
-            obs.time("policy.decision_ns", || self.policy.select(ctx))
+            let _g = self.obs.span("policy.select");
+            self.policy.select(ctx)
         };
         assert_eq!(track.media, ctx.media, "policy returned wrong media type");
         assert!(

@@ -8,11 +8,9 @@
 //!
 //! This writes byte-for-byte what `exp --id f4b --trace
 //! results/f4b.trace.jsonl` writes — the checked-in golden that
-//! `tests/golden_artifacts.rs` pins. Observation is *deterministic*
-//! (`ObsHandle::deterministic_recording`): `wall_ns` stamps are 0 and
-//! host-clock histograms are off, so the trace is a pure function of the
-//! session (DESIGN.md §10). Swap in `ObsHandle::recording()` to profile
-//! with real wall-clock stamps instead.
+//! `tests/golden_artifacts.rs` pins. Observation reads no host clock
+//! (`wall_ns` stamps are 0), so the trace is a pure function of the
+//! session (DESIGN.md §10); host time lives only on the span profiler.
 //!
 //! The emitted JSONL is lossless: `SessionLog::from_trace` rebuilds the
 //! full session history from it (the `trace_roundtrip` integration test
@@ -45,8 +43,8 @@ fn main() {
         .expect("self-built playlist binds");
     let policy = ShakaPolicy::hls(&view);
 
-    // Attach a deterministic recording tracer + metrics registry and run.
-    let (obs, tracer, metrics) = ObsHandle::deterministic_recording();
+    // Attach a recording tracer + metrics registry and run.
+    let (obs, tracer, metrics) = ObsHandle::recording();
     let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
     let link = Link::with_latency(
         Trace::fig4b_varying_600k(Duration::from_secs(3600)),

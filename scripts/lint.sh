@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Preflight for the determinism contract: exactly what the CI lint job
-# runs, bundled so a contributor can check a change before pushing.
+# Preflight for the determinism contract: what the CI lint job runs, plus
+# the benchmark workspace tests from the check job, bundled so a
+# contributor can check a change before pushing.
 #
 #  1. abr-lint      — the workspace determinism + concurrency linter
 #                     (DESIGN.md §12, §17);
@@ -12,7 +13,10 @@
 #  5. cargo test    — the full suite with `debug-invariants` on, so the
 #                     runtime invariant checks in Link/EventQueue/
 #                     FlightBoard/WindowBoard/claim ledger run under
-#                     every golden and differential test.
+#                     every golden and differential test;
+#  6. benchmark     — the frozen `benchmark/` workspace's own tests, so a
+#                     change to the public API it calls fails here, not
+#                     only in CI's check job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,5 +34,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (debug-invariants) =="
 cargo test --workspace -q --features abr-unmuxed/debug-invariants
+
+echo "== benchmark workspace tests =="
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "lint.sh: all clean"

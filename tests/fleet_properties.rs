@@ -2,7 +2,7 @@
 //! model: the Zipf catalog skew must translate into cache-hit rates the
 //! way the paper's CDN argument assumes (DESIGN.md §14).
 
-use abr_bench::fleet::{realize, run_fleet, FleetSpec};
+use abr_bench::fleet::{run_fleet, FleetSpec, PlanSource};
 use proptest::prelude::*;
 
 /// Share of sessions landing on the head title under `alpha` skew, over
@@ -13,8 +13,8 @@ fn head_share(sessions: usize, alpha: f64, seed: u64) -> f64 {
         seed,
         ..FleetSpec::small(sessions)
     };
-    let plans = realize(&spec);
-    plans.iter().filter(|p| p.title == 0).count() as f64 / plans.len() as f64
+    let source = PlanSource::new(&spec);
+    source.iter().filter(|p| p.title == 0).count() as f64 / source.len() as f64
 }
 
 proptest! {
