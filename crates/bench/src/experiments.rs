@@ -351,25 +351,6 @@ pub fn run_sessions(
     Some((outcomes, profile))
 }
 
-/// Re-runs the single canonical session underlying an experiment with a
-/// recording tracer and metrics attached. Returns `None` for experiments
-/// that are pure tables or multi-session sweeps — for those, use
-/// [`traced_sessions`], which traces every session of the sweep.
-pub fn traced_session(
-    id: &str,
-) -> Option<(
-    SessionLog,
-    Vec<abr_obs::TracedEvent>,
-    abr_obs::MetricsSnapshot,
-)> {
-    let arms = arms(id)?;
-    if arms.len() != 1 {
-        return None;
-    }
-    let outcome = arms[0].observe(None);
-    Some((outcome.log, outcome.events, outcome.metrics))
-}
-
 // ---------------------------------------------------------------------
 // Tables
 // ---------------------------------------------------------------------
@@ -1447,8 +1428,11 @@ fn m2(jobs: usize) -> ExperimentResult {
 /// streams through it. Under demuxed delivery B's video is already cached;
 /// under muxed delivery every chunk is a distinct M×N object and misses.
 fn m3() -> ExperimentResult {
+    use abr_httpsim::edge::EdgeCache;
     use abr_player::policy::FixedPolicy;
-    use abr_player::session::{DeliveryMode, EdgeCache};
+    use abr_player::session::DeliveryMode;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     let content = drama();
     let miss_penalty = Duration::from_millis(120);
@@ -1458,7 +1442,11 @@ fn m3() -> ExperimentResult {
         ("demuxed", DeliveryMode::Demuxed),
         ("muxed", DeliveryMode::Muxed),
     ] {
-        let session = |edge: EdgeCache, audio: usize| {
+        let edge = Rc::new(RefCell::new(EdgeCache {
+            cache: abr_httpsim::cache::CdnCache::new(Bytes(1 << 32)),
+            miss_penalty,
+        }));
+        let session = |audio: usize| {
             session_for(
                 &content,
                 PlayerKind::BestPractice,
@@ -1466,18 +1454,13 @@ fn m3() -> ExperimentResult {
                 Trace::constant(BitsPerSec::from_kbps(1_600)),
             )
             .with_delivery(mode)
-            .with_edge_cache(edge)
-            .run_with_edge()
+            .with_transfer_path(Box::new(Rc::clone(&edge)))
+            .run()
         };
-        let cold = EdgeCache {
-            cache: abr_httpsim::cache::CdnCache::new(Bytes(1 << 32)),
-            miss_penalty,
-        };
-        let (_a_log, warmed) = session(cold, 1); // viewer A: V4+A2
-        let warmed = warmed.expect("edge returned");
-        let before = warmed.cache.stats();
-        let (b_log, after) = session(warmed, 0); // viewer B: V4+A1
-        let stats = after.expect("edge returned").cache.stats();
+        session(1); // viewer A: V4+A2
+        let before = edge.borrow().cache.stats();
+        let b_log = session(0); // viewer B: V4+A1
+        let stats = edge.borrow().cache.stats();
         let b_hits = stats.hits - before.hits;
         let b_misses = stats.misses - before.misses;
         let qb = abr_qoe::summarize(&b_log);

@@ -14,6 +14,10 @@
 //!   so each worker *constructs* its sessions at arrival time and owns
 //!   them until they finish; only `Send` results cross threads, merged in
 //!   index order.
+//! * **A live session lives in its one pending wake.** Every live session
+//!   has exactly one entry on its domain's queue, so the entry owns the
+//!   boxed session: popping it hands the session to the driver by value,
+//!   and the driver pushes the same box back or finalizes the session.
 //! * **Cross-domain coupling happens only at window barriers.** Workers
 //!   drain their domains strictly below each window boundary
 //!   ([`EventQueue::pop_before`]), pre-sum their own domains' uplink
@@ -42,7 +46,6 @@
 use super::{FleetSpec, PlanSource, SessionPlan, TRACE_SECS};
 use crate::corpus::{TitleCorpus, TitleScenario};
 use crate::setup::{dash_policy_over, session_for};
-use abr_event::arena::{Arena, SlotId};
 use abr_event::sync_model::{fold_slots, is_last_arrival, next_window, parity_of_round, spins};
 use abr_event::time::{Duration, Instant};
 use abr_event::{EventQueue, WindowClock};
@@ -136,28 +139,33 @@ pub(super) struct DriverOutput {
 }
 
 /// What one worker returns: its sessions' outputs (keyed by session
-/// index), the end-of-run reports of the domains it owned, and its
-/// host-time ledger when profiling.
-type WorkerResult = (
-    Vec<(usize, SessionOutput)>,
-    Vec<DomainReport>,
-    Option<WorkerStats>,
-);
+/// index), the end-of-run reports of the domains it owned, the run
+/// counters of its fold, and its host-time ledger when profiling.
+struct WorkerResult {
+    outputs: Vec<(usize, SessionOutput)>,
+    domains: Vec<DomainReport>,
+    /// Sync windows elapsed. Every worker folds the same slots, so every
+    /// worker counts the same windows.
+    windows: u64,
+    /// Windows in which the origin throttle engaged (same at every
+    /// worker).
+    throttled: u64,
+    stats: Option<WorkerStats>,
+}
 
 /// One entry on a domain's fleet-time queue.
 enum Slot {
     /// Construct and start session `i` (pops at its arrival instant).
     Arrival(usize),
-    /// Dispatch the next engine event of the live session in this arena
-    /// slot. Queue order never reads the payload, so swapping the session
-    /// index for an arena handle cannot reorder dispatch (DESIGN.md §15).
-    Wake(SlotId),
+    /// Dispatch the next engine event of this live session. The entry
+    /// owns the session between its wakes; queue order is `(time, seq)`
+    /// and never reads the payload (DESIGN.md §15).
+    Live(Box<ActiveSession>),
 }
 
 /// A live session: its stepper, its fleet-wide index (the result merge
-/// key, carried because wakes address the arena slot, not the index),
-/// the arrival offset translating its local clock onto fleet time, and
-/// its trace footprint for the memory note.
+/// key), the arrival offset translating its local clock onto fleet time,
+/// and its trace footprint for the memory note.
 struct ActiveSession {
     index: usize,
     stepper: SessionStepper,
@@ -165,16 +173,13 @@ struct ActiveSession {
     trace_bytes: u64,
 }
 
-/// One link domain owned by a worker. Live sessions sit in a
-/// generational [`Arena`]: wake slots carry O(1) handles and freed slots
-/// recycle, so long-running fleets churn a bounded pool instead of
-/// a tree keyed by session index (the index order was never read —
-/// dispatch order is the event queue's alone).
+/// One link domain owned by a worker. Its live sessions sit in their
+/// [`Slot::Live`] queue entries; `live` counts them.
 struct Domain {
     index: usize,
     queue: EventQueue<Slot>,
     hub: Rc<RefCell<FleetHub>>,
-    active: Arena<ActiveSession>,
+    live: usize,
     peak_active: usize,
     finished: usize,
 }
@@ -430,13 +435,10 @@ impl WindowBarrier {
     }
 }
 
-/// Everything the workers share: the barrier, the slot board, and the
-/// run counters worker 0 keeps.
+/// Everything the workers share: the barrier and the slot board.
 struct Shared {
     barrier: WindowBarrier,
     board: WindowBoard,
-    windows: AtomicU64,
-    throttled: AtomicU64,
 }
 
 /// A profiled worker's host-time ledger (`exp fleet --profile`):
@@ -489,8 +491,6 @@ pub(super) fn run(
     let shared = Shared {
         barrier: WindowBarrier::new(workers),
         board: WindowBoard::new(workers),
-        windows: AtomicU64::new(0),
-        throttled: AtomicU64::new(0),
     };
 
     let mut worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
@@ -517,10 +517,16 @@ pub(super) fn run(
     let mut outputs: Vec<(usize, SessionOutput)> = Vec::with_capacity(source.len());
     let mut domains: Vec<DomainReport> = Vec::with_capacity(spec.domains);
     let mut worker_stats = Vec::new();
-    for (outs, doms, stats) in &mut worker_results {
-        outputs.append(outs);
-        domains.append(doms);
-        worker_stats.extend(stats.take());
+    let (windows, throttled_windows) = (worker_results[0].windows, worker_results[0].throttled);
+    for result in &mut worker_results {
+        debug_assert_eq!(
+            (result.windows, result.throttled),
+            (windows, throttled_windows),
+            "every worker folds the same windows"
+        );
+        outputs.append(&mut result.outputs);
+        domains.append(&mut result.domains);
+        worker_stats.extend(result.stats.take());
     }
     outputs.sort_by_key(|(i, _)| *i);
     domains.sort_by_key(|d| d.domain);
@@ -537,10 +543,8 @@ pub(super) fn run(
     DriverOutput {
         outputs: outputs.into_iter().map(|(_, o)| o).collect(),
         domains,
-        // `Relaxed` loads: `thread::scope` joined every worker above, and
-        // the joins synchronize-with worker completion (see `lint.toml`).
-        windows: shared.windows.load(Ordering::Relaxed),
-        throttled_windows: shared.throttled.load(Ordering::Relaxed),
+        windows,
+        throttled_windows,
         corpus_bytes: corpus.approx_bytes(),
         digest_bytes,
         trace_bytes,
@@ -585,7 +589,7 @@ fn run_worker(
             index,
             queue: EventQueue::new(),
             hub: Rc::new(RefCell::new(build_hub(spec))),
-            active: Arena::new(),
+            live: 0,
             peak_active: 0,
             finished: 0,
         })
@@ -616,6 +620,7 @@ fn run_worker(
     let clock = WindowClock::new(Duration::from_millis(spec.window_ms));
 
     let mut k = 0u64;
+    let (mut windows, mut throttled) = (0u64, 0u64);
     // Board parity counts *processed* rounds (one per barrier), not the
     // window index — see [`WindowBoard`] and `sync_model::ParityRule`.
     let mut round = 0u64;
@@ -663,15 +668,8 @@ fn run_worker(
         // model-checked jump rule) does both in one step instead.
         let next_k = next_window(k, knobs.ff_horizon, &fold, &clock);
         let skipped = next_k - (k + 1);
-        if w == 0 {
-            // `Relaxed` suffices for the run counters: worker 0 is the
-            // only writer, and the driver reads them only after
-            // `thread::scope`'s join edge (see `lint.toml`).
-            shared.windows.fetch_add(1 + skipped, Ordering::Relaxed);
-            if engaged {
-                shared.throttled.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        windows += 1 + skipped;
+        throttled += u64::from(engaged);
         // The rate entering window `next_k`: this window's fold when
         // stepping; when windows were skipped, the last fold before
         // `next_k` is an empty window's — full uplink, throttle off.
@@ -697,7 +695,7 @@ fn run_worker(
         .into_iter()
         .map(|domain| {
             assert!(domain.queue.is_empty(), "domain queue drained");
-            assert!(domain.active.is_empty(), "all sessions finished");
+            assert_eq!(domain.live, 0, "all sessions finished");
             let hub = domain.hub.borrow();
             let cache = hub.cache_stats().expect("fleet domains have caches");
             let uplink = hub.uplink().stats();
@@ -727,7 +725,13 @@ fn run_worker(
         busy_ns: ledger.busy_ns,
         alive_ns: ledger.alive.elapsed_ns(),
     });
-    (outputs, reports, stats)
+    WorkerResult {
+        outputs,
+        domains: reports,
+        windows,
+        throttled,
+        stats,
+    }
 }
 
 /// Drains one domain strictly below the window boundary: arrivals
@@ -769,15 +773,16 @@ fn drain_window(
                 };
                 match session.stepper.next_wake() {
                     Some(local) => {
-                        let id = domain.active.insert(session);
-                        domain.queue.schedule(local + plan.arrival, Slot::Wake(id));
-                        domain.peak_active = domain.peak_active.max(domain.active.len());
+                        domain.live += 1;
+                        domain.peak_active = domain.peak_active.max(domain.live);
+                        domain
+                            .queue
+                            .schedule(local + plan.arrival, Slot::Live(Box::new(session)));
                     }
                     None => finalize(domain, session, keep_logs, outputs),
                 }
             }
-            Slot::Wake(id) => {
-                let session = domain.active.get_mut(id).expect("wake for live session");
+            Slot::Live(mut session) => {
                 let more = session.stepper.dispatch_next();
                 let next = if more {
                     session.stepper.next_wake()
@@ -786,12 +791,12 @@ fn drain_window(
                 };
                 match next {
                     Some(local) => {
-                        let offset = session.offset;
-                        domain.queue.schedule(local + offset, Slot::Wake(id));
+                        let at = local + session.offset;
+                        domain.queue.schedule(at, Slot::Live(session));
                     }
                     None => {
-                        let session = domain.active.remove(id).expect("just present");
-                        finalize(domain, session, keep_logs, outputs);
+                        domain.live -= 1;
+                        finalize(domain, *session, keep_logs, outputs);
                     }
                 }
             }

@@ -22,6 +22,7 @@ fn every_experiment_runs_and_renders() {
 fn unknown_id_is_none() {
     assert!(run("nope").is_none());
     assert!(run("").is_none());
+    assert!(traced_sessions("nope", 1).is_none());
 }
 
 #[test]

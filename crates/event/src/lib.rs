@@ -18,14 +18,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod queue;
 pub mod rng;
 pub mod sync_model;
 pub mod time;
 pub mod window;
 
-pub use arena::{Arena, SlotId};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use time::{busy_union, Duration, Instant};

@@ -12,18 +12,27 @@ use crate::cache::CdnCache;
 use crate::origin::Origin;
 use crate::request::Request;
 use abr_event::time::{Duration, Instant};
+use abr_obs::ObsHandle;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A delivery path between the player and the origin: decides the extra
 /// first-byte delay a request pays beyond the link's base latency, and may
 /// mutate path state (warm a cache) while doing so.
 ///
 /// The trivial path is "none": [`Option<EdgeCache>`] implements the trait
-/// with `None` adding zero delay.
+/// with `None` adding zero delay. A caller that needs a path's state back
+/// after the session (a warmed edge cache for a second viewer) hands the
+/// session a clone of an `Rc<RefCell<P>>` and keeps the original.
 pub trait TransferPath {
     /// Extra first-byte delay for `req` issued at `now`. Called once per
     /// request, in request-issue order — implementations may keep state
     /// (e.g. cache contents) keyed on that order.
     fn first_byte_delay(&mut self, origin: &Origin, req: &Request, now: Instant) -> Duration;
+
+    /// Attaches the session's observability handle; called once when the
+    /// session starts. Paths with nothing to observe ignore it.
+    fn set_obs(&mut self, _obs: &ObsHandle) {}
 }
 
 /// An edge cache between the player and the origin: cache misses pay an
@@ -51,6 +60,11 @@ impl TransferPath for EdgeCache {
             self.miss_penalty
         }
     }
+
+    /// Hands the handle to the cache, which traces `cache_lookup` events.
+    fn set_obs(&mut self, obs: &ObsHandle) {
+        self.cache.set_obs(obs.clone());
+    }
 }
 
 impl<P: TransferPath> TransferPath for Option<P> {
@@ -60,6 +74,17 @@ impl<P: TransferPath> TransferPath for Option<P> {
             None => Duration::ZERO,
             Some(p) => p.first_byte_delay(origin, req, now),
         }
+    }
+}
+
+impl<P: TransferPath> TransferPath for Rc<RefCell<P>> {
+    /// The shared path, borrowed for the one call.
+    fn first_byte_delay(&mut self, origin: &Origin, req: &Request, now: Instant) -> Duration {
+        self.borrow_mut().first_byte_delay(origin, req, now)
+    }
+
+    fn set_obs(&mut self, obs: &ObsHandle) {
+        self.borrow_mut().set_obs(obs);
     }
 }
 

@@ -94,14 +94,10 @@ const TIME_BYTE_CORE: &[&str] = &[
 
 /// Event-dispatch modules, where iteration order over a map *is* the
 /// event order: values-only iteration hides whether that order is keyed.
-/// `arena.rs` is listed even though `Arena` *defines* `values()` — the
-/// definition site never matches the `.values()` needle, but a dispatch
-/// loop written inside the arena module would, and the shared-corpus
-/// builder (`bench/corpus.rs`) feeds every session so an unkeyed sweep
-/// there would be just as order-sensitive.
+/// The shared-corpus builder (`bench/corpus.rs`) feeds every session, so
+/// an unkeyed sweep there would be just as order-sensitive.
 const DISPATCH_MODULES: &[&str] = &[
     "crates/event/src/queue.rs",
-    "crates/event/src/arena.rs",
     "crates/player/src/engine.rs",
     "crates/player/src/transfer.rs",
     "crates/player/src/fetch.rs",

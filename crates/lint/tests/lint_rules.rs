@@ -148,21 +148,14 @@ fn l005_unkeyed_iteration_fires_in_dispatch_modules_only() {
 
 #[test]
 fn l005_arena_iteration_in_dispatch_paths_must_be_keyed() {
-    // Arena/slotmap storage replaced the BTreeMaps in the fleet driver's
-    // active-session table; draining it by `.values()` would hide whether
-    // the visit order is the slot order. Both arena-bearing dispatch
-    // modules are in scope; the keyed `.iter()` loop and the cfg(test)
-    // sweep stay silent.
-    for module in [
-        "crates/bench/src/fleet/driver.rs",
-        "crates/event/src/arena.rs",
-    ] {
-        assert_eq!(
-            spans_of(module, "slotmap_unkeyed.rs"),
-            vec![("ABR-L005", 10, 26), ("ABR-L005", 13, 26)],
-            "under {module}"
-        );
-    }
+    // Draining slot storage by `.values()` in the fleet driver would
+    // hide whether the visit order is the slot order. The driver is a
+    // dispatch module, so the rule fires; the keyed `.iter()` loop and
+    // the cfg(test) sweep stay silent.
+    assert_eq!(
+        spans_of("crates/bench/src/fleet/driver.rs", "slotmap_unkeyed.rs"),
+        vec![("ABR-L005", 10, 26), ("ABR-L005", 13, 26)],
+    );
     // The same code outside a dispatch module is out of scope.
     assert_eq!(
         spans_of("crates/media/src/combo.rs", "slotmap_unkeyed.rs"),

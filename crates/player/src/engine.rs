@@ -27,7 +27,7 @@ use crate::policy::AbrPolicy;
 use crate::session::{DeliveryMode, PlaylistFetch};
 use crate::transfer::FlightBoard;
 use abr_event::time::{Duration, Instant};
-use abr_httpsim::edge::{EdgeCache, TransferPath};
+use abr_httpsim::edge::TransferPath;
 use abr_httpsim::origin::Origin;
 use abr_media::content::SharedContent;
 use abr_media::track::{MediaType, TrackId, TrackSet, TrackTable};
@@ -59,10 +59,8 @@ pub(crate) struct Engine {
     pub(crate) origin: Origin,
     pub(crate) link: Link,
     pub(crate) policy: Box<dyn AbrPolicy>,
-    pub(crate) edge: Option<EdgeCache>,
-    /// Overriding transfer path (a fleet's shared cache + uplink handle).
-    /// When set it is charged instead of `edge` — the two are never
-    /// combined.
+    /// What sits between the player and the origin (an edge cache, a
+    /// fleet's shared cache + uplink handle); `None` is the direct path.
     pub(crate) path: Option<Box<dyn TransferPath>>,
     pub(crate) audio_buf: ChunkBuffer,
     pub(crate) video_buf: ChunkBuffer,
@@ -82,9 +80,8 @@ pub(crate) struct Engine {
 
 impl Engine {
     /// Runs the session to completion (content fully played, starvation,
-    /// or deadline) and returns its record plus the possibly-warmed edge
-    /// cache.
-    pub(crate) fn run(mut self) -> (Recorder, Option<EdgeCache>) {
+    /// or deadline) and returns its record.
+    pub(crate) fn run(mut self) -> Recorder {
         let run_span = self.obs.span("session.run");
         self.start();
         while self.next_wake().is_some() && self.pump() {}
@@ -138,8 +135,8 @@ impl Engine {
         let obs = self.obs.clone();
         self.link.set_obs(obs.clone());
         self.origin.set_obs(obs.clone());
-        if let Some(e) = &mut self.edge {
-            e.cache.set_obs(obs.clone());
+        if let Some(path) = &mut self.path {
+            path.set_obs(&obs);
         }
         self.policy.set_obs(&obs);
         obs.emit(Instant::ZERO, || Event::SessionStart {
@@ -364,10 +361,10 @@ impl Engine {
     }
 
     /// Emits the session-end event, fills the summary fields, and hands
-    /// back the record plus the edge cache.
-    pub(crate) fn finish(mut self) -> (Recorder, Option<EdgeCache>) {
+    /// back the record.
+    pub(crate) fn finish(mut self) -> Recorder {
         self.obs.emit(self.now, || Event::SessionEnd);
         self.record.finish(&self.playback, self.now);
-        (self.record, self.edge)
+        self.record
     }
 }

@@ -25,7 +25,7 @@
 //! Behind the facade, the run itself is a typed discrete-event engine
 //! split by layer across four private modules: `engine` (the dispatch
 //! loop and time advancement), `clock` (its per-class event table),
-//! `transfer` (in-flight requests, edge-cache delay, bandwidth meter) and
+//! `transfer` (in-flight requests, transfer-path delay, bandwidth meter) and
 //! `fetch` (scheduler/policy interaction). See DESIGN.md §3.
 
 #![forbid(unsafe_code)]

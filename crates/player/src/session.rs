@@ -24,8 +24,6 @@ use abr_media::track::{MediaType, TrackSet, TrackTable};
 use abr_net::link::Link;
 use abr_obs::ObsHandle;
 
-pub use abr_httpsim::edge::EdgeCache;
-
 /// How content is packaged for delivery (§1's muxed-vs-demuxed axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryMode {
@@ -66,7 +64,6 @@ pub struct Session {
     playlist_sizes: TrackTable<abr_media::units::Bytes>,
     packaging: abr_manifest::build::Packaging,
     delivery: DeliveryMode,
-    edge: Option<EdgeCache>,
     path: Option<Box<dyn abr_httpsim::edge::TransferPath>>,
     refresh_period: Option<Duration>,
     /// Scheduled user seeks: (wall time, target media position), sorted.
@@ -97,7 +94,6 @@ impl Session {
                 with_bitrate_tags: false,
             },
             delivery: DeliveryMode::Demuxed,
-            edge: None,
             path: None,
             refresh_period: None,
             seeks: Vec::new(),
@@ -106,7 +102,7 @@ impl Session {
     }
 
     /// Attaches an observability handle. The session distributes it to the
-    /// link, the origin, the edge cache, and the policy, and emits the full
+    /// link, the origin, the transfer path, and the policy, and emits the full
     /// lifecycle event stream ([`abr_obs::Event::SessionStart`] through
     /// [`abr_obs::Event::SessionEnd`]) plus live metrics while it runs. A
     /// trace recorded this way reconstructs the [`SessionLog`] exactly via
@@ -126,20 +122,13 @@ impl Session {
         self
     }
 
-    /// Routes requests through an edge cache: hits start delivering after
-    /// the normal link latency, misses pay `miss_penalty` extra (and warm
-    /// the cache). Returns the possibly-warmed cache with the log via
-    /// [`Session::run_with_edge`]; `run` discards it.
-    pub fn with_edge_cache(mut self, edge: EdgeCache) -> Session {
-        self.edge = Some(edge);
-        self
-    }
-
-    /// Routes requests through an arbitrary [`TransferPath`]
-    /// (e.g. a fleet's [`abr_httpsim::shared::SharedEdge`] onto a shared
-    /// per-domain cache and origin uplink). Overrides
-    /// [`Session::with_edge_cache`] when both are set — the path decides
-    /// the whole extra first-byte delay.
+    /// Routes requests through a [`TransferPath`]: an
+    /// [`EdgeCache`](abr_httpsim::edge::EdgeCache), whose misses pay an
+    /// extra origin round trip and warm the cache, or a fleet's
+    /// [`abr_httpsim::shared::SharedEdge`] onto a shared per-domain cache
+    /// and origin uplink. The path decides the whole extra first-byte
+    /// delay. To read a cache back after the run, pass a clone of an
+    /// `Rc<RefCell<_>>` holding it and keep the original.
     ///
     /// [`TransferPath`]: abr_httpsim::edge::TransferPath
     pub fn with_transfer_path(mut self, path: Box<dyn abr_httpsim::edge::TransferPath>) -> Session {
@@ -227,17 +216,10 @@ impl Session {
         }
     }
 
-    /// Like [`Session::run`], but also returns the (now warmed) edge cache
-    /// so a follow-up session can reuse it.
-    pub fn run_with_edge(self) -> (SessionLog, Option<EdgeCache>) {
-        let (record, edge) = self.into_engine().run();
-        (record.into_log(), edge)
-    }
-
     /// Runs to completion (content fully played, starvation, or deadline)
     /// and returns the session log.
     pub fn run(self) -> SessionLog {
-        self.into_engine().run().0.into_log()
+        self.into_engine().run().into_log()
     }
 
     /// Like [`Session::run`], but builds the log's event vectors out of a
@@ -250,7 +232,7 @@ impl Session {
     /// [`SessionScratch::reclaim`]: crate::scratch::SessionScratch::reclaim
     pub fn run_with_scratch(self, scratch: &mut crate::scratch::SessionScratch) -> SessionLog {
         let donated = std::mem::take(scratch);
-        self.into_engine_with(donated).run().0.into_log()
+        self.into_engine_with(donated).run().into_log()
     }
 
     /// Consumes the builder into an externally-clocked
@@ -327,7 +309,6 @@ impl Session {
             origin: self.origin,
             link: self.link,
             policy: self.policy,
-            edge: self.edge,
             path: self.path,
             audio_buf: crate::buffer::ChunkBuffer::new(MediaType::Audio),
             video_buf: crate::buffer::ChunkBuffer::new(MediaType::Video),

@@ -64,27 +64,20 @@ impl SessionStepper {
         self.engine.pump()
     }
 
-    /// The session-local clock: the timestamp of the most recently
-    /// dispatched event.
-    #[must_use]
-    pub fn now(&self) -> Instant {
-        self.engine.now
-    }
-
     /// Finalizes the session and returns its log (summary fields filled,
     /// end-of-session lifecycle emitted). Panics for a stepper built by
     /// [`crate::session::Session::into_digest_stepper`], which keeps no
     /// log.
     #[must_use]
     pub fn finish(self) -> SessionLog {
-        self.engine.finish().0.into_log()
+        self.engine.finish().into_log()
     }
 
     /// Finalizes the session and returns its QoE digest: the streamed one
     /// for a digest stepper, the log replayed into one otherwise.
     #[must_use]
     pub fn finish_digest(self) -> SessionDigest {
-        self.engine.finish().0.into_digest()
+        self.engine.finish().into_digest()
     }
 }
 

@@ -1,9 +1,9 @@
-//! The transfer layer: in-flight requests, flow bookkeeping, edge-cache
+//! The transfer layer: in-flight requests, flow bookkeeping, transfer-path
 //! delay and the aggregate bandwidth meter.
 //!
 //! Everything between "the policy picked a track" and "a chunk landed in a
 //! buffer" lives here: building the HTTP request for the configured
-//! packaging, charging the edge cache's first-byte delay (via
+//! packaging, charging the transfer path's first-byte delay (via
 //! [`abr_httpsim::edge::TransferPath`]), opening the link flow, tracking
 //! what each flow carries, and folding completions back into buffers,
 //! policy estimator feed and the session log.
@@ -13,7 +13,6 @@ use crate::engine::Engine;
 use crate::log::TransferEvent;
 use crate::policy::TransferRecord;
 use abr_event::time::{busy_union_in_place, Duration, Instant};
-use abr_httpsim::edge::TransferPath;
 use abr_httpsim::origin::Origin;
 use abr_httpsim::request::Request;
 use abr_media::track::{MediaType, TrackId};
@@ -159,7 +158,7 @@ impl Engine {
             .expect("valid transfer request");
         let extra = match &mut self.path {
             Some(p) => p.first_byte_delay(&self.origin, req, at),
-            None => self.edge.first_byte_delay(&self.origin, req, at),
+            None => Duration::ZERO,
         };
         let flow = self.link.open_flow_after(size, extra);
         self.obs.emit(at, || Event::RequestIssued {

@@ -74,7 +74,7 @@ impl Scenario {
             s = s.with_playlist_fetch(self.playlist_fetch, self.packaging);
         }
         if let Some(e) = self.edge_cache() {
-            s = s.with_edge_cache(e);
+            s = s.with_transfer_path(Box::new(e));
         }
         if let Some(d) = self.deadline {
             s = s.with_deadline(d);

@@ -9,6 +9,7 @@
 use abr_unmuxed::core::BestPracticePolicy;
 use abr_unmuxed::event::time::{Duration, Instant};
 use abr_unmuxed::httpsim::cache::CdnCache;
+use abr_unmuxed::httpsim::edge::EdgeCache;
 use abr_unmuxed::httpsim::origin::Origin;
 use abr_unmuxed::manifest::build::{build_master_playlist, Packaging};
 use abr_unmuxed::manifest::view::BoundHls;
@@ -18,9 +19,11 @@ use abr_unmuxed::media::content::Content;
 use abr_unmuxed::media::units::{BitsPerSec, Bytes};
 use abr_unmuxed::net::link::Link;
 use abr_unmuxed::net::trace::Trace;
-use abr_unmuxed::player::session::{DeliveryMode, EdgeCache, PlaylistFetch};
+use abr_unmuxed::player::session::{DeliveryMode, PlaylistFetch};
 use abr_unmuxed::player::{PlayerConfig, Session};
 use abr_unmuxed::qoe;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn main() {
     let content = Content::drama_show(2019);
@@ -60,13 +63,19 @@ fn main() {
     );
 
     // 2. An edge cache: first viewer cold, second viewer warm.
-    let edge = EdgeCache {
+    // The session borrows the cache through an `Rc` clone, so the
+    // warmed cache stays here for the second viewer.
+    let edge = Rc::new(RefCell::new(EdgeCache {
         cache: CdnCache::new(Bytes(1 << 32)),
         miss_penalty: Duration::from_millis(150),
+    }));
+    let viewer = || {
+        base(2_000)
+            .with_transfer_path(Box::new(Rc::clone(&edge)))
+            .run()
     };
-    let (first, warmed) = base(2_000).with_edge_cache(edge).run_with_edge();
-    let (second, warmed) = base(2_000).with_edge_cache(warmed.unwrap()).run_with_edge();
-    let stats = warmed.unwrap().cache.stats();
+    let (first, second) = (viewer(), viewer());
+    let stats = edge.borrow().cache.stats();
     println!(
         "edge:      viewer 1 startup {:.2}s (all misses), viewer 2 startup {:.2}s; edge hit ratio {:.0}%",
         first.startup_at.unwrap().as_secs_f64(),

@@ -4,6 +4,7 @@
 use abr_unmuxed::core::{BestPracticePolicy, ShakaPolicy};
 use abr_unmuxed::event::time::{Duration, Instant};
 use abr_unmuxed::httpsim::cache::CdnCache;
+use abr_unmuxed::httpsim::edge::EdgeCache;
 use abr_unmuxed::httpsim::origin::Origin;
 use abr_unmuxed::manifest::build::build_master_playlist;
 use abr_unmuxed::manifest::view::BoundHls;
@@ -14,9 +15,11 @@ use abr_unmuxed::media::track::MediaType;
 use abr_unmuxed::media::units::{BitsPerSec, Bytes};
 use abr_unmuxed::net::link::Link;
 use abr_unmuxed::net::trace::Trace;
-use abr_unmuxed::player::session::{DeliveryMode, EdgeCache};
+use abr_unmuxed::player::session::DeliveryMode;
 use abr_unmuxed::player::{PlayerConfig, Session};
 use abr_unmuxed::qoe;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const SEED: u64 = 2019;
 
@@ -92,22 +95,21 @@ fn repeated_seeks() {
 fn edge_cache_with_adaptive_policy() {
     let content = Content::drama_show(SEED);
     let view = sub_view(&content);
-    let edge = EdgeCache {
+    let edge = Rc::new(RefCell::new(EdgeCache {
         cache: CdnCache::new(Bytes(1 << 32)),
         miss_penalty: Duration::from_millis(100),
-    };
-    let (first, warmed) = session(&content, &view, 2_000)
-        .with_edge_cache(edge)
-        .run_with_edge();
-    let warmed = warmed.unwrap();
-    let cold_misses = warmed.cache.stats().misses;
+    }));
+    let first = session(&content, &view, 2_000)
+        .with_transfer_path(Box::new(Rc::clone(&edge)))
+        .run();
+    let cold_misses = edge.borrow().cache.stats().misses;
     assert!(first.completed());
-    assert_eq!(warmed.cache.stats().hits, 0, "cold cache");
-    let (second, warmed) = session(&content, &view, 2_000)
-        .with_edge_cache(warmed)
-        .run_with_edge();
+    assert_eq!(edge.borrow().cache.stats().hits, 0, "cold cache");
+    let second = session(&content, &view, 2_000)
+        .with_transfer_path(Box::new(Rc::clone(&edge)))
+        .run();
     assert!(second.completed());
-    let stats = warmed.unwrap().cache.stats();
+    let stats = edge.borrow().cache.stats();
     // Deterministic simulator + same settings → identical request streams:
     // the second viewer hits on everything.
     assert_eq!(
