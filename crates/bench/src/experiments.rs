@@ -344,8 +344,7 @@ pub fn run_sessions(
         runner::adaptive_chunk(arms.len(), jobs),
         None,
         profile,
-        || (),
-        |(), i, profiler| arms[i].observe(profiler),
+        |i, profiler| arms[i].observe(profiler),
     );
     let profile = pool.map(|pool| WorkloadProfile::from_pool(id, setup_ns, pool));
     Some((outcomes, profile))

@@ -11,7 +11,9 @@
 //! then corpus order, then policy order) and sharded with
 //! [`runner::run_pool`], so the aggregate is byte-identical at every
 //! `--jobs` value. Per-seed realizations derive from the experiment-wide
-//! [`SEED`] by offset, never from host state.
+//! [`SEED`](crate::setup::SEED) by offset, never from host state. Cells
+//! only summarize, so each session keeps its online QoE digest
+//! ([`abr_player::Session::run_digest`]) instead of a log.
 
 use std::rc::Rc;
 
@@ -19,7 +21,7 @@ use crate::corpus::ScenarioCorpus;
 use crate::profiling::WorkloadProfile;
 use crate::report::table;
 use crate::runner;
-use crate::setup::{dash_policy_over, run_session_pooled, PlayerKind};
+use crate::setup::{dash_policy_over, session_for, PlayerKind};
 use abr_core::{BestPracticePolicy, CappedPolicy};
 use abr_event::time::Duration;
 use abr_manifest::view::BoundDash;
@@ -28,8 +30,7 @@ use abr_media::content::Content;
 use abr_media::units::BitsPerSec;
 use abr_obs::{ObsHandle, Profiler};
 use abr_player::policy::AbrPolicy;
-use abr_player::SessionScratch;
-use abr_qoe::QoeSummary;
+use abr_qoe::{ContentProfile, QoeSummary, QoeWeights};
 use serde_json::{json, Value};
 
 /// The policy arms of the sweep, in column order: the six player
@@ -197,7 +198,7 @@ fn lpt_order(policies: &[McPolicy], grid: &[McCell]) -> Vec<usize> {
 
 /// Runs one grid cell over the shared corpus: clone the realization's
 /// content handle and trace, build the arm's policy over the shared
-/// view, run the session with pooled log vectors. With a profiler
+/// view, run a digest session and summarize its digest. With a profiler
 /// attached the setup, session and summarize phases become spans and the
 /// session's `ObsHandle` carries the profiler; without one this is
 /// exactly the unprofiled path (a disabled handle is what a bare session
@@ -207,7 +208,6 @@ fn run_cell(
     corpus: &ScenarioCorpus,
     cell: McCell,
     profiler: Option<&Rc<Profiler>>,
-    scratch: &mut SessionScratch,
 ) -> QoeSummary {
     let setup_span = profiler.map(|p| p.span("session.setup"));
     let scenario = corpus.scenario(cell.realization);
@@ -219,18 +219,11 @@ fn run_cell(
     if let Some(p) = profiler {
         obs = obs.with_profiler(Rc::clone(p));
     }
-    let log = run_session_pooled(
-        &scenario.content,
-        arm.player_kind(),
-        policy,
-        trace,
-        obs,
-        scratch,
-    );
+    let digest = session_for(&scenario.content, arm.player_kind(), policy, trace)
+        .with_obs(obs)
+        .run_digest();
     let _summarize = profiler.map(|p| p.span("session.summarize"));
-    let summary = abr_qoe::summarize(&log);
-    scratch.reclaim(log);
-    summary
+    abr_qoe::summarize_digest(&digest, QoeWeights::default(), ContentProfile::NEUTRAL)
 }
 
 /// Runs the fleet sweep: `seeds` realizations of (full corpus × all
@@ -246,7 +239,7 @@ pub fn run_mc(seeds: u64, jobs: usize) -> McResult {
 /// [`WorkloadProfile`] names where the sweep's host time went. The
 /// [`McResult`] is byte-identical either way — profiling observes, never
 /// perturbs (`tests/profile_determinism.rs`) — and both runs share the
-/// claim order, chunking and per-worker session scratch.
+/// claim order and chunking.
 pub fn run_mc_with(seeds: u64, jobs: usize, profile: bool) -> (McResult, Option<WorkloadProfile>) {
     assert!(seeds > 0, "mc sweep needs at least one seed");
     let setup = runner::Lap::start(profile);
@@ -259,8 +252,7 @@ pub fn run_mc_with(seeds: u64, jobs: usize, profile: bool) -> (McResult, Option<
         runner::adaptive_chunk(grid.len(), jobs),
         Some(&order),
         profile,
-        SessionScratch::new,
-        |scratch, i, profiler| run_cell(&policies, &corpus, grid[i], profiler, scratch),
+        |i, profiler| run_cell(&policies, &corpus, grid[i], profiler),
     );
     let result = aggregate(seeds, &corpus.trace_names(), &policies, &grid, &summaries);
     let profile = pool.map(|pool| WorkloadProfile::from_pool("mc", setup_ns, pool));
@@ -387,9 +379,8 @@ mod tests {
         use crate::setup::{dash_view, run_session, SEED};
         use abr_media::content::SharedContent;
         let (corpus, policies, grid) = mc_grid(2);
-        let mut scratch = SessionScratch::new();
         for cell in grid.iter().step_by(5).copied() {
-            let shared = run_cell(&policies, &corpus, cell, None, &mut scratch);
+            let shared = run_cell(&policies, &corpus, cell, None);
             let seed = SEED.wrapping_add(cell.realization);
             let content: SharedContent = Content::drama_show(seed).into();
             let trace = abr_net::corpus::all(Duration::from_secs(TRACE_SECS), seed)

@@ -211,20 +211,12 @@ mod tests {
     use crate::runner::run_pool;
 
     fn sample() -> WorkloadProfile {
-        let (_, pool) = run_pool(
-            4,
-            2,
-            1,
-            None,
-            true,
-            || (),
-            |(), i, prof| {
-                let prof = prof.expect("profiled run");
-                let _s = prof.span("session.run");
-                let _d = prof.span("dispatch.transfer_complete");
-                i
-            },
-        );
+        let (_, pool) = run_pool(4, 2, 1, None, true, |i, prof| {
+            let prof = prof.expect("profiled run");
+            let _s = prof.span("session.run");
+            let _d = prof.span("dispatch.transfer_complete");
+            i
+        });
         WorkloadProfile::from_pool("test", 123, pool.expect("profiled run"))
     }
 

@@ -136,7 +136,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let chunk = adaptive_chunk(n, jobs);
-    run_pool(n, jobs, chunk, None, false, || (), |(), i, _| f(i)).0
+    run_pool(n, jobs, chunk, None, false, |i, _| f(i)).0
 }
 
 /// The sweep pool. `min(jobs, n)` scoped workers claim chunks of claim
@@ -150,11 +150,6 @@ where
 /// natural index order: the hint is a scheduling concern, and scheduling
 /// is the identity when there is one lane.
 ///
-/// Each lane builds one scratch `S` via `init` and threads it mutably
-/// through every item it claims. Scratch holds reusable allocations only
-/// (like [`abr_player::SessionScratch`]) and must never influence a
-/// result.
-///
 /// With `profile` on, each item gets a private [`Profiler`] (profilers
 /// are `Rc`-shared and never cross threads; only the owned
 /// [`ProfileReport`] does), the pool times every claim and item, merges
@@ -164,19 +159,17 @@ where
 /// are all outside the artifact contract (DESIGN.md §16): the result
 /// vector is identical for any combination, which the determinism
 /// proptests sweep through this entry point.
-pub fn run_pool<S, T, I, F>(
+pub fn run_pool<T, F>(
     n: usize,
     jobs: usize,
     chunk: usize,
     order: Option<&[usize]>,
     profile: bool,
-    init: I,
     f: F,
 ) -> (Vec<T>, Option<RunnerProfile>)
 where
     T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Option<&Rc<Profiler>>) -> T + Sync,
+    F: Fn(usize, Option<&Rc<Profiler>>) -> T + Sync,
 {
     if let Some(order) = order {
         debug_check_permutation(order, n);
@@ -196,7 +189,7 @@ where
     let mut spawn_ns = 0;
     let run = Lap::start(profile);
     let workers: Vec<WorkerStats> = if jobs <= 1 {
-        vec![claim.work(0, &init, &f, |batch| {
+        vec![claim.work(0, &f, |batch| {
             merge.place(batch);
             true
         })]
@@ -207,8 +200,8 @@ where
             let handles: Vec<_> = (0..jobs)
                 .map(|w| {
                     let tx = tx.clone();
-                    let (claim, init, f) = (&claim, &init, &f);
-                    scope.spawn(move || claim.work(w, init, f, |batch| tx.send(batch).is_ok()))
+                    let (claim, f) = (&claim, &f);
+                    scope.spawn(move || claim.work(w, f, |batch| tx.send(batch).is_ok()))
                 })
                 .collect();
             spawn_ns = spawn.ns();
@@ -280,11 +273,10 @@ impl Claim<'_> {
     /// until the positions run out. Returns the lane's host-time ledger;
     /// claim laps and item runs are disjoint, so `claim_ns + busy_ns <=
     /// alive_ns` holds by construction.
-    fn work<S, T>(
+    fn work<T>(
         &self,
         worker: usize,
-        init: &impl Fn() -> S,
-        f: &impl Fn(&mut S, usize, Option<&Rc<Profiler>>) -> T,
+        f: &impl Fn(usize, Option<&Rc<Profiler>>) -> T,
         mut emit: impl FnMut(Batch<T>) -> bool,
     ) -> WorkerStats {
         let alive = Lap::start(self.profile);
@@ -292,7 +284,6 @@ impl Claim<'_> {
             worker,
             ..WorkerStats::default()
         };
-        let mut state = init();
         loop {
             let claim = Lap::start(self.profile);
             // `Relaxed` claim: RMWs on one location have a total
@@ -315,11 +306,11 @@ impl Claim<'_> {
                 .map(|p| {
                     let i = self.order.map_or(p, |o| o[p]);
                     if !self.profile {
-                        return (i, f(&mut state, i, None), None);
+                        return (i, f(i, None), None);
                     }
                     let profiler = Rc::new(Profiler::new());
                     let item = HostStopwatch::start();
-                    let value = f(&mut state, i, Some(&profiler));
+                    let value = f(i, Some(&profiler));
                     stats.busy_ns += item.elapsed_ns();
                     (i, value, Some(profiler.report()))
                 })
@@ -530,18 +521,7 @@ mod tests {
     fn run_indexed_with_matches_run_indexed() {
         for jobs in [1, 2, 8] {
             let chunk = adaptive_chunk(37, jobs);
-            let (out, pool) = run_pool(
-                37,
-                jobs,
-                chunk,
-                None,
-                false,
-                Vec::<usize>::new,
-                |scratch, i, _| {
-                    scratch.push(i); // worker-local scratch, result ignores it
-                    i * i
-                },
-            );
+            let (out, pool) = run_pool(37, jobs, chunk, None, false, |i, _| i * i);
             assert_eq!(
                 out,
                 (0..37).map(|i| i * i).collect::<Vec<_>>(),
@@ -549,27 +529,17 @@ mod tests {
             );
             assert!(pool.is_none());
         }
-        assert!(run_pool(0, 4, 1, None, false, || (), |_, i, _| i)
-            .0
-            .is_empty());
+        assert!(run_pool(0, 4, 1, None, false, |i, _| i).0.is_empty());
     }
 
     #[test]
     fn run_indexed_profiled_matches_plain_results() {
         for jobs in [1, 2, 8] {
             let chunk = adaptive_chunk(23, jobs);
-            let (out, profile) = run_pool(
-                23,
-                jobs,
-                chunk,
-                None,
-                true,
-                || (),
-                |_, i, prof| {
-                    let _g = prof.expect("profiling is on").span("item");
-                    i * 3
-                },
-            );
+            let (out, profile) = run_pool(23, jobs, chunk, None, true, |i, prof| {
+                let _g = prof.expect("profiling is on").span("item");
+                i * 3
+            });
             let profile = profile.expect("profiled");
             assert_eq!(
                 out,
@@ -589,9 +559,7 @@ mod tests {
             assert_eq!(profile.item_wall.count, 23);
             assert!(profile.wall_ns >= profile.run_ns);
         }
-        let (out, profile) = run_pool(0, 4, 1, None, true, Vec::<usize>::new, |_, _, _| -> usize {
-            unreachable!()
-        });
+        let (out, profile) = run_pool(0, 4, 1, None, true, |_, _| -> usize { unreachable!() });
         assert!(out.is_empty());
         assert_eq!(profile.expect("profiled").items, 0);
     }

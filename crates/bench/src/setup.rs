@@ -139,9 +139,8 @@ pub fn run_session(
 }
 
 /// [`run_session`] with an explicit [`ObsHandle`], building the log's
-/// event vectors out of a worker-local [`abr_player::SessionScratch`]
-/// pool — the sweep hot path (`exp mc --profile` passes a handle that
-/// carries only a span profiler, which never touches the log). Logs are
+/// event vectors out of a caller-owned [`abr_player::SessionScratch`]
+/// pool, for callers that run log sessions back to back. Logs are
 /// byte-identical to the unpooled runner; hand the log back to
 /// [`abr_player::SessionScratch::reclaim`] once summarized.
 pub fn run_session_pooled(

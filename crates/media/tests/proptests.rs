@@ -31,6 +31,52 @@ fn arb_ladder(media: MediaType, max_rungs: usize) -> impl Strategy<Value = Ladde
     })
 }
 
+/// `all_combos` emits exactly M×N unique combinations sorted by aggregate
+/// peak bitrate.
+fn check_all_combos(video: &Ladder, audio: &Ladder) -> Result<(), String> {
+    let combos = all_combos(video, audio);
+    prop_assert_eq!(combos.len(), video.len() * audio.len());
+    let unique: std::collections::BTreeSet<_> = combos.iter().collect();
+    prop_assert_eq!(unique.len(), combos.len());
+    let peaks: Vec<u64> = combos
+        .iter()
+        .map(|&c| combo_bitrate(video, audio, c).peak.bps())
+        .collect();
+    prop_assert!(peaks.windows(2).all(|w| w[0] <= w[1]));
+    Ok(())
+}
+
+/// The curated subset covers every video rung exactly once with
+/// non-decreasing audio rungs, and the top video rung pairs with the top
+/// audio rung.
+fn check_curated_subset(video: &Ladder, audio: &Ladder) -> Result<(), String> {
+    let combos = curated_subset(video, audio);
+    prop_assert_eq!(combos.len(), video.len());
+    for (i, c) in combos.iter().enumerate() {
+        prop_assert_eq!(c.video, i);
+        prop_assert!(c.audio < audio.len());
+    }
+    prop_assert!(combos.windows(2).all(|w| w[0].audio <= w[1].audio));
+    prop_assert_eq!(combos.last().unwrap().audio, audio.len() - 1);
+    Ok(())
+}
+
+/// A case proptest once shrank to: one 31 Kbps video rung over two audio
+/// rungs (31 and 32 Kbps).
+#[test]
+fn one_video_rung_over_two_audio_rungs() {
+    let video = Ladder::new(MediaType::Video, vec![TrackInfo::video(0, 31, 62, 31, 144)]);
+    let audio = Ladder::new(
+        MediaType::Audio,
+        vec![
+            TrackInfo::audio(0, 31, 62, 31, 2, 44_000),
+            TrackInfo::audio(1, 32, 64, 32, 2, 44_000),
+        ],
+    );
+    check_all_combos(&video, &audio).unwrap();
+    check_curated_subset(&video, &audio).unwrap();
+}
+
 proptest! {
     /// For any (avg ≤ peak ≤ n·avg/2) parameters, the synthesized chunk
     /// sizes realize the requested average and peak within 1 Kbps, all
@@ -87,15 +133,7 @@ proptest! {
         video in arb_ladder(MediaType::Video, 8),
         audio in arb_ladder(MediaType::Audio, 5),
     ) {
-        let combos = all_combos(&video, &audio);
-        prop_assert_eq!(combos.len(), video.len() * audio.len());
-        let unique: std::collections::BTreeSet<_> = combos.iter().collect();
-        prop_assert_eq!(unique.len(), combos.len());
-        let peaks: Vec<u64> = combos
-            .iter()
-            .map(|&c| combo_bitrate(&video, &audio, c).peak.bps())
-            .collect();
-        prop_assert!(peaks.windows(2).all(|w| w[0] <= w[1]));
+        check_all_combos(&video, &audio)?;
     }
 
     /// The curated subset covers every video rung exactly once with
@@ -105,15 +143,7 @@ proptest! {
         video in arb_ladder(MediaType::Video, 8),
         audio in arb_ladder(MediaType::Audio, 5),
     ) {
-        let combos = curated_subset(&video, &audio);
-        prop_assert_eq!(combos.len(), video.len());
-        for (i, c) in combos.iter().enumerate() {
-            prop_assert_eq!(c.video, i);
-            prop_assert!(c.audio < audio.len());
-        }
-        prop_assert!(combos.windows(2).all(|w| w[0].audio <= w[1].audio));
-        // The top video rung always pairs with the top audio rung.
-        prop_assert_eq!(combos.last().unwrap().audio, audio.len() - 1);
+        check_curated_subset(&video, &audio)?;
     }
 
     /// Byte/rate conversions round-trip within rounding error for

@@ -28,6 +28,53 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Opens `sizes` on two links over `trace`, advances one straight to the
+/// horizon and the other in `steps_ms` steps (cycled), and requires the
+/// same completions, in the same order, at the same instants.
+fn check_step_size_independence(
+    trace: Trace,
+    sizes: &[u64],
+    steps_ms: &[u64],
+) -> Result<(), String> {
+    let mut big = Link::new(trace.clone());
+    let mut small = Link::new(trace);
+    for size in sizes {
+        let _ = big.open_flow(Bytes(*size));
+        let _ = small.open_flow(Bytes(*size));
+    }
+    let horizon = Instant::from_secs(3_600);
+    let big_done = big.advance_to(horizon);
+
+    let mut small_done = Vec::new();
+    let mut t = Instant::ZERO;
+    for ms in steps_ms.iter().cycle() {
+        t += Duration::from_millis(*ms);
+        if t >= horizon {
+            break;
+        }
+        small_done.extend(small.advance_to(t));
+    }
+    small_done.extend(small.advance_to(horizon));
+
+    prop_assert_eq!(big_done.len(), small_done.len());
+    for (a, b) in big_done.iter().zip(small_done.iter()) {
+        prop_assert_eq!(a.id, b.id);
+        prop_assert_eq!(a.at, b.at);
+    }
+    Ok(())
+}
+
+/// A case proptest once shrank to: a link dead for its first second, then
+/// 1 Mbps, carrying two equal 87,313 B flows advanced in 1353 ms steps.
+#[test]
+fn step_size_independence_after_a_dead_second() {
+    let trace = Trace::new(vec![
+        (Instant::ZERO, BitsPerSec(0)),
+        (Instant::from_secs(1), BitsPerSec::from_kbps(1_000)),
+    ]);
+    check_step_size_independence(trace, &[87_313, 87_313], &[1_353]).unwrap();
+}
+
 proptest! {
     /// Delivered bytes never exceed the capacity integral, and every flow's
     /// recorded profile total matches its size within per-segment rounding.
@@ -108,31 +155,7 @@ proptest! {
         sizes in proptest::collection::vec(1u64..500_000, 1..5),
         steps_ms in proptest::collection::vec(1u64..4_000, 1..40),
     ) {
-        let mut big = Link::new(trace.clone());
-        let mut small = Link::new(trace);
-        for size in &sizes {
-            let _ = big.open_flow(Bytes(*size));
-            let _ = small.open_flow(Bytes(*size));
-        }
-        let horizon = Instant::from_secs(3_600);
-        let big_done = big.advance_to(horizon);
-
-        let mut small_done = Vec::new();
-        let mut t = Instant::ZERO;
-        for ms in steps_ms.iter().cycle() {
-            t += Duration::from_millis(*ms);
-            if t >= horizon {
-                break;
-            }
-            small_done.extend(small.advance_to(t));
-        }
-        small_done.extend(small.advance_to(horizon));
-
-        prop_assert_eq!(big_done.len(), small_done.len());
-        for (a, b) in big_done.iter().zip(small_done.iter()) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(a.at, b.at);
-        }
+        check_step_size_independence(trace, &sizes, &steps_ms)?;
     }
 
     /// The packet-granularity link's completion times agree with the fluid

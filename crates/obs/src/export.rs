@@ -381,7 +381,9 @@ pub fn to_chrome_trace(events: &[TracedEvent]) -> String {
                     }),
                 );
                 if let Value::Object(map) = &mut rec {
-                    map.insert("dur".to_string(), (ts - opened_at.as_micros()).to_value());
+                    // A hostile trace may open a transfer after it completed.
+                    let dur = ts.saturating_sub(opened_at.as_micros());
+                    map.insert("dur".to_string(), dur.to_value());
                 }
                 records.push(rec);
             }
@@ -662,5 +664,35 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| r["ph"] == "M" && r["args"]["name"] == "network"));
+    }
+
+    #[test]
+    fn chrome_trace_clamps_a_transfer_opened_after_it_completed() {
+        let events = vec![TracedEvent {
+            seq: 0,
+            at: Instant::from_secs(1),
+            wall_ns: 0,
+            event: Event::TransferCompleted {
+                flow: 1,
+                track: TrackId::video(0),
+                chunk: 0,
+                size: Bytes(1000),
+                opened_at: Instant::from_secs(2),
+                estimate_after: None,
+            },
+        }];
+        // The JSONL parser accepts the event; the Chrome export must not
+        // underflow on it.
+        let parsed = from_jsonl(&to_jsonl(&events)).unwrap();
+        let doc: Value = serde_json::from_str(&to_chrome_trace(&parsed)).unwrap();
+        let x = doc["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|r| r["ph"] == "X")
+            .unwrap()
+            .clone();
+        assert_eq!(x["ts"], 2_000_000u64);
+        assert_eq!(x["dur"], 0u64);
     }
 }

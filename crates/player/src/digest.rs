@@ -5,17 +5,18 @@
 //! the figures can plot them. A QoE summary needs far less: the last pick
 //! per chunk, per-media bitrate totals, the buffer-imbalance integral,
 //! and a few counters and instants. A [`SessionDigest`] holds exactly
-//! that. A session that keeps no log (a fleet session) feeds the digest
-//! directly, and [`SessionDigest::from_log`] replays a finished log into
-//! the same accumulators. Each aggregate therefore has one
+//! that. A session that keeps no log (a fleet or `exp mc` session) folds
+//! the same events its log would fold into the digest directly, and
+//! [`SessionDigest::from_log`] replays a finished log into the same
+//! accumulators. Each aggregate therefore has one
 //! implementation: [`ChunkPicks`] and [`BufferStats`] here, which the
 //! `SessionLog` aggregate methods and `abr_qoe` both read.
 
-use crate::log::{BufferSample, PlaylistFetchEvent, SelectionEvent, SessionLog, TransferEvent};
-use crate::playback::{PlaybackEngine, Stall};
+use crate::log::{BufferSample, SelectionEvent, SessionLog};
 use abr_event::time::{Duration, Instant};
-use abr_media::track::MediaType;
+use abr_media::track::{MediaType, TrackId};
 use abr_media::units::BitsPerSec;
+use abr_obs::Event;
 
 /// The latest pick for one (chunk, media) slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,23 +77,24 @@ impl ChunkPicks {
     pub fn from_selections(num_chunks: usize, selections: &[SelectionEvent]) -> ChunkPicks {
         let mut picks = ChunkPicks::new(num_chunks);
         for s in selections {
-            picks.record(s);
+            picks.record(s.chunk, s.track, s.avg_bitrate);
         }
         picks
     }
 
-    /// Records one selection. Panics if its chunk is out of range.
-    pub fn record(&mut self, s: &SelectionEvent) {
-        let m = slot(s.track.media);
+    /// Records the selection of `track`, of average bitrate `avg`, for
+    /// `chunk`. Panics if the chunk is out of range.
+    pub fn record(&mut self, chunk: usize, track: TrackId, avg: BitsPerSec) {
+        let m = slot(track.media);
         let pick = Pick {
-            index: u32::try_from(s.track.index).expect("ladder index fits in u32"),
-            avg: s.avg_bitrate,
+            index: u32::try_from(track.index).expect("ladder index fits in u32"),
+            avg,
         };
-        if std::mem::replace(&mut self.picks[s.chunk][m], pick).index == Pick::NONE {
+        if std::mem::replace(&mut self.picks[chunk][m], pick).index == Pick::NONE {
             self.filled[m] += 1;
         }
         self.selections[m] += 1;
-        self.bps_sum[m] += s.avg_bitrate.bps();
+        self.bps_sum[m] += avg.bps();
     }
 
     /// Ladder index picked for each chunk of `media`, in chunk order,
@@ -263,40 +265,55 @@ impl SessionDigest {
 
     /// Replays a finished log into a digest.
     pub fn from_log(log: &SessionLog) -> SessionDigest {
-        let mut d = SessionDigest::new(&log.policy, log.num_chunks);
-        for s in &log.selections {
-            d.picks.record(s);
+        SessionDigest {
+            policy: log.policy.clone(),
+            num_chunks: log.num_chunks,
+            picks: log.picks(),
+            buffer: BufferStats::from_samples(&log.buffer_samples),
+            transfers: log.transfers.len() as u64,
+            playlist_fetches: log.playlist_fetches.len() as u64,
+            stall_count: log.stall_count(),
+            total_stall: log.total_stall(),
+            seeks: log.seeks.len(),
+            startup_at: log.startup_at,
+            ended_at: log.ended_at,
+            finished_at: log.finished_at,
         }
-        for &s in &log.buffer_samples {
-            d.buffer.record(s);
-        }
-        d.transfers = log.transfers.len() as u64;
-        d.playlist_fetches = log.playlist_fetches.len() as u64;
-        d.close(
-            log.startup_at,
-            log.ended_at,
-            &log.stalls,
-            log.seeks.len(),
-            log.finished_at,
-        );
-        d
     }
 
-    /// Fills the end-of-session fields.
-    fn close(
-        &mut self,
-        startup_at: Option<Instant>,
-        ended_at: Option<Instant>,
-        stalls: &[Stall],
-        seeks: usize,
-        finished_at: Instant,
-    ) {
-        self.startup_at = startup_at;
-        self.ended_at = ended_at;
-        self.stall_count = stalls.len();
-        self.total_stall = Stall::total(stalls, finished_at);
-        self.seeks = seeks;
-        self.finished_at = finished_at;
+    /// Folds one session event stamped `at` into the digest. `open_stall`
+    /// holds the start of the stall still open: the digest keeps closed
+    /// stall time only, and the session end closes an open stall.
+    fn fold(&mut self, at: Instant, event: &Event, open_stall: &mut Option<Instant>) {
+        match *event {
+            Event::TrackSelected {
+                chunk,
+                track,
+                avg_bitrate,
+                ..
+            } => self.picks.record(chunk, track, avg_bitrate),
+            Event::TransferCompleted { .. } => self.transfers += 1,
+            Event::PlaylistFetch { .. } => self.playlist_fetches += 1,
+            Event::BufferStateChange { audio, video } => {
+                self.buffer.record(BufferSample { at, audio, video });
+            }
+            Event::StallBegin => {
+                self.stall_count += 1;
+                *open_stall = Some(at);
+            }
+            Event::StallEnd | Event::SessionEnd => {
+                if let Some(start) = open_stall.take() {
+                    self.total_stall += at.saturating_duration_since(start);
+                }
+                if matches!(event, Event::SessionEnd) {
+                    self.finished_at = at;
+                }
+            }
+            Event::SeekStarted { .. } => self.seeks += 1,
+            Event::PlaybackStarted => self.startup_at = Some(at),
+            Event::PlaybackEnded => self.ended_at = Some(at),
+            _ => {}
+        }
     }
 
     /// True when every chunk of both media types was selected and the
@@ -316,69 +333,41 @@ impl SessionDigest {
 }
 
 /// Where a running session records what happens: the full log, or only
-/// the digest. Each engine record site is one call here, so a session
-/// pays for exactly one of the two.
+/// the digest. Every session fact reaches it as one [`Event`] through
+/// [`Recorder::record`], so a session pays for exactly one of the two.
 pub(crate) enum Recorder {
     /// Keep every event row.
     Log(SessionLog),
-    /// Keep only the QoE digest.
-    Digest(SessionDigest),
+    /// Keep only the QoE digest, plus the start of the stall still open.
+    Digest(SessionDigest, Option<Instant>),
 }
 
 impl Recorder {
-    /// The policy name the session was built with.
-    pub(crate) fn policy(&self) -> &str {
-        match self {
-            Recorder::Log(log) => &log.policy,
-            Recorder::Digest(d) => &d.policy,
-        }
-    }
-
-    pub(crate) fn selection(&mut self, s: SelectionEvent) {
-        match self {
-            Recorder::Log(log) => log.selections.push(s),
-            Recorder::Digest(d) => d.picks.record(&s),
-        }
-    }
-
-    pub(crate) fn transfer(&mut self, t: TransferEvent) {
-        match self {
-            Recorder::Log(log) => log.transfers.push(t),
-            Recorder::Digest(d) => d.transfers += 1,
-        }
-    }
-
-    pub(crate) fn playlist_fetch(&mut self, p: PlaylistFetchEvent) {
-        match self {
-            Recorder::Log(log) => log.playlist_fetches.push(p),
-            Recorder::Digest(d) => d.playlist_fetches += 1,
-        }
-    }
-
-    pub(crate) fn sample(&mut self, s: BufferSample) {
-        match self {
-            Recorder::Log(log) => log.buffer_samples.push(s),
-            Recorder::Digest(d) => d.buffer.record(s),
-        }
-    }
-
-    /// Fills the end-of-session fields from the playback engine.
-    pub(crate) fn finish(&mut self, playback: &PlaybackEngine, now: Instant) {
+    /// Folds one session event into the record. A log fold error means
+    /// the engine emitted an event no session can produce, so it panics.
+    pub(crate) fn record(&mut self, at: Instant, event: &Event) {
         match self {
             Recorder::Log(log) => {
-                log.startup_at = playback.startup_at();
-                log.ended_at = playback.ended_at();
-                log.stalls = playback.stalls().to_vec();
-                log.seeks = playback.seeks().to_vec();
-                log.finished_at = now;
+                if let Err(e) = log.fold(at, event) {
+                    panic!("engine recorded a malformed {} at {at}: {e}", event.name());
+                }
             }
-            Recorder::Digest(d) => d.close(
-                playback.startup_at(),
-                playback.ended_at(),
-                playback.stalls(),
-                playback.seeks().len(),
-                now,
+            Recorder::Digest(d, open_stall) => d.fold(at, event, open_stall),
+        }
+    }
+
+    /// `(stall count, seek count, startup_at, ended_at)` as recorded, for
+    /// the end-of-session cross-check against the playback engine.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn lifecycle(&self) -> (usize, usize, Option<Instant>, Option<Instant>) {
+        match self {
+            Recorder::Log(log) => (
+                log.stalls.len(),
+                log.seeks.len(),
+                log.startup_at,
+                log.ended_at,
             ),
+            Recorder::Digest(d, _) => (d.stall_count, d.seeks, d.startup_at, d.ended_at),
         }
     }
 
@@ -387,7 +376,7 @@ impl Recorder {
     pub(crate) fn into_log(self) -> SessionLog {
         match self {
             Recorder::Log(log) => log,
-            Recorder::Digest(_) => panic!("a digest-only session keeps no log"),
+            Recorder::Digest(..) => panic!("a digest-only session keeps no log"),
         }
     }
 
@@ -395,7 +384,7 @@ impl Recorder {
     pub(crate) fn into_digest(self) -> SessionDigest {
         match self {
             Recorder::Log(log) => SessionDigest::from_log(&log),
-            Recorder::Digest(d) => d,
+            Recorder::Digest(d, _) => d,
         }
     }
 }

@@ -21,7 +21,6 @@ use crate::buffer::ChunkBuffer;
 use crate::clock::{Clock, SessionEvent};
 use crate::config::PlayerConfig;
 use crate::digest::Recorder;
-use crate::log::BufferSample;
 use crate::playback::{PlayState, PlaybackEngine};
 use crate::policy::AbrPolicy;
 use crate::session::{DeliveryMode, PlaylistFetch};
@@ -74,7 +73,7 @@ pub(crate) struct Engine {
     pub(crate) clock: Clock,
     pub(crate) now: Instant,
     // Outputs.
-    pub(crate) record: Recorder,
+    pub(crate) recorder: Recorder,
     pub(crate) obs: ObsHandle,
 }
 
@@ -140,7 +139,7 @@ impl Engine {
         }
         self.policy.set_obs(&obs);
         obs.emit(Instant::ZERO, || Event::SessionStart {
-            policy: self.record.policy().to_string(),
+            policy: self.policy.name().to_string(),
             chunk_duration: self.chunk_duration,
             num_chunks: self.num_chunks,
         });
@@ -224,8 +223,8 @@ impl Engine {
         self.now = t;
         if state_before_advance == PlayState::Playing {
             match self.playback.state() {
-                PlayState::Stalled => self.obs.emit(t, || Event::StallBegin),
-                PlayState::Ended => self.obs.emit(t, || Event::PlaybackEnded),
+                PlayState::Stalled => self.record(t, Event::StallBegin),
+                PlayState::Ended => self.record(t, Event::PlaybackEnded),
                 _ => {}
             }
         }
@@ -239,9 +238,9 @@ impl Engine {
             .try_start(self.now, &self.audio_buf, &self.video_buf);
         if self.playback.state() == PlayState::Playing {
             match state_before_start {
-                PlayState::Startup => self.obs.emit(self.now, || Event::PlaybackStarted),
-                PlayState::Stalled => self.obs.emit(self.now, || Event::StallEnd),
-                PlayState::Seeking => self.obs.emit(self.now, || Event::SeekResumed),
+                PlayState::Startup => self.record(self.now, Event::PlaybackStarted),
+                PlayState::Stalled => self.record(self.now, Event::StallEnd),
+                PlayState::Seeking => self.record(self.now, Event::SeekResumed),
                 _ => {}
             }
         }
@@ -311,12 +310,10 @@ impl Engine {
             if self.playback.state() == PlayState::Stalled {
                 // The seek closes the open stall (the rebuffering that
                 // follows is accounted to the seek).
-                self.obs.emit(self.now, || Event::StallEnd);
+                self.record(self.now, Event::StallEnd);
             }
-            self.obs.emit(self.now, || Event::SeekStarted {
-                from: self.playback.position(),
-                to: aligned,
-            });
+            let from = self.playback.position();
+            self.record(self.now, Event::SeekStarted { from, to: aligned });
             self.playback.seek(self.now, aligned);
         }
     }
@@ -347,24 +344,43 @@ impl Engine {
         }
     }
 
-    /// Records the current buffer levels in the log and the trace.
+    /// Records the current buffer levels.
     fn sample(&mut self) {
-        self.record.sample(BufferSample {
-            at: self.now,
-            audio: self.audio_buf.level(),
-            video: self.video_buf.level(),
-        });
-        self.obs.emit(self.now, || Event::BufferStateChange {
-            audio: self.audio_buf.level(),
-            video: self.video_buf.level(),
-        });
+        let (audio, video) = (self.audio_buf.level(), self.video_buf.level());
+        self.record(self.now, Event::BufferStateChange { audio, video });
     }
 
-    /// Emits the session-end event, fills the summary fields, and hands
-    /// back the record.
+    /// Records one session fact: folds the event into the recorder and
+    /// moves it into the trace, so the record and the trace cannot differ.
+    pub(crate) fn record(&mut self, at: Instant, event: Event) {
+        self.recorder.record(at, &event);
+        self.obs.emit(at, || event);
+    }
+
+    /// Records the session end and hands back the record.
     pub(crate) fn finish(mut self) -> Recorder {
-        self.obs.emit(self.now, || Event::SessionEnd);
-        self.record.finish(&self.playback, self.now);
-        self.record
+        self.record(self.now, Event::SessionEnd);
+        self.debug_check_record();
+        self.recorder
+    }
+
+    /// With `debug-invariants` (DESIGN.md §12): the event-built record
+    /// agrees with the playback engine's own lifecycle bookkeeping.
+    fn debug_check_record(&self) {
+        #[cfg(feature = "debug-invariants")]
+        {
+            let p = &self.playback;
+            let engine = (
+                p.stalls().len(),
+                p.seeks().len(),
+                p.startup_at(),
+                p.ended_at(),
+            );
+            debug_assert_eq!(
+                self.recorder.lifecycle(),
+                engine,
+                "record and playback disagree"
+            );
+        }
     }
 }

@@ -8,7 +8,6 @@
 //! track detours through a playlist round trip first.
 
 use crate::engine::Engine;
-use crate::log::SelectionEvent;
 use crate::playback::PlayState;
 use crate::policy::SelectionContext;
 use crate::scheduler::{due_fetches, DueFetches, PipelineState};
@@ -122,8 +121,8 @@ impl Engine {
         }
     }
 
-    /// Runs (and profiles) one policy selection, validates it, records it
-    /// as the current track for its media, and logs + traces it.
+    /// Runs (and profiles) one policy selection, validates it, makes it
+    /// the current track for its media, and records it.
     fn select(&mut self, ctx: &SelectionContext) -> TrackId {
         let track = {
             let _g = self.obs.span("policy.select");
@@ -139,20 +138,13 @@ impl Engine {
             MediaType::Video => self.current_video = Some(track.index),
         }
         let info = self.content.track(track);
-        let chunk = ctx.chunk;
-        self.record.selection(SelectionEvent {
-            at: self.now,
-            chunk,
+        let event = Event::TrackSelected {
+            chunk: ctx.chunk,
             track,
             declared: info.declared,
             avg_bitrate: info.avg,
-        });
-        self.obs.emit(self.now, || Event::TrackSelected {
-            chunk,
-            track,
-            declared: info.declared,
-            avg_bitrate: info.avg,
-        });
+        };
+        self.record(self.now, event);
         track
     }
 }

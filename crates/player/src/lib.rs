@@ -20,7 +20,7 @@
 //!   at a time, for fleet simulations (DESIGN.md §14).
 //! * [`log`] — selection/transfer/buffer/stall records for the figures.
 //! * [`digest`] — the online QoE digest a session keeps instead of a log
-//!   when only its summary is wanted (fleet sessions).
+//!   when only its summary is wanted (fleet and `exp mc` sessions).
 //!
 //! Behind the facade, the run itself is a typed discrete-event engine
 //! split by layer across four private modules: `engine` (the dispatch

@@ -1,8 +1,9 @@
 //! Session records — the raw material for every figure.
 //!
-//! The session appends an event row for each track selection, completed
-//! transfer, buffer-level sample and stall; the experiment harness turns
-//! these into the paper's time-series plots and QoE summaries.
+//! A session, and a recorded trace of one, fold each event into a row per
+//! selection, transfer, playlist fetch, buffer sample, stall and seek;
+//! the experiment harness turns these into the paper's time-series plots
+//! and QoE summaries.
 
 use crate::digest::{BufferStats, ChunkPicks};
 use crate::playback::{Seek, Stall};
@@ -96,7 +97,7 @@ impl std::fmt::Display for DuplicateSelection {
 impl std::error::Error for DuplicateSelection {}
 
 /// The complete record of one streaming session.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionLog {
     /// Policy name that produced this session.
     pub policy: String,
@@ -215,135 +216,133 @@ impl SessionLog {
 
     /// Reconstructs a session log from a recorded event trace (the events
     /// captured by `abr_obs::RecordingTracer` during a traced run, or
-    /// parsed back from JSONL with `abr_obs::export::from_jsonl`).
+    /// parsed back from JSONL with `abr_obs::export::from_jsonl`): seed
+    /// the log from the leading `session_start`, then fold every later
+    /// event with the same fold a running session records through.
     ///
     /// A trace from a traced session reconstructs the directly-recorded
     /// log exactly — the integration test in `abr-bench` holds this
     /// equality over a full replay.
     pub fn from_trace(events: &[TracedEvent]) -> Result<SessionLog, FromTraceError> {
-        let mut log: Option<SessionLog> = None;
-        for ev in events {
-            let at = ev.at;
-            if let Event::SessionStart {
-                policy,
-                chunk_duration,
-                num_chunks,
-            } = &ev.event
-            {
-                log = Some(SessionLog {
-                    policy: policy.clone(),
-                    selections: Vec::new(),
-                    transfers: Vec::new(),
-                    buffer_samples: Vec::new(),
-                    stalls: Vec::new(),
-                    playlist_fetches: Vec::new(),
-                    seeks: Vec::new(),
-                    startup_at: None,
-                    ended_at: None,
-                    finished_at: at,
-                    chunk_duration: *chunk_duration,
-                    num_chunks: *num_chunks,
-                });
-                continue;
-            }
-            let log = log
-                .as_mut()
-                .ok_or_else(|| FromTraceError::new(ev.seq, "event before session_start"))?;
-            match &ev.event {
-                Event::TrackSelected {
+        let (first, rest) = events
+            .split_first()
+            .ok_or_else(|| FromTraceError::new(0, "trace has no session_start"))?;
+        let Event::SessionStart {
+            policy,
+            chunk_duration,
+            num_chunks,
+        } = &first.event
+        else {
+            return Err(FromTraceError::new(first.seq, "event before session_start"));
+        };
+        let mut log = SessionLog {
+            policy: policy.clone(),
+            finished_at: first.at,
+            chunk_duration: *chunk_duration,
+            num_chunks: *num_chunks,
+            ..SessionLog::default()
+        };
+        for ev in rest {
+            log.fold(ev.at, &ev.event)
+                .map_err(|message| FromTraceError::new(ev.seq, message))?;
+        }
+        Ok(log)
+    }
+
+    /// Folds one session event stamped `at` into the log: the one place an
+    /// [`Event`] becomes a log row or a lifecycle field, for a running
+    /// session and a replayed trace alike. Network, cache and policy
+    /// detail events carry no row. A `session_start` is an error here (it
+    /// seeds a log, see [`SessionLog::from_trace`]), and so is an event no
+    /// session could produce.
+    pub(crate) fn fold(&mut self, at: Instant, event: &Event) -> Result<(), &'static str> {
+        match *event {
+            Event::TrackSelected {
+                chunk,
+                track,
+                declared,
+                avg_bitrate,
+            } => {
+                if chunk >= self.num_chunks {
+                    return Err("track_selected chunk out of range");
+                }
+                self.selections.push(SelectionEvent {
+                    at,
                     chunk,
                     track,
                     declared,
                     avg_bitrate,
-                } => {
-                    log.selections.push(SelectionEvent {
-                        at,
-                        chunk: *chunk,
-                        track: *track,
-                        declared: *declared,
-                        avg_bitrate: *avg_bitrate,
-                    });
-                }
-                Event::TransferCompleted {
-                    track,
-                    chunk,
-                    size,
-                    opened_at,
-                    estimate_after,
-                    ..
-                } => {
-                    log.transfers.push(TransferEvent {
-                        at,
-                        chunk: *chunk,
-                        track: *track,
-                        size: *size,
-                        duration: at - *opened_at,
-                        estimate_after: *estimate_after,
-                    });
-                }
-                Event::BufferStateChange { audio, video } => {
-                    log.buffer_samples.push(BufferSample {
-                        at,
-                        audio: *audio,
-                        video: *video,
-                    });
-                }
-                Event::StallBegin => log.stalls.push(Stall {
-                    start: at,
-                    end: None,
-                }),
-                Event::StallEnd => {
-                    let stall = log
-                        .stalls
-                        .last_mut()
-                        .filter(|s| s.end.is_none())
-                        .ok_or_else(|| {
-                            FromTraceError::new(ev.seq, "stall_end without open stall")
-                        })?;
-                    stall.end = Some(at);
-                }
-                Event::SeekStarted { from, to } => {
-                    log.seeks.push(Seek {
-                        at,
-                        from: *from,
-                        to: *to,
-                        resumed: None,
-                    });
-                }
-                Event::SeekResumed => {
-                    let seek = log
-                        .seeks
-                        .last_mut()
-                        .filter(|s| s.resumed.is_none())
-                        .ok_or_else(|| {
-                            FromTraceError::new(ev.seq, "seek_resumed without open seek")
-                        })?;
-                    seek.resumed = Some(at);
-                }
-                Event::PlaylistFetch {
-                    track,
-                    requested_at,
-                } => {
-                    log.playlist_fetches.push(PlaylistFetchEvent {
-                        track: *track,
-                        requested_at: *requested_at,
-                        completed_at: at,
-                    });
-                }
-                Event::PlaybackStarted => log.startup_at = Some(at),
-                Event::PlaybackEnded => log.ended_at = Some(at),
-                Event::SessionEnd => log.finished_at = at,
-                // Network/cache/policy detail events carry no log rows.
-                Event::SessionStart { .. }
-                | Event::RequestIssued { .. }
-                | Event::TransferProgress { .. }
-                | Event::CacheLookup { .. }
-                | Event::EstimateUpdated { .. }
-                | Event::PolicyDecision { .. }
-                | Event::PlaylistRefreshTick { .. } => {}
+                });
             }
+            Event::TransferCompleted {
+                track,
+                chunk,
+                size,
+                opened_at,
+                estimate_after,
+                ..
+            } => {
+                if opened_at > at {
+                    return Err("transfer_completed opened after it completed");
+                }
+                self.transfers.push(TransferEvent {
+                    at,
+                    chunk,
+                    track,
+                    size,
+                    duration: at - opened_at,
+                    estimate_after,
+                });
+            }
+            Event::BufferStateChange { audio, video } => {
+                self.buffer_samples.push(BufferSample { at, audio, video });
+            }
+            Event::StallBegin => self.stalls.push(Stall {
+                start: at,
+                end: None,
+            }),
+            Event::StallEnd => {
+                let stall = self
+                    .stalls
+                    .last_mut()
+                    .filter(|s| s.end.is_none())
+                    .ok_or("stall_end without open stall")?;
+                stall.end = Some(at);
+            }
+            Event::SeekStarted { from, to } => self.seeks.push(Seek {
+                at,
+                from,
+                to,
+                resumed: None,
+            }),
+            Event::SeekResumed => {
+                let seek = self
+                    .seeks
+                    .last_mut()
+                    .filter(|s| s.resumed.is_none())
+                    .ok_or("seek_resumed without open seek")?;
+                seek.resumed = Some(at);
+            }
+            Event::PlaylistFetch {
+                track,
+                requested_at,
+            } => self.playlist_fetches.push(PlaylistFetchEvent {
+                track,
+                requested_at,
+                completed_at: at,
+            }),
+            Event::PlaybackStarted => self.startup_at = Some(at),
+            Event::PlaybackEnded => self.ended_at = Some(at),
+            Event::SessionEnd => self.finished_at = at,
+            Event::SessionStart { .. } => return Err("second session_start"),
+            Event::RequestIssued { .. }
+            | Event::TransferProgress { .. }
+            | Event::CacheLookup { .. }
+            | Event::EstimateUpdated { .. }
+            | Event::PolicyDecision { .. }
+            | Event::PlaylistRefreshTick { .. } => {}
         }
-        log.ok_or_else(|| FromTraceError::new(0, "trace has no session_start"))
+        Ok(())
     }
 }
 

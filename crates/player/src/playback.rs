@@ -241,11 +241,6 @@ impl PlaybackEngine {
             self.state = PlayState::Playing;
         }
     }
-
-    /// Total stalled wall time, counting an unresolved stall up to `now`.
-    pub fn total_stall(&self, now: Instant) -> Duration {
-        Stall::total(&self.stalls, now)
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +324,7 @@ mod tests {
         assert_eq!(p.state(), PlayState::Playing);
         assert_eq!(p.stalls()[0].end, Some(Instant::from_secs(7)));
         assert_eq!(
-            p.total_stall(Instant::from_secs(100)),
+            Stall::total(p.stalls(), Instant::from_secs(100)),
             Duration::from_secs(3)
         );
     }

@@ -1,9 +1,10 @@
-//! Per-worker session scratch: pooled log-vector capacity (DESIGN.md §15).
+//! Session scratch: pooled log-vector capacity (DESIGN.md §15).
 //!
 //! A [`crate::log::SessionLog`] accumulates four event vectors whose
-//! growth reallocations are pure overhead when a sweep worker runs
-//! thousands of sessions back to back — every session re-grows the same
-//! few-hundred-entry vectors from zero. A [`SessionScratch`] keeps that
+//! growth reallocations are pure overhead when one thread runs thousands
+//! of log sessions back to back — every session re-grows the same
+//! few-hundred-entry vectors from zero. A session that keeps only its
+//! digest has no vectors to pool. A [`SessionScratch`] keeps that
 //! capacity alive across sessions: donate it to
 //! [`crate::session::Session::run_with_scratch`], summarize the returned
 //! log, then hand the log back to [`SessionScratch::reclaim`]. The
@@ -12,11 +13,10 @@
 
 use crate::log::{BufferSample, PlaylistFetchEvent, SelectionEvent, SessionLog, TransferEvent};
 
-/// Reusable log-vector capacity for one sweep worker.
+/// Reusable log-vector capacity for one thread of log sessions.
 ///
-/// Only the four append-only event vectors are pooled; `stalls` and
-/// `seeks` are copied out of the playback engine at session end and stay
-/// session-owned.
+/// Only the four append-only event vectors are pooled; the rare `stalls`
+/// and `seeks` rows stay session-owned.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     pub(crate) selections: Vec<SelectionEvent>,
@@ -65,20 +65,7 @@ mod tests {
     #[test]
     fn reclaim_keeps_capacity_and_clears_contents() {
         let mut scratch = SessionScratch::new();
-        let mut log = SessionLog {
-            policy: String::new(),
-            selections: Vec::new(),
-            transfers: Vec::new(),
-            buffer_samples: Vec::new(),
-            stalls: Vec::new(),
-            playlist_fetches: Vec::new(),
-            seeks: Vec::new(),
-            startup_at: None,
-            ended_at: None,
-            finished_at: abr_event::time::Instant::ZERO,
-            chunk_duration: abr_event::time::Duration::from_secs(4),
-            num_chunks: 0,
-        };
+        let mut log = SessionLog::default();
         log.buffer_samples.reserve(64);
         let cap = log.buffer_samples.capacity();
         scratch.reclaim(log);

@@ -222,9 +222,16 @@ impl Session {
         self.into_engine().run().into_log()
     }
 
+    /// Runs to completion keeping only the online QoE digest: the
+    /// run-to-completion twin of [`Session::into_digest_stepper`], for
+    /// callers that only summarize the session (`exp mc`).
+    pub fn run_digest(self) -> SessionDigest {
+        self.into_digest_engine().run().into_digest()
+    }
+
     /// Like [`Session::run`], but builds the log's event vectors out of a
-    /// worker-local [`SessionScratch`]'s pooled capacity, so back-to-back
-    /// sessions on one sweep worker stop paying per-session vector growth
+    /// caller-owned [`SessionScratch`]'s pooled capacity, so back-to-back
+    /// log sessions on one thread stop paying per-session vector growth
     /// (DESIGN.md §15). Hand the finished log back to
     /// [`SessionScratch::reclaim`] once it has been summarized.
     ///
@@ -258,7 +265,7 @@ impl Session {
     }
 
     /// Consumes the builder into a ready-to-run engine, building the log's
-    /// event vectors out of a donated [`SessionScratch`]'s pooled capacity
+    /// event vectors out of a donated `SessionScratch`'s pooled capacity
     /// (DESIGN.md §15). `Engine::finish` hands the vectors back inside the
     /// log; [`crate::scratch::SessionScratch::reclaim`] recovers them.
     pub(crate) fn into_engine_with(self, scratch: crate::scratch::SessionScratch) -> Engine {
@@ -268,14 +275,10 @@ impl Session {
             selections: scratch.selections,
             transfers: scratch.transfers,
             buffer_samples: scratch.buffer_samples,
-            stalls: Vec::new(),
             playlist_fetches: scratch.playlist_fetches,
-            seeks: Vec::new(),
-            startup_at: None,
-            ended_at: None,
-            finished_at: Instant::ZERO,
             chunk_duration: content.chunk_duration(),
             num_chunks: content.num_chunks(),
+            ..SessionLog::default()
         };
         self.into_engine_recording(Recorder::Log(log))
     }
@@ -284,12 +287,12 @@ impl Session {
     /// the online QoE digest.
     fn into_digest_engine(self) -> Engine {
         let digest = SessionDigest::new(self.policy.name(), self.origin.content().num_chunks());
-        self.into_engine_recording(Recorder::Digest(digest))
+        self.into_engine_recording(Recorder::Digest(digest, None))
     }
 
     /// Consumes the builder into a ready-to-run engine recording into
-    /// `record`.
-    fn into_engine_recording(self, record: Recorder) -> Engine {
+    /// `recorder`.
+    fn into_engine_recording(self, recorder: Recorder) -> Engine {
         let content = self.origin.shared_content();
         let chunk_duration = content.chunk_duration();
         let num_chunks = content.num_chunks();
@@ -325,7 +328,7 @@ impl Session {
             playlists_ready: TrackSet::new(),
             clock: Clock::default(),
             now: Instant::ZERO,
-            record,
+            recorder,
             obs: self.obs,
         }
     }

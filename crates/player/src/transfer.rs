@@ -6,11 +6,10 @@
 //! packaging, charging the transfer path's first-byte delay (via
 //! [`abr_httpsim::edge::TransferPath`]), opening the link flow, tracking
 //! what each flow carries, and folding completions back into buffers,
-//! policy estimator feed and the session log.
+//! policy estimator feed and the session record.
 
 use crate::buffer::BufferedChunk;
 use crate::engine::Engine;
-use crate::log::TransferEvent;
 use crate::policy::TransferRecord;
 use abr_event::time::{busy_union_in_place, Duration, Instant};
 use abr_httpsim::origin::Origin;
@@ -236,7 +235,7 @@ impl Engine {
     }
 
     /// Folds a batch of link completions into buffers, the policy's
-    /// estimator feed, the session log and the trace, draining `completions`.
+    /// estimator feed and the session record, draining `completions`.
     /// The first *chunk* completion of the batch carries the whole meter
     /// window; playlist completions re-issue their deferred chunk requests
     /// instead. Every delivery profile goes back to the link once the
@@ -332,29 +331,21 @@ impl Engine {
     }
 
     /// Feeds one completed chunk transfer to the policy, recycles its
-    /// profile, and appends the log row and trace event.
+    /// profile, and records the completion.
     fn ingest_transfer(&mut self, record: TransferRecord, flow: FlowId, at: Instant) {
         let (track, chunk, size, opened_at) =
             (record.track, record.chunk, record.size, record.opened_at);
         self.policy.on_transfer(&record);
         self.link.recycle_profile(record.profile);
-        let estimate_after = self.policy.debug_estimate();
-        self.record.transfer(TransferEvent {
-            at,
-            chunk,
-            track,
-            size,
-            duration: at.saturating_duration_since(opened_at),
-            estimate_after,
-        });
-        self.obs.emit(at, || Event::TransferCompleted {
+        let event = Event::TransferCompleted {
             flow: flow.0,
             track,
             chunk,
             size,
             opened_at,
-            estimate_after,
-        });
+            estimate_after: self.policy.debug_estimate(),
+        };
+        self.record(at, event);
     }
 
     /// A playlist landed: mark the track ready, record the fetch, and
@@ -368,15 +359,13 @@ impl Engine {
         then: Option<ChunkFetch>,
     ) {
         self.playlists_ready.insert(track);
-        self.record.playlist_fetch(crate::log::PlaylistFetchEvent {
-            track,
-            requested_at,
-            completed_at: at,
-        });
-        self.obs.emit(at, || Event::PlaylistFetch {
-            track,
-            requested_at,
-        });
+        self.record(
+            at,
+            Event::PlaylistFetch {
+                track,
+                requested_at,
+            },
+        );
         if let Some(fetch) = then {
             // A seek may have flushed past this position.
             let buf = match fetch.media {

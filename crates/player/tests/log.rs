@@ -241,6 +241,36 @@ fn from_trace_rejects_malformed_traces() {
         chunk_duration: Duration::from_secs(4),
         num_chunks: 1,
     };
-    let err = SessionLog::from_trace(&[mk(0, start), mk(1, Event::StallEnd)]).unwrap_err();
+    let err = SessionLog::from_trace(&[mk(0, start.clone()), mk(1, Event::StallEnd)]).unwrap_err();
     assert!(err.message.contains("stall_end without open stall"));
+    let err = SessionLog::from_trace(&[mk(0, start.clone()), mk(1, start.clone())]).unwrap_err();
+    assert!(err.message.contains("second session_start"));
+
+    // A transfer that completes before it was opened.
+    let transfer = TracedEvent {
+        seq: 1,
+        at: Instant::from_secs(1),
+        wall_ns: 0,
+        event: Event::TransferCompleted {
+            flow: 0,
+            track: TrackId::video(0),
+            chunk: 0,
+            size: Bytes(1000),
+            opened_at: Instant::from_secs(2),
+            estimate_after: None,
+        },
+    };
+    let err = SessionLog::from_trace(&[mk(0, start.clone()), transfer]).unwrap_err();
+    assert_eq!(err.seq, 1);
+    assert!(err.message.contains("opened after it completed"));
+
+    // A selection past the last chunk (`num_chunks` is 1).
+    let selection = Event::TrackSelected {
+        chunk: 1,
+        track: TrackId::video(0),
+        declared: BitsPerSec::from_kbps(100),
+        avg_bitrate: BitsPerSec::from_kbps(100),
+    };
+    let err = SessionLog::from_trace(&[mk(0, start), mk(1, selection)]).unwrap_err();
+    assert!(err.message.contains("chunk out of range"));
 }

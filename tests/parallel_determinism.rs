@@ -205,9 +205,8 @@ proptest! {
 
     /// Chunk size, worker count, claim-order hint and profiling are
     /// scheduling knobs, not semantics (DESIGN.md §16): for any `(n,
-    /// jobs, chunk)`, any permutation hint and per-worker scratch that
-    /// the items ignore, the pool returns exactly the serial map, in
-    /// index order. Profiled, it also accounts for every item: worker
+    /// jobs, chunk)` and any permutation hint, the pool returns exactly
+    /// the serial map, in index order. Profiled, it also accounts for every item: worker
     /// rows sum to `n`, each worker's claim and busy time fit in its
     /// lifetime, and the merged spans and item histogram count `n` items.
     #[test]
@@ -218,19 +217,17 @@ proptest! {
         hint_seed in any::<u64>(),
     ) {
         let reference: Vec<u64> = (0..n).map(item_value).collect();
-        // Scratch collects the indices a worker ran; results ignore it.
-        let item = |scratch: &mut Vec<usize>, i: usize, prof: Option<&Rc<Profiler>>| {
+        let item = |i: usize, prof: Option<&Rc<Profiler>>| {
             let _span = prof.map(|p| p.span("item"));
-            scratch.push(i);
             item_value(i)
         };
-        let (unhinted, pool) = run_pool(n, jobs, chunk, None, false, Vec::new, item);
+        let (unhinted, pool) = run_pool(n, jobs, chunk, None, false, item);
         prop_assert_eq!(&reference, &unhinted);
         prop_assert!(pool.is_none());
         let order = random_permutation(n, hint_seed);
-        let (hinted, _) = run_pool(n, jobs, chunk, Some(&order), false, Vec::new, item);
+        let (hinted, _) = run_pool(n, jobs, chunk, Some(&order), false, item);
         prop_assert_eq!(&reference, &hinted);
-        let (profiled, pool) = run_pool(n, jobs, chunk, Some(&order), true, Vec::new, item);
+        let (profiled, pool) = run_pool(n, jobs, chunk, Some(&order), true, item);
         prop_assert_eq!(&reference, &profiled);
         let pool = pool.expect("profiled run returns a profile");
         prop_assert_eq!(pool.items, n as u64);

@@ -111,6 +111,65 @@ fn check_invariants_modal(log: &SessionLog, content: &Content, muxed: bool) {
     }
 }
 
+/// One session over a constant-rate link, checked against the
+/// conservation invariants. `playlist_mode` 0, 1 and 2 select preloaded,
+/// eager and lazy playlists; it only applies to demuxed delivery.
+fn constant_rate_session_holds_invariants(
+    which: u8,
+    kbps: u64,
+    seed: u64,
+    sync_independent: bool,
+    muxed: bool,
+    playlist_mode: u8,
+) {
+    let content = Content::drama_show(seed);
+    let policy = any_policy(which, &content);
+    let origin = Origin::with_overhead(content.clone(), Bytes(320));
+    let link = Link::with_latency(
+        Trace::constant(BitsPerSec::from_kbps(kbps)),
+        Duration::from_millis(20),
+    );
+    let config = PlayerConfig {
+        startup_threshold: content.chunk_duration(),
+        resume_threshold: content.chunk_duration(),
+        max_buffer: Duration::from_secs(30),
+        sync: if sync_independent {
+            SyncMode::Independent
+        } else {
+            SyncMode::ChunkLevel {
+                tolerance: content.chunk_duration(),
+            }
+        },
+    };
+    let mut session = Session::new(origin, link, policy, config)
+        .with_deadline(abr_unmuxed::event::time::Instant::from_secs(4000));
+    if muxed {
+        session = session.with_delivery(DeliveryMode::Muxed);
+    } else {
+        // Playlist fetching only applies to demuxed sessions here.
+        let mode = match playlist_mode {
+            0 => PlaylistFetch::Preloaded,
+            1 => PlaylistFetch::Eager,
+            _ => PlaylistFetch::Lazy,
+        };
+        session =
+            session.with_playlist_fetch(mode, abr_unmuxed::manifest::build::Packaging::SingleFile);
+    }
+    let log = session.run();
+    check_invariants_modal(&log, &content, muxed);
+}
+
+/// A case proptest once shrank to: ExoPlayer starved at 150 Kbps on the
+/// seed-0 content with chunk-level sync, in both delivery modes and all
+/// three playlist modes.
+#[test]
+fn starved_exoplayer_at_150_kbps_holds_invariants() {
+    constant_rate_session_holds_invariants(0, 150, 0, false, true, 0);
+    for playlist_mode in 0..3 {
+        constant_rate_session_holds_invariants(0, 150, 0, false, false, playlist_mode);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -126,41 +185,14 @@ proptest! {
         muxed in any::<bool>(),
         playlist_mode in 0u8..3,
     ) {
-        let content = Content::drama_show(seed);
-        let policy = any_policy(which, &content);
-        let origin = Origin::with_overhead(content.clone(), Bytes(320));
-        let link = Link::with_latency(
-            Trace::constant(BitsPerSec::from_kbps(kbps)),
-            Duration::from_millis(20),
+        constant_rate_session_holds_invariants(
+            which,
+            kbps,
+            seed,
+            sync_independent,
+            muxed,
+            playlist_mode,
         );
-        let config = PlayerConfig {
-            startup_threshold: content.chunk_duration(),
-            resume_threshold: content.chunk_duration(),
-            max_buffer: Duration::from_secs(30),
-            sync: if sync_independent {
-                SyncMode::Independent
-            } else {
-                SyncMode::ChunkLevel { tolerance: content.chunk_duration() }
-            },
-        };
-        let mut session = Session::new(origin, link, policy, config)
-            .with_deadline(abr_unmuxed::event::time::Instant::from_secs(4000));
-        if muxed {
-            session = session.with_delivery(DeliveryMode::Muxed);
-        } else {
-            // Playlist fetching only applies to demuxed sessions here.
-            let mode = match playlist_mode {
-                0 => PlaylistFetch::Preloaded,
-                1 => PlaylistFetch::Eager,
-                _ => PlaylistFetch::Lazy,
-            };
-            session = session.with_playlist_fetch(
-                mode,
-                abr_unmuxed::manifest::build::Packaging::SingleFile,
-            );
-        }
-        let log = session.run();
-        check_invariants_modal(&log, &content, muxed);
     }
 
     /// Random-walk traces: same invariants under fluctuating bandwidth.
