@@ -9,13 +9,14 @@
 //! courtesy the §3.4 players don't extend), making it a useful
 //! buffer-only baseline next to the rate-based and hybrid policies.
 
+use crate::combos::{select_joint, ComboLadder, JointFrame, JointPolicy};
 use abr_event::time::Duration;
 use abr_manifest::view::{BoundDash, BoundHls};
 use abr_media::combo::Combo;
 use abr_media::track::TrackId;
 use abr_media::units::BitsPerSec;
-use abr_obs::{Event, ObsHandle};
-use abr_player::policy::{AbrPolicy, ChunkLock, SelectionContext, TransferRecord};
+use abr_obs::ObsHandle;
+use abr_player::policy::{AbrPolicy, SelectionContext, TransferRecord};
 
 /// BBA parameters.
 #[derive(Debug, Clone, Copy)]
@@ -40,54 +41,36 @@ impl Default for BbaConfig {
 /// The BBA joint-combination policy.
 #[derive(Debug, Clone)]
 pub struct BbaPolicy {
-    /// Candidate combinations, ascending bandwidth (the ordering is the
-    /// only use BBA makes of bandwidth — it never estimates throughput).
-    combos: Vec<Combo>,
+    /// The combination ladder (BBA uses bandwidth only for its order — it
+    /// never estimates throughput) and the per-position lock (§4.2).
+    joint: JointFrame,
     cfg: BbaConfig,
     /// Last chosen index, for the BBA-0 stickiness rule.
     current: Option<usize>,
-    /// Joint per-chunk-position lock (§4.2).
-    locked: ChunkLock,
-    obs: ObsHandle,
 }
 
 impl BbaPolicy {
     /// Over explicit combinations.
-    pub fn from_combos(mut pairs: Vec<(Combo, BitsPerSec)>) -> BbaPolicy {
-        assert!(!pairs.is_empty(), "no combinations");
-        pairs.sort_by_key(|&(c, bw)| (bw, c.video, c.audio));
-        BbaPolicy {
-            combos: pairs.iter().map(|&(c, _)| c).collect(),
-            cfg: BbaConfig::default(),
-            current: None,
-            locked: ChunkLock::new(),
-            obs: ObsHandle::disabled(),
-        }
+    pub fn from_combos(pairs: Vec<(Combo, BitsPerSec)>) -> BbaPolicy {
+        BbaPolicy::over(ComboLadder::new(pairs))
     }
 
     /// Over an HLS manifest's variants.
     pub fn from_hls(view: &BoundHls) -> BbaPolicy {
-        BbaPolicy::from_combos(
-            view.variants
-                .iter()
-                .map(|v| (v.combo, v.bandwidth))
-                .collect(),
-        )
+        BbaPolicy::over(ComboLadder::from_hls(view))
     }
 
     /// Over a DASH manifest with server-curated combinations.
     pub fn from_dash(view: &BoundDash, allowed: &[Combo]) -> BbaPolicy {
-        BbaPolicy::from_combos(
-            allowed
-                .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        view.video_declared[c.video] + view.audio_declared[c.audio],
-                    )
-                })
-                .collect(),
-        )
+        BbaPolicy::over(ComboLadder::from_dash(view, allowed))
+    }
+
+    fn over(ladder: ComboLadder) -> BbaPolicy {
+        BbaPolicy {
+            joint: JointFrame::new(ladder),
+            cfg: BbaConfig::default(),
+            current: None,
+        }
     }
 
     /// Overrides the regions.
@@ -98,7 +81,7 @@ impl BbaPolicy {
 
     /// The rate-map: buffer level → ladder index.
     fn map_index(&self, level: Duration) -> usize {
-        let n = self.combos.len();
+        let n = self.joint.ladder.combos().len();
         if level <= self.cfg.reservoir {
             return 0;
         }
@@ -110,26 +93,25 @@ impl BbaPolicy {
         ((above.as_micros() as u128 * n as u128) / self.cfg.cushion.as_micros() as u128)
             .min(n as u128 - 1) as usize
     }
+}
 
-    /// BBA-0's stickiness: only move when the map crosses the *next*
-    /// rung's boundary (prevents oscillation at region edges).
-    fn choose(&mut self, level: Duration) -> usize {
-        let mapped = self.map_index(level);
+impl JointPolicy for BbaPolicy {
+    fn frame(&mut self) -> &mut JointFrame {
+        &mut self.joint
+    }
+
+    /// The rate map, with BBA-0's stickiness: only move when the map
+    /// crosses the *next* rung's boundary (prevents oscillation at region
+    /// edges).
+    fn decide(&mut self, ctx: &SelectionContext) -> (usize, &'static str) {
+        let mapped = self.map_index(ctx.audio_level.min(ctx.video_level));
         let next = match self.current {
-            None => mapped,
-            Some(cur) => {
-                if mapped > cur {
-                    // Ratchet upward one rung per decision.
-                    cur + 1
-                } else if mapped < cur {
-                    mapped
-                } else {
-                    cur
-                }
-            }
+            // Ratchet upward one rung per decision; drops follow the map.
+            Some(cur) if mapped > cur => cur + 1,
+            _ => mapped,
         };
         self.current = Some(next);
-        next
+        (next, "buffer-based rate map over the combination ladder")
     }
 }
 
@@ -143,28 +125,11 @@ impl AbrPolicy for BbaPolicy {
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> TrackId {
-        let (idx, reason) = match self.locked.get(ctx.chunk) {
-            Some(idx) => (idx, "combination locked for this chunk position"),
-            None => {
-                let level = ctx.audio_level.min(ctx.video_level);
-                let idx = self.choose(level);
-                self.locked.lock(ctx.chunk, idx);
-                (idx, "buffer-based rate map over the combination ladder")
-            }
-        };
-        let chosen = self.combos[idx].id_for(ctx.media);
-        self.obs.emit(ctx.now, || Event::PolicyDecision {
-            media: ctx.media,
-            chunk: ctx.chunk,
-            candidates: self.combos.iter().map(ToString::to_string).collect(),
-            chosen,
-            reason: reason.to_string(),
-        });
-        chosen
+        select_joint(self, ctx)
     }
 
     fn set_obs(&mut self, obs: &ObsHandle) {
-        self.obs = obs.clone();
+        self.joint.obs = obs.clone();
     }
 }
 
@@ -258,7 +223,13 @@ mod tests {
             media: MediaType::Audio,
             ..ctx_at(20, 6)
         });
-        let combo = p.combos.iter().find(|c| c.video == v.index).unwrap();
+        let combo = p
+            .joint
+            .ladder
+            .combos()
+            .iter()
+            .find(|c| c.video == v.index)
+            .unwrap();
         assert_eq!(
             a.index, combo.audio,
             "audio and video from the same combination"
@@ -277,7 +248,13 @@ mod tests {
             media: MediaType::Audio,
             ..ctx_at(1, 8)
         });
-        let combo = p.combos.iter().find(|c| c.video == v.index).unwrap();
+        let combo = p
+            .joint
+            .ladder
+            .combos()
+            .iter()
+            .find(|c| c.video == v.index)
+            .unwrap();
         assert_eq!(a.index, combo.audio, "locked combination for the position");
         // Position 9 reflects the collapse.
         let v9 = p.select(&ctx_at(1, 9));

@@ -15,14 +15,15 @@
 //! * **Balanced prefetching** is the session's `SyncMode::ChunkLevel`,
 //!   which this policy is designed to pair with.
 
-use crate::estimators::JointEwma;
+use crate::combos::{select_joint, ComboLadder, JointFrame, JointPolicy};
+use crate::estimators::{record_update, JointEwma};
 use abr_event::time::Duration;
 use abr_manifest::view::{BoundDash, BoundHls};
 use abr_media::combo::Combo;
 use abr_media::track::TrackId;
 use abr_media::units::BitsPerSec;
-use abr_obs::{Event, ObsHandle};
-use abr_player::policy::{AbrPolicy, ChunkLock, SelectionContext, TransferRecord};
+use abr_obs::ObsHandle;
+use abr_player::policy::{AbrPolicy, SelectionContext, TransferRecord};
 
 /// Tunables for the best-practice policy.
 #[derive(Debug, Clone, Copy)]
@@ -53,64 +54,33 @@ impl Default for BestPracticeConfig {
 /// The best-practice joint audio+video policy.
 #[derive(Debug, Clone)]
 pub struct BestPracticePolicy {
-    /// Allowed combinations, ascending bandwidth.
-    combos: Vec<Combo>,
-    /// Aggregate bandwidth requirement per combination.
-    combo_bw: Vec<BitsPerSec>,
+    /// The allowed combinations and the per-position lock (§4.2): the
+    /// audio and video decisions for the same position always agree even
+    /// when the estimate moves between the two requests.
+    joint: JointFrame,
     est: JointEwma,
     cfg: BestPracticeConfig,
     current: Option<usize>,
-    /// Joint per-chunk-position lock (§4.2): the audio and video decisions
-    /// for the same position always agree even when the estimate moves
-    /// between the two requests.
-    locked: ChunkLock,
     /// Chunk index of the last voluntary switch (for the hold timer).
     last_switch: Option<usize>,
-    obs: ObsHandle,
 }
 
 impl BestPracticePolicy {
     /// From explicit server-curated combinations with their aggregate
     /// bandwidth requirements (the §4.1 DASH out-of-band workaround).
-    pub fn from_combos(mut pairs: Vec<(Combo, BitsPerSec)>) -> BestPracticePolicy {
-        assert!(!pairs.is_empty(), "no allowed combinations");
-        pairs.sort_by_key(|&(c, bw)| (bw, c.video, c.audio));
-        BestPracticePolicy {
-            combos: pairs.iter().map(|&(c, _)| c).collect(),
-            combo_bw: pairs.iter().map(|&(_, b)| b).collect(),
-            est: JointEwma::new(3.0),
-            cfg: BestPracticeConfig::default(),
-            current: None,
-            locked: ChunkLock::new(),
-            last_switch: None,
-            obs: ObsHandle::disabled(),
-        }
+    pub fn from_combos(pairs: Vec<(Combo, BitsPerSec)>) -> BestPracticePolicy {
+        BestPracticePolicy::over(ComboLadder::new(pairs))
     }
 
     /// From an HLS master playlist: the allowed set is the variant list.
     pub fn from_hls(view: &BoundHls) -> BestPracticePolicy {
-        BestPracticePolicy::from_combos(
-            view.variants
-                .iter()
-                .map(|v| (v.combo, v.bandwidth))
-                .collect(),
-        )
+        BestPracticePolicy::over(ComboLadder::from_hls(view))
     }
 
     /// From a DASH manifest plus server-curated combinations (fetched
     /// out-of-band per §4.1); bandwidths are per-track declared sums.
     pub fn from_dash(view: &BoundDash, allowed: &[Combo]) -> BestPracticePolicy {
-        BestPracticePolicy::from_combos(
-            allowed
-                .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        view.video_declared[c.video] + view.audio_declared[c.audio],
-                    )
-                })
-                .collect(),
-        )
+        BestPracticePolicy::over(ComboLadder::from_dash(view, allowed))
     }
 
     /// From a DASH manifest carrying the §4.1 allowed-combinations
@@ -124,9 +94,19 @@ impl BestPracticePolicy {
         Ok(BestPracticePolicy::from_dash(view, allowed))
     }
 
+    fn over(ladder: ComboLadder) -> BestPracticePolicy {
+        BestPracticePolicy {
+            joint: JointFrame::new(ladder),
+            est: JointEwma::new(3.0),
+            cfg: BestPracticeConfig::default(),
+            current: None,
+            last_switch: None,
+        }
+    }
+
     /// The allowed combinations, ascending bandwidth.
     pub fn combinations(&self) -> &[Combo] {
-        &self.combos
+        self.joint.ladder.combos()
     }
 
     /// Overrides the tunables.
@@ -134,61 +114,25 @@ impl BestPracticePolicy {
         self.cfg = cfg;
         self
     }
-
-    fn highest_within(&self, budget: BitsPerSec) -> usize {
-        self.combo_bw
-            .iter()
-            .rposition(|&bw| bw <= budget)
-            .unwrap_or(0)
-    }
 }
 
-impl AbrPolicy for BestPracticePolicy {
-    fn name(&self) -> &str {
-        "bestpractice"
+impl JointPolicy for BestPracticePolicy {
+    fn frame(&mut self) -> &mut JointFrame {
+        &mut self.joint
     }
 
-    fn on_transfer(&mut self, record: &TransferRecord) {
-        let old = self.est.estimate();
-        self.est.on_transfer(record);
-        self.obs.count("estimator.updates", 1);
-        if let Some(new) = self.est.estimate() {
-            if Some(new) != old {
-                self.obs
-                    .emit(record.completed_at, || Event::EstimateUpdated {
-                        old,
-                        new,
-                        window_bytes: record.window_bytes,
-                    });
-            }
-        }
-    }
-
-    fn select(&mut self, ctx: &SelectionContext) -> TrackId {
-        // A combination already locked for this chunk position (by the
-        // other media type's request) is final: both components of a
-        // position always come from one combination.
-        if let Some(idx) = self.locked.get(ctx.chunk) {
-            let chosen = self.combos[idx].id_for(ctx.media);
-            self.obs.emit(ctx.now, || Event::PolicyDecision {
-                media: ctx.media,
-                chunk: ctx.chunk,
-                candidates: self.combos.iter().map(ToString::to_string).collect(),
-                chosen,
-                reason: "combination locked for this chunk position".to_string(),
-            });
-            return chosen;
-        }
+    fn decide(&mut self, ctx: &SelectionContext) -> (usize, &'static str) {
         let (next, reason) = match self.est.estimate() {
             // No measurement yet: start at the bottom for fast, safe
             // startup.
             None => (0, "no measurement yet: lowest combination"),
             Some(est) => {
+                let ladder = &self.joint.ladder;
                 let (n, d) = self.cfg.up_safety;
-                let up_ideal = self.highest_within(est.mul_ratio(n, d));
+                let up_ideal = ladder.highest_within(est.mul_ratio(n, d));
                 let cur = self.current.unwrap_or(0);
                 let buffered = ctx.audio_level.min(ctx.video_level);
-                let sustainable = self.combo_bw[cur] <= est;
+                let sustainable = ladder.bandwidths()[cur] <= est;
                 let held = self
                     .last_switch
                     .is_some_and(|at| ctx.chunk < at + self.cfg.min_hold_chunks);
@@ -215,16 +159,23 @@ impl AbrPolicy for BestPracticePolicy {
             self.last_switch = Some(ctx.chunk);
         }
         self.current = Some(next);
-        self.locked.lock(ctx.chunk, next);
-        let chosen = self.combos[next].id_for(ctx.media);
-        self.obs.emit(ctx.now, || Event::PolicyDecision {
-            media: ctx.media,
-            chunk: ctx.chunk,
-            candidates: self.combos.iter().map(ToString::to_string).collect(),
-            chosen,
-            reason: reason.to_string(),
-        });
-        chosen
+        (next, reason)
+    }
+}
+
+impl AbrPolicy for BestPracticePolicy {
+    fn name(&self) -> &str {
+        "bestpractice"
+    }
+
+    fn on_transfer(&mut self, record: &TransferRecord) {
+        let old = self.est.estimate();
+        self.est.on_transfer(record);
+        record_update(&self.joint.obs, record, old, self.est.estimate());
+    }
+
+    fn select(&mut self, ctx: &SelectionContext) -> TrackId {
+        select_joint(self, ctx)
     }
 
     fn debug_estimate(&self) -> Option<BitsPerSec> {
@@ -232,7 +183,7 @@ impl AbrPolicy for BestPracticePolicy {
     }
 
     fn set_obs(&mut self, obs: &ObsHandle) {
-        self.obs = obs.clone();
+        self.joint.obs = obs.clone();
     }
 }
 
@@ -437,6 +388,6 @@ mod tests {
             .iter()
             .position(|c| c.to_string() == "V3+A2")
             .unwrap();
-        assert_eq!(p.combo_bw[i].kbps(), 669);
+        assert_eq!(p.joint.ladder.bandwidths()[i].kbps(), 669);
     }
 }

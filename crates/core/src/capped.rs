@@ -7,22 +7,21 @@
 //! decided pairing exceeds the cap, the selection is clamped to the most
 //! expensive allowed combination under the cap — jointly.
 
+use crate::combos::{select_joint, ComboLadder, JointFrame, JointPolicy};
 use abr_media::combo::Combo;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::BitsPerSec;
-use abr_obs::{Event, ObsHandle};
-use abr_player::policy::{AbrPolicy, ChunkLock, SelectionContext, TransferRecord};
+use abr_obs::ObsHandle;
+use abr_player::policy::{AbrPolicy, SelectionContext, TransferRecord};
 
 /// Caps an inner policy to combinations whose aggregate bandwidth does not
 /// exceed a budget.
 pub struct CappedPolicy {
     inner: Box<dyn AbrPolicy>,
-    /// Allowed combinations with aggregate bandwidths, ascending.
-    combos: Vec<(Combo, BitsPerSec)>,
-    cap: BitsPerSec,
+    /// The allowed combinations under the cap, ascending bandwidth: the
+    /// top is the clamp target.
+    joint: JointFrame,
     name: String,
-    locked: ChunkLock,
-    obs: ObsHandle,
 }
 
 impl CappedPolicy {
@@ -32,41 +31,45 @@ impl CappedPolicy {
     /// configuration error, not a runtime condition).
     pub fn new(
         inner: Box<dyn AbrPolicy>,
-        mut combos: Vec<(Combo, BitsPerSec)>,
+        combos: Vec<(Combo, BitsPerSec)>,
         cap: BitsPerSec,
     ) -> CappedPolicy {
-        assert!(!combos.is_empty(), "no combinations");
-        combos.sort_by_key(|&(c, bw)| (bw, c.video, c.audio));
-        assert!(
-            combos.first().map(|&(_, bw)| bw <= cap).unwrap_or(false),
-            "cap {cap} below the cheapest combination"
-        );
+        let ladder = ComboLadder::new(combos)
+            .under(cap)
+            .unwrap_or_else(|| panic!("cap {cap} below the cheapest combination"));
         let name = format!("{}+cap{}", inner.name(), cap.kbps());
         CappedPolicy {
             inner,
-            combos,
-            cap,
+            joint: JointFrame::new(ladder),
             name,
-            locked: ChunkLock::new(),
-            obs: ObsHandle::disabled(),
         }
     }
+}
 
-    /// The clamp target: the most expensive combination under the cap.
-    fn ceiling(&self) -> (usize, Combo) {
-        let idx = self
-            .combos
-            .iter()
-            .rposition(|&(_, bw)| bw <= self.cap)
-            .expect("constructor guaranteed at least one fits");
-        (idx, self.combos[idx].0)
+impl JointPolicy for CappedPolicy {
+    fn frame(&mut self) -> &mut JointFrame {
+        &mut self.joint
     }
 
-    /// Whether a combination is within the cap.
-    fn within(&self, combo: Combo) -> bool {
-        self.combos
-            .iter()
-            .any(|&(c, bw)| c == combo && bw <= self.cap)
+    /// Lets the inner policy decide both components for this position,
+    /// and clamps a pairing outside the cap to the ceiling.
+    fn decide(&mut self, ctx: &SelectionContext) -> (usize, &'static str) {
+        let inner_pick = self.inner.select(ctx);
+        let other = self.inner.select(&SelectionContext {
+            media: ctx.media.other(),
+            ..*ctx
+        });
+        let decided = match ctx.media {
+            MediaType::Video => Combo::new(inner_pick.index, other.index),
+            MediaType::Audio => Combo::new(other.index, inner_pick.index),
+        };
+        match self.joint.ladder.position(decided) {
+            Some(idx) => (idx, "inner decision within the cap"),
+            None => (
+                self.joint.ladder.combos().len() - 1,
+                "inner decision clamped to the cap ceiling",
+            ),
+        }
     }
 }
 
@@ -80,52 +83,7 @@ impl AbrPolicy for CappedPolicy {
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> TrackId {
-        let (combo, reason) = match self.locked.get(ctx.chunk) {
-            Some(idx) => (
-                self.combos[idx].0,
-                "combination locked for this chunk position",
-            ),
-            None => {
-                // Let the inner policy decide both components for this
-                // position.
-                let inner_pick = self.inner.select(ctx);
-                let other = self.inner.select(&SelectionContext {
-                    media: ctx.media.other(),
-                    ..*ctx
-                });
-                let decided = match ctx.media {
-                    MediaType::Video => Combo::new(inner_pick.index, other.index),
-                    MediaType::Audio => Combo::new(other.index, inner_pick.index),
-                };
-                let (idx, combo, reason) = if self.within(decided) {
-                    let idx = self
-                        .combos
-                        .iter()
-                        .position(|&(c, _)| c == decided)
-                        .expect("within() implies membership");
-                    (idx, decided, "inner decision within the cap")
-                } else {
-                    let (idx, combo) = self.ceiling();
-                    (idx, combo, "inner decision clamped to the cap ceiling")
-                };
-                self.locked.lock(ctx.chunk, idx);
-                (combo, reason)
-            }
-        };
-        let chosen = combo.id_for(ctx.media);
-        self.obs.emit(ctx.now, || Event::PolicyDecision {
-            media: ctx.media,
-            chunk: ctx.chunk,
-            candidates: self
-                .combos
-                .iter()
-                .filter(|&&(_, bw)| bw <= self.cap)
-                .map(|(c, _)| c.to_string())
-                .collect(),
-            chosen,
-            reason: reason.to_string(),
-        });
-        chosen
+        select_joint(self, ctx)
     }
 
     fn debug_estimate(&self) -> Option<BitsPerSec> {
@@ -136,7 +94,7 @@ impl AbrPolicy for CappedPolicy {
         // The wrapper and the wrapped policy both see the handle: the inner
         // policy keeps emitting its estimate/decision events, and the
         // wrapper adds the clamp decisions on top.
-        self.obs = obs.clone();
+        self.joint.obs = obs.clone();
         self.inner.set_obs(obs);
     }
 }

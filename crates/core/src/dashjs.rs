@@ -12,12 +12,13 @@
 //! the buffer exceeds 12 s and BOLA's pick is at least THROUGHPUT's; switch
 //! back when the buffer falls below 6 s and BOLA's pick is lower.
 
-use crate::estimators::HarmonicMean;
+use crate::combos::{highest_within, record_track_decision};
+use crate::estimators::{record_update, HarmonicMean};
 use abr_event::time::Duration;
 use abr_manifest::view::BoundDash;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::BitsPerSec;
-use abr_obs::{Event, ObsHandle};
+use abr_obs::ObsHandle;
 use abr_player::policy::{AbrPolicy, SelectionContext, TransferRecord};
 
 /// BOLA parameters, derived as in dash.js `BolaRule` from the bitrate
@@ -113,11 +114,7 @@ impl DynamicAdapter {
             None => 0, // no history: start at the lowest rung
             Some(est) => {
                 let (n, d) = Self::SAFETY;
-                let budget = est.mul_ratio(n, d);
-                self.bitrates
-                    .iter()
-                    .rposition(|&b| b <= budget)
-                    .unwrap_or(0)
+                highest_within(&self.bitrates, est.mul_ratio(n, d))
             }
         }
     }
@@ -171,17 +168,7 @@ impl AbrPolicy for DashJsPolicy {
             };
             let old = adapter.throughput.estimate();
             adapter.throughput.add(tput.bps() as f64);
-            self.obs.count("estimator.updates", 1);
-            if let Some(new) = adapter.throughput.estimate() {
-                if Some(new) != old {
-                    self.obs
-                        .emit(record.completed_at, || Event::EstimateUpdated {
-                            old,
-                            new,
-                            window_bytes: record.window_bytes,
-                        });
-                }
-            }
+            record_update(&self.obs, record, old, adapter.throughput.estimate());
         }
     }
 
@@ -193,27 +180,13 @@ impl AbrPolicy for DashJsPolicy {
         let rung = adapter.choose(level);
         let using_bola = adapter.using_bola;
         let ladder_len = adapter.bitrates.len();
-        let chosen = match ctx.media {
-            MediaType::Audio => TrackId::audio(rung),
-            MediaType::Video => TrackId::video(rung),
-        };
-        self.obs.emit(ctx.now, || Event::PolicyDecision {
-            media: ctx.media,
-            chunk: ctx.chunk,
-            candidates: (0..ladder_len)
-                .map(|i| match ctx.media {
-                    MediaType::Audio => TrackId::audio(i).to_string(),
-                    MediaType::Video => TrackId::video(i).to_string(),
-                })
-                .collect(),
-            chosen,
-            reason: if using_bola {
+        record_track_decision(&self.obs, ctx, ladder_len, rung, || {
+            if using_bola {
                 format!("BOLA rule at buffer {level}")
             } else {
                 "THROUGHPUT rule (0.9 x per-media harmonic mean)".to_string()
-            },
-        });
-        chosen
+            }
+        })
     }
 
     fn debug_estimate(&self) -> Option<BitsPerSec> {

@@ -17,11 +17,33 @@
 //!   type's transfers only.
 //! * [`JointEwma`] — the best-practice estimator: aggregate window samples
 //!   (like ExoPlayer's meter) smoothed by a zero-bias-corrected EWMA.
+//!
+//! [`record_update`] is how every estimating policy records one update.
 
 use abr_event::time::Duration;
 use abr_media::units::{BitsPerSec, Bytes};
+use abr_obs::{Event, ObsHandle};
 use abr_player::policy::TransferRecord;
 use std::collections::VecDeque;
+
+/// Records one estimator update driven by `record`: counts
+/// `estimator.updates`, and emits `EstimateUpdated` when the estimate
+/// moved from `old` to a value `new`.
+pub fn record_update(
+    obs: &ObsHandle,
+    record: &TransferRecord,
+    old: Option<BitsPerSec>,
+    new: Option<BitsPerSec>,
+) {
+    obs.count("estimator.updates", 1);
+    if let Some(new) = new.filter(|&new| Some(new) != old) {
+        obs.emit(record.completed_at, || Event::EstimateUpdated {
+            old,
+            new,
+            window_bytes: record.window_bytes,
+        });
+    }
+}
 
 /// Exponentially weighted moving average with half-life semantics and
 /// zero-bias correction (Shaka's `Ewma` class).

@@ -21,13 +21,14 @@
 //! The resulting selections can leave the manifest's allowed set (e.g.
 //! V1+A3 under `H_sub`), exactly as Fig 3 shows.
 
-use crate::estimators::ExoMeter;
+use crate::combos::ComboLadder;
+use crate::estimators::{record_update, ExoMeter};
 use abr_event::time::Duration;
 use abr_manifest::view::{BoundDash, BoundHls};
-use abr_media::combo::{log_staircase_rates, Combo};
+use abr_media::combo::Combo;
 use abr_media::track::TrackId;
 use abr_media::units::BitsPerSec;
-use abr_obs::{Event, ObsHandle};
+use abr_obs::ObsHandle;
 use abr_player::policy::{AbrPolicy, SelectionContext, TransferRecord};
 
 /// ExoPlayer `AdaptiveTrackSelection` constants (v2.10.2 defaults).
@@ -57,10 +58,9 @@ impl Default for ExoConfig {
 #[derive(Debug, Clone)]
 pub struct ExoPlayerPolicy {
     name: String,
-    /// The combinations adaptation runs over, ascending bandwidth.
-    combos: Vec<Combo>,
-    /// The "bandwidth requirement" ExoPlayer believes each combination has.
-    combo_bw: Vec<BitsPerSec>,
+    /// The combinations adaptation runs over, with the "bandwidth
+    /// requirement" ExoPlayer believes each has.
+    ladder: ComboLadder,
     meter: ExoMeter,
     cfg: ExoConfig,
     current: Option<usize>,
@@ -71,53 +71,28 @@ impl ExoPlayerPolicy {
     /// DASH mode: predetermine the combination staircase from per-track
     /// declared bitrates; combination bandwidth = sum of declared bitrates.
     pub fn dash(view: &BoundDash) -> ExoPlayerPolicy {
-        let combos = log_staircase_rates(&view.video_declared, &view.audio_declared);
-        let combo_bw = combos
-            .iter()
-            .map(|c| view.video_declared[c.video] + view.audio_declared[c.audio])
-            .collect();
-        ExoPlayerPolicy {
-            name: "exoplayer-dash".to_string(),
-            combos,
-            combo_bw,
-            meter: ExoMeter::new(),
-            cfg: ExoConfig::default(),
-            current: None,
-            obs: ObsHandle::disabled(),
-        }
+        ExoPlayerPolicy::over(
+            "exoplayer-dash",
+            ComboLadder::staircase(&view.video_declared, &view.audio_declared),
+        )
     }
 
     /// HLS mode: pin the first-listed audio rendition; video bitrates come
     /// from the first variant containing each video track (aggregate
-    /// `BANDWIDTH`, i.e. overestimated).
+    /// `BANDWIDTH`, i.e. overestimated). Adaptation iterates tracks in
+    /// ascending assumed bitrate.
     pub fn hls(view: &BoundHls) -> ExoPlayerPolicy {
         let pinned_audio = *view
             .audio_listing
             .first()
             .expect("HLS manifest lists audio");
-        let mut combos = Vec::new();
-        let mut combo_bw = Vec::new();
-        for v in 0..view.video_count() {
-            if let Some(bw) = view.first_variant_bandwidth_for_video(v) {
-                combos.push(Combo::new(v, pinned_audio));
-                combo_bw.push(bw);
-            }
-        }
-        assert!(!combos.is_empty(), "no video variants in HLS manifest");
-        // Adaptation iterates tracks in ascending assumed bitrate.
-        let mut order: Vec<usize> = (0..combos.len()).collect();
-        order.sort_by_key(|&i| combo_bw[i]);
-        let combos = order.iter().map(|&i| combos[i]).collect();
-        let combo_bw = order.iter().map(|&i| combo_bw[i]).collect();
-        ExoPlayerPolicy {
-            name: "exoplayer-hls".to_string(),
-            combos,
-            combo_bw,
-            meter: ExoMeter::new(),
-            cfg: ExoConfig::default(),
-            current: None,
-            obs: ObsHandle::disabled(),
-        }
+        let pairs = (0..view.video_count())
+            .filter_map(|v| {
+                let bw = view.first_variant_bandwidth_for_video(v)?;
+                Some((Combo::new(v, pinned_audio), bw))
+            })
+            .collect();
+        ExoPlayerPolicy::over("exoplayer-hls", ComboLadder::new(pairs))
     }
 
     /// The §4.1-repaired HLS mode: per-track bitrates recovered — either
@@ -146,39 +121,33 @@ impl ExoPlayerPolicy {
                  extension and no second-level playlists were attached"
                     .to_string()
             })?;
-        let combos = log_staircase_rates(&video, &audio);
-        let combo_bw = combos
-            .iter()
-            .map(|c| video[c.video] + audio[c.audio])
-            .collect();
-        Ok(ExoPlayerPolicy {
-            name: "exoplayer-hls-fixed".to_string(),
-            combos,
-            combo_bw,
+        Ok(ExoPlayerPolicy::over(
+            "exoplayer-hls-fixed",
+            ComboLadder::staircase(&video, &audio),
+        ))
+    }
+
+    fn over(name: &str, ladder: ComboLadder) -> ExoPlayerPolicy {
+        ExoPlayerPolicy {
+            name: name.to_string(),
+            ladder,
             meter: ExoMeter::new(),
             cfg: ExoConfig::default(),
             current: None,
             obs: ObsHandle::disabled(),
-        })
+        }
     }
 
     /// The predetermined combinations (DASH) or synthesized pinned-audio
     /// pairs (HLS), ascending bandwidth.
     pub fn combinations(&self) -> &[Combo] {
-        &self.combos
+        self.ladder.combos()
     }
 
     /// The bandwidth requirements the policy believes the combinations
     /// have.
     pub fn combination_bandwidths(&self) -> &[BitsPerSec] {
-        &self.combo_bw
-    }
-
-    fn ideal_index(&self, budget: BitsPerSec) -> usize {
-        self.combo_bw
-            .iter()
-            .rposition(|&bw| bw <= budget)
-            .unwrap_or(0)
+        self.ladder.bandwidths()
     }
 }
 
@@ -190,22 +159,13 @@ impl AbrPolicy for ExoPlayerPolicy {
     fn on_transfer(&mut self, record: &TransferRecord) {
         let old = self.meter.estimate();
         self.meter.on_transfer(record);
-        self.obs.count("estimator.updates", 1);
-        let new = self.meter.estimate();
-        if new != old {
-            self.obs
-                .emit(record.completed_at, || Event::EstimateUpdated {
-                    old: Some(old),
-                    new,
-                    window_bytes: record.window_bytes,
-                });
-        }
+        record_update(&self.obs, record, Some(old), Some(self.meter.estimate()));
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> TrackId {
         let (num, den) = self.cfg.bandwidth_fraction;
         let budget = self.meter.estimate().mul_ratio(num, den);
-        let ideal = self.ideal_index(budget);
+        let ideal = self.ladder.highest_within(budget);
         let (next, reason) = match self.current {
             None => (ideal, "initial pick at the budgeted ideal"),
             Some(cur) => {
@@ -228,15 +188,9 @@ impl AbrPolicy for ExoPlayerPolicy {
             }
         };
         self.current = Some(next);
-        let chosen = self.combos[next].id_for(ctx.media);
-        self.obs.emit(ctx.now, || Event::PolicyDecision {
-            media: ctx.media,
-            chunk: ctx.chunk,
-            candidates: self.combos.iter().map(ToString::to_string).collect(),
-            chosen,
-            reason: format!("{reason} (budget {budget})"),
-        });
-        chosen
+        self.ladder.record(&self.obs, ctx, next, || {
+            format!("{reason} (budget {budget})")
+        })
     }
 
     fn debug_estimate(&self) -> Option<BitsPerSec> {

@@ -26,6 +26,8 @@
 //! * [`capped`] — a data-saver wrapper that clamps any inner policy to a
 //!   combination-bandwidth budget *jointly* (per-track caps would re-create
 //!   the §3.4 coordination bug).
+//! * [`combos`] — the one combination ladder the policies select from,
+//!   and the per-chunk-position frame of the joint ones.
 //! * [`estimators`] — the estimator toolbox the above share.
 
 #![forbid(unsafe_code)]
@@ -34,6 +36,7 @@
 pub mod bba;
 pub mod bestpractice;
 pub mod capped;
+pub mod combos;
 pub mod dashjs;
 pub mod estimators;
 pub mod exoplayer;

@@ -10,13 +10,14 @@
 //! only the first step. Like the best-practice policy it selects whole
 //! combinations, so audio and video stay consistent per §4.2.
 
-use crate::estimators::HarmonicMean;
+use crate::combos::{select_joint, ComboLadder, JointFrame, JointPolicy};
+use crate::estimators::{record_update, HarmonicMean};
 use abr_manifest::view::{BoundDash, BoundHls};
 use abr_media::combo::Combo;
 use abr_media::track::TrackId;
 use abr_media::units::BitsPerSec;
-use abr_obs::{Event, ObsHandle};
-use abr_player::policy::{AbrPolicy, ChunkLock, SelectionContext, TransferRecord};
+use abr_obs::ObsHandle;
+use abr_player::policy::{AbrPolicy, SelectionContext, TransferRecord};
 
 /// MPC parameters.
 #[derive(Debug, Clone, Copy)]
@@ -42,8 +43,9 @@ impl Default for MpcConfig {
 /// The MPC joint-combination policy.
 #[derive(Debug, Clone)]
 pub struct MpcPolicy {
-    /// Candidate combinations, ascending bandwidth.
-    combos: Vec<Combo>,
+    /// Candidate combinations, ascending bandwidth, and the per-position
+    /// lock (§4.2).
+    joint: JointFrame,
     /// Aggregate bandwidth requirement per combination (bps) — used both
     /// as the download-cost model and as the quality proxy.
     combo_bw: Vec<f64>,
@@ -62,20 +64,30 @@ pub struct MpcPolicy {
     last_prediction: Option<f64>,
     cfg: MpcConfig,
     current: Option<usize>,
-    locked: ChunkLock,
-    obs: ObsHandle,
 }
 
 impl MpcPolicy {
     /// Over explicit combinations.
-    pub fn from_combos(mut pairs: Vec<(Combo, BitsPerSec)>) -> MpcPolicy {
-        assert!(!pairs.is_empty(), "no combinations");
-        pairs.sort_by_key(|&(c, bw)| (bw, c.video, c.audio));
-        let combo_bw: Vec<f64> = pairs.iter().map(|&(_, b)| b.bps() as f64).collect();
+    pub fn from_combos(pairs: Vec<(Combo, BitsPerSec)>) -> MpcPolicy {
+        MpcPolicy::over(ComboLadder::new(pairs))
+    }
+
+    /// Over an HLS manifest's variants.
+    pub fn from_hls(view: &BoundHls) -> MpcPolicy {
+        MpcPolicy::over(ComboLadder::from_hls(view))
+    }
+
+    /// Over a DASH manifest with server-curated combinations.
+    pub fn from_dash(view: &BoundDash, allowed: &[Combo]) -> MpcPolicy {
+        MpcPolicy::over(ComboLadder::from_dash(view, allowed))
+    }
+
+    fn over(ladder: ComboLadder) -> MpcPolicy {
+        let combo_bw: Vec<f64> = ladder.bandwidths().iter().map(|b| b.bps() as f64).collect();
         let q: Vec<f64> = combo_bw.iter().map(|&bw| bw / 1e6).collect();
         let q_max = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         MpcPolicy {
-            combos: pairs.iter().map(|&(c, _)| c).collect(),
+            joint: JointFrame::new(ladder),
             download_s: Vec::with_capacity(combo_bw.len()),
             search_nodes: 0,
             combo_bw,
@@ -86,34 +98,7 @@ impl MpcPolicy {
             last_prediction: None,
             cfg: MpcConfig::default(),
             current: None,
-            locked: ChunkLock::new(),
-            obs: ObsHandle::disabled(),
         }
-    }
-
-    /// Over an HLS manifest's variants.
-    pub fn from_hls(view: &BoundHls) -> MpcPolicy {
-        MpcPolicy::from_combos(
-            view.variants
-                .iter()
-                .map(|v| (v.combo, v.bandwidth))
-                .collect(),
-        )
-    }
-
-    /// Over a DASH manifest with server-curated combinations.
-    pub fn from_dash(view: &BoundDash, allowed: &[Combo]) -> MpcPolicy {
-        MpcPolicy::from_combos(
-            allowed
-                .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        view.video_declared[c.video] + view.audio_declared[c.audio],
-                    )
-                })
-                .collect(),
-        )
     }
 
     /// Overrides the tunables. Panics on a negative (or NaN) penalty:
@@ -129,7 +114,7 @@ impl MpcPolicy {
 
     /// The candidate combinations, ascending bandwidth.
     pub fn combinations(&self) -> &[Combo] {
-        &self.combos
+        self.joint.ladder.combos()
     }
 
     /// RobustMPC's conservative prediction: harmonic mean over recent
@@ -176,7 +161,7 @@ impl MpcPolicy {
     /// (`crates/core/tests/proptests.rs`) holds `plan` to the flat
     /// enumeration.
     pub fn plan(&mut self, buffer_s: f64, chunk_s: f64, predicted_bps: f64, prev: usize) -> usize {
-        let n = self.combos.len();
+        let n = self.q.len();
         let horizon = self.cfg.horizon.max(1);
         let prev = prev.min(n - 1);
         let lambda = self.cfg.switch_penalty;
@@ -296,6 +281,29 @@ impl Search<'_> {
     }
 }
 
+impl JointPolicy for MpcPolicy {
+    fn frame(&mut self) -> &mut JointFrame {
+        &mut self.joint
+    }
+
+    fn decide(&mut self, ctx: &SelectionContext) -> (usize, &'static str) {
+        let (next, reason) = match self.predict() {
+            None => (0, "no history: lowest combination"),
+            Some(pred) => {
+                self.last_prediction = Some(pred);
+                let buffer_s = ctx.audio_level.min(ctx.video_level).as_secs_f64();
+                let chunk_s = ctx.chunk_duration.as_secs_f64();
+                (
+                    self.plan(buffer_s, chunk_s, pred.max(1.0), self.current.unwrap_or(0)),
+                    "best first action of the horizon plan",
+                )
+            }
+        };
+        self.current = Some(next);
+        (next, reason)
+    }
+}
+
 impl AbrPolicy for MpcPolicy {
     fn name(&self) -> &str {
         "mpc"
@@ -314,50 +322,12 @@ impl AbrPolicy for MpcPolicy {
             }
             let old = self.debug_estimate();
             self.tput.add(actual);
-            self.obs.count("estimator.updates", 1);
-            if let Some(new) = self.debug_estimate() {
-                if Some(new) != old {
-                    self.obs
-                        .emit(record.completed_at, || Event::EstimateUpdated {
-                            old,
-                            new,
-                            window_bytes: record.window_bytes,
-                        });
-                }
-            }
+            record_update(&self.joint.obs, record, old, self.debug_estimate());
         }
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> TrackId {
-        let (next, reason) = match self.locked.get(ctx.chunk) {
-            Some(idx) => (idx, "combination locked for this chunk position"),
-            None => {
-                let (next, reason) = match self.predict() {
-                    None => (0, "no history: lowest combination"),
-                    Some(pred) => {
-                        self.last_prediction = Some(pred);
-                        let buffer_s = ctx.audio_level.min(ctx.video_level).as_secs_f64();
-                        let chunk_s = ctx.chunk_duration.as_secs_f64();
-                        (
-                            self.plan(buffer_s, chunk_s, pred.max(1.0), self.current.unwrap_or(0)),
-                            "best first action of the horizon plan",
-                        )
-                    }
-                };
-                self.current = Some(next);
-                self.locked.lock(ctx.chunk, next);
-                (next, reason)
-            }
-        };
-        let chosen = self.combos[next].id_for(ctx.media);
-        self.obs.emit(ctx.now, || Event::PolicyDecision {
-            media: ctx.media,
-            chunk: ctx.chunk,
-            candidates: self.combos.iter().map(ToString::to_string).collect(),
-            chosen,
-            reason: reason.to_string(),
-        });
-        chosen
+        select_joint(self, ctx)
     }
 
     fn debug_estimate(&self) -> Option<BitsPerSec> {
@@ -365,7 +335,7 @@ impl AbrPolicy for MpcPolicy {
     }
 
     fn set_obs(&mut self, obs: &ObsHandle) {
-        self.obs = obs.clone();
+        self.joint.obs = obs.clone();
     }
 }
 

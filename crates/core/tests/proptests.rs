@@ -3,7 +3,7 @@
 use abr_core::bba::{BbaConfig, BbaPolicy};
 use abr_core::estimators::{Ewma, HarmonicMean, JointEwma, ShakaEstimator, SlidingPercentile};
 use abr_core::mpc::{MpcConfig, MpcPolicy};
-use abr_core::{BestPracticePolicy, ExoPlayerPolicy, ShakaPolicy};
+use abr_core::{BestPracticePolicy, CappedPolicy, ExoPlayerPolicy, ShakaPolicy};
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::origin::Origin;
 use abr_media::combo::Combo;
@@ -52,6 +52,22 @@ fn arb_pairs() -> impl Strategy<Value = Vec<(Combo, BitsPerSec)>> {
             .enumerate()
             .map(|(i, &k)| (Combo::new(i, 0), BitsPerSec::from_kbps(k)))
             .collect()
+    })
+}
+
+/// Distinct combinations over a 4-video × 3-audio grid with arbitrary
+/// bandwidths: unlike `arb_pairs`, a video rung may pair with several
+/// audio rungs, so a mismatched audio pick can leave the set.
+fn arb_joint_pairs() -> impl Strategy<Value = Vec<(Combo, BitsPerSec)>> {
+    proptest::collection::vec((0usize..4, 0usize..3, 10u64..5000), 1..12).prop_map(|raw| {
+        let mut pairs: Vec<(Combo, BitsPerSec)> = Vec::new();
+        for (v, a, kbps) in raw {
+            let combo = Combo::new(v, a);
+            if pairs.iter().all(|&(c, _)| c != combo) {
+                pairs.push((combo, BitsPerSec::from_kbps(kbps)));
+            }
+        }
+        pairs
     })
 }
 
@@ -300,42 +316,66 @@ proptest! {
         }
     }
 
-    /// The best-practice policy never returns an out-of-set combination
-    /// for any estimate/buffer sequence.
+    /// Every joint policy's audio and video picks for one chunk position
+    /// form one combination of its set — also when the estimate and the
+    /// buffer move between the two requests, whichever media asks first,
+    /// and whatever order positions arrive in. The data-saver wrapper's
+    /// set is the combinations under its cap.
     #[test]
-    fn bestpractice_stays_in_set(
-        pairs in arb_pairs(),
-        steps in proptest::collection::vec((50u64..6_000, 0u64..40), 1..40),
+    fn joint_lock_holds_for_every_joint_policy(
+        pairs in arb_joint_pairs(),
+        cap_rank in 0usize..12,
+        steps in proptest::collection::vec(
+            (50u64..6_000, 0u64..40, 50u64..6_000, 0u64..40, any::<bool>(), 0usize..40),
+            1..30,
+        ),
     ) {
-        let combos: Vec<Combo> = pairs.iter().map(|&(c, _)| c).collect();
-        let mut p = BestPracticePolicy::from_combos(pairs);
-        for (i, &(kbps, buf)) in steps.iter().enumerate() {
-            let size = BitsPerSec::from_kbps(kbps).bytes_in_micros(2_000_000);
-            p.on_transfer(&TransferRecord {
-                media: MediaType::Video,
-                track: TrackId::video(0),
-                chunk: 0,
-                size,
-                opened_at: Instant::ZERO,
-                completed_at: Instant::from_secs(2),
-                profile: DeliveryProfile::new(),
-                window_bytes: size,
-                window_busy: Duration::from_secs(2),
-            });
-            let ctx = SelectionContext {
-                now: Instant::from_secs(i as u64 * 4),
-                media: MediaType::Video,
-                chunk: i,
-                audio_level: Duration::from_secs(buf),
-                video_level: Duration::from_secs(buf),
-                chunk_duration: Duration::from_secs(4),
-                current_audio: None,
-                current_video: None,
-                playing: true,
-            };
-            let v = p.select(&ctx);
-            let a = p.select(&SelectionContext { media: MediaType::Audio, ..ctx });
-            prop_assert!(combos.contains(&Combo::new(v.index, a.index)));
+        let mut rates: Vec<BitsPerSec> = pairs.iter().map(|&(_, bw)| bw).collect();
+        rates.sort_unstable();
+        let cap = rates[cap_rank % rates.len()];
+        let under_cap: Vec<Combo> =
+            pairs.iter().filter(|&&(_, bw)| bw <= cap).map(|&(c, _)| c).collect();
+        let all: Vec<Combo> = pairs.iter().map(|&(c, _)| c).collect();
+        let policies: Vec<(Box<dyn AbrPolicy>, &[Combo])> = vec![
+            (Box::new(BestPracticePolicy::from_combos(pairs.clone())), &all),
+            (Box::new(BbaPolicy::from_combos(pairs.clone())), &all),
+            (Box::new(MpcPolicy::from_combos(pairs.clone())), &all),
+            (
+                Box::new(CappedPolicy::new(
+                    Box::new(BestPracticePolicy::from_combos(pairs.clone())),
+                    pairs.clone(),
+                    cap,
+                )),
+                &under_cap,
+            ),
+        ];
+        for (mut p, set) in policies {
+            // Positions arrive in any order, as after backward seeks.
+            for (i, &(kbps1, buf1, kbps2, buf2, video_first, chunk)) in steps.iter().enumerate() {
+                let ctx = |media, buf| SelectionContext {
+                    now: Instant::from_secs(i as u64 * 4),
+                    media,
+                    chunk,
+                    audio_level: Duration::from_secs(buf),
+                    video_level: Duration::from_secs(buf),
+                    chunk_duration: Duration::from_secs(4),
+                    current_audio: None,
+                    current_video: None,
+                    playing: true,
+                };
+                let (first, second) = if video_first {
+                    (MediaType::Video, MediaType::Audio)
+                } else {
+                    (MediaType::Audio, MediaType::Video)
+                };
+                p.on_transfer(&record(kbps1, 2, i as u64 * 4));
+                let x = p.select(&ctx(first, buf1));
+                p.on_transfer(&record(kbps2, 2, i as u64 * 4 + 2));
+                let y = p.select(&ctx(second, buf2));
+                let (v, a) = if video_first { (x, y) } else { (y, x) };
+                let combo = Combo::new(v.index, a.index);
+                prop_assert!(set.contains(&combo), "{}: {} outside its set", p.name(), combo);
+            }
         }
     }
 }

@@ -155,6 +155,9 @@ impl BoundDash {
             return Err("MPD lacks a video or audio adaptation set".to_string());
         }
         if let Some(combos) = &out.allowed_combos {
+            if combos.is_empty() {
+                return Err("allowed-combinations extension lists no combination".to_string());
+            }
             for c in combos {
                 if c.video >= out.video_declared.len() || c.audio >= out.audio_declared.len() {
                     return Err(format!("combination {c} references a missing track"));

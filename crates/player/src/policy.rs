@@ -110,41 +110,6 @@ pub trait AbrPolicy {
     }
 }
 
-/// Per-chunk-position decision lock for joint policies.
-///
-/// A joint policy decides a *combination* per chunk position, but the
-/// session asks for audio and video separately — and the estimate or
-/// buffer may move between the two requests. Locking the first decision
-/// for a position guarantees both components come from one combination
-/// (§4.2: "the selection of the audio and video tracks for each chunk
-/// position be considered jointly").
-#[derive(Debug, Clone, Default)]
-pub struct ChunkLock {
-    map: std::collections::BTreeMap<usize, usize>,
-}
-
-impl ChunkLock {
-    /// An empty lock table.
-    pub fn new() -> ChunkLock {
-        ChunkLock::default()
-    }
-
-    /// The decision locked for `chunk`, if any.
-    pub fn get(&self, chunk: usize) -> Option<usize> {
-        self.map.get(&chunk).copied()
-    }
-
-    /// Locks `decision` for `chunk`, pruning old positions (which can
-    /// never be requested again).
-    pub fn lock(&mut self, chunk: usize, decision: usize) {
-        self.map.insert(chunk, decision);
-        while self.map.len() > 8 {
-            let oldest = *self.map.keys().next().expect("non-empty");
-            self.map.remove(&oldest);
-        }
-    }
-}
-
 /// A trivial fixed-track policy, useful for tests and as a baseline: always
 /// the given rungs.
 #[derive(Debug, Clone)]

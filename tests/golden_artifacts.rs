@@ -5,8 +5,10 @@
 //! * `results/f4b.trace.jsonl` — the full event trace of the F4b session
 //!   (deterministic stamping: `wall_ns` is 0, see DESIGN.md §10), exactly
 //!   what `exp --id f4b --trace results/f4b.trace.jsonl` writes.
-//! * `results/f4b.json` — the F4b structured summary, exactly what
-//!   `exp --id f4b --json results` writes.
+//! * `results/<id>.json` for every experiment id (the structured
+//!   summaries, exactly what `exp --id <id> --json results` writes) and
+//!   `results/all_experiments.txt` (what `exp --all --json results`
+//!   prints).
 //! * `results/fleet_small.txt` / `results/fleet_small.json` — the full
 //!   report of a 16-session shared-fate fleet (DESIGN.md §14), exactly
 //!   what `exp fleet --sessions 16 --arrival-secs 30` emits; since the
@@ -30,7 +32,7 @@
 //! update path writes whatever the code now produces, so the review is
 //! the only check that the change was really intended.
 
-use abr_bench::experiments::{run_jobs, traced_sessions};
+use abr_bench::experiments::{all_ids, run_jobs, traced_sessions};
 use abr_obs::export::to_jsonl;
 use std::path::PathBuf;
 
@@ -85,11 +87,21 @@ fn f4b_trace_matches_golden() {
     check_golden("results/f4b.trace.jsonl", &to_jsonl(&outcomes[0].events));
 }
 
+/// Every experiment's JSON, and the `--all` stdout that names where each
+/// one was written.
 #[test]
-fn f4b_json_matches_golden() {
-    let result = run_jobs("f4b", 1).expect("f4b exists");
-    let actual = serde_json::to_string_pretty(&result.json).expect("serialize");
-    check_golden("results/f4b.json", &actual);
+fn every_experiment_matches_its_goldens() {
+    let mut all = String::new();
+    for id in all_ids() {
+        let result = run_jobs(id, 1).expect("listed id exists");
+        let actual = serde_json::to_string_pretty(&result.json).expect("serialize");
+        check_golden(&format!("results/{id}.json"), &actual);
+        all.push_str(&format!(
+            "=== {} — {} ===\n{}\n[json written to results/{id}.json]\n\n",
+            result.id, result.title, result.text
+        ));
+    }
+    check_golden("results/all_experiments.txt", &all);
 }
 
 #[test]

@@ -1,0 +1,156 @@
+//! Every policy's decision trace, pinned.
+//!
+//! One traced session per policy constructor — every `exp mc` arm over
+//! DASH (the data-saver arm included, which records both the inner
+//! policy's decisions and its own clamp decisions) plus the HLS
+//! constructors — of the drama show over the Fig 3 varying ~600 Kbps
+//! trace. Each session's JSONL trace is pinned by an FNV-1a digest, so a
+//! change to any `policy_decision` (candidates, choice, reason) or
+//! `estimate_updated` event of any policy fails here, naming the policy.
+//!
+//! After an *intentional* change to a policy's decisions or reasons,
+//! run with `--nocapture` and copy the printed digests into `PINS`.
+
+use abr_bench::mc::mc_policies;
+use abr_bench::setup::{dash_view, drama, hls_all_view, hls_sub_view, run_session_obs, PlayerKind};
+use abr_core::{BbaPolicy, BestPracticePolicy, ExoPlayerPolicy, MpcPolicy, ShakaPolicy};
+use abr_event::time::Duration;
+use abr_manifest::build::build_master_playlist_ext;
+use abr_manifest::view::BoundHls;
+use abr_manifest::MasterPlaylist;
+use abr_media::combo::curated_subset;
+use abr_net::trace::Trace;
+use abr_obs::export::to_jsonl;
+use abr_obs::Event;
+use abr_player::policy::AbrPolicy;
+
+/// `(session label, FNV-1a digest of its JSONL trace)`.
+const PINS: &[(&str, u64)] = &[
+    ("dash/ExoPlayer", 0x72ead2b26b983647),
+    ("dash/Shaka", 0x64db4e71ebc355f1),
+    ("dash/DashJs", 0x159440ed0233f01d),
+    ("dash/Bba", 0x8120596b23fb1b34),
+    ("dash/Mpc", 0x56ce326a1b8443ef),
+    ("dash/BestPractice", 0xa8352949beca43e0),
+    ("dash/Capped2500", 0x377fa6874c0cb14f),
+    ("hls/exoplayer", 0x0376e2f811f3d798),
+    ("hls/exoplayer-fixed", 0xb4c82e8f7ee282c1),
+    ("hls/shaka", 0x8c5498c83f41f8d5),
+    ("hls/bestpractice", 0xfc913b5484b67353),
+    ("hls/bba", 0xb7b915624bfa3f6c),
+    ("hls/mpc", 0xd3fea65c18d6eed3),
+];
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The pinned sessions, in `PINS` order.
+fn sessions() -> Vec<(String, PlayerKind, Box<dyn AbrPolicy>)> {
+    let content = drama();
+    let dash = dash_view(&content);
+    let mut out: Vec<(String, PlayerKind, Box<dyn AbrPolicy>)> = mc_policies()
+        .into_iter()
+        .map(|arm| {
+            (
+                format!("dash/{}", arm.label()),
+                arm.player_kind(),
+                arm.policy(&content, &dash),
+            )
+        })
+        .collect();
+    let all = hls_all_view(&content);
+    let sub = hls_sub_view(&content, &[2, 0, 1]);
+    let ext = BoundHls::from_master(
+        &MasterPlaylist::parse(
+            &build_master_playlist_ext(
+                &content,
+                &curated_subset(content.video(), content.audio()),
+                &[2, 0, 1],
+            )
+            .to_text(),
+        )
+        .expect("parses"),
+    )
+    .expect("binds");
+    out.push((
+        "hls/exoplayer".into(),
+        PlayerKind::ExoPlayer,
+        Box::new(ExoPlayerPolicy::hls(&sub)),
+    ));
+    out.push((
+        "hls/exoplayer-fixed".into(),
+        PlayerKind::ExoPlayer,
+        Box::new(ExoPlayerPolicy::hls_fixed(&ext).expect("extension present")),
+    ));
+    out.push((
+        "hls/shaka".into(),
+        PlayerKind::Shaka,
+        Box::new(ShakaPolicy::hls(&all)),
+    ));
+    out.push((
+        "hls/bestpractice".into(),
+        PlayerKind::BestPractice,
+        Box::new(BestPracticePolicy::from_hls(&sub)),
+    ));
+    out.push((
+        "hls/bba".into(),
+        PlayerKind::Bba,
+        Box::new(BbaPolicy::from_hls(&all)),
+    ));
+    out.push((
+        "hls/mpc".into(),
+        PlayerKind::Mpc,
+        Box::new(MpcPolicy::from_hls(&all)),
+    ));
+    out
+}
+
+#[test]
+fn every_policy_trace_matches_its_pin() {
+    let content = drama();
+    let mut actual = Vec::new();
+    for (label, kind, policy) in sessions() {
+        let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
+        let (_, events, _) = run_session_obs(&content, kind, policy, trace, None);
+        let decisions = events
+            .iter()
+            .filter(|e| matches!(e.event, Event::PolicyDecision { .. }))
+            .count();
+        assert!(decisions > 0, "{label}: no policy_decision events");
+        // BBA never estimates; Shaka over H_all on this trace never passes
+        // its 16 KB validity filter (the Fig 4a failure mode), so its
+        // estimate stays at the default (`results/f4b.trace.jsonl` pins its
+        // updates on the Fig 4b trace).
+        if kind != PlayerKind::Bba && label != "hls/shaka" {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e.event, Event::EstimateUpdated { .. })),
+                "{label}: no estimate_updated events"
+            );
+        }
+        let digest = fnv1a(&to_jsonl(&events));
+        println!("    (\"{label}\", 0x{digest:016x}),");
+        actual.push((label, digest));
+    }
+    let mismatched: Vec<String> = actual
+        .iter()
+        .zip(PINS)
+        .filter(|((_, got), (_, want))| got != want)
+        .map(|((label, got), (_, want))| format!("{label}: 0x{got:016x}, pinned 0x{want:016x}"))
+        .collect();
+    assert!(
+        mismatched.is_empty() && actual.len() == PINS.len(),
+        "{} of {} policy traces differ from their pins ({} pinned):\n{}",
+        mismatched.len(),
+        actual.len(),
+        PINS.len(),
+        mismatched.join("\n")
+    );
+    let labels: Vec<&str> = actual.iter().map(|(l, _)| l.as_str()).collect();
+    let pinned: Vec<&str> = PINS.iter().map(|&(l, _)| l).collect();
+    assert_eq!(labels, pinned, "pinned session order");
+}

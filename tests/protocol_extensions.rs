@@ -57,6 +57,24 @@ fn dash_combinations_extension_end_to_end() {
     assert_eq!(qoe::off_manifest_chunks(&log, &combos), 0);
 }
 
+/// An allowed-combinations extension that lists nothing (`value=","`)
+/// is a malformed manifest: it is refused with an error, never handed to
+/// the best-practice player as an empty candidate set.
+#[test]
+fn empty_combinations_extension_is_an_error() {
+    let content = Content::drama_show(SEED);
+    let combos = curated_subset(content.video(), content.audio());
+    let text = build_mpd_with_combos(&content, &combos[..1])
+        .to_text()
+        .replace("value=\"V1+A1\"", "value=\",\"");
+    let mpd = Mpd::parse(&text).unwrap();
+    assert_eq!(mpd.allowed_combinations, Some(Vec::new()));
+    let err = BoundDash::from_mpd(&mpd)
+        .and_then(|view| BestPracticePolicy::from_dash_extension(&view).map(drop))
+        .expect_err("an empty allowed set is refused");
+    assert!(err.contains("no combination"), "{err}");
+}
+
 /// The HLS per-track bitrate extension repairs ExoPlayer's HLS path on the
 /// exact Fig 3 setup: audio adapts, rebuffering (almost) vanishes.
 #[test]
