@@ -210,4 +210,29 @@ mod tests {
         );
         assert!(corpus.approx_bytes() > 0);
     }
+
+    #[test]
+    fn empty_corpora_have_no_names_and_no_bytes() {
+        let mc = ScenarioCorpus::build_mc(0, Duration::from_secs(60));
+        assert!(mc.is_empty());
+        assert!(mc.trace_names().is_empty());
+        let titles = TitleCorpus::build(1, 0);
+        assert!(titles.is_empty());
+        assert_eq!(titles.approx_bytes(), 0);
+    }
+
+    #[test]
+    fn catalog_footprint_is_the_sum_of_its_titles() {
+        let corpus = TitleCorpus::build(5, 3);
+        let by_title: u64 = (0..3)
+            .map(|t| content_approx_bytes(&corpus.title(t).content))
+            .sum();
+        assert_eq!(corpus.approx_bytes(), by_title);
+        let content = &corpus.title(0).content;
+        let tables = (content.track_ids().len() * content.num_chunks() * 8) as u64;
+        assert!(
+            content_approx_bytes(content) > tables,
+            "size tables plus side tables"
+        );
+    }
 }

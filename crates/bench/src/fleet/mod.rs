@@ -523,4 +523,135 @@ mod tests {
             assert!(p.title < spec.titles);
         }
     }
+
+    #[test]
+    fn the_small_topology_passes_the_check() {
+        assert_eq!(FleetSpec::small(1).check(), Ok(()));
+    }
+
+    #[test]
+    fn check_names_the_first_impossible_field() {
+        let rejects = |spec: FleetSpec, msg: &str| assert_eq!(spec.check(), Err(msg.to_string()));
+        let ok = FleetSpec::small(10);
+        rejects(
+            FleetSpec {
+                sessions: 0,
+                ..ok.clone()
+            },
+            "fleet needs at least one session",
+        );
+        rejects(
+            FleetSpec {
+                domains: 0,
+                ..ok.clone()
+            },
+            "fleet needs at least one domain",
+        );
+        rejects(
+            FleetSpec {
+                shards: 0,
+                ..ok.clone()
+            },
+            "fleet needs at least one shard",
+        );
+        rejects(
+            FleetSpec {
+                titles: 0,
+                ..ok.clone()
+            },
+            "catalog needs at least one title",
+        );
+        rejects(
+            FleetSpec {
+                window_ms: 0,
+                ..ok.clone()
+            },
+            "window must be positive",
+        );
+        rejects(
+            FleetSpec {
+                cache_mb: 0,
+                ..ok.clone()
+            },
+            "zero-capacity cache",
+        );
+        rejects(
+            FleetSpec {
+                deadline_secs: 0,
+                ..ok.clone()
+            },
+            "zero deadline",
+        );
+        // Two faults: the earlier rule is the one reported.
+        rejects(
+            FleetSpec {
+                domains: 0,
+                deadline_secs: 0,
+                ..ok
+            },
+            "fleet needs at least one domain",
+        );
+    }
+
+    #[test]
+    fn check_rejects_a_dead_origin() {
+        let ok = FleetSpec::small(10);
+        for spec in [
+            FleetSpec {
+                uplink_kbps: 0,
+                ..ok.clone()
+            },
+            FleetSpec {
+                origin_kbps: 0,
+                ..ok
+            },
+        ] {
+            assert!(spec.check().unwrap_err().starts_with("dead origin"));
+        }
+    }
+
+    #[test]
+    fn check_rejects_negative_and_non_finite_skew() {
+        for alpha in [-0.5, f64::NAN, f64::INFINITY] {
+            let spec = FleetSpec {
+                zipf_alpha: alpha,
+                ..FleetSpec::small(10)
+            };
+            assert_eq!(
+                spec.check(),
+                Err("zipf alpha must be a finite non-negative number".to_string()),
+                "alpha {alpha}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet needs at least one shard")]
+    fn plan_source_validates_its_spec() {
+        let _ = PlanSource::new(&FleetSpec {
+            shards: 0,
+            ..FleetSpec::small(10)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "plan index out of range")]
+    fn plans_stop_at_the_fleet_size() {
+        let _ = PlanSource::new(&FleetSpec::small(3)).plan(3);
+    }
+
+    #[test]
+    fn domains_are_assigned_round_robin() {
+        let spec = FleetSpec::small(9);
+        let domains: Vec<usize> = PlanSource::new(&spec).iter().map(|p| p.domain).collect();
+        assert_eq!(domains, [0, 1, 2, 3, 0, 1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn zipf_cdf_is_cumulative_and_flat_without_skew() {
+        let cdf = zipf_cdf(4, 0.0);
+        assert_eq!(cdf, [1.0, 2.0, 3.0, 4.0]);
+        let skewed = zipf_cdf(3, 1.0);
+        assert!((skewed[2] - (1.0 + 0.5 + 1.0 / 3.0)).abs() < 1e-12);
+    }
 }

@@ -311,3 +311,54 @@ pub(super) fn render_comparison(
     });
     (text, jvalue)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_single_session_is_every_percentile() {
+        let d = dist(vec![2.5]);
+        assert_eq!(
+            (d.p50, d.p90, d.p99, d.mean, d.max),
+            (2.5, 2.5, 2.5, 2.5, 2.5)
+        );
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        // 0, 1, ..., 100: rank p * 100 is the value itself.
+        let d = dist((0..=100).map(f64::from).collect());
+        assert_eq!((d.p50, d.p90, d.p99, d.max), (50.0, 90.0, 99.0, 100.0));
+        assert_eq!(d.mean, 50.0);
+        // Four samples: rank 0.5 * 3 = 1.5 rounds up to index 2.
+        let d = dist(vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((d.p50, d.p90, d.p99), (3.0, 4.0, 4.0));
+    }
+
+    #[test]
+    fn sample_order_does_not_matter() {
+        let sorted = dist(vec![1.0, 2.0, 3.0, 10.0, 20.0]);
+        let shuffled = dist(vec![20.0, 3.0, 1.0, 10.0, 2.0]);
+        assert_eq!(sorted.row("x"), shuffled.row("x"));
+        assert_eq!(sorted.json(), shuffled.json());
+    }
+
+    #[test]
+    fn rows_render_two_decimals() {
+        let row = dist(vec![1.0, 2.0]).row("Stalls");
+        assert_eq!(row, ["Stalls", "2.00", "2.00", "2.00", "1.50", "2.00"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "distribution over zero sessions")]
+    fn rejects_an_empty_fleet() {
+        let _ = dist(Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite metric")]
+    fn rejects_a_nan_metric() {
+        let _ = dist(vec![1.0, f64::NAN]);
+    }
+}

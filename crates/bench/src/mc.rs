@@ -22,10 +22,11 @@ use crate::profiling::WorkloadProfile;
 use crate::report::table;
 use crate::runner;
 use crate::setup::{dash_policy_over, session_for, PlayerKind};
+use abr_core::combos::ComboLadder;
 use abr_core::{BestPracticePolicy, CappedPolicy};
 use abr_event::time::Duration;
 use abr_manifest::view::BoundDash;
-use abr_media::combo::{combo_bitrate, curated_subset, Combo};
+use abr_media::combo::{curated_subset, Combo};
 use abr_media::content::Content;
 use abr_media::units::BitsPerSec;
 use abr_obs::{ObsHandle, Profiler};
@@ -69,14 +70,13 @@ impl McPolicy {
             McPolicy::Capped(kbps) => {
                 let allowed = curated_subset(content.video(), content.audio());
                 let inner = Box::new(BestPracticePolicy::from_dash(view, &allowed));
-                let pairs: Vec<(Combo, BitsPerSec)> = allowed
+                // The cap reads the same declared sums as the inner policy.
+                let ladder = ComboLadder::from_dash(view, &allowed);
+                let pairs: Vec<(Combo, BitsPerSec)> = ladder
+                    .combos()
                     .iter()
-                    .map(|&c| {
-                        (
-                            c,
-                            combo_bitrate(content.video(), content.audio(), c).declared,
-                        )
-                    })
+                    .copied()
+                    .zip(ladder.bandwidths().iter().copied())
                     .collect();
                 Box::new(CappedPolicy::new(
                     inner,

@@ -245,4 +245,13 @@ mod tests {
         );
         assert!(v["hot"].as_array().is_some_and(|h| !h.is_empty()));
     }
+
+    #[test]
+    fn fmt_bytes_switches_units_at_each_thousand() {
+        assert_eq!(fmt_bytes(0), "0 B");
+        assert_eq!(fmt_bytes(999), "999 B");
+        assert_eq!(fmt_bytes(1_000), "1.0 KB");
+        assert_eq!(fmt_bytes(1_250_000), "1.2 MB");
+        assert_eq!(fmt_bytes(3_000_000_000), "3.0 GB");
+    }
 }

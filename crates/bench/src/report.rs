@@ -243,6 +243,12 @@ mod tests {
     }
 
     #[test]
+    fn secs_rounds_to_one_decimal() {
+        assert_eq!(secs(0.0), "0.0s");
+        assert_eq!(secs(12.36), "12.4s");
+    }
+
+    #[test]
     fn plot_contains_glyphs_and_legend() {
         let pts: Vec<(f64, f64)> = (0..50).map(|i| (i as f64, (i % 7) as f64)).collect();
         let p = ascii_plot(

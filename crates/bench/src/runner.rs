@@ -492,6 +492,24 @@ mod tests {
     }
 
     #[test]
+    fn parse_jobs_takes_positive_integers_and_auto_only() {
+        assert_eq!(parse_jobs("1"), Some(1));
+        assert_eq!(parse_jobs("12"), Some(12));
+        assert_eq!(parse_jobs("auto"), Some(available_cores()));
+        for junk in ["0", "-1", "", " 2", "2.5", "AUTO"] {
+            assert_eq!(parse_jobs(junk), None, "{junk:?}");
+        }
+    }
+
+    #[test]
+    fn adaptive_chunk_aims_for_eight_rounds_per_worker_within_bounds() {
+        assert_eq!(adaptive_chunk(0, 4), 1, "never a zero-size claim");
+        assert_eq!(adaptive_chunk(10, 0), 1, "zero jobs counts as one worker");
+        assert_eq!(adaptive_chunk(320, 4), 10);
+        assert_eq!(adaptive_chunk(1_000_000, 2), 64, "capped");
+    }
+
+    #[test]
     fn run_indexed_preserves_index_order() {
         for jobs in [1, 2, 8] {
             let out = run_indexed(37, jobs, |i| i * i);

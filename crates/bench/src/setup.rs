@@ -359,4 +359,55 @@ mod tests {
         // Short series pass through.
         assert_eq!(downsample(&s[..10], 50).len(), 10);
     }
+
+    #[test]
+    #[should_panic(expected = "max_points >= 2")]
+    fn downsample_needs_room_for_both_endpoints() {
+        let _ = downsample(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], 1);
+    }
+
+    /// A log with two transfers (one without an estimate) and two stalls
+    /// (the second still open at the end).
+    fn small_log() -> SessionLog {
+        use abr_event::time::Instant;
+        use abr_media::track::TrackId;
+        use abr_player::log::TransferEvent;
+        use abr_player::playback::Stall;
+        let transfer = |secs, estimate_after| TransferEvent {
+            at: Instant::from_secs(secs),
+            chunk: 0,
+            track: TrackId::video(0),
+            size: Bytes(1),
+            duration: Duration::from_secs(1),
+            estimate_after,
+        };
+        SessionLog {
+            transfers: vec![
+                transfer(2, None),
+                transfer(5, Some(BitsPerSec::from_kbps(750))),
+            ],
+            stalls: vec![
+                Stall {
+                    start: Instant::from_secs(10),
+                    end: Some(Instant::from_secs(12)),
+                },
+                Stall {
+                    start: Instant::from_secs(30),
+                    end: None,
+                },
+            ],
+            finished_at: Instant::from_secs(40),
+            ..SessionLog::default()
+        }
+    }
+
+    #[test]
+    fn estimate_series_skips_transfers_without_an_estimate() {
+        assert_eq!(estimate_series(&small_log()), [(5.0, 750.0)]);
+    }
+
+    #[test]
+    fn stall_windows_close_an_open_stall_at_the_session_end() {
+        assert_eq!(stall_windows(&small_log()), [(10.0, 12.0), (30.0, 40.0)]);
+    }
 }

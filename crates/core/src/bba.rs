@@ -131,6 +131,11 @@ impl AbrPolicy for BbaPolicy {
     fn set_obs(&mut self, obs: &ObsHandle) {
         self.joint.obs = obs.clone();
     }
+
+    /// BBA reads buffer levels, no throughput sample.
+    fn reads_meter(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -97,6 +97,10 @@ impl AbrPolicy for CappedPolicy {
         self.joint.obs = obs.clone();
         self.inner.set_obs(obs);
     }
+
+    fn reads_meter(&self) -> bool {
+        self.inner.reads_meter()
+    }
 }
 
 #[cfg(test)]

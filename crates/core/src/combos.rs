@@ -250,6 +250,7 @@ pub(crate) fn select_joint(policy: &mut impl JointPolicy, ctx: &SelectionContext
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abr_media::track::MediaType;
 
     fn ladder(kbps: &[(usize, usize, u64)]) -> ComboLadder {
         ComboLadder::new(
@@ -287,5 +288,161 @@ mod tests {
         f.lock(3, 0);
         let kept: Vec<usize> = f.locked.keys().copied().collect();
         assert_eq!(kept, [3, 13, 14, 15, 16, 17, 18, 19]);
+    }
+
+    fn kbps(k: &[u64]) -> Vec<BitsPerSec> {
+        k.iter().map(|&k| BitsPerSec::from_kbps(k)).collect()
+    }
+
+    fn view() -> BoundDash {
+        BoundDash {
+            video_declared: kbps(&[300, 900, 2_000]),
+            audio_declared: kbps(&[64, 128]),
+            allowed_combos: None,
+        }
+    }
+
+    fn ctx(media: MediaType, chunk: usize) -> SelectionContext {
+        SelectionContext {
+            now: abr_event::time::Instant::ZERO,
+            media,
+            chunk,
+            audio_level: abr_event::time::Duration::ZERO,
+            video_level: abr_event::time::Duration::ZERO,
+            chunk_duration: abr_event::time::Duration::from_secs(4),
+            current_audio: None,
+            current_video: None,
+            playing: false,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no candidate combinations")]
+    fn rejects_an_empty_ladder() {
+        let _ = ComboLadder::new(Vec::new());
+    }
+
+    #[test]
+    fn under_keeps_the_affordable_prefix() {
+        let l = ladder(&[(0, 0, 200), (1, 0, 400), (2, 0, 800)]);
+        let capped = l.under(BitsPerSec::from_kbps(400)).expect("two fit");
+        assert_eq!(capped.combos(), &l.combos()[..2]);
+        assert_eq!(capped.bandwidths(), &l.bandwidths()[..2]);
+        assert!(l.under(BitsPerSec::from_kbps(199)).is_none());
+        assert_eq!(
+            l.under(BitsPerSec::from_kbps(800)).unwrap().combos().len(),
+            3
+        );
+    }
+
+    #[test]
+    fn position_finds_only_listed_combinations() {
+        let l = ladder(&[(1, 0, 400), (0, 0, 200)]);
+        assert_eq!(l.position(Combo::new(0, 0)), Some(0));
+        assert_eq!(l.position(Combo::new(1, 0)), Some(1));
+        assert_eq!(l.position(Combo::new(1, 1)), None);
+    }
+
+    #[test]
+    fn cross_product_sums_declared_rates_of_every_pair() {
+        let l = ComboLadder::cross_product(&view());
+        assert_eq!(l.combos().len(), 6);
+        for (&c, &bw) in l.combos().iter().zip(l.bandwidths()) {
+            assert_eq!(
+                bw,
+                view().video_declared[c.video] + view().audio_declared[c.audio]
+            );
+        }
+        assert!(l.bandwidths().windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(l.combos()[0], Combo::new(0, 0));
+        assert_eq!(l.combos()[5], Combo::new(2, 1));
+    }
+
+    #[test]
+    fn from_dash_lists_only_the_allowed_combinations() {
+        let allowed = [Combo::new(2, 1), Combo::new(0, 0)];
+        let l = ComboLadder::from_dash(&view(), &allowed);
+        assert_eq!(l.combos(), [Combo::new(0, 0), Combo::new(2, 1)]);
+        assert_eq!(l.bandwidths(), kbps(&[364, 2_128]));
+    }
+
+    #[test]
+    fn staircase_keeps_its_own_order() {
+        let (video, audio) = (kbps(&[300, 900, 2_000]), kbps(&[64, 128]));
+        let l = ComboLadder::staircase(&video, &audio);
+        assert_eq!(l.combos(), log_staircase_rates(&video, &audio));
+        for (&c, &bw) in l.combos().iter().zip(l.bandwidths()) {
+            assert_eq!(bw, video[c.video] + audio[c.audio]);
+        }
+    }
+
+    /// A joint policy that counts its decisions and always picks the top.
+    struct CountingPolicy {
+        frame: JointFrame,
+        decisions: usize,
+    }
+
+    impl JointPolicy for CountingPolicy {
+        fn frame(&mut self) -> &mut JointFrame {
+            &mut self.frame
+        }
+
+        fn decide(&mut self, _ctx: &SelectionContext) -> (usize, &'static str) {
+            self.decisions += 1;
+            (self.frame.ladder.combos().len() - 1, "top")
+        }
+    }
+
+    #[test]
+    fn select_joint_decides_once_per_chunk_position() {
+        let mut p = CountingPolicy {
+            frame: JointFrame::new(ComboLadder::cross_product(&view())),
+            decisions: 0,
+        };
+        assert_eq!(
+            select_joint(&mut p, &ctx(MediaType::Video, 0)),
+            TrackId::video(2)
+        );
+        assert_eq!(
+            select_joint(&mut p, &ctx(MediaType::Audio, 0)),
+            TrackId::audio(1)
+        );
+        assert_eq!(
+            p.decisions, 1,
+            "the audio request reads the locked combination"
+        );
+        let _ = select_joint(&mut p, &ctx(MediaType::Audio, 1));
+        assert_eq!(p.decisions, 2, "a new position is decided afresh");
+    }
+
+    #[test]
+    fn record_emits_one_decision_only_when_tracing() {
+        let l = ladder(&[(0, 0, 200), (1, 1, 500)]);
+        let (obs, tracer, _) = ObsHandle::recording();
+        let chosen = l.record(&obs, &ctx(MediaType::Audio, 3), 1, || "why".into());
+        assert_eq!(chosen, TrackId::audio(1));
+        let events = tracer.snapshot();
+        assert_eq!(events.len(), 1);
+        let Event::PolicyDecision {
+            media,
+            chunk,
+            candidates,
+            chosen,
+            reason,
+        } = &events[0].event
+        else {
+            panic!("expected a policy decision, got {:?}", events[0].event);
+        };
+        assert_eq!(
+            (*media, *chunk, *chosen),
+            (MediaType::Audio, 3, TrackId::audio(1))
+        );
+        assert_eq!(candidates, &["V1+A1", "V2+A2"]);
+        assert_eq!(reason, "why");
+        // Switched off, neither the labels nor the reason are built.
+        let chosen = l.record(&ObsHandle::disabled(), &ctx(MediaType::Video, 3), 0, || {
+            panic!("reason built with tracing off")
+        });
+        assert_eq!(chosen, TrackId::video(0));
     }
 }

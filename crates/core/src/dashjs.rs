@@ -198,6 +198,11 @@ impl AbrPolicy for DashJsPolicy {
     fn set_obs(&mut self, obs: &ObsHandle) {
         self.obs = obs.clone();
     }
+
+    /// dash.js estimates from whole-transfer throughput.
+    fn reads_meter(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

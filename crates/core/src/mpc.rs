@@ -53,6 +53,12 @@ pub struct MpcPolicy {
     q: Vec<f64>,
     /// The largest entry of `q`: the per-step quality bound of `plan`.
     q_max: f64,
+    /// `switch[last·n + c]`: the step term of choosing `c` after `last`
+    /// before its stall penalty, `q[c] − λ·|q[c] − q[last]|`.
+    switch: Vec<f64>,
+    /// `tail[r·n + c]`: the most the `r` steps remaining after `c` can add
+    /// (the pruning bound of `plan`); row 0 is unused.
+    tail: Vec<f64>,
     /// `plan`'s per-call download-time scratch, reused across calls.
     download_s: Vec<f64>,
     /// Search nodes evaluated by `plan` so far.
@@ -93,12 +99,41 @@ impl MpcPolicy {
             combo_bw,
             q,
             q_max,
+            switch: Vec::new(),
+            tail: Vec::new(),
             tput: HarmonicMean::new(5),
             errors: std::collections::VecDeque::new(),
             last_prediction: None,
             cfg: MpcConfig::default(),
             current: None,
         }
+        .with_tables()
+    }
+
+    /// Fills the `switch` and `tail` tables from `q`, `q_max` and the
+    /// config: every term of `plan`'s search that depends only on indices
+    /// and the policy's constants, evaluated once with the expressions the
+    /// search used per node, so every float stays the same.
+    fn with_tables(mut self) -> MpcPolicy {
+        let (q, q_max, lambda) = (&self.q, self.q_max, self.cfg.switch_penalty);
+        let n = q.len();
+        self.switch = (0..n * n)
+            .map(|i| {
+                let (last, c) = (i / n, i % n);
+                q[c] - lambda * (q[c] - q[last]).abs()
+            })
+            .collect();
+        self.tail = (0..self.cfg.horizon.max(1) * n)
+            .map(|i| {
+                let (r, c) = ((i / n) as f64, i % n);
+                if lambda < r {
+                    r * q_max - lambda * (q_max - q[c])
+                } else {
+                    r * q[c]
+                }
+            })
+            .collect();
+        self
     }
 
     /// Overrides the tunables. Panics on a negative (or NaN) penalty:
@@ -109,7 +144,7 @@ impl MpcPolicy {
             "MPC penalties must be non-negative"
         );
         self.cfg = cfg;
-        self
+        self.with_tables()
     }
 
     /// The candidate combinations, ascending bandwidth.
@@ -151,6 +186,10 @@ impl MpcPolicy {
     ///   subtree is pruned when that bound, plus a rounding slack, is
     ///   below the floor or does not exceed the best leaf found so far:
     ///   none of its leaves can be the first strict maximum.
+    /// * The step term's quality-minus-switch part and the tail bound
+    ///   depend only on indices and the policy's constants, so each node
+    ///   reads them from the `switch` and `tail` tables built with the
+    ///   policy; only the stall penalty is computed per node.
     ///
     /// The bound is compared in floats, so it carries a rounding slack
     /// `ε·(|score| + q_max)` with `ε = 2u·(h + 3)·(h + 5)·(1 + λ)`,
@@ -173,10 +212,11 @@ impl MpcPolicy {
         let h = horizon as f64;
         let mut search = Search {
             download_s: &self.download_s,
-            q: &self.q,
+            switch: &self.switch,
+            tail: &self.tail,
+            n,
             q_max: self.q_max,
             chunk_s,
-            switch_penalty: lambda,
             stall_penalty: self.cfg.stall_penalty,
             horizon,
             // 2u = f64::EPSILON.
@@ -211,10 +251,13 @@ impl MpcPolicy {
 /// One [`MpcPolicy::plan`] call's search state.
 struct Search<'a> {
     download_s: &'a [f64],
-    q: &'a [f64],
+    /// [`MpcPolicy::switch`].
+    switch: &'a [f64],
+    /// [`MpcPolicy::tail`].
+    tail: &'a [f64],
+    n: usize,
     q_max: f64,
     chunk_s: f64,
-    switch_penalty: f64,
     stall_penalty: f64,
     horizon: usize,
     /// `ε` of the rounding slack `ε·(|score| + q_max)`.
@@ -237,16 +280,14 @@ impl Search<'_> {
         // The step term is fully evaluated before it is added to the
         // score: float addition is not associative, and the artifact
         // contract cares.
-        let term = self.q[c]
-            - self.switch_penalty * (self.q[c] - self.q[last]).abs()
-            - self.stall_penalty * stall;
+        let term = self.switch[last * self.n + c] - self.stall_penalty * stall;
         (term, next_buf)
     }
 
     /// Expands every child of the prefix `(score, buf, last)` at `depth`
     /// in lexicographic order; `first` is the prefix's first action.
     fn dfs(&mut self, depth: usize, score: f64, buf: f64, last: usize, first: usize) {
-        let n = self.q.len();
+        let n = self.n;
         self.nodes += n as u64;
         let remaining = self.horizon - depth - 1;
         if remaining == 0 {
@@ -261,16 +302,11 @@ impl Search<'_> {
             }
             return;
         }
-        let r = remaining as f64;
-        for c in 0..n {
+        let tail = &self.tail[remaining * n..(remaining + 1) * n];
+        for (c, &rest) in tail.iter().enumerate() {
             let (term, next_buf) = self.step(buf, last, c);
             let next_score = score + term;
             // The tail bound and the rounding slack (see `plan`).
-            let rest = if self.switch_penalty < r {
-                r * self.q_max - self.switch_penalty * (self.q_max - self.q[c])
-            } else {
-                r * self.q[c]
-            };
             let bound = next_score + rest + self.slack_eps * (next_score.abs() + self.q_max);
             if bound < self.floor || bound <= self.best_score {
                 continue;
@@ -336,6 +372,11 @@ impl AbrPolicy for MpcPolicy {
 
     fn set_obs(&mut self, obs: &ObsHandle) {
         self.joint.obs = obs.clone();
+    }
+
+    /// MPC predicts from whole-transfer throughput.
+    fn reads_meter(&self) -> bool {
+        false
     }
 }
 

@@ -98,6 +98,11 @@ impl AbrPolicy for ShakaPolicy {
     fn set_obs(&mut self, obs: &ObsHandle) {
         self.obs = obs.clone();
     }
+
+    /// Shaka samples its own flow's delivery profile.
+    fn reads_meter(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -91,4 +91,17 @@ mod tests {
     fn rejects_zero_width() {
         let _ = WindowClock::new(Duration::ZERO);
     }
+
+    #[test]
+    fn width_round_trips() {
+        let w = WindowClock::new(Duration::from_micros(1_234));
+        assert_eq!(w.width(), Duration::from_micros(1_234));
+        assert_eq!(w.end_of(0), Instant::from_micros(1_234));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 microseconds")]
+    fn end_of_panics_on_overflow() {
+        let _ = WindowClock::new(Duration::from_secs(1)).end_of(u64::MAX / 2);
+    }
 }

@@ -156,4 +156,27 @@ mod tests {
             "a different chunk is a separate cache object"
         );
     }
+
+    #[test]
+    fn a_shared_path_leaves_its_warm_cache_with_the_caller() {
+        let (origin, req) = setup();
+        let shared = Rc::new(RefCell::new(EdgeCache {
+            cache: CdnCache::new(Bytes(1 << 30)),
+            miss_penalty: Duration::from_millis(30),
+        }));
+        let mut session_path = Rc::clone(&shared);
+        assert_eq!(
+            session_path.first_byte_delay(&origin, &req, Instant::ZERO),
+            Duration::from_millis(30)
+        );
+        drop(session_path);
+        // A second viewer through the caller's handle hits the warm edge.
+        let mut second = Rc::clone(&shared);
+        assert_eq!(
+            second.first_byte_delay(&origin, &req, Instant::from_secs(2)),
+            Duration::ZERO
+        );
+        assert_eq!(shared.borrow().cache.stats().hits, 1);
+        assert_eq!(shared.borrow().cache.stats().misses, 1);
+    }
 }

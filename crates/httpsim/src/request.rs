@@ -139,4 +139,22 @@ mod tests {
     fn empty_range_rejected() {
         Request::ranged(ObjectId::Document { path: "x".into() }, 0, Bytes::ZERO);
     }
+
+    #[test]
+    fn whole_requests_display_and_key_without_a_range() {
+        let doc = ObjectId::Document {
+            path: "manifest.mpd".into(),
+        };
+        assert_eq!(doc.to_string(), "manifest.mpd");
+        let req = Request::whole(doc.clone());
+        assert_eq!(req.to_string(), "GET manifest.mpd");
+        assert_eq!(req.cache_key(), (doc, None));
+    }
+
+    #[test]
+    fn segments_of_different_tracks_are_different_objects() {
+        let key = |track| Request::whole(ObjectId::Segment { track, chunk: 0 }).cache_key();
+        assert_ne!(key(TrackId::video(0)), key(TrackId::audio(0)));
+        assert_ne!(key(TrackId::video(0)), key(TrackId::video(1)));
+    }
 }

@@ -220,4 +220,39 @@ mod tests {
         // The uplink saw fleet time 102 s, not local time 2 s.
         assert!(hub.borrow().uplink().busy_until() > Instant::from_secs(100));
     }
+
+    #[test]
+    fn only_misses_load_the_origin_uplink() {
+        let o = origin();
+        let hub = contended_hub(8_000);
+        let req = Origin::segment_request(TrackId::video(1), 0);
+        let size = o.body_size(&req).unwrap().get();
+        let mut edge = SharedEdge::new(Rc::clone(&hub), 0, Duration::ZERO);
+        for t in 0..3 {
+            edge.first_byte_delay(&o, &req, Instant::from_secs(t));
+        }
+        let stats = hub.borrow().uplink().stats();
+        assert_eq!(
+            (stats.transfers, stats.bytes),
+            (1, size),
+            "two hits fetched nothing"
+        );
+        assert_eq!(hub.borrow_mut().uplink_mut().take_window_bytes(), size);
+    }
+
+    #[test]
+    fn titles_are_cached_apart() {
+        let o = origin();
+        let hub = contended_hub(8_000);
+        let req = Origin::segment_request(TrackId::video(0), 1);
+        for title in [4, 5, 4] {
+            SharedEdge::new(Rc::clone(&hub), title, Duration::ZERO).first_byte_delay(
+                &o,
+                &req,
+                Instant::ZERO,
+            );
+        }
+        let stats = hub.borrow().cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+    }
 }

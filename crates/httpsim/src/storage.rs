@@ -100,6 +100,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn muxed_storage_counts_only_the_listed_combinations() {
+        let c = Content::drama_show(1);
+        assert_eq!(muxed_storage(&c, &[]), Bytes::ZERO);
+        let pair = Combo::new(2, 1);
+        assert_eq!(
+            muxed_storage(&c, &[pair]),
+            c.track_bytes(TrackId::video(2)) + c.track_bytes(TrackId::audio(1))
+        );
+        assert!(muxed_storage(&c, &[pair, Combo::new(0, 0)]) < muxed_storage_full(&c));
+    }
+
+    #[test]
+    #[should_panic(expected = "languages >= 1")]
+    fn multilang_storage_needs_a_language() {
+        let _ = demuxed_storage_multilang(&Content::drama_show(1), 0);
+    }
+
+    #[test]
     fn muxed_exceeds_demuxed() {
         let c = Content::drama_show(1);
         let cmp = StorageComparison::compute(&c);

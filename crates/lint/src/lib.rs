@@ -167,3 +167,107 @@ pub fn load_allowlist(root: &Path) -> Result<Allowlist, String> {
     let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     Allowlist::parse(&src).map_err(|e| e.to_string())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh scratch directory under the system temp dir, named after
+    /// the calling test so parallel tests never share one.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("abr-lint-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    fn write(path: &Path, text: &str) {
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::write(path, text).expect("write source");
+    }
+
+    #[test]
+    fn stale_entries_alone_make_a_report_unclean() {
+        let mut report = LintReport::default();
+        assert!(report.is_clean());
+        report.stale.push(0);
+        assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn lint_source_splits_hits_between_violations_and_suppressions() {
+        let allow = Allowlist::parse(
+            "[[allow]]\n\
+             rule = \"ABR-L001\"\n\
+             path = \"crates/net/src/a.rs\"\n\
+             pattern = \"HashMap\"\n\
+             justification = \"test entry\"\n",
+        )
+        .expect("allowlist parses");
+        let mut used = vec![false; allow.entries.len()];
+        let mut report = LintReport::default();
+        let src = "use std::collections::HashMap;\nuse std::collections::HashSet;\n";
+        lint_source("crates/net/src/a.rs", src, &allow, &mut used, &mut report);
+        lint_source("crates/net/src/b.rs", src, &allow, &mut used, &mut report);
+        assert_eq!(report.files_scanned, 2);
+        assert_eq!(used, [true], "the entry suppressed a hit");
+        let lines = |vs: &[Violation]| -> Vec<(String, usize)> {
+            vs.iter().map(|v| (v.path.clone(), v.line)).collect()
+        };
+        assert_eq!(
+            lines(&report.suppressed),
+            [("crates/net/src/a.rs".into(), 1)]
+        );
+        assert_eq!(
+            lines(&report.violations),
+            [
+                ("crates/net/src/a.rs".into(), 2),
+                ("crates/net/src/b.rs".into(), 1),
+                ("crates/net/src/b.rs".into(), 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn workspace_sources_are_every_rs_file_under_a_src_dir_sorted() {
+        let root = scratch_dir("sources");
+        write(&root.join("src/lib.rs"), "");
+        write(&root.join("crates/b/src/deep/mod.rs"), "");
+        write(&root.join("crates/a/src/lib.rs"), "");
+        write(&root.join("crates/a/src/notes.txt"), "");
+        write(&root.join("crates/a/tests/it.rs"), "");
+        let found: Vec<String> = workspace_sources(&root)
+            .expect("walk")
+            .iter()
+            .map(|p| {
+                p.strip_prefix(&root)
+                    .unwrap()
+                    .to_string_lossy()
+                    .replace('\\', "/")
+            })
+            .collect();
+        std::fs::remove_dir_all(&root).expect("clean up");
+        assert_eq!(
+            found,
+            [
+                "crates/a/src/lib.rs",
+                "crates/b/src/deep/mod.rs",
+                "src/lib.rs"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_missing_allowlist_is_empty_and_a_malformed_one_is_an_error() {
+        let root = scratch_dir("allowlist");
+        let empty = load_allowlist(&root).expect("no lint.toml is fine");
+        assert!(empty.entries.is_empty());
+        write(&root.join("lint.toml"), "[[allow]]\nrule = \"ABR-L001\"\n");
+        let err = load_allowlist(&root);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        assert!(
+            err.is_err(),
+            "an entry without path or justification is rejected"
+        );
+    }
+}

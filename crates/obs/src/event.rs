@@ -215,4 +215,83 @@ mod tests {
             assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
         }
     }
+
+    #[test]
+    fn every_variant_has_its_own_name() {
+        let track = TrackId::video(0);
+        let (b, r) = (Bytes(1), BitsPerSec::from_kbps(1));
+        let events = [
+            Event::SessionStart {
+                policy: String::new(),
+                chunk_duration: Duration::ZERO,
+                num_chunks: 0,
+            },
+            Event::RequestIssued {
+                flow: 0,
+                track: None,
+                chunk: None,
+                size: b,
+            },
+            Event::TransferProgress {
+                flow: 0,
+                delivered: b,
+                remaining: b,
+                rate: r,
+            },
+            Event::TransferCompleted {
+                flow: 0,
+                track,
+                chunk: 0,
+                size: b,
+                opened_at: Instant::ZERO,
+                estimate_after: None,
+            },
+            Event::CacheLookup {
+                object: String::new(),
+                hit: false,
+                size: b,
+            },
+            Event::EstimateUpdated {
+                old: None,
+                new: r,
+                window_bytes: b,
+            },
+            Event::PolicyDecision {
+                media: MediaType::Video,
+                chunk: 0,
+                candidates: Vec::new(),
+                chosen: track,
+                reason: String::new(),
+            },
+            Event::TrackSelected {
+                chunk: 0,
+                track,
+                declared: r,
+                avg_bitrate: r,
+            },
+            Event::BufferStateChange {
+                audio: Duration::ZERO,
+                video: Duration::ZERO,
+            },
+            Event::StallBegin,
+            Event::StallEnd,
+            Event::PlaybackStarted,
+            Event::PlaybackEnded,
+            Event::SeekStarted {
+                from: Duration::ZERO,
+                to: Duration::ZERO,
+            },
+            Event::SeekResumed,
+            Event::PlaylistFetch {
+                track,
+                requested_at: Instant::ZERO,
+            },
+            Event::PlaylistRefreshTick { refetched: 0 },
+            Event::SessionEnd,
+        ];
+        let mut names: Vec<&str> = events.iter().map(Event::name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), events.len());
+    }
 }

@@ -156,6 +156,13 @@ impl ObsHandle {
         self.profiler.is_some()
     }
 
+    /// True when a tracer is attached, i.e. when [`ObsHandle::emit`]
+    /// builds and records its events.
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.tracer.is_some()
+    }
+
     /// Opens a profiling span named `name`; the span closes when the
     /// returned guard drops. Without an attached profiler this is one
     /// branch and an inert guard — the same zero-cost-when-off contract
@@ -207,6 +214,16 @@ impl ObsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tracing_reports_an_attached_tracer() {
+        assert!(!ObsHandle::disabled().tracing());
+        let profiled = ObsHandle::disabled().with_profiler(Rc::new(Profiler::new()));
+        assert!(!profiled.tracing(), "a profiler is not a tracer");
+        let (obs, _, _) = ObsHandle::recording();
+        assert!(obs.tracing());
+        assert!(obs.with_profiler(Rc::new(Profiler::new())).tracing());
+    }
 
     #[test]
     fn disabled_handle_never_builds_events() {

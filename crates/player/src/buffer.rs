@@ -6,46 +6,42 @@
 
 use abr_event::time::Duration;
 use abr_media::track::{MediaType, TrackId};
-use std::collections::VecDeque;
-
-/// One buffered chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufferedChunk {
-    /// Playback-order chunk index.
-    pub index: usize,
-    /// The track the chunk was taken from.
-    pub track: TrackId,
-    /// Chunk duration.
-    pub duration: Duration,
-}
+use std::ops::Range;
 
 /// A FIFO of buffered chunks for one media type, with partial playout of
 /// the head chunk.
 ///
-/// The level is O(1): `total` is the running sum of the queued chunk
-/// durations, kept exact by `push`, `drain` and `flush_to` (durations are
-/// integer microseconds).
+/// Every chunk of a session has the same duration and playback only ever
+/// needs the queue's length, so the queue is kept as counters: the index
+/// of the next chunk to play, how many chunks follow it contiguously, and
+/// how much of the head chunk has played. The level, `drain` and the next
+/// download index are all O(1) arithmetic on integer microseconds, and the
+/// buffer owns no heap memory.
 #[derive(Debug, Clone)]
 pub struct ChunkBuffer {
     media: MediaType,
-    queue: VecDeque<BufferedChunk>,
-    /// Sum of the queued chunks' durations.
-    total: Duration,
+    /// The duration of every chunk.
+    chunk_duration: Duration,
+    /// Index of the next chunk playback expects: the head chunk when the
+    /// queue is non-empty.
+    next_play_index: usize,
+    /// Chunks queued, starting at `next_play_index`.
+    queued: usize,
     /// How much of the head chunk has already been played.
     head_played: Duration,
-    /// Index of the next chunk playback expects (for contiguity checks).
-    next_play_index: usize,
 }
 
 impl ChunkBuffer {
-    /// An empty buffer for `media`.
-    pub fn new(media: MediaType) -> ChunkBuffer {
+    /// An empty buffer for `media` whose chunks all last `chunk_duration`.
+    /// Panics on a zero duration.
+    pub fn new(media: MediaType, chunk_duration: Duration) -> ChunkBuffer {
+        assert!(!chunk_duration.is_zero(), "zero-duration chunk");
         ChunkBuffer {
             media,
-            queue: VecDeque::new(),
-            total: Duration::ZERO,
-            head_played: Duration::ZERO,
+            chunk_duration,
             next_play_index: 0,
+            queued: 0,
+            head_played: Duration::ZERO,
         }
     }
 
@@ -54,27 +50,21 @@ impl ChunkBuffer {
         self.media
     }
 
-    /// Appends a chunk. Panics if the chunk is for the wrong media type or
-    /// breaks playback-order contiguity.
-    pub fn push(&mut self, chunk: BufferedChunk) {
-        assert_eq!(chunk.track.media, self.media, "chunk of wrong media type");
-        let expected = self
-            .queue
-            .back()
-            .map_or(self.next_play_index, |c| c.index + 1);
+    /// Appends chunk `index` of `track`. Panics if the track is of the
+    /// wrong media type or the chunk breaks playback-order contiguity.
+    pub fn push(&mut self, track: TrackId, index: usize) {
+        assert_eq!(track.media, self.media, "chunk of wrong media type");
+        let expected = self.next_download_index();
         assert_eq!(
-            chunk.index, expected,
-            "non-contiguous chunk {} (expected {expected})",
-            chunk.index
+            index, expected,
+            "non-contiguous chunk {index} (expected {expected})"
         );
-        assert!(!chunk.duration.is_zero(), "zero-duration chunk");
-        self.total += chunk.duration;
-        self.queue.push_back(chunk);
+        self.queued += 1;
     }
 
     /// Buffered seconds of content remaining to play.
     pub fn level(&self) -> Duration {
-        self.total - self.head_played
+        self.chunk_duration * self.queued as u64 - self.head_played
     }
 
     /// True when nothing is left to play.
@@ -84,43 +74,32 @@ impl ChunkBuffer {
 
     /// Index of the next chunk a downloader should append.
     pub fn next_download_index(&self) -> usize {
-        self.queue
-            .back()
-            .map_or(self.next_play_index, |c| c.index + 1)
+        self.next_play_index + self.queued
     }
 
     /// Consumes `dt` of content. Panics if `dt` exceeds the buffered level
     /// (the playback engine is responsible for clamping at boundaries).
+    /// A chunk played to its last microsecond leaves the queue.
     pub fn drain(&mut self, dt: Duration) {
         let level = self.level();
         assert!(dt <= level, "drain {dt} exceeds level {level}");
-        let mut left = dt;
-        while !left.is_zero() {
-            let head = self.queue.front().expect("level guaranteed content");
-            let head_left = head.duration - self.head_played;
-            if left < head_left {
-                self.head_played += left;
-                left = Duration::ZERO;
-            } else {
-                left -= head_left;
-                self.next_play_index = head.index + 1;
-                self.total -= head.duration;
-                self.queue.pop_front();
-                self.head_played = Duration::ZERO;
-            }
-        }
+        let played = (self.head_played + dt).as_micros();
+        let chunk = self.chunk_duration.as_micros();
+        let finished = (played / chunk) as usize;
+        self.next_play_index += finished;
+        self.queued -= finished;
+        self.head_played = Duration::from_micros(played % chunk);
     }
 
-    /// The buffered chunks in playback order (head first).
-    pub fn chunks(&self) -> impl Iterator<Item = &BufferedChunk> {
-        self.queue.iter()
+    /// The indices of the queued chunks in playback order (head first).
+    pub fn chunks(&self) -> Range<usize> {
+        self.next_play_index..self.next_download_index()
     }
 
     /// Discards everything and repositions playback/download at `index`
     /// (a seek). The next chunk pushed — and played — is `index`.
     pub fn flush_to(&mut self, index: usize) {
-        self.queue.clear();
-        self.total = Duration::ZERO;
+        self.queued = 0;
         self.head_played = Duration::ZERO;
         self.next_play_index = index;
     }
@@ -130,20 +109,14 @@ impl ChunkBuffer {
 mod tests {
     use super::*;
 
-    fn chunk(index: usize, track: usize, secs: u64) -> BufferedChunk {
-        BufferedChunk {
-            index,
-            track: TrackId::video(track),
-            duration: Duration::from_secs(secs),
-        }
-    }
+    const CHUNK: Duration = Duration::from_secs(4);
 
     #[test]
     fn level_accumulates_and_drains() {
-        let mut b = ChunkBuffer::new(MediaType::Video);
+        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
         assert!(b.is_empty());
-        b.push(chunk(0, 0, 4));
-        b.push(chunk(1, 2, 4));
+        b.push(TrackId::video(0), 0);
+        b.push(TrackId::video(2), 1);
         assert_eq!(b.level(), Duration::from_secs(8));
         b.drain(Duration::from_secs(3));
         assert_eq!(b.level(), Duration::from_secs(5));
@@ -153,74 +126,90 @@ mod tests {
 
     #[test]
     fn partial_head_tracking() {
-        let mut b = ChunkBuffer::new(MediaType::Video);
-        b.push(chunk(0, 0, 4));
+        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
+        b.push(TrackId::video(0), 0);
         b.drain(Duration::from_millis(1500));
         assert_eq!(b.level(), Duration::from_millis(2500));
         // Crossing the chunk boundary pops it and advances the index.
-        b.push(chunk(1, 1, 4));
+        b.push(TrackId::video(1), 1);
         b.drain(Duration::from_secs(3));
         assert_eq!(b.level(), Duration::from_millis(3500));
         assert_eq!(b.next_download_index(), 2);
+        assert_eq!(b.chunks(), 1..2);
     }
 
     #[test]
     fn next_download_index_follows_play_position() {
-        let mut b = ChunkBuffer::new(MediaType::Audio);
+        let mut b = ChunkBuffer::new(MediaType::Audio, CHUNK);
         assert_eq!(b.next_download_index(), 0);
-        b.push(BufferedChunk {
-            index: 0,
-            track: TrackId::audio(0),
-            duration: Duration::from_secs(4),
-        });
+        b.push(TrackId::audio(0), 0);
         assert_eq!(b.next_download_index(), 1);
         b.drain(Duration::from_secs(4));
         // Fully played: downloads continue from where the queue left off.
         assert_eq!(b.next_download_index(), 1);
+        assert!(b.chunks().is_empty());
+    }
+
+    #[test]
+    fn drain_across_several_chunks_lands_mid_chunk() {
+        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
+        for i in 0..4 {
+            b.push(TrackId::video(0), i);
+        }
+        b.drain(Duration::from_millis(9_500));
+        assert_eq!(b.chunks(), 2..4);
+        assert_eq!(b.level(), Duration::from_millis(6_500));
+        b.drain(Duration::ZERO);
+        assert_eq!(b.level(), Duration::from_millis(6_500));
     }
 
     #[test]
     #[should_panic(expected = "non-contiguous")]
     fn rejects_gap() {
-        let mut b = ChunkBuffer::new(MediaType::Video);
-        b.push(chunk(0, 0, 4));
-        b.push(chunk(2, 0, 4));
+        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
+        b.push(TrackId::video(0), 0);
+        b.push(TrackId::video(0), 2);
     }
 
     #[test]
     #[should_panic(expected = "wrong media type")]
     fn rejects_wrong_media() {
-        let mut b = ChunkBuffer::new(MediaType::Audio);
-        b.push(chunk(0, 0, 4));
+        let mut b = ChunkBuffer::new(MediaType::Audio, CHUNK);
+        b.push(TrackId::video(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-duration chunk")]
+    fn rejects_zero_chunk_duration() {
+        let _ = ChunkBuffer::new(MediaType::Audio, Duration::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "exceeds level")]
     fn overdrain_panics() {
-        let mut b = ChunkBuffer::new(MediaType::Video);
-        b.push(chunk(0, 0, 4));
+        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
+        b.push(TrackId::video(0), 0);
         b.drain(Duration::from_secs(5));
     }
 
     #[test]
     fn flush_to_repositions() {
-        let mut b = ChunkBuffer::new(MediaType::Video);
-        b.push(chunk(0, 0, 4));
-        b.push(chunk(1, 1, 4));
+        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
+        b.push(TrackId::video(0), 0);
+        b.push(TrackId::video(1), 1);
         b.drain(Duration::from_secs(1));
         b.flush_to(40);
         assert!(b.is_empty());
         assert_eq!(b.next_download_index(), 40);
-        b.push(chunk(40, 2, 4)); // contiguity restarts at the target
+        b.push(TrackId::video(2), 40); // contiguity restarts at the target
         assert_eq!(b.level(), Duration::from_secs(4));
     }
 
     #[test]
     fn chunks_iterates_in_order() {
-        let mut b = ChunkBuffer::new(MediaType::Video);
-        b.push(chunk(0, 3, 4));
-        b.push(chunk(1, 4, 4));
-        let tracks: Vec<usize> = b.chunks().map(|c| c.track.index).collect();
-        assert_eq!(tracks, vec![3, 4]);
+        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
+        b.push(TrackId::video(3), 0);
+        b.push(TrackId::video(4), 1);
+        assert_eq!(b.chunks().collect::<Vec<_>>(), vec![0, 1]);
     }
 }

@@ -173,6 +173,97 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn scheduling_before_the_last_pop_panics() {
+        let mut clock = Clock::default();
+        clock.schedule(Instant::from_micros(10), SessionEvent::BufferRefill);
+        assert_eq!(clock.pop().map(|(t, _)| t), Some(Instant::from_micros(10)));
+        clock.schedule(Instant::from_micros(9), SessionEvent::SeekDue);
+    }
+
+    #[test]
+    fn equal_times_pop_in_schedule_order() {
+        let mut clock = Clock::default();
+        let t = Instant::from_micros(5);
+        clock.schedule(t, SessionEvent::SeekDue);
+        clock.schedule(t, SessionEvent::TransferComplete);
+        clock.schedule(t, SessionEvent::BufferRefill);
+        let order: Vec<SessionEvent> =
+            std::iter::from_fn(|| clock.pop().map(|(_, ev)| ev)).collect();
+        assert_eq!(
+            order,
+            [
+                SessionEvent::SeekDue,
+                SessionEvent::TransferComplete,
+                SessionEvent::BufferRefill
+            ]
+        );
+        assert_eq!(clock.pop(), None, "every slot is empty after the pops");
+    }
+
+    #[test]
+    fn rescheduling_a_class_replaces_its_pending_event() {
+        let mut clock = Clock::default();
+        clock.schedule(Instant::from_micros(3), SessionEvent::PlaybackBoundary);
+        clock.schedule(Instant::from_micros(8), SessionEvent::PlaybackBoundary);
+        assert_eq!(clock.next_time(), Some(Instant::from_micros(8)));
+        assert_eq!(
+            clock.pop(),
+            Some((Instant::from_micros(8), SessionEvent::PlaybackBoundary))
+        );
+        assert_eq!(clock.pop(), None, "the replaced event left no tombstone");
+    }
+
+    #[test]
+    fn rearm_at_an_unchanged_time_keeps_the_pending_event() {
+        let mut clock = Clock::default();
+        let t = Instant::from_micros(4);
+        clock.rearm(SessionEvent::BufferRefill, Some(t));
+        assert_eq!(clock.issued(), 1);
+        clock.rearm(SessionEvent::BufferRefill, Some(t));
+        assert_eq!(clock.issued(), 1, "an unchanged wake is not re-scheduled");
+        clock.rearm(SessionEvent::BufferRefill, Some(Instant::from_micros(6)));
+        assert_eq!(clock.issued(), 2, "a moved wake is");
+        assert_eq!(clock.next_time(), Some(Instant::from_micros(6)));
+    }
+
+    #[test]
+    fn rearm_to_none_clears_the_slot() {
+        let mut clock = Clock::default();
+        clock.schedule(Instant::from_micros(20), SessionEvent::Deadline);
+        clock.rearm(SessionEvent::SeekDue, Some(Instant::from_micros(2)));
+        clock.rearm(SessionEvent::SeekDue, None);
+        assert_eq!(clock.next_time(), Some(Instant::from_micros(20)));
+        assert_eq!(
+            clock.pop(),
+            Some((Instant::from_micros(20), SessionEvent::Deadline))
+        );
+    }
+
+    #[test]
+    fn a_refresh_tick_newer_than_a_wake_still_pops_first() {
+        let mut clock = Clock::default();
+        let t = Instant::from_micros(7);
+        clock.schedule(t, SessionEvent::TransferComplete);
+        clock.schedule(t, SessionEvent::PlaylistRefresh);
+        // The wake is older than the tick, so re-arming it at the same
+        // instant schedules it afresh, behind the tick.
+        clock.rearm(SessionEvent::TransferComplete, Some(t));
+        assert_eq!(clock.pop(), Some((t, SessionEvent::PlaylistRefresh)));
+        assert_eq!(clock.pop(), Some((t, SessionEvent::TransferComplete)));
+    }
+
+    #[test]
+    fn span_names_are_distinct_dispatch_spans() {
+        let names: Vec<&str> = SessionEvent::ALL.iter().map(|ev| ev.span_name()).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len());
+        assert!(names.iter().all(|n| n.starts_with("dispatch.")));
+    }
+
     /// The four re-armable wake classes.
     const WAKES: [SessionEvent; 4] = [
         SessionEvent::TransferComplete,

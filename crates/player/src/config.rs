@@ -88,6 +88,35 @@ mod tests {
     }
 
     #[test]
+    fn max_buffer_may_equal_the_startup_threshold() {
+        PlayerConfig {
+            max_buffer: Duration::from_secs(4),
+            ..PlayerConfig::default_chunked(Duration::from_secs(4))
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "zero startup threshold")]
+    fn rejects_zero_startup_threshold() {
+        PlayerConfig {
+            startup_threshold: Duration::ZERO,
+            ..PlayerConfig::default_chunked(Duration::from_secs(4))
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "zero resume threshold")]
+    fn rejects_zero_resume_threshold() {
+        PlayerConfig {
+            resume_threshold: Duration::ZERO,
+            ..PlayerConfig::default_chunked(Duration::from_secs(4))
+        }
+        .validate();
+    }
+
+    #[test]
     #[should_panic(expected = "max buffer below startup")]
     fn rejects_inconsistent_thresholds() {
         PlayerConfig {

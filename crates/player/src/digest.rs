@@ -388,3 +388,164 @@ impl Recorder {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn kbps(k: u64) -> BitsPerSec {
+        BitsPerSec::from_kbps(k)
+    }
+
+    fn sample(secs: u64, audio: u64, video: u64) -> BufferSample {
+        BufferSample {
+            at: Instant::from_secs(secs),
+            audio: Duration::from_secs(audio),
+            video: Duration::from_secs(video),
+        }
+    }
+
+    #[test]
+    fn empty_picks_report_nothing() {
+        let picks = ChunkPicks::new(4);
+        for media in [MediaType::Audio, MediaType::Video] {
+            assert_eq!(picks.filled(media), 0);
+            assert_eq!(picks.tracks(media).count(), 0);
+            assert_eq!(picks.switch_count(media), 0);
+            assert_eq!(picks.mean_avg_bitrate(media), None);
+        }
+        assert_eq!(picks.pairs().count(), 0);
+    }
+
+    #[test]
+    fn a_repicked_chunk_fills_once_and_counts_twice_in_the_mean() {
+        let mut picks = ChunkPicks::new(2);
+        picks.record(0, TrackId::video(1), kbps(400));
+        picks.record(0, TrackId::video(3), kbps(800));
+        assert_eq!(picks.filled(MediaType::Video), 1);
+        assert_eq!(picks.tracks(MediaType::Video).collect::<Vec<_>>(), [3]);
+        assert_eq!(picks.mean_avg_bitrate(MediaType::Video), Some(kbps(600)));
+        assert_eq!(picks.filled(MediaType::Audio), 0);
+    }
+
+    #[test]
+    fn switches_compare_neighbouring_picked_chunks() {
+        let mut picks = ChunkPicks::new(6);
+        for (chunk, rung) in [(0, 0), (1, 0), (3, 2), (4, 2), (5, 1)] {
+            picks.record(chunk, TrackId::audio(rung), kbps(64));
+        }
+        assert_eq!(
+            picks.tracks(MediaType::Audio).collect::<Vec<_>>(),
+            [0, 0, 2, 2, 1],
+            "the unpicked chunk 2 is skipped"
+        );
+        assert_eq!(picks.switch_count(MediaType::Audio), 2);
+    }
+
+    #[test]
+    fn pairs_need_both_media_at_a_position() {
+        let mut picks = ChunkPicks::new(3);
+        picks.record(0, TrackId::audio(0), kbps(64));
+        picks.record(0, TrackId::video(0), kbps(300));
+        picks.record(1, TrackId::video(1), kbps(900));
+        picks.record(2, TrackId::audio(1), kbps(128));
+        picks.record(2, TrackId::video(2), kbps(2_000));
+        assert_eq!(
+            picks.pairs().collect::<Vec<_>>(),
+            [(kbps(64), kbps(300)), (kbps(128), kbps(2_000))]
+        );
+    }
+
+    #[test]
+    fn from_selections_replays_in_order() {
+        let sel = |chunk, track, k| SelectionEvent {
+            at: Instant::ZERO,
+            chunk,
+            track,
+            declared: kbps(k),
+            avg_bitrate: kbps(k),
+        };
+        let selections = [
+            sel(0, TrackId::video(0), 300),
+            sel(0, TrackId::video(2), 2_000),
+            sel(1, TrackId::audio(1), 128),
+        ];
+        let mut by_hand = ChunkPicks::new(2);
+        by_hand.record(0, TrackId::video(0), kbps(300));
+        by_hand.record(0, TrackId::video(2), kbps(2_000));
+        by_hand.record(1, TrackId::audio(1), kbps(128));
+        assert_eq!(ChunkPicks::from_selections(2, &selections), by_hand);
+    }
+
+    #[test]
+    fn buffer_imbalance_integrates_by_trapezoid() {
+        // |a - v| goes 4 s -> 0 s over 2 s, then stays 0 for 2 s: the
+        // integral is 4 s², the span 4 s, the mean 1 s.
+        let stats =
+            BufferStats::from_samples(&[sample(10, 4, 0), sample(12, 3, 3), sample(14, 5, 5)]);
+        assert_eq!(stats.samples(), 3);
+        assert_eq!(stats.mean_imbalance(), Duration::from_secs(1));
+        assert_eq!(stats.max_imbalance(), Duration::from_secs(4));
+    }
+
+    #[test]
+    fn imbalance_is_symmetric_in_the_media() {
+        let audio_ahead = BufferStats::from_samples(&[sample(0, 6, 2), sample(1, 6, 2)]);
+        let video_ahead = BufferStats::from_samples(&[sample(0, 2, 6), sample(1, 2, 6)]);
+        for stats in [audio_ahead, video_ahead] {
+            assert_eq!(stats.mean_imbalance(), Duration::from_secs(4));
+            assert_eq!(stats.max_imbalance(), Duration::from_secs(4));
+        }
+    }
+
+    #[test]
+    fn a_single_sample_spans_no_time() {
+        let stats = BufferStats::from_samples(&[sample(3, 8, 0)]);
+        assert_eq!(stats.mean_imbalance(), Duration::ZERO);
+        assert_eq!(stats.max_imbalance(), Duration::from_secs(8));
+        assert_eq!(BufferStats::default().mean_imbalance(), Duration::ZERO);
+    }
+
+    #[test]
+    fn session_end_closes_an_open_stall() {
+        let mut d = SessionDigest::new("p", 1);
+        let mut open = None;
+        d.fold(Instant::from_secs(5), &Event::StallBegin, &mut open);
+        d.fold(Instant::from_secs(7), &Event::StallEnd, &mut open);
+        d.fold(Instant::from_secs(9), &Event::StallBegin, &mut open);
+        assert_eq!(
+            d.total_stall,
+            Duration::from_secs(2),
+            "only closed stall time"
+        );
+        d.fold(Instant::from_secs(12), &Event::SessionEnd, &mut open);
+        assert_eq!(d.stall_count, 2);
+        assert_eq!(d.total_stall, Duration::from_secs(5));
+        assert_eq!(d.finished_at, Instant::from_secs(12));
+        assert_eq!(open, None);
+    }
+
+    #[test]
+    fn completed_needs_every_chunk_of_both_media_and_an_end() {
+        let mut d = SessionDigest::new("p", 2);
+        let mut open = None;
+        let select = |chunk, track| Event::TrackSelected {
+            chunk,
+            track,
+            declared: kbps(100),
+            avg_bitrate: kbps(100),
+        };
+        for chunk in 0..2 {
+            d.fold(Instant::ZERO, &select(chunk, TrackId::video(0)), &mut open);
+        }
+        d.fold(Instant::ZERO, &select(0, TrackId::audio(0)), &mut open);
+        d.fold(Instant::from_secs(8), &Event::PlaybackEnded, &mut open);
+        assert!(!d.completed(), "audio chunk 1 was never selected");
+        d.fold(Instant::ZERO, &select(1, TrackId::audio(0)), &mut open);
+        assert!(d.completed());
+        assert!(
+            !SessionDigest::new("p", 0).completed(),
+            "no end, no completion"
+        );
+    }
+}

@@ -246,15 +246,14 @@ impl PlaybackEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferedChunk;
     use abr_media::track::{MediaType, TrackId};
 
     const CHUNK: Duration = Duration::from_secs(4);
 
     fn buffers() -> (ChunkBuffer, ChunkBuffer) {
         (
-            ChunkBuffer::new(MediaType::Audio),
-            ChunkBuffer::new(MediaType::Video),
+            ChunkBuffer::new(MediaType::Audio, CHUNK),
+            ChunkBuffer::new(MediaType::Video, CHUNK),
         )
     }
 
@@ -263,11 +262,7 @@ mod tests {
             MediaType::Audio => TrackId::audio(0),
             MediaType::Video => TrackId::video(0),
         };
-        b.push(BufferedChunk {
-            index,
-            track,
-            duration: CHUNK,
-        });
+        b.push(track, index);
     }
 
     fn engine() -> PlaybackEngine {

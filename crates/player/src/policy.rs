@@ -33,9 +33,12 @@ pub struct TransferRecord {
     /// completion event (ExoPlayer's aggregate `BandwidthMeter` samples at
     /// transfer boundaries over all concurrent transfers; per-stream
     /// estimators ignore this). Zero for the second and later completions
-    /// of a same-instant batch.
+    /// of a same-instant batch, and zero throughout a session whose policy
+    /// does not read the meter ([`AbrPolicy::reads_meter`]) unless the
+    /// session is traced.
     pub window_bytes: Bytes,
-    /// Busy time (some flow actively delivering) in the same window.
+    /// Busy time (some flow actively delivering) in the same window; zero
+    /// in the same cases as `window_bytes`.
     pub window_busy: Duration,
 }
 
@@ -107,6 +110,15 @@ pub trait AbrPolicy {
     /// the default implementation ignores it.
     fn set_obs(&mut self, obs: &abr_obs::ObsHandle) {
         let _ = obs;
+    }
+
+    /// True when the policy reads [`TransferRecord::window_bytes`] and
+    /// [`TransferRecord::window_busy`]. An untraced session computes the
+    /// aggregate meter window only for such a policy; for any other, both
+    /// fields are zero. The default is `true`, so a wrapper that does not
+    /// forward this method still hands its inner policy the real window.
+    fn reads_meter(&self) -> bool {
+        true
     }
 }
 

@@ -73,4 +73,25 @@ mod tests {
         assert_eq!(scratch.buffer_samples.capacity(), cap);
         assert!(scratch.pooled_bytes() > 0);
     }
+
+    #[test]
+    fn reclaim_empties_all_four_pooled_vectors() {
+        use abr_event::time::{Duration, Instant};
+        let mut scratch = SessionScratch::new();
+        assert_eq!(scratch.pooled_bytes(), 0);
+        let mut log = SessionLog::default();
+        log.buffer_samples.push(BufferSample {
+            at: Instant::ZERO,
+            audio: Duration::ZERO,
+            video: Duration::ZERO,
+        });
+        log.selections.reserve(3);
+        log.transfers.reserve(3);
+        log.playlist_fetches.reserve(3);
+        scratch.reclaim(log);
+        assert!(scratch.selections.is_empty() && scratch.selections.capacity() >= 3);
+        assert!(scratch.transfers.is_empty() && scratch.transfers.capacity() >= 3);
+        assert!(scratch.buffer_samples.is_empty());
+        assert!(scratch.playlist_fetches.is_empty() && scratch.playlist_fetches.capacity() >= 3);
+    }
 }

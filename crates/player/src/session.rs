@@ -313,8 +313,8 @@ impl Session {
             link: self.link,
             policy: self.policy,
             path: self.path,
-            audio_buf: crate::buffer::ChunkBuffer::new(MediaType::Audio),
-            video_buf: crate::buffer::ChunkBuffer::new(MediaType::Video),
+            audio_buf: crate::buffer::ChunkBuffer::new(MediaType::Audio, chunk_duration),
+            video_buf: crate::buffer::ChunkBuffer::new(MediaType::Video, chunk_duration),
             playback: PlaybackEngine::new(
                 duration,
                 self.config.startup_threshold,

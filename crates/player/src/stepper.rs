@@ -140,6 +140,27 @@ mod tests {
         assert_eq!((dispatched, issued), (236, 350));
     }
 
+    #[test]
+    fn wake_times_never_go_backwards() {
+        let mut stepper = f4b_session().into_stepper();
+        let mut last = Instant::ZERO;
+        while let Some(wake) = stepper.next_wake() {
+            assert!(wake >= last, "wake {wake} after {last}");
+            last = wake;
+            if !stepper.dispatch_next() {
+                break;
+            }
+        }
+        assert_eq!(stepper.finish().finished_at, last);
+    }
+
+    #[test]
+    fn a_digest_stepper_matches_the_run_digest() {
+        let mut stepper = f4b_session().into_digest_stepper();
+        while stepper.next_wake().is_some() && stepper.dispatch_next() {}
+        assert_eq!(stepper.finish_digest(), f4b_session().run_digest());
+    }
+
     /// FNV-1a over a log's debug rendering: one number that pins every
     /// field of it.
     fn log_digest(log: &SessionLog) -> u64 {

@@ -8,7 +8,6 @@
 //! what each flow carries, and folding completions back into buffers,
 //! policy estimator feed and the session record.
 
-use crate::buffer::BufferedChunk;
 use crate::engine::Engine;
 use crate::policy::TransferRecord;
 use abr_event::time::{busy_union_in_place, Duration, Instant};
@@ -199,8 +198,11 @@ impl Engine {
     /// Aggregate bandwidth-meter window (all flows, completed and still in
     /// flight) since the previous completion event — ExoPlayer-style global
     /// accounting. Advances the meter edge only when completions arrived.
+    /// The window is computed only for its readers: a policy that reads
+    /// the meter, or the trace (`EstimateUpdated` carries the window's
+    /// bytes); otherwise it is zero.
     pub(crate) fn meter_window(&mut self, completions: &[Completion]) -> (Bytes, Duration) {
-        if completions.is_empty() {
+        if completions.is_empty() || !(self.policy.reads_meter() || self.obs.tracing()) {
             return (Bytes::ZERO, Duration::ZERO);
         }
         let meter_last = self.flights.meter_last;
@@ -256,16 +258,8 @@ impl Engine {
                     chunk,
                     opened_at,
                 } => {
-                    self.audio_buf.push(BufferedChunk {
-                        index: chunk,
-                        track: audio,
-                        duration: self.chunk_duration,
-                    });
-                    self.video_buf.push(BufferedChunk {
-                        index: chunk,
-                        track: video,
-                        duration: self.chunk_duration,
-                    });
+                    self.audio_buf.push(audio, chunk);
+                    self.video_buf.push(video, chunk);
                     let record = TransferRecord {
                         media: MediaType::Video,
                         track: video,
@@ -304,11 +298,7 @@ impl Engine {
                 MediaType::Audio => &mut self.audio_buf,
                 MediaType::Video => &mut self.video_buf,
             };
-            buf.push(BufferedChunk {
-                index: p.chunk,
-                track: p.track,
-                duration: self.chunk_duration,
-            });
+            buf.push(p.track, p.chunk);
             let (wb, wd) = if first_completion {
                 (window_bytes, window_busy)
             } else {

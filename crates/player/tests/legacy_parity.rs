@@ -20,7 +20,7 @@ use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_net::link::{FlowId, Link};
 use abr_net::trace::Trace;
-use abr_player::buffer::{BufferedChunk, ChunkBuffer};
+use abr_player::buffer::ChunkBuffer;
 use abr_player::config::PlayerConfig;
 use abr_player::log::{
     BufferSample, PlaylistFetchEvent, SelectionEvent, SessionLog, TransferEvent,
@@ -112,8 +112,8 @@ impl Scenario {
         let content = self.content.clone();
         let chunk_duration = content.chunk_duration();
         let num_chunks = content.num_chunks();
-        let mut audio_buf = ChunkBuffer::new(MediaType::Audio);
-        let mut video_buf = ChunkBuffer::new(MediaType::Video);
+        let mut audio_buf = ChunkBuffer::new(MediaType::Audio, chunk_duration);
+        let mut video_buf = ChunkBuffer::new(MediaType::Video, chunk_duration);
         let mut playback = PlaybackEngine::new(
             content.duration(),
             config.startup_threshold,
@@ -368,16 +368,8 @@ impl Scenario {
                         chunk,
                         opened_at,
                     } => {
-                        audio_buf.push(BufferedChunk {
-                            index: chunk,
-                            track: audio,
-                            duration: chunk_duration,
-                        });
-                        video_buf.push(BufferedChunk {
-                            index: chunk,
-                            track: video,
-                            duration: chunk_duration,
-                        });
+                        audio_buf.push(audio, chunk);
+                        video_buf.push(video, chunk);
                         let record = TransferRecord {
                             media: MediaType::Video,
                             track: video,
@@ -449,11 +441,7 @@ impl Scenario {
                     MediaType::Audio => &mut audio_buf,
                     MediaType::Video => &mut video_buf,
                 };
-                buf.push(BufferedChunk {
-                    index: p.chunk,
-                    track: p.track,
-                    duration: chunk_duration,
-                });
+                buf.push(p.track, p.chunk);
                 let (wb, wd) = if first_completion {
                     (window_bytes, window_busy)
                 } else {

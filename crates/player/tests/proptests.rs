@@ -4,38 +4,32 @@
 
 use abr_event::time::{Duration, Instant};
 use abr_media::track::{MediaType, TrackId};
-use abr_player::buffer::{BufferedChunk, ChunkBuffer};
+use abr_player::buffer::ChunkBuffer;
 use abr_player::config::{PlayerConfig, SyncMode};
 use abr_player::playback::{PlayState, PlaybackEngine};
 use abr_player::scheduler::{due_fetches, PipelineState};
 use proptest::prelude::*;
 
-fn chunk(index: usize, millis: u64) -> BufferedChunk {
-    BufferedChunk {
-        index,
-        track: TrackId::video(0),
-        duration: Duration::from_millis(millis),
-    }
-}
-
 proptest! {
-    /// Differential: the O(1) running level equals the O(n) definition —
-    /// the sum over `chunks()` minus the played part of the head chunk —
-    /// after every step of a random `push`/`drain`/`flush_to` sequence.
-    /// The played part comes from a test-local model of the queue.
+    /// Differential: the O(1) counter level equals the O(n) definition —
+    /// the sum over the queued chunks minus the played part of the head
+    /// chunk — after every step of a random `push`/`drain`/`flush_to`
+    /// sequence. The queue and the played part come from a test-local
+    /// model of the FIFO the buffer replaced.
     #[test]
     fn level_matches_chunk_sum(
+        chunk_ms in 1u64..8_000,
         ops in proptest::collection::vec((0u8..5, 1u64..8_000, 0u64..=100), 1..80),
     ) {
-        let mut buf = ChunkBuffer::new(MediaType::Video);
+        let mut buf = ChunkBuffer::new(MediaType::Video, Duration::from_millis(chunk_ms));
         // Model: queued chunk durations (ms) and the head's played part.
         let mut model: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
         let mut head_played = 0u64;
         for (kind, ms, pct) in ops {
             match kind {
                 0 | 1 => {
-                    buf.push(chunk(buf.next_download_index(), ms));
-                    model.push_back(ms);
+                    buf.push(TrackId::video(0), buf.next_download_index());
+                    model.push_back(chunk_ms);
                 }
                 2 | 3 => {
                     let mut left = buf.level().as_millis() * pct / 100;
@@ -58,7 +52,7 @@ proptest! {
                     head_played = 0;
                 }
             }
-            let durations: Vec<u64> = buf.chunks().map(|c| c.duration.as_millis()).collect();
+            let durations: Vec<u64> = buf.chunks().map(|_| chunk_ms).collect();
             prop_assert_eq!(&durations, &model.iter().copied().collect::<Vec<_>>());
             let sum: u64 = durations.iter().sum();
             prop_assert_eq!(buf.level().as_millis(), sum - head_played);
@@ -69,13 +63,16 @@ proptest! {
     /// level == pushed − drained at every step, and drains never exceed
     /// the level.
     #[test]
-    fn buffer_conservation(ops in proptest::collection::vec((1u64..8_000, 0u64..100), 1..60)) {
-        let mut buf = ChunkBuffer::new(MediaType::Video);
+    fn buffer_conservation(
+        chunk_ms in 1u64..8_000,
+        drains in proptest::collection::vec(0u64..100, 1..60),
+    ) {
+        let mut buf = ChunkBuffer::new(MediaType::Video, Duration::from_millis(chunk_ms));
         let mut pushed = 0u64;
         let mut drained = 0u64;
-        for (next_index, (push_ms, drain_pct)) in ops.into_iter().enumerate() {
-            buf.push(chunk(next_index, push_ms));
-            pushed += push_ms;
+        for (next_index, drain_pct) in drains.into_iter().enumerate() {
+            buf.push(TrackId::video(0), next_index);
+            pushed += chunk_ms;
             let level_ms = buf.level().as_millis();
             let want = level_ms * drain_pct / 100;
             buf.drain(Duration::from_millis(want));
@@ -89,33 +86,27 @@ proptest! {
     /// more than was buffered.
     #[test]
     fn playback_accounting(
-        arrivals in proptest::collection::vec(100u64..6_000, 2..40),
+        chunk_ms in 100u64..6_000,
+        gaps in proptest::collection::vec(0u64..2_000, 2..40),
     ) {
-        let total_ms: u64 = arrivals.iter().sum();
-        let mut audio = ChunkBuffer::new(MediaType::Audio);
-        let mut video = ChunkBuffer::new(MediaType::Video);
+        let total_ms = chunk_ms * gaps.len() as u64;
+        let chunk = Duration::from_millis(chunk_ms);
+        let mut audio = ChunkBuffer::new(MediaType::Audio, chunk);
+        let mut video = ChunkBuffer::new(MediaType::Video, chunk);
         let mut engine = PlaybackEngine::new(
             Duration::from_millis(total_ms),
             Duration::from_millis(100),
             Duration::from_millis(100),
         );
         let mut now = Instant::ZERO;
-        for (i, &ms) in arrivals.iter().enumerate() {
-            // Chunks arrive with one-second gaps (forcing stalls whenever
-            // a chunk is shorter than the gap).
-            audio.push(BufferedChunk {
-                index: i,
-                track: TrackId::audio(0),
-                duration: Duration::from_millis(ms),
-            });
-            video.push(BufferedChunk {
-                index: i,
-                track: TrackId::video(0),
-                duration: Duration::from_millis(ms),
-            });
+        for (i, &gap_ms) in gaps.iter().enumerate() {
+            // Chunks arrive `gap_ms` apart (forcing stalls whenever a
+            // chunk is shorter than the gap after it).
+            audio.push(TrackId::audio(0), i);
+            video.push(TrackId::video(0), i);
             engine.try_start(now, &audio, &video);
-            // Advance up to one second or the next boundary.
-            let target = now + Duration::from_secs(1);
+            // Advance up to the gap or the next boundary.
+            let target = now + Duration::from_millis(gap_ms);
             let step_to = match engine.next_boundary(now, &audio, &video) {
                 Some(b) => b.min(target),
                 None => target,

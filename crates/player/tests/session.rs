@@ -509,3 +509,59 @@ fn playlist_refresh_off_is_byte_identical_to_before() {
     assert_eq!(a.transfers, b.transfers);
     assert_eq!(a.buffer_samples, b.buffer_samples);
 }
+
+/// A policy that answers every request with a fixed track, whatever the
+/// media asked for.
+struct RoguePolicy(TrackId);
+
+impl abr_player::policy::AbrPolicy for RoguePolicy {
+    fn name(&self) -> &str {
+        "rogue"
+    }
+
+    fn on_transfer(&mut self, _record: &abr_player::policy::TransferRecord) {}
+
+    fn select(&mut self, _ctx: &abr_player::policy::SelectionContext) -> TrackId {
+        self.0
+    }
+}
+
+fn run_rogue(track: TrackId) -> SessionLog {
+    let content = Content::drama_show(1);
+    let chunk = content.chunk_duration();
+    Session::new(
+        Origin::with_overhead(content, Bytes::ZERO),
+        Link::new(Trace::constant(kbps(2_000))),
+        Box::new(RoguePolicy(track)),
+        PlayerConfig::default_chunked(chunk),
+    )
+    .run()
+}
+
+#[test]
+#[should_panic(expected = "policy returned wrong media type")]
+fn a_policy_answering_for_the_wrong_media_is_rejected() {
+    let _ = run_rogue(TrackId::video(0));
+}
+
+#[test]
+#[should_panic(expected = "policy selected out-of-ladder track")]
+fn a_policy_selecting_off_the_ladder_is_rejected() {
+    let _ = run_fixed(5_000, 6, 0, CHUNKED);
+}
+
+#[test]
+#[should_panic(expected = "zero startup threshold")]
+fn a_session_validates_its_config() {
+    let content = Content::drama_show(1);
+    let config = PlayerConfig {
+        startup_threshold: Duration::ZERO,
+        ..PlayerConfig::default_chunked(content.chunk_duration())
+    };
+    let _ = Session::new(
+        Origin::with_overhead(content, Bytes::ZERO),
+        Link::new(Trace::constant(kbps(2_000))),
+        Box::new(FixedPolicy { video: 0, audio: 0 }),
+        config,
+    );
+}

@@ -14,7 +14,10 @@
 #                     runtime invariant checks in Link/EventQueue/
 #                     FlightBoard/WindowBoard/claim ledger run under
 #                     every golden and differential test;
-#  6. benchmark     — the frozen `benchmark/` workspace's own tests, so a
+#  6. duplicates    — no test binary registers a test name twice
+#                     (scripts/duplicate_tests.sh), so no test runs or
+#                     counts twice;
+#  7. benchmark     — the frozen `benchmark/` workspace's own tests, so a
 #                     change to the public API it calls fails here, not
 #                     only in CI's check job.
 set -euo pipefail
@@ -34,6 +37,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (debug-invariants) =="
 cargo test --workspace -q --features abr-unmuxed/debug-invariants
+
+echo "== duplicate test registrations =="
+bash scripts/duplicate_tests.sh
 
 echo "== benchmark workspace tests =="
 cargo test -q --manifest-path benchmark/Cargo.toml

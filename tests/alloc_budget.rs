@@ -31,14 +31,14 @@ use abr_player::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations (including reallocations) one session may make (34–41
+/// Allocations (including reallocations) one session may make (29–41
 /// per DASH player kind when this budget was set).
-const BUDGET: u64 = 48;
+const BUDGET: u64 = 44;
 
 /// Allocations one digest-mode session may make: no event vector grows,
-/// so only construction and first use of reusable buffers remain (14–21
+/// so only construction and first use of reusable buffers remain (9–15
 /// per DASH player kind when this budget was set).
-const DIGEST_BUDGET: u64 = 24;
+const DIGEST_BUDGET: u64 = 18;
 
 thread_local! {
     /// Set while the current thread's allocations are being counted.
