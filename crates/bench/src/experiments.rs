@@ -1191,7 +1191,8 @@ fn bp4(jobs: usize) -> ExperimentResult {
         let link = abr_net::link::Link::with_latency(trace.clone(), Duration::from_millis(200));
         let config = player_config(PlayerKind::BestPractice, content.chunk_duration());
         abr_player::Session::new(origin, link, policy, config)
-            .with_playlist_fetch(modes[i].1, abr_manifest::build::Packaging::SingleFile)
+            .with_packaging(abr_manifest::build::Packaging::SingleFile)
+            .with_playlist_fetch(modes[i].1)
             .run()
     });
     let mut rows = Vec::new();

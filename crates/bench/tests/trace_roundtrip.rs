@@ -8,7 +8,6 @@ use abr_bench::setup::{drama, hls_all_view, player_config, run_session_obs, Play
 use abr_core::ShakaPolicy;
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::origin::Origin;
-use abr_manifest::build::Packaging;
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_net::link::Link;
 use abr_net::trace::Trace;
@@ -69,9 +68,6 @@ fn traced_session_hook_replay_equals_direct_log() {
 #[test]
 fn traced_seek_while_stalled_with_live_playlists_replays_exactly() {
     let content = drama();
-    let packaging = Packaging::SegmentFiles {
-        with_bitrate_tags: false,
-    };
     let session = || {
         let view = hls_all_view(&content);
         Session::new(
@@ -83,8 +79,8 @@ fn traced_seek_while_stalled_with_live_playlists_replays_exactly() {
             Box::new(ShakaPolicy::hls(&view)),
             player_config(PlayerKind::Shaka, content.chunk_duration()),
         )
-        .with_playlist_fetch(PlaylistFetch::Lazy, packaging)
-        .with_playlist_refresh(Duration::from_secs(10), packaging)
+        .with_playlist_fetch(PlaylistFetch::Lazy)
+        .with_playlist_refresh(Duration::from_secs(10))
     };
     // Seek halfway into the first stall of the unseeked run, to 60 s past
     // the wall clock (so past the playhead): nothing before the seek

@@ -46,7 +46,6 @@ pub(crate) struct Engine {
     pub(crate) content: SharedContent,
     pub(crate) chunk_duration: Duration,
     pub(crate) num_chunks: usize,
-    pub(crate) total_tracks: usize,
     pub(crate) config: PlayerConfig,
     pub(crate) deadline: Instant,
     pub(crate) delivery: DeliveryMode,
@@ -331,10 +330,8 @@ impl Engine {
         ];
         let mut refetched = 0usize;
         for track in targets.into_iter().flatten() {
-            if self.playlist_sizes.contains_key(track) {
-                self.open_playlist_fetch(track, t, None);
-                refetched += 1;
-            }
+            self.open_playlist_fetch(track, t, None);
+            refetched += 1;
         }
         self.obs
             .emit(t, || Event::PlaylistRefreshTick { refetched });

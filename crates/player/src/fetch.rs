@@ -4,15 +4,15 @@
 //! pipelines are due (§4.2 pipeline coordination), ask the policy which
 //! track each should fetch, and hand the resulting requests to the
 //! transfer layer. Under muxed delivery the two selections collapse into
-//! one pre-combined request; under lazy playlist fetching a first-use
-//! track detours through a playlist round trip first.
+//! one pre-combined chunk request; under lazy playlist fetching a
+//! first-use track detours through a playlist round trip first.
 
 use crate::engine::Engine;
 use crate::playback::PlayState;
 use crate::policy::SelectionContext;
 use crate::scheduler::{due_fetches, DueFetches, PipelineState};
 use crate::session::{DeliveryMode, PlaylistFetch};
-use crate::transfer::{ChunkFetch, Pending};
+use crate::transfer::ChunkFetch;
 use abr_media::track::{MediaType, TrackId};
 use abr_obs::Event;
 
@@ -23,7 +23,7 @@ impl Engine {
         let _g = self.obs.span("fetch.round");
         // Under eager fetching, adaptation waits for every playlist.
         let gated = self.playlist_fetch == PlaylistFetch::Eager
-            && self.playlists_ready.len() < self.total_tracks;
+            && self.playlists_ready.len() < self.playlist_sizes.len();
         let mut due = if gated {
             DueFetches::default()
         } else {
@@ -57,51 +57,29 @@ impl Engine {
                 playing: self.playback.state() == PlayState::Playing,
             };
             let track = self.select(&ctx);
-            if self.delivery == DeliveryMode::Muxed {
-                // Ask the policy for the paired audio component too
-                // (joint policies return the same combination).
-                let actx = SelectionContext {
+            // Under muxed delivery, ask the policy for the paired audio
+            // component too (joint policies return the same combination).
+            let muxed_audio = (self.delivery == DeliveryMode::Muxed).then(|| {
+                self.select(&SelectionContext {
                     media: MediaType::Audio,
                     ..ctx
-                };
-                let audio_track = self.select(&actx);
-                let combo = abr_media::combo::Combo::new(track.index, audio_track.index);
-                let req = abr_httpsim::request::Request::whole(
-                    abr_httpsim::request::ObjectId::MuxedSegment { combo, chunk },
-                );
-                self.open_transfer(
-                    &req,
-                    self.now,
-                    None,
-                    Some(chunk),
-                    Pending::Muxed {
-                        video: track,
-                        audio: audio_track,
-                        chunk,
-                        opened_at: self.now,
-                    },
-                );
-                continue;
-            }
-            let fetch = ChunkFetch {
-                media,
-                track,
-                chunk,
-                opened_at: self.now,
-            };
-            if self.playlist_fetch == PlaylistFetch::Lazy && !self.playlists_ready.contains(track) {
+                })
+            });
+            if muxed_audio.is_none()
+                && self.playlist_fetch == PlaylistFetch::Lazy
+                && !self.playlists_ready.contains(track)
+            {
                 // §4.1's warned-against practice: the chunk request
-                // must wait for this track's playlist round trip.
-                self.open_playlist_fetch(track, self.now, Some(fetch));
+                // must wait for this track's playlist round trip. (A
+                // muxed variant has no per-track playlist to wait for.)
+                self.open_playlist_fetch(track, self.now, Some(chunk));
             } else {
-                let req = self.chunk_request(track, chunk);
-                self.open_transfer(
-                    &req,
-                    self.now,
-                    Some(track),
-                    Some(chunk),
-                    Pending::Chunk(fetch),
-                );
+                self.open_chunk(ChunkFetch {
+                    track,
+                    chunk,
+                    opened_at: self.now,
+                    muxed_audio,
+                });
             }
         }
         self.obs

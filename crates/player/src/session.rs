@@ -17,9 +17,12 @@ use crate::engine::Engine;
 use crate::log::SessionLog;
 use crate::playback::PlaybackEngine;
 use crate::policy::AbrPolicy;
+use crate::scratch::SessionScratch;
 use crate::transfer::FlightBoard;
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::origin::Origin;
+use abr_httpsim::request::{ObjectId, Request};
+use abr_manifest::build::{build_media_playlist, playlist_uri, Packaging};
 use abr_media::track::{MediaType, TrackSet, TrackTable};
 use abr_net::link::Link;
 use abr_obs::ObsHandle;
@@ -61,8 +64,7 @@ pub struct Session {
     config: PlayerConfig,
     deadline: Instant,
     playlist_fetch: PlaylistFetch,
-    playlist_sizes: TrackTable<abr_media::units::Bytes>,
-    packaging: abr_manifest::build::Packaging,
+    packaging: Packaging,
     delivery: DeliveryMode,
     path: Option<Box<dyn abr_httpsim::edge::TransferPath>>,
     refresh_period: Option<Duration>,
@@ -89,8 +91,7 @@ impl Session {
             config,
             deadline,
             playlist_fetch: PlaylistFetch::Preloaded,
-            playlist_sizes: TrackTable::new(),
-            packaging: abr_manifest::build::Packaging::SegmentFiles {
+            packaging: Packaging::SegmentFiles {
                 with_bitrate_tags: false,
             },
             delivery: DeliveryMode::Demuxed,
@@ -146,8 +147,9 @@ impl Session {
 
     /// Selects the server packaging: whole segment files (default) or byte
     /// ranges into one file per track (§4.1's `EXT-X-BYTERANGE` mode).
-    /// Transfer sizes are identical; only the request shape differs.
-    pub fn with_packaging(mut self, packaging: abr_manifest::build::Packaging) -> Session {
+    /// Chunk requests and second-level playlists both follow it. Transfer
+    /// sizes of chunks are identical; only the request shape differs.
+    pub fn with_packaging(mut self, packaging: Packaging) -> Session {
         self.packaging = packaging;
         self
     }
@@ -159,18 +161,12 @@ impl Session {
     }
 
     /// Enables second-level playlist fetching (§4.1, footnote 2): the
-    /// session builds every track's media playlist, publishes it at the
-    /// origin, and the player pays real transfers for them — up front
-    /// (`Eager`) or on first use of each track (`Lazy`).
-    pub fn with_playlist_fetch(
-        mut self,
-        mode: PlaylistFetch,
-        packaging: abr_manifest::build::Packaging,
-    ) -> Session {
+    /// session builds every track's media playlist for its packaging,
+    /// publishes it at the origin when it starts, and the player pays real
+    /// transfers for them — up front (`Eager`) or on first use of each
+    /// track (`Lazy`).
+    pub fn with_playlist_fetch(mut self, mode: PlaylistFetch) -> Session {
         self.playlist_fetch = mode;
-        if mode != PlaylistFetch::Preloaded {
-            self.publish_playlists(packaging);
-        }
         self
     }
 
@@ -181,52 +177,24 @@ impl Session {
     /// with chunk fetches, so slow polls measurably delay chunks — each
     /// tick is traced as [`abr_obs::Event::PlaylistRefreshTick`]. Off by
     /// default; VoD sessions are unaffected unless this is called.
-    pub fn with_playlist_refresh(
-        mut self,
-        period: Duration,
-        packaging: abr_manifest::build::Packaging,
-    ) -> Session {
+    pub fn with_playlist_refresh(mut self, period: Duration) -> Session {
         assert!(period > Duration::ZERO, "refresh period must be positive");
         self.refresh_period = Some(period);
-        if self.playlist_sizes.is_empty() {
-            self.publish_playlists(packaging);
-        }
         self
-    }
-
-    /// Builds and publishes every track's media playlist at the origin and
-    /// records its transfer size (idempotent in effect: sizes are simply
-    /// overwritten with identical values if already published).
-    fn publish_playlists(&mut self, packaging: abr_manifest::build::Packaging) {
-        let content = self.origin.shared_content();
-        for &id in content.track_ids() {
-            let playlist = abr_manifest::build::build_media_playlist(&content, id, packaging);
-            let path = abr_manifest::build::playlist_uri(id);
-            let body = playlist.to_text();
-            self.origin.publish_document(&path, &body);
-            let req =
-                abr_httpsim::request::Request::whole(abr_httpsim::request::ObjectId::Document {
-                    path,
-                });
-            let size = self
-                .origin
-                .transfer_size(&req)
-                .expect("published just above");
-            self.playlist_sizes.insert(id, size);
-        }
     }
 
     /// Runs to completion (content fully played, starvation, or deadline)
     /// and returns the session log.
     pub fn run(self) -> SessionLog {
-        self.into_engine().run().into_log()
+        self.run_with_scratch(&mut SessionScratch::default())
     }
 
     /// Runs to completion keeping only the online QoE digest: the
     /// run-to-completion twin of [`Session::into_digest_stepper`], for
     /// callers that only summarize the session (`exp mc`).
     pub fn run_digest(self) -> SessionDigest {
-        self.into_digest_engine().run().into_digest()
+        let recorder = self.digest_recorder();
+        self.into_engine(recorder).run().into_digest()
     }
 
     /// Like [`Session::run`], but builds the log's event vectors out of a
@@ -234,12 +202,9 @@ impl Session {
     /// log sessions on one thread stop paying per-session vector growth
     /// (DESIGN.md §15). Hand the finished log back to
     /// [`SessionScratch::reclaim`] once it has been summarized.
-    ///
-    /// [`SessionScratch`]: crate::scratch::SessionScratch
-    /// [`SessionScratch::reclaim`]: crate::scratch::SessionScratch::reclaim
-    pub fn run_with_scratch(self, scratch: &mut crate::scratch::SessionScratch) -> SessionLog {
-        let donated = std::mem::take(scratch);
-        self.into_engine_with(donated).run().into_log()
+    pub fn run_with_scratch(self, scratch: &mut SessionScratch) -> SessionLog {
+        let recorder = self.log_recorder(std::mem::take(scratch));
+        self.into_engine(recorder).run().into_log()
     }
 
     /// Consumes the builder into an externally-clocked
@@ -247,7 +212,8 @@ impl Session {
     /// `t = 0` round runs immediately, and the caller then advances it one
     /// event at a time — the fleet driver's entry point (DESIGN.md §14).
     pub fn into_stepper(self) -> crate::stepper::SessionStepper {
-        crate::stepper::SessionStepper::new(self.into_engine())
+        let recorder = self.log_recorder(SessionScratch::default());
+        crate::stepper::SessionStepper::new(self.into_engine(recorder))
     }
 
     /// [`Session::into_stepper`] keeping only the online QoE digest
@@ -256,21 +222,17 @@ impl Session {
     ///
     /// [`SessionStepper::finish_digest`]: crate::stepper::SessionStepper::finish_digest
     pub fn into_digest_stepper(self) -> crate::stepper::SessionStepper {
-        crate::stepper::SessionStepper::new(self.into_digest_engine())
+        let recorder = self.digest_recorder();
+        crate::stepper::SessionStepper::new(self.into_engine(recorder))
     }
 
-    /// Consumes the builder into a ready-to-run engine.
-    pub(crate) fn into_engine(self) -> Engine {
-        self.into_engine_with(crate::scratch::SessionScratch::default())
-    }
-
-    /// Consumes the builder into a ready-to-run engine, building the log's
-    /// event vectors out of a donated `SessionScratch`'s pooled capacity
-    /// (DESIGN.md §15). `Engine::finish` hands the vectors back inside the
-    /// log; [`crate::scratch::SessionScratch::reclaim`] recovers them.
-    pub(crate) fn into_engine_with(self, scratch: crate::scratch::SessionScratch) -> Engine {
+    /// A recorder keeping the full log, its event vectors built out of a
+    /// donated scratch's pooled capacity (DESIGN.md §15). `Engine::finish`
+    /// hands the vectors back inside the log;
+    /// [`SessionScratch::reclaim`] recovers them.
+    fn log_recorder(&self, scratch: SessionScratch) -> Recorder {
         let content = self.origin.content();
-        let log = SessionLog {
+        Recorder::Log(SessionLog {
             policy: self.policy.name().to_string(),
             selections: scratch.selections,
             transfers: scratch.transfers,
@@ -279,35 +241,44 @@ impl Session {
             chunk_duration: content.chunk_duration(),
             num_chunks: content.num_chunks(),
             ..SessionLog::default()
-        };
-        self.into_engine_recording(Recorder::Log(log))
+        })
     }
 
-    /// Consumes the builder into a ready-to-run engine that records only
-    /// the online QoE digest.
-    fn into_digest_engine(self) -> Engine {
+    /// A recorder keeping only the online QoE digest.
+    fn digest_recorder(&self) -> Recorder {
         let digest = SessionDigest::new(self.policy.name(), self.origin.content().num_chunks());
-        self.into_engine_recording(Recorder::Digest(digest, None))
+        Recorder::Digest(digest, None)
     }
 
     /// Consumes the builder into a ready-to-run engine recording into
-    /// `recorder`.
-    fn into_engine_recording(self, recorder: Recorder) -> Engine {
+    /// `recorder`. A session that fetches or refreshes playlists builds
+    /// every track's media playlist for its packaging here and publishes
+    /// it at the origin, recording its transfer size.
+    fn into_engine(mut self, recorder: Recorder) -> Engine {
         let content = self.origin.shared_content();
+        let mut playlist_sizes = TrackTable::new();
+        if self.playlist_fetch != PlaylistFetch::Preloaded || self.refresh_period.is_some() {
+            for &id in content.track_ids() {
+                let body = build_media_playlist(&content, id, self.packaging).to_text();
+                let path = playlist_uri(id);
+                self.origin.publish_document(&path, &body);
+                let req = Request::whole(ObjectId::Document { path });
+                let size = self.origin.transfer_size(&req).expect("published above");
+                playlist_sizes.insert(id, size);
+            }
+        }
         let chunk_duration = content.chunk_duration();
         let num_chunks = content.num_chunks();
-        let total_tracks = content.track_ids().len();
         let duration = content.duration();
         Engine {
             content,
             chunk_duration,
             num_chunks,
-            total_tracks,
             deadline: self.deadline,
             delivery: self.delivery,
             packaging: self.packaging,
             playlist_fetch: self.playlist_fetch,
-            playlist_sizes: self.playlist_sizes,
+            playlist_sizes,
             refresh_period: self.refresh_period,
             origin: self.origin,
             link: self.link,

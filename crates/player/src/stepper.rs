@@ -181,7 +181,8 @@ mod tests {
     fn refresh_tick_wins_a_tie_with_a_kept_wake() {
         let session = || {
             f4b_session()
-                .with_playlist_refresh(Duration::from_secs(5), Packaging::SingleFile)
+                .with_packaging(Packaging::SingleFile)
+                .with_playlist_refresh(Duration::from_secs(5))
                 .with_seeks(vec![(Instant::from_secs(20), Duration::from_secs(60))])
         };
         let log = session().run();

@@ -2,29 +2,39 @@
 //! delay and the aggregate bandwidth meter.
 //!
 //! Everything between "the policy picked a track" and "a chunk landed in a
-//! buffer" lives here: building the HTTP request for the configured
-//! packaging, charging the transfer path's first-byte delay (via
-//! [`abr_httpsim::edge::TransferPath`]), opening the link flow, tracking
-//! what each flow carries, and folding completions back into buffers,
-//! policy estimator feed and the session record.
+//! buffer" lives here: building the HTTP request for the session's
+//! packaging and delivery mode, charging the transfer path's first-byte
+//! delay (via [`abr_httpsim::edge::TransferPath`]), opening the link flow,
+//! tracking what each flow carries, and folding completions back into
+//! buffers, policy estimator feed and the session record. A muxed chunk
+//! takes the same path as a demuxed one; it only carries its audio
+//! component along.
 
+use crate::digest::Recorder;
 use crate::engine::Engine;
 use crate::policy::TransferRecord;
 use abr_event::time::{busy_union_in_place, Duration, Instant};
 use abr_httpsim::origin::Origin;
-use abr_httpsim::request::Request;
+use abr_httpsim::request::{ObjectId, Request};
+use abr_manifest::build::Packaging;
+use abr_media::combo::Combo;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::Bytes;
 use abr_net::link::{Completion, FlowId};
 use abr_obs::Event;
 
-/// A chunk request in flight.
+/// A chunk request: one track's chunk, or under muxed delivery (§1) one
+/// pre-combined variant carrying a video track's chunk and its audio
+/// companion.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChunkFetch {
-    pub(crate) media: MediaType,
+    /// The track whose pipeline the request drives (video for a muxed
+    /// chunk).
     pub(crate) track: TrackId,
     pub(crate) chunk: usize,
     pub(crate) opened_at: Instant,
+    /// The audio track a muxed chunk carries along; `None` when demuxed.
+    pub(crate) muxed_audio: Option<TrackId>,
 }
 
 /// A request in flight: a media chunk, or a second-level playlist that
@@ -36,27 +46,18 @@ pub(crate) enum Pending {
     Playlist {
         track: TrackId,
         requested_at: Instant,
-        /// The chunk request to issue once the playlist arrives (`None`
-        /// for eager prefetches and live refresh polls, which are not tied
-        /// to a chunk).
-        then: Option<ChunkFetch>,
-    },
-    /// A pre-combined audio+video chunk (muxed delivery, §1).
-    Muxed {
-        video: TrackId,
-        audio: TrackId,
-        chunk: usize,
-        opened_at: Instant,
+        /// The chunk of `track` to request once the playlist arrives
+        /// (`None` for eager prefetches and live refresh polls, which are
+        /// not tied to a chunk).
+        then: Option<usize>,
     },
 }
 
 impl Pending {
     pub(crate) fn media(&self) -> MediaType {
         match self {
-            Pending::Chunk(c) => c.media,
+            Pending::Chunk(c) => c.track.media,
             Pending::Playlist { track, .. } => track.media,
-            // The muxed pipeline is driven through the video lane.
-            Pending::Muxed { .. } => MediaType::Video,
         }
     }
 }
@@ -127,56 +128,47 @@ impl FlightBoard {
 }
 
 impl Engine {
-    /// Builds the origin request for a chunk under the configured packaging.
-    pub(crate) fn chunk_request(&self, track: TrackId, chunk: usize) -> Request {
-        match self.packaging {
-            abr_manifest::build::Packaging::SingleFile => self
+    /// Opens a chunk request at `fetch.opened_at`: builds it for the
+    /// session's packaging (a segment file or a byte range) or as a muxed
+    /// segment, charges the transfer path's first-byte delay (edge-cache
+    /// hit/miss), opens the link flow and records it as pending. A muxed
+    /// request is traced without a track: it carries two.
+    pub(crate) fn open_chunk(&mut self, fetch: ChunkFetch) {
+        let (track, chunk, at) = (fetch.track, fetch.chunk, fetch.opened_at);
+        let req = match (fetch.muxed_audio, self.packaging) {
+            (Some(audio), _) => Request::whole(ObjectId::MuxedSegment {
+                combo: Combo::new(track.index, audio.index),
+                chunk,
+            }),
+            (None, Packaging::SingleFile) => self
                 .origin
                 .range_request(track, chunk)
                 .expect("valid chunk range"),
-            abr_manifest::build::Packaging::SegmentFiles { .. } => {
-                Origin::segment_request(track, chunk)
-            }
-        }
-    }
-
-    /// Opens a link flow for `req` at `at`, charging the transfer path's
-    /// first-byte delay (edge-cache hit/miss), and records it as pending.
-    pub(crate) fn open_transfer(
-        &mut self,
-        req: &Request,
-        at: Instant,
-        obs_track: Option<TrackId>,
-        obs_chunk: Option<usize>,
-        pending: Pending,
-    ) {
+            (None, Packaging::SegmentFiles { .. }) => Origin::segment_request(track, chunk),
+        };
         let size = self
             .origin
-            .transfer_size(req)
+            .transfer_size(&req)
             .expect("valid transfer request");
         let extra = match &mut self.path {
-            Some(p) => p.first_byte_delay(&self.origin, req, at),
+            Some(p) => p.first_byte_delay(&self.origin, &req, at),
             None => Duration::ZERO,
         };
         let flow = self.link.open_flow_after(size, extra);
         self.obs.emit(at, || Event::RequestIssued {
             flow: flow.0,
-            track: obs_track,
-            chunk: obs_chunk,
+            track: fetch.muxed_audio.is_none().then_some(track),
+            chunk: Some(chunk),
             size,
         });
-        self.flights.insert(flow, pending);
+        self.flights.insert(flow, Pending::Chunk(fetch));
     }
 
     /// Opens a playlist fetch for `track` at `at`. Playlist requests skip
     /// the edge cache (master/media playlists are served from the CDN shell
-    /// in this model) and may carry a deferred chunk request (`then`).
-    pub(crate) fn open_playlist_fetch(
-        &mut self,
-        track: TrackId,
-        at: Instant,
-        then: Option<ChunkFetch>,
-    ) {
+    /// in this model) and may carry the chunk of `track` to request once
+    /// it lands (`then`).
+    pub(crate) fn open_playlist_fetch(&mut self, track: TrackId, at: Instant, then: Option<usize>) {
         let size = *self.playlist_sizes.get(track).expect("playlist published");
         let flow = self.link.open_flow(size);
         self.obs.emit(at, || Event::RequestIssued {
@@ -244,45 +236,14 @@ impl Engine {
     /// policy has seen it.
     pub(crate) fn on_completions(&mut self, completions: &mut Vec<Completion>) {
         let _g = self.obs.span("transfer.on_completions");
-        let (window_bytes, window_busy) = self.meter_window(completions);
-        let mut first_completion = true;
+        let mut window = self.meter_window(completions);
         for c in completions.drain(..) {
-            let p = match self
+            let fetch = match self
                 .flights
                 .remove(c.id)
                 .expect("completion for unknown flow")
             {
-                Pending::Muxed {
-                    video,
-                    audio,
-                    chunk,
-                    opened_at,
-                } => {
-                    self.audio_buf.push(audio, chunk);
-                    self.video_buf.push(video, chunk);
-                    let record = TransferRecord {
-                        media: MediaType::Video,
-                        track: video,
-                        chunk,
-                        size: c.size,
-                        opened_at,
-                        completed_at: c.at,
-                        profile: c.profile,
-                        window_bytes: if first_completion {
-                            window_bytes
-                        } else {
-                            Bytes::ZERO
-                        },
-                        window_busy: if first_completion {
-                            window_busy
-                        } else {
-                            Duration::ZERO
-                        },
-                    };
-                    first_completion = false;
-                    self.ingest_transfer(record, c.id, c.at);
-                    continue;
-                }
+                Pending::Chunk(fetch) => fetch,
                 Pending::Playlist {
                     track,
                     requested_at,
@@ -292,50 +253,46 @@ impl Engine {
                     self.on_playlist_arrival(track, requested_at, c.at, then);
                     continue;
                 }
-                Pending::Chunk(f) => f,
             };
-            let buf = match p.media {
-                MediaType::Audio => &mut self.audio_buf,
-                MediaType::Video => &mut self.video_buf,
-            };
-            buf.push(p.track, p.chunk);
-            let (wb, wd) = if first_completion {
-                (window_bytes, window_busy)
-            } else {
-                (Bytes::ZERO, Duration::ZERO)
-            };
-            first_completion = false;
+            let (track, chunk) = (fetch.track, fetch.chunk);
+            if let Some(audio) = fetch.muxed_audio {
+                self.audio_buf.push(audio, chunk);
+            }
+            match track.media {
+                MediaType::Audio => self.audio_buf.push(track, chunk),
+                MediaType::Video => self.video_buf.push(track, chunk),
+            }
+            let (window_bytes, window_busy) = std::mem::take(&mut window);
             let record = TransferRecord {
-                media: p.media,
-                track: p.track,
-                chunk: p.chunk,
+                media: track.media,
+                track,
+                chunk,
                 size: c.size,
-                opened_at: p.opened_at,
+                opened_at: fetch.opened_at,
                 completed_at: c.at,
                 profile: c.profile,
-                window_bytes: wb,
-                window_busy: wd,
+                window_bytes,
+                window_busy,
             };
-            self.ingest_transfer(record, c.id, c.at);
+            self.policy.on_transfer(&record);
+            self.link.recycle_profile(record.profile);
+            // Only a log or a trace reads the estimate; a digest does not.
+            let estimate_after = if matches!(self.recorder, Recorder::Log(_)) || self.obs.tracing()
+            {
+                self.policy.debug_estimate()
+            } else {
+                None
+            };
+            let event = Event::TransferCompleted {
+                flow: c.id.0,
+                track,
+                chunk,
+                size: c.size,
+                opened_at: fetch.opened_at,
+                estimate_after,
+            };
+            self.record(c.at, event);
         }
-    }
-
-    /// Feeds one completed chunk transfer to the policy, recycles its
-    /// profile, and records the completion.
-    fn ingest_transfer(&mut self, record: TransferRecord, flow: FlowId, at: Instant) {
-        let (track, chunk, size, opened_at) =
-            (record.track, record.chunk, record.size, record.opened_at);
-        self.policy.on_transfer(&record);
-        self.link.recycle_profile(record.profile);
-        let event = Event::TransferCompleted {
-            flow: flow.0,
-            track,
-            chunk,
-            size,
-            opened_at,
-            estimate_after: self.policy.debug_estimate(),
-        };
-        self.record(at, event);
     }
 
     /// A playlist landed: mark the track ready, record the fetch, and
@@ -346,7 +303,7 @@ impl Engine {
         track: TrackId,
         requested_at: Instant,
         at: Instant,
-        then: Option<ChunkFetch>,
+        then: Option<usize>,
     ) {
         self.playlists_ready.insert(track);
         self.record(
@@ -356,27 +313,30 @@ impl Engine {
                 requested_at,
             },
         );
-        if let Some(fetch) = then {
-            // A seek may have flushed past this position.
-            let buf = match fetch.media {
-                MediaType::Audio => &self.audio_buf,
-                MediaType::Video => &self.video_buf,
-            };
-            if fetch.chunk != buf.next_download_index() {
-                return;
-            }
-            // Issue the deferred chunk request now.
-            let req = self.chunk_request(fetch.track, fetch.chunk);
-            self.open_transfer(
-                &req,
-                at,
-                Some(fetch.track),
-                Some(fetch.chunk),
-                Pending::Chunk(ChunkFetch {
-                    opened_at: at,
-                    ..fetch
-                }),
-            );
+        let buf = match track.media {
+            MediaType::Audio => &self.audio_buf,
+            MediaType::Video => &self.video_buf,
+        };
+        // A seek may have flushed past this position.
+        if let Some(chunk) = then.filter(|&c| c == buf.next_download_index()) {
+            self.open_chunk(ChunkFetch {
+                track,
+                chunk,
+                opened_at: at,
+                muxed_audio: None,
+            });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_pending_request_fits_in_48_bytes() {
+        // The board moves these on every open, completion and seek; a
+        // muxed chunk's audio companion must not grow them.
+        assert!(std::mem::size_of::<Pending>() <= 48);
     }
 }

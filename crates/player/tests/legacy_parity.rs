@@ -71,7 +71,7 @@ impl Scenario {
             .with_delivery(self.delivery)
             .with_seeks(self.seeks.clone());
         if self.playlist_fetch != PlaylistFetch::Preloaded {
-            s = s.with_playlist_fetch(self.playlist_fetch, self.packaging);
+            s = s.with_playlist_fetch(self.playlist_fetch);
         }
         if let Some(e) = self.edge_cache() {
             s = s.with_transfer_path(Box::new(e));
@@ -95,7 +95,7 @@ impl Scenario {
             .deadline
             .unwrap_or(Instant::ZERO + self.content.duration() * 20 + Duration::from_secs(120));
 
-        // Playlist publication, as Session::with_playlist_fetch did it.
+        // Playlist publication, as the session does it when it starts.
         let mut playlist_sizes: BTreeMap<TrackId, Bytes> = BTreeMap::new();
         if self.playlist_fetch != PlaylistFetch::Preloaded {
             for &id in self.content.track_ids() {

@@ -5,6 +5,7 @@
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::edge::EdgeCache;
 use abr_httpsim::origin::Origin;
+use abr_manifest::build::Packaging;
 use abr_media::content::Content;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
@@ -12,9 +13,9 @@ use abr_net::link::Link;
 use abr_net::trace::Trace;
 use abr_player::config::{PlayerConfig, SyncMode};
 use abr_player::log::SessionLog;
-use abr_player::policy::FixedPolicy;
+use abr_player::policy::{AbrPolicy, FixedPolicy, SelectionContext, TransferRecord};
 use abr_player::session::{DeliveryMode, PlaylistFetch, Session};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 fn kbps(k: u64) -> BitsPerSec {
@@ -125,7 +126,8 @@ fn run_with_playlists(mode: PlaylistFetch, video: usize, audio: usize) -> Sessio
     let link = Link::with_latency(Trace::constant(kbps(2_000)), Duration::from_millis(40));
     let config = PlayerConfig::default_chunked(content.chunk_duration());
     Session::new(origin, link, Box::new(FixedPolicy { video, audio }), config)
-        .with_playlist_fetch(mode, abr_manifest::build::Packaging::SingleFile)
+        .with_packaging(Packaging::SingleFile)
+        .with_playlist_fetch(mode)
         .run()
 }
 
@@ -361,35 +363,134 @@ fn muxed_delivery_fills_both_buffers_in_lockstep() {
     }
 }
 
+/// A fixed-policy session over a random-walk link with one forward seek:
+/// the base of the packaging checks below.
+fn packaging_session(content: &Content) -> Session {
+    let origin = Origin::with_overhead(content.clone(), Bytes(320));
+    let trace = Trace::random_walk(
+        kbps(1_200),
+        kbps(300),
+        kbps(3_000),
+        0.4,
+        Duration::from_secs(3),
+        Duration::from_secs(3600),
+        7,
+    );
+    let link = Link::with_latency(trace, Duration::from_millis(40));
+    let config = PlayerConfig::default_chunked(content.chunk_duration());
+    Session::new(
+        origin,
+        link,
+        Box::new(FixedPolicy { video: 2, audio: 1 }),
+        config,
+    )
+    .with_seeks(vec![(Instant::from_secs(40), Duration::from_secs(150))])
+}
+
+/// Runs `session` traced: its log and its JSONL trace.
+fn run_traced(session: Session) -> (SessionLog, String) {
+    let (obs, tracer, _) = abr_obs::ObsHandle::recording();
+    let log = session.with_obs(obs).run();
+    (log, abr_obs::export::to_jsonl(&tracer.take()))
+}
+
 #[test]
 fn byte_range_packaging_is_timing_identical() {
-    // §4.1: the two packaging modes carry the same bytes; the session
-    // timeline must be identical to the microsecond.
+    // §4.1: the two packaging modes carry the same bytes. With the same
+    // (preloaded) playlists, the whole record and the whole trace agree,
+    // event for event, across a seek that cancels requests in flight.
     let content = Content::drama_show(1);
-    let mk = |packaging| {
-        let origin = Origin::with_overhead(content.clone(), Bytes(320));
-        let link = Link::with_latency(Trace::constant(kbps(1_500)), Duration::from_millis(20));
-        let config = PlayerConfig::default_chunked(content.chunk_duration());
-        Session::new(
-            origin,
-            link,
-            Box::new(FixedPolicy { video: 1, audio: 0 }),
-            config,
-        )
-        .with_packaging(packaging)
-        .run()
-    };
-    let seg = mk(abr_manifest::build::Packaging::SegmentFiles {
-        with_bitrate_tags: false,
-    });
-    let rng = mk(abr_manifest::build::Packaging::SingleFile);
-    assert_eq!(seg.transfers.len(), rng.transfers.len());
-    for (a, b) in seg.transfers.iter().zip(rng.transfers.iter()) {
-        assert_eq!(a.at, b.at);
-        assert_eq!(a.size, b.size);
+    let (seg_log, seg_trace) = run_traced(packaging_session(&content));
+    let (rng_log, rng_trace) =
+        run_traced(packaging_session(&content).with_packaging(Packaging::SingleFile));
+    assert_eq!(seg_log.seeks.len(), 1, "the seek applies");
+    assert_eq!(seg_log, rng_log);
+    assert_eq!(seg_trace, rng_trace);
+}
+
+#[test]
+fn packaging_reaches_playlists_whatever_the_builder_order() {
+    let content = Content::drama_show(1);
+    let playlists: [fn(Session) -> Session; 3] = [
+        |s| s.with_playlist_fetch(PlaylistFetch::Eager),
+        |s| s.with_playlist_refresh(Duration::from_secs(4)),
+        |s| {
+            s.with_playlist_fetch(PlaylistFetch::Lazy)
+                .with_playlist_refresh(Duration::from_secs(6))
+        },
+    ];
+    for (i, with_playlists) in playlists.into_iter().enumerate() {
+        let first =
+            with_playlists(packaging_session(&content).with_packaging(Packaging::SingleFile));
+        let last =
+            with_playlists(packaging_session(&content)).with_packaging(Packaging::SingleFile);
+        let (first, last) = (first.run(), last.run());
+        assert!(
+            !first.playlist_fetches.is_empty(),
+            "case {i} fetches playlists"
+        );
+        assert_eq!(
+            first, last,
+            "case {i}: packaging before or after the playlists"
+        );
+        // Byte-range playlists carry a range per segment, so they are
+        // larger than segment-file ones and land later.
+        let segment_files = with_playlists(packaging_session(&content)).run();
+        assert_ne!(
+            first.playlist_fetches, segment_files.playlist_fetches,
+            "case {i}: the playlists follow the packaging"
+        );
     }
-    assert_eq!(seg.startup_at, rng.startup_at);
-    assert_eq!(seg.ended_at, rng.ended_at);
+}
+
+/// The fixed V2+A1 policy, counting how often the session asks for its
+/// estimate.
+struct CountedEstimate(Rc<Cell<usize>>);
+
+impl AbrPolicy for CountedEstimate {
+    fn name(&self) -> &str {
+        "counted-estimate"
+    }
+
+    fn on_transfer(&mut self, _record: &TransferRecord) {}
+
+    fn select(&mut self, ctx: &SelectionContext) -> TrackId {
+        FixedPolicy { video: 1, audio: 0 }.select(ctx)
+    }
+
+    fn debug_estimate(&self) -> Option<BitsPerSec> {
+        self.0.set(self.0.get() + 1);
+        Some(kbps(900))
+    }
+}
+
+#[test]
+fn only_a_log_or_a_trace_asks_for_the_estimate() {
+    let content = Content::drama_show(1);
+    let calls = Rc::new(Cell::new(0));
+    let session = || {
+        let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
+        let link = Link::new(Trace::constant(kbps(2_000)));
+        let config = PlayerConfig::default_chunked(content.chunk_duration());
+        let policy = Box::new(CountedEstimate(Rc::clone(&calls)));
+        Session::new(origin, link, policy, config)
+    };
+    let digest = session().run_digest();
+    assert_eq!(calls.get(), 0, "an untraced digest never reads it");
+    let log = session().run();
+    assert_eq!(calls.get() as u64, digest.transfers);
+    assert!(log
+        .transfers
+        .iter()
+        .all(|t| t.estimate_after == Some(kbps(900))));
+    let (obs, tracer, _) = abr_obs::ObsHandle::recording();
+    session().with_obs(obs).run_digest();
+    assert_eq!(
+        calls.get() as u64,
+        2 * digest.transfers,
+        "a traced digest reads it"
+    );
+    assert!(!tracer.take().is_empty());
 }
 
 #[test]
@@ -452,7 +553,9 @@ fn run_with_refresh(period: Option<Duration>) -> SessionLog {
         config,
     );
     if let Some(p) = period {
-        s = s.with_playlist_refresh(p, abr_manifest::build::Packaging::SingleFile);
+        s = s
+            .with_packaging(Packaging::SingleFile)
+            .with_playlist_refresh(p);
     }
     s.run()
 }

@@ -12,7 +12,6 @@ use abr_bench::mc::mc_policies;
 use abr_bench::setup::player_config;
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::origin::Origin;
-use abr_manifest::build::Packaging;
 use abr_media::content::SharedContent;
 use abr_media::units::Bytes;
 use abr_net::link::Link;
@@ -59,12 +58,7 @@ impl Case {
             session = session.with_seeks(vec![(Instant::from_secs(at), Duration::from_secs(to))]);
         }
         if self.lazy {
-            session = session.with_playlist_fetch(
-                PlaylistFetch::Lazy,
-                Packaging::SegmentFiles {
-                    with_bitrate_tags: false,
-                },
-            );
+            session = session.with_playlist_fetch(PlaylistFetch::Lazy);
         }
         if self.muxed {
             session = session.with_delivery(DeliveryMode::Muxed);

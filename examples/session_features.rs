@@ -83,9 +83,11 @@ fn main() {
         stats.hit_ratio() * 100.0,
     );
 
-    // 3. Lazy playlist fetching: watch the per-track round trips.
+    // 3. Lazy playlist fetching: watch the per-track round trips. The
+    //    playlists follow the session's packaging: byte ranges here.
     let log = base(2_000)
-        .with_playlist_fetch(PlaylistFetch::Lazy, Packaging::SingleFile)
+        .with_packaging(Packaging::SingleFile)
+        .with_playlist_fetch(PlaylistFetch::Lazy)
         .run();
     println!(
         "playlists: {} lazy fetches; first at t={:.2}s, last at t={:.2}s (each first use of a track)",

@@ -8,21 +8,33 @@
 //! change to any `policy_decision` (candidates, choice, reason) or
 //! `estimate_updated` event of any policy fails here, naming the policy.
 //!
+//! Three more sessions pin the request paths the policy sessions leave
+//! alone: muxed delivery through an edge cache, byte-range packaging with
+//! eager playlists, and lazy playlists under live refresh.
+//!
 //! After an *intentional* change to a policy's decisions or reasons,
 //! run with `--nocapture` and copy the printed digests into `PINS`.
 
 use abr_bench::mc::mc_policies;
-use abr_bench::setup::{dash_view, drama, hls_all_view, hls_sub_view, run_session_obs, PlayerKind};
+use abr_bench::setup::{
+    dash_view, drama, hls_all_view, hls_sub_view, player_config, run_session_obs, PlayerKind,
+};
 use abr_core::{BbaPolicy, BestPracticePolicy, ExoPlayerPolicy, MpcPolicy, ShakaPolicy};
 use abr_event::time::Duration;
-use abr_manifest::build::build_master_playlist_ext;
+use abr_httpsim::cache::CdnCache;
+use abr_httpsim::edge::EdgeCache;
+use abr_httpsim::origin::Origin;
+use abr_manifest::build::{build_master_playlist_ext, Packaging};
 use abr_manifest::view::BoundHls;
 use abr_manifest::MasterPlaylist;
 use abr_media::combo::curated_subset;
+use abr_media::units::Bytes;
+use abr_net::link::Link;
 use abr_net::trace::Trace;
 use abr_obs::export::to_jsonl;
-use abr_obs::Event;
+use abr_obs::{Event, ObsHandle};
 use abr_player::policy::AbrPolicy;
+use abr_player::session::{DeliveryMode, PlaylistFetch, Session};
 
 /// `(session label, FNV-1a digest of its JSONL trace)`.
 const PINS: &[(&str, u64)] = &[
@@ -153,4 +165,84 @@ fn every_policy_trace_matches_its_pin() {
     let labels: Vec<&str> = actual.iter().map(|(l, _)| l.as_str()).collect();
     let pinned: Vec<&str> = PINS.iter().map(|&(l, _)| l).collect();
     assert_eq!(labels, pinned, "pinned session order");
+}
+
+/// `(session label, FNV-1a digest of its JSONL trace)` for the sessions
+/// off the default request path, in [`delivery_sessions`] order.
+const DELIVERY_PINS: &[(&str, u64)] = &[
+    ("dash/ExoPlayer muxed edge", 0x7c1f216b78e90734),
+    ("hls/bestpractice single-file eager", 0x880d20679fb2a3d5),
+    ("hls/mpc lazy refresh", 0x4e6d60a273bb2b45),
+];
+
+/// The sessions behind [`DELIVERY_PINS`]: the Fig 3 varying trace on a
+/// 100 ms link with 320-byte headers, so playlist round trips and request
+/// sizes both show in the trace.
+fn delivery_sessions() -> Vec<(&'static str, Session)> {
+    let content = drama();
+    let dash = dash_view(&content);
+    let sub = hls_sub_view(&content, &[2, 0, 1]);
+    let all = hls_all_view(&content);
+    let session = |kind, policy: Box<dyn AbrPolicy>| {
+        Session::new(
+            Origin::with_overhead(content.clone(), Bytes(320)),
+            Link::with_latency(
+                Trace::fig3_varying_600k(Duration::from_secs(3600)),
+                Duration::from_millis(100),
+            ),
+            policy,
+            player_config(kind, content.chunk_duration()),
+        )
+    };
+    let tagged = Packaging::SegmentFiles {
+        with_bitrate_tags: true,
+    };
+    vec![
+        (
+            "dash/ExoPlayer muxed edge",
+            session(
+                PlayerKind::ExoPlayer,
+                Box::new(ExoPlayerPolicy::dash(&dash)),
+            )
+            .with_delivery(DeliveryMode::Muxed)
+            .with_transfer_path(Box::new(EdgeCache {
+                cache: CdnCache::new(Bytes(1 << 32)),
+                miss_penalty: Duration::from_millis(30),
+            })),
+        ),
+        (
+            "hls/bestpractice single-file eager",
+            session(
+                PlayerKind::BestPractice,
+                Box::new(BestPracticePolicy::from_hls(&sub)),
+            )
+            .with_packaging(Packaging::SingleFile)
+            .with_playlist_fetch(PlaylistFetch::Eager),
+        ),
+        (
+            "hls/mpc lazy refresh",
+            session(PlayerKind::Mpc, Box::new(MpcPolicy::from_hls(&all)))
+                .with_packaging(tagged)
+                .with_playlist_fetch(PlaylistFetch::Lazy)
+                .with_playlist_refresh(Duration::from_secs(10)),
+        ),
+    ]
+}
+
+#[test]
+fn every_delivery_path_trace_matches_its_pin() {
+    let mut actual = Vec::new();
+    for (label, session) in delivery_sessions() {
+        let (obs, tracer, _) = ObsHandle::recording();
+        let log = session.with_obs(obs).run();
+        assert!(log.completed(), "{label}: the session plays to the end");
+        let events = tracer.take();
+        let digest = fnv1a(&to_jsonl(&events));
+        println!("    (\"{label}\", 0x{digest:016x}),");
+        actual.push((label, digest));
+    }
+    assert_eq!(
+        actual, DELIVERY_PINS,
+        "delivery-path traces differ from their pins"
+    );
 }

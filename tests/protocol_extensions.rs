@@ -174,7 +174,8 @@ fn lazy_playlist_fetching_costs_startup() {
             Box::new(BestPracticePolicy::from_hls(&view)),
             config,
         )
-        .with_playlist_fetch(mode, Packaging::SingleFile)
+        .with_packaging(Packaging::SingleFile)
+        .with_playlist_fetch(mode)
         .run()
     };
     let preloaded = mk(PlaylistFetch::Preloaded);

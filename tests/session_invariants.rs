@@ -152,8 +152,9 @@ fn constant_rate_session_holds_invariants(
             1 => PlaylistFetch::Eager,
             _ => PlaylistFetch::Lazy,
         };
-        session =
-            session.with_playlist_fetch(mode, abr_unmuxed::manifest::build::Packaging::SingleFile);
+        session = session
+            .with_packaging(abr_unmuxed::manifest::build::Packaging::SingleFile)
+            .with_playlist_fetch(mode);
     }
     let log = session.run();
     check_invariants_modal(&log, &content, muxed);
