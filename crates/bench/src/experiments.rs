@@ -22,6 +22,7 @@ use abr_player::config::SyncMode;
 use abr_player::policy::AbrPolicy;
 use abr_player::SessionLog;
 use serde_json::{json, Value};
+use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -524,7 +525,8 @@ fn f2(high_audio: bool) -> ExperimentResult {
         72,
         14,
     );
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\npredetermined staircase: {}\n\
          dominant combination:    {} ({} of {} chunks)\n\
          paper's better choice:   {} ({} Kbps declared) — excluded from staircase: {}\n\
@@ -538,7 +540,7 @@ fn f2(high_audio: bool) -> ExperimentResult {
         excluded,
         log.stall_count(),
         log.total_stall().as_secs_f64(),
-    ));
+    );
     ExperimentResult {
         id: if high_audio { "f2b" } else { "f2a" },
         title: if high_audio {
@@ -592,7 +594,8 @@ fn f3a() -> ExperimentResult {
         72,
         14,
     );
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\naudio tracks used: {:?} (A3 pinned = first listed)\n\
          combinations used: {}\n\
          off-manifest chunks: {} of {}\n\
@@ -606,7 +609,7 @@ fn f3a() -> ExperimentResult {
         log.num_chunks,
         log.stall_count(),
         log.total_stall().as_secs_f64(),
-    ));
+    );
     ExperimentResult {
         id: "f3a",
         title: "Fig 3(a): ExoPlayer HLS (H_sub, A3 first), varying ~600 Kbps",
@@ -650,10 +653,11 @@ fn f3b() -> ExperimentResult {
             .collect::<Vec<_>>()
             .join(" "),
     );
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\nmax buffer imbalance: {:.1}s (chunk-level sync keeps buffers close)\n",
         log.max_buffer_imbalance().as_secs_f64()
-    ));
+    );
     ExperimentResult {
         id: "f3b",
         title: "Fig 3(b): ExoPlayer HLS buffer levels (same run as Fig 3a)",
@@ -784,11 +788,12 @@ fn f4a() -> ExperimentResult {
         .max_by_key(|&(_, n)| n)
         .expect("non-empty");
     let flat_500 = est.iter().all(|&(_, e)| (e - 500.0).abs() < 1.0);
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\nestimate flat at 500 Kbps default: {}\n\
          dominant combination: {} ({} of {} chunks)  (paper: V2+A2 at 460 Kbps)\n",
         flat_500, dominant.0, dominant.1, log.num_chunks
-    ));
+    );
     ExperimentResult {
         id: "f4a",
         title: "Fig 4(a): Shaka HLS (H_all) at fixed 1 Mbps",
@@ -827,7 +832,8 @@ fn f4b() -> ExperimentResult {
         .iter()
         .map(ToString::to_string)
         .collect();
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\nestimate before t=50s: ≤{early_max:.0} Kbps (stuck at default; link is 400)\n\
          peak estimate after bursts: {late_max:.0} Kbps (true mean 600)\n\
          combinations used: {}\n\
@@ -835,7 +841,7 @@ fn f4b() -> ExperimentResult {
         combos.join(", "),
         log.stall_count(),
         log.total_stall().as_secs_f64(),
-    ));
+    );
     ExperimentResult {
         id: "f4b",
         title: "Fig 4(b): Shaka HLS (H_all), dynamic mean-600 Kbps trace",
@@ -875,12 +881,13 @@ fn f4x() -> ExperimentResult {
         ],
         &rows,
     );
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\ndistinct selections across the sweep: {} — {}\n\
          (paper: fluctuation among V1+A2, V2+A1, V2+A2, V1+A3, V2+A3 at 318/395/460/510/652)\n",
         distinct.len(),
         distinct.join(" → "),
-    ));
+    );
     ExperimentResult {
         id: "f4x",
         title: "§3.3 Shaka fluctuation: selection vs estimate, 300-700 Kbps",
@@ -929,7 +936,8 @@ fn f5a() -> ExperimentResult {
         72,
         14,
     );
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\ncombinations used: {}\n\
          chunks on V2+A3 (the paper's 'clearly undesirable' pick): {}\n\
          V3+A2 (declared 669 ≤ 700, better video) available but requires joint reasoning\n\
@@ -938,7 +946,7 @@ fn f5a() -> ExperimentResult {
         undesirable,
         log.stall_count(),
         log.total_stall().as_secs_f64(),
-    ));
+    );
     ExperimentResult {
         id: "f5a",
         title: "Fig 5(a): dash.js DASH at fixed 700 Kbps — track selection",
@@ -972,12 +980,13 @@ fn f5b() -> ExperimentResult {
         72,
         14,
     );
-    text.push_str(&format!(
+    let _ = write!(
+        text,
         "\nmean |audio − video| imbalance: {:.1}s   max: {:.1}s\n\
          (paper: unbalanced buffers; stalls possible with content left in the other buffer)\n",
         log.mean_buffer_imbalance().as_secs_f64(),
         log.max_buffer_imbalance().as_secs_f64(),
-    ));
+    );
     ExperimentResult {
         id: "f5b",
         title: "Fig 5(b): dash.js buffer levels (same run as Fig 5a)",

@@ -11,6 +11,7 @@
 //! `speedup_reliable` entry must also clear the jobs-2 scaling floors.
 
 use serde_json::{Map, Value};
+use std::fmt::Write as _;
 
 /// Version tag every history document carries.
 pub const FORMAT: &str = "abr-bench-history-v2";
@@ -122,17 +123,18 @@ impl CheckOutcome {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for f in &self.failures {
-            out.push_str(&format!("FAIL {f}\n"));
+            let _ = writeln!(out, "FAIL {f}");
         }
         for n in &self.notes {
-            out.push_str(&format!("note: {n}\n"));
+            let _ = writeln!(out, "note: {n}");
         }
-        out.push_str(&format!(
-            "bench_check: {} checked, {} skipped, {} failure(s)\n",
+        let _ = writeln!(
+            out,
+            "bench_check: {} checked, {} skipped, {} failure(s)",
             self.checked,
             self.skipped,
             self.failures.len()
-        ));
+        );
         out
     }
 }

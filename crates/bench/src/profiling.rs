@@ -13,6 +13,7 @@
 use abr_obs::metrics::HistogramSnapshot;
 use abr_obs::profile::fmt_ns;
 use abr_obs::{ProfileReport, SpanNode};
+use std::fmt::Write as _;
 
 use crate::runner::{RunnerProfile, WorkerStats};
 
@@ -99,50 +100,55 @@ impl WorkloadProfile {
     /// with the hottest spans.
     pub fn text(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "profile: {} ({} sessions, {} jobs)\n",
+        let _ = writeln!(
+            out,
+            "profile: {} ({} sessions, {} jobs)",
             self.workload, self.sessions, self.jobs
-        ));
-        out.push_str(&format!(
-            "phases: setup {} | spawn {} | run {} | merge {} | wall {}\n",
+        );
+        let _ = writeln!(
+            out,
+            "phases: setup {} | spawn {} | run {} | merge {} | wall {}",
             fmt_ns(self.setup_ns),
             fmt_ns(self.spawn_ns),
             fmt_ns(self.run_ns),
             fmt_ns(self.merge_ns),
             fmt_ns(self.wall_ns),
-        ));
-        out.push_str(&format!(
-            "{:<8} {:>6} {:>10} {:>10} {:>10} {:>6}\n",
+        );
+        let _ = writeln!(
+            out,
+            "{:<8} {:>6} {:>10} {:>10} {:>10} {:>6}",
             "worker", "items", "busy", "claim", "alive", "util%"
-        ));
+        );
         for w in &self.workers {
             let util = if w.alive_ns == 0 {
                 0.0
             } else {
                 100.0 * w.busy_ns as f64 / w.alive_ns as f64
             };
-            out.push_str(&format!(
-                "{:<8} {:>6} {:>10} {:>10} {:>10} {:>5.1}%\n",
+            let _ = writeln!(
+                out,
+                "{:<8} {:>6} {:>10} {:>10} {:>10} {:>5.1}%",
                 w.worker,
                 w.items,
                 fmt_ns(w.busy_ns),
                 fmt_ns(w.claim_ns),
                 fmt_ns(w.alive_ns),
                 util,
-            ));
+            );
         }
         let q = |p: f64| {
             self.session_wall
                 .quantile(p)
                 .map_or_else(|| "-".to_string(), |v| fmt_ns(v as u64))
         };
-        out.push_str(&format!(
-            "session wall: p50 {} | p90 {} | p99 {} (n = {})\n",
+        let _ = writeln!(
+            out,
+            "session wall: p50 {} | p90 {} | p99 {} (n = {})",
             q(0.50),
             q(0.90),
             q(0.99),
             self.session_wall.count,
-        ));
+        );
         for note in &self.notes {
             out.push_str(note);
             out.push('\n');

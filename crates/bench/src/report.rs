@@ -4,6 +4,7 @@
 
 use abr_event::time::{busy_union, Duration, Instant};
 use abr_player::log::SessionLog;
+use std::fmt::Write as _;
 
 /// Wall-clock time the link spent delivering at least one transfer: the
 /// union of every transfer's `[issue, completion]` interval, so
@@ -41,7 +42,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let fmt_row = |cells: &[String], widths: &[usize]| -> String {
         let mut line = String::from("|");
         for (cell, w) in cells.iter().zip(widths) {
-            line.push_str(&format!(" {cell:w$} |"));
+            let _ = write!(line, " {cell:w$} |");
         }
         line.push('\n');
         line
@@ -135,9 +136,10 @@ pub fn ascii_plot(title: &str, series: &[Series<'_>], width: usize, height: usiz
         } else {
             " ".repeat(9)
         };
-        out.push_str(&format!("{label} |{}|\n", row.iter().collect::<String>()));
+        let _ = writeln!(out, "{label} |{}|", row.iter().collect::<String>());
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{} +{}+\n{} {:<w$.1}{:>r$.1}\n",
         " ".repeat(9),
         "-".repeat(width),
@@ -146,12 +148,12 @@ pub fn ascii_plot(title: &str, series: &[Series<'_>], width: usize, height: usiz
         x1,
         w = width / 2,
         r = width - width / 2,
-    ));
+    );
     let legend: Vec<String> = series
         .iter()
         .map(|s| format!("{} = {}", s.glyph, s.label))
         .collect();
-    out.push_str(&format!("{} {}\n", " ".repeat(10), legend.join(", ")));
+    let _ = writeln!(out, "{} {}", " ".repeat(10), legend.join(", "));
     out
 }
 

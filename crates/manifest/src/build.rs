@@ -100,12 +100,7 @@ pub fn build_master_playlist(
     audio_order: &[usize],
 ) -> MasterPlaylist {
     assert!(!combos.is_empty(), "no combinations");
-    let audio_used: std::collections::BTreeSet<usize> = combos.iter().map(|c| c.audio).collect();
-    assert!(
-        audio_used.iter().all(|a| audio_order.contains(a)),
-        "audio_order must cover every audio track referenced by a combination"
-    );
-    let media = audio_order
+    let media: Vec<MediaRendition> = audio_order
         .iter()
         .enumerate()
         .map(|(pos, &a)| {
@@ -119,9 +114,18 @@ pub fn build_master_playlist(
             }
         })
         .collect();
+    // Each variant copies its video playlist's URI and its audio group's
+    // id rather than formatting them again.
+    let video_uris: Vec<String> = (0..content.video().len())
+        .map(|v| playlist_uri(TrackId::video(v)))
+        .collect();
     let variants = combos
         .iter()
         .map(|&c| {
+            let audio = audio_order
+                .iter()
+                .position(|&a| a == c.audio)
+                .expect("audio_order must cover every audio track referenced by a combination");
             let bits = combo_bitrate(content.video(), content.audio(), c);
             let v = content.video().get(c.video);
             VariantStream {
@@ -131,8 +135,8 @@ pub fn build_master_playlist(
                     TrackDetail::Video { width, height } => Some((width, height)),
                     TrackDetail::Audio { .. } => None,
                 },
-                audio_group: Some(audio_group_id(c.audio)),
-                uri: playlist_uri(c.video_id()),
+                audio_group: Some(media[audio].group_id.clone()),
+                uri: video_uris[c.video].clone(),
                 video_bandwidth: None,
                 audio_bandwidth: None,
             }

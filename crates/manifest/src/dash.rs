@@ -7,10 +7,11 @@
 //! the standard itself lacks it, which is the §3.2 root cause — is any way
 //! to declare *allowed audio+video combinations*.
 
-use crate::xml::{self, Element};
+use crate::xml;
 use abr_event::time::Duration;
 use abr_media::track::MediaType;
 use abr_media::units::BitsPerSec;
+use core::fmt;
 
 /// The `@schemeIdUri` of this workspace's proposed allowed-combinations
 /// descriptor — the §4.1 "longer term" DASH extension: *"the DASH
@@ -80,66 +81,62 @@ impl Mpd {
 
     /// Serializes to MPD XML text.
     pub fn to_text(&self) -> String {
-        let mut period = Element::new("Period");
-        if let Some(combos) = &self.allowed_combinations {
-            let value: Vec<String> = combos.iter().map(|(v, a)| format!("{v}+{a}")).collect();
-            period = period.child(
-                Element::new("SupplementalProperty")
-                    .attr("schemeIdUri", COMBINATIONS_SCHEME)
-                    .attr("value", value.join(",")),
-            );
-        }
-        for aset in &self.adaptation_sets {
-            let mut el = Element::new("AdaptationSet")
-                .attr(
-                    "contentType",
-                    match aset.content_type {
-                        MediaType::Audio => "audio",
-                        MediaType::Video => "video",
-                    },
-                )
-                .attr(
-                    "mimeType",
-                    match aset.content_type {
-                        MediaType::Audio => "audio/mp4",
-                        MediaType::Video => "video/mp4",
-                    },
-                );
-            for rep in &aset.representations {
-                let mut r = Element::new("Representation")
-                    .attr("id", &rep.id)
-                    .attr("bandwidth", rep.bandwidth.bps());
-                if let Some((w, h)) = rep.resolution {
-                    r = r.attr("width", w).attr("height", h);
-                }
-                if let Some(sr) = rep.audio_sampling_rate {
-                    r = r.attr("audioSamplingRate", sr);
-                }
-                r = r.child(
-                    Element::new("SegmentTemplate")
-                        .attr("media", &rep.segment.media)
-                        .attr("duration", rep.segment.segment_duration.as_millis())
-                        .attr("timescale", 1000u64)
-                        .attr("startNumber", rep.segment.start_number),
-                );
-                el = el.child(r);
-            }
-            period = period.child(el);
-        }
-        Element::new("MPD")
+        let reps: usize = self
+            .adaptation_sets
+            .iter()
+            .map(|a| a.representations.len())
+            .sum();
+        let mut w = xml::Writer::with_capacity(512 + 256 * reps);
+        w.start("MPD")
             .attr("xmlns", "urn:mpeg:dash:schema:mpd:2011")
             .attr("type", "static")
-            .attr("mediaPresentationDuration", iso8601(self.duration))
-            .attr("minBufferTime", iso8601(self.min_buffer))
-            .child(period)
-            .to_document()
+            .attr("mediaPresentationDuration", Iso8601(self.duration))
+            .attr("minBufferTime", Iso8601(self.min_buffer))
+            .start("Period");
+        if let Some(combos) = &self.allowed_combinations {
+            w.start("SupplementalProperty")
+                .attr("schemeIdUri", COMBINATIONS_SCHEME)
+                .attr("value", Combinations(combos))
+                .end("SupplementalProperty");
+        }
+        for aset in &self.adaptation_sets {
+            let (content_type, mime_type) = match aset.content_type {
+                MediaType::Audio => ("audio", "audio/mp4"),
+                MediaType::Video => ("video", "video/mp4"),
+            };
+            w.start("AdaptationSet")
+                .attr("contentType", content_type)
+                .attr("mimeType", mime_type);
+            for rep in &aset.representations {
+                w.start("Representation")
+                    .attr("id", &rep.id)
+                    .attr("bandwidth", rep.bandwidth.bps());
+                if let Some((width, height)) = rep.resolution {
+                    w.attr("width", width).attr("height", height);
+                }
+                if let Some(sr) = rep.audio_sampling_rate {
+                    w.attr("audioSamplingRate", sr);
+                }
+                w.start("SegmentTemplate")
+                    .attr("media", &rep.segment.media)
+                    .attr("duration", rep.segment.segment_duration.as_millis())
+                    .attr("timescale", 1000)
+                    .attr("startNumber", rep.segment.start_number)
+                    .end("SegmentTemplate")
+                    .end("Representation");
+            }
+            w.end("AdaptationSet");
+        }
+        w.end("Period").end("MPD");
+        w.finish()
     }
 
     /// Parses MPD XML text.
     pub fn parse(text: &str) -> Result<Mpd, String> {
-        let root = xml::parse(text)?;
-        if root.name != "MPD" {
-            return Err(format!("root element is `{}`, expected `MPD`", root.name));
+        let doc = xml::parse(text)?;
+        let root = doc.root();
+        if root.name() != "MPD" {
+            return Err(format!("root element is `{}`, expected `MPD`", root.name()));
         }
         let duration = parse_iso8601(
             root.get_attr("mediaPresentationDuration")
@@ -247,12 +244,31 @@ impl Mpd {
 }
 
 /// Formats a duration as ISO 8601 (`PT12.5S` style).
-fn iso8601(d: Duration) -> String {
-    let micros = d.as_micros();
-    if micros.is_multiple_of(1_000_000) {
-        format!("PT{}S", micros / 1_000_000)
-    } else {
-        format!("PT{}S", d.as_secs_f64())
+struct Iso8601(Duration);
+
+impl fmt::Display for Iso8601 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let micros = self.0.as_micros();
+        if micros.is_multiple_of(1_000_000) {
+            write!(f, "PT{}S", micros / 1_000_000)
+        } else {
+            write!(f, "PT{}S", self.0.as_secs_f64())
+        }
+    }
+}
+
+/// Formats allowed combinations as `V1+A1,V2+A1,...`.
+struct Combinations<'a>(&'a [(String, String)]);
+
+impl fmt::Display for Combinations<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (v, a)) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{v}+{a}")?;
+        }
+        Ok(())
     }
 }
 
@@ -262,12 +278,12 @@ fn parse_iso8601(s: &str) -> Result<Duration, String> {
         .strip_prefix("PT")
         .ok_or_else(|| format!("bad ISO duration `{s}`"))?;
     let mut total = 0.0f64;
-    let mut num = String::new();
-    for c in rest.chars() {
+    let mut num_start = 0;
+    for (i, c) in rest.char_indices() {
         match c {
-            '0'..='9' | '.' => num.push(c),
+            '0'..='9' | '.' => {}
             'H' | 'M' | 'S' => {
-                let v: f64 = num
+                let v: f64 = rest[num_start..i]
                     .parse()
                     .map_err(|e| format!("bad ISO duration `{s}`: {e}"))?;
                 total += v * match c {
@@ -275,13 +291,16 @@ fn parse_iso8601(s: &str) -> Result<Duration, String> {
                     'M' => 60.0,
                     _ => 1.0,
                 };
-                num.clear();
+                num_start = i + 1;
             }
             _ => return Err(format!("bad ISO duration `{s}`")),
         }
     }
-    if !num.is_empty() {
-        return Err(format!("bad ISO duration `{s}`: trailing `{num}`"));
+    if num_start < rest.len() {
+        return Err(format!(
+            "bad ISO duration `{s}`: trailing `{}`",
+            &rest[num_start..]
+        ));
     }
     Duration::try_from_secs_f64(total).map_err(|e| format!("bad ISO duration `{s}`: {e}"))
 }
@@ -367,7 +386,8 @@ mod tests {
 
     #[test]
     fn iso8601_roundtrip() {
-        assert_eq!(iso8601(Duration::from_secs(300)), "PT300S");
+        assert_eq!(Iso8601(Duration::from_secs(300)).to_string(), "PT300S");
+        assert_eq!(Iso8601(Duration::from_millis(2500)).to_string(), "PT2.5S");
         assert_eq!(parse_iso8601("PT300S").unwrap(), Duration::from_secs(300));
         assert_eq!(parse_iso8601("PT5M").unwrap(), Duration::from_secs(300));
         assert_eq!(parse_iso8601("PT1H30M").unwrap(), Duration::from_secs(5400));
@@ -436,6 +456,21 @@ mod tests {
             </Representation></AdaptationSet></Period></MPD>"#
         );
         assert!(Mpd::parse(&text).is_err());
+    }
+
+    /// `<MPD>` around 100,000 nested elements (about 0.7 MB) once
+    /// overflowed the XML reader's stack and aborted the process.
+    #[test]
+    fn hostile_nesting_is_an_error() {
+        for depth in [1_000, 100_000] {
+            let text = format!(
+                r#"<MPD mediaPresentationDuration="PT1S">{}{}</MPD>"#,
+                "<A>".repeat(depth),
+                "</A>".repeat(depth)
+            );
+            let err = Mpd::parse(&text).unwrap_err();
+            assert!(err.starts_with("element nested deeper than"), "{err}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use abr_event::time::Duration;
 use abr_media::units::{BitsPerSec, Bytes};
+use core::fmt::Write as _;
 
 /// An `EXT-X-MEDIA` audio rendition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,84 +70,84 @@ pub struct MasterPlaylist {
 impl MasterPlaylist {
     /// Serializes to M3U8 text.
     pub fn to_text(&self) -> String {
-        let mut out = String::from("#EXTM3U\n#EXT-X-VERSION:4\n");
+        let mut out =
+            String::with_capacity(32 + 128 * self.media.len() + 192 * self.variants.len());
+        out.push_str("#EXTM3U\n#EXT-X-VERSION:4\n");
         for m in &self.media {
-            let mut line = format!(
-                "#EXT-X-MEDIA:TYPE=AUDIO,GROUP-ID=\"{}\",NAME=\"{}\",DEFAULT={}",
-                m.group_id,
-                m.name,
-                if m.default { "YES" } else { "NO" },
+            let default = if m.default { "YES" } else { "NO" };
+            push_all(
+                &mut out,
+                &["#EXT-X-MEDIA:TYPE=AUDIO,GROUP-ID=\"", &m.group_id],
             );
+            push_all(&mut out, &["\",NAME=\"", &m.name, "\",DEFAULT=", default]);
             if let Some(lang) = &m.language {
-                line.push_str(&format!(",LANGUAGE=\"{lang}\""));
+                push_all(&mut out, &[",LANGUAGE=\"", lang, "\""]);
             }
-            line.push_str(&format!(",URI=\"{}\"\n", m.uri));
-            out.push_str(&line);
+            push_all(&mut out, &[",URI=\"", &m.uri, "\"\n"]);
         }
         for v in &self.variants {
-            let mut line = format!("#EXT-X-STREAM-INF:BANDWIDTH={}", v.bandwidth.bps());
+            let _ = write!(out, "#EXT-X-STREAM-INF:BANDWIDTH={}", v.bandwidth.bps());
             if let Some(avg) = v.average_bandwidth {
-                line.push_str(&format!(",AVERAGE-BANDWIDTH={}", avg.bps()));
+                let _ = write!(out, ",AVERAGE-BANDWIDTH={}", avg.bps());
             }
             if let Some((w, h)) = v.resolution {
-                line.push_str(&format!(",RESOLUTION={w}x{h}"));
+                let _ = write!(out, ",RESOLUTION={w}x{h}");
             }
             if let Some(g) = &v.audio_group {
-                line.push_str(&format!(",AUDIO=\"{g}\""));
+                push_all(&mut out, &[",AUDIO=\"", g, "\""]);
             }
             if let Some(vb) = v.video_bandwidth {
-                line.push_str(&format!(",VIDEO-BANDWIDTH={}", vb.bps()));
+                let _ = write!(out, ",VIDEO-BANDWIDTH={}", vb.bps());
             }
             if let Some(ab) = v.audio_bandwidth {
-                line.push_str(&format!(",AUDIO-BANDWIDTH={}", ab.bps()));
+                let _ = write!(out, ",AUDIO-BANDWIDTH={}", ab.bps());
             }
-            out.push_str(&line);
-            out.push('\n');
-            out.push_str(&v.uri);
-            out.push('\n');
+            push_all(&mut out, &["\n", &v.uri, "\n"]);
         }
         out
     }
 
     /// Parses M3U8 master playlist text.
     pub fn parse(text: &str) -> Result<MasterPlaylist, String> {
-        let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
+        let mut lines = text.lines().map(trim).filter(|l| !l.is_empty());
         if lines.next() != Some("#EXTM3U") {
             return Err("missing #EXTM3U header".to_string());
         }
         let mut pl = MasterPlaylist::default();
         let mut pending: Option<VariantStream> = None;
+        let mut a = Vec::new();
         for line in lines {
             if let Some(attrs) = line.strip_prefix("#EXT-X-MEDIA:") {
-                let a = parse_attrs(attrs)?;
-                if a.get("TYPE").map(String::as_str) != Some("AUDIO") {
+                parse_attrs(attrs, &mut a)?;
+                if attr(&a, "TYPE") != Some("AUDIO") {
                     continue; // subtitles etc. are out of scope
                 }
                 pl.media.push(MediaRendition {
-                    group_id: req(&a, "GROUP-ID")?,
-                    name: req(&a, "NAME")?,
-                    uri: req(&a, "URI")?,
-                    default: a.get("DEFAULT").map(String::as_str) == Some("YES"),
-                    language: a.get("LANGUAGE").cloned(),
+                    group_id: req(&a, "GROUP-ID")?.to_string(),
+                    name: req(&a, "NAME")?.to_string(),
+                    uri: req(&a, "URI")?.to_string(),
+                    default: attr(&a, "DEFAULT") == Some("YES"),
+                    language: attr(&a, "LANGUAGE").map(str::to_string),
                 });
             } else if let Some(attrs) = line.strip_prefix("#EXT-X-STREAM-INF:") {
                 if pending.is_some() {
                     return Err("EXT-X-STREAM-INF without a following URI".to_string());
                 }
-                let a = parse_attrs(attrs)?;
+                parse_attrs(attrs, &mut a)?;
                 let bandwidth: u64 = req(&a, "BANDWIDTH")?
                     .parse()
                     .map_err(|e| format!("bad BANDWIDTH: {e}"))?;
-                let average_bandwidth = a
-                    .get("AVERAGE-BANDWIDTH")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| format!("bad AVERAGE-BANDWIDTH: {e}"))
-                    })
-                    .transpose()?
-                    .map(BitsPerSec);
-                let resolution = a
-                    .get("RESOLUTION")
+                let opt_bw = |key: &str| -> Result<Option<BitsPerSec>, String> {
+                    attr(&a, key)
+                        .map(|s| {
+                            s.parse::<u64>()
+                                .map_err(|e| format!("bad {key}: {e}"))
+                                .map(BitsPerSec)
+                        })
+                        .transpose()
+                };
+                let average_bandwidth = opt_bw("AVERAGE-BANDWIDTH")?;
+                let resolution = attr(&a, "RESOLUTION")
                     .map(|s| {
                         let (w, h) = s.split_once('x').ok_or("bad RESOLUTION")?;
                         Ok::<_, String>((
@@ -155,23 +156,14 @@ impl MasterPlaylist {
                         ))
                     })
                     .transpose()?;
-                let parse_opt_bw = |key: &str| -> Result<Option<BitsPerSec>, String> {
-                    a.get(key)
-                        .map(|s| {
-                            s.parse::<u64>()
-                                .map_err(|e| format!("bad {key}: {e}"))
-                                .map(BitsPerSec)
-                        })
-                        .transpose()
-                };
                 pending = Some(VariantStream {
                     bandwidth: BitsPerSec(bandwidth),
                     average_bandwidth,
                     resolution,
-                    audio_group: a.get("AUDIO").cloned(),
+                    audio_group: attr(&a, "AUDIO").map(str::to_string),
                     uri: String::new(),
-                    video_bandwidth: parse_opt_bw("VIDEO-BANDWIDTH")?,
-                    audio_bandwidth: parse_opt_bw("AUDIO-BANDWIDTH")?,
+                    video_bandwidth: opt_bw("VIDEO-BANDWIDTH")?,
+                    audio_bandwidth: opt_bw("AUDIO-BANDWIDTH")?,
                 });
             } else if line.starts_with('#') {
                 // Unknown tag: ignore per RFC 8216 §6.3.1.
@@ -245,17 +237,28 @@ pub struct DerivedBitrates {
 impl MediaPlaylist {
     /// Serializes to M3U8 text.
     pub fn to_text(&self) -> String {
-        let mut out = format!(
+        let uris: usize = self.segments.iter().map(|s| s.uri.len()).sum();
+        let mut out = String::with_capacity(128 + uris + 64 * self.segments.len());
+        let _ = write!(
+            out,
             "#EXTM3U\n#EXT-X-VERSION:4\n#EXT-X-TARGETDURATION:{}\n#EXT-X-MEDIA-SEQUENCE:0\n",
             self.target_duration.as_secs_f64().ceil() as u64
         );
+        // Segments share a duration, so `{:.3}` (the costly part) runs
+        // once per distinct duration and the line is copied after that.
+        let (mut extinf, mut extinf_of) = (String::new(), None);
         for s in &self.segments {
             if let Some(kbps) = s.bitrate_kbps {
-                out.push_str(&format!("#EXT-X-BITRATE:{kbps}\n"));
+                let _ = writeln!(out, "#EXT-X-BITRATE:{kbps}");
             }
-            out.push_str(&format!("#EXTINF:{:.3},\n", s.duration.as_secs_f64()));
+            if extinf_of != Some(s.duration) {
+                extinf.clear();
+                let _ = writeln!(extinf, "#EXTINF:{:.3},", s.duration.as_secs_f64());
+                extinf_of = Some(s.duration);
+            }
+            out.push_str(&extinf);
             if let Some((len, off)) = s.byterange {
-                out.push_str(&format!("#EXT-X-BYTERANGE:{}@{off}\n", len.get()));
+                let _ = writeln!(out, "#EXT-X-BYTERANGE:{}@{off}", len.get());
             }
             out.push_str(&s.uri);
             out.push('\n');
@@ -361,9 +364,10 @@ impl MediaPlaylist {
     }
 }
 
-/// Parses an HLS attribute list: `KEY=value,KEY="quoted,value",...`.
-fn parse_attrs(s: &str) -> Result<std::collections::BTreeMap<String, String>, String> {
-    let mut out = std::collections::BTreeMap::new();
+/// Parses an HLS attribute list, `KEY=value,KEY="quoted,value",...`,
+/// into `out` as borrowed `(key, value)` pairs in listing order.
+fn parse_attrs<'a>(s: &'a str, out: &mut Vec<(&'a str, &'a str)>) -> Result<(), String> {
+    out.clear();
     let bytes = s.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -374,7 +378,7 @@ fn parse_attrs(s: &str) -> Result<std::collections::BTreeMap<String, String>, St
         if i == bytes.len() {
             return Err(format!("attribute without `=` in `{s}`"));
         }
-        let key = s[key_start..i].trim().to_string();
+        let key = trim(&s[key_start..i]);
         i += 1; // '='
         let value = if bytes.get(i) == Some(&b'"') {
             i += 1;
@@ -385,31 +389,50 @@ fn parse_attrs(s: &str) -> Result<std::collections::BTreeMap<String, String>, St
             if i == bytes.len() {
                 return Err(format!("unterminated quoted value in `{s}`"));
             }
-            let v = s[vs..i].to_string();
             i += 1; // closing quote
-            v
+            &s[vs..i - 1]
         } else {
             let vs = i;
             while i < bytes.len() && bytes[i] != b',' {
                 i += 1;
             }
-            s[vs..i].trim().to_string()
+            trim(&s[vs..i])
         };
         if key.is_empty() {
             return Err(format!("empty attribute key in `{s}`"));
         }
-        out.insert(key, value);
+        out.push((key, value));
         if bytes.get(i) == Some(&b',') {
             i += 1;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-fn req(a: &std::collections::BTreeMap<String, String>, key: &str) -> Result<String, String> {
-    a.get(key)
-        .cloned()
-        .ok_or_else(|| format!("missing attribute {key}"))
+/// [`str::trim`], skipping the Unicode scan when both ends are printable
+/// ASCII (every whitespace character starts and ends outside that range).
+fn trim(s: &str) -> &str {
+    let solid = |c: Option<&u8>| c.is_some_and(|&c| c > b' ' && c.is_ascii());
+    if solid(s.as_bytes().first()) && solid(s.as_bytes().last()) {
+        s
+    } else {
+        s.trim()
+    }
+}
+
+fn push_all(out: &mut String, parts: &[&str]) {
+    for part in parts {
+        out.push_str(part);
+    }
+}
+
+/// An attribute's value; a key listed twice resolves to its last value.
+fn attr<'a>(a: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+    a.iter().rev().find(|&&(k, _)| k == key).map(|&(_, v)| v)
+}
+
+fn req<'a>(a: &[(&str, &'a str)], key: &str) -> Result<&'a str, String> {
+    attr(a, key).ok_or_else(|| format!("missing attribute {key}"))
 }
 
 #[cfg(test)]
@@ -518,12 +541,12 @@ mod tests {
 
     #[test]
     fn attr_parser_quoted_commas() {
-        let a = parse_attrs(r#"A=1,B="x,y",C=2"#).unwrap();
-        assert_eq!(a["A"], "1");
-        assert_eq!(a["B"], "x,y");
-        assert_eq!(a["C"], "2");
-        assert!(parse_attrs("NOEQ").is_err());
-        assert!(parse_attrs(r#"A="unterminated"#).is_err());
+        let mut a = Vec::new();
+        parse_attrs(r#"A=1,B="x,y",C=2,A=3"#, &mut a).unwrap();
+        assert_eq!(a, [("A", "1"), ("B", "x,y"), ("C", "2"), ("A", "3")]);
+        assert_eq!(attr(&a, "A"), Some("3"), "last wins");
+        assert!(parse_attrs("NOEQ", &mut a).is_err());
+        assert!(parse_attrs(r#"A="unterminated"#, &mut a).is_err());
     }
 
     fn sample_media(byterange: bool) -> MediaPlaylist {

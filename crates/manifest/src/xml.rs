@@ -6,129 +6,252 @@
 //! instructions other than the declaration, DOCTYPE, or namespaces beyond
 //! passing `xmlns` through as an ordinary attribute — none of which appear
 //! in the MPD subset this workspace emits.
+//!
+//! The reader is borrowed: [`parse`] returns a [`Document`] whose element
+//! names and attribute keys are slices of the input text, and whose values
+//! are decoded into a new string only when they contain `&`. The elements
+//! sit in one vector in document order (each records where its subtree
+//! ends), so walking children allocates nothing. Nesting deeper than
+//! [`MAX_DEPTH`] is an error rather than a stack overflow.
+//!
+//! The writer ([`Writer`]) streams a document into one `String`: no
+//! element tree, no per-line temporaries, and a value is escaped only
+//! when it holds one of `&<>"`.
 
-use core::fmt::Write as _;
+use core::fmt::{self, Write as _};
+use std::borrow::Cow;
+use std::ops::Range;
 
-/// An XML element: name, attributes in document order, children.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Element {
-    /// Tag name.
-    pub name: String,
-    /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
-    /// Child elements in document order (text content is ignored — MPDs in
-    /// this workspace carry data only in attributes).
-    pub children: Vec<Element>,
+/// Deepest element nesting [`parse`] accepts (the root is depth 1). The
+/// MPD subset needs 5 levels; the cap bounds the reader's recursion, so
+/// hostile nesting is an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 32;
+
+/// A parsed document: every element in document order, borrowing from
+/// the text it was parsed from.
+#[derive(Debug)]
+pub struct Document<'a> {
+    nodes: Vec<Node<'a>>,
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
 }
 
-impl Element {
-    /// A new element with no attributes or children.
-    pub fn new(name: &str) -> Element {
+#[derive(Debug)]
+struct Node<'a> {
+    name: &'a str,
+    /// This element's attributes, as a range of `Document::attrs`.
+    attrs: Range<usize>,
+    /// One past the index of this element's last descendant.
+    end: usize,
+}
+
+impl<'a> Document<'a> {
+    /// The root element.
+    pub fn root(&self) -> Element<'_> {
         Element {
-            name: name.to_string(),
-            attrs: Vec::new(),
-            children: Vec::new(),
+            doc: self,
+            index: 0,
         }
     }
+}
 
-    /// Adds an attribute (builder style).
-    pub fn attr(mut self, key: &str, value: impl ToString) -> Element {
-        self.attrs.push((key.to_string(), value.to_string()));
-        self
+/// An element of a [`Document`]: a cheap copyable handle.
+#[derive(Debug, Clone, Copy)]
+pub struct Element<'a> {
+    doc: &'a Document<'a>,
+    index: usize,
+}
+
+impl<'a> Element<'a> {
+    fn node(self) -> &'a Node<'a> {
+        &self.doc.nodes[self.index]
     }
 
-    /// Adds a child (builder style).
-    pub fn child(mut self, child: Element) -> Element {
-        self.children.push(child);
-        self
+    /// Tag name.
+    pub fn name(self) -> &'a str {
+        self.node().name
     }
 
     /// First attribute value by key.
-    pub fn get_attr(&self, key: &str) -> Option<&str> {
-        self.attrs
+    pub fn get_attr(self, key: &str) -> Option<&'a str> {
+        self.doc.attrs[self.node().attrs.clone()]
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_ref())
+    }
+
+    /// Child elements in document order (text content is ignored — MPDs
+    /// in this workspace carry data only in attributes).
+    pub fn children(self) -> impl Iterator<Item = Element<'a>> {
+        let (doc, end) = (self.doc, self.node().end);
+        let mut next = self.index + 1;
+        core::iter::from_fn(move || {
+            (next < end).then(|| {
+                let child = Element { doc, index: next };
+                next = doc.nodes[next].end;
+                child
+            })
+        })
     }
 
     /// All children with a given tag name.
-    pub fn children_named<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a Element> + 'a {
-        let name = name.to_string();
-        self.children.iter().filter(move |c| c.name == name)
+    pub fn children_named<'n>(self, name: &'n str) -> impl Iterator<Item = Element<'a>> + 'n
+    where
+        'a: 'n,
+    {
+        self.children().filter(move |c| c.name() == name)
     }
 
     /// First child with a given tag name.
-    pub fn first_child(&self, name: &str) -> Option<&Element> {
+    pub fn first_child(self, name: &str) -> Option<Element<'a>> {
         self.children_named(name).next()
     }
+}
 
-    /// Serializes with 2-space indentation and an XML declaration.
-    pub fn to_document(&self) -> String {
-        let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-        self.write_into(&mut out, 0);
-        out
+/// Streams a document with 2-space indentation and an XML declaration
+/// into one `String`. Elements open with [`Writer::start`], take
+/// attributes with [`Writer::attr`] until their first child starts, and
+/// close with [`Writer::end`]; a childless element is self-closed.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    depth: usize,
+    /// Whether the innermost element's start tag still awaits `>`.
+    open: bool,
+}
+
+impl Writer {
+    /// A writer whose buffer starts with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        let mut out = String::with_capacity(capacity);
+        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
+        Writer {
+            out,
+            depth: 0,
+            open: false,
+        }
     }
 
-    fn write_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        let _ = write!(out, "{pad}<{}", self.name);
-        for (k, v) in &self.attrs {
-            let _ = write!(out, " {k}=\"{}\"", escape(v));
+    fn indent(&mut self) {
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
         }
-        if self.children.is_empty() {
-            out.push_str("/>\n");
+    }
+
+    /// Opens an element.
+    pub fn start(&mut self, name: &str) -> &mut Writer {
+        if self.open {
+            self.out.push_str(">\n");
+        }
+        self.indent();
+        self.out.push('<');
+        self.out.push_str(name);
+        self.depth += 1;
+        self.open = true;
+        self
+    }
+
+    /// Adds an attribute to the element just opened; the value is
+    /// escaped as it is written.
+    pub fn attr(&mut self, key: &str, value: impl fmt::Display) -> &mut Writer {
+        debug_assert!(self.open, "attribute `{key}` after a child");
+        self.out.push(' ');
+        self.out.push_str(key);
+        self.out.push_str("=\"");
+        let _ = write!(Escaped(&mut self.out), "{value}");
+        self.out.push('"');
+        self
+    }
+
+    /// Closes the innermost open element, which must be `name`.
+    pub fn end(&mut self, name: &str) -> &mut Writer {
+        self.depth -= 1;
+        if self.open {
+            self.out.push_str("/>\n");
+            self.open = false;
         } else {
-            out.push_str(">\n");
-            for c in &self.children {
-                c.write_into(out, depth + 1);
-            }
-            let _ = writeln!(out, "{pad}</{}>", self.name);
+            self.indent();
+            self.out.push_str("</");
+            self.out.push_str(name);
+            self.out.push_str(">\n");
         }
+        self
+    }
+
+    /// The document text.
+    pub fn finish(self) -> String {
+        debug_assert_eq!(self.depth, 0, "unclosed elements");
+        self.out
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
+/// Escapes `&<>"` in everything written through it; text without them
+/// is copied as is.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if s.contains(['&', '<', '>', '"']) {
+            let escaped = s
+                .replace('&', "&amp;")
+                .replace('<', "&lt;")
+                .replace('>', "&gt;")
+                .replace('"', "&quot;");
+            self.0.push_str(&escaped);
+        } else {
+            self.0.push_str(s);
+        }
+        Ok(())
+    }
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("&lt;", "<")
+/// Decodes the five predefined entities; a value without `&` is borrowed.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('&') {
+        return Cow::Borrowed(raw);
+    }
+    let decoded = raw
+        .replace("&lt;", "<")
         .replace("&gt;", ">")
         .replace("&quot;", "\"")
         .replace("&apos;", "'")
-        .replace("&amp;", "&")
+        .replace("&amp;", "&");
+    Cow::Owned(decoded)
 }
 
-/// Parses a document and returns its root element.
-pub fn parse(text: &str) -> Result<Element, String> {
+/// Parses a document; its root is [`Document::root`].
+pub fn parse(text: &str) -> Result<Document<'_>, String> {
+    // This workspace's MPDs spend about 100 bytes of text per element and
+    // 28 per attribute, so these capacities hold them without regrowing.
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
+        doc: Document {
+            nodes: Vec::with_capacity(text.len() / 64 + 1),
+            attrs: Vec::with_capacity(text.len() / 16 + 1),
+        },
     };
     p.skip_misc()?;
-    let root = p.parse_element()?;
+    p.parse_element(1)?;
     p.skip_misc()?;
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
-    Ok(root)
+    Ok(p.doc)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    doc: Document<'a>,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+        self.text.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn skip_ws(&mut self) {
@@ -152,8 +275,7 @@ impl<'a> Parser<'a> {
     }
 
     fn consume_until(&mut self, end: &str) -> Result<(), String> {
-        let hay = &self.bytes[self.pos..];
-        match hay.windows(end.len()).position(|w| w == end.as_bytes()) {
+        match self.text[self.pos..].find(end) {
             Some(i) => {
                 self.pos += i + end.len();
                 Ok(())
@@ -162,28 +284,34 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, String> {
+    fn parse_name(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b':' | b'.') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+        let rest = &self.text.as_bytes()[start..];
+        self.pos += rest
+            .iter()
+            .position(|&c| !(c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b':' | b'.')))
+            .unwrap_or(rest.len());
         if self.pos == start {
             return Err(format!("expected a name at byte {start}"));
         }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
+        Ok(&self.text[start..self.pos])
     }
 
-    fn parse_element(&mut self) -> Result<Element, String> {
+    /// Parses the element at `pos`, nested `depth` levels deep, and its
+    /// subtree into `doc`.
+    fn parse_element(&mut self, depth: usize) -> Result<(), String> {
         if self.peek() != Some(b'<') {
             return Err(format!("expected `<` at byte {}", self.pos));
         }
         self.pos += 1;
         let name = self.parse_name()?;
-        let mut el = Element::new(&name);
+        let index = self.doc.nodes.len();
+        let first_attr = self.doc.attrs.len();
+        self.doc.nodes.push(Node {
+            name,
+            attrs: first_attr..first_attr,
+            end: index + 1,
+        });
         loop {
             self.skip_ws();
             match self.peek() {
@@ -193,7 +321,8 @@ impl<'a> Parser<'a> {
                         return Err(format!("expected `>` after `/` at byte {}", self.pos));
                     }
                     self.pos += 1;
-                    return Ok(el); // self-closing
+                    self.doc.nodes[index].attrs.end = self.doc.attrs.len();
+                    return Ok(()); // self-closing
                 }
                 Some(b'>') => {
                     self.pos += 1;
@@ -207,32 +336,30 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                     self.skip_ws();
-                    let quote = self.peek();
-                    if !matches!(quote, Some(b'"' | b'\'')) {
-                        return Err(format!("expected quoted value for `{key}`"));
-                    }
-                    let q = quote.expect("checked");
+                    let q = match self.peek() {
+                        Some(q @ (b'"' | b'\'')) => q,
+                        _ => return Err(format!("expected quoted value for `{key}`")),
+                    };
                     self.pos += 1;
                     let start = self.pos;
-                    while self.peek().is_some_and(|c| c != q) {
-                        self.pos += 1;
-                    }
-                    if self.peek().is_none() {
+                    let Some(len) = self.text.as_bytes()[start..].iter().position(|&c| c == q)
+                    else {
                         return Err(format!("unterminated value for `{key}`"));
-                    }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                    self.pos += 1;
-                    el.attrs.push((key, unescape(&raw)));
+                    };
+                    self.pos += len + 1;
+                    let raw = &self.text[start..start + len];
+                    self.doc.attrs.push((key, unescape(raw)));
                 }
                 None => return Err("unexpected end inside tag".to_string()),
             }
         }
+        self.doc.nodes[index].attrs.end = self.doc.attrs.len();
         // Children until the close tag; text content is skipped.
         loop {
             // Skip text and comments.
-            while self.peek().is_some_and(|c| c != b'<') {
-                self.pos += 1;
-            }
+            self.pos += self.text[self.pos..]
+                .find('<')
+                .unwrap_or(self.text.len() - self.pos);
             if self.starts_with("<!--") {
                 self.consume_until("-->")?;
                 continue;
@@ -248,12 +375,19 @@ impl<'a> Parser<'a> {
                     return Err("expected `>` in close tag".to_string());
                 }
                 self.pos += 1;
-                return Ok(el);
+                self.doc.nodes[index].end = self.doc.nodes.len();
+                return Ok(());
             }
             if self.peek().is_none() {
                 return Err(format!("unclosed element `{name}`"));
             }
-            el.children.push(self.parse_element()?);
+            if depth == MAX_DEPTH {
+                return Err(format!(
+                    "element nested deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                ));
+            }
+            self.parse_element(depth + 1)?;
         }
     }
 }
@@ -262,64 +396,78 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// `<MPD type="static"><Period><AdaptationSet contentType="video"/>`
+    /// `</Period></MPD>`, written through a [`Writer`].
+    fn small_document() -> String {
+        let mut w = Writer::with_capacity(0);
+        w.start("MPD")
+            .attr("type", "static")
+            .start("Period")
+            .start("AdaptationSet")
+            .attr("contentType", "video")
+            .end("AdaptationSet")
+            .end("Period")
+            .end("MPD");
+        w.finish()
+    }
+
     #[test]
     fn build_and_serialize() {
-        let doc = Element::new("MPD").attr("type", "static").child(
-            Element::new("Period")
-                .child(Element::new("AdaptationSet").attr("contentType", "video")),
+        assert_eq!(
+            small_document(),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<MPD type=\"static\">\n  \
+             <Period>\n    <AdaptationSet contentType=\"video\"/>\n  </Period>\n</MPD>\n"
         );
-        let text = doc.to_document();
-        assert!(text.starts_with("<?xml"));
-        assert!(text.contains("<MPD type=\"static\">"));
-        assert!(text.contains("<AdaptationSet contentType=\"video\"/>"));
     }
 
     #[test]
     fn parse_roundtrip() {
-        let doc = Element::new("MPD")
-            .attr("mediaPresentationDuration", "PT300S")
-            .child(
-                Element::new("Period").child(
-                    Element::new("AdaptationSet")
-                        .attr("contentType", "audio")
-                        .child(
-                            Element::new("Representation")
-                                .attr("id", "A1")
-                                .attr("bandwidth", "128000"),
-                        ),
-                ),
-            );
-        let text = doc.to_document();
-        let back = parse(&text).unwrap();
-        assert_eq!(doc, back);
+        let text = small_document();
+        let doc = parse(&text).unwrap();
+        let root = doc.root();
+        assert_eq!(root.name(), "MPD");
+        assert_eq!(root.get_attr("type"), Some("static"));
+        let period = root.first_child("Period").unwrap();
+        let sets: Vec<_> = period.children().collect();
+        assert_eq!(sets.len(), 1);
+        assert_eq!(sets[0].name(), "AdaptationSet");
+        assert_eq!(sets[0].get_attr("contentType"), Some("video"));
+        assert_eq!(sets[0].children().count(), 0);
     }
 
     #[test]
     fn attribute_escaping_roundtrip() {
-        let doc = Element::new("E").attr("v", "a<b & \"c\">");
-        let back = parse(&doc.to_document()).unwrap();
-        assert_eq!(back.get_attr("v"), Some("a<b & \"c\">"));
+        let mut w = Writer::with_capacity(0);
+        w.start("E").attr("v", "a<b & \"c\">").end("E");
+        let text = w.finish();
+        assert!(text.contains("v=\"a&lt;b &amp; &quot;c&quot;&gt;\""));
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.root().get_attr("v"), Some("a<b & \"c\">"));
     }
 
     #[test]
     fn single_quoted_attributes() {
-        let el = parse("<A x='1' y=\"2\"/>").unwrap();
-        assert_eq!(el.get_attr("x"), Some("1"));
-        assert_eq!(el.get_attr("y"), Some("2"));
+        let doc = parse("<A x='1' y=\"2\"/>").unwrap();
+        assert_eq!(doc.root().get_attr("x"), Some("1"));
+        assert_eq!(doc.root().get_attr("y"), Some("2"));
     }
 
     #[test]
     fn comments_and_text_ignored() {
-        let el = parse("<A><!-- note --><B/>text<B/></A>").unwrap();
-        assert_eq!(el.children.len(), 2);
-        assert_eq!(el.children_named("B").count(), 2);
+        let doc = parse("<A><!-- note --><B/>text<B/></A>").unwrap();
+        assert_eq!(doc.root().children().count(), 2);
+        assert_eq!(doc.root().children_named("B").count(), 2);
     }
 
     #[test]
     fn accessors() {
-        let el = parse("<A><B id=\"1\"/><C/><B id=\"2\"/></A>").unwrap();
+        let doc = parse("<A><B id=\"1\"><D/></B><C/><B id=\"2\"/></A>").unwrap();
+        let el = doc.root();
         assert_eq!(el.first_child("B").unwrap().get_attr("id"), Some("1"));
-        assert!(el.first_child("D").is_none());
+        assert!(
+            el.first_child("D").is_none(),
+            "grandchildren are not children"
+        );
         let ids: Vec<_> = el
             .children_named("B")
             .map(|b| b.get_attr("id").unwrap())
@@ -330,9 +478,9 @@ mod tests {
     #[test]
     fn literal_angle_bracket_in_quoted_attribute() {
         // A raw `>` inside a quoted value must not terminate the tag.
-        let el = parse("<A x=\"a>b\"><B/></A>").unwrap();
-        assert_eq!(el.get_attr("x"), Some("a>b"));
-        assert_eq!(el.children.len(), 1);
+        let doc = parse("<A x=\"a>b\"><B/></A>").unwrap();
+        assert_eq!(doc.root().get_attr("x"), Some("a>b"));
+        assert_eq!(doc.root().children().count(), 1);
     }
 
     #[test]
@@ -346,7 +494,38 @@ mod tests {
 
     #[test]
     fn declaration_skipped() {
-        let el = parse("<?xml version=\"1.0\"?>\n<Root/>").unwrap();
-        assert_eq!(el.name, "Root");
+        let doc = parse("<?xml version=\"1.0\"?>\n<Root/>").unwrap();
+        assert_eq!(doc.root().name(), "Root");
+    }
+
+    /// `depth` nested `<A>` elements, closed.
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "<A>".repeat(depth), "</A>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let text = nested(MAX_DEPTH);
+        let doc = parse(&text).unwrap();
+        let mut el = doc.root();
+        for _ in 1..MAX_DEPTH {
+            el = el.first_child("A").unwrap();
+        }
+        assert_eq!(el.children().count(), 0);
+    }
+
+    /// 100,000 levels once overflowed the reader's stack and aborted the
+    /// process.
+    #[test]
+    fn hostile_nesting_is_an_error() {
+        for depth in [MAX_DEPTH + 1, 1_000, 100_000] {
+            assert_eq!(
+                parse(&nested(depth)).unwrap_err(),
+                format!(
+                    "element nested deeper than {MAX_DEPTH} levels at byte {}",
+                    3 * MAX_DEPTH
+                )
+            );
+        }
     }
 }

@@ -306,17 +306,17 @@ impl Link {
         let (mut n_active, mut min_rem) = self.delivering(|f| f.active || f.activate_at <= t);
         let mut next_activation = self.next_activation_after(t);
         loop {
-            let rate = cursor.rate_at(&self.trace, t).bps();
-            let share = if n_active == 0 {
-                0
-            } else {
-                rate / n_active as u64
-            };
             // Candidate boundaries: next activation, next trace change,
-            // earliest completion under current share.
+            // earliest completion under current share. While nothing
+            // delivers, a rate change moves no byte, so the lookahead
+            // jumps straight to the next activation.
             let mut boundary = next_activation;
-            if let Some(c) = cursor.next_change_after(&self.trace, t) {
-                boundary = Some(boundary.map_or(c, |b: Instant| b.min(c)));
+            let mut share = 0;
+            if n_active > 0 {
+                share = cursor.rate_at(&self.trace, t).bps() / n_active as u64;
+                if let Some(c) = cursor.next_change_after(&self.trace, t) {
+                    boundary = Some(boundary.map_or(c, |b: Instant| b.min(c)));
+                }
             }
             if share > 0 {
                 if let Some(mr) = min_rem {
@@ -396,17 +396,21 @@ impl Link {
                         Some(next_activation.map_or(f.activate_at, |a| a.min(f.activate_at)));
                 }
             }
-            let rate = self.cursor.rate_at(&self.trace, now).bps();
-            let share = if n == 0 { 0 } else { rate / n as u64 };
-
             // Boundary: min of t, next activation, next trace change, and
-            // the earliest completion at the current share.
+            // the earliest completion at the current share. While nothing
+            // delivers, the span runs idle to `t` or the next activation
+            // whatever the rate does.
             let mut boundary = t;
             if let Some(a) = next_activation {
                 boundary = boundary.min(a);
             }
-            if let Some(c) = self.cursor.next_change_after(&self.trace, now) {
-                boundary = boundary.min(c);
+            let (mut rate, mut share) = (0, 0);
+            if n > 0 {
+                rate = self.cursor.rate_at(&self.trace, now).bps();
+                share = rate / n as u64;
+                if let Some(c) = self.cursor.next_change_after(&self.trace, now) {
+                    boundary = boundary.min(c);
+                }
             }
             if share > 0 {
                 if let Some(key) = min_key {
@@ -794,6 +798,36 @@ mod tests {
         assert_eq!(done[0].at, Instant::from_micros(1_000_010));
         assert_eq!(metrics.counter_value("link.busy_us"), 1_000_010);
         assert_eq!(metrics.counter_value("link.idle_us"), 2_000_000 - 1_000_010);
+    }
+
+    #[test]
+    fn idle_waits_skip_trace_changepoints() {
+        // Rates alternate every second: 800 Kbps on even seconds, 1.6 Mbps
+        // on odd ones. The flow's first byte waits 30 s, across 30
+        // changepoints while nothing delivers: 100 KB in [30, 31], the
+        // last 50 KB at 1.6 Mbps in 0.25 s.
+        let points = (0..100)
+            .map(|s| {
+                (
+                    Instant::from_secs(s),
+                    kbps(if s % 2 == 0 { 800 } else { 1600 }),
+                )
+            })
+            .collect();
+        let (obs, tracer, metrics) = ObsHandle::recording();
+        let mut link = Link::new(Trace::new(points));
+        link.set_obs(obs);
+        link.advance_to(Instant::from_millis(2_500)); // no flow at all
+        let _ = link.open_flow_after(Bytes(150_000), Duration::from_millis(27_500));
+        let finish = Instant::from_micros(31_250_000);
+        assert_eq!(link.next_completion(), Some(finish));
+        let done = link.advance_to(Instant::from_secs(40));
+        assert_eq!(done[0].at, finish);
+        assert_eq!(metrics.counter_value("link.busy_us"), 1_250_000);
+        // Idle: [0, 30] before the first byte plus [31.25, 40].
+        assert_eq!(metrics.counter_value("link.idle_us"), 38_750_000);
+        // One progress event, at the one changepoint inside the delivery.
+        assert_eq!(tracer.snapshot().len(), 1);
     }
 
     #[test]

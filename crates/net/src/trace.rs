@@ -8,6 +8,7 @@
 use abr_event::rng::SplitMix64;
 use abr_event::time::{Duration, Instant};
 use abr_media::units::BitsPerSec;
+use std::fmt::Write as _;
 
 /// A piecewise-constant bandwidth schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,7 +229,7 @@ impl Trace {
     pub fn to_text(&self) -> String {
         let mut out = String::from("# seconds kbps\n");
         for (t, r) in &self.points {
-            out.push_str(&format!("{} {}\n", t.as_secs_f64(), r.kbps_f64()));
+            let _ = writeln!(out, "{} {}", t.as_secs_f64(), r.kbps_f64());
         }
         out
     }

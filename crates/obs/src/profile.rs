@@ -26,6 +26,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::metrics::{Histogram, HistogramSnapshot};
@@ -342,10 +343,11 @@ impl ProfileReport {
     /// the attribution line and the hottest spans by self time.
     pub fn table(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{:<44} {:>10} {:>10} {:>10} {:>6} {:>9} {:>9} {:>9}\n",
+        let _ = writeln!(
+            out,
+            "{:<44} {:>10} {:>10} {:>10} {:>6} {:>9} {:>9} {:>9}",
             "span", "count", "total", "self", "self%", "p50", "p90", "p99"
-        ));
+        );
         let wall = self.wall_ns.max(1);
         for (_, depth, node) in self.flatten() {
             let label = format!("{}{}", "  ".repeat(depth), node.name);
@@ -354,8 +356,9 @@ impl ProfileReport {
                     .quantile(p)
                     .map_or_else(|| "-".to_string(), |v| fmt_ns(v as u64))
             };
-            out.push_str(&format!(
-                "{:<44} {:>10} {:>10} {:>10} {:>5.1}% {:>9} {:>9} {:>9}\n",
+            let _ = writeln!(
+                out,
+                "{:<44} {:>10} {:>10} {:>10} {:>5.1}% {:>9} {:>9} {:>9}",
                 label,
                 node.count,
                 fmt_ns(node.total_ns),
@@ -364,18 +367,19 @@ impl ProfileReport {
                 q(0.50),
                 q(0.90),
                 q(0.99),
-            ));
+            );
         }
-        out.push_str(&format!(
-            "attributed: {:.1}% of {} measured wall time\n",
+        let _ = writeln!(
+            out,
+            "attributed: {:.1}% of {} measured wall time",
             100.0 * self.attributed(),
             fmt_ns(self.wall_ns),
-        ));
+        );
         let hot = self.hot(5);
         if !hot.is_empty() {
             out.push_str("hot spans by self time:\n");
             for (path, self_ns) in hot {
-                out.push_str(&format!("  {:<52} {:>10}\n", path, fmt_ns(self_ns)));
+                let _ = writeln!(out, "  {:<52} {:>10}", path, fmt_ns(self_ns));
             }
         }
         out

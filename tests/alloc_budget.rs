@@ -9,6 +9,8 @@
 //! in fails here instead of quietly slowing every workload. A session
 //! that streams its QoE digest instead of a log has a tighter budget, and
 //! a fleet domain's warm shared cache allocates nothing per request.
+//! Building a world's manifest views (write, parse, bind) is pinned too:
+//! the text layer allocates only what the parsed manifests keep.
 
 // The only unsafe code in this file is the `GlobalAlloc` impl below: it
 // forwards every call unchanged to `System` and only bumps a counter.
@@ -227,5 +229,25 @@ fn a_warm_fleet_hub_allocates_nothing_per_request() {
         0,
         "{allocations} allocations over {} warm hub requests",
         round.len()
+    );
+}
+
+/// Allocations one world build may make: the drama show's DASH view plus
+/// its `H_all` HLS view, each built, written to text, parsed and bound.
+/// The text layer allocates only what the parsed manifests keep, so this
+/// is the count with borrowed parsing and streaming writers (the element
+/// tree and per-token strings before them made 1,700).
+const WORLD_BUDGET: u64 = 184;
+
+#[test]
+fn a_world_build_allocates_what_its_manifests_keep() {
+    let content = setup::drama();
+    let ((dash, hls), allocations) =
+        count_allocations(|| (setup::dash_view(&content), setup::hls_all_view(&content)));
+    assert_eq!(dash.video_declared.len(), 6);
+    assert_eq!(hls.variants.len(), 18);
+    assert!(
+        allocations <= WORLD_BUDGET,
+        "{allocations} allocations for one DASH and one HLS view (budget {WORLD_BUDGET})"
     );
 }

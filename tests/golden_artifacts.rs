@@ -34,6 +34,7 @@
 
 use abr_bench::experiments::{all_ids, run_jobs, traced_sessions};
 use abr_obs::export::to_jsonl;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -96,10 +97,11 @@ fn every_experiment_matches_its_goldens() {
         let result = run_jobs(id, 1).expect("listed id exists");
         let actual = serde_json::to_string_pretty(&result.json).expect("serialize");
         check_golden(&format!("results/{id}.json"), &actual);
-        all.push_str(&format!(
+        let _ = write!(
+            all,
             "=== {} — {} ===\n{}\n[json written to results/{id}.json]\n\n",
             result.id, result.title, result.text
-        ));
+        );
     }
     check_golden("results/all_experiments.txt", &all);
 }
