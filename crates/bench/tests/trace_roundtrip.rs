@@ -8,6 +8,7 @@ use abr_bench::setup::{drama, hls_all_view, player_config, run_session_obs, Play
 use abr_core::ShakaPolicy;
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::origin::Origin;
+use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_net::link::Link;
 use abr_net::trace::Trace;
@@ -62,11 +63,11 @@ fn traced_session_hook_replay_equals_direct_log() {
 }
 
 /// The fold arms the figure sessions never reach: a Shaka session on the
-/// Fig 4(b) trace that fetches its playlists lazily, refreshes them live,
-/// and seeks in the middle of a stall. Its trace, round-tripped through
-/// JSONL, reconstructs the directly-recorded log.
+/// Fig 4(b) trace that fetches its playlists lazily and seeks in the
+/// middle of a stall. Its trace, round-tripped through JSONL, reconstructs
+/// the directly-recorded log.
 #[test]
-fn traced_seek_while_stalled_with_live_playlists_replays_exactly() {
+fn traced_seek_while_stalled_with_lazy_playlists_replays_exactly() {
     let content = drama();
     let session = || {
         let view = hls_all_view(&content);
@@ -80,7 +81,6 @@ fn traced_seek_while_stalled_with_live_playlists_replays_exactly() {
             player_config(PlayerKind::Shaka, content.chunk_duration()),
         )
         .with_playlist_fetch(PlaylistFetch::Lazy)
-        .with_playlist_refresh(Duration::from_secs(10))
     };
     // Seek halfway into the first stall of the unseeked run, to 60 s past
     // the wall clock (so past the playhead): nothing before the seek
@@ -110,10 +110,20 @@ fn traced_seek_while_stalled_with_live_playlists_replays_exactly() {
         direct.stalls.iter().any(|s| s.end == Some(seek_at)),
         "the seek closes an open stall"
     );
-    assert!(
-        direct.playlist_fetches.len() > 2,
-        "lazy and refresh fetches"
-    );
+    // Lazy: one fetch per track the policy used, issued with the track's
+    // first selection, for both media.
+    for fetch in &direct.playlist_fetches {
+        let first = direct.selections.iter().find(|s| s.track == fetch.track);
+        assert_eq!(
+            first.map(|s| s.at),
+            Some(fetch.requested_at),
+            "{:?} is fetched on first use",
+            fetch.track
+        );
+    }
+    let fetched: Vec<TrackId> = direct.playlist_fetches.iter().map(|f| f.track).collect();
+    assert!(fetched.iter().any(|t| t.media == MediaType::Audio));
+    assert!(fetched.iter().any(|t| t.media == MediaType::Video));
 
     let parsed = from_jsonl(&to_jsonl(&events)).expect("jsonl parses back");
     assert_eq!(parsed, events, "jsonl round trip is lossless");

@@ -139,12 +139,6 @@ pub enum Event {
         /// When the playlist request was issued.
         requested_at: Instant,
     },
-    /// A live playlist-refresh timer fired and the session re-requested its
-    /// media playlists (emitted by the engine's refresh-tick handler).
-    PlaylistRefreshTick {
-        /// Number of playlist refetches issued by this tick.
-        refetched: usize,
-    },
     /// The session ended (deadline, starvation, or playback end).
     SessionEnd,
 }
@@ -170,7 +164,6 @@ impl Event {
             Event::SeekStarted { .. } => "seek_started",
             Event::SeekResumed => "seek_resumed",
             Event::PlaylistFetch { .. } => "playlist_fetch",
-            Event::PlaylistRefreshTick { .. } => "playlist_refresh_tick",
             Event::SessionEnd => "session_end",
         }
     }
@@ -286,7 +279,6 @@ mod tests {
                 track,
                 requested_at: Instant::ZERO,
             },
-            Event::PlaylistRefreshTick { refetched: 0 },
             Event::SessionEnd,
         ];
         let mut names: Vec<&str> = events.iter().map(Event::name).collect();

@@ -146,7 +146,6 @@ fn event_data(event: &Event) -> Value {
         } => data! {
             "track": track, "requested_at_us": requested_at,
         },
-        Event::PlaylistRefreshTick { refetched } => data! { "refetched": refetched },
         Event::StallBegin
         | Event::StallEnd
         | Event::PlaybackStarted
@@ -217,9 +216,6 @@ fn event_from(name: &str, d: &Value) -> Result<Event, FromValueError> {
         "playlist_fetch" => Event::PlaylistFetch {
             track: TrackId::from_value(&d["track"])?,
             requested_at: Instant::from_value(&d["requested_at_us"])?,
-        },
-        "playlist_refresh_tick" => Event::PlaylistRefreshTick {
-            refetched: usize::from_value(&d["refetched"])?,
         },
         "stall_begin" => Event::StallBegin,
         "stall_end" => Event::StallEnd,
@@ -476,8 +472,7 @@ pub fn to_chrome_trace(events: &[TracedEvent]) -> String {
             // Chrome view the transfer slices already cover the network row.
             Event::RequestIssued { .. }
             | Event::TransferProgress { .. }
-            | Event::PlaylistFetch { .. }
-            | Event::PlaylistRefreshTick { .. } => {}
+            | Event::PlaylistFetch { .. } => {}
         }
     }
     let doc = serde_json::json!({

@@ -1,7 +1,7 @@
 //! The session engine's clock: one pending slot per event class.
 //!
 //! A session never has more than one live event per [`SessionEvent`]
-//! class, so instead of a heap the clock is a fixed six-slot table. Each
+//! class, so instead of a heap the clock is a fixed five-slot table. Each
 //! slot holds the `(at, seq)` of its class's pending event, where `seq`
 //! is a counter bumped on every schedule. The head is the minimum
 //! `(at, seq)` over the slots: earlier times first, and within one
@@ -27,20 +27,16 @@ pub(crate) enum SessionEvent {
     SeekDue,
     /// The simulation deadline sentinel (scheduled once, never re-armed).
     Deadline,
-    /// A live playlist-refresh timer fires (only with
-    /// [`crate::session::Session::with_playlist_refresh`]).
-    PlaylistRefresh,
 }
 
 impl SessionEvent {
     /// Every class, in declaration (= slot index) order.
-    const ALL: [SessionEvent; 6] = [
+    const ALL: [SessionEvent; 5] = [
         SessionEvent::TransferComplete,
         SessionEvent::PlaybackBoundary,
         SessionEvent::BufferRefill,
         SessionEvent::SeekDue,
         SessionEvent::Deadline,
-        SessionEvent::PlaylistRefresh,
     ];
 
     /// This class's slot in the [`Clock`] table.
@@ -57,7 +53,6 @@ impl SessionEvent {
             SessionEvent::BufferRefill => "dispatch.buffer_refill",
             SessionEvent::SeekDue => "dispatch.seek_due",
             SessionEvent::Deadline => "dispatch.deadline",
-            SessionEvent::PlaylistRefresh => "dispatch.playlist_refresh",
         }
     }
 }
@@ -67,7 +62,7 @@ impl SessionEvent {
 pub(crate) struct Clock {
     /// `(at, seq)` of each class's pending event, indexed by
     /// [`SessionEvent::slot`].
-    slots: [Option<(Instant, u64)>; 6],
+    slots: [Option<(Instant, u64)>; 5],
     /// Seqs handed out so far: one per [`Clock::schedule`].
     issued: u64,
     /// Timestamp of the most recent pop (zero before any).
@@ -93,22 +88,16 @@ impl Clock {
     }
 
     /// Points a wake class's slot at `at` (`None` clears it). The pending
-    /// event stays when its time is unchanged and it is newer than the
-    /// pending refresh tick; otherwise a fresh one is scheduled.
+    /// event stays when its time is unchanged; otherwise a fresh one is
+    /// scheduled.
     ///
     /// A kept event has an older seq than a fresh one would get, but the
     /// set of pending times is the same. Ties among the four wake classes
-    /// do not matter (each runs the same step), the deadline sentinel
-    /// (seq 0) still wins every tie, and the tick condition keeps the one
-    /// order that could change: a refresh tick still pops before a wake at
-    /// the same instant, as it did when every wake was re-scheduled after
-    /// it.
+    /// do not matter (each runs the same step), and the deadline sentinel
+    /// (seq 0) still wins every tie.
     pub(crate) fn rearm(&mut self, ev: SessionEvent, at: Option<Instant>) {
-        let tick = self.slots[SessionEvent::PlaylistRefresh.slot()].map(|(_, seq)| seq);
-        if let (Some((armed_at, seq)), Some(t)) = (self.slots[ev.slot()], at) {
-            if armed_at == t && tick.is_none_or(|tick| seq > tick) {
-                return;
-            }
+        if self.slots[ev.slot()].map(|(armed_at, _)| armed_at) == at {
+            return;
         }
         match at {
             Some(t) => self.schedule(t, ev),
@@ -242,19 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn a_refresh_tick_newer_than_a_wake_still_pops_first() {
-        let mut clock = Clock::default();
-        let t = Instant::from_micros(7);
-        clock.schedule(t, SessionEvent::TransferComplete);
-        clock.schedule(t, SessionEvent::PlaylistRefresh);
-        // The wake is older than the tick, so re-arming it at the same
-        // instant schedules it afresh, behind the tick.
-        clock.rearm(SessionEvent::TransferComplete, Some(t));
-        assert_eq!(clock.pop(), Some((t, SessionEvent::PlaylistRefresh)));
-        assert_eq!(clock.pop(), Some((t, SessionEvent::TransferComplete)));
-    }
-
-    #[test]
     fn span_names_are_distinct_dispatch_spans() {
         let names: Vec<&str> = SessionEvent::ALL.iter().map(|ev| ev.span_name()).collect();
         let mut unique = names.clone();
@@ -297,16 +273,10 @@ mod tests {
         }
 
         /// The re-arm rule, stated over rows: keep a live row whose time
-        /// is unchanged and whose seq beats the latest refresh tick's.
+        /// is unchanged.
         fn rearm(&mut self, ev: SessionEvent, at: Option<Instant>) {
-            let tick = self
-                .rows
-                .iter()
-                .rev()
-                .find(|r| r.2 == SessionEvent::PlaylistRefresh)
-                .map(|r| r.1);
             if let (Some(i), Some(t)) = (self.live(ev), at) {
-                if self.rows[i].0 == t && tick.is_none_or(|tick| self.rows[i].1 > tick) {
+                if self.rows[i].0 == t {
                     return;
                 }
             }
@@ -334,13 +304,11 @@ mod tests {
 
         /// Random re-arms, overwrites, clears and pops drive the clock and
         /// the linear-scan model in lockstep, the way the engine does: a
-        /// deadline sentinel first, an optional refresh tick re-scheduled
-        /// whenever it pops, and times drawn from a few microseconds so
-        /// ticks, wakes and the deadline tie often.
+        /// deadline sentinel first, and times drawn from a few
+        /// microseconds so wakes and the deadline tie often.
         #[test]
         fn clock_matches_linear_scan_model(
             deadline in 0u64..40,
-            period in 0u64..6,
             ops in proptest::collection::vec((0u8..6, 0usize..4, 0u64..8), 1..200),
         ) {
             let mut clock = Clock::default();
@@ -349,12 +317,6 @@ mod tests {
             let deadline = Instant::from_micros(deadline);
             clock.schedule(deadline, SessionEvent::Deadline);
             model.schedule(deadline, SessionEvent::Deadline);
-            // A zero period means no refresh ticks.
-            let period = (period > 0).then(|| Duration::from_micros(period));
-            if let Some(p) = period {
-                clock.schedule(now + p, SessionEvent::PlaylistRefresh);
-                model.schedule(now + p, SessionEvent::PlaylistRefresh);
-            }
             for &(op, class, delta) in &ops {
                 let ev = WAKES[class];
                 let at = now + Duration::from_micros(delta);
@@ -376,14 +338,8 @@ mod tests {
                         prop_assert_eq!(popped, model.pop());
                         let Some((t, ev)) = popped else { break };
                         now = t;
-                        match ev {
-                            SessionEvent::Deadline => break,
-                            SessionEvent::PlaylistRefresh => {
-                                let next = t + period.expect("ticks only with a period");
-                                clock.schedule(next, ev);
-                                model.schedule(next, ev);
-                            }
-                            _ => {}
+                        if ev == SessionEvent::Deadline {
+                            break;
                         }
                     }
                 }

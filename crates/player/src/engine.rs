@@ -29,7 +29,7 @@ use abr_event::time::{Duration, Instant};
 use abr_httpsim::edge::TransferPath;
 use abr_httpsim::origin::Origin;
 use abr_media::content::SharedContent;
-use abr_media::track::{MediaType, TrackId, TrackSet, TrackTable};
+use abr_media::track::{MediaType, TrackSet, TrackTable};
 use abr_media::units::Bytes;
 use abr_net::link::Link;
 use abr_obs::{Event, ObsHandle};
@@ -52,7 +52,6 @@ pub(crate) struct Engine {
     pub(crate) packaging: abr_manifest::build::Packaging,
     pub(crate) playlist_fetch: PlaylistFetch,
     pub(crate) playlist_sizes: TrackTable<Bytes>,
-    pub(crate) refresh_period: Option<Duration>,
     // Components.
     pub(crate) origin: Origin,
     pub(crate) link: Link,
@@ -101,14 +100,10 @@ impl Engine {
             return false; // nothing left, not even the deadline sentinel
         };
         let _dispatch = self.obs.span(ev.span_name());
-        match ev {
-            SessionEvent::Deadline => return false,
-            SessionEvent::PlaylistRefresh => self.on_refresh_tick(t),
-            SessionEvent::TransferComplete
-            | SessionEvent::PlaybackBoundary
-            | SessionEvent::BufferRefill
-            | SessionEvent::SeekDue => self.step(t),
+        if ev == SessionEvent::Deadline {
+            return false;
         }
+        self.step(t);
         true
     }
 
@@ -127,8 +122,8 @@ impl Engine {
     }
 
     /// Emits the session-start lifecycle, distributes the obs handle,
-    /// plants the deadline sentinel (and first refresh tick), issues eager
-    /// playlist prefetches, and runs the t = 0 scheduling round.
+    /// plants the deadline sentinel, issues eager playlist prefetches, and
+    /// runs the t = 0 scheduling round.
     pub(crate) fn start(&mut self) {
         let obs = self.obs.clone();
         self.link.set_obs(obs.clone());
@@ -149,10 +144,6 @@ impl Engine {
             self.deadline + Duration::from_micros(1),
             SessionEvent::Deadline,
         );
-        if let Some(period) = self.refresh_period {
-            self.clock
-                .schedule(Instant::ZERO + period, SessionEvent::PlaylistRefresh);
-        }
         if self.playlist_fetch == PlaylistFetch::Eager {
             for i in 0..self.content.track_ids().len() {
                 let track = self.content.track_ids()[i];
@@ -314,30 +305,6 @@ impl Engine {
             let from = self.playback.position();
             self.record(self.now, Event::SeekStarted { from, to: aligned });
             self.playback.seek(self.now, aligned);
-        }
-    }
-
-    /// A live playlist-refresh timer fired: run a normal step at the tick
-    /// time, then re-poll the media playlists of the currently selected
-    /// tracks and arm the next tick. The poll flows share the per-media
-    /// request pipelines, so a slow poll visibly delays that pipeline's
-    /// next chunk — the live-streaming overhead this feature measures.
-    fn on_refresh_tick(&mut self, t: Instant) {
-        self.step(t);
-        let targets = [
-            self.current_audio.map(TrackId::audio),
-            self.current_video.map(TrackId::video),
-        ];
-        let mut refetched = 0usize;
-        for track in targets.into_iter().flatten() {
-            self.open_playlist_fetch(track, t, None);
-            refetched += 1;
-        }
-        self.obs
-            .emit(t, || Event::PlaylistRefreshTick { refetched });
-        if let Some(period) = self.refresh_period {
-            self.clock
-                .schedule(t + period, SessionEvent::PlaylistRefresh);
         }
     }
 

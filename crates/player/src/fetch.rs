@@ -65,13 +65,9 @@ impl Engine {
                     ..ctx
                 })
             });
-            if muxed_audio.is_none()
-                && self.playlist_fetch == PlaylistFetch::Lazy
-                && !self.playlists_ready.contains(track)
-            {
+            if self.playlist_fetch == PlaylistFetch::Lazy && !self.playlists_ready.contains(track) {
                 // §4.1's warned-against practice: the chunk request
-                // must wait for this track's playlist round trip. (A
-                // muxed variant has no per-track playlist to wait for.)
+                // must wait for this track's playlist round trip.
                 self.open_playlist_fetch(track, self.now, Some(chunk));
             } else {
                 self.open_chunk(ChunkFetch {

@@ -339,8 +339,7 @@ impl SessionLog {
             | Event::TransferProgress { .. }
             | Event::CacheLookup { .. }
             | Event::EstimateUpdated { .. }
-            | Event::PolicyDecision { .. }
-            | Event::PlaylistRefreshTick { .. } => {}
+            | Event::PolicyDecision { .. } => {}
         }
         Ok(())
     }

@@ -6,9 +6,12 @@
 //! builder: `run` hands the configured parts to the engine (`engine.rs`),
 //! which advances virtual time exclusively by popping a typed per-class
 //! event clock — transfer completions, playback boundaries,
-//! buffer refills, seeks, playlist-refresh ticks and the deadline are all
-//! events. All state transitions happen at exact instants; nothing is
-//! polled.
+//! buffer refills, seeks and the deadline are all events. All state
+//! transitions happen at exact instants; nothing is polled.
+//!
+//! Playlists are modelled as §4.1 describes them for VoD: preloaded, or
+//! fetched once per track, eagerly or lazily, under demuxed delivery.
+//! Muxed delivery runs only with preloaded playlists (DESIGN.md §7).
 
 use crate::clock::Clock;
 use crate::config::PlayerConfig;
@@ -67,7 +70,6 @@ pub struct Session {
     packaging: Packaging,
     delivery: DeliveryMode,
     path: Option<Box<dyn abr_httpsim::edge::TransferPath>>,
-    refresh_period: Option<Duration>,
     /// Scheduled user seeks: (wall time, target media position), sorted.
     seeks: Vec<(Instant, Duration)>,
     obs: ObsHandle,
@@ -96,7 +98,6 @@ impl Session {
             },
             delivery: DeliveryMode::Demuxed,
             path: None,
-            refresh_period: None,
             seeks: Vec::new(),
             obs: ObsHandle::disabled(),
         }
@@ -170,19 +171,6 @@ impl Session {
         self
     }
 
-    /// Enables live-style playlist refresh: every `period`, the player
-    /// re-fetches the media playlists of its currently selected audio and
-    /// video tracks (the polling a live HLS client performs to discover
-    /// new segments). Poll transfers share the per-media request pipelines
-    /// with chunk fetches, so slow polls measurably delay chunks — each
-    /// tick is traced as [`abr_obs::Event::PlaylistRefreshTick`]. Off by
-    /// default; VoD sessions are unaffected unless this is called.
-    pub fn with_playlist_refresh(mut self, period: Duration) -> Session {
-        assert!(period > Duration::ZERO, "refresh period must be positive");
-        self.refresh_period = Some(period);
-        self
-    }
-
     /// Runs to completion (content fully played, starvation, or deadline)
     /// and returns the session log.
     pub fn run(self) -> SessionLog {
@@ -251,13 +239,23 @@ impl Session {
     }
 
     /// Consumes the builder into a ready-to-run engine recording into
-    /// `recorder`. A session that fetches or refreshes playlists builds
-    /// every track's media playlist for its packaging here and publishes
-    /// it at the origin, recording its transfer size.
+    /// `recorder`. A session that fetches playlists builds every track's
+    /// media playlist for its packaging here and publishes it at the
+    /// origin, recording its transfer size.
+    ///
+    /// Panics on muxed delivery with `Eager` or `Lazy` playlist fetching:
+    /// a muxed variant has no per-track media playlists to fetch.
     fn into_engine(mut self, recorder: Recorder) -> Engine {
+        assert!(
+            self.delivery == DeliveryMode::Demuxed
+                || self.playlist_fetch == PlaylistFetch::Preloaded,
+            "muxed delivery with {:?} playlist fetching is not modelled; \
+             muxed sessions run with preloaded playlists",
+            self.playlist_fetch
+        );
         let content = self.origin.shared_content();
         let mut playlist_sizes = TrackTable::new();
-        if self.playlist_fetch != PlaylistFetch::Preloaded || self.refresh_period.is_some() {
+        if self.playlist_fetch != PlaylistFetch::Preloaded {
             for &id in content.track_ids() {
                 let body = build_media_playlist(&content, id, self.packaging).to_text();
                 let path = playlist_uri(id);
@@ -279,7 +277,6 @@ impl Session {
             packaging: self.packaging,
             playlist_fetch: self.playlist_fetch,
             playlist_sizes,
-            refresh_period: self.refresh_period,
             origin: self.origin,
             link: self.link,
             policy: self.policy,

@@ -84,12 +84,10 @@ impl SessionStepper {
 #[cfg(test)]
 mod tests {
     use crate::config::{PlayerConfig, SyncMode};
-    use crate::log::SessionLog;
     use crate::policy::FixedPolicy;
     use crate::session::Session;
     use abr_event::time::{Duration, Instant};
     use abr_httpsim::origin::Origin;
-    use abr_manifest::build::Packaging;
     use abr_media::content::Content;
     use abr_media::units::Bytes;
     use abr_net::link::Link;
@@ -159,44 +157,5 @@ mod tests {
         let mut stepper = f4b_session().into_digest_stepper();
         while stepper.next_wake().is_some() && stepper.dispatch_next() {}
         assert_eq!(stepper.finish_digest(), f4b_session().run_digest());
-    }
-
-    /// FNV-1a over a log's debug rendering: one number that pins every
-    /// field of it.
-    fn log_digest(log: &SessionLog) -> u64 {
-        format!("{log:?}")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
-    }
-
-    /// A seek falls due exactly on the 20 s playlist-refresh tick. Its
-    /// wake is armed once playback starts and keeps its time, so it stays
-    /// armed across events; only the refresh-tick condition in `rearm`
-    /// makes the tick pop first, as it did when every wake was
-    /// re-scheduled on every event. The digest was recorded with that
-    /// older engine.
-    #[test]
-    fn refresh_tick_wins_a_tie_with_a_kept_wake() {
-        let session = || {
-            f4b_session()
-                .with_packaging(Packaging::SingleFile)
-                .with_playlist_refresh(Duration::from_secs(5))
-                .with_seeks(vec![(Instant::from_secs(20), Duration::from_secs(60))])
-        };
-        let log = session().run();
-        assert_eq!(log.seeks.len(), 1, "the seek applies");
-        assert!(log.startup_at.unwrap() < Instant::from_secs(20));
-        assert!(
-            log.playlist_fetches
-                .iter()
-                .any(|f| f.requested_at == Instant::from_secs(20)),
-            "the 20 s tick polls"
-        );
-        let mut stepper = session().into_stepper();
-        while stepper.next_wake().is_some() && stepper.dispatch_next() {}
-        assert_eq!(stepper.finish(), log, "stepped and run sessions agree");
-        assert_eq!(log_digest(&log), 0x57dc_725c_e0c0_d71a);
     }
 }

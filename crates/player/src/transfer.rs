@@ -47,8 +47,7 @@ pub(crate) enum Pending {
         track: TrackId,
         requested_at: Instant,
         /// The chunk of `track` to request once the playlist arrives
-        /// (`None` for eager prefetches and live refresh polls, which are
-        /// not tied to a chunk).
+        /// (`None` for eager prefetches, which are not tied to a chunk).
         then: Option<usize>,
     },
 }

@@ -1,6 +1,6 @@
 //! End-to-end session behavior through the public facade: startup, stalls,
 //! pipeline balance, playlists, seeks, edge caching, muxed delivery,
-//! packaging equivalence, live refresh, and bit-reproducibility.
+//! packaging equivalence, and bit-reproducibility.
 
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::edge::EdgeCache;
@@ -334,20 +334,26 @@ fn traced_edge_session_records_every_cache_lookup() {
     assert_eq!(lookups.len() as u64 - hits, after.misses - before.misses);
 }
 
-#[test]
-fn muxed_delivery_fills_both_buffers_in_lockstep() {
-    let content = Content::drama_show(1);
+/// The fixed V2+A1 policy over a constant 2 Mbps link: the base of the
+/// muxed-delivery checks below.
+fn fixed_2mbps_session(content: &Content) -> Session {
     let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
     let link = Link::new(Trace::constant(kbps(2_000)));
     let config = PlayerConfig::default_chunked(content.chunk_duration());
-    let log = Session::new(
+    Session::new(
         origin,
         link,
         Box::new(FixedPolicy { video: 1, audio: 0 }),
         config,
     )
-    .with_delivery(DeliveryMode::Muxed)
-    .run();
+}
+
+#[test]
+fn muxed_delivery_fills_both_buffers_in_lockstep() {
+    let content = Content::drama_show(1);
+    let log = fixed_2mbps_session(&content)
+        .with_delivery(DeliveryMode::Muxed)
+        .run();
     assert!(log.completed());
     // One transfer per chunk position, not two.
     assert_eq!(log.transfers.len(), 75);
@@ -360,6 +366,50 @@ fn muxed_delivery_fills_both_buffers_in_lockstep() {
         let expect = content.chunk_size(TrackId::video(1), t.chunk)
             + content.chunk_size(TrackId::audio(0), t.chunk);
         assert_eq!(t.size, expect);
+    }
+}
+
+/// A muxed variant has no per-track media playlist, so muxed delivery runs
+/// only with preloaded playlists: every entry point rejects `Eager` and
+/// `Lazy`, whichever builder call comes first, and names the combination.
+#[test]
+fn muxed_delivery_runs_only_with_preloaded_playlists() {
+    let content = Content::drama_show(1);
+    let orders: [fn(Session, PlaylistFetch) -> Session; 2] = [
+        |s, mode| {
+            s.with_delivery(DeliveryMode::Muxed)
+                .with_playlist_fetch(mode)
+        },
+        |s, mode| {
+            s.with_playlist_fetch(mode)
+                .with_delivery(DeliveryMode::Muxed)
+        },
+    ];
+    let entry_points: [fn(Session); 4] = [
+        |s| drop(s.run()),
+        |s| drop(s.run_digest()),
+        |s| drop(s.into_stepper()),
+        |s| drop(s.into_digest_stepper()),
+    ];
+    for mode in [PlaylistFetch::Eager, PlaylistFetch::Lazy] {
+        for (i, order) in orders.into_iter().enumerate() {
+            for (j, enter) in entry_points.into_iter().enumerate() {
+                let session = order(fixed_2mbps_session(&content), mode);
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| enter(session)))
+                    .expect_err("muxed delivery with playlist fetching is rejected");
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    msg.starts_with(&format!("muxed delivery with {mode:?} playlist fetching")),
+                    "{mode:?}, order {i}, entry point {j}: {msg:?}"
+                );
+            }
+        }
+    }
+    // Preloaded is the one mode muxed delivery runs with.
+    for order in orders {
+        let log = order(fixed_2mbps_session(&content), PlaylistFetch::Preloaded).run();
+        assert!(log.completed());
+        assert!(log.playlist_fetches.is_empty());
     }
 }
 
@@ -411,13 +461,9 @@ fn byte_range_packaging_is_timing_identical() {
 #[test]
 fn packaging_reaches_playlists_whatever_the_builder_order() {
     let content = Content::drama_show(1);
-    let playlists: [fn(Session) -> Session; 3] = [
+    let playlists: [fn(Session) -> Session; 2] = [
         |s| s.with_playlist_fetch(PlaylistFetch::Eager),
-        |s| s.with_playlist_refresh(Duration::from_secs(4)),
-        |s| {
-            s.with_playlist_fetch(PlaylistFetch::Lazy)
-                .with_playlist_refresh(Duration::from_secs(6))
-        },
+        |s| s.with_playlist_fetch(PlaylistFetch::Lazy),
     ];
     for (i, with_playlists) in playlists.into_iter().enumerate() {
         let first =
@@ -539,78 +585,6 @@ fn buffer_samples_monotone_in_time() {
         log.buffer_samples.len() > 150,
         "a sample per event at least"
     );
-}
-
-fn run_with_refresh(period: Option<Duration>) -> SessionLog {
-    let content = Content::drama_show(1);
-    let origin = Origin::with_overhead(content.clone(), Bytes(320));
-    let link = Link::with_latency(Trace::constant(kbps(2_000)), Duration::from_millis(40));
-    let config = PlayerConfig::default_chunked(content.chunk_duration());
-    let mut s = Session::new(
-        origin,
-        link,
-        Box::new(FixedPolicy { video: 1, audio: 0 }),
-        config,
-    );
-    if let Some(p) = period {
-        s = s
-            .with_packaging(Packaging::SingleFile)
-            .with_playlist_refresh(p);
-    }
-    s.run()
-}
-
-#[test]
-fn playlist_refresh_polls_selected_tracks_periodically() {
-    let log = run_with_refresh(Some(Duration::from_secs(4)));
-    assert!(log.completed());
-    // Every tick polls the two selected tracks (one audio, one video),
-    // and only those — a fixed policy never touches other tracks.
-    assert!(!log.playlist_fetches.is_empty(), "ticks produced polls");
-    let tracks: std::collections::BTreeSet<TrackId> =
-        log.playlist_fetches.iter().map(|p| p.track).collect();
-    assert_eq!(
-        tracks,
-        [TrackId::video(1), TrackId::audio(0)].into_iter().collect()
-    );
-    // Roughly one audio + one video poll per 4 s of wall time.
-    let secs = log.finished_at.as_micros() / 1_000_000;
-    let expected = (secs / 4) * 2;
-    let got = log.playlist_fetches.len() as u64;
-    assert!(
-        got >= expected.saturating_sub(4) && got <= expected + 4,
-        "expected ~{expected} polls, got {got}"
-    );
-    // Polls are timestamped at tick boundaries.
-    for p in &log.playlist_fetches {
-        assert_eq!(p.requested_at.as_micros() % 4_000_000, 0);
-    }
-}
-
-#[test]
-fn playlist_refresh_does_not_disrupt_playback() {
-    // Poll transfers share the link and the per-media pipelines with
-    // chunk fetches; on an ample link they ride in the pipelines' idle
-    // time, so the session still plays every chunk exactly once, cleanly,
-    // and finishes no earlier than the poll-free run.
-    let vod = run_with_refresh(None);
-    let live = run_with_refresh(Some(Duration::from_secs(4)));
-    assert!(vod.playlist_fetches.is_empty());
-    assert!(live.completed());
-    assert_eq!(live.stall_count(), 0);
-    assert!(live.finished_at >= vod.finished_at);
-    // Both still play every chunk exactly once.
-    assert_eq!(vod.transfers.len(), live.transfers.len());
-}
-
-#[test]
-fn playlist_refresh_off_is_byte_identical_to_before() {
-    // The refresh feature is strictly opt-in: a default session must not
-    // change in any observable way.
-    let a = run_with_refresh(None);
-    let b = run_with_refresh(None);
-    assert_eq!(a.transfers, b.transfers);
-    assert_eq!(a.buffer_samples, b.buffer_samples);
 }
 
 /// A policy that answers every request with a fixed track, whatever the

@@ -3,7 +3,7 @@
 //! A session that keeps no log streams a [`SessionDigest`]; a session
 //! that keeps one is summarized by replaying the log into the same
 //! digest. Over the Monte Carlo corpus traces, every policy arm, seeks,
-//! lazy playlists and both deliveries, the streamed digest must equal
+//! and the three request paths, the streamed digest must equal
 //! the replayed one field for field, and the two summaries must match
 //! bit for bit.
 
@@ -36,8 +36,16 @@ struct Case {
     trace: usize,
     arm: usize,
     seek: Option<(u64, u64)>,
-    lazy: bool,
-    muxed: bool,
+    path: RequestPath,
+}
+
+/// How a session reaches its chunks: demuxed with preloaded or lazy
+/// playlists, or muxed (which runs only with preloaded playlists).
+#[derive(Debug, Clone, Copy)]
+enum RequestPath {
+    Preloaded,
+    Lazy,
+    Muxed,
 }
 
 impl Case {
@@ -57,13 +65,11 @@ impl Case {
         if let Some((at, to)) = self.seek {
             session = session.with_seeks(vec![(Instant::from_secs(at), Duration::from_secs(to))]);
         }
-        if self.lazy {
-            session = session.with_playlist_fetch(PlaylistFetch::Lazy);
+        match self.path {
+            RequestPath::Preloaded => session,
+            RequestPath::Lazy => session.with_playlist_fetch(PlaylistFetch::Lazy),
+            RequestPath::Muxed => session.with_delivery(DeliveryMode::Muxed),
         }
-        if self.muxed {
-            session = session.with_delivery(DeliveryMode::Muxed);
-        }
-        session
     }
 
     /// The digest streamed through an externally-clocked digest stepper,
@@ -100,8 +106,7 @@ fn replayed_digest_counts_the_log() {
         trace: 6,
         arm: 2,
         seek: Some((40, 200)),
-        lazy: true,
-        muxed: false,
+        path: RequestPath::Lazy,
     };
     let log = case.session().run();
     let d = SessionDigest::from_log(&log);
@@ -126,13 +131,13 @@ proptest! {
         realization in 0..REALIZATIONS,
         trace in 0..abr_net::corpus::LEN,
         seek_draw in (any::<bool>(), 5u64..200, 0u64..300),
-        lazy in any::<bool>(),
-        muxed in any::<bool>(),
+        path in 0usize..3,
     ) {
         let (seeks, seek_at, seek_to) = seek_draw;
         let seek = seeks.then_some((seek_at, seek_to));
+        let path = [RequestPath::Preloaded, RequestPath::Lazy, RequestPath::Muxed][path];
         for arm in 0..mc_policies().len() {
-            check(Case { realization, trace, arm, seek, lazy, muxed })?;
+            check(Case { realization, trace, arm, seek, path })?;
         }
     }
 }

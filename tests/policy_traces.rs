@@ -10,7 +10,7 @@
 //!
 //! Three more sessions pin the request paths the policy sessions leave
 //! alone: muxed delivery through an edge cache, byte-range packaging with
-//! eager playlists, and lazy playlists under live refresh.
+//! eager playlists, and lazy playlists.
 //!
 //! After an *intentional* change to a policy's decisions or reasons,
 //! run with `--nocapture` and copy the printed digests into `PINS`.
@@ -172,7 +172,7 @@ fn every_policy_trace_matches_its_pin() {
 const DELIVERY_PINS: &[(&str, u64)] = &[
     ("dash/ExoPlayer muxed edge", 0x7c1f216b78e90734),
     ("hls/bestpractice single-file eager", 0x880d20679fb2a3d5),
-    ("hls/mpc lazy refresh", 0x4e6d60a273bb2b45),
+    ("hls/mpc lazy", 0x3f8beccf27455fe0),
 ];
 
 /// The sessions behind [`DELIVERY_PINS`]: the Fig 3 varying trace on a
@@ -220,11 +220,10 @@ fn delivery_sessions() -> Vec<(&'static str, Session)> {
             .with_playlist_fetch(PlaylistFetch::Eager),
         ),
         (
-            "hls/mpc lazy refresh",
+            "hls/mpc lazy",
             session(PlayerKind::Mpc, Box::new(MpcPolicy::from_hls(&all)))
                 .with_packaging(tagged)
-                .with_playlist_fetch(PlaylistFetch::Lazy)
-                .with_playlist_refresh(Duration::from_secs(10)),
+                .with_playlist_fetch(PlaylistFetch::Lazy),
         ),
     ]
 }
