@@ -15,7 +15,13 @@
 //!   and `span()` is one branch. The `span_profiler` case pins what
 //!   turning profiling *on* costs — it is allowed to be visible, because
 //!   `--profile` is opt-in.
+//! * `corpus/*` — world building: `exp mc`'s scenario corpus (100
+//!   realizations, 900 s traces) and a 12-title fleet catalog. Each
+//!   builds one DASH view per distinct manifest and one copy of each
+//!   seed-independent trace, so these time the per-realization and
+//!   per-title cost that is left.
 
+use abr_bench::corpus::{ScenarioCorpus, TitleCorpus};
 use abr_bench::setup::{drama, hls_sub_view, player_config, PlayerKind};
 use abr_core::bestpractice::BestPracticePolicy;
 use abr_core::estimators::{ExoMeter, HarmonicMean, JointEwma, ShakaEstimator};
@@ -192,5 +198,24 @@ fn obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, estimators, combo_rule, sync_mode, obs_overhead);
+fn corpus(c: &mut Criterion) {
+    let mut group = c.benchmark_group("corpus");
+    group.sample_size(20);
+    group.bench_function("build_mc_100", |b| {
+        b.iter(|| black_box(ScenarioCorpus::build_mc(100, Duration::from_secs(900))));
+    });
+    group.bench_function("title_corpus_12", |b| {
+        b.iter(|| black_box(TitleCorpus::build(2019, 12)));
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    estimators,
+    combo_rule,
+    sync_mode,
+    obs_overhead,
+    corpus
+);
 criterion_main!(benches);

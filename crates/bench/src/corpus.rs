@@ -1,37 +1,45 @@
 //! The shared scenario corpus: build once, `Arc` everywhere (DESIGN.md
 //! §15).
 //!
-//! Before this module existed every sweep cell re-synthesized its content
-//! realization, re-built and re-parsed its manifest, and re-drew its
-//! whole trace corpus — per *session*. All of that data is immutable once
-//! built and identical across the hundreds of sessions that share a
-//! realization, so the corpus hoists it: one [`McScenario`] per Monte
+//! Every input a sweep cell reads is immutable once built and identical
+//! across the sessions that share it, so the corpus builds each one once
+//! and cells clone handles, never data: one [`McScenario`] per Monte
 //! Carlo realization and one [`TitleScenario`] per fleet title, each
-//! holding `Arc`'d content plus the round-tripped manifest view, cloned
-//! by handle into every session. The shared data never feeds back into
-//! session state, so sharing is observationally identical to per-spec
-//! construction — `tests/corpus_parity.rs` and the `arc_sharing`
-//! proptests pin that equivalence byte for byte.
+//! holding `Arc`'d content and a round-tripped DASH view. Two inputs are
+//! shared more widely still. The MPD declares the ladders, chunk duration
+//! and chunk count but no chunk size, so every realization of one ladder
+//! renders the same manifest: consecutive realizations whose content
+//! declares the same manifest share one view. And the corpus profiles
+//! that ignore the seed ([`abr_net::corpus::reads_seed`]) are drawn once
+//! per trace length and handed out by handle. The shared data never
+//! feeds back into session state, so sharing is observationally identical
+//! to per-spec construction — `tests/corpus_parity.rs` and the
+//! `arc_sharing` proptests pin that equivalence byte for byte.
 
+use crate::fleet::TRACE_SECS;
 use crate::setup::{dash_view, SEED};
 use abr_event::time::Duration;
 use abr_manifest::view::SharedDash;
 use abr_media::content::{Content, SharedContent};
+use abr_net::corpus::Corpus;
 use abr_net::trace::Trace;
 
 /// Everything one Monte Carlo realization shares across its sessions:
 /// the content cut, its bound DASH view (round-tripped through MPD text
 /// exactly as the per-session path did), and the full named trace
-/// corpus drawn from the realization seed.
+/// corpus for the realization seed.
 pub struct McScenario {
     /// The realization's content seed (`SEED + realization`).
     pub seed: u64,
     /// The content cut, shared by handle.
     pub content: SharedContent,
-    /// The bound DASH manifest view over `content`, shared by handle.
+    /// The bound DASH manifest view over `content`, shared by handle
+    /// (and with every realization that declares the same manifest).
     pub dash: SharedDash,
     /// The named trace corpus for this realization, in
-    /// [`abr_net::corpus::all`] order. Sessions clone the one they need.
+    /// [`abr_net::corpus::all`] order. The seed-independent profiles are
+    /// handles to one copy shared by every realization; sessions clone
+    /// the handle they need.
     pub traces: Vec<(&'static str, Trace)>,
 }
 
@@ -42,22 +50,21 @@ pub struct ScenarioCorpus {
 
 impl ScenarioCorpus {
     /// Builds the corpus for `seeds` realizations of trace length
-    /// `trace_len`: each realization's content, DASH view and trace
-    /// corpus, built exactly once. Realization `r` uses content seed
-    /// `SEED + r`, matching the historical per-cell construction.
+    /// `trace_len`: each realization's content and seeded traces, plus
+    /// one DASH view per distinct manifest and one copy of each fixed
+    /// trace. Realization `r` uses content seed `SEED + r`, matching the
+    /// historical per-cell construction.
     pub fn build_mc(seeds: u64, trace_len: Duration) -> ScenarioCorpus {
-        let scenarios = (0..seeds)
-            .map(|r| {
-                let seed = SEED.wrapping_add(r);
-                let content: SharedContent = Content::drama_show(seed).into();
-                let dash = SharedDash::new(dash_view(&content));
-                let traces = abr_net::corpus::all(trace_len, seed);
-                McScenario {
-                    seed,
-                    content,
-                    dash,
-                    traces,
-                }
+        let traces = Corpus::new(trace_len);
+        let seeds = (0..seeds).map(|r| SEED.wrapping_add(r));
+        let contents = seeds.clone().map(|seed| Content::drama_show(seed).into());
+        let scenarios = seeds
+            .zip(with_views(contents))
+            .map(|(seed, (content, dash))| McScenario {
+                seed,
+                content,
+                dash,
+                traces: traces.all(seed),
             })
             .collect();
         ScenarioCorpus { scenarios }
@@ -88,13 +95,47 @@ impl ScenarioCorpus {
     }
 }
 
+/// Whether two contents render the same MPD: `build_mpd` reads the
+/// ladders, the chunk duration and the chunk count, never a chunk size.
+fn same_manifest(a: &Content, b: &Content) -> bool {
+    a.video() == b.video()
+        && a.audio() == b.audio()
+        && a.chunk_duration() == b.chunk_duration()
+        && a.num_chunks() == b.num_chunks()
+}
+
+/// Pairs each content with its DASH view. A view is built only when the
+/// content declares a different manifest from the content the last view
+/// was built from; until then the contents share that view by handle.
+fn with_views(
+    contents: impl Iterator<Item = SharedContent>,
+) -> impl Iterator<Item = (SharedContent, SharedDash)> {
+    let mut last: Option<(SharedContent, SharedDash)> = None;
+    contents.map(move |content| {
+        if let Some((built_from, view)) = &last {
+            if same_manifest(built_from, &content) {
+                return (content, SharedDash::clone(view));
+            }
+        }
+        let dash = SharedDash::new(dash_view(&content));
+        last = Some((SharedContent::clone(&content), SharedDash::clone(&dash)));
+        (content, dash)
+    })
+}
+
 /// One fleet title's shared data: the content cut and its DASH view.
-/// Traces stay per-session (each plan draws its own trace seed).
+/// Traces come from the catalog's [`Corpus`]: each plan draws its own
+/// seeded trace or takes a handle to a fixed one.
 pub struct TitleScenario {
     /// The title's content cut, shared by handle.
     pub content: SharedContent,
     /// The bound DASH manifest view over `content`, shared by handle.
     pub dash: SharedDash,
+}
+
+/// Title `title`'s content: seed `seed + title`.
+fn title_content(seed: u64, title: usize) -> SharedContent {
+    Content::drama_show(seed.wrapping_add(title as u64)).into()
 }
 
 impl TitleScenario {
@@ -103,26 +144,33 @@ impl TitleScenario {
     /// [`TitleCorpus::build`] applies to every catalog entry).
     #[must_use]
     pub fn build(seed: u64, title: usize) -> TitleScenario {
-        let content: SharedContent = Content::drama_show(seed.wrapping_add(title as u64)).into();
+        let content = title_content(seed, title);
         let dash = SharedDash::new(dash_view(&content));
         TitleScenario { content, dash }
     }
 }
 
 /// A fleet's title catalog: every title's content and manifest view,
-/// built once up front and shared read-only across all fleet workers
-/// (replacing the per-worker lazily-filled content caches).
+/// plus the fleet-length trace corpus, built once up front and shared
+/// read-only across all fleet workers.
 pub struct TitleCorpus {
     titles: Vec<TitleScenario>,
+    traces: Corpus,
 }
 
 impl TitleCorpus {
     /// Builds all `titles` catalog entries for a fleet seeded with
     /// `seed`. Title `t` uses content seed `seed + t` — the same
-    /// derivation the per-worker caches used.
+    /// derivation the per-worker caches used. Titles that declare the
+    /// same manifest share one view.
     pub fn build(seed: u64, titles: usize) -> TitleCorpus {
-        let titles = (0..titles).map(|t| TitleScenario::build(seed, t)).collect();
-        TitleCorpus { titles }
+        let titles = with_views((0..titles).map(|t| title_content(seed, t)))
+            .map(|(content, dash)| TitleScenario { content, dash })
+            .collect();
+        TitleCorpus {
+            titles,
+            traces: Corpus::new(Duration::from_secs(TRACE_SECS)),
+        }
     }
 
     /// Number of titles in the catalog.
@@ -140,9 +188,15 @@ impl TitleCorpus {
         &self.titles[title]
     }
 
-    /// Approximate heap bytes of the shared catalog (content size tables
-    /// plus manifest views) — the numerator of the fleet's shared-data
-    /// footprint in `exp fleet --profile`.
+    /// The fleet's trace corpus: fleet sessions draw their seeded traces
+    /// from it and share its fixed ones.
+    pub fn traces(&self) -> &Corpus {
+        &self.traces
+    }
+
+    /// Approximate heap bytes of the titles' content size tables; with
+    /// [`Corpus::shared_bytes`] of [`TitleCorpus::traces`], the fleet's
+    /// shared-data footprint in `exp fleet --profile`.
     pub fn approx_bytes(&self) -> u64 {
         self.titles
             .iter()
@@ -194,8 +248,39 @@ mod tests {
             assert_eq!(sc.content.chunk_size(id, 10), legacy.chunk_size(id, 10));
             let legacy_traces = abr_net::corpus::all(Duration::from_secs(60), seed);
             assert_eq!(sc.traces, legacy_traces);
-            assert_eq!(sc.dash.video_declared.len(), 6);
+            assert_eq!(*sc.dash, dash_view(&sc.content));
+            assert_eq!(*sc.dash, dash_view(&legacy));
         }
+    }
+
+    #[test]
+    fn mc_realizations_share_one_view_and_the_fixed_traces() {
+        let corpus = ScenarioCorpus::build_mc(3, Duration::from_secs(60));
+        let (first, last) = (corpus.scenario(0), corpus.scenario(2));
+        assert!(SharedDash::ptr_eq(&first.dash, &last.dash));
+        for (i, ((name, a), (_, b))) in first.traces.iter().zip(&last.traces).enumerate() {
+            let shared = a.points().as_ptr() == b.points().as_ptr();
+            assert_eq!(shared, !abr_net::corpus::reads_seed(i), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_different_manifest_gets_its_own_view() {
+        let contents: Vec<SharedContent> = vec![
+            Content::drama_show(1).into(),
+            Content::drama_show_high_audio(1).into(),
+            Content::drama_show_low_audio(1).into(),
+            Content::drama_show(2).into(),
+        ];
+        let views: Vec<(SharedContent, SharedDash)> =
+            with_views(contents.iter().cloned()).collect();
+        for (content, view) in &views {
+            assert_eq!(**view, dash_view(content));
+        }
+        for pair in views.windows(2) {
+            assert!(!SharedDash::ptr_eq(&pair[0].1, &pair[1].1));
+        }
+        assert_ne!(views[0].1, views[1].1, "the audio ladder is declared");
     }
 
     #[test]
@@ -208,6 +293,12 @@ mod tests {
             corpus.title(2).content.chunk_size(id, 5),
             legacy.chunk_size(id, 5)
         );
+        for t in 0..3 {
+            let title = corpus.title(t);
+            assert_eq!(*title.dash, dash_view(&title.content));
+            assert_eq!(*title.dash, *TitleScenario::build(77, t).dash);
+            assert!(SharedDash::ptr_eq(&title.dash, &corpus.title(0).dash));
+        }
         assert!(corpus.approx_bytes() > 0);
     }
 

@@ -43,7 +43,7 @@
 //! order-blind anyway), and the only shared mutable signal (the uplink
 //! rate) changes exclusively between windows.
 
-use super::{FleetSpec, PlanSource, SessionPlan, TRACE_SECS};
+use super::{FleetSpec, PlanSource, SessionPlan};
 use crate::corpus::{TitleCorpus, TitleScenario};
 use crate::setup::{dash_policy_over, session_for};
 use abr_event::sync_model::{fold_slots, is_last_arrival, next_window, parity_of_round, spins};
@@ -52,6 +52,7 @@ use abr_event::{EventQueue, WindowClock};
 use abr_httpsim::cache::{CacheStats, CdnCache};
 use abr_httpsim::shared::{FleetHub, SharedEdge};
 use abr_media::units::Bytes;
+use abr_net::corpus::{reads_seed, Corpus};
 use abr_net::trace::Trace;
 use abr_net::uplink::{UplinkQueue, UplinkStats};
 use abr_obs::HostStopwatch;
@@ -91,8 +92,9 @@ pub(super) struct SessionOutput {
     /// Deterministic estimate of the session's QoE digest footprint
     /// (feeds the `--profile` memory note, never the artifact).
     pub digest_bytes: u64,
-    /// Deterministic estimate of the session's access-link trace
-    /// footprint (the same note).
+    /// Deterministic estimate of the access-link trace points the
+    /// session owns (the same note): a seeded draw's, or zero for a
+    /// handle to a shared fixed trace.
     pub trace_bytes: u64,
     /// The raw log, kept only when the caller asked for it.
     pub log: Option<SessionLog>,
@@ -122,7 +124,8 @@ pub(super) struct DriverOutput {
     pub windows: u64,
     /// Windows in which the origin throttle engaged.
     pub throttled_windows: u64,
-    /// Shared title-corpus footprint (deterministic estimate, bytes).
+    /// Shared title-corpus footprint, shared traces included
+    /// (deterministic estimate, bytes).
     pub corpus_bytes: u64,
     /// Summed per-session digest footprints (deterministic estimate,
     /// bytes).
@@ -165,7 +168,7 @@ enum Slot {
 
 /// A live session: its stepper, its fleet-wide index (the result merge
 /// key), the arrival offset translating its local clock onto fleet time,
-/// and its trace footprint for the memory note.
+/// and the trace bytes it owns, for the memory note.
 struct ActiveSession {
     index: usize,
     stepper: SessionStepper,
@@ -193,18 +196,11 @@ pub(super) fn build_hub(spec: &FleetSpec) -> FleetHub {
     )
 }
 
-/// The access-link trace a plan draws, trimmed to its length: the
-/// session holds it for its whole life, so spare capacity would stay
-/// live with it.
-pub(super) fn session_trace(plan: &SessionPlan) -> Trace {
-    let mut trace = abr_net::corpus::nth(
-        Duration::from_secs(TRACE_SECS),
-        plan.trace_seed,
-        plan.trace_index,
-    )
-    .1;
-    trace.shrink_to_fit();
-    trace
+/// The access-link trace a plan draws from the fleet's trace corpus: a
+/// fresh draw for a seeded profile, a handle to the corpus's one copy
+/// for a fixed one.
+pub(super) fn session_trace(traces: &Corpus, plan: &SessionPlan) -> Trace {
+    traces.nth(plan.trace_seed, plan.trace_index).1
 }
 
 /// Builds the session a plan describes over its [`session_trace`], wired
@@ -545,7 +541,7 @@ pub(super) fn run(
         domains,
         windows,
         throttled_windows,
-        corpus_bytes: corpus.approx_bytes(),
+        corpus_bytes: corpus.approx_bytes() + corpus.traces().shared_bytes(),
         digest_bytes,
         trace_bytes,
         session_bytes_max,
@@ -752,8 +748,14 @@ fn drain_window(
         match slot {
             Slot::Arrival(i) => {
                 let plan = source.plan(i);
-                let trace = session_trace(&plan);
-                let trace_bytes = trace.approx_bytes();
+                let trace = session_trace(corpus.traces(), &plan);
+                // A fixed profile's points belong to the corpus and are
+                // counted once there; the session owns only a seeded draw.
+                let trace_bytes = if reads_seed(plan.trace_index) {
+                    trace.approx_bytes()
+                } else {
+                    0
+                };
                 let session = build_session(
                     spec,
                     &plan,

@@ -376,10 +376,11 @@ pub fn run_fleet_with(
 
 /// The peak-memory estimate (DESIGN.md §15): deterministic byte counts,
 /// not allocator telemetry — what a live session holds (its QoE digest
-/// and its trimmed access-link trace) is a pure function of the spec,
-/// peak-active is a driver counter, and the shared corpus is sized from
-/// the content tables. Rendered as a profile note so the fleet report
-/// artifact itself stays untouched.
+/// and the access-link trace it owns, if its profile reads the seed) is
+/// a pure function of the spec, peak-active is a driver counter, and the
+/// shared corpus is sized from the content tables plus the fixed traces
+/// every session shares, each counted once. Rendered as a profile note
+/// so the fleet report artifact itself stays untouched.
 fn memory_note(spec: &FleetSpec, out: &driver::DriverOutput) -> String {
     let sessions = spec.sessions.max(1) as u64;
     let fmt = crate::profiling::fmt_bytes;
@@ -387,14 +388,15 @@ fn memory_note(spec: &FleetSpec, out: &driver::DriverOutput) -> String {
     let peak_active: u64 = out.domains.iter().map(|d| d.peak_active as u64).sum();
     let peak_estimate = out.corpus_bytes + peak_active * mean_session;
     format!(
-        "memory: ~{}/session (digest {} + trace {}; max {}) | shared corpus {} ({} titles) | \
-         est peak {} @ {} peak-active sessions",
+        "memory: ~{}/session (digest {} + trace {}; max {}) | shared corpus {} ({} titles, \
+         {} traces) | est peak {} @ {} peak-active sessions",
         fmt(mean_session),
         fmt(out.digest_bytes / sessions),
         fmt(out.trace_bytes / sessions),
         fmt(out.session_bytes_max),
         fmt(out.corpus_bytes),
         spec.titles,
+        abr_net::corpus::LEN - abr_net::corpus::SEEDED,
         fmt(peak_estimate),
         peak_active,
     )
@@ -413,7 +415,8 @@ pub fn standalone_log(spec: &FleetSpec, index: usize) -> SessionLog {
     let plan = PlanSource::new(spec).plan(index);
     let scenario = crate::corpus::TitleScenario::build(spec.seed, plan.title);
     let hub = std::rc::Rc::new(std::cell::RefCell::new(driver::build_hub(spec)));
-    let trace = driver::session_trace(&plan);
+    let traces = abr_net::corpus::Corpus::new(Duration::from_secs(TRACE_SECS));
+    let trace = driver::session_trace(&traces, &plan);
     driver::build_session(spec, &plan, &scenario, trace, hub).run()
 }
 

@@ -158,9 +158,9 @@ pub struct McResult {
 /// The authored sweep grid: the shared scenario corpus, policy arms, and
 /// every (realization, trace, policy) cell in the fixed seed-major order
 /// the determinism contract requires. The corpus builds each
-/// realization's content, DASH view and trace corpus exactly once;
-/// cells then clone `Arc` handles instead of re-synthesizing
-/// (DESIGN.md §15).
+/// realization's content and seeded traces exactly once, and one DASH
+/// view and one copy of each fixed trace for all of them; cells then
+/// clone `Arc` handles instead of re-synthesizing (DESIGN.md §15).
 fn mc_grid(seeds: u64) -> (ScenarioCorpus, Vec<McPolicy>, Vec<McCell>) {
     let corpus = ScenarioCorpus::build_mc(seeds, Duration::from_secs(TRACE_SECS));
     let policies = mc_policies();
@@ -197,7 +197,7 @@ fn lpt_order(policies: &[McPolicy], grid: &[McCell]) -> Vec<usize> {
 }
 
 /// Runs one grid cell over the shared corpus: clone the realization's
-/// content handle and trace, build the arm's policy over the shared
+/// content and trace handles, build the arm's policy over the shared
 /// view, run a digest session and summarize its digest. With a profiler
 /// attached the setup, session and summarize phases become spans and the
 /// session's `ObsHandle` carries the profiler; without one this is

@@ -4,8 +4,10 @@
 //! shapes; this module provides deterministic synthetic stand-ins for the
 //! common ones, plus the two profiles calibrated for the paper's Fig 3 and
 //! Fig 4(b) experiments (re-exported from [`crate::trace`]). Every profile
-//! is seeded and documented with its mean and range so experiments can
-//! cite exactly what they ran on.
+//! is deterministic and documented with its mean and range so experiments
+//! can cite exactly what they ran on. The first [`SEEDED`] profiles draw
+//! from a seed; the rest are fixed schedules, which [`Corpus`] builds once
+//! and shares by handle.
 
 use crate::trace::Trace;
 use abr_event::time::Duration;
@@ -88,17 +90,31 @@ pub fn elevator(total: Duration) -> Trace {
 /// Number of named profiles in [`all`].
 pub const LEN: usize = 7;
 
-/// Builds only the `index`-th profile of [`all`] — byte-identical to
-/// `all(total, seed)[index]`, without synthesizing the other six. Safe
-/// because every profile draws from `seed` independently (none consumes
-/// another's stream), which is what lets fleet drivers realize one
-/// session's trace without paying for the whole corpus. Panics when
-/// `index >= LEN`.
-pub fn nth(total: Duration, seed: u64, index: usize) -> (&'static str, Trace) {
+/// Number of profiles that draw from the seed: the first `SEEDED` of
+/// [`all`]. The rest are fixed schedules, equal at every seed.
+pub const SEEDED: usize = 3;
+
+/// Whether profile `index` of [`all`] reads the seed. A profile that
+/// does not is the same trace in every realization, so a sweep builds it
+/// once ([`Corpus`]) and shares it by handle.
+pub const fn reads_seed(index: usize) -> bool {
+    index < SEEDED
+}
+
+/// The seeded profiles, `0..SEEDED`.
+fn seeded(total: Duration, seed: u64, index: usize) -> (&'static str, Trace) {
     match index {
         0 => ("dsl-stable", dsl_stable(total, seed)),
         1 => ("lte-walk", lte_walk(total, seed)),
         2 => ("hspa-congested", hspa_congested(total, seed)),
+        _ => unreachable!("profile {index} does not read the seed"),
+    }
+}
+
+/// The fixed profiles, `SEEDED..LEN`. They take no seed, so none can
+/// depend on one.
+fn fixed(total: Duration, index: usize) -> (&'static str, Trace) {
+    match index {
         3 => ("bus-commute", bus_commute(total)),
         4 => ("elevator", elevator(total)),
         5 => ("paper-fig3-600k", Trace::fig3_varying_600k(total)),
@@ -107,9 +123,67 @@ pub fn nth(total: Duration, seed: u64, index: usize) -> (&'static str, Trace) {
     }
 }
 
+/// Builds only the `index`-th profile of [`all`] — byte-identical to
+/// `all(total, seed)[index]`, without synthesizing the other six. Safe
+/// because every profile draws from `seed` independently (none consumes
+/// another's stream), which is what lets fleet drivers realize one
+/// session's trace without paying for the whole corpus. Panics when
+/// `index >= LEN`.
+pub fn nth(total: Duration, seed: u64, index: usize) -> (&'static str, Trace) {
+    if reads_seed(index) {
+        seeded(total, seed, index)
+    } else {
+        fixed(total, index)
+    }
+}
+
 /// Every named profile, for sweep experiments: `(name, trace)`.
 pub fn all(total: Duration, seed: u64) -> Vec<(&'static str, Trace)> {
     (0..LEN).map(|i| nth(total, seed, i)).collect()
+}
+
+/// The corpus at one trace length, with its fixed profiles built once.
+/// [`Corpus::nth`] and [`Corpus::all`] return what the free [`nth`] and
+/// [`all`] return at that length, but a fixed profile comes back as a
+/// handle to the one shared copy instead of a fresh draw.
+#[derive(Debug)]
+pub struct Corpus {
+    total: Duration,
+    /// Profiles `SEEDED..LEN`, in corpus order.
+    fixed: Vec<(&'static str, Trace)>,
+}
+
+impl Corpus {
+    /// Builds the fixed profiles for traces of length `total`.
+    pub fn new(total: Duration) -> Corpus {
+        Corpus {
+            total,
+            fixed: (SEEDED..LEN).map(|i| fixed(total, i)).collect(),
+        }
+    }
+
+    /// Profile `index` for `seed`: a fresh draw when it reads the seed,
+    /// a shared handle otherwise. Panics when `index >= LEN`.
+    pub fn nth(&self, seed: u64, index: usize) -> (&'static str, Trace) {
+        if reads_seed(index) {
+            return seeded(self.total, seed, index);
+        }
+        match self.fixed.get(index - SEEDED) {
+            Some((name, trace)) => (name, trace.clone()),
+            None => panic!("corpus has {LEN} profiles, index {index} out of range"),
+        }
+    }
+
+    /// Every profile for `seed`, in [`all`] order.
+    pub fn all(&self, seed: u64) -> Vec<(&'static str, Trace)> {
+        (0..LEN).map(|i| self.nth(seed, i)).collect()
+    }
+
+    /// Approximate heap bytes of the shared fixed profiles, each counted
+    /// once however many handles to it are live.
+    pub fn shared_bytes(&self) -> u64 {
+        self.fixed.iter().map(|(_, t)| t.approx_bytes()).sum()
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +244,37 @@ mod tests {
             assert_eq!(n, name);
             assert_eq!(t, trace, "{name} must build identically in isolation");
         }
+    }
+
+    #[test]
+    fn only_the_seeded_profiles_read_the_seed() {
+        let (a, b) = (all(TOTAL, 1), all(TOTAL, 2));
+        for (i, ((name, x), (_, y))) in a.iter().zip(&b).enumerate() {
+            if reads_seed(i) {
+                assert_ne!(x, y, "{name} must differ across seeds");
+            } else {
+                assert_eq!(x, y, "{name} must not read the seed");
+            }
+        }
+        assert_eq!((0..LEN).filter(|&i| reads_seed(i)).count(), SEEDED);
+    }
+
+    #[test]
+    fn shared_corpus_matches_fresh_draws() {
+        let corpus = Corpus::new(TOTAL);
+        for seed in [0, 5, u64::MAX] {
+            assert_eq!(corpus.all(seed), all(TOTAL, seed));
+        }
+        let fixed_bytes: u64 = (SEEDED..LEN)
+            .map(|i| nth(TOTAL, 0, i).1.approx_bytes())
+            .sum();
+        assert_eq!(corpus.shared_bytes(), fixed_bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 7 out of range")]
+    fn shared_corpus_rejects_an_unknown_profile() {
+        Corpus::new(TOTAL).nth(1, LEN);
     }
 
     #[test]

@@ -9,12 +9,17 @@ use abr_event::rng::SplitMix64;
 use abr_event::time::{Duration, Instant};
 use abr_media::units::BitsPerSec;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A piecewise-constant bandwidth schedule.
+///
+/// The changepoints are immutable once built and held in an `Arc`'d
+/// slice, so cloning a trace clones a handle: every session that runs
+/// over the same schedule shares one copy of its points (DESIGN.md §15).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Sorted, deduplicated changepoints; `points[0].0 == Instant::ZERO`.
-    points: Vec<(Instant, BitsPerSec)>,
+    points: Arc<[(Instant, BitsPerSec)]>,
 }
 
 impl Trace {
@@ -26,7 +31,9 @@ impl Trace {
         for w in points.windows(2) {
             assert!(w[0].0 < w[1].0, "trace changepoints must strictly ascend");
         }
-        Trace { points }
+        Trace {
+            points: points.into(),
+        }
     }
 
     /// A constant-rate trace (the paper's fixed-bandwidth settings).
@@ -84,7 +91,8 @@ impl Trace {
         assert!(!step_interval.is_zero());
         let mut rng = SplitMix64::new(seed);
         let mut rate = mean;
-        let mut points = Vec::new();
+        let steps = total.as_micros().div_ceil(step_interval.as_micros());
+        let mut points = Vec::with_capacity(usize::try_from(steps).expect("step count fits"));
         let mut t = Instant::ZERO;
         while t.as_micros() < total.as_micros() {
             points.push((t, rate));
@@ -171,14 +179,10 @@ impl Trace {
         &self.points
     }
 
-    /// Drops the point list's spare capacity, for a trace that stays
-    /// alive as long as its session does.
-    pub fn shrink_to_fit(&mut self) {
-        self.points.shrink_to_fit();
-    }
-
-    /// Deterministic estimate of the point list's heap footprint (a
-    /// trimmed trace's capacity is its length).
+    /// Deterministic estimate of the point list's heap footprint (the
+    /// shared slice holds exactly its length). Every clone of a trace
+    /// shares that one list, so a footprint count takes it once per
+    /// distinct trace, not once per handle.
     pub fn approx_bytes(&self) -> u64 {
         (self.points.len() * core::mem::size_of::<(Instant, BitsPerSec)>()) as u64
     }
@@ -222,13 +226,15 @@ impl Trace {
                 return Err("trace times must strictly ascend".to_string());
             }
         }
-        Ok(Trace { points })
+        Ok(Trace {
+            points: points.into(),
+        })
     }
 
     /// Serializes to the text format accepted by [`Trace::parse`].
     pub fn to_text(&self) -> String {
         let mut out = String::from("# seconds kbps\n");
-        for (t, r) in &self.points {
+        for (t, r) in self.points.iter() {
             let _ = writeln!(out, "{} {}", t.as_secs_f64(), r.kbps_f64());
         }
         out
@@ -265,7 +271,7 @@ impl TraceCursor {
     /// `points[idx].0 <= t` and either `idx` is the last changepoint or
     /// `t < points[idx + 1].0`.
     fn seek(&mut self, trace: &Trace, t: Instant) {
-        let points = &trace.points;
+        let points: &[(Instant, BitsPerSec)] = &trace.points;
         if self.idx >= points.len() || points[self.idx].0 > t {
             // Time regression (or a cursor from a different trace):
             // re-position with the plain binary search.

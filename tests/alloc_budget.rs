@@ -10,12 +10,16 @@
 //! that streams its QoE digest instead of a log has a tighter budget, and
 //! a fleet domain's warm shared cache allocates nothing per request.
 //! Building a world's manifest views (write, parse, bind) is pinned too:
-//! the text layer allocates only what the parsed manifests keep.
+//! the text layer allocates only what the parsed manifests keep. So is
+//! what one more realization adds to the Monte Carlo corpus, which
+//! shares its manifest view and fixed traces, and a trace clone, which
+//! is a handle.
 
 // The only unsafe code in this file is the `GlobalAlloc` impl below: it
 // forwards every call unchanged to `System` and only bumps a counter.
 #![allow(unsafe_code)]
 
+use abr_bench::corpus::ScenarioCorpus;
 use abr_bench::setup::{self, PlayerKind};
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::cache::CdnCache;
@@ -250,4 +254,34 @@ fn a_world_build_allocates_what_its_manifests_keep() {
         allocations <= WORLD_BUDGET,
         "{allocations} allocations for one DASH and one HLS view (budget {WORLD_BUDGET})"
     );
+}
+
+/// Allocations one more Monte Carlo realization adds to the scenario
+/// corpus: its content (36, its `Arc` included), its three seeded traces
+/// (two each: the exact-capacity vector they are drawn into and the
+/// shared slice it moves into) and its trace list (one). The DASH view
+/// and the four seed-independent traces are built once per corpus, so a
+/// per-realization manifest build (59 more) or fixed-trace draw (24
+/// more for all four) fails this pin.
+const REALIZATION_ALLOCATIONS: u64 = 43;
+
+#[test]
+fn one_more_realization_builds_no_view_and_no_fixed_trace() {
+    let len = Duration::from_secs(900);
+    let (two, at_two) = count_allocations(|| ScenarioCorpus::build_mc(2, len));
+    let (four, at_four) = count_allocations(|| ScenarioCorpus::build_mc(4, len));
+    assert_eq!((two.len(), four.len()), (2, 4));
+    assert_eq!(
+        (at_four - at_two) / 2,
+        REALIZATION_ALLOCATIONS,
+        "{at_two} allocations for 2 realizations, {at_four} for 4"
+    );
+}
+
+#[test]
+fn cloning_a_trace_allocates_nothing() {
+    let trace = Trace::fig3_varying_600k(Duration::from_secs(900));
+    let (copy, allocations) = count_allocations(|| trace.clone());
+    assert_eq!(copy, trace);
+    assert_eq!(allocations, 0, "a trace clone is a handle");
 }
