@@ -1,32 +1,6 @@
-//! Plain-text rendering: fixed-width tables and ASCII time-series plots,
-//! plus small derived metrics (link busy time / utilization) for report
-//! rows.
+//! Plain-text rendering: fixed-width tables and ASCII time-series plots.
 
-use abr_event::time::{busy_union, Duration, Instant};
-use abr_player::log::SessionLog;
 use std::fmt::Write as _;
-
-/// Wall-clock time the link spent delivering at least one transfer: the
-/// union of every transfer's `[issue, completion]` interval, so
-/// overlapping concurrent transfers are not double-counted. The
-/// complement over `finished_at` is link idle time.
-pub fn link_busy_time(log: &SessionLog) -> Duration {
-    busy_union(
-        log.transfers
-            .iter()
-            .map(|t| (t.at - t.duration, t.at))
-            .collect(),
-    )
-}
-
-/// Fraction of session wall time with at least one transfer in flight,
-/// in `[0, 1]`. Zero for an empty session.
-pub fn link_utilization(log: &SessionLog) -> f64 {
-    if log.finished_at == Instant::ZERO {
-        return 0.0;
-    }
-    link_busy_time(log).as_micros() as f64 / log.finished_at.as_micros() as f64
-}
 
 /// Renders a fixed-width table with a header row.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -165,59 +139,6 @@ pub fn secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abr_media::track::TrackId;
-    use abr_media::units::Bytes;
-    use abr_player::log::TransferEvent;
-
-    /// A minimal log whose transfers span the given second intervals.
-    fn log_with_transfers(intervals: &[(u64, u64)], finished_secs: u64) -> SessionLog {
-        SessionLog {
-            policy: "test".into(),
-            selections: Vec::new(),
-            transfers: intervals
-                .iter()
-                .map(|&(lo, hi)| TransferEvent {
-                    at: Instant::from_secs(hi),
-                    chunk: 0,
-                    track: TrackId::video(0),
-                    size: Bytes(1),
-                    duration: Duration::from_secs(hi - lo),
-                    estimate_after: None,
-                })
-                .collect(),
-            buffer_samples: Vec::new(),
-            stalls: Vec::new(),
-            playlist_fetches: Vec::new(),
-            seeks: Vec::new(),
-            startup_at: None,
-            ended_at: None,
-            finished_at: Instant::from_secs(finished_secs),
-            chunk_duration: Duration::from_secs(4),
-            num_chunks: 1,
-        }
-    }
-
-    #[test]
-    fn busy_time_counts_overlaps_once() {
-        // [0,4] and [2,6] overlap: 6 s busy, not 8.
-        let log = log_with_transfers(&[(0, 4), (2, 6)], 10);
-        assert_eq!(link_busy_time(&log), Duration::from_secs(6));
-        assert!((link_utilization(&log) - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn busy_time_sums_disjoint_transfers() {
-        let log = log_with_transfers(&[(0, 2), (5, 8)], 10);
-        assert_eq!(link_busy_time(&log), Duration::from_secs(5));
-        assert!((link_utilization(&log) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_of_empty_session_is_zero() {
-        let log = log_with_transfers(&[], 0);
-        assert_eq!(link_busy_time(&log), Duration::ZERO);
-        assert_eq!(link_utilization(&log), 0.0);
-    }
 
     #[test]
     fn table_alignment() {

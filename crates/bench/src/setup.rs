@@ -371,8 +371,7 @@ mod tests {
     fn small_log() -> SessionLog {
         use abr_event::time::Instant;
         use abr_media::track::TrackId;
-        use abr_player::log::TransferEvent;
-        use abr_player::playback::Stall;
+        use abr_player::log::{Stall, TransferEvent};
         let transfer = |secs, estimate_after| TransferEvent {
             at: Instant::from_secs(secs),
             chunk: 0,

@@ -72,19 +72,6 @@ impl SplitMix64 {
         lo + self.below(hi - lo + 1)
     }
 
-    /// Standard normal deviate via the Box–Muller transform (one value per
-    /// call; the sibling value is discarded for simplicity — the simulator
-    /// draws few normals and determinism beats speed here).
-    pub fn next_normal(&mut self) -> f64 {
-        loop {
-            let u1 = self.next_f64();
-            let u2 = self.next_f64();
-            if u1 > 1e-12 {
-                return (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
-            }
-        }
-    }
-
     /// Derives an independent child generator (for giving each track its own
     /// stream without coupling draw counts across tracks).
     pub fn split(&mut self) -> SplitMix64 {
@@ -189,17 +176,6 @@ mod tests {
             assert!((5..=7).contains(&x));
         }
         assert_eq!(r.range_u64(9, 9), 9);
-    }
-
-    #[test]
-    fn normal_moments_roughly_standard() {
-        let mut r = SplitMix64::new(11);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.next_normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

@@ -345,9 +345,8 @@ impl core::iter::Sum for Duration {
 /// `[start, end)` intervals — the "busy time" of a resource given the spans
 /// it was occupied. Intervals with `end <= start` contribute nothing.
 ///
-/// Used by the player's bandwidth meter (union of concurrent delivery
-/// segments in a measurement window) and by report code deriving link busy
-/// time from transfer logs.
+/// The player's bandwidth meter takes the union of concurrent delivery
+/// segments in a measurement window through [`busy_union_in_place`].
 pub fn busy_union(mut intervals: Vec<(Instant, Instant)>) -> Duration {
     busy_union_in_place(&mut intervals)
 }

@@ -20,10 +20,10 @@ use std::rc::Rc;
 /// first-byte delay a request pays beyond the link's base latency, and may
 /// mutate path state (warm a cache) while doing so.
 ///
-/// The trivial path is "none": [`Option<EdgeCache>`] implements the trait
-/// with `None` adding zero delay. A caller that needs a path's state back
-/// after the session (a warmed edge cache for a second viewer) hands the
-/// session a clone of an `Rc<RefCell<P>>` and keeps the original.
+/// A session without a path goes straight to the origin and pays no extra
+/// delay. A caller that needs a path's state back after the session (a
+/// warmed edge cache for a second viewer) hands the session a clone of an
+/// `Rc<RefCell<P>>` and keeps the original.
 pub trait TransferPath {
     /// Extra first-byte delay for `req` issued at `now`. Called once per
     /// request, in request-issue order — implementations may keep state
@@ -67,16 +67,6 @@ impl TransferPath for EdgeCache {
     }
 }
 
-impl<P: TransferPath> TransferPath for Option<P> {
-    /// `None` is the direct path: no extra delay.
-    fn first_byte_delay(&mut self, origin: &Origin, req: &Request, now: Instant) -> Duration {
-        match self {
-            None => Duration::ZERO,
-            Some(p) => p.first_byte_delay(origin, req, now),
-        }
-    }
-}
-
 impl<P: TransferPath> TransferPath for Rc<RefCell<P>> {
     /// The shared path, borrowed for the one call.
     fn first_byte_delay(&mut self, origin: &Origin, req: &Request, now: Instant) -> Duration {
@@ -106,23 +96,13 @@ mod tests {
     }
 
     #[test]
-    fn none_path_is_free() {
-        let (origin, req) = setup();
-        let mut path: Option<EdgeCache> = None;
-        assert_eq!(
-            path.first_byte_delay(&origin, &req, Instant::ZERO),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
     fn edge_charges_misses_then_serves_hits() {
         let (origin, req) = setup();
         let penalty = Duration::from_millis(80);
-        let mut path = Some(EdgeCache {
+        let mut path = EdgeCache {
             cache: CdnCache::new(Bytes(1 << 30)),
             miss_penalty: penalty,
-        });
+        };
         // Cold: miss pays the penalty and warms the cache.
         assert_eq!(path.first_byte_delay(&origin, &req, Instant::ZERO), penalty);
         // Warm: the same object now hits for free.
@@ -130,9 +110,8 @@ mod tests {
             path.first_byte_delay(&origin, &req, Instant::from_secs(1)),
             Duration::ZERO
         );
-        let edge = path.unwrap();
-        assert_eq!(edge.cache.stats().misses, 1);
-        assert_eq!(edge.cache.stats().hits, 1);
+        assert_eq!(path.cache.stats().misses, 1);
+        assert_eq!(path.cache.stats().hits, 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The workspace's bit-reproducibility contract (DESIGN.md §10) is load
 //! bearing: the parallel sweep runner, the allocation-free link and every
 //! golden artifact rest on simulations being pure functions of their
-//! specs. Differential tests (`parallel_determinism`, `legacy_parity`,
+//! specs. Differential tests (`parallel_determinism`,
 //! `link_differential`) catch violations *after the fact*; this crate
 //! catches them at the source, before a single session runs, by enforcing
 //! the contract as named static rules (DESIGN.md §12):

@@ -15,8 +15,8 @@
 //!   [`crate::tracer::HostStopwatch`], the designated host-timing module,
 //!   so the `ABR-L002` lint allowlist stays a single file.
 //! * **Never perturbs artifacts.** Profiling writes nothing into traces,
-//!   metrics, or session logs; goldens, `legacy_parity` and
-//!   `parallel_determinism` hold byte-identical with profiling on
+//!   metrics, or session logs; goldens and `parallel_determinism` hold
+//!   byte-identical with profiling on
 //!   (`crates/bench/tests/profile_determinism.rs`).
 //! * **Robust to drop order.** Spans are RAII guards. Guards normally
 //!   drop LIFO, but a guard dropped out of order force-closes every span

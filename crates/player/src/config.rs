@@ -46,14 +46,6 @@ impl PlayerConfig {
         }
     }
 
-    /// dash.js-style configuration: independent pipelines (§3.4).
-    pub fn dashjs_style(chunk_duration: Duration) -> PlayerConfig {
-        PlayerConfig {
-            sync: SyncMode::Independent,
-            ..PlayerConfig::default_chunked(chunk_duration)
-        }
-    }
-
     /// Validates invariants; called by the session constructor.
     pub fn validate(&self) {
         assert!(!self.startup_threshold.is_zero(), "zero startup threshold");
@@ -78,13 +70,6 @@ mod tests {
     #[test]
     fn defaults_are_valid() {
         PlayerConfig::default_chunked(Duration::from_secs(4)).validate();
-        PlayerConfig::dashjs_style(Duration::from_secs(4)).validate();
-    }
-
-    #[test]
-    fn dashjs_style_is_independent() {
-        let c = PlayerConfig::dashjs_style(Duration::from_secs(4));
-        assert_eq!(c.sync, SyncMode::Independent);
     }
 
     #[test]

@@ -304,7 +304,7 @@ impl Engine {
             }
             let from = self.playback.position();
             self.record(self.now, Event::SeekStarted { from, to: aligned });
-            self.playback.seek(self.now, aligned);
+            self.playback.seek(aligned);
         }
     }
 
@@ -335,8 +335,8 @@ impl Engine {
         {
             let p = &self.playback;
             let engine = (
-                p.stalls().len(),
-                p.seeks().len(),
+                p.stall_count(),
+                p.seek_count(),
                 p.startup_at(),
                 p.ended_at(),
             );

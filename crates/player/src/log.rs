@@ -6,7 +6,6 @@
 //! and QoE summaries.
 
 use crate::digest::{BufferStats, ChunkPicks};
-use crate::playback::{Seek, Stall};
 use abr_event::time::{Duration, Instant};
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
@@ -44,6 +43,45 @@ pub struct TransferEvent {
     /// The policy's bandwidth estimate right after this transfer, if the
     /// policy exposes one (Fig 4 plots the estimate trajectory).
     pub estimate_after: Option<BitsPerSec>,
+}
+
+/// One rebuffering event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stall {
+    /// When playback froze.
+    pub start: Instant,
+    /// When playback resumed (`None` while ongoing or if the session ended
+    /// stalled).
+    pub end: Option<Instant>,
+}
+
+impl Stall {
+    /// Stall length, measured to `session_end` if never resumed.
+    pub fn duration_or(&self, session_end: Instant) -> Duration {
+        self.end
+            .unwrap_or(session_end)
+            .saturating_duration_since(self.start)
+    }
+
+    /// Summed length of `stalls`, an unresolved one measured to
+    /// `session_end`.
+    pub fn total(stalls: &[Stall], session_end: Instant) -> Duration {
+        stalls.iter().map(|s| s.duration_or(session_end)).sum()
+    }
+}
+
+/// One seek: the jump and how long re-buffering took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seek {
+    /// When the user sought.
+    pub at: Instant,
+    /// Media position jumped from.
+    pub from: Duration,
+    /// Media position jumped to.
+    pub to: Duration,
+    /// When playback resumed (`None` while rebuffering or if the session
+    /// ended first).
+    pub resumed: Option<Instant>,
 }
 
 /// One second-level playlist fetch (when the session models them; §4.1).

@@ -8,6 +8,10 @@
 //!   audio or video buffer leads to stalls"),
 //! * resumes once both buffers recover to the rebuffer threshold,
 //! * ends when the full content duration has played out.
+//!
+//! The machine keeps its state, not a history: the session engine records
+//! each stall and seek as an event, and the recorder folds those into the
+//! [`crate::log::Stall`] and [`crate::log::Seek`] rows.
 
 use crate::buffer::ChunkBuffer;
 use abr_event::time::{Duration, Instant};
@@ -27,45 +31,6 @@ pub enum PlayState {
     Ended,
 }
 
-/// One rebuffering event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stall {
-    /// When playback froze.
-    pub start: Instant,
-    /// When playback resumed (`None` while ongoing or if the session ended
-    /// stalled).
-    pub end: Option<Instant>,
-}
-
-impl Stall {
-    /// Stall length, measured to `session_end` if never resumed.
-    pub fn duration_or(&self, session_end: Instant) -> Duration {
-        self.end
-            .unwrap_or(session_end)
-            .saturating_duration_since(self.start)
-    }
-
-    /// Summed length of `stalls`, an unresolved one measured to
-    /// `session_end`.
-    pub fn total(stalls: &[Stall], session_end: Instant) -> Duration {
-        stalls.iter().map(|s| s.duration_or(session_end)).sum()
-    }
-}
-
-/// One seek: the jump and how long re-buffering took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Seek {
-    /// When the user sought.
-    pub at: Instant,
-    /// Media position jumped from.
-    pub from: Duration,
-    /// Media position jumped to.
-    pub to: Duration,
-    /// When playback resumed (`None` while rebuffering or if the session
-    /// ended first).
-    pub resumed: Option<Instant>,
-}
-
 /// The playout engine.
 #[derive(Debug, Clone)]
 pub struct PlaybackEngine {
@@ -78,8 +43,10 @@ pub struct PlaybackEngine {
     resume_threshold: Duration,
     startup_at: Option<Instant>,
     ended_at: Option<Instant>,
-    stalls: Vec<Stall>,
-    seeks: Vec<Seek>,
+    /// Stalls begun so far.
+    stall_count: usize,
+    /// Seeks applied so far.
+    seek_count: usize,
 }
 
 impl PlaybackEngine {
@@ -94,8 +61,8 @@ impl PlaybackEngine {
             resume_threshold,
             startup_at: None,
             ended_at: None,
-            stalls: Vec::new(),
-            seeks: Vec::new(),
+            stall_count: 0,
+            seek_count: 0,
         }
     }
 
@@ -119,37 +86,26 @@ impl PlaybackEngine {
         self.ended_at
     }
 
-    /// All stall events so far.
-    pub fn stalls(&self) -> &[Stall] {
-        &self.stalls
+    /// Number of stalls begun so far.
+    pub fn stall_count(&self) -> usize {
+        self.stall_count
     }
 
-    /// All seeks so far.
-    pub fn seeks(&self) -> &[Seek] {
-        &self.seeks
+    /// Number of seeks applied so far.
+    pub fn seek_count(&self) -> usize {
+        self.seek_count
     }
 
     /// Jumps the playhead to `to` (a user seek). The caller is responsible
     /// for flushing the buffers; playback re-enters a rebuffering state and
-    /// resumes once `try_start` sees enough content. Panics on a seek past
-    /// the end or before playback ever started.
-    pub fn seek(&mut self, now: Instant, to: Duration) {
+    /// resumes once `try_start` sees enough content. A seek supersedes an
+    /// open stall: the rebuffering that follows belongs to the seek. Panics
+    /// on a seek past the end or before playback ever started.
+    pub fn seek(&mut self, to: Duration) {
         assert!(to < self.total, "seek past the end");
         assert!(self.state != PlayState::Ended, "seek after playback ended");
         assert!(self.startup_at.is_some(), "seek before startup");
-        // An open stall is superseded by the seek (the rebuffering that
-        // follows is accounted to the seek, not the stall).
-        if let Some(stall) = self.stalls.last_mut() {
-            if stall.end.is_none() {
-                stall.end = Some(now);
-            }
-        }
-        self.seeks.push(Seek {
-            at: now,
-            from: self.position,
-            to,
-            resumed: None,
-        });
+        self.seek_count += 1;
         self.position = to;
         self.state = PlayState::Seeking;
     }
@@ -205,10 +161,7 @@ impl PlaybackEngine {
             self.ended_at = Some(to);
         } else if audio.is_empty() || video.is_empty() {
             self.state = PlayState::Stalled;
-            self.stalls.push(Stall {
-                start: to,
-                end: None,
-            });
+            self.stall_count += 1;
         }
     }
 
@@ -225,18 +178,8 @@ impl PlaybackEngine {
         let remaining = self.total - self.position;
         let needed = threshold.min(remaining);
         if audio.level() >= needed && video.level() >= needed {
-            match self.state {
-                PlayState::Startup => self.startup_at = Some(now),
-                PlayState::Seeking => {
-                    if let Some(seek) = self.seeks.last_mut() {
-                        seek.resumed = Some(now);
-                    }
-                }
-                _ => {
-                    if let Some(stall) = self.stalls.last_mut() {
-                        stall.end = Some(now);
-                    }
-                }
+            if self.state == PlayState::Startup {
+                self.startup_at = Some(now);
             }
             self.state = PlayState::Playing;
         }
@@ -295,8 +238,8 @@ mod tests {
         assert_eq!(boundary, Instant::from_secs(4));
         p.advance(Instant::ZERO, boundary, &mut a, &mut v);
         assert_eq!(p.state(), PlayState::Stalled);
-        assert_eq!(p.stalls().len(), 1);
-        assert_eq!(p.stalls()[0].start, Instant::from_secs(4));
+        assert_eq!(p.stall_count(), 1);
+        assert_eq!(p.position(), Duration::from_secs(4));
         assert_eq!(
             a.level(),
             Duration::from_secs(4),
@@ -317,10 +260,12 @@ mod tests {
         push(&mut v, 1);
         p.try_start(Instant::from_secs(7), &a, &v);
         assert_eq!(p.state(), PlayState::Playing);
-        assert_eq!(p.stalls()[0].end, Some(Instant::from_secs(7)));
+        assert_eq!(p.stall_count(), 1, "a resume begins no stall");
+        assert_eq!(p.startup_at(), Some(Instant::ZERO), "nor a startup");
         assert_eq!(
-            Stall::total(p.stalls(), Instant::from_secs(100)),
-            Duration::from_secs(3)
+            p.next_boundary(Instant::from_secs(7), &a, &v),
+            Some(Instant::from_secs(11)),
+            "playout continues from the resume"
         );
     }
 
@@ -338,7 +283,7 @@ mod tests {
         p.advance(Instant::ZERO, b, &mut a, &mut v);
         assert_eq!(p.state(), PlayState::Ended);
         assert_eq!(p.ended_at(), Some(Instant::from_secs(8)));
-        assert!(p.stalls().is_empty(), "clean end is not a stall");
+        assert_eq!(p.stall_count(), 0, "clean end is not a stall");
     }
 
     #[test]
@@ -399,8 +344,9 @@ mod tests {
         // User seeks to 12 s.
         a.flush_to(3);
         v.flush_to(3);
-        p.seek(Instant::from_secs(2), Duration::from_secs(12));
+        p.seek(Duration::from_secs(12));
         assert_eq!(p.state(), PlayState::Seeking);
+        assert_eq!(p.seek_count(), 1);
         assert_eq!(p.position(), Duration::from_secs(12));
         assert!(p.next_boundary(Instant::from_secs(2), &a, &v).is_none());
         // Buffers refill at the target; playback resumes.
@@ -408,10 +354,7 @@ mod tests {
         push(&mut v, 3);
         p.try_start(Instant::from_secs(3), &a, &v);
         assert_eq!(p.state(), PlayState::Playing);
-        let seek = p.seeks()[0];
-        assert_eq!(seek.from, Duration::from_secs(2));
-        assert_eq!(seek.to, Duration::from_secs(12));
-        assert_eq!(seek.resumed, Some(Instant::from_secs(3)));
+        assert_eq!(p.stall_count(), 0, "rebuffering after a seek is no stall");
         // Remaining content: 8 s.
         p.advance(Instant::from_secs(3), Instant::from_secs(7), &mut a, &mut v);
         assert_eq!(p.position(), Duration::from_secs(16));
@@ -428,13 +371,15 @@ mod tests {
         assert_eq!(p.state(), PlayState::Stalled);
         a.flush_to(2);
         v.flush_to(2);
-        p.seek(Instant::from_secs(6), Duration::from_secs(8));
-        assert_eq!(
-            p.stalls()[0].end,
-            Some(Instant::from_secs(6)),
-            "stall closed by the seek"
-        );
-        assert_eq!(p.state(), PlayState::Seeking);
+        p.seek(Duration::from_secs(8));
+        assert_eq!(p.state(), PlayState::Seeking, "the seek replaces the stall");
+        assert_eq!((p.stall_count(), p.seek_count()), (1, 1));
+        // The rebuffering that follows resumes as the seek's.
+        push(&mut a, 2);
+        push(&mut v, 2);
+        p.try_start(Instant::from_secs(7), &a, &v);
+        assert_eq!(p.state(), PlayState::Playing);
+        assert_eq!(p.stall_count(), 1);
     }
 
     #[test]
@@ -445,7 +390,7 @@ mod tests {
         push(&mut a, 0);
         push(&mut v, 0);
         p.try_start(Instant::ZERO, &a, &v);
-        p.seek(Instant::from_secs(1), Duration::from_secs(30));
+        p.seek(Duration::from_secs(30));
     }
 
     #[test]

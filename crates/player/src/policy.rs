@@ -77,16 +77,6 @@ pub struct SelectionContext {
     pub playing: bool,
 }
 
-impl SelectionContext {
-    /// Buffer level of the media being decided.
-    pub fn level_for_decision(&self) -> Duration {
-        match self.media {
-            MediaType::Audio => self.audio_level,
-            MediaType::Video => self.video_level,
-        }
-    }
-}
-
 /// A rate-adaptation policy.
 pub trait AbrPolicy {
     /// Human-readable policy name for logs and reports.
@@ -194,26 +184,5 @@ mod tests {
         assert_eq!(p.select(&actx), TrackId::audio(1));
         assert_eq!(p.name(), "fixed");
         assert_eq!(p.debug_estimate(), None);
-    }
-
-    #[test]
-    fn context_level_for_decision() {
-        let ctx = SelectionContext {
-            now: Instant::ZERO,
-            media: MediaType::Audio,
-            chunk: 0,
-            audio_level: Duration::from_secs(2),
-            video_level: Duration::from_secs(9),
-            chunk_duration: Duration::from_secs(4),
-            current_audio: None,
-            current_video: None,
-            playing: true,
-        };
-        assert_eq!(ctx.level_for_decision(), Duration::from_secs(2));
-        let v = SelectionContext {
-            media: MediaType::Video,
-            ..ctx
-        };
-        assert_eq!(v.level_for_decision(), Duration::from_secs(9));
     }
 }

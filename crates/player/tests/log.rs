@@ -4,8 +4,7 @@ use abr_event::time::{Duration, Instant};
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_obs::{Event, TracedEvent};
-use abr_player::log::{BufferSample, SelectionEvent, SessionLog};
-use abr_player::playback::Stall;
+use abr_player::log::{BufferSample, SelectionEvent, SessionLog, Stall};
 
 fn sel(at: u64, chunk: usize, track: TrackId, kbps: u64) -> SelectionEvent {
     SelectionEvent {

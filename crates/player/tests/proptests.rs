@@ -10,6 +10,38 @@ use abr_player::playback::{PlayState, PlaybackEngine};
 use abr_player::scheduler::{due_fetches, PipelineState};
 use proptest::prelude::*;
 
+/// `try_start`, closing the last interval of `stalls` when it resumes a
+/// stall.
+fn start(
+    engine: &mut PlaybackEngine,
+    now: Instant,
+    audio: &ChunkBuffer,
+    video: &ChunkBuffer,
+    stalls: &mut [(Instant, Option<Instant>)],
+) {
+    let before = engine.state();
+    engine.try_start(now, audio, video);
+    if before == PlayState::Stalled && engine.state() == PlayState::Playing {
+        stalls.last_mut().expect("a stall is open").1 = Some(now);
+    }
+}
+
+/// `advance`, opening an interval in `stalls` when playout stalls.
+fn advance(
+    engine: &mut PlaybackEngine,
+    from: Instant,
+    to: Instant,
+    audio: &mut ChunkBuffer,
+    video: &mut ChunkBuffer,
+    stalls: &mut Vec<(Instant, Option<Instant>)>,
+) {
+    let before = engine.state();
+    engine.advance(from, to, audio, video);
+    if before == PlayState::Playing && engine.state() == PlayState::Stalled {
+        stalls.push((to, None));
+    }
+}
+
 proptest! {
     /// Differential: the O(1) counter level equals the O(n) definition —
     /// the sum over the queued chunks minus the played part of the head
@@ -99,27 +131,30 @@ proptest! {
             Duration::from_millis(100),
         );
         let mut now = Instant::ZERO;
+        // Stall intervals, read off the Playing → Stalled → Playing
+        // transitions.
+        let mut stalls = Vec::new();
         for (i, &gap_ms) in gaps.iter().enumerate() {
             // Chunks arrive `gap_ms` apart (forcing stalls whenever a
             // chunk is shorter than the gap after it).
             audio.push(TrackId::audio(0), i);
             video.push(TrackId::video(0), i);
-            engine.try_start(now, &audio, &video);
+            start(&mut engine, now, &audio, &video, &mut stalls);
             // Advance up to the gap or the next boundary.
             let target = now + Duration::from_millis(gap_ms);
             let step_to = match engine.next_boundary(now, &audio, &video) {
                 Some(b) => b.min(target),
                 None => target,
             };
-            engine.advance(now, step_to, &mut audio, &mut video);
+            advance(&mut engine, now, step_to, &mut audio, &mut video, &mut stalls);
             now = target;
         }
         // Drain out the rest.
         loop {
-            engine.try_start(now, &audio, &video);
+            start(&mut engine, now, &audio, &video, &mut stalls);
             match engine.next_boundary(now, &audio, &video) {
                 Some(b) if engine.state() == PlayState::Playing => {
-                    engine.advance(now, b, &mut audio, &mut video);
+                    advance(&mut engine, now, b, &mut audio, &mut video, &mut stalls);
                     now = b;
                 }
                 _ => break,
@@ -131,8 +166,12 @@ proptest! {
         if engine.state() == PlayState::Ended {
             prop_assert_eq!(engine.position(), Duration::from_millis(total_ms));
         }
-        for w in engine.stalls().windows(2) {
-            prop_assert!(w[0].end.expect("inner stalls closed") <= w[1].start);
+        prop_assert_eq!(stalls.len(), engine.stall_count());
+        for w in stalls.windows(2) {
+            prop_assert!(w[0].1.expect("inner stalls closed") <= w[1].0);
+        }
+        for &(begin, end) in &stalls {
+            prop_assert!(begin <= end.unwrap_or(now) && end.unwrap_or(now) <= now);
         }
     }
 

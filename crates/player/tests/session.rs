@@ -12,7 +12,7 @@ use abr_media::units::{BitsPerSec, Bytes};
 use abr_net::link::Link;
 use abr_net::trace::Trace;
 use abr_player::config::{PlayerConfig, SyncMode};
-use abr_player::log::SessionLog;
+use abr_player::log::{BufferSample, SessionLog};
 use abr_player::policy::{AbrPolicy, FixedPolicy, SelectionContext, TransferRecord};
 use abr_player::session::{DeliveryMode, PlaylistFetch, Session};
 use std::cell::{Cell, RefCell};
@@ -55,6 +55,34 @@ fn starved_session_stalls() {
     let log = run_fixed(500, 5, 2, CHUNKED);
     assert!(log.stall_count() > 0, "starved run must stall");
     assert!(log.total_stall() > Duration::from_secs(60));
+    // Each stall row runs from the instant either buffer empties to the
+    // chunk arrival that brings both back to the resume threshold.
+    let resume = PlayerConfig::default_chunked(Duration::from_secs(4)).resume_threshold;
+    for stall in &log.stalls {
+        let at_start = sample_at(&log, stall.start);
+        assert!(
+            at_start.audio.is_zero() || at_start.video.is_zero(),
+            "{stall:?} opens when either buffer empties"
+        );
+        let end = stall.end.expect("the session plays to the end");
+        assert!(
+            log.transfers.iter().any(|t| t.at == end),
+            "{stall:?} ends on a chunk arrival"
+        );
+        let at_end = sample_at(&log, end);
+        assert!(at_end.audio >= resume && at_end.video >= resume);
+        // One step earlier both buffers were not yet back.
+        let before = log.buffer_samples.iter().rfind(|s| s.at < end).unwrap();
+        assert!(before.audio < resume || before.video < resume);
+    }
+}
+
+/// The last buffer sample taken at `at`.
+fn sample_at(log: &SessionLog, at: Instant) -> BufferSample {
+    *log.buffer_samples
+        .iter()
+        .rfind(|s| s.at == at)
+        .expect("every step samples the buffers")
 }
 
 #[test]
@@ -193,7 +221,23 @@ fn forward_seek_skips_content_and_resumes() {
     let seek = log.seeks[0];
     assert_eq!(seek.at, Instant::from_secs(30));
     assert_eq!(seek.to, Duration::from_secs(200));
-    assert!(seek.resumed.is_some(), "playback resumed after the seek");
+    assert_eq!(log.stall_count(), 0);
+    assert_eq!(
+        seek.from,
+        seek.at - log.startup_at.unwrap(),
+        "jumps from the playhead"
+    );
+    // Playback resumes at the first chunk arrival that refills both
+    // buffers past the resume threshold.
+    let resumed = seek.resumed.expect("playback resumed after the seek");
+    let resume = config.resume_threshold;
+    let at_resume = sample_at(&log, resumed);
+    assert!(at_resume.audio >= resume && at_resume.video >= resume);
+    assert!(log
+        .buffer_samples
+        .iter()
+        .filter(|s| s.at > seek.at && s.at < resumed)
+        .all(|s| s.audio < resume || s.video < resume));
     // Playback reached the end even though the middle was skipped.
     assert!(log.ended_at.is_some());
     // Chunks in the skipped region were never selected.

@@ -239,8 +239,7 @@ mod tests {
     use super::*;
     use abr_event::time::Instant;
     use abr_media::track::TrackId;
-    use abr_player::log::SelectionEvent;
-    use abr_player::playback::Stall;
+    use abr_player::log::{SelectionEvent, Stall};
 
     fn log_with(selections: Vec<SelectionEvent>, num_chunks: usize) -> SessionLog {
         SessionLog {

@@ -4,8 +4,7 @@ use abr_event::time::{Duration, Instant};
 use abr_media::combo::Combo;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::BitsPerSec;
-use abr_player::log::{BufferSample, SelectionEvent, SessionLog};
-use abr_player::playback::Stall;
+use abr_player::log::{BufferSample, SelectionEvent, SessionLog, Stall};
 use abr_qoe::{
     chunk_qualities, chunk_qualities_weighted, combos_used, off_manifest_chunks, summarize,
     summarize_for_content, ContentProfile, QoeWeights,

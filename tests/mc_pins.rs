@@ -6,13 +6,10 @@
 //! three-realization sweep, recorded before the corpus shared its
 //! manifest views and seed-independent traces across realizations.
 
-use abr_bench::mc::run_mc;
+mod common;
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
+use abr_bench::mc::run_mc;
+use common::fnv1a;
 
 #[test]
 fn mc_sweep_bytes_are_pinned() {

@@ -15,6 +15,8 @@
 //! After an *intentional* change to a policy's decisions or reasons,
 //! run with `--nocapture` and copy the printed digests into `PINS`.
 
+mod common;
+
 use abr_bench::mc::mc_policies;
 use abr_bench::setup::{
     dash_view, drama, hls_all_view, hls_sub_view, player_config, run_session_obs, PlayerKind,
@@ -35,6 +37,7 @@ use abr_obs::export::to_jsonl;
 use abr_obs::{Event, ObsHandle};
 use abr_player::policy::AbrPolicy;
 use abr_player::session::{DeliveryMode, PlaylistFetch, Session};
+use common::fnv1a;
 
 /// `(session label, FNV-1a digest of its JSONL trace)`.
 const PINS: &[(&str, u64)] = &[
@@ -52,12 +55,6 @@ const PINS: &[(&str, u64)] = &[
     ("hls/bba", 0xb7b915624bfa3f6c),
     ("hls/mpc", 0xd3fea65c18d6eed3),
 ];
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// The pinned sessions, in `PINS` order.
 fn sessions() -> Vec<(String, PlayerKind, Box<dyn AbrPolicy>)> {
