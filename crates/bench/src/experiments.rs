@@ -462,6 +462,54 @@ fn t3() -> ExperimentResult {
 // Fig 2 — ExoPlayer DASH
 // ---------------------------------------------------------------------
 
+/// The figures' selection timeline: the declared bitrate of each media's
+/// selections over time, video as `v` and audio (labelled `audio_label`)
+/// as `a`.
+fn selection_plot(log: &SessionLog, title: &str, audio_label: &str) -> String {
+    let v = downsample(&selection_series(log, MediaType::Video), 70);
+    let a = downsample(&selection_series(log, MediaType::Audio), 70);
+    ascii_plot(
+        title,
+        &[
+            Series {
+                glyph: 'v',
+                label: "video",
+                points: &v,
+            },
+            Series {
+                glyph: 'a',
+                label: audio_label,
+                points: &a,
+            },
+        ],
+        72,
+        14,
+    )
+}
+
+/// The figures' buffer plot: audio and video buffer levels over time.
+fn buffer_plot(log: &SessionLog, title: &str) -> String {
+    let a = downsample(&buffer_series(log, MediaType::Audio), 140);
+    let v = downsample(&buffer_series(log, MediaType::Video), 140);
+    ascii_plot(
+        title,
+        &[
+            Series {
+                glyph: 'a',
+                label: "audio buffer",
+                points: &a,
+            },
+            Series {
+                glyph: 'v',
+                label: "video buffer",
+                points: &v,
+            },
+        ],
+        72,
+        14,
+    )
+}
+
 fn log_summary_json(log: &SessionLog) -> Value {
     let q = abr_qoe::summarize(log);
     json!({
@@ -506,25 +554,7 @@ fn f2(high_audio: bool) -> ExperimentResult {
     };
     let excluded = !ladder.contains(&better);
 
-    let v_series = downsample(&selection_series(&log, MediaType::Video), 70);
-    let a_series = downsample(&selection_series(&log, MediaType::Audio), 70);
-    let mut text = ascii_plot(
-        "Selected declared bitrate over time (Kbps)",
-        &[
-            Series {
-                glyph: 'v',
-                label: "video",
-                points: &v_series,
-            },
-            Series {
-                glyph: 'a',
-                label: "audio",
-                points: &a_series,
-            },
-        ],
-        72,
-        14,
-    );
+    let mut text = selection_plot(&log, "Selected declared bitrate over time (Kbps)", "audio");
     let _ = write!(
         text,
         "\npredetermined staircase: {}\n\
@@ -575,24 +605,10 @@ fn f3a() -> ExperimentResult {
         .map(ToString::to_string)
         .collect();
 
-    let v_series = downsample(&selection_series(&log, MediaType::Video), 70);
-    let a_series = downsample(&selection_series(&log, MediaType::Audio), 70);
-    let mut text = ascii_plot(
+    let mut text = selection_plot(
+        &log,
         "Selected declared bitrate over time (Kbps)",
-        &[
-            Series {
-                glyph: 'v',
-                label: "video",
-                points: &v_series,
-            },
-            Series {
-                glyph: 'a',
-                label: "audio (pinned)",
-                points: &a_series,
-            },
-        ],
-        72,
-        14,
+        "audio (pinned)",
     );
     let _ = write!(
         text,
@@ -625,25 +641,7 @@ fn f3a() -> ExperimentResult {
 /// Fig 3(b): audio/video buffer levels with stall windows.
 fn f3b() -> ExperimentResult {
     let (_, log) = single("f3b");
-    let a = downsample(&buffer_series(&log, MediaType::Audio), 140);
-    let v = downsample(&buffer_series(&log, MediaType::Video), 140);
-    let mut text = ascii_plot(
-        "Buffer level over time (seconds)",
-        &[
-            Series {
-                glyph: 'a',
-                label: "audio buffer",
-                points: &a,
-            },
-            Series {
-                glyph: 'v',
-                label: "video buffer",
-                points: &v,
-            },
-        ],
-        72,
-        14,
-    );
+    let mut text = buffer_plot(&log, "Buffer level over time (seconds)");
     let stalls = stall_windows(&log);
     text.push_str("\nstall windows (s): ");
     text.push_str(
@@ -917,24 +915,10 @@ fn f5a() -> ExperimentResult {
         .filter(|(c, _)| *c == Combo::new(1, 2))
         .map(|(_, n)| n)
         .sum::<usize>();
-    let v_series = downsample(&selection_series(&log, MediaType::Video), 70);
-    let a_series = downsample(&selection_series(&log, MediaType::Audio), 70);
-    let mut text = ascii_plot(
+    let mut text = selection_plot(
+        &log,
         "Selected declared bitrate over time (Kbps); link = 700",
-        &[
-            Series {
-                glyph: 'v',
-                label: "video",
-                points: &v_series,
-            },
-            Series {
-                glyph: 'a',
-                label: "audio",
-                points: &a_series,
-            },
-        ],
-        72,
-        14,
+        "audio",
     );
     let _ = write!(
         text,
@@ -961,24 +945,9 @@ fn f5a() -> ExperimentResult {
 /// Fig 5(b): dash.js audio/video buffer imbalance.
 fn f5b() -> ExperimentResult {
     let (_, log) = single("f5b");
-    let a = downsample(&buffer_series(&log, MediaType::Audio), 140);
-    let v = downsample(&buffer_series(&log, MediaType::Video), 140);
-    let mut text = ascii_plot(
+    let mut text = buffer_plot(
+        &log,
         "Buffer level over time (seconds); independent pipelines",
-        &[
-            Series {
-                glyph: 'a',
-                label: "audio buffer",
-                points: &a,
-            },
-            Series {
-                glyph: 'v',
-                label: "video buffer",
-                points: &v,
-            },
-        ],
-        72,
-        14,
     );
     let _ = write!(
         text,

@@ -6,7 +6,7 @@
 use abr_bench::experiments::traced_sessions;
 use abr_bench::setup::{drama, hls_all_view, player_config, run_session_obs, PlayerKind};
 use abr_core::ShakaPolicy;
-use abr_event::time::{Duration, Instant};
+use abr_event::time::Duration;
 use abr_httpsim::origin::Origin;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
@@ -63,53 +63,33 @@ fn traced_session_hook_replay_equals_direct_log() {
 }
 
 /// The fold arms the figure sessions never reach: a Shaka session on the
-/// Fig 4(b) trace that fetches its playlists lazily and seeks in the
-/// middle of a stall. Its trace, round-tripped through JSONL, reconstructs
-/// the directly-recorded log.
+/// Fig 4(b) trace that fetches its playlists lazily, so playlist fetches
+/// interleave with its stalls. Its trace, round-tripped through JSONL,
+/// reconstructs the directly-recorded log.
 #[test]
-fn traced_seek_while_stalled_with_lazy_playlists_replays_exactly() {
+fn traced_lazy_playlist_f4b_session_replays_exactly() {
     let content = drama();
-    let session = || {
-        let view = hls_all_view(&content);
-        Session::new(
-            Origin::with_overhead(content.clone(), Bytes::ZERO),
-            Link::with_latency(
-                Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-                Duration::from_millis(20),
-            ),
-            Box::new(ShakaPolicy::hls(&view)),
-            player_config(PlayerKind::Shaka, content.chunk_duration()),
-        )
-        .with_playlist_fetch(PlaylistFetch::Lazy)
-    };
-    // Seek halfway into the first stall of the unseeked run, to 60 s past
-    // the wall clock (so past the playhead): nothing before the seek
-    // changes, so the stall is still open when it lands.
-    let unseeked = session().run();
-    let stall = unseeked.stalls[0];
-    let stall_end = stall.end.expect("the first stall resolves");
-    let at = stall.start + (stall_end - stall.start) / 2;
-    let to = (at - Instant::ZERO) + Duration::from_secs(60);
-
+    let view = hls_all_view(&content);
     let (obs, tracer, _metrics) = ObsHandle::recording();
-    let direct = session().with_seeks(vec![(at, to)]).with_obs(obs).run();
+    let direct = Session::new(
+        Origin::with_overhead(content.clone(), Bytes::ZERO),
+        Link::with_latency(
+            Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+            Duration::from_millis(20),
+        ),
+        Box::new(ShakaPolicy::hls(&view)),
+        player_config(PlayerKind::Shaka, content.chunk_duration()),
+    )
+    .with_playlist_fetch(PlaylistFetch::Lazy)
+    .with_obs(obs)
+    .run();
     let events = tracer.take();
-    for name in [
-        "stall_end",
-        "seek_started",
-        "seek_resumed",
-        "playlist_fetch",
-    ] {
+    for name in ["stall_end", "playlist_fetch"] {
         assert!(
             events.iter().any(|e| e.event.name() == name),
             "trace has no {name}"
         );
     }
-    let seek_at = direct.seeks[0].at;
-    assert!(
-        direct.stalls.iter().any(|s| s.end == Some(seek_at)),
-        "the seek closes an open stall"
-    );
     // Lazy: one fetch per track the policy used, issued with the track's
     // first selection, for both media.
     for fetch in &direct.playlist_fetches {

@@ -204,7 +204,8 @@ impl JointFrame {
     }
 
     /// Locks `idx` for `chunk`, then forgets the smallest other positions
-    /// beyond [`LOCKED_POSITIONS`]; `chunk` stays even after a backward seek.
+    /// beyond [`LOCKED_POSITIONS`]; `chunk` stays even when it arrives below
+    /// every kept position.
     fn lock(&mut self, chunk: usize, idx: usize) {
         self.locked.insert(chunk, idx);
         while self.locked.len() > LOCKED_POSITIONS {
@@ -283,7 +284,7 @@ mod tests {
         }
         let kept: Vec<usize> = f.locked.keys().copied().collect();
         assert_eq!(kept, (12..20).collect::<Vec<_>>(), "smallest dropped first");
-        // A backward seek locks a position below every kept one: it stays,
+        // A position below every kept one arrives out of order: it stays,
         // and the smallest other position goes.
         f.lock(3, 0);
         let kept: Vec<usize> = f.locked.keys().copied().collect();

@@ -350,7 +350,7 @@ proptest! {
             ),
         ];
         for (mut p, set) in policies {
-            // Positions arrive in any order, as after backward seeks.
+            // Positions arrive in any order.
             for (i, &(kbps1, buf1, kbps2, buf2, video_first, chunk)) in steps.iter().enumerate() {
                 let ctx = |media, buf| SelectionContext {
                     now: Instant::from_secs(i as u64 * 4),

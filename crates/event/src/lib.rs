@@ -26,5 +26,5 @@ pub mod window;
 
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
-pub use time::{busy_union, Duration, Instant};
+pub use time::{Duration, Instant};
 pub use window::WindowClock;

@@ -345,14 +345,8 @@ impl core::iter::Sum for Duration {
 /// `[start, end)` intervals — the "busy time" of a resource given the spans
 /// it was occupied. Intervals with `end <= start` contribute nothing.
 ///
-/// The player's bandwidth meter takes the union of concurrent delivery
-/// segments in a measurement window through [`busy_union_in_place`].
-pub fn busy_union(mut intervals: Vec<(Instant, Instant)>) -> Duration {
-    busy_union_in_place(&mut intervals)
-}
-
-/// [`busy_union`] over a caller-owned scratch buffer: sorts `intervals` in
-/// place and leaves the sorted contents behind, so hot paths (the player's
+/// Works over a caller-owned scratch buffer: sorts `intervals` in place
+/// and leaves the sorted contents behind, so hot paths (the player's
 /// bandwidth meter runs once per engine round) can reuse one allocation
 /// forever — clear, refill, and call this again.
 pub fn busy_union_in_place(intervals: &mut [(Instant, Instant)]) -> Duration {
@@ -498,47 +492,56 @@ mod tests {
 
     #[test]
     fn busy_union_empty_and_single() {
-        assert_eq!(busy_union(vec![]), Duration::ZERO);
-        assert_eq!(busy_union(vec![iv(2, 5)]), Duration::from_secs(3));
+        assert_eq!(busy_union_in_place(&mut []), Duration::ZERO);
+        assert_eq!(busy_union_in_place(&mut [iv(2, 5)]), Duration::from_secs(3));
     }
 
     #[test]
     fn busy_union_merges_overlaps() {
         // [0,4) ∪ [2,6) ∪ [5,7) = [0,7).
         assert_eq!(
-            busy_union(vec![iv(0, 4), iv(2, 6), iv(5, 7)]),
+            busy_union_in_place(&mut [iv(0, 4), iv(2, 6), iv(5, 7)]),
             Duration::from_secs(7)
         );
         // Containment: [1,9) swallows [2,3).
-        assert_eq!(busy_union(vec![iv(2, 3), iv(1, 9)]), Duration::from_secs(8));
+        assert_eq!(
+            busy_union_in_place(&mut [iv(2, 3), iv(1, 9)]),
+            Duration::from_secs(8)
+        );
     }
 
     #[test]
     fn busy_union_counts_gaps_once() {
         // [0,2) and [5,6): total 3, not 6.
-        assert_eq!(busy_union(vec![iv(5, 6), iv(0, 2)]), Duration::from_secs(3));
+        assert_eq!(
+            busy_union_in_place(&mut [iv(5, 6), iv(0, 2)]),
+            Duration::from_secs(3)
+        );
     }
 
     #[test]
     fn busy_union_touching_intervals_merge() {
         // [0,2) ∪ [2,4): adjacent, union is 4 with no double-count.
-        assert_eq!(busy_union(vec![iv(0, 2), iv(2, 4)]), Duration::from_secs(4));
+        assert_eq!(
+            busy_union_in_place(&mut [iv(0, 2), iv(2, 4)]),
+            Duration::from_secs(4)
+        );
     }
 
     #[test]
     fn busy_union_ignores_degenerate_intervals() {
         assert_eq!(
-            busy_union(vec![iv(3, 3), iv(1, 2), iv(9, 4)]),
+            busy_union_in_place(&mut [iv(3, 3), iv(1, 2), iv(9, 4)]),
             Duration::from_secs(1)
         );
     }
 
     #[test]
     fn busy_union_is_order_independent() {
-        let a = vec![iv(0, 3), iv(7, 9), iv(2, 5)];
-        let mut b = a.clone();
+        let mut a = [iv(0, 3), iv(7, 9), iv(2, 5)];
+        let mut b = a;
         b.reverse();
-        assert_eq!(busy_union(a), busy_union(b));
+        assert_eq!(busy_union_in_place(&mut a), busy_union_in_place(&mut b));
     }
 }
 

@@ -193,12 +193,13 @@ proptest! {
         }
     }
 
-    /// busy_union equals a brute-force microsecond-marking computation.
+    /// busy_union_in_place equals a brute-force microsecond-marking
+    /// computation.
     #[test]
     fn busy_union_matches_brute_force(
         spans in proptest::collection::vec((0u64..200, 0u64..60), 0..20),
     ) {
-        let intervals: Vec<(Instant, Instant)> = spans
+        let mut intervals: Vec<(Instant, Instant)> = spans
             .iter()
             .map(|&(lo, len)| (Instant::from_micros(lo), Instant::from_micros(lo + len)))
             .collect();
@@ -210,7 +211,7 @@ proptest! {
         }
         let expect = marked.iter().filter(|&&b| b).count() as u64;
         prop_assert_eq!(
-            abr_event::time::busy_union(intervals),
+            abr_event::time::busy_union_in_place(&mut intervals),
             Duration::from_micros(expect)
         );
     }

@@ -217,21 +217,6 @@ impl Link {
         self.flow(id).map(|f| &f.profile)
     }
 
-    /// Cancels an in-progress flow (the client closed the connection).
-    /// Returns true if the flow existed. Bytes already delivered stay
-    /// delivered; the flow simply stops competing for capacity.
-    pub fn cancel_flow(&mut self, id: FlowId) -> bool {
-        let Ok(at) = self.flows.binary_search_by_key(&id, |f| f.id) else {
-            return false;
-        };
-        self.flows.remove(at);
-        self.obs.count("link.flows_cancelled", 1);
-        self.obs
-            .gauge("link.pending_flows", self.flows.len() as f64);
-        self.debug_check();
-        true
-    }
-
     /// Structural invariants of the finish-key solver, checked after every
     /// mutation when built with `debug-invariants` (DESIGN.md §12): flow
     /// ids strictly ascend, and no active finish key has drained past zero
@@ -632,21 +617,6 @@ mod tests {
         assert_eq!(done[0].opened_at, Instant::ZERO);
         assert_eq!(done[0].profile.start(), Some(Instant::from_millis(50)));
         let _ = id;
-    }
-
-    #[test]
-    fn cancelled_flows_release_capacity() {
-        let mut link = Link::new(Trace::constant(kbps(1000)));
-        let a = link.open_flow(Bytes(125_000)); // 2 s at half rate
-        let b = link.open_flow(Bytes(125_000));
-        link.advance_to(Instant::from_secs(1)); // each has 62500 B left
-        assert!(link.cancel_flow(a));
-        assert!(!link.cancel_flow(a), "second cancel is a no-op");
-        // B now gets the whole link: 62500 B at 1 Mbps = 0.5 s.
-        assert_eq!(link.next_completion(), Some(Instant::from_millis(1_500)));
-        let done = link.advance_to(Instant::from_secs(3));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, b);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! `legacy` below is a verbatim copy of the pre-optimization fluid-link
 //! solver (the simple re-simulate-from-scratch implementation, with the
 //! observability calls stripped). The property tests drive both solvers
-//! through identical schedules of flow arrivals, cancels and rate traces,
-//! and require field-by-field equality of every `Completion` — id,
-//! instant, size, open time and the full `DeliveryProfile` — plus
-//! matching `next_completion` predictions at every step. Schedules include
-//! bursts of flows sharing one activation instant and cancels aimed at
-//! flows that have not started delivering. A third link
+//! through identical schedules of flow arrivals and rate traces, and
+//! require field-by-field equality of every `Completion` — id, instant,
+//! size, open time and the full `DeliveryProfile` — plus matching
+//! `next_completion` predictions at every step. Schedules include bursts
+//! of flows sharing one activation instant. A third link
 //! runs the engine's allocation-free path: `advance_into` a reused,
 //! non-empty buffer, with every completion's profile recycled.
 
@@ -90,10 +89,6 @@ mod legacy {
                 },
             );
             id
-        }
-
-        pub fn cancel_flow(&mut self, id: FlowId) -> bool {
-            self.flows.remove(&id).is_some()
         }
 
         pub fn flow_remaining(&self, id: FlowId) -> Option<Bytes> {
@@ -256,22 +251,15 @@ enum Op {
     /// Open this many flows of this size with this extra activation
     /// delay (ms); a burst of several activates at one instant.
     Open(usize, u64, u64),
-    /// Cancel the k-th oldest live flow, if any.
-    Cancel(usize),
-    /// Cancel the k-th oldest live flow that has not started delivering
-    /// (activation instant at or after the current time), if any.
-    CancelWaiting(usize),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..8, 1u64..1_500_000, 0u64..3_000, 0usize..4), 2..40).prop_map(
+    proptest::collection::vec((0u8..6, 1u64..1_500_000, 0u64..3_000, 0usize..3), 2..40).prop_map(
         |raw| {
             raw.into_iter()
                 .map(|(kind, size, ms, k)| match kind {
                     0 | 1 => Op::Advance(ms),
-                    2 => Op::Cancel(k),
-                    3 => Op::CancelWaiting(k),
-                    4 => Op::Open(2 + k % 3, size, ms % 200),
+                    2 => Op::Open(2 + k, size, ms % 200),
                     _ => Op::Open(1, size, ms % 200),
                 })
                 .collect()
@@ -334,7 +322,7 @@ fn advance_reused(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Arbitrary arrival/cancel/advance schedules over arbitrary traces
+    /// Arbitrary arrival/advance schedules over arbitrary traces
     /// produce identical completions, predictions and remaining-byte
     /// queries from the optimized and the legacy solver.
     #[test]
@@ -349,10 +337,9 @@ proptest! {
         let mut old = legacy::Link::with_latency(trace, latency);
         let mut buf = vec![sentinel()];
         let mut t = Instant::ZERO;
-        // Live flows with their activation instants.
-        let mut live: Vec<(FlowId, Instant)> = Vec::new();
+        // Flows opened and not yet completed.
+        let mut live: Vec<FlowId> = Vec::new();
         for op in &ops {
-            let mut cancel = None;
             match *op {
                 Op::Advance(ms) => {
                     t += Duration::from_millis(ms);
@@ -362,7 +349,7 @@ proptest! {
                     let dold = old.advance_to(t);
                     assert_completions_match(&dn, &dold);
                     advance_reused(&mut reused, &mut buf, t, &dold);
-                    live.retain(|(id, _)| !dn.iter().any(|c| c.id == *id));
+                    live.retain(|id| !dn.iter().any(|c| c.id == *id));
                 }
                 Op::Open(n, size, extra_ms) => {
                     let extra = Duration::from_millis(extra_ms);
@@ -371,20 +358,11 @@ proptest! {
                         let b = old.open_flow_after(Bytes(size), extra);
                         prop_assert_eq!(a, b, "flow ids must stay in lockstep");
                         prop_assert_eq!(reused.open_flow_after(Bytes(size), extra), a);
-                        live.push((a, t + latency + extra));
+                        live.push(a);
                     }
                 }
-                Op::Cancel(k) => cancel = live.get(k).map(|&(id, _)| id),
-                Op::CancelWaiting(k) => {
-                    cancel = live.iter().filter(|&&(_, a)| a >= t).nth(k).map(|&(id, _)| id);
-                }
             }
-            if let Some(id) = cancel {
-                prop_assert_eq!(new.cancel_flow(id), old.cancel_flow(id));
-                prop_assert!(reused.cancel_flow(id));
-                live.retain(|(x, _)| *x != id);
-            }
-            for &(id, _) in &live {
+            for &id in &live {
                 prop_assert_eq!(new.flow_remaining(id), old.flow_remaining(id));
                 prop_assert_eq!(reused.flow_remaining(id), old.flow_remaining(id));
             }

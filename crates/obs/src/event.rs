@@ -123,15 +123,6 @@ pub enum Event {
     PlaybackStarted,
     /// The presentation played to its end.
     PlaybackEnded,
-    /// The user seeked; playback stops until the buffer refills.
-    SeekStarted {
-        /// Playback position the seek left.
-        from: Duration,
-        /// Target position.
-        to: Duration,
-    },
-    /// Playback resumed after a seek.
-    SeekResumed,
     /// A media-playlist fetch completed.
     PlaylistFetch {
         /// Track whose playlist was fetched.
@@ -161,8 +152,6 @@ impl Event {
             Event::StallEnd => "stall_end",
             Event::PlaybackStarted => "playback_started",
             Event::PlaybackEnded => "playback_ended",
-            Event::SeekStarted { .. } => "seek_started",
-            Event::SeekResumed => "seek_resumed",
             Event::PlaylistFetch { .. } => "playlist_fetch",
             Event::SessionEnd => "session_end",
         }
@@ -196,7 +185,6 @@ mod tests {
             Event::StallEnd,
             Event::PlaybackStarted,
             Event::PlaybackEnded,
-            Event::SeekResumed,
             Event::SessionEnd,
         ];
         let names: Vec<&str> = events.iter().map(Event::name).collect();
@@ -270,11 +258,6 @@ mod tests {
             Event::StallEnd,
             Event::PlaybackStarted,
             Event::PlaybackEnded,
-            Event::SeekStarted {
-                from: Duration::ZERO,
-                to: Duration::ZERO,
-            },
-            Event::SeekResumed,
             Event::PlaylistFetch {
                 track,
                 requested_at: Instant::ZERO,

@@ -5,7 +5,7 @@
 //! enough that `SessionLog::from_trace` (in `abr-player`) reconstructs the
 //! session history from it. The Chrome form is a `{"traceEvents":[…]}`
 //! document that Perfetto / `chrome://tracing` opens directly: transfers
-//! become duration slices, stalls and seeks become begin/end pairs, and
+//! become duration slices, stalls become begin/end pairs, and
 //! buffer levels and bandwidth estimates become counter tracks.
 
 use serde::{Deserialize, FromValueError, Map, Serialize, Value};
@@ -139,7 +139,6 @@ fn event_data(event: &Event) -> Value {
         Event::BufferStateChange { audio, video } => data! {
             "audio_us": audio, "video_us": video,
         },
-        Event::SeekStarted { from, to } => data! { "from_us": from, "to_us": to },
         Event::PlaylistFetch {
             track,
             requested_at,
@@ -150,7 +149,6 @@ fn event_data(event: &Event) -> Value {
         | Event::StallEnd
         | Event::PlaybackStarted
         | Event::PlaybackEnded
-        | Event::SeekResumed
         | Event::SessionEnd => data! {},
     }
 }
@@ -209,10 +207,6 @@ fn event_from(name: &str, d: &Value) -> Result<Event, FromValueError> {
             audio: Deserialize::from_value(&d["audio_us"])?,
             video: Deserialize::from_value(&d["video_us"])?,
         },
-        "seek_started" => Event::SeekStarted {
-            from: Deserialize::from_value(&d["from_us"])?,
-            to: Deserialize::from_value(&d["to_us"])?,
-        },
         "playlist_fetch" => Event::PlaylistFetch {
             track: TrackId::from_value(&d["track"])?,
             requested_at: Instant::from_value(&d["requested_at_us"])?,
@@ -221,7 +215,6 @@ fn event_from(name: &str, d: &Value) -> Result<Event, FromValueError> {
         "stall_end" => Event::StallEnd,
         "playback_started" => Event::PlaybackStarted,
         "playback_ended" => Event::PlaybackEnded,
-        "seek_resumed" => Event::SeekResumed,
         "session_end" => Event::SessionEnd,
         other => {
             return Err(FromValueError::message(format!(
@@ -389,16 +382,6 @@ pub fn to_chrome_trace(events: &[TracedEvent]) -> String {
             Event::StallEnd => {
                 records.push(chrome_record("E", "stall", TID_PLAYBACK, ts, Value::Null));
             }
-            Event::SeekStarted { from, to } => records.push(chrome_record(
-                "B",
-                "seek",
-                TID_PLAYBACK,
-                ts,
-                serde_json::json!({ "from_s": from.as_secs_f64(), "to_s": to.as_secs_f64() }),
-            )),
-            Event::SeekResumed => {
-                records.push(chrome_record("E", "seek", TID_PLAYBACK, ts, Value::Null));
-            }
             Event::BufferStateChange { audio, video } => records.push(chrome_record(
                 "C",
                 "buffer_s",
@@ -559,21 +542,13 @@ mod tests {
             mk(7, Instant::from_secs(4), Event::StallEnd),
             mk(
                 8,
-                Instant::from_secs(5),
-                Event::SeekStarted {
-                    from: Duration::from_secs(4),
-                    to: Duration::from_secs(60),
-                },
-            ),
-            mk(
-                9,
                 Instant::from_secs(6),
                 Event::PlaylistFetch {
                     track: TrackId::audio(0),
                     requested_at: Instant::from_secs(5),
                 },
             ),
-            mk(10, Instant::from_secs(7), Event::SessionEnd),
+            mk(9, Instant::from_secs(7), Event::SessionEnd),
         ]
     }
 

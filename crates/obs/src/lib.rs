@@ -4,7 +4,7 @@
 //!
 //! * **Events** ([`event`]) — a typed vocabulary of simulator happenings
 //!   (requests, transfers, cache lookups, estimate updates, policy
-//!   decisions, buffer/stall/seek lifecycle), stamped with the simulated
+//!   decisions, buffer/stall lifecycle), stamped with the simulated
 //!   clock.
 //! * **Tracing** ([`tracer`]) — the in-memory [`RecordingTracer`] and the
 //!   [`ObsHandle`] that instrumented code holds. A disabled handle costs

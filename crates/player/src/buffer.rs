@@ -95,14 +95,6 @@ impl ChunkBuffer {
     pub fn chunks(&self) -> Range<usize> {
         self.next_play_index..self.next_download_index()
     }
-
-    /// Discards everything and repositions playback/download at `index`
-    /// (a seek). The next chunk pushed — and played — is `index`.
-    pub fn flush_to(&mut self, index: usize) {
-        self.queued = 0;
-        self.head_played = Duration::ZERO;
-        self.next_play_index = index;
-    }
 }
 
 #[cfg(test)]
@@ -190,19 +182,6 @@ mod tests {
         let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
         b.push(TrackId::video(0), 0);
         b.drain(Duration::from_secs(5));
-    }
-
-    #[test]
-    fn flush_to_repositions() {
-        let mut b = ChunkBuffer::new(MediaType::Video, CHUNK);
-        b.push(TrackId::video(0), 0);
-        b.push(TrackId::video(1), 1);
-        b.drain(Duration::from_secs(1));
-        b.flush_to(40);
-        assert!(b.is_empty());
-        assert_eq!(b.next_download_index(), 40);
-        b.push(TrackId::video(2), 40); // contiguity restarts at the target
-        assert_eq!(b.level(), Duration::from_secs(4));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The session engine's clock: one pending slot per event class.
 //!
 //! A session never has more than one live event per [`SessionEvent`]
-//! class, so instead of a heap the clock is a fixed five-slot table. Each
+//! class, so instead of a heap the clock is a fixed four-slot table. Each
 //! slot holds the `(at, seq)` of its class's pending event, where `seq`
 //! is a counter bumped on every schedule. The head is the minimum
 //! `(at, seq)` over the slots: earlier times first, and within one
@@ -23,19 +23,16 @@ pub(crate) enum SessionEvent {
     /// An idle pipeline's buffer drains back below the target and may
     /// fetch again.
     BufferRefill,
-    /// A scheduled user seek comes due.
-    SeekDue,
     /// The simulation deadline sentinel (scheduled once, never re-armed).
     Deadline,
 }
 
 impl SessionEvent {
     /// Every class, in declaration (= slot index) order.
-    const ALL: [SessionEvent; 5] = [
+    const ALL: [SessionEvent; 4] = [
         SessionEvent::TransferComplete,
         SessionEvent::PlaybackBoundary,
         SessionEvent::BufferRefill,
-        SessionEvent::SeekDue,
         SessionEvent::Deadline,
     ];
 
@@ -51,7 +48,6 @@ impl SessionEvent {
             SessionEvent::TransferComplete => "dispatch.transfer_complete",
             SessionEvent::PlaybackBoundary => "dispatch.playback_boundary",
             SessionEvent::BufferRefill => "dispatch.buffer_refill",
-            SessionEvent::SeekDue => "dispatch.seek_due",
             SessionEvent::Deadline => "dispatch.deadline",
         }
     }
@@ -62,7 +58,7 @@ impl SessionEvent {
 pub(crate) struct Clock {
     /// `(at, seq)` of each class's pending event, indexed by
     /// [`SessionEvent::slot`].
-    slots: [Option<(Instant, u64)>; 5],
+    slots: [Option<(Instant, u64)>; 4],
     /// Seqs handed out so far: one per [`Clock::schedule`].
     issued: u64,
     /// Timestamp of the most recent pop (zero before any).
@@ -92,7 +88,7 @@ impl Clock {
     /// scheduled.
     ///
     /// A kept event has an older seq than a fresh one would get, but the
-    /// set of pending times is the same. Ties among the four wake classes
+    /// set of pending times is the same. Ties among the three wake classes
     /// do not matter (each runs the same step), and the deadline sentinel
     /// (seq 0) still wins every tie.
     pub(crate) fn rearm(&mut self, ev: SessionEvent, at: Option<Instant>) {
@@ -168,24 +164,24 @@ mod tests {
         let mut clock = Clock::default();
         clock.schedule(Instant::from_micros(10), SessionEvent::BufferRefill);
         assert_eq!(clock.pop().map(|(t, _)| t), Some(Instant::from_micros(10)));
-        clock.schedule(Instant::from_micros(9), SessionEvent::SeekDue);
+        clock.schedule(Instant::from_micros(9), SessionEvent::TransferComplete);
     }
 
     #[test]
     fn equal_times_pop_in_schedule_order() {
         let mut clock = Clock::default();
         let t = Instant::from_micros(5);
-        clock.schedule(t, SessionEvent::SeekDue);
-        clock.schedule(t, SessionEvent::TransferComplete);
         clock.schedule(t, SessionEvent::BufferRefill);
+        clock.schedule(t, SessionEvent::TransferComplete);
+        clock.schedule(t, SessionEvent::PlaybackBoundary);
         let order: Vec<SessionEvent> =
             std::iter::from_fn(|| clock.pop().map(|(_, ev)| ev)).collect();
         assert_eq!(
             order,
             [
-                SessionEvent::SeekDue,
+                SessionEvent::BufferRefill,
                 SessionEvent::TransferComplete,
-                SessionEvent::BufferRefill
+                SessionEvent::PlaybackBoundary
             ]
         );
         assert_eq!(clock.pop(), None, "every slot is empty after the pops");
@@ -221,8 +217,11 @@ mod tests {
     fn rearm_to_none_clears_the_slot() {
         let mut clock = Clock::default();
         clock.schedule(Instant::from_micros(20), SessionEvent::Deadline);
-        clock.rearm(SessionEvent::SeekDue, Some(Instant::from_micros(2)));
-        clock.rearm(SessionEvent::SeekDue, None);
+        clock.rearm(
+            SessionEvent::PlaybackBoundary,
+            Some(Instant::from_micros(2)),
+        );
+        clock.rearm(SessionEvent::PlaybackBoundary, None);
         assert_eq!(clock.next_time(), Some(Instant::from_micros(20)));
         assert_eq!(
             clock.pop(),
@@ -240,12 +239,11 @@ mod tests {
         assert!(names.iter().all(|n| n.starts_with("dispatch.")));
     }
 
-    /// The four re-armable wake classes.
-    const WAKES: [SessionEvent; 4] = [
+    /// The three re-armable wake classes.
+    const WAKES: [SessionEvent; 3] = [
         SessionEvent::TransferComplete,
         SessionEvent::PlaybackBoundary,
         SessionEvent::BufferRefill,
-        SessionEvent::SeekDue,
     ];
 
     /// A linear-scan reference: every schedule ever made as
@@ -309,7 +307,7 @@ mod tests {
         #[test]
         fn clock_matches_linear_scan_model(
             deadline in 0u64..40,
-            ops in proptest::collection::vec((0u8..6, 0usize..4, 0u64..8), 1..200),
+            ops in proptest::collection::vec((0u8..6, 0usize..3, 0u64..8), 1..200),
         ) {
             let mut clock = Clock::default();
             let mut model = Model::default();

@@ -234,8 +234,6 @@ pub struct SessionDigest {
     pub stall_count: usize,
     /// Total rebuffering time (an open stall measured to session end).
     pub total_stall: Duration,
-    /// User seeks applied.
-    pub seeks: usize,
     /// When playback started.
     pub startup_at: Option<Instant>,
     /// When playback finished all content.
@@ -256,7 +254,6 @@ impl SessionDigest {
             playlist_fetches: 0,
             stall_count: 0,
             total_stall: Duration::ZERO,
-            seeks: 0,
             startup_at: None,
             ended_at: None,
             finished_at: Instant::ZERO,
@@ -274,7 +271,6 @@ impl SessionDigest {
             playlist_fetches: log.playlist_fetches.len() as u64,
             stall_count: log.stall_count(),
             total_stall: log.total_stall(),
-            seeks: log.seeks.len(),
             startup_at: log.startup_at,
             ended_at: log.ended_at,
             finished_at: log.finished_at,
@@ -309,7 +305,6 @@ impl SessionDigest {
                     self.finished_at = at;
                 }
             }
-            Event::SeekStarted { .. } => self.seeks += 1,
             Event::PlaybackStarted => self.startup_at = Some(at),
             Event::PlaybackEnded => self.ended_at = Some(at),
             _ => {}
@@ -356,18 +351,13 @@ impl Recorder {
         }
     }
 
-    /// `(stall count, seek count, startup_at, ended_at)` as recorded, for
-    /// the end-of-session cross-check against the playback engine.
+    /// `(stall count, startup_at, ended_at)` as recorded, for the
+    /// end-of-session cross-check against the playback engine.
     #[cfg(feature = "debug-invariants")]
-    pub(crate) fn lifecycle(&self) -> (usize, usize, Option<Instant>, Option<Instant>) {
+    pub(crate) fn lifecycle(&self) -> (usize, Option<Instant>, Option<Instant>) {
         match self {
-            Recorder::Log(log) => (
-                log.stalls.len(),
-                log.seeks.len(),
-                log.startup_at,
-                log.ended_at,
-            ),
-            Recorder::Digest(d, _) => (d.stall_count, d.seeks, d.startup_at, d.ended_at),
+            Recorder::Log(log) => (log.stalls.len(), log.startup_at, log.ended_at),
+            Recorder::Digest(d, _) => (d.stall_count, d.startup_at, d.ended_at),
         }
     }
 

@@ -4,10 +4,10 @@
 //! fixed table with one pending-event slot per [`SessionEvent`] class.
 //! Each loop iteration is two halves: `next_wake` (re-)arms the slot of
 //! each wake class — transfer completion, playback boundary, buffer
-//! refill, due seek — and reads the clock head; `pump` pops that earliest
-//! event and runs a uniform simulation step at its timestamp. A wake
-//! whose time changed overwrites its slot with a fresh seq; one whose
-//! time did not change stays armed. Each event costs at most one re-arm
+//! refill — and reads the clock head; `pump` pops that earliest event and
+//! runs a uniform simulation step at its timestamp. A wake whose time
+//! changed overwrites its slot with a fresh seq; one whose time did not
+//! change stays armed. Each event costs at most one re-arm
 //! per changed wake class, whether [`Engine::run`] or an external driver
 //! ([`crate::stepper::SessionStepper`]) turns the loop.
 //!
@@ -33,7 +33,6 @@ use abr_media::track::{MediaType, TrackSet, TrackTable};
 use abr_media::units::Bytes;
 use abr_net::link::Link;
 use abr_obs::{Event, ObsHandle};
-use std::collections::VecDeque;
 
 /// A running session: every piece of mutable state behind
 /// [`crate::session::Session::run`], advanced exclusively by popping the
@@ -63,7 +62,6 @@ pub(crate) struct Engine {
     pub(crate) video_buf: ChunkBuffer,
     pub(crate) playback: PlaybackEngine,
     pub(crate) flights: FlightBoard,
-    pub(crate) seek_queue: VecDeque<(Instant, Duration)>,
     pub(crate) current_audio: Option<usize>,
     pub(crate) current_video: Option<usize>,
     pub(crate) playlists_ready: TrackSet,
@@ -155,7 +153,7 @@ impl Engine {
         self.debug_check_flights();
     }
 
-    /// Re-arms the four wake classes against current state. A class whose
+    /// Re-arms the three wake classes against current state. A class whose
     /// time changed overwrites its slot, so a stale wake can never fire.
     fn arm_wakes(&mut self) {
         let _g = self.obs.span("engine.arm_wakes");
@@ -185,20 +183,13 @@ impl Engine {
         } else {
             None
         };
-        // A pending seek is an event once playback has started.
-        let seek = if self.playback.startup_at().is_some() {
-            self.seek_queue.front().map(|&(at, _)| at.max(self.now))
-        } else {
-            None
-        };
         self.clock.rearm(SessionEvent::TransferComplete, completion);
         self.clock.rearm(SessionEvent::PlaybackBoundary, boundary);
         self.clock.rearm(SessionEvent::BufferRefill, refill);
-        self.clock.rearm(SessionEvent::SeekDue, seek);
     }
 
     /// One simulation step at `t`: advance the link and playout, fold in
-    /// completions, apply due seeks, (re)start playback, schedule fetches,
+    /// completions, (re)start playback, schedule fetches,
     /// sample buffers. Every popped wake — whichever class won the clock —
     /// runs this same step, which is what makes the engine equivalent to
     /// the min-of-candidates loop it replaced.
@@ -222,7 +213,6 @@ impl Engine {
         self.flights.completions = completions;
         self.obs
             .gauge("session.pending_requests", self.flights.len() as f64);
-        self.apply_due_seeks();
         let state_before_start = self.playback.state();
         self.playback
             .try_start(self.now, &self.audio_buf, &self.video_buf);
@@ -230,7 +220,6 @@ impl Engine {
             match state_before_start {
                 PlayState::Startup => self.record(self.now, Event::PlaybackStarted),
                 PlayState::Stalled => self.record(self.now, Event::StallEnd),
-                PlayState::Seeking => self.record(self.now, Event::SeekResumed),
                 _ => {}
             }
         }
@@ -267,47 +256,6 @@ impl Engine {
         }
     }
 
-    /// Applies every due seek: flush buffers, drop in-flight chunk
-    /// requests, reposition the playhead at a chunk boundary.
-    fn apply_due_seeks(&mut self) {
-        while let Some(&(at, target)) = self.seek_queue.front() {
-            if at > self.now || self.playback.startup_at().is_none() {
-                break;
-            }
-            self.seek_queue.pop_front();
-            let chunk_idx = (target.as_micros() / self.chunk_duration.as_micros()) as usize;
-            let aligned = self.chunk_duration * chunk_idx as u64;
-            if self.playback.state() == PlayState::Ended
-                || chunk_idx >= self.num_chunks
-                || aligned <= self.playback.position()
-            {
-                continue; // not a forward seek anymore: ignore
-            }
-            // Drop in-flight chunk transfers (playlist fetches keep
-            // running; their deferred chunks are re-validated on arrival).
-            // Cancels happen in flow-id order, as retain walks the
-            // board's id-sorted backing vector.
-            let link = &mut self.link;
-            self.flights.retain(|id, p| {
-                if matches!(p, crate::transfer::Pending::Playlist { .. }) {
-                    return true;
-                }
-                link.cancel_flow(id);
-                false
-            });
-            self.audio_buf.flush_to(chunk_idx);
-            self.video_buf.flush_to(chunk_idx);
-            if self.playback.state() == PlayState::Stalled {
-                // The seek closes the open stall (the rebuffering that
-                // follows is accounted to the seek).
-                self.record(self.now, Event::StallEnd);
-            }
-            let from = self.playback.position();
-            self.record(self.now, Event::SeekStarted { from, to: aligned });
-            self.playback.seek(aligned);
-        }
-    }
-
     /// Records the current buffer levels.
     fn sample(&mut self) {
         let (audio, video) = (self.audio_buf.level(), self.video_buf.level());
@@ -334,12 +282,7 @@ impl Engine {
         #[cfg(feature = "debug-invariants")]
         {
             let p = &self.playback;
-            let engine = (
-                p.stall_count(),
-                p.seek_count(),
-                p.startup_at(),
-                p.ended_at(),
-            );
+            let engine = (p.stall_count(), p.startup_at(), p.ended_at());
             debug_assert_eq!(
                 self.recorder.lifecycle(),
                 engine,

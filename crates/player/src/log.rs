@@ -1,7 +1,7 @@
 //! Session records — the raw material for every figure.
 //!
 //! A session, and a recorded trace of one, fold each event into a row per
-//! selection, transfer, playlist fetch, buffer sample, stall and seek;
+//! selection, transfer, playlist fetch, buffer sample and stall;
 //! the experiment harness turns these into the paper's time-series plots
 //! and QoE summaries.
 
@@ -70,20 +70,6 @@ impl Stall {
     }
 }
 
-/// One seek: the jump and how long re-buffering took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Seek {
-    /// When the user sought.
-    pub at: Instant,
-    /// Media position jumped from.
-    pub from: Duration,
-    /// Media position jumped to.
-    pub to: Duration,
-    /// When playback resumed (`None` while rebuffering or if the session
-    /// ended first).
-    pub resumed: Option<Instant>,
-}
-
 /// One second-level playlist fetch (when the session models them; §4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlaylistFetchEvent {
@@ -150,8 +136,6 @@ pub struct SessionLog {
     pub stalls: Vec<Stall>,
     /// Second-level playlist fetches (empty when playlists are preloaded).
     pub playlist_fetches: Vec<PlaylistFetchEvent>,
-    /// User seeks applied during the session.
-    pub seeks: Vec<Seek>,
     /// When playback started.
     pub startup_at: Option<Instant>,
     /// When playback finished all content.
@@ -347,20 +331,6 @@ impl SessionLog {
                     .ok_or("stall_end without open stall")?;
                 stall.end = Some(at);
             }
-            Event::SeekStarted { from, to } => self.seeks.push(Seek {
-                at,
-                from,
-                to,
-                resumed: None,
-            }),
-            Event::SeekResumed => {
-                let seek = self
-                    .seeks
-                    .last_mut()
-                    .filter(|s| s.resumed.is_none())
-                    .ok_or("seek_resumed without open seek")?;
-                seek.resumed = Some(at);
-            }
             Event::PlaylistFetch {
                 track,
                 requested_at,
@@ -452,12 +422,6 @@ mod serde_impls {
     });
     impl_struct_serialize!(BufferSample { at, audio, video });
     impl_struct_serialize!(Stall { start, end });
-    impl_struct_serialize!(Seek {
-        at,
-        from,
-        to,
-        resumed
-    });
     impl_struct_serialize!(SessionLog {
         policy,
         selections,
@@ -465,7 +429,6 @@ mod serde_impls {
         buffer_samples,
         stalls,
         playlist_fetches,
-        seeks,
         startup_at,
         ended_at,
         finished_at,

@@ -10,8 +10,8 @@
 //! * ends when the full content duration has played out.
 //!
 //! The machine keeps its state, not a history: the session engine records
-//! each stall and seek as an event, and the recorder folds those into the
-//! [`crate::log::Stall`] and [`crate::log::Seek`] rows.
+//! each stall as an event, and the recorder folds those into the
+//! [`crate::log::Stall`] rows.
 
 use crate::buffer::ChunkBuffer;
 use abr_event::time::{Duration, Instant};
@@ -25,8 +25,6 @@ pub enum PlayState {
     Playing,
     /// Stalled mid-stream waiting for a buffer to recover.
     Stalled,
-    /// Rebuffering after a user seek.
-    Seeking,
     /// All content played.
     Ended,
 }
@@ -45,8 +43,6 @@ pub struct PlaybackEngine {
     ended_at: Option<Instant>,
     /// Stalls begun so far.
     stall_count: usize,
-    /// Seeks applied so far.
-    seek_count: usize,
 }
 
 impl PlaybackEngine {
@@ -62,7 +58,6 @@ impl PlaybackEngine {
             startup_at: None,
             ended_at: None,
             stall_count: 0,
-            seek_count: 0,
         }
     }
 
@@ -89,25 +84,6 @@ impl PlaybackEngine {
     /// Number of stalls begun so far.
     pub fn stall_count(&self) -> usize {
         self.stall_count
-    }
-
-    /// Number of seeks applied so far.
-    pub fn seek_count(&self) -> usize {
-        self.seek_count
-    }
-
-    /// Jumps the playhead to `to` (a user seek). The caller is responsible
-    /// for flushing the buffers; playback re-enters a rebuffering state and
-    /// resumes once `try_start` sees enough content. A seek supersedes an
-    /// open stall: the rebuffering that follows belongs to the seek. Panics
-    /// on a seek past the end or before playback ever started.
-    pub fn seek(&mut self, to: Duration) {
-        assert!(to < self.total, "seek past the end");
-        assert!(self.state != PlayState::Ended, "seek after playback ended");
-        assert!(self.startup_at.is_some(), "seek before startup");
-        self.seek_count += 1;
-        self.position = to;
-        self.state = PlayState::Seeking;
     }
 
     /// The next instant at which this engine changes state on its own: the
@@ -170,7 +146,7 @@ impl PlaybackEngine {
     pub fn try_start(&mut self, now: Instant, audio: &ChunkBuffer, video: &ChunkBuffer) {
         let threshold = match self.state {
             PlayState::Startup => self.startup_threshold,
-            PlayState::Stalled | PlayState::Seeking => self.resume_threshold,
+            PlayState::Stalled => self.resume_threshold,
             _ => return,
         };
         // The tail of the clip may legitimately be shorter than the
@@ -331,66 +307,6 @@ mod tests {
         push(&mut v, 0);
         p.try_start(Instant::ZERO, &a, &v);
         p.advance(Instant::ZERO, Instant::from_secs(5), &mut a, &mut v);
-    }
-
-    #[test]
-    fn seek_repositions_and_rebuffers() {
-        let (mut a, mut v) = buffers();
-        let mut p = engine(); // 20 s total
-        push(&mut a, 0);
-        push(&mut v, 0);
-        p.try_start(Instant::ZERO, &a, &v);
-        p.advance(Instant::ZERO, Instant::from_secs(2), &mut a, &mut v);
-        // User seeks to 12 s.
-        a.flush_to(3);
-        v.flush_to(3);
-        p.seek(Duration::from_secs(12));
-        assert_eq!(p.state(), PlayState::Seeking);
-        assert_eq!(p.seek_count(), 1);
-        assert_eq!(p.position(), Duration::from_secs(12));
-        assert!(p.next_boundary(Instant::from_secs(2), &a, &v).is_none());
-        // Buffers refill at the target; playback resumes.
-        push(&mut a, 3);
-        push(&mut v, 3);
-        p.try_start(Instant::from_secs(3), &a, &v);
-        assert_eq!(p.state(), PlayState::Playing);
-        assert_eq!(p.stall_count(), 0, "rebuffering after a seek is no stall");
-        // Remaining content: 8 s.
-        p.advance(Instant::from_secs(3), Instant::from_secs(7), &mut a, &mut v);
-        assert_eq!(p.position(), Duration::from_secs(16));
-    }
-
-    #[test]
-    fn seek_supersedes_open_stall() {
-        let (mut a, mut v) = buffers();
-        let mut p = engine();
-        push(&mut a, 0);
-        push(&mut v, 0);
-        p.try_start(Instant::ZERO, &a, &v);
-        p.advance(Instant::ZERO, Instant::from_secs(4), &mut a, &mut v);
-        assert_eq!(p.state(), PlayState::Stalled);
-        a.flush_to(2);
-        v.flush_to(2);
-        p.seek(Duration::from_secs(8));
-        assert_eq!(p.state(), PlayState::Seeking, "the seek replaces the stall");
-        assert_eq!((p.stall_count(), p.seek_count()), (1, 1));
-        // The rebuffering that follows resumes as the seek's.
-        push(&mut a, 2);
-        push(&mut v, 2);
-        p.try_start(Instant::from_secs(7), &a, &v);
-        assert_eq!(p.state(), PlayState::Playing);
-        assert_eq!(p.stall_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "seek past the end")]
-    fn seek_past_end_panics() {
-        let (mut a, mut v) = buffers();
-        let mut p = engine();
-        push(&mut a, 0);
-        push(&mut v, 0);
-        p.try_start(Instant::ZERO, &a, &v);
-        p.seek(Duration::from_secs(30));
     }
 
     #[test]

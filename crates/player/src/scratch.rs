@@ -16,7 +16,7 @@ use crate::log::{BufferSample, PlaylistFetchEvent, SelectionEvent, SessionLog, T
 /// Reusable log-vector capacity for one thread of log sessions.
 ///
 /// Only the four append-only event vectors are pooled; the rare `stalls`
-/// and `seeks` rows stay session-owned.
+/// rows stay session-owned.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     pub(crate) selections: Vec<SelectionEvent>,

@@ -6,7 +6,7 @@
 //! builder: `run` hands the configured parts to the engine (`engine.rs`),
 //! which advances virtual time exclusively by popping a typed per-class
 //! event clock — transfer completions, playback boundaries,
-//! buffer refills, seeks and the deadline are all events. All state
+//! buffer refills and the deadline are all events. All state
 //! transitions happen at exact instants; nothing is polled.
 //!
 //! Playlists are modelled as §4.1 describes them for VoD: preloaded, or
@@ -70,8 +70,6 @@ pub struct Session {
     packaging: Packaging,
     delivery: DeliveryMode,
     path: Option<Box<dyn abr_httpsim::edge::TransferPath>>,
-    /// Scheduled user seeks: (wall time, target media position), sorted.
-    seeks: Vec<(Instant, Duration)>,
     obs: ObsHandle,
 }
 
@@ -98,7 +96,6 @@ impl Session {
             },
             delivery: DeliveryMode::Demuxed,
             path: None,
-            seeks: Vec::new(),
             obs: ObsHandle::disabled(),
         }
     }
@@ -111,16 +108,6 @@ impl Session {
     /// [`SessionLog::from_trace`].
     pub fn with_obs(mut self, obs: ObsHandle) -> Session {
         self.obs = obs;
-        self
-    }
-
-    /// Schedules forward user seeks: at each wall-clock instant, jump the
-    /// playhead to the given media position (rounded down to a chunk
-    /// boundary). Seeks that land before startup, after content end, or
-    /// behind the playhead are skipped.
-    pub fn with_seeks(mut self, mut seeks: Vec<(Instant, Duration)>) -> Session {
-        seeks.sort_by_key(|&(at, _)| at);
-        self.seeks = seeks;
         self
     }
 
@@ -290,7 +277,6 @@ impl Session {
             ),
             config: self.config,
             flights: FlightBoard::default(),
-            seek_queue: self.seeks.into_iter().collect(),
             current_audio: None,
             current_video: None,
             playlists_ready: TrackSet::new(),

@@ -67,10 +67,8 @@ impl Pending {
 /// The pending table is a flat vector kept sorted by ascending [`FlowId`]
 /// (ids ascend in open order, so inserts are pushes). A session has at
 /// most a handful of requests in flight, and a sorted `Vec` reproduces
-/// the `BTreeMap` it replaced *exactly* — iteration, `retain` walk order
-/// (the seek-cancel path is order-sensitive, see
-/// `Engine::apply_due_seeks`) and removal semantics are all by ascending
-/// flow id (DESIGN.md §15).
+/// the `BTreeMap` it replaced *exactly* — iteration and removal
+/// semantics are both by ascending flow id (DESIGN.md §15).
 #[derive(Debug, Default)]
 pub(crate) struct FlightBoard {
     /// Requests currently on the link, sorted by ascending flow id.
@@ -116,13 +114,6 @@ impl FlightBoard {
     /// Keyed iteration over in-flight requests, by ascending flow id.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (FlowId, &Pending)> {
         self.pending.iter().map(|&(id, ref p)| (id, p))
-    }
-
-    /// Retains only the requests `keep` approves, walking (and therefore
-    /// cancelling) in ascending flow-id order — the same order the
-    /// `BTreeMap::retain` it replaced used.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(FlowId, &Pending) -> bool) {
-        self.pending.retain(|&(id, ref p)| keep(id, p));
     }
 }
 
@@ -295,8 +286,8 @@ impl Engine {
     }
 
     /// A playlist landed: mark the track ready, record the fetch, and
-    /// issue the deferred chunk request (if any, and still wanted — a seek
-    /// may have flushed past its position).
+    /// issue the deferred chunk request (if any, and still the pipeline's
+    /// next download).
     fn on_playlist_arrival(
         &mut self,
         track: TrackId,
@@ -316,7 +307,8 @@ impl Engine {
             MediaType::Audio => &self.audio_buf,
             MediaType::Video => &self.video_buf,
         };
-        // A seek may have flushed past this position.
+        // The pipeline stays busy while its playlist is in flight, so no
+        // other fetch can have taken this position; the check is a guard.
         if let Some(chunk) = then.filter(|&c| c == buf.next_download_index()) {
             self.open_chunk(ChunkFetch {
                 track,
@@ -334,7 +326,7 @@ mod tests {
 
     #[test]
     fn a_pending_request_fits_in_48_bytes() {
-        // The board moves these on every open, completion and seek; a
+        // The board moves these on every open and completion; a
         // muxed chunk's audio companion must not grow them.
         assert!(std::mem::size_of::<Pending>() <= 48);
     }

@@ -24,7 +24,6 @@ fn empty_log() -> SessionLog {
         buffer_samples: vec![],
         stalls: vec![],
         playlist_fetches: vec![],
-        seeks: vec![],
         startup_at: None,
         ended_at: None,
         finished_at: Instant::from_secs(100),

@@ -45,43 +45,35 @@ fn advance(
 proptest! {
     /// Differential: the O(1) counter level equals the O(n) definition —
     /// the sum over the queued chunks minus the played part of the head
-    /// chunk — after every step of a random `push`/`drain`/`flush_to`
-    /// sequence. The queue and the played part come from a test-local
-    /// model of the FIFO the buffer replaced.
+    /// chunk — after every step of a random `push`/`drain` sequence. The
+    /// queue and the played part come from a test-local model of the FIFO
+    /// the buffer replaced.
     #[test]
     fn level_matches_chunk_sum(
         chunk_ms in 1u64..8_000,
-        ops in proptest::collection::vec((0u8..5, 1u64..8_000, 0u64..=100), 1..80),
+        ops in proptest::collection::vec((any::<bool>(), 0u64..=100), 1..80),
     ) {
         let mut buf = ChunkBuffer::new(MediaType::Video, Duration::from_millis(chunk_ms));
         // Model: queued chunk durations (ms) and the head's played part.
         let mut model: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
         let mut head_played = 0u64;
-        for (kind, ms, pct) in ops {
-            match kind {
-                0 | 1 => {
-                    buf.push(TrackId::video(0), buf.next_download_index());
-                    model.push_back(chunk_ms);
-                }
-                2 | 3 => {
-                    let mut left = buf.level().as_millis() * pct / 100;
-                    buf.drain(Duration::from_millis(left));
-                    while left > 0 {
-                        let head_left = model[0] - head_played;
-                        if left < head_left {
-                            head_played += left;
-                            left = 0;
-                        } else {
-                            left -= head_left;
-                            model.pop_front();
-                            head_played = 0;
-                        }
+        for (push, pct) in ops {
+            if push {
+                buf.push(TrackId::video(0), buf.next_download_index());
+                model.push_back(chunk_ms);
+            } else {
+                let mut left = buf.level().as_millis() * pct / 100;
+                buf.drain(Duration::from_millis(left));
+                while left > 0 {
+                    let head_left = model[0] - head_played;
+                    if left < head_left {
+                        head_played += left;
+                        left = 0;
+                    } else {
+                        left -= head_left;
+                        model.pop_front();
+                        head_played = 0;
                     }
-                }
-                _ => {
-                    buf.flush_to(ms as usize);
-                    model.clear();
-                    head_played = 0;
                 }
             }
             let durations: Vec<u64> = buf.chunks().map(|_| chunk_ms).collect();

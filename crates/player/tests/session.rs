@@ -1,5 +1,5 @@
 //! End-to-end session behavior through the public facade: startup, stalls,
-//! pipeline balance, playlists, seeks, edge caching, muxed delivery,
+//! pipeline balance, playlists, edge caching, muxed delivery,
 //! packaging equivalence, and bit-reproducibility.
 
 use abr_event::time::{Duration, Instant};
@@ -202,83 +202,6 @@ fn lazy_fetches_only_used_tracks_and_delays_their_first_chunk() {
     assert!(log.startup_at.unwrap() > preloaded.startup_at.unwrap());
 }
 
-#[test]
-fn forward_seek_skips_content_and_resumes() {
-    let content = Content::drama_show(1);
-    let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
-    let link = Link::with_latency(Trace::constant(kbps(2_000)), Duration::from_millis(20));
-    let config = PlayerConfig::default_chunked(content.chunk_duration());
-    // At t=30 s, jump to media position 200 s (chunk 50).
-    let log = Session::new(
-        origin,
-        link,
-        Box::new(FixedPolicy { video: 1, audio: 0 }),
-        config,
-    )
-    .with_seeks(vec![(Instant::from_secs(30), Duration::from_secs(200))])
-    .run();
-    assert_eq!(log.seeks.len(), 1);
-    let seek = log.seeks[0];
-    assert_eq!(seek.at, Instant::from_secs(30));
-    assert_eq!(seek.to, Duration::from_secs(200));
-    assert_eq!(log.stall_count(), 0);
-    assert_eq!(
-        seek.from,
-        seek.at - log.startup_at.unwrap(),
-        "jumps from the playhead"
-    );
-    // Playback resumes at the first chunk arrival that refills both
-    // buffers past the resume threshold.
-    let resumed = seek.resumed.expect("playback resumed after the seek");
-    let resume = config.resume_threshold;
-    let at_resume = sample_at(&log, resumed);
-    assert!(at_resume.audio >= resume && at_resume.video >= resume);
-    assert!(log
-        .buffer_samples
-        .iter()
-        .filter(|s| s.at > seek.at && s.at < resumed)
-        .all(|s| s.audio < resume || s.video < resume));
-    // Playback reached the end even though the middle was skipped.
-    assert!(log.ended_at.is_some());
-    // Chunks in the skipped region were never selected.
-    let video_chunks: std::collections::BTreeSet<usize> = log
-        .selections
-        .iter()
-        .filter(|s| s.track.media == MediaType::Video)
-        .map(|s| s.chunk)
-        .collect();
-    assert!(video_chunks.contains(&0));
-    assert!(video_chunks.contains(&50));
-    assert!(video_chunks.contains(&74));
-    // The deep-skip region (selected-before-seek prefix aside) has a
-    // hole: chunk 45 was neither buffered nor fetched after the flush.
-    assert!(!video_chunks.contains(&45) || seek.at > Instant::from_secs(170));
-    // Wall time saved: the session ends well before a full watch.
-    assert!(log.finished_at < Instant::from_secs(240));
-}
-
-#[test]
-fn stale_seeks_are_ignored() {
-    let content = Content::drama_show(1);
-    let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
-    let link = Link::new(Trace::constant(kbps(2_000)));
-    let config = PlayerConfig::default_chunked(content.chunk_duration());
-    // Backward / past-the-end seeks are dropped.
-    let log = Session::new(
-        origin,
-        link,
-        Box::new(FixedPolicy { video: 0, audio: 0 }),
-        config,
-    )
-    .with_seeks(vec![
-        (Instant::from_secs(100), Duration::from_secs(4)), // behind the playhead
-        (Instant::from_secs(120), Duration::from_secs(400)), // past the end
-    ])
-    .run();
-    assert!(log.seeks.is_empty());
-    assert!(log.completed());
-}
-
 /// A fixed V2 session over audio rung `audio` at 2 Mbps with 10 ms
 /// latency, optionally routed through a shared edge cache.
 fn edge_session(content: &Content, audio: usize, edge: Option<&Rc<RefCell<EdgeCache>>>) -> Session {
@@ -457,8 +380,8 @@ fn muxed_delivery_runs_only_with_preloaded_playlists() {
     }
 }
 
-/// A fixed-policy session over a random-walk link with one forward seek:
-/// the base of the packaging checks below.
+/// A fixed-policy session over a random-walk link: the base of the
+/// packaging checks below.
 fn packaging_session(content: &Content) -> Session {
     let origin = Origin::with_overhead(content.clone(), Bytes(320));
     let trace = Trace::random_walk(
@@ -478,7 +401,6 @@ fn packaging_session(content: &Content) -> Session {
         Box::new(FixedPolicy { video: 2, audio: 1 }),
         config,
     )
-    .with_seeks(vec![(Instant::from_secs(40), Duration::from_secs(150))])
 }
 
 /// Runs `session` traced: its log and its JSONL trace.
@@ -492,12 +414,12 @@ fn run_traced(session: Session) -> (SessionLog, String) {
 fn byte_range_packaging_is_timing_identical() {
     // §4.1: the two packaging modes carry the same bytes. With the same
     // (preloaded) playlists, the whole record and the whole trace agree,
-    // event for event, across a seek that cancels requests in flight.
+    // event for event.
     let content = Content::drama_show(1);
     let (seg_log, seg_trace) = run_traced(packaging_session(&content));
     let (rng_log, rng_trace) =
         run_traced(packaging_session(&content).with_packaging(Packaging::SingleFile));
-    assert_eq!(seg_log.seeks.len(), 1, "the seek applies");
+    assert!(seg_log.completed());
     assert_eq!(seg_log, rng_log);
     assert_eq!(seg_trace, rng_trace);
 }

@@ -3,7 +3,7 @@
 //! [`Session::run`], including over a degenerate shared path — the
 //! single-session half of the fleet-of-1 parity standard (DESIGN.md §14).
 
-use abr_event::time::{Duration, Instant};
+use abr_event::time::Duration;
 use abr_httpsim::origin::Origin;
 use abr_httpsim::shared::{FleetHub, SharedEdge};
 use abr_media::content::Content;
@@ -66,18 +66,6 @@ fn stepper_matches_run_independent_pipelines() {
     let direct = build(2_000, 4, 1, SyncMode::Independent).run();
     let stepped = run_stepped(build(2_000, 4, 1, SyncMode::Independent));
     assert_eq!(direct, stepped);
-}
-
-#[test]
-fn stepper_matches_run_with_seeks() {
-    let seeks = vec![
-        (Instant::from_secs(30), Duration::from_secs(120)),
-        (Instant::from_secs(90), Duration::from_secs(200)),
-    ];
-    let direct = build(2_000, 2, 1, CHUNKED).with_seeks(seeks.clone()).run();
-    let stepped = run_stepped(build(2_000, 2, 1, CHUNKED).with_seeks(seeks));
-    assert_eq!(direct, stepped);
-    assert_eq!(stepped.seeks.len(), 2);
 }
 
 #[test]

@@ -249,7 +249,6 @@ mod tests {
             buffer_samples: vec![],
             stalls: vec![],
             playlist_fetches: vec![],
-            seeks: vec![],
             startup_at: Some(Instant::from_millis(500)),
             ended_at: Some(Instant::from_secs(12)),
             finished_at: Instant::from_secs(12),

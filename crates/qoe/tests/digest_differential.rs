@@ -2,15 +2,14 @@
 //!
 //! A session that keeps no log streams a [`SessionDigest`]; a session
 //! that keeps one is summarized by replaying the log into the same
-//! digest. Over the Monte Carlo corpus traces, every policy arm, seeks,
-//! and the three request paths, the streamed digest must equal
-//! the replayed one field for field, and the two summaries must match
-//! bit for bit.
+//! digest. Over the Monte Carlo corpus traces, every policy arm and the
+//! three request paths, the streamed digest must equal the replayed one
+//! field for field, and the two summaries must match bit for bit.
 
 use abr_bench::corpus::ScenarioCorpus;
 use abr_bench::mc::mc_policies;
 use abr_bench::setup::player_config;
-use abr_event::time::{Duration, Instant};
+use abr_event::time::Duration;
 use abr_httpsim::origin::Origin;
 use abr_media::content::SharedContent;
 use abr_media::units::Bytes;
@@ -35,7 +34,6 @@ struct Case {
     realization: u64,
     trace: usize,
     arm: usize,
-    seek: Option<(u64, u64)>,
     path: RequestPath,
 }
 
@@ -53,7 +51,7 @@ impl Case {
         let scenario = corpus().scenario(self.realization);
         let arm = mc_policies()[self.arm];
         let content = &scenario.content;
-        let mut session = Session::new(
+        let session = Session::new(
             Origin::with_overhead(SharedContent::clone(content), Bytes::ZERO),
             Link::with_latency(
                 scenario.traces[self.trace].1.clone(),
@@ -62,9 +60,6 @@ impl Case {
             arm.policy(content, &scenario.dash),
             player_config(arm.player_kind(), content.chunk_duration()),
         );
-        if let Some((at, to)) = self.seek {
-            session = session.with_seeks(vec![(Instant::from_secs(at), Duration::from_secs(to))]);
-        }
         match self.path {
             RequestPath::Preloaded => session,
             RequestPath::Lazy => session.with_playlist_fetch(PlaylistFetch::Lazy),
@@ -105,7 +100,6 @@ fn replayed_digest_counts_the_log() {
         realization: 0,
         trace: 6,
         arm: 2,
-        seek: Some((40, 200)),
         path: RequestPath::Lazy,
     };
     let log = case.session().run();
@@ -116,7 +110,6 @@ fn replayed_digest_counts_the_log() {
     assert_eq!(d.buffer.samples(), log.buffer_samples.len() as u64);
     assert_eq!(d.stall_count, log.stall_count());
     assert_eq!(d.total_stall, log.total_stall());
-    assert_eq!(d.seeks, log.seeks.len());
     assert_eq!(d.completed(), log.completed());
     check(case).unwrap();
 }
@@ -130,14 +123,11 @@ proptest! {
     fn streamed_digest_equals_the_replayed_log(
         realization in 0..REALIZATIONS,
         trace in 0..abr_net::corpus::LEN,
-        seek_draw in (any::<bool>(), 5u64..200, 0u64..300),
         path in 0usize..3,
     ) {
-        let (seeks, seek_at, seek_to) = seek_draw;
-        let seek = seeks.then_some((seek_at, seek_to));
         let path = [RequestPath::Preloaded, RequestPath::Lazy, RequestPath::Muxed][path];
         for arm in 0..mc_policies().len() {
-            check(Case { realization, trace, arm, seek, path })?;
+            check(Case { realization, trace, arm, path })?;
         }
     }
 }

@@ -58,7 +58,6 @@ fn make_log(picks: &[(usize, usize)], stalls: &[(u64, u64)]) -> SessionLog {
             })
             .collect(),
         playlist_fetches: vec![],
-        seeks: vec![],
         startup_at: Some(Instant::from_millis(700)),
         ended_at: Some(finished),
         finished_at: finished,

@@ -1,13 +1,13 @@
-//! Tour of the session-level features beyond plain streaming: forward
-//! seeks, an edge cache in the path, lazy playlist fetching, and muxed
-//! delivery — all over the same content and policy.
+//! Tour of the session-level features beyond plain streaming: an edge
+//! cache in the path, lazy playlist fetching, and muxed delivery — all
+//! over the same content and policy.
 //!
 //! ```sh
 //! cargo run --example session_features
 //! ```
 
 use abr_unmuxed::core::BestPracticePolicy;
-use abr_unmuxed::event::time::{Duration, Instant};
+use abr_unmuxed::event::time::Duration;
 use abr_unmuxed::httpsim::cache::CdnCache;
 use abr_unmuxed::httpsim::edge::EdgeCache;
 use abr_unmuxed::httpsim::origin::Origin;
@@ -46,23 +46,7 @@ fn main() {
         )
     };
 
-    // 1. A seek: watch 40 s, then skip to the 4-minute mark.
-    let log = base(2_000)
-        .with_seeks(vec![(Instant::from_secs(40), Duration::from_secs(240))])
-        .run();
-    let seek = log.seeks[0];
-    println!(
-        "seek:      jumped {}s → {}s at t={}; rebuffered {:.2}s; session ended at t={:.0}s",
-        seek.from.as_secs_f64(),
-        seek.to.as_secs_f64(),
-        seek.at,
-        seek.resumed
-            .map(|r| r.saturating_duration_since(seek.at).as_secs_f64())
-            .unwrap_or(f64::NAN),
-        log.finished_at.as_secs_f64(),
-    );
-
-    // 2. An edge cache: first viewer cold, second viewer warm.
+    // 1. An edge cache: first viewer cold, second viewer warm.
     // The session borrows the cache through an `Rc` clone, so the
     // warmed cache stays here for the second viewer.
     let edge = Rc::new(RefCell::new(EdgeCache {
@@ -83,7 +67,7 @@ fn main() {
         stats.hit_ratio() * 100.0,
     );
 
-    // 3. Lazy playlist fetching: watch the per-track round trips. The
+    // 2. Lazy playlist fetching: watch the per-track round trips. The
     //    playlists follow the session's packaging: byte ranges here.
     let log = base(2_000)
         .with_packaging(Packaging::SingleFile)
@@ -96,7 +80,7 @@ fn main() {
         log.playlist_fetches.last().map(|p| p.completed_at.as_secs_f64()).unwrap_or(f64::NAN),
     );
 
-    // 4. Muxed delivery: identical content, zero buffer imbalance, 3.3×
+    // 3. Muxed delivery: identical content, zero buffer imbalance, 3.3×
     //    the origin storage (see `cargo run --example cdn_cache`).
     let muxed = base(2_000).with_delivery(DeliveryMode::Muxed).run();
     let demuxed = base(2_000).run();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Preflight for the determinism contract: what the CI lint job runs, plus
-# the benchmark workspace tests from the check job, bundled so a
-# contributor can check a change before pushing.
+# the rustdoc, serde-feature and benchmark workspace steps from the check
+# job, bundled so a contributor can check a change before pushing.
 #
 #  1. abr-lint      — the workspace determinism + concurrency linter
 #                     (DESIGN.md §12, §17);
@@ -10,14 +10,18 @@
 #                     of the window-barrier and chunked-claim protocols;
 #  3. cargo fmt     — formatting, check-only;
 #  4. cargo clippy  — the workspace lint set, warnings denied;
-#  5. cargo test    — the full suite with `debug-invariants` on, so the
+#  5. cargo doc     — rustdoc with warnings denied, so an intra-doc link
+#                     left pointing at a deleted item fails here;
+#  6. serde feature — `abr-player`'s tests with `--features serde`, the
+#                     only build of its serde impls;
+#  7. cargo test    — the full suite with `debug-invariants` on, so the
 #                     runtime invariant checks in Link/EventQueue/
 #                     FlightBoard/WindowBoard/claim ledger run under
 #                     every golden and differential test;
-#  6. duplicates    — no test binary registers a test name twice
+#  8. duplicates    — no test binary registers a test name twice
 #                     (scripts/duplicate_tests.sh), so no test runs or
 #                     counts twice;
-#  7. benchmark     — the frozen `benchmark/` workspace's own tests, so a
+#  9. benchmark     — the frozen `benchmark/` workspace's own tests, so a
 #                     change to the public API it calls fails here, not
 #                     only in CI's check job.
 set -euo pipefail
@@ -34,6 +38,12 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "== cargo test (serde feature) =="
+cargo test -q -p abr-player --features serde
 
 echo "== cargo test (debug-invariants) =="
 cargo test --workspace -q --features abr-unmuxed/debug-invariants

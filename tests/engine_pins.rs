@@ -1,14 +1,14 @@
-//! The session engine's output on eleven fixed sessions, pinned.
+//! The session engine's output on ten fixed sessions, pinned.
 //!
 //! The engine steps virtual time by popping typed wakes off one clock.
 //! The loop it replaced took the minimum of the candidate instants
-//! (transfer completion, playback boundary, refill wake, due seek) each
+//! (transfer completion, playback boundary, refill wake) each
 //! iteration and checked the deadline inline. A port of that loop ran
 //! these sessions beside the engine and required equal [`SessionLog`]s.
 //! The digests below were recorded while it still passed, so they hold
 //! the engine to the same output without keeping the old loop.
 //!
-//! The first ten sessions are the port's own. The eleventh stops at a
+//! The first nine sessions are the port's own. The tenth stops at a
 //! deadline placed on a stall end: a deadline that outranks the events at
 //! its own instant misses that stall end, which no other session shows.
 //!
@@ -41,17 +41,16 @@ use common::fnv1a;
 /// `(session label, FNV-1a of its SessionLog's Debug text, FNV-1a of its
 /// JSONL trace)`.
 const PINS: &[(&str, u64, u64)] = &[
-    ("ample", 0xfeb4da6003e84b88, 0x6d8c158cd8f09ed7),
-    ("starved", 0xb98c3018d6ee231c, 0xd8002153ebcc1a7a),
-    ("variable", 0xe021bec68f2f33a0, 0x717a8d003d9db486),
-    ("lazy playlists", 0x6263affc9689890a, 0xb0df0127e857cdd3),
-    ("eager playlists", 0xc80cf20e27350672, 0xd8bd178a8339c78e),
-    ("muxed", 0xa2f9e07092e0bcf4, 0xd129cb33111a54e9),
-    ("edge cache", 0x91874b79e1c55504, 0x1995b37649fe8955),
-    ("seeks", 0x5c73c03db132f556, 0x897152e780a6863f),
-    ("deadline", 0xd564b04dd07af6a1, 0xe181f0026bb7109f),
-    ("byte ranges", 0xa0f6d079142cc6b8, 0xb3c35ca3593d510a),
-    ("deadline stall", 0xaf137873e35aa065, 0x250bebd29707b0d0),
+    ("ample", 0x07f7b27ce2774f4d, 0x6d8c158cd8f09ed7),
+    ("starved", 0xd77dc39a3459ef03, 0xd8002153ebcc1a7a),
+    ("variable", 0x74285e8f0a3ed7d9, 0x717a8d003d9db486),
+    ("lazy playlists", 0xde8c30436a60970d, 0xb0df0127e857cdd3),
+    ("eager playlists", 0x697f34450367e4d3, 0xd8bd178a8339c78e),
+    ("muxed", 0xdebc46213d707ed9, 0xd129cb33111a54e9),
+    ("edge cache", 0xc2f81fc05033ee01, 0x1995b37649fe8955),
+    ("deadline", 0x5fa51f89af96fa62, 0xe181f0026bb7109f),
+    ("byte ranges", 0xded560563473f315, 0xb3c35ca3593d510a),
+    ("deadline stall", 0x7236ca58cbecfe40, 0x250bebd29707b0d0),
 ];
 
 /// One pinned session's inputs; every field but the trace has a default
@@ -68,7 +67,6 @@ struct Scenario {
     delivery: DeliveryMode,
     /// Edge cache `(capacity, miss penalty)`, if the session has one.
     edge: Option<(Bytes, Duration)>,
-    seeks: Vec<(Instant, Duration)>,
     deadline: Option<Instant>,
 }
 
@@ -82,8 +80,7 @@ impl Scenario {
             PlayerConfig::default_chunked(self.content.chunk_duration()),
         )
         .with_packaging(self.packaging)
-        .with_delivery(self.delivery)
-        .with_seeks(self.seeks.clone());
+        .with_delivery(self.delivery);
         if self.playlist_fetch != PlaylistFetch::Preloaded {
             s = s.with_playlist_fetch(self.playlist_fetch);
         }
@@ -143,7 +140,6 @@ fn base(trace: Trace, video: usize, audio: usize) -> Scenario {
         playlist_fetch: PlaylistFetch::Preloaded,
         delivery: DeliveryMode::Demuxed,
         edge: None,
-        seeks: Vec::new(),
         deadline: None,
     }
 }
@@ -220,19 +216,6 @@ fn pin_edge_cache() {
             s.edge = Some((Bytes(1 << 32), Duration::from_millis(80)));
         })
         .check("edge cache");
-}
-
-#[test]
-fn pin_seeks() {
-    base(Trace::constant(kbps(2_000)), 1, 0)
-        .tap(|s| {
-            s.latency = Duration::from_millis(20);
-            s.seeks = vec![
-                (Instant::from_secs(30), Duration::from_secs(200)),
-                (Instant::from_secs(100), Duration::from_secs(4)),
-            ];
-        })
-        .check("seeks");
 }
 
 #[test]

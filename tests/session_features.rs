@@ -1,8 +1,8 @@
-//! Integration: the session-surface features (seeks, edge cache, muxed
+//! Integration: the session-surface features (edge cache, muxed
 //! delivery) compose with real policies end to end.
 
 use abr_unmuxed::core::{BestPracticePolicy, ShakaPolicy};
-use abr_unmuxed::event::time::{Duration, Instant};
+use abr_unmuxed::event::time::Duration;
 use abr_unmuxed::httpsim::cache::CdnCache;
 use abr_unmuxed::httpsim::edge::EdgeCache;
 use abr_unmuxed::httpsim::origin::Origin;
@@ -11,13 +11,11 @@ use abr_unmuxed::manifest::view::BoundHls;
 use abr_unmuxed::manifest::MasterPlaylist;
 use abr_unmuxed::media::combo::{all_combos, curated_subset};
 use abr_unmuxed::media::content::Content;
-use abr_unmuxed::media::track::MediaType;
 use abr_unmuxed::media::units::{BitsPerSec, Bytes};
 use abr_unmuxed::net::link::Link;
 use abr_unmuxed::net::trace::Trace;
 use abr_unmuxed::player::session::DeliveryMode;
 use abr_unmuxed::player::{PlayerConfig, Session};
-use abr_unmuxed::qoe;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -42,51 +40,6 @@ fn session(content: &Content, view: &BoundHls, kbps: u64) -> Session {
         Box::new(BestPracticePolicy::from_hls(view)),
         config,
     )
-}
-
-/// A forward seek with an adaptive policy: selections stay in the allowed
-/// set across the seek boundary and playback finishes early.
-#[test]
-fn seek_with_adaptive_policy() {
-    let content = Content::drama_show(SEED);
-    let view = sub_view(&content);
-    let allowed = view.allowed_combos();
-    let log = session(&content, &view, 2_500)
-        .with_seeks(vec![(Instant::from_secs(60), Duration::from_secs(260))])
-        .run();
-    assert_eq!(log.seeks.len(), 1);
-    assert!(log.seeks[0].resumed.is_some());
-    assert!(log.ended_at.is_some(), "played to the end after the skip");
-    assert_eq!(qoe::off_manifest_chunks(&log, &allowed), 0);
-    // No duplicate fetches despite the flush.
-    for media in [MediaType::Audio, MediaType::Video] {
-        let mut chunks: Vec<usize> = log.selections_for(media).map(|s| s.chunk).collect();
-        let before = chunks.len();
-        chunks.dedup();
-        assert_eq!(chunks.len(), before, "no duplicate fetches");
-    }
-}
-
-/// Multiple seeks in one session.
-#[test]
-fn repeated_seeks() {
-    let content = Content::drama_show(SEED);
-    let view = sub_view(&content);
-    let log = session(&content, &view, 3_000)
-        .with_seeks(vec![
-            (Instant::from_secs(20), Duration::from_secs(100)),
-            (Instant::from_secs(40), Duration::from_secs(200)),
-            (Instant::from_secs(60), Duration::from_secs(280)),
-        ])
-        .run();
-    assert_eq!(log.seeks.len(), 3);
-    assert!(log.seeks.windows(2).all(|w| w[0].at <= w[1].at));
-    assert!(log.ended_at.is_some());
-    assert!(
-        log.finished_at < Instant::from_secs(120),
-        "three skips compress a 300-s clip into {:.0}s",
-        log.finished_at.as_secs_f64()
-    );
 }
 
 /// The edge cache composes with an adaptive policy: a second viewer on the
