@@ -13,7 +13,6 @@
 //! Observability (with --id):
 //! exp --id f4b --trace out.jsonl    write the event trace as JSONL
 //! exp --id f4b --chrome out.json    write a Chrome trace_event document
-//! exp --id f4b --metrics            print the metrics registry summary
 //!
 //! Self-profiling (--id, mc or fleet; DESIGN.md §13):
 //! exp --id bp1 --profile            print the span self/total-time table
@@ -35,7 +34,6 @@
 
 use abr_bench::experiments::{all_ids, run_jobs, run_sessions, ExperimentResult};
 use abr_bench::profiling::WorkloadProfile;
-use abr_bench::report::table;
 use abr_bench::runner;
 use std::io::Write as _;
 
@@ -53,7 +51,6 @@ fn main() {
     let mut json_dir: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut chrome_path: Option<String> = None;
-    let mut metrics = false;
     let mut profile = false;
     let mut profile_json: Option<String> = None;
     let mut jobs = runner::jobs_from_env();
@@ -66,7 +63,6 @@ fn main() {
             "--json" => json_dir = Some(value(&args, &mut i)),
             "--trace" => trace_path = Some(value(&args, &mut i)),
             "--chrome" => chrome_path = Some(value(&args, &mut i)),
-            "--metrics" => metrics = true,
             "--profile" => profile = true,
             "--profile-json" => profile_json = Some(value(&args, &mut i)),
             "--jobs" => jobs = parse_jobs_flag(&value(&args, &mut i)),
@@ -82,9 +78,9 @@ fn main() {
         return;
     }
 
-    let wants_obs = trace_path.is_some() || chrome_path.is_some() || metrics;
+    let wants_obs = trace_path.is_some() || chrome_path.is_some();
     if wants_obs && (run_all || id.is_none()) {
-        usage("--trace/--chrome/--metrics need a single experiment (--id)");
+        usage("--trace/--chrome need a single experiment (--id)");
     }
     let wants_profile = profile || profile_json.is_some();
     if wants_profile && (run_all || id.is_none()) {
@@ -131,7 +127,7 @@ fn main() {
         }
         if wants_obs || wants_profile {
             // Profiled runs reuse the profiled outcomes for --trace/
-            // --chrome/--metrics too: the artifacts are byte-identical
+            // --chrome too: the artifacts are byte-identical
             // (profile_determinism suite), so the sessions run once.
             let Some((outcomes, workload)) = run_sessions(id, jobs, wants_profile) else {
                 eprintln!(
@@ -167,12 +163,6 @@ fn main() {
                     }
                     println!("[chrome trace ({}) written to {path}]", outcome.label);
                 }
-            }
-            if metrics {
-                let merged = runner::merged_metrics(&outcomes);
-                let rows: Vec<Vec<String>> =
-                    merged.rows().into_iter().map(|(k, v)| vec![k, v]).collect();
-                println!("{}", table(&["Metric", "Value"], &rows));
             }
         }
     }
@@ -378,7 +368,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: exp (--list | --id <experiment> | --all) [--json <dir>] [--jobs <n|auto>]\n\
-         \x20      [--trace <file.jsonl>] [--chrome <file.json>] [--metrics]\n\
+         \x20      [--trace <file.jsonl>] [--chrome <file.json>]\n\
          \x20      [--profile] [--profile-json <file>]             (with --id)\n\
          \x20  exp mc [--seeds <n>] [--jobs <n|auto>] [--json <file>]\n\
          \x20      [--profile] [--profile-json <file>]   Monte Carlo fleet sweep\n\

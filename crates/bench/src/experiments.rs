@@ -89,9 +89,9 @@ pub fn run_jobs(id: &str, jobs: usize) -> Option<ExperimentResult> {
 
 /// One traceable session, defined once. The figure renders it over a
 /// disabled handle ([`Arm::log`]); `exp --id <id>` with `--trace/
-/// --chrome/--metrics/--profile` observes the same recipe over the
-/// recording handle ([`Arm::observe`]). Every field is
-/// `Sync`, so a sweep's workers share one arm list.
+/// --chrome/--profile` observes the same recipe over the recording
+/// handle ([`Arm::observe`]). Every field is `Sync`, so a sweep's
+/// workers share one arm list.
 struct Arm {
     /// `<id>/<arm>`: the name an observed session is filed under.
     label: String,
@@ -132,7 +132,7 @@ impl Arm {
     /// Runs the session over the recording handle, with an
     /// optional span profiler that observes and never steers.
     fn observe(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
-        let (log, events, metrics) = run_session_obs(
+        let (log, events) = run_session_obs(
             &self.content,
             self.kind,
             (self.policy)(),
@@ -143,7 +143,6 @@ impl Arm {
             label: self.label.clone(),
             log,
             events,
-            metrics,
         }
     }
 
@@ -325,8 +324,8 @@ pub fn traced_sessions(id: &str, jobs: usize) -> Option<Vec<SessionOutcome>> {
     run_sessions(id, jobs, false).map(|(outcomes, _)| outcomes)
 }
 
-/// The one body behind `exp --id <id>` with `--trace/--chrome/--metrics`
-/// and `--profile`: the experiment's arm list, observed. With `profile`
+/// The one body behind `exp --id <id>` with `--trace/--chrome` and
+/// `--profile`: the experiment's arm list, observed. With `profile`
 /// every session runs with a private profiler wired into its `ObsHandle`,
 /// and the returned [`WorkloadProfile`] carries the merged span tree plus
 /// the pool's phase/worker accounting. Outcomes are byte-identical either

@@ -10,7 +10,7 @@
 //! artifacts, so numbers vary run to run while the accompanying session
 //! outputs stay byte-identical (DESIGN.md §13).
 
-use abr_obs::metrics::HistogramSnapshot;
+use abr_obs::histogram::HistogramSnapshot;
 use abr_obs::profile::fmt_ns;
 use abr_obs::{ProfileReport, SpanNode};
 use std::fmt::Write as _;

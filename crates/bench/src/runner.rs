@@ -16,7 +16,7 @@
 //!    workers claim work.
 //! 2. **Results merge in index order.** Workers return `(index, outcome)`
 //!    through a channel; the pool re-assembles the output vector by index,
-//!    so downstream tables, JSON artifacts and merged metrics are
+//!    so downstream tables, JSON artifacts and event traces are
 //!    byte-identical at any `--jobs` value.
 //!
 //! The pool ([`run_pool`]) is `std::thread::scope` over `min(jobs, n)`
@@ -31,16 +31,16 @@
 //! after the pool drains. `tests/parallel_determinism.rs` holds the
 //! contract: representative experiments run at `--jobs 1/2/8` (and random
 //! chunk sizes / claim orders, profiled or not) must produce identical
-//! `SessionLog`s, JSON artifacts and merged metrics.
+//! `SessionLog`s, event traces and JSON artifacts.
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use abr_event::sync_model::claim_range;
-use abr_obs::metrics::{Histogram, HistogramSnapshot};
+use abr_obs::histogram::{Histogram, HistogramSnapshot};
 use abr_obs::profile::SPAN_BOUNDS_NS;
-use abr_obs::{HostStopwatch, MetricsSnapshot, ProfileReport, Profiler, TracedEvent};
+use abr_obs::{HostStopwatch, ProfileReport, Profiler, TracedEvent};
 use abr_player::SessionLog;
 
 /// Number of cores the host exposes (at least 1).
@@ -439,14 +439,6 @@ pub struct SessionOutcome {
     pub log: SessionLog,
     /// The captured event trace (deterministic stamping — `wall_ns` 0).
     pub events: Vec<TracedEvent>,
-    /// The session's private metrics registry, snapshotted.
-    pub metrics: MetricsSnapshot,
-}
-
-/// Merges per-session metrics snapshots in session order (the deterministic
-/// ordered merge behind `exp --metrics` on sweeps).
-pub fn merged_metrics(outcomes: &[SessionOutcome]) -> MetricsSnapshot {
-    MetricsSnapshot::merge_ordered(outcomes.iter().map(|o| &o.metrics))
 }
 
 /// Compile-time proof that everything crossing the worker boundary is
@@ -463,7 +455,6 @@ fn static_send_sync_assertions() {
     send::<SessionOutcome>();
     send::<SessionLog>();
     send::<Vec<TracedEvent>>();
-    send::<MetricsSnapshot>();
     // Captured by job closures:
     sync::<abr_media::content::Content>();
     sync::<abr_net::trace::Trace>();

@@ -19,7 +19,7 @@ use abr_media::content::{Content, SharedContent};
 use abr_media::units::Bytes;
 use abr_net::link::Link;
 use abr_net::trace::Trace;
-use abr_obs::{MetricsSnapshot, ObsHandle, Profiler, TracedEvent};
+use abr_obs::{ObsHandle, Profiler, TracedEvent};
 use abr_player::config::{PlayerConfig, SyncMode};
 use abr_player::policy::AbrPolicy;
 use abr_player::{Session, SessionLog};
@@ -175,18 +175,17 @@ pub(crate) fn session_for(
     Session::new(origin, link, policy, config)
 }
 
-/// Like [`run_session`], but with a recording tracer and metrics registry
-/// attached: returns the directly-recorded log alongside the captured
-/// event stream and a metrics snapshot. This is the runner behind the
-/// `exp --trace/--chrome/--metrics/--profile` flags and the trace-replay
-/// integration test.
+/// Like [`run_session`], but with a recording tracer attached: returns
+/// the directly-recorded log alongside the captured event stream. This is
+/// the runner behind the `exp --trace/--chrome/--profile` flags and the
+/// trace-replay integration test.
 ///
-/// The returned events and snapshot are a pure function of the session
+/// The returned events are a pure function of the session
 /// ([`ObsHandle::recording`] reads no host clock) — the property the
 /// golden-artifact and parallel-determinism suites assert. An optional
-/// span `profiler` observes host time only: the log, events and metrics
-/// are byte-identical with or without one (the `profile_determinism`
-/// suite holds this), and the spans land in the caller's
+/// span `profiler` observes host time only: the log and events are
+/// byte-identical with or without one (the `profile_determinism` suite
+/// holds this), and the spans land in the caller's
 /// [`abr_obs::Profiler`].
 pub fn run_session_obs(
     content: &SharedContent,
@@ -194,15 +193,15 @@ pub fn run_session_obs(
     policy: Box<dyn AbrPolicy>,
     trace: Trace,
     profiler: Option<&Rc<Profiler>>,
-) -> (SessionLog, Vec<TracedEvent>, MetricsSnapshot) {
-    let (mut obs, tracer, metrics) = ObsHandle::recording();
+) -> (SessionLog, Vec<TracedEvent>) {
+    let (mut obs, tracer) = ObsHandle::recording();
     if let Some(p) = profiler {
         obs = obs.with_profiler(Rc::clone(p));
     }
     let log = session_for(content, kind, policy, trace)
         .with_obs(obs)
         .run();
-    (log, tracer.take(), metrics.snapshot())
+    (log, tracer.take())
 }
 
 /// Builds the standard policy for a kind over DASH manifests (used by the

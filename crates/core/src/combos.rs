@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn record_emits_one_decision_only_when_tracing() {
         let l = ladder(&[(0, 0, 200), (1, 1, 500)]);
-        let (obs, tracer, _) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         let chosen = l.record(&obs, &ctx(MediaType::Audio, 3), 1, || "why".into());
         assert_eq!(chosen, TrackId::audio(1));
         let events = tracer.snapshot();

@@ -26,16 +26,14 @@ use abr_obs::{Event, ObsHandle};
 use abr_player::policy::TransferRecord;
 use std::collections::VecDeque;
 
-/// Records one estimator update driven by `record`: counts
-/// `estimator.updates`, and emits `EstimateUpdated` when the estimate
-/// moved from `old` to a value `new`.
+/// Records one estimator update driven by `record`: emits
+/// `EstimateUpdated` when the estimate moved from `old` to a value `new`.
 pub fn record_update(
     obs: &ObsHandle,
     record: &TransferRecord,
     old: Option<BitsPerSec>,
     new: Option<BitsPerSec>,
 ) {
-    obs.count("estimator.updates", 1);
     if let Some(new) = new.filter(|&new| Some(new) != old) {
         obs.emit(record.completed_at, || Event::EstimateUpdated {
             old,

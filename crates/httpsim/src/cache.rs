@@ -338,10 +338,6 @@ impl CdnCache {
     }
 
     fn record_lookup(&self, req: &Request, now: Instant, hit: bool, size: Bytes) {
-        self.obs
-            .count(if hit { "cache.hits" } else { "cache.misses" }, 1);
-        self.obs.gauge("cache.hit_ratio", self.stats.hit_ratio());
-        self.obs.gauge("cache.used_bytes", self.used.get() as f64);
         self.obs.emit(now, || Event::CacheLookup {
             object: req.to_string(),
             hit,
@@ -364,7 +360,6 @@ impl CdnCache {
         self.used -= slot.size;
         self.free.push(victim);
         self.stats.evictions += 1;
-        self.obs.count("cache.evictions", 1);
     }
 
     /// Detaches `slot` from the recency list.
@@ -629,14 +624,13 @@ mod tests {
         use abr_event::time::Instant;
         use abr_obs::{Event, ObsHandle};
         let (o, mut c) = setup();
-        let (obs, tracer, metrics) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         c.set_obs(obs);
         let req = Origin::segment_request(TrackId::video(0), 0);
         c.fetch_at(&o, &req, Instant::from_secs(1)).unwrap();
         c.fetch_at(&o, &req, Instant::from_secs(2)).unwrap();
-        assert_eq!(metrics.counter_value("cache.misses"), 1);
-        assert_eq!(metrics.counter_value("cache.hits"), 1);
-        assert_eq!(metrics.gauge_value("cache.hit_ratio"), Some(0.5));
+        assert_eq!((c.stats().misses, c.stats().hits), (1, 1));
+        assert_eq!(c.stats().hit_ratio(), 0.5);
         let events = tracer.snapshot();
         assert_eq!(events.len(), 2);
         match (&events[0].event, &events[1].event) {

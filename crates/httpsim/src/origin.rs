@@ -58,7 +58,6 @@ pub struct Origin {
     header_overhead: Bytes,
     /// Documents (manifests/playlists) by path, storing body size.
     documents: std::collections::BTreeMap<String, Bytes>,
-    obs: abr_obs::ObsHandle,
 }
 
 impl Origin {
@@ -74,13 +73,7 @@ impl Origin {
             content: content.into(),
             header_overhead,
             documents: std::collections::BTreeMap::new(),
-            obs: abr_obs::ObsHandle::disabled(),
         }
-    }
-
-    /// Attaches an observability handle (request and served-byte counters).
-    pub fn set_obs(&mut self, obs: abr_obs::ObsHandle) {
-        self.obs = obs;
     }
 
     /// The content being served.
@@ -147,8 +140,6 @@ impl Origin {
                 len
             }
         };
-        self.obs.count("origin.requests", 1);
-        self.obs.count("origin.bytes_served", body.get());
         Ok(body)
     }
 

@@ -140,8 +140,8 @@ impl Link {
         }
     }
 
-    /// Attaches an observability handle: busy/idle link time and per-flow
-    /// byte counters, plus `transfer_progress` events while tracing.
+    /// Attaches an observability handle: `transfer_progress` events while
+    /// tracing, `link.*` spans while profiling.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = obs;
     }
@@ -186,9 +186,6 @@ impl Link {
             activate_at,
             profile,
         });
-        self.obs.count("link.flows_opened", 1);
-        self.obs
-            .gauge("link.pending_flows", self.flows.len() as f64);
         self.debug_check();
         id
     }
@@ -389,33 +386,19 @@ impl Link {
             if let Some(a) = next_activation {
                 boundary = boundary.min(a);
             }
-            let (mut rate, mut share) = (0, 0);
+            let mut rate = 0;
             if n > 0 {
                 rate = self.cursor.rate_at(&self.trace, now).bps();
-                share = rate / n as u64;
                 if let Some(c) = self.cursor.next_change_after(&self.trace, now) {
                     boundary = boundary.min(c);
                 }
             }
+            let share = rate.checked_div(n as u64).unwrap_or(0);
             if share > 0 {
                 if let Some(key) = min_key {
                     let min_rem = key - self.drained;
                     let fin = now + Duration::from_micros(min_rem.div_ceil(share as u128) as u64);
                     boundary = boundary.min(fin);
-                }
-            }
-
-            // Busy/idle accounting, exact per sub-span: the link is busy
-            // whenever flows contend for a nonzero-rate schedule — even
-            // when the integer per-flow share quantizes to zero (the link
-            // is saturated, not idle). Spans break at every activation,
-            // completion and rate change, so each span is uniform.
-            if boundary > now {
-                let span_us = (boundary - now).as_micros();
-                if rate > 0 && n > 0 {
-                    self.obs.count("link.busy_us", span_us);
-                } else {
-                    self.obs.count("link.idle_us", span_us);
                 }
             }
 
@@ -458,10 +441,6 @@ impl Link {
                             rate: share_rate,
                         });
                         let f = self.flows.remove(i);
-                        self.obs.count("link.flows_completed", 1);
-                        self.obs.observe("link.flow_bytes", f.size.get() as f64);
-                        self.obs
-                            .gauge("link.pending_flows", self.flows.len() as f64);
                         done.push(Completion {
                             id: f.id,
                             at: fin,
@@ -704,23 +683,30 @@ mod tests {
         Link::new(Trace::constant(kbps(1))).open_flow(Bytes::ZERO);
     }
 
+    /// Time a solo flow spent delivering: the summed spans of its
+    /// delivery profile (a flow records no segment while its share is 0).
+    fn busy(done: &Completion) -> Duration {
+        done.profile
+            .segments()
+            .iter()
+            .map(|s| s.end - s.start)
+            .sum()
+    }
+
     #[test]
     fn obs_counts_busy_idle_and_flow_bytes() {
-        let (obs, tracer, metrics) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         let mut link = Link::new(Trace::constant(kbps(800)));
         link.set_obs(obs);
         let _ = link.open_flow(Bytes(100_000)); // exactly 1 s of delivery
-        link.advance_to(Instant::from_secs(3)); // then 2 s idle
-        assert_eq!(metrics.counter_value("link.busy_us"), 1_000_000);
-        assert_eq!(metrics.counter_value("link.idle_us"), 2_000_000);
-        assert_eq!(metrics.counter_value("link.flows_opened"), 1);
-        assert_eq!(metrics.counter_value("link.flows_completed"), 1);
-        assert_eq!(metrics.gauge_value("link.pending_flows"), Some(0.0));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.histograms["link.flow_bytes"].count, 1);
-        assert_eq!(snap.histograms["link.flow_bytes"].max, 100_000.0);
+        let done = link.advance_to(Instant::from_secs(3)); // then 2 s idle
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].at, Instant::from_secs(1));
+        assert_eq!(busy(&done[0]), Duration::from_secs(1));
+        assert_eq!(done[0].size, Bytes(100_000));
+        assert_eq!(link.next_completion(), None, "idle after the flow");
         // No boundaries interrupt a constant-rate solo flow, so no
-        // progress events — only what the counters say.
+        // progress events.
         assert!(tracer.snapshot().is_empty());
     }
 
@@ -728,8 +714,9 @@ mod tests {
     fn busy_idle_exact_sub_spans() {
         // Multi-phase schedule: 50 ms request latency (idle), delivery at
         // 800 Kbps, a 2 s zero-rate stall mid-flow, delivery again, then
-        // an idle tail — busy_us must count exactly the delivering spans.
-        let (obs, _, metrics) = ObsHandle::recording();
+        // an idle tail — the profile must hold exactly the delivering
+        // spans.
+        let (obs, _) = ObsHandle::recording();
         let trace = Trace::steps(&[
             (Duration::from_secs(1), kbps(800)),   // 100 KB deliverable
             (Duration::from_secs(2), kbps(0)),     // stall
@@ -741,18 +728,18 @@ mod tests {
         let _ = link.open_flow(Bytes(150_000));
         let done = link.advance_to(Instant::from_secs(5));
         assert_eq!(done[0].at, Instant::from_micros(3_550_000));
-        // Busy: [0.05, 1.0] + [3.0, 3.55] = 1.5 s exactly.
-        assert_eq!(metrics.counter_value("link.busy_us"), 1_500_000);
-        // Idle: [0, 0.05] latency + [1, 3] stall + [3.55, 5] tail = 3.5 s.
-        assert_eq!(metrics.counter_value("link.idle_us"), 3_500_000);
+        // Busy: [0.05, 1.0] + [3.0, 3.55] = 1.5 s exactly, so idle is
+        // [0, 0.05] latency + [1, 3] stall + [3.55, 5] tail = 3.5 s.
+        assert_eq!(done[0].profile.start(), Some(Instant::from_millis(50)));
+        assert_eq!(busy(&done[0]), Duration::from_millis(1_500));
     }
 
     #[test]
-    fn saturated_link_counts_busy_when_share_quantizes_to_zero() {
+    fn saturated_link_completes_once_the_share_rises_above_zero() {
         // 10 flows on a 5 bps link: the integer per-flow share is zero,
-        // but the link is saturated by contention — that second is busy,
-        // not idle. Once the rate rises every flow finishes quickly.
-        let (obs, _, metrics) = ObsHandle::recording();
+        // so nothing delivers in that second. Once the rate rises every
+        // flow finishes quickly.
+        let (obs, _) = ObsHandle::recording();
         let trace = Trace::steps(&[
             (Duration::from_secs(1), BitsPerSec(5)),
             (Duration::from_secs(100), BitsPerSec(8_000_000)),
@@ -766,8 +753,8 @@ mod tests {
         let done = link.advance_to(Instant::from_secs(2));
         assert_eq!(done.len(), 10);
         assert_eq!(done[0].at, Instant::from_micros(1_000_010));
-        assert_eq!(metrics.counter_value("link.busy_us"), 1_000_010);
-        assert_eq!(metrics.counter_value("link.idle_us"), 2_000_000 - 1_000_010);
+        assert!(done.iter().all(|c| c.at == done[0].at));
+        assert_eq!(done[0].profile.start(), Some(Instant::from_secs(1)));
     }
 
     #[test]
@@ -784,7 +771,7 @@ mod tests {
                 )
             })
             .collect();
-        let (obs, tracer, metrics) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         let mut link = Link::new(Trace::new(points));
         link.set_obs(obs);
         link.advance_to(Instant::from_millis(2_500)); // no flow at all
@@ -793,16 +780,17 @@ mod tests {
         assert_eq!(link.next_completion(), Some(finish));
         let done = link.advance_to(Instant::from_secs(40));
         assert_eq!(done[0].at, finish);
-        assert_eq!(metrics.counter_value("link.busy_us"), 1_250_000);
-        // Idle: [0, 30] before the first byte plus [31.25, 40].
-        assert_eq!(metrics.counter_value("link.idle_us"), 38_750_000);
+        // Busy: [30, 31.25]; idle: [0, 30] before the first byte plus
+        // [31.25, 40].
+        assert_eq!(done[0].profile.start(), Some(Instant::from_secs(30)));
+        assert_eq!(busy(&done[0]), Duration::from_millis(1_250));
         // One progress event, at the one changepoint inside the delivery.
         assert_eq!(tracer.snapshot().len(), 1);
     }
 
     #[test]
     fn obs_emits_progress_at_boundaries() {
-        let (obs, tracer, _) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         let trace = Trace::steps(&[
             (Duration::from_secs(1), kbps(800)),
             (Duration::from_secs(100), kbps(400)),

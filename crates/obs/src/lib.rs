@@ -1,6 +1,6 @@
 //! # abr-obs — structured observability for the abr-unmuxed simulator
 //!
-//! Four layers, all optional at run time and free when disabled:
+//! Three layers, all optional at run time and free when disabled:
 //!
 //! * **Events** ([`event`]) — a typed vocabulary of simulator happenings
 //!   (requests, transfers, cache lookups, estimate updates, policy
@@ -9,30 +9,28 @@
 //! * **Tracing** ([`tracer`]) — the in-memory [`RecordingTracer`] and the
 //!   [`ObsHandle`] that instrumented code holds. A disabled handle costs
 //!   one branch per site; event payloads are built lazily.
-//! * **Metrics** ([`metrics`]) — a [`MetricsRegistry`] of counters, gauges
-//!   and fixed-bucket histograms (cache hit/miss, link busy/idle time,
-//!   bytes per flow, estimator updates, pending-queue depth).
 //! * **Profiling** ([`profile`]) — a hierarchical span profiler measuring
 //!   where *host* time goes (engine dispatch per event class, policy
 //!   evaluation, link advance, sweep-runner phases). RAII guards, a call
 //!   tree keyed by `(parent, name)`, and mergeable [`ProfileReport`]
 //!   snapshots; like the tracer, one branch per site when disabled.
-//!   This is the only layer that reads the host clock: traces and metrics
-//!   are a pure function of the simulation.
+//!   This is the only layer that reads the host clock: traces are a pure
+//!   function of the simulation.
 //!
 //! [`export`] renders recorded traces as JSONL (one event per line,
 //! qlog-flavoured; parse it back with [`export::from_jsonl`]) or as a
 //! Chrome `trace_event` document that Perfetto opens directly.
+//! [`histogram`] holds the fixed-bucket histograms in which the profiler
+//! and the sweep runner keep host-time durations.
 
 #![deny(missing_docs)]
 
 pub mod event;
 pub mod export;
-pub mod metrics;
+pub mod histogram;
 pub mod profile;
 pub mod tracer;
 
 pub use event::{Event, TracedEvent};
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use profile::{ProfileReport, Profiler, SpanGuard, SpanNode};
 pub use tracer::{HostStopwatch, ObsHandle, RecordingTracer};

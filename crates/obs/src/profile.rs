@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::tracer::HostStopwatch;
 
 /// Span-duration histogram bounds, in nanoseconds: whole decades from

@@ -7,7 +7,6 @@ use std::rc::Rc;
 use abr_event::time::Instant;
 
 use crate::event::{Event, TracedEvent};
-use crate::metrics::MetricsRegistry;
 use crate::profile::{Profiler, SpanGuard};
 
 /// A monotonic host-clock stopwatch: nanoseconds elapsed since
@@ -20,7 +19,7 @@ use crate::profile::{Profiler, SpanGuard};
 /// this type, so the `ABR-L002` host-clock lint allowlist stays a single
 /// file and no other module ever names `std::time`. Host time measured
 /// here is *observation only*; it never feeds back into simulated time,
-/// and nothing in this module stamps it into a trace or metric.
+/// and nothing in this module stamps it into a trace.
 #[derive(Debug, Clone, Copy)]
 pub struct HostStopwatch {
     started: std::time::Instant,
@@ -96,17 +95,15 @@ impl RecordingTracer {
     }
 }
 
-/// The handle instrumented code holds: an optional recording tracer,
-/// metrics registry and span profiler, cheaply cloneable so one
-/// configuration fans out to the link, caches, policies and the session
-/// driver.
+/// The handle instrumented code holds: an optional recording tracer and
+/// span profiler, cheaply cloneable so one configuration fans out to the
+/// link, caches, policies and the session driver.
 ///
 /// The default handle is fully disabled; every hook degrades to a branch
 /// on `Option::None`.
 #[derive(Clone, Default)]
 pub struct ObsHandle {
     tracer: Option<Rc<RecordingTracer>>,
-    metrics: Option<Rc<MetricsRegistry>>,
     profiler: Option<Rc<Profiler>>,
 }
 
@@ -114,40 +111,37 @@ impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsHandle")
             .field("tracer", &self.tracer.is_some())
-            .field("metrics", &self.metrics.is_some())
             .field("profiler", &self.profiler.is_some())
             .finish()
     }
 }
 
 impl ObsHandle {
-    /// The disabled handle (no tracer, no metrics, no profiler).
+    /// The disabled handle (no tracer, no profiler).
     pub fn disabled() -> ObsHandle {
         ObsHandle::default()
     }
 
     /// Attaches a span profiler ([`crate::profile::Profiler`]). Profiling
-    /// measures host-clock cost only — it writes nothing into traces,
-    /// metrics or logs, so artifacts stay byte-identical with it on.
+    /// measures host-clock cost only — it writes nothing into traces or
+    /// logs, so artifacts stay byte-identical with it on.
     pub fn with_profiler(mut self, profiler: Rc<Profiler>) -> ObsHandle {
         self.profiler = Some(profiler);
         self
     }
 
-    /// A handle wired to a fresh [`RecordingTracer`] and a fresh registry;
-    /// returns the handle plus direct references for reading results.
-    /// Everything captured is a pure function of the simulation, so two
-    /// identical sessions observed through this handle yield byte-identical
-    /// traces and metrics snapshots (DESIGN.md §10).
-    pub fn recording() -> (ObsHandle, Rc<RecordingTracer>, Rc<MetricsRegistry>) {
+    /// A handle wired to a fresh [`RecordingTracer`]; returns the handle
+    /// plus a direct reference for reading the capture. Everything
+    /// captured is a pure function of the simulation, so two identical
+    /// sessions observed through this handle yield byte-identical traces
+    /// (DESIGN.md §10).
+    pub fn recording() -> (ObsHandle, Rc<RecordingTracer>) {
         let tracer = Rc::new(RecordingTracer::new());
-        let metrics = Rc::new(MetricsRegistry::new());
         let handle = ObsHandle {
             tracer: Some(Rc::clone(&tracer)),
-            metrics: Some(Rc::clone(&metrics)),
             profiler: None,
         };
-        (handle, tracer, metrics)
+        (handle, tracer)
     }
 
     /// True when a span profiler is attached.
@@ -185,30 +179,6 @@ impl ObsHandle {
             t.record(at, build());
         }
     }
-
-    /// Increments a counter (no-op without a registry).
-    #[inline]
-    pub fn count(&self, name: &'static str, delta: u64) {
-        if let Some(m) = &self.metrics {
-            m.count(name, delta);
-        }
-    }
-
-    /// Sets a gauge (no-op without a registry).
-    #[inline]
-    pub fn gauge(&self, name: &'static str, value: f64) {
-        if let Some(m) = &self.metrics {
-            m.gauge(name, value);
-        }
-    }
-
-    /// Records a histogram observation (no-op without a registry).
-    #[inline]
-    pub fn observe(&self, name: &'static str, value: f64) {
-        if let Some(m) = &self.metrics {
-            m.observe(name, value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +190,7 @@ mod tests {
         assert!(!ObsHandle::disabled().tracing());
         let profiled = ObsHandle::disabled().with_profiler(Rc::new(Profiler::new()));
         assert!(!profiled.tracing(), "a profiler is not a tracer");
-        let (obs, _, _) = ObsHandle::recording();
+        let (obs, _) = ObsHandle::recording();
         assert!(obs.tracing());
         assert!(obs.with_profiler(Rc::new(Profiler::new())).tracing());
     }
@@ -238,7 +208,7 @@ mod tests {
 
     #[test]
     fn recording_tracer_stamps_seq_and_sim_time() {
-        let (obs, tracer, _) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         obs.emit(Instant::from_secs(1), || Event::StallBegin);
         obs.emit(Instant::from_secs(2), || Event::StallEnd);
         let events = tracer.snapshot();
@@ -252,7 +222,7 @@ mod tests {
 
     #[test]
     fn take_drains_but_keeps_counting() {
-        let (obs, tracer, _) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         obs.emit(Instant::ZERO, || Event::StallBegin);
         assert_eq!(tracer.take().len(), 1);
         assert!(tracer.is_empty());
@@ -263,24 +233,21 @@ mod tests {
     #[test]
     fn deterministic_recording_is_wall_clock_free() {
         // Two recordings of the same events, made at different host
-        // moments, capture identical traces and metrics.
+        // moments, capture identical traces.
         let record = || {
-            let (obs, tracer, metrics) = ObsHandle::recording();
+            let (obs, tracer) = ObsHandle::recording();
             obs.emit(Instant::from_secs(1), || Event::StallBegin);
             obs.emit(Instant::from_secs(2), || Event::StallEnd);
-            obs.count("cache.hits", 1);
-            obs.observe("stall.s", 1.0);
-            (tracer.snapshot(), metrics.snapshot().rows())
+            tracer.snapshot()
         };
-        let (first_events, first_rows) = record();
-        let (second_events, second_rows) = record();
+        let first_events = record();
+        let second_events = record();
         assert!(
             first_events.iter().all(|e| e.wall_ns == 0),
             "wall_ns must be 0"
         );
         assert_eq!((first_events[0].seq, first_events[1].seq), (0, 1));
         assert_eq!(first_events, second_events);
-        assert_eq!(first_rows, second_rows);
     }
 
     #[test]
@@ -292,27 +259,5 @@ mod tests {
             Event::StallBegin
         });
         assert!(!built, "a profiler alone must keep the closure unevaluated");
-        // Metric hooks without a registry are no-ops.
-        obs.count("cache.hits", 1);
-        obs.gauge("cache.hit_ratio", 0.5);
-        obs.observe("stall.s", 1.0);
-    }
-
-    #[test]
-    fn metric_hooks_reach_the_registry() {
-        let (obs, _, metrics) = ObsHandle::recording();
-        obs.count("cache.hits", 2);
-        obs.count("cache.hits", 1);
-        obs.gauge("cache.hit_ratio", 0.25);
-        obs.gauge("cache.hit_ratio", 0.5);
-        obs.observe("stall.s", 1.5);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counters["cache.hits"], 3);
-        assert_eq!(snap.gauges["cache.hit_ratio"], 0.5);
-        assert_eq!(snap.histograms["stall.s"].count, 1);
-        assert!(
-            !snap.histograms.contains_key("policy.decision_ns"),
-            "no host-time metric"
-        );
     }
 }

@@ -125,7 +125,6 @@ impl Engine {
     pub(crate) fn start(&mut self) {
         let obs = self.obs.clone();
         self.link.set_obs(obs.clone());
-        self.origin.set_obs(obs.clone());
         if let Some(path) = &mut self.path {
             path.set_obs(&obs);
         }
@@ -211,8 +210,6 @@ impl Engine {
         }
         self.on_completions(&mut completions);
         self.flights.completions = completions;
-        self.obs
-            .gauge("session.pending_requests", self.flights.len() as f64);
         let state_before_start = self.playback.state();
         self.playback
             .try_start(self.now, &self.audio_buf, &self.video_buf);

@@ -78,8 +78,6 @@ impl Engine {
                 });
             }
         }
-        self.obs
-            .gauge("session.pending_requests", self.flights.len() as f64);
     }
 
     /// The scheduler's view of one media pipeline.

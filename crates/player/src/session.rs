@@ -101,10 +101,10 @@ impl Session {
     }
 
     /// Attaches an observability handle. The session distributes it to the
-    /// link, the origin, the transfer path, and the policy, and emits the full
+    /// link, the transfer path, and the policy, and emits the full
     /// lifecycle event stream ([`abr_obs::Event::SessionStart`] through
-    /// [`abr_obs::Event::SessionEnd`]) plus live metrics while it runs. A
-    /// trace recorded this way reconstructs the [`SessionLog`] exactly via
+    /// [`abr_obs::Event::SessionEnd`]) while it runs. A trace recorded this
+    /// way reconstructs the [`SessionLog`] exactly via
     /// [`SessionLog::from_trace`].
     pub fn with_obs(mut self, obs: ObsHandle) -> Session {
         self.obs = obs;

@@ -90,7 +90,9 @@ impl FlightBoard {
         self.pending.iter().any(|(_, p)| p.media() == media)
     }
 
-    /// Number of in-flight requests.
+    /// Number of in-flight requests (read by the flight/link agreement
+    /// check).
+    #[cfg(feature = "debug-invariants")]
     pub(crate) fn len(&self) -> usize {
         self.pending.len()
     }
@@ -286,8 +288,7 @@ impl Engine {
     }
 
     /// A playlist landed: mark the track ready, record the fetch, and
-    /// issue the deferred chunk request (if any, and still the pipeline's
-    /// next download).
+    /// issue the deferred chunk request (if any).
     fn on_playlist_arrival(
         &mut self,
         track: TrackId,
@@ -303,13 +304,21 @@ impl Engine {
                 requested_at,
             },
         );
-        let buf = match track.media {
-            MediaType::Audio => &self.audio_buf,
-            MediaType::Video => &self.video_buf,
-        };
-        // The pipeline stays busy while its playlist is in flight, so no
-        // other fetch can have taken this position; the check is a guard.
-        if let Some(chunk) = then.filter(|&c| c == buf.next_download_index()) {
+        if let Some(chunk) = then {
+            // The pipeline stays busy while its playlist is in flight, so
+            // no other fetch can have taken this position.
+            #[cfg(feature = "debug-invariants")]
+            {
+                let buf = match track.media {
+                    MediaType::Audio => &self.audio_buf,
+                    MediaType::Video => &self.video_buf,
+                };
+                debug_assert_eq!(
+                    chunk,
+                    buf.next_download_index(),
+                    "deferred chunk of {track} is no longer its pipeline's next download"
+                );
+            }
             self.open_chunk(ChunkFetch {
                 track,
                 chunk,

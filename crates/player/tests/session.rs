@@ -282,7 +282,7 @@ fn traced_edge_session_records_every_cache_lookup() {
     let content = Content::drama_show(1);
     let edge = cold_edge(80);
     edge_session(&content, 0, Some(&edge)).run(); // viewer A: V2+A1
-    let (obs, tracer, _metrics) = ObsHandle::recording();
+    let (obs, tracer) = ObsHandle::recording();
     let before = edge.borrow().cache.stats();
     edge_session(&content, 1, Some(&edge)).with_obs(obs).run(); // viewer B: V2+A2
     let after = edge.borrow().cache.stats();
@@ -405,7 +405,7 @@ fn packaging_session(content: &Content) -> Session {
 
 /// Runs `session` traced: its log and its JSONL trace.
 fn run_traced(session: Session) -> (SessionLog, String) {
-    let (obs, tracer, _) = abr_obs::ObsHandle::recording();
+    let (obs, tracer) = abr_obs::ObsHandle::recording();
     let log = session.with_obs(obs).run();
     (log, abr_obs::export::to_jsonl(&tracer.take()))
 }
@@ -495,7 +495,7 @@ fn only_a_log_or_a_trace_asks_for_the_estimate() {
         .transfers
         .iter()
         .all(|t| t.estimate_after == Some(kbps(900))));
-    let (obs, tracer, _) = abr_obs::ObsHandle::recording();
+    let (obs, tracer) = abr_obs::ObsHandle::recording();
     session().with_obs(obs).run_digest();
     assert_eq!(
         calls.get() as u64,

@@ -1,6 +1,6 @@
 //! Trace a session: re-run the Fig 4(b) Shaka scenario with the
 //! observability layer attached, write the event stream to
-//! `results/f4b.trace.jsonl`, and print the busiest metrics.
+//! `results/f4b.trace.jsonl`, and print the session's stall summary.
 //!
 //! ```sh
 //! cargo run --example trace_session
@@ -43,8 +43,8 @@ fn main() {
         .expect("self-built playlist binds");
     let policy = ShakaPolicy::hls(&view);
 
-    // Attach a recording tracer + metrics registry and run.
-    let (obs, tracer, metrics) = ObsHandle::recording();
+    // Attach a recording tracer and run.
+    let (obs, tracer) = ObsHandle::recording();
     let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
     let link = Link::with_latency(
         Trace::fig4b_varying_600k(Duration::from_secs(3600)),
@@ -82,10 +82,4 @@ fn main() {
         log.stall_count(),
         log.total_stall().as_secs_f64(),
     );
-
-    // The five busiest metrics, by the registry's own display rows.
-    println!("\ntop metrics:");
-    for (name, value) in metrics.snapshot().rows().into_iter().take(5) {
-        println!("  {name:<26} {value}");
-    }
 }

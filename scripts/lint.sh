@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Preflight for the determinism contract: what the CI lint job runs, plus
-# the rustdoc, serde-feature and benchmark workspace steps from the check
-# job, bundled so a contributor can check a change before pushing.
+# the rustdoc, example, serde-feature and benchmark workspace steps from
+# the check job, bundled so a contributor can check a change before
+# pushing.
 #
 #  1. abr-lint      — the workspace determinism + concurrency linter
 #                     (DESIGN.md §12, §17);
@@ -12,16 +13,19 @@
 #  4. cargo clippy  — the workspace lint set, warnings denied;
 #  5. cargo doc     — rustdoc with warnings denied, so an intra-doc link
 #                     left pointing at a deleted item fails here;
-#  6. serde feature — `abr-player`'s tests with `--features serde`, the
+#  6. examples     — every example run in release, then `results/` must
+#                     match the checked-in copy (trace_session rewrites
+#                     results/f4b.trace.jsonl);
+#  7. serde feature — `abr-player`'s tests with `--features serde`, the
 #                     only build of its serde impls;
-#  7. cargo test    — the full suite with `debug-invariants` on, so the
+#  8. cargo test    — the full suite with `debug-invariants` on, so the
 #                     runtime invariant checks in Link/EventQueue/
 #                     FlightBoard/WindowBoard/claim ledger run under
 #                     every golden and differential test;
-#  8. duplicates    — no test binary registers a test name twice
+#  9. duplicates    — no test binary registers a test name twice
 #                     (scripts/duplicate_tests.sh), so no test runs or
 #                     counts twice;
-#  9. benchmark     — the frozen `benchmark/` workspace's own tests, so a
+# 10. benchmark     — the frozen `benchmark/` workspace's own tests, so a
 #                     change to the public API it calls fails here, not
 #                     only in CI's check job.
 set -euo pipefail
@@ -41,6 +45,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "== every example (release), then git diff --exit-code results/ =="
+for ex in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$ex" .rs)" > /dev/null
+done
+git diff --exit-code results/
 
 echo "== cargo test (serde feature) =="
 cargo test -q -p abr-player --features serde

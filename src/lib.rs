@@ -20,7 +20,7 @@
 //! | [`player`] | `abr-player` | buffers, playback engine, streaming session |
 //! | [`core`] | `abr-core` | bandwidth estimators and ABR policies |
 //! | [`qoe`] | `abr-qoe` | QoE metrics and session scoring |
-//! | [`obs`] | `abr-obs` | event tracing, metrics, JSONL/Chrome exporters |
+//! | [`obs`] | `abr-obs` | event tracing, span profiling, JSONL/Chrome exporters |
 
 #![forbid(unsafe_code)]
 

@@ -105,7 +105,7 @@ impl Scenario {
     /// against `label`'s pin.
     fn check(&self, label: &str) {
         let log: SessionLog = self.session().run();
-        let (obs, tracer, _) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         let traced = self.session().with_obs(obs).run();
         assert_eq!(traced, log, "{label}: tracing changed the log");
         let log_digest = fnv1a(&format!("{log:?}"));

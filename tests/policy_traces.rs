@@ -123,7 +123,7 @@ fn every_policy_trace_matches_its_pin() {
     let mut actual = Vec::new();
     for (label, kind, policy) in sessions() {
         let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
-        let (_, events, _) = run_session_obs(&content, kind, policy, trace, None);
+        let (_, events) = run_session_obs(&content, kind, policy, trace, None);
         let decisions = events
             .iter()
             .filter(|e| matches!(e.event, Event::PolicyDecision { .. }))
@@ -229,7 +229,7 @@ fn delivery_sessions() -> Vec<(&'static str, Session)> {
 fn every_delivery_path_trace_matches_its_pin() {
     let mut actual = Vec::new();
     for (label, session) in delivery_sessions() {
-        let (obs, tracer, _) = ObsHandle::recording();
+        let (obs, tracer) = ObsHandle::recording();
         let log = session.with_obs(obs).run();
         assert!(log.completed(), "{label}: the session plays to the end");
         let events = tracer.take();
