@@ -10,7 +10,7 @@
 //! buffer-only baseline next to the rate-based and hybrid policies.
 
 use crate::combos::{select_joint, ComboLadder, JointFrame, JointPolicy};
-use abr_event::time::Duration;
+use abr_event::time::{div_wide, Duration};
 use abr_manifest::view::{BoundDash, BoundHls};
 use abr_media::combo::Combo;
 use abr_media::track::TrackId;
@@ -90,8 +90,11 @@ impl BbaPolicy {
             return n - 1;
         }
         // Linear in the cushion, exactly BBA's f(B).
-        ((above.as_micros() as u128 * n as u128) / self.cfg.cushion.as_micros() as u128)
-            .min(n as u128 - 1) as usize
+        div_wide(
+            above.as_micros() as u128 * n as u128,
+            self.cfg.cushion.as_micros(),
+        )
+        .min(n as u128 - 1) as usize
     }
 }
 

@@ -268,7 +268,10 @@ impl Duration {
     /// duration can overflow.
     pub fn mul_ratio(self, num: u64, den: u64) -> Duration {
         assert!(den != 0, "mul_ratio division by zero");
-        let micros = (self.micros as u128 * num as u128 + den as u128 / 2) / den as u128;
+        let micros = div_wide(
+            u128::from(self.micros) * u128::from(num) + u128::from(den / 2),
+            den,
+        );
         Duration {
             micros: u64::try_from(micros).expect("mul_ratio overflow"),
         }
@@ -338,6 +341,31 @@ impl fmt::Display for Duration {
 impl core::iter::Sum for Duration {
     fn sum<I: Iterator<Item = Duration>>(iter: I) -> Duration {
         iter.fold(Duration::ZERO, |a, b| a + b)
+    }
+}
+
+/// `n / d` for a 128-bit dividend and a 64-bit divisor, rounding down.
+///
+/// The link, rate and time conversions carry 128-bit intermediates for
+/// overflow headroom, but their values almost always fit in 64 bits:
+/// then this takes the 64-bit `div` instead of the out-of-line `u128`
+/// division routine. Returns exactly `n / u128::from(d)`; panics if
+/// `d == 0`.
+#[inline]
+pub fn div_wide(n: u128, d: u64) -> u128 {
+    match u64::try_from(n) {
+        Ok(n) => u128::from(n / d),
+        Err(_) => n / u128::from(d),
+    }
+}
+
+/// [`div_wide`] rounding up: exactly `n.div_ceil(u128::from(d))`, with the
+/// same 64-bit fast path. Panics if `d == 0`.
+#[inline]
+pub fn div_ceil_wide(n: u128, d: u64) -> u128 {
+    match u64::try_from(n) {
+        Ok(n) => u128::from(n.div_ceil(d)),
+        Err(_) => n.div_ceil(u128::from(d)),
     }
 }
 
@@ -542,6 +570,56 @@ mod tests {
         let mut b = a;
         b.reverse();
         assert_eq!(busy_union_in_place(&mut a), busy_union_in_place(&mut b));
+    }
+
+    const U64_MAX: u128 = u64::MAX as u128;
+    const TWO_64: u128 = 1 << 64;
+    const TWO_127: u128 = 1 << 127;
+
+    #[test]
+    fn wide_division_at_the_64_bit_edges() {
+        // (dividend, divisor, floor, ceil): each side of 2^64, divisors 1
+        // and u64::MAX.
+        let cases = [
+            (0, 1, 0, 0),
+            (0, u64::MAX, 0, 0),
+            (U64_MAX, 1, U64_MAX, U64_MAX),
+            (U64_MAX, u64::MAX, 1, 1),
+            (TWO_64, 1, TWO_64, TWO_64),
+            (TWO_64, u64::MAX, 1, 2),
+            (TWO_127, 1, TWO_127, TWO_127),
+            (TWO_127, u64::MAX, 1 << 63, (1 << 63) + 1),
+        ];
+        for (n, d, floor, ceil) in cases {
+            assert_eq!(div_wide(n, d), floor, "{n} / {d}");
+            assert_eq!(div_ceil_wide(n, d), ceil, "{n} / {d} rounded up");
+        }
+    }
+
+    #[test]
+    fn wide_ceiling_rounds_only_a_remainder_up() {
+        // (dividend, divisor, floor, ceil) on both paths: exact multiples
+        // (u64::MAX = 3 × 0x5555…) stay put, a remainder adds exactly one.
+        let cases = [
+            (6, 3, 2, 2),
+            (U64_MAX, 3, U64_MAX / 3, U64_MAX / 3),
+            (3 * TWO_64, 3, TWO_64, TWO_64),
+            (TWO_127, 1 << 63, TWO_64, TWO_64),
+            (7, 3, 2, 3),
+            (U64_MAX, 2, U64_MAX / 2, U64_MAX / 2 + 1),
+            (3 * TWO_64 + 1, 3, TWO_64, TWO_64 + 1),
+            (TWO_64 + 1, u64::MAX, 1, 2),
+        ];
+        for (n, d, floor, ceil) in cases {
+            assert_eq!(div_wide(n, d), floor, "{n} / {d}");
+            assert_eq!(div_ceil_wide(n, d), ceil, "{n} / {d} rounded up");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn wide_division_by_zero_panics() {
+        let _ = div_wide(1, 0);
     }
 }
 

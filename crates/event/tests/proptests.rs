@@ -2,7 +2,7 @@
 
 use abr_event::queue::EventQueue;
 use abr_event::rng::SplitMix64;
-use abr_event::time::{Duration, Instant};
+use abr_event::time::{div_ceil_wide, div_wide, Duration, Instant};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,6 +30,24 @@ proptest! {
         let exact_twice = micros as i128 * num as i128 * 2; // 2·exact·den⁻¹
         // |got − exact| ≤ 1/2  ⇔  |2·got·den − 2·exact| ≤ den
         prop_assert!((got * 2 * den as i128 - exact_twice).abs() <= den as i128);
+    }
+
+    /// The wide-division helpers equal plain `u128` division. Shifting a
+    /// full 128-bit draw right by 0..128 puts about half the dividends
+    /// below 2^64 (the 64-bit path) and half above (the `u128` path), and
+    /// divisors span 1..=u64::MAX the same way.
+    #[test]
+    fn wide_division_matches_u128_division(
+        hi in any::<u64>(),
+        lo in any::<u64>(),
+        shift in 0u32..128,
+        d in any::<u64>(),
+        d_shift in 0u32..64,
+    ) {
+        let n = ((u128::from(hi) << 64) | u128::from(lo)) >> shift;
+        let d = (d >> d_shift).max(1);
+        prop_assert_eq!(div_wide(n, d), n / u128::from(d));
+        prop_assert_eq!(div_ceil_wide(n, d), n.div_ceil(u128::from(d)));
     }
 
     /// Ordering of instants matches ordering of their raw microsecond

@@ -9,8 +9,11 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Sub};
 
-/// Microseconds per second, kept in sync with `abr_event::time`.
-const MICROS_PER_SEC: u128 = 1_000_000;
+use abr_event::time::{div_ceil_wide, div_wide, MICROS_PER_SEC};
+
+/// Bit-microseconds per byte-second (`8 × 10⁶`): the factor between a
+/// byte count and `bits × µs`, the unit the rate conversions divide in.
+const BIT_MICROS_PER_BYTE: u64 = 8 * MICROS_PER_SEC;
 
 /// A bitrate in bits per second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -45,7 +48,10 @@ impl BitsPerSec {
     /// the nearest byte.
     pub fn bytes_in_micros(self, micros: u64) -> Bytes {
         let bits = self.0 as u128 * micros as u128;
-        Bytes(((bits + (8 * MICROS_PER_SEC) / 2) / (8 * MICROS_PER_SEC)) as u64)
+        Bytes(div_wide(
+            bits + u128::from(BIT_MICROS_PER_BYTE / 2),
+            BIT_MICROS_PER_BYTE,
+        ) as u64)
     }
 
     /// Microseconds needed to transfer `bytes` at this rate, rounded *up*
@@ -55,8 +61,8 @@ impl BitsPerSec {
         if self.0 == 0 {
             return None;
         }
-        let bits = bytes.0 as u128 * 8 * MICROS_PER_SEC;
-        Some(bits.div_ceil(self.0 as u128) as u64)
+        let bits = bytes.0 as u128 * u128::from(BIT_MICROS_PER_BYTE);
+        Some(div_ceil_wide(bits, self.0) as u64)
     }
 
     /// Scales by a rational factor `num/den` (used for safety factors such
@@ -64,7 +70,7 @@ impl BitsPerSec {
     /// direction players are conservative.
     pub fn mul_ratio(self, num: u64, den: u64) -> BitsPerSec {
         assert!(den != 0);
-        BitsPerSec(((self.0 as u128 * num as u128) / den as u128) as u64)
+        BitsPerSec(div_wide(self.0 as u128 * num as u128, den) as u64)
     }
 }
 
@@ -127,8 +133,8 @@ impl Bytes {
     /// microseconds, rounded to nearest. Panics if `micros == 0`.
     pub fn rate_over_micros(self, micros: u64) -> BitsPerSec {
         assert!(micros > 0, "rate over zero time");
-        let bits = self.0 as u128 * 8 * MICROS_PER_SEC;
-        BitsPerSec(((bits + micros as u128 / 2) / micros as u128) as u64)
+        let bits = self.0 as u128 * u128::from(BIT_MICROS_PER_BYTE);
+        BitsPerSec(div_wide(bits + micros as u128 / 2, micros) as u64)
     }
 
     /// Saturating subtraction.

@@ -17,7 +17,7 @@
 
 use crate::profile::{DeliveryProfile, Segment};
 use crate::trace::{Trace, TraceCursor};
-use abr_event::time::{Duration, Instant};
+use abr_event::time::{div_ceil_wide, Duration, Instant};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_obs::{Event, ObsHandle};
 
@@ -35,7 +35,7 @@ pub struct FlowId(pub u64);
 /// `bits × µs` keeps delivery integration exact across arbitrary segment
 /// boundaries (no per-segment rounding), which makes completion instants
 /// independent of how the caller steps the clock.
-const BITMICROS_PER_BYTE: u128 = 8 * 1_000_000;
+const BITMICROS_PER_BYTE: u64 = 8 * 1_000_000;
 
 #[derive(Debug, Clone)]
 struct Flow {
@@ -169,7 +169,7 @@ impl Link {
         assert!(size.get() > 0, "zero-byte flow");
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let work = size.get() as u128 * BITMICROS_PER_BYTE;
+        let work = u128::from(size.get()) * u128::from(BITMICROS_PER_BYTE);
         let activate_at = self.now + self.latency + extra;
         let active = activate_at <= self.now;
         let profile = self
@@ -240,7 +240,7 @@ impl Link {
     /// Bytes still owed to an in-progress flow (rounded up).
     pub fn flow_remaining(&self, id: FlowId) -> Option<Bytes> {
         self.flow(id)
-            .map(|f| Bytes(f.remaining_bm(self.drained).div_ceil(BITMICROS_PER_BYTE) as u64))
+            .map(|f| Bytes(div_ceil_wide(f.remaining_bm(self.drained), BITMICROS_PER_BYTE) as u64))
     }
 
     /// Count and minimum remaining work of the flows `pick` selects.
@@ -302,7 +302,7 @@ impl Link {
             }
             if share > 0 {
                 if let Some(mr) = min_rem {
-                    let done = t + Duration::from_micros(mr.div_ceil(share as u128) as u64);
+                    let done = t + Duration::from_micros(div_ceil_wide(mr, share) as u64);
                     if boundary.is_none_or(|b| done <= b) {
                         return Some(done);
                     }
@@ -397,7 +397,7 @@ impl Link {
             if share > 0 {
                 if let Some(key) = min_key {
                     let min_rem = key - self.drained;
-                    let fin = now + Duration::from_micros(min_rem.div_ceil(share as u128) as u64);
+                    let fin = now + Duration::from_micros(div_ceil_wide(min_rem, share) as u64);
                     boundary = boundary.min(fin);
                 }
             }
@@ -433,7 +433,7 @@ impl Link {
                     }
                     let rem = f.work_bm - self.drained;
                     if delivered >= rem {
-                        let fin = now + Duration::from_micros(rem.div_ceil(share as u128) as u64);
+                        let fin = now + Duration::from_micros(div_ceil_wide(rem, share) as u64);
                         debug_assert!(fin <= boundary);
                         f.profile.push(Segment {
                             start: now,
@@ -456,7 +456,8 @@ impl Link {
                         });
                         let (id, size, remaining_bm) = (f.id, f.size, rem - delivered);
                         self.obs.emit(boundary, || {
-                            let remaining = Bytes(remaining_bm.div_ceil(BITMICROS_PER_BYTE) as u64);
+                            let remaining =
+                                Bytes(div_ceil_wide(remaining_bm, BITMICROS_PER_BYTE) as u64);
                             Event::TransferProgress {
                                 flow: id.0,
                                 delivered: size.saturating_sub(remaining),

@@ -13,7 +13,7 @@
 //! All arithmetic is exact integer microseconds (`u128` intermediates), so
 //! the uplink participates in the workspace bit-reproducibility contract.
 
-use abr_event::time::{Duration, Instant};
+use abr_event::time::{div_ceil_wide, Duration, Instant};
 
 /// Microseconds-per-second times bits-per-byte over one kilobit — the
 /// factor that converts `bytes / kbps` into microseconds: a transfer of
@@ -91,8 +91,7 @@ impl UplinkQueue {
         );
         self.last_arrival = at;
 
-        let ser_us_wide =
-            (u128::from(bytes) * US_PER_BYTE_KBPS).div_ceil(u128::from(self.rate_kbps));
+        let ser_us_wide = div_ceil_wide(u128::from(bytes) * US_PER_BYTE_KBPS, self.rate_kbps);
         let ser_us = u64::try_from(ser_us_wide).expect("uplink serialization time overflows u64");
         let start = at.max(self.busy_until);
         let finish = start + Duration::from_micros(ser_us);

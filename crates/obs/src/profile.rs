@@ -150,8 +150,10 @@ impl Profiler {
 
     /// Closes the span holding `token`, force-closing anything nested
     /// inside it first. No-op if the span was already closed by an outer
-    /// guard dropping early.
-    fn exit(&self, token: u64) {
+    /// guard dropping early. Takes the guard's handle, so the reference
+    /// count drop stays out of line too.
+    #[inline(never)]
+    fn exit(self: Rc<Self>, token: u64) {
         let now = self.clock.elapsed_ns();
         let mut inner = self.inner.borrow_mut();
         let Some(pos) = inner.stack.iter().rposition(|f| f.token == token) else {
@@ -216,6 +218,9 @@ impl SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    /// Inline, so an inert guard costs the one branch on `prof`; closing a
+    /// live span stays one out-of-line call to `Profiler::exit`.
+    #[inline]
     fn drop(&mut self) {
         if let Some((prof, token)) = self.prof.take() {
             prof.exit(token);

@@ -25,7 +25,10 @@
 #  9. duplicates    — no test binary registers a test name twice
 #                     (scripts/duplicate_tests.sh), so no test runs or
 #                     counts twice;
-# 10. benchmark     — the frozen `benchmark/` workspace's own tests, so a
+# 10. release goldens — golden_artifacts, mc_pins and engine_pins under
+#                     the release profile (fat LTO, .cargo/config.toml),
+#                     the build exp and the benchmark run;
+# 11. benchmark     — the frozen `benchmark/` workspace's own tests, so a
 #                     change to the public API it calls fails here, not
 #                     only in CI's check job.
 set -euo pipefail
@@ -60,6 +63,9 @@ cargo test --workspace -q --features abr-unmuxed/debug-invariants
 
 echo "== duplicate test registrations =="
 bash scripts/duplicate_tests.sh
+
+echo "== release goldens (optimized build) =="
+cargo test -q --release --test golden_artifacts --test mc_pins --test engine_pins
 
 echo "== benchmark workspace tests =="
 cargo test -q --manifest-path benchmark/Cargo.toml
