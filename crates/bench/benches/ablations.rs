@@ -22,21 +22,20 @@
 //!   per-title cost that is left.
 
 use abr_bench::corpus::{ScenarioCorpus, TitleCorpus};
-use abr_bench::setup::{drama, hls_sub_view, player_config, PlayerKind};
+use abr_bench::setup::{drama, hls_sub_view, PlayerKind, SessionSpec};
 use abr_core::bestpractice::BestPracticePolicy;
 use abr_core::estimators::{ExoMeter, HarmonicMean, JointEwma, ShakaEstimator};
 use abr_event::time::{Duration, Instant};
-use abr_httpsim::origin::Origin;
+use abr_manifest::view::BoundHls;
 use abr_media::combo::{all_combos, curated_subset, log_staircase};
+use abr_media::content::SharedContent;
 use abr_media::track::{MediaType, TrackId};
-use abr_media::units::{BitsPerSec, Bytes};
-use abr_net::link::Link;
+use abr_media::units::BitsPerSec;
 use abr_net::profile::{DeliveryProfile, Segment};
 use abr_net::trace::Trace;
 use abr_obs::{ObsHandle, Profiler};
-use abr_player::config::SyncMode;
+use abr_player::config::{PlayerConfig, SyncMode};
 use abr_player::policy::TransferRecord;
-use abr_player::Session;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::rc::Rc;
@@ -136,6 +135,14 @@ fn combo_rule(c: &mut Criterion) {
     group.finish();
 }
 
+/// The BP2/BP4 session: the best-practice policy over `view` on the
+/// varying ~600 Kbps trace.
+fn session(content: &SharedContent, view: &BoundHls) -> SessionSpec {
+    let policy = Box::new(BestPracticePolicy::from_hls(view));
+    let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
+    SessionSpec::new(content, PlayerKind::BestPractice, policy, trace)
+}
+
 fn sync_mode(c: &mut Criterion) {
     let content = drama();
     let view = hls_sub_view(&content, &[0, 1, 2]);
@@ -152,15 +159,12 @@ fn sync_mode(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let policy = Box::new(BestPracticePolicy::from_hls(&view));
-                let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
-                let link = Link::with_latency(
-                    Trace::fig3_varying_600k(Duration::from_secs(3600)),
-                    Duration::from_millis(20),
-                );
-                let mut config = player_config(PlayerKind::BestPractice, content.chunk_duration());
-                config.sync = sync;
-                let log = Session::new(origin, link, policy, config).run();
+                let spec = session(&content, &view);
+                let config = PlayerConfig {
+                    sync,
+                    ..spec.config
+                };
+                let log = SessionSpec { config, ..spec }.build().run();
                 black_box(log.max_buffer_imbalance())
             });
         });
@@ -171,18 +175,7 @@ fn sync_mode(c: &mut Criterion) {
 fn obs_overhead(c: &mut Criterion) {
     let content = drama();
     let view = hls_sub_view(&content, &[0, 1, 2]);
-    let session = |obs: ObsHandle| {
-        let policy = Box::new(BestPracticePolicy::from_hls(&view));
-        let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
-        let link = Link::with_latency(
-            Trace::fig3_varying_600k(Duration::from_secs(3600)),
-            Duration::from_millis(20),
-        );
-        let config = player_config(PlayerKind::BestPractice, content.chunk_duration());
-        Session::new(origin, link, policy, config)
-            .with_obs(obs)
-            .run()
-    };
+    let session = |obs: ObsHandle| session(&content, &view).build().with_obs(obs).run();
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(20);
     group.bench_function("uninstrumented", |b| {

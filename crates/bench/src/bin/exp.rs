@@ -130,10 +130,7 @@ fn main() {
             // --chrome too: the artifacts are byte-identical
             // (profile_determinism suite), so the sessions run once.
             let Some((outcomes, workload)) = run_sessions(id, jobs, wants_profile) else {
-                eprintln!(
-                    "experiment `{id}` is a pure table or shares state across \
-                     sessions; nothing to trace or profile"
-                );
+                eprintln!("experiment `{id}` runs no session; nothing to trace or profile");
                 std::process::exit(2);
             };
             emit_profile(workload.as_ref(), profile, profile_json.as_deref());

@@ -45,7 +45,7 @@
 
 use super::{FleetSpec, PlanSource, SessionPlan};
 use crate::corpus::{TitleCorpus, TitleScenario};
-use crate::setup::{dash_policy_over, session_for};
+use crate::setup::{dash_policy_over, SessionSpec};
 use abr_event::sync_model::{fold_slots, is_last_arrival, next_window, parity_of_round, spins};
 use abr_event::time::{Duration, Instant};
 use abr_event::{EventQueue, WindowClock};
@@ -215,14 +215,17 @@ pub(super) fn build_session(
     hub: Rc<RefCell<FleetHub>>,
 ) -> Session {
     let policy = dash_policy_over(plan.kind, &scenario.content, &scenario.dash);
-    session_for(&scenario.content, plan.kind, policy, trace)
-        .with_delivery(spec.delivery)
-        .with_deadline(Instant::from_secs(spec.deadline_secs))
-        .with_transfer_path(Box::new(SharedEdge::new(
-            hub,
-            plan.title as u64,
-            plan.arrival,
-        )))
+    SessionSpec {
+        delivery: spec.delivery,
+        ..SessionSpec::new(&scenario.content, plan.kind, policy, trace)
+    }
+    .build()
+    .with_deadline(Instant::from_secs(spec.deadline_secs))
+    .with_transfer_path(Box::new(SharedEdge::new(
+        hub,
+        plan.title as u64,
+        plan.arrival,
+    )))
 }
 
 /// Workers the driver actually spawns: `jobs`, clamped to the shard

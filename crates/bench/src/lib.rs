@@ -6,7 +6,7 @@
 //! * [`setup`] — canonical content, manifests (round-tripped through their
 //!   textual forms, so every experiment exercises the full
 //!   build→serialize→parse→bind pipeline), player configurations and
-//!   session runners.
+//!   the one session recipe, [`setup::SessionSpec`].
 //! * [`corpus`] — the shared scenario corpus (DESIGN.md §15): per-
 //!   realization content cuts, round-tripped manifest views and trace
 //!   corpora built once and `Arc`-shared across every session, worker

@@ -21,7 +21,7 @@ use crate::corpus::ScenarioCorpus;
 use crate::profiling::WorkloadProfile;
 use crate::report::table;
 use crate::runner;
-use crate::setup::{dash_policy_over, session_for, PlayerKind};
+use crate::setup::{dash_policy_over, PlayerKind, SessionSpec};
 use abr_core::combos::ComboLadder;
 use abr_core::{BestPracticePolicy, CappedPolicy};
 use abr_event::time::Duration;
@@ -219,7 +219,8 @@ fn run_cell(
     if let Some(p) = profiler {
         obs = obs.with_profiler(Rc::clone(p));
     }
-    let digest = session_for(&scenario.content, arm.player_kind(), policy, trace)
+    let digest = SessionSpec::new(&scenario.content, arm.player_kind(), policy, trace)
+        .build()
         .with_obs(obs)
         .run_digest();
     let _summarize = profiler.map(|p| p.span("session.summarize"));

@@ -131,11 +131,6 @@ pub fn ascii_plot(title: &str, series: &[Series<'_>], width: usize, height: usiz
     out
 }
 
-/// Formats seconds with one decimal.
-pub fn secs(s: f64) -> String {
-    format!("{s:.1}s")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,12 +158,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn table_rejects_ragged_rows() {
         table(&["a", "b"], &[vec!["only-one".into()]]);
-    }
-
-    #[test]
-    fn secs_rounds_to_one_decimal() {
-        assert_eq!(secs(0.0), "0.0s");
-        assert_eq!(secs(12.36), "12.4s");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Canonical experiment setup: content, manifests, player configs,
-//! session runners.
+//! Canonical experiment setup: content, manifests, player configs, and
+//! the one session recipe ([`SessionSpec`]) every session in this crate
+//! is built from.
 //!
 //! Every manifest used by an experiment is round-tripped through its
 //! textual form (build → serialize → parse → bind), so the experiments
@@ -10,7 +11,7 @@ use abr_core::{
 };
 use abr_event::time::Duration;
 use abr_httpsim::origin::Origin;
-use abr_manifest::build::{build_master_playlist, build_mpd};
+use abr_manifest::build::{build_master_playlist, build_mpd, Packaging};
 use abr_manifest::hls::MasterPlaylist;
 use abr_manifest::view::{BoundDash, BoundHls};
 use abr_manifest::Mpd;
@@ -22,6 +23,7 @@ use abr_net::trace::Trace;
 use abr_obs::{ObsHandle, Profiler, TracedEvent};
 use abr_player::config::{PlayerConfig, SyncMode};
 use abr_player::policy::AbrPolicy;
+use abr_player::session::{DeliveryMode, PlaylistFetch};
 use abr_player::{Session, SessionLog};
 use std::rc::Rc;
 
@@ -126,23 +128,89 @@ pub fn player_config(kind: PlayerKind, chunk: Duration) -> PlayerConfig {
     }
 }
 
-/// Runs one streaming session: `content` over `trace` with `policy`,
-/// using `kind`'s player configuration. Zero header overhead keeps the
-/// byte arithmetic aligned with the paper's bitrate tables.
+/// One session as plain data: what [`Session::new`] and its builders
+/// take. A variant changes fields of [`SessionSpec::new`] with
+/// struct-update syntax. A live shared transfer path (an edge cache, a
+/// fleet hub) and a deadline are not data: attach them to the built
+/// [`Session`].
+pub struct SessionSpec {
+    /// The content, behind a shared handle.
+    pub content: SharedContent,
+    /// The player the session emulates.
+    pub kind: PlayerKind,
+    /// The adaptation policy, built for this one session.
+    pub policy: Box<dyn AbrPolicy>,
+    /// The access link's bandwidth schedule.
+    pub trace: Trace,
+    /// The link's base latency.
+    pub latency: Duration,
+    /// Response header bytes the origin adds per object.
+    pub overhead: Bytes,
+    /// Player thresholds and pipeline coupling.
+    pub config: PlayerConfig,
+    /// Server packaging.
+    pub packaging: Packaging,
+    /// When second-level playlists are fetched.
+    pub playlist_fetch: PlaylistFetch,
+    /// Demuxed or muxed delivery.
+    pub delivery: DeliveryMode,
+}
+
+impl SessionSpec {
+    /// The canonical session: `kind`'s [`player_config`], a 20 ms link, a
+    /// zero-overhead origin (keeping the byte arithmetic aligned with the
+    /// paper's bitrate tables) and `Session::new`'s defaults: untagged
+    /// segment files, preloaded playlists, demuxed delivery.
+    pub fn new(
+        content: &SharedContent,
+        kind: PlayerKind,
+        policy: Box<dyn AbrPolicy>,
+        trace: Trace,
+    ) -> SessionSpec {
+        SessionSpec {
+            content: SharedContent::clone(content),
+            kind,
+            policy,
+            trace,
+            latency: Duration::from_millis(20),
+            overhead: Bytes::ZERO,
+            config: player_config(kind, content.chunk_duration()),
+            packaging: Packaging::SegmentFiles {
+                with_bitrate_tags: false,
+            },
+            playlist_fetch: PlaylistFetch::Preloaded,
+            delivery: DeliveryMode::Demuxed,
+        }
+    }
+
+    /// The session the spec describes; the only [`Session::new`] call in
+    /// this crate.
+    pub fn build(self) -> Session {
+        let origin = Origin::with_overhead(self.content, self.overhead);
+        let link = Link::with_latency(self.trace, self.latency);
+        Session::new(origin, link, self.policy, self.config)
+            .with_packaging(self.packaging)
+            .with_playlist_fetch(self.playlist_fetch)
+            .with_delivery(self.delivery)
+    }
+}
+
+/// Runs the canonical session ([`SessionSpec::new`]) to its log. Stays
+/// for `benchmark/`, which compiles against it, until ROADMAP item 7
+/// moves the benchmark onto the spec.
 pub fn run_session(
     content: &SharedContent,
     kind: PlayerKind,
     policy: Box<dyn AbrPolicy>,
     trace: Trace,
 ) -> SessionLog {
-    session_for(content, kind, policy, trace).run()
+    SessionSpec::new(content, kind, policy, trace).build().run()
 }
 
 /// [`run_session`] with an explicit [`ObsHandle`], building the log's
 /// event vectors out of a caller-owned [`abr_player::SessionScratch`]
-/// pool, for callers that run log sessions back to back. Logs are
-/// byte-identical to the unpooled runner; hand the log back to
-/// [`abr_player::SessionScratch::reclaim`] once summarized.
+/// pool; hand the log back to [`abr_player::SessionScratch::reclaim`]
+/// once summarized. Stays for `benchmark/` until ROADMAP item 7.
 pub fn run_session_pooled(
     content: &SharedContent,
     kind: PlayerKind,
@@ -151,70 +219,35 @@ pub fn run_session_pooled(
     obs: ObsHandle,
     scratch: &mut abr_player::SessionScratch,
 ) -> SessionLog {
-    session_for(content, kind, policy, trace)
+    SessionSpec::new(content, kind, policy, trace)
+        .build()
         .with_obs(obs)
         .run_with_scratch(scratch)
 }
 
-/// The canonical session builder, and the only place a (content, kind,
-/// policy, trace) becomes a [`Session`]: shared content handle into a
-/// zero-overhead origin (keeps the byte arithmetic aligned with the
-/// paper's bitrate tables), 20 ms link latency, `kind`'s player
-/// configuration. Every runner here, the fleet driver and `m2`/`m3` build
-/// on it; `bp2` and `bp4` deliberately vary the sync mode, overhead and
-/// latency, so they build their own.
-pub(crate) fn session_for(
-    content: &SharedContent,
-    kind: PlayerKind,
-    policy: Box<dyn AbrPolicy>,
-    trace: Trace,
-) -> Session {
-    let origin = Origin::with_overhead(SharedContent::clone(content), Bytes::ZERO);
-    let link = Link::with_latency(trace, Duration::from_millis(20));
-    let config = player_config(kind, content.chunk_duration());
-    Session::new(origin, link, policy, config)
-}
-
-/// Like [`run_session`], but with a recording tracer attached: returns
-/// the directly-recorded log alongside the captured event stream. This is
-/// the runner behind the `exp --trace/--chrome/--profile` flags and the
-/// trace-replay integration test.
-///
-/// The returned events are a pure function of the session
-/// ([`ObsHandle::recording`] reads no host clock) — the property the
-/// golden-artifact and parallel-determinism suites assert. An optional
-/// span `profiler` observes host time only: the log and events are
+/// Runs a built session with a recording tracer attached, returning the
+/// log and the captured event stream: the runner behind `exp --trace/
+/// --chrome/--profile`. The events are a pure function of the session
+/// ([`ObsHandle::recording`] reads no host clock). An optional span
+/// `profiler` observes host time only: the log and events are
 /// byte-identical with or without one (the `profile_determinism` suite
-/// holds this), and the spans land in the caller's
-/// [`abr_obs::Profiler`].
-pub fn run_session_obs(
-    content: &SharedContent,
-    kind: PlayerKind,
-    policy: Box<dyn AbrPolicy>,
-    trace: Trace,
+/// holds this).
+pub fn run_traced(
+    session: Session,
     profiler: Option<&Rc<Profiler>>,
 ) -> (SessionLog, Vec<TracedEvent>) {
     let (mut obs, tracer) = ObsHandle::recording();
     if let Some(p) = profiler {
         obs = obs.with_profiler(Rc::clone(p));
     }
-    let log = session_for(content, kind, policy, trace)
-        .with_obs(obs)
-        .run();
+    let log = session.with_obs(obs).run();
     (log, tracer.take())
 }
 
-/// Builds the standard policy for a kind over DASH manifests (used by the
-/// BP1 shootout; the best-practice player gets the §4.1 server-curated
-/// combination list out-of-band).
-pub fn dash_policy(kind: PlayerKind, content: &Content) -> Box<dyn AbrPolicy> {
-    dash_policy_over(kind, content, &dash_view(content))
-}
-
-/// [`dash_policy`] over an already-bound view — the corpus hot path: the
-/// round trip through MPD text happens once per shared scenario, not once
-/// per session. `view` must be the bound view of `content` (the corpus
-/// builds them together).
+/// The standard policy for a kind over an already-bound DASH view of
+/// `content` (the best-practice player and the baselines get the §4.1
+/// server-curated combination list out-of-band). The corpora round-trip
+/// the MPD once per shared scenario, not once per session.
 pub fn dash_policy_over(
     kind: PlayerKind,
     content: &Content,
@@ -339,7 +372,7 @@ mod tests {
         let log = run_session(
             &c,
             PlayerKind::BestPractice,
-            dash_policy(PlayerKind::BestPractice, &c),
+            dash_policy_over(PlayerKind::BestPractice, &c, &dash_view(&c)),
             Trace::constant(BitsPerSec::from_kbps(2000)),
         );
         assert!(log.completed(), "session must complete");

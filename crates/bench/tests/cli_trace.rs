@@ -114,7 +114,47 @@ fn untraceable_experiment_still_errors() {
         .args(["--id", "t1", "--trace", &tmp("t1.trace.jsonl")])
         .output()
         .expect("run exp");
-    assert!(!out.status.success(), "t1 has no sessions to trace");
+    assert_eq!(out.status.code(), Some(2), "t1 has no sessions to trace");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("runs no session"), "stderr: {stderr}");
+}
+
+/// m3's viewers share one edge per delivery mode: `--trace` writes their
+/// four traces in viewer order, and demuxed viewer B's trace shows the
+/// table's 75 "B hits" as `cache_lookup` hits, one per video chunk.
+#[test]
+fn edge_experiment_traces_each_viewer() {
+    let base = tmp("m3.trace.jsonl");
+    let out = exp()
+        .args(["--id", "m3", "--trace", &base, "--jobs", "2"])
+        .output()
+        .expect("run exp");
+    assert!(
+        out.status.success(),
+        "exp failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("| demuxed  | 75     |"), "table: {stdout}");
+    let viewers = [
+        ("demuxed/viewer-a", 0),
+        ("demuxed/viewer-b", 75),
+        ("muxed/viewer-a", 0),
+        ("muxed/viewer-b", 0),
+    ];
+    for (n, (viewer, hits)) in viewers.into_iter().enumerate() {
+        let path = tmp(&format!("m3.{n}.trace.jsonl"));
+        let line = format!("(m3/{viewer}) written to {path}]");
+        assert!(stdout.contains(&line), "{viewer} is not file {n}: {stdout}");
+        let text = std::fs::read_to_string(&path).expect("per-viewer trace");
+        let hit = |l: &&str| l.contains("\"name\":\"cache_lookup\"") && l.contains("\"hit\":true");
+        assert_eq!(
+            text.lines().filter(hit).count(),
+            hits,
+            "{viewer}: cache hits"
+        );
+    }
+    assert!(!Path::new(&tmp("m3.4.trace.jsonl")).exists());
 }
 
 /// Runs `exp` with `args` and asserts a usage error: exit 2, an

@@ -2,6 +2,9 @@
 //! structured JSON, and the headline shape claims hold.
 
 use abr_bench::experiments::{all_ids, run, run_jobs, traced_sessions};
+use abr_bench::runner::SessionOutcome;
+use abr_obs::Event;
+use serde_json::Value;
 
 #[test]
 fn every_experiment_runs_and_renders() {
@@ -74,9 +77,10 @@ fn headline_shapes_hold_in_json() {
 }
 
 /// The figure and the `--trace`/`--profile` path run the same sessions:
-/// every traced outcome of every traceable experiment, at jobs 1 and 2,
-/// summarizes to the score and stall count the figure's JSON reports for
-/// that session.
+/// every traced outcome of every experiment that runs a session, at jobs
+/// 1 and 2, summarizes to the values the figure's JSON reports for that
+/// session. m3's rows report viewer B of each edge, whose trace also
+/// carries the edge's hits and misses, one `cache_lookup` per request.
 #[test]
 fn figure_and_trace_paths_run_the_same_sessions() {
     let mut covered = Vec::new();
@@ -86,32 +90,59 @@ fn figure_and_trace_paths_run_the_same_sessions() {
         };
         covered.push(id);
         let json = run_jobs(id, 1).expect("listed id").json;
-        let reported: Vec<&serde_json::Value> = match json["rows"].as_array() {
+        let reported: Vec<&Value> = match json["rows"].as_array() {
             Some(rows) => rows.iter().collect(),
             None => vec![&json["session"]],
         };
         let parallel = traced_sessions(id, 2).expect("traceable at jobs=2");
         for (jobs, outcomes) in [(1, serial), (2, parallel)] {
+            let outcomes: Vec<&SessionOutcome> = if id == "m3" {
+                outcomes.iter().skip(1).step_by(2).collect()
+            } else {
+                outcomes.iter().collect()
+            };
             assert_eq!(outcomes.len(), reported.len(), "{id} at jobs={jobs}");
-            for (outcome, row) in outcomes.iter().zip(&reported) {
+            for (outcome, row) in outcomes.into_iter().zip(&reported) {
                 let q = abr_qoe::summarize(&outcome.log);
-                assert_eq!(
-                    row["score"].as_f64(),
-                    Some(q.score),
-                    "{}: score at jobs={jobs}",
-                    outcome.label
-                );
-                assert_eq!(
-                    row["stalls"].as_u64(),
-                    Some(q.stall_count as u64),
-                    "{}: stalls at jobs={jobs}",
-                    outcome.label
-                );
+                let at = format!("{} at jobs={jobs}", outcome.label);
+                match id {
+                    "m2" => {
+                        assert_eq!(row["mean_video_kbps"], q.mean_video_kbps, "{at}");
+                        assert_eq!(row["mean_audio_kbps"], q.mean_audio_kbps, "{at}");
+                        let imbalance = q.max_imbalance.as_secs_f64();
+                        assert_eq!(row["max_imbalance_s"].as_f64(), Some(imbalance), "{at}");
+                    }
+                    "m3" => {
+                        let startup = q.startup_delay.map(abr_event::Duration::as_secs_f64);
+                        assert_eq!(row["viewer_b_startup_s"].as_f64(), startup, "{at}");
+                        let lookups: Vec<bool> = (outcome.events.iter())
+                            .filter_map(|e| match e.event {
+                                Event::CacheLookup { hit, .. } => Some(hit),
+                                _ => None,
+                            })
+                            .collect();
+                        let hits = lookups.iter().filter(|&&hit| hit).count();
+                        assert_eq!(row["viewer_b_hits"], hits as u64, "{at}");
+                        assert_eq!(
+                            row["viewer_b_misses"],
+                            (lookups.len() - hits) as u64,
+                            "{at}"
+                        );
+                    }
+                    _ => {
+                        assert_eq!(row["score"].as_f64(), Some(q.score), "{at}: score");
+                        let stalls = q.stall_count as u64;
+                        assert_eq!(row["stalls"].as_u64(), Some(stalls), "{at}: stalls");
+                    }
+                }
             }
         }
     }
     assert_eq!(
         covered,
-        ["f2a", "f2b", "f3a", "f3b", "f3x", "f3fix", "f4a", "f4b", "f5a", "f5b", "bp1", "bp5"]
+        [
+            "f2a", "f2b", "f3a", "f3b", "f3x", "f3fix", "f4a", "f4b", "f5a", "f5b", "bp1", "bp2",
+            "bp3", "bp4", "bp5", "m2", "m3"
+        ]
     );
 }

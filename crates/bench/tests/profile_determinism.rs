@@ -21,7 +21,7 @@ use abr_bench::experiments::{run_sessions, traced_sessions};
 use abr_bench::fleet::{run_fleet, run_fleet_with, FleetOptions, FleetResult, FleetSpec};
 use abr_bench::mc::{run_mc, run_mc_with, McResult};
 use abr_bench::profiling::WorkloadProfile;
-use abr_bench::setup::{drama, run_session_obs, PlayerKind};
+use abr_bench::setup::{drama, run_traced, PlayerKind, SessionSpec};
 use abr_core::bestpractice::BestPracticePolicy;
 use abr_event::time::Duration;
 use abr_net::trace::Trace;
@@ -131,22 +131,13 @@ fn traced_session_is_identical_with_profiler_attached() {
         let view = abr_bench::setup::hls_sub_view(&content, &[0, 1, 2]);
         Box::new(BestPracticePolicy::from_hls(&view))
     };
-    let trace = || Trace::fig4b_varying_600k(Duration::from_secs(600));
-    let (log_a, events_a) = run_session_obs(
-        &content,
-        PlayerKind::BestPractice,
-        make_policy(),
-        trace(),
-        None,
-    );
+    let session = || {
+        let trace = Trace::fig4b_varying_600k(Duration::from_secs(600));
+        SessionSpec::new(&content, PlayerKind::BestPractice, make_policy(), trace).build()
+    };
+    let (log_a, events_a) = run_traced(session(), None);
     let profiler = Rc::new(Profiler::new());
-    let (log_b, events_b) = run_session_obs(
-        &content,
-        PlayerKind::BestPractice,
-        make_policy(),
-        trace(),
-        Some(&profiler),
-    );
+    let (log_b, events_b) = run_traced(session(), Some(&profiler));
     assert_eq!(format!("{log_a:?}"), format!("{log_b:?}"));
     assert_eq!(events_a, events_b, "traced event stream diverged");
     // And the profiler actually saw the session.

@@ -3,19 +3,17 @@
 //! This is the end-to-end contract the observability layer makes: the
 //! trace is not a lossy narration of the session — it *is* the session.
 
-use abr_bench::experiments::traced_sessions;
-use abr_bench::setup::{drama, hls_all_view, player_config, run_session_obs, PlayerKind};
+use abr_bench::experiments::{all_ids, traced_sessions};
+use abr_bench::setup::{drama, hls_all_view, run_traced, PlayerKind, SessionSpec};
 use abr_core::ShakaPolicy;
 use abr_event::time::Duration;
-use abr_httpsim::origin::Origin;
 use abr_media::track::{MediaType, TrackId};
-use abr_media::units::{BitsPerSec, Bytes};
-use abr_net::link::Link;
+use abr_media::units::BitsPerSec;
 use abr_net::trace::Trace;
 use abr_obs::export::{from_jsonl, to_jsonl};
-use abr_obs::{Event, ObsHandle};
+use abr_obs::Event;
 use abr_player::session::PlaylistFetch;
-use abr_player::{Session, SessionLog};
+use abr_player::SessionLog;
 
 /// The Fig 4(b) Shaka session — dynamic trace, stalls, estimate movement —
 /// traced, exported, re-parsed, reconstructed, compared field for field.
@@ -24,11 +22,14 @@ fn traced_f4b_replay_equals_direct_log() {
     let content = drama();
     let view = hls_all_view(&content);
     let policy = ShakaPolicy::hls(&view);
-    let (direct, events) = run_session_obs(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(policy),
-        Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+    let (direct, events) = run_traced(
+        SessionSpec::new(
+            &content,
+            PlayerKind::Shaka,
+            Box::new(policy),
+            Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+        )
+        .build(),
         None,
     );
 
@@ -70,20 +71,16 @@ fn traced_session_hook_replay_equals_direct_log() {
 fn traced_lazy_playlist_f4b_session_replays_exactly() {
     let content = drama();
     let view = hls_all_view(&content);
-    let (obs, tracer) = ObsHandle::recording();
-    let direct = Session::new(
-        Origin::with_overhead(content.clone(), Bytes::ZERO),
-        Link::with_latency(
+    let spec = SessionSpec {
+        playlist_fetch: PlaylistFetch::Lazy,
+        ..SessionSpec::new(
+            &content,
+            PlayerKind::Shaka,
+            Box::new(ShakaPolicy::hls(&view)),
             Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-            Duration::from_millis(20),
-        ),
-        Box::new(ShakaPolicy::hls(&view)),
-        player_config(PlayerKind::Shaka, content.chunk_duration()),
-    )
-    .with_playlist_fetch(PlaylistFetch::Lazy)
-    .with_obs(obs)
-    .run();
-    let events = tracer.take();
+        )
+    };
+    let (direct, events) = run_traced(spec.build(), None);
     for name in ["stall_end", "playlist_fetch"] {
         assert!(
             events.iter().any(|e| e.event.name() == name),
@@ -111,14 +108,17 @@ fn traced_lazy_playlist_f4b_session_replays_exactly() {
     assert_eq!(replayed, direct);
 }
 
-/// Sweep experiments have no single canonical session to trace: pure
-/// tables and stateful sweeps trace nothing, and a session sweep traces
-/// one session per arm (BP1: four traces times six players).
+/// Exactly the experiments that run no session trace nothing (as does
+/// an unknown id); a session sweep traces one session per arm (BP1: four
+/// traces times six players).
 #[test]
 fn sweeps_have_no_traced_session() {
-    for id in ["t1", "m1", "nope"] {
-        assert!(traced_sessions(id, 1).is_none(), "{id} should not trace");
-    }
+    let untraced: Vec<&str> = all_ids()
+        .into_iter()
+        .filter(|id| traced_sessions(id, 1).is_none())
+        .collect();
+    assert_eq!(untraced, ["t1", "t2", "t3", "f4x", "m1"]);
+    assert!(traced_sessions("nope", 1).is_none());
     let bp1 = traced_sessions("bp1", 1).expect("bp1 traces its arms");
     assert_eq!(bp1.len(), 24, "one traced session per (trace, player) arm");
 }
@@ -130,11 +130,14 @@ fn sweeps_have_no_traced_session() {
 fn one_transfer_completed_event_per_logged_transfer() {
     let content = drama();
     let view = hls_all_view(&content);
-    let (log, events) = run_session_obs(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(ShakaPolicy::hls(&view)),
-        Trace::constant(BitsPerSec::from_kbps(1000)),
+    let (log, events) = run_traced(
+        SessionSpec::new(
+            &content,
+            PlayerKind::Shaka,
+            Box::new(ShakaPolicy::hls(&view)),
+            Trace::constant(BitsPerSec::from_kbps(1000)),
+        )
+        .build(),
         None,
     );
     let completed: Vec<_> = events

@@ -178,11 +178,6 @@ impl<V> TrackTable<V> {
             .map(|i| &self.entries[i].1)
     }
 
-    /// True if `id` has a value.
-    pub fn contains_key(&self, id: TrackId) -> bool {
-        self.get(id).is_some()
-    }
-
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

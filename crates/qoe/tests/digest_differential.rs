@@ -8,12 +8,8 @@
 
 use abr_bench::corpus::ScenarioCorpus;
 use abr_bench::mc::mc_policies;
-use abr_bench::setup::player_config;
+use abr_bench::setup::SessionSpec;
 use abr_event::time::Duration;
-use abr_httpsim::origin::Origin;
-use abr_media::content::SharedContent;
-use abr_media::units::Bytes;
-use abr_net::link::Link;
 use abr_player::session::{DeliveryMode, PlaylistFetch};
 use abr_player::{Session, SessionDigest};
 use abr_qoe::{summarize, summarize_digest, ContentProfile, QoeWeights};
@@ -51,20 +47,24 @@ impl Case {
         let scenario = corpus().scenario(self.realization);
         let arm = mc_policies()[self.arm];
         let content = &scenario.content;
-        let session = Session::new(
-            Origin::with_overhead(SharedContent::clone(content), Bytes::ZERO),
-            Link::with_latency(
-                scenario.traces[self.trace].1.clone(),
-                Duration::from_millis(20),
-            ),
+        let spec = SessionSpec::new(
+            content,
+            arm.player_kind(),
             arm.policy(content, &scenario.dash),
-            player_config(arm.player_kind(), content.chunk_duration()),
+            scenario.traces[self.trace].1.clone(),
         );
         match self.path {
-            RequestPath::Preloaded => session,
-            RequestPath::Lazy => session.with_playlist_fetch(PlaylistFetch::Lazy),
-            RequestPath::Muxed => session.with_delivery(DeliveryMode::Muxed),
+            RequestPath::Preloaded => spec,
+            RequestPath::Lazy => SessionSpec {
+                playlist_fetch: PlaylistFetch::Lazy,
+                ..spec
+            },
+            RequestPath::Muxed => SessionSpec {
+                delivery: DeliveryMode::Muxed,
+                ..spec
+            },
         }
+        .build()
     }
 
     /// The digest streamed through an externally-clocked digest stepper,

@@ -20,7 +20,7 @@
 #![allow(unsafe_code)]
 
 use abr_bench::corpus::ScenarioCorpus;
-use abr_bench::setup::{self, PlayerKind};
+use abr_bench::setup::{self, PlayerKind, SessionSpec};
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::cache::CdnCache;
 use abr_httpsim::origin::Origin;
@@ -30,10 +30,8 @@ use abr_media::combo::Combo;
 use abr_media::content::SharedContent;
 use abr_media::track::TrackId;
 use abr_media::units::Bytes;
-use abr_net::link::Link;
 use abr_net::trace::Trace;
 use abr_net::uplink::UplinkQueue;
-use abr_player::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -112,7 +110,7 @@ fn one_session_stays_within_the_allocation_budget() {
     ] {
         // Policy and trace are built outside the counted region: the
         // budget covers the session itself.
-        let policy = setup::dash_policy(kind, &content);
+        let policy = setup::dash_policy_over(kind, &content, &setup::dash_view(&content));
         let trace = Trace::fig4b_varying_600k(Duration::from_secs(3600));
         let (log, allocations) =
             count_allocations(|| setup::run_session(&content, kind, policy, trace));
@@ -147,15 +145,13 @@ fn a_digest_session_allocates_less_than_a_logged_one() {
         PlayerKind::Mpc,
     ] {
         let session = || {
-            Session::new(
-                Origin::with_overhead(SharedContent::clone(&content), Bytes::ZERO),
-                Link::with_latency(
-                    Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-                    Duration::from_millis(20),
-                ),
-                setup::dash_policy(kind, &content),
-                setup::player_config(kind, content.chunk_duration()),
+            SessionSpec::new(
+                &content,
+                kind,
+                setup::dash_policy_over(kind, &content, &setup::dash_view(&content)),
+                Trace::fig4b_varying_600k(Duration::from_secs(3600)),
             )
+            .build()
         };
         let (logged, streamed) = (session(), session());
         let (log, log_allocations) = count_allocations(|| logged.run());

@@ -6,7 +6,7 @@
 //! players and traces, including under concurrent sweep workers.
 
 use abr_bench::corpus::{ScenarioCorpus, TitleScenario};
-use abr_bench::setup::{dash_policy, dash_policy_over, run_session, PlayerKind, SEED};
+use abr_bench::setup::{dash_policy_over, dash_view, run_session, PlayerKind, SEED};
 use abr_unmuxed::event::time::Duration;
 use abr_unmuxed::media::content::{Content, SharedContent};
 use abr_unmuxed::net::trace::Trace;
@@ -37,7 +37,7 @@ fn run_shared(scenario: &TitleScenario, kind: PlayerKind, trace: Trace) -> Sessi
 /// (the historical per-session path).
 fn run_independent(seed: u64, kind: PlayerKind, trace: Trace) -> SessionLog {
     let content: SharedContent = Content::drama_show(seed).into();
-    let policy = dash_policy(kind, &content);
+    let policy = dash_policy_over(kind, &content, &dash_view(&content));
     run_session(&content, kind, policy, trace)
 }
 

@@ -21,19 +21,16 @@
 
 mod common;
 
+use abr_bench::setup::{run_traced, PlayerKind, SessionSpec};
 use abr_event::time::{Duration, Instant};
 use abr_httpsim::cache::CdnCache;
 use abr_httpsim::edge::EdgeCache;
-use abr_httpsim::origin::Origin;
 use abr_manifest::build::Packaging;
-use abr_media::content::Content;
+use abr_media::content::{Content, SharedContent};
 use abr_media::units::{BitsPerSec, Bytes};
-use abr_net::link::Link;
 use abr_net::trace::Trace;
 use abr_obs::export::to_jsonl;
-use abr_obs::ObsHandle;
 use abr_player::config::PlayerConfig;
-use abr_player::log::SessionLog;
 use abr_player::policy::FixedPolicy;
 use abr_player::session::{DeliveryMode, PlaylistFetch, Session};
 use common::fnv1a;
@@ -53,194 +50,150 @@ const PINS: &[(&str, u64, u64)] = &[
     ("deadline stall", 0x7236ca58cbecfe40, 0x250bebd29707b0d0),
 ];
 
-/// One pinned session's inputs; every field but the trace has a default
-/// in [`base`].
-struct Scenario {
-    content: Content,
-    trace: Trace,
-    latency: Duration,
-    overhead: Bytes,
-    /// The fixed `(video, audio)` ladder indices the session plays.
-    tracks: (usize, usize),
-    packaging: Packaging,
-    playlist_fetch: PlaylistFetch,
-    delivery: DeliveryMode,
-    /// Edge cache `(capacity, miss penalty)`, if the session has one.
-    edge: Option<(Bytes, Duration)>,
-    deadline: Option<Instant>,
+/// The pinned sessions' common recipe: the drama show (seed 1) playing
+/// the fixed `(video, audio)` ladder indices over `trace`, on a link
+/// with no latency, under the default chunk-synchronized player.
+fn base(trace: Trace, video: usize, audio: usize) -> SessionSpec {
+    let content: SharedContent = Content::drama_show(1).into();
+    let policy = Box::new(FixedPolicy { video, audio });
+    SessionSpec {
+        latency: Duration::ZERO,
+        config: PlayerConfig::default_chunked(content.chunk_duration()),
+        ..SessionSpec::new(&content, PlayerKind::BestPractice, policy, trace)
+    }
 }
 
-impl Scenario {
-    fn session(&self) -> Session {
-        let (video, audio) = self.tracks;
-        let mut s = Session::new(
-            Origin::with_overhead(self.content.clone(), self.overhead),
-            Link::with_latency(self.trace.clone(), self.latency),
-            Box::new(FixedPolicy { video, audio }),
-            PlayerConfig::default_chunked(self.content.chunk_duration()),
-        )
-        .with_packaging(self.packaging)
-        .with_delivery(self.delivery);
-        if self.playlist_fetch != PlaylistFetch::Preloaded {
-            s = s.with_playlist_fetch(self.playlist_fetch);
-        }
-        if let Some((capacity, miss_penalty)) = self.edge {
-            s = s.with_transfer_path(Box::new(EdgeCache {
-                cache: CdnCache::new(capacity),
-                miss_penalty,
-            }));
-        }
-        if let Some(d) = self.deadline {
-            s = s.with_deadline(d);
-        }
-        s
-    }
-
-    fn tap(mut self, f: impl FnOnce(&mut Scenario)) -> Scenario {
-        f(&mut self);
-        self
-    }
-
-    /// Runs the session untraced and traced, and checks both digests
-    /// against `label`'s pin.
-    fn check(&self, label: &str) {
-        let log: SessionLog = self.session().run();
-        let (obs, tracer) = ObsHandle::recording();
-        let traced = self.session().with_obs(obs).run();
-        assert_eq!(traced, log, "{label}: tracing changed the log");
-        let log_digest = fnv1a(&format!("{log:?}"));
-        let trace_digest = fnv1a(&to_jsonl(&tracer.take()));
-        println!("    (\"{label}\", 0x{log_digest:016x}, 0x{trace_digest:016x}),");
-        let &(_, log_pin, trace_pin) = PINS
-            .iter()
-            .find(|(l, ..)| *l == label)
-            .unwrap_or_else(|| panic!("{label}: no pin"));
-        assert_eq!(
-            (log_digest, trace_digest),
-            (log_pin, trace_pin),
-            "{label}: (log, trace) digests differ from the pin"
-        );
-    }
+/// Runs `session()` untraced and traced, and checks both digests
+/// against `label`'s pin.
+fn check(label: &str, session: impl Fn() -> Session) {
+    let log = session().run();
+    let (traced, events) = run_traced(session(), None);
+    assert_eq!(traced, log, "{label}: tracing changed the log");
+    let log_digest = fnv1a(&format!("{log:?}"));
+    let trace_digest = fnv1a(&to_jsonl(&events));
+    println!("    (\"{label}\", 0x{log_digest:016x}, 0x{trace_digest:016x}),");
+    let &(_, log_pin, trace_pin) = PINS
+        .iter()
+        .find(|(l, ..)| *l == label)
+        .unwrap_or_else(|| panic!("{label}: no pin"));
+    assert_eq!(
+        (log_digest, trace_digest),
+        (log_pin, trace_pin),
+        "{label}: (log, trace) digests differ from the pin"
+    );
 }
 
 fn kbps(k: u64) -> BitsPerSec {
     BitsPerSec::from_kbps(k)
 }
 
-fn base(trace: Trace, video: usize, audio: usize) -> Scenario {
-    Scenario {
-        content: Content::drama_show(1),
-        trace,
-        latency: Duration::ZERO,
-        overhead: Bytes::ZERO,
-        tracks: (video, audio),
-        packaging: Packaging::SegmentFiles {
-            with_bitrate_tags: false,
-        },
-        playlist_fetch: PlaylistFetch::Preloaded,
-        delivery: DeliveryMode::Demuxed,
-        edge: None,
-        deadline: None,
-    }
-}
-
 #[test]
 fn pin_ample_constant_link() {
-    base(Trace::constant(kbps(5_000)), 0, 0).check("ample");
+    check("ample", || base(Trace::constant(kbps(5_000)), 0, 0).build());
 }
 
 #[test]
 fn pin_starved_link_with_stalls() {
-    base(Trace::constant(kbps(500)), 5, 2).check("starved");
+    check("starved", || base(Trace::constant(kbps(500)), 5, 2).build());
 }
 
 #[test]
 fn pin_variable_link() {
-    base(
-        Trace::random_walk(
-            kbps(900),
-            kbps(200),
-            kbps(2_000),
-            0.4,
-            Duration::from_secs(3),
-            Duration::from_secs(3600),
-            5,
-        ),
-        2,
-        1,
-    )
-    .tap(|s| {
-        s.content = Content::drama_show(99);
-        s.latency = Duration::from_millis(20);
-        s.overhead = Bytes(320);
-    })
-    .check("variable");
+    let trace = Trace::random_walk(
+        kbps(900),
+        kbps(200),
+        kbps(2_000),
+        0.4,
+        Duration::from_secs(3),
+        Duration::from_secs(3600),
+        5,
+    );
+    check("variable", || {
+        let spec = SessionSpec {
+            content: Content::drama_show(99).into(),
+            latency: Duration::from_millis(20),
+            overhead: Bytes(320),
+            ..base(trace.clone(), 2, 1)
+        };
+        spec.build()
+    });
+}
+
+/// A 2 Mbps, 40 ms link to a single-file origin with 320-byte headers,
+/// fetching playlists `mode`.
+fn playlists(mode: PlaylistFetch, video: usize, audio: usize) -> Session {
+    let spec = SessionSpec {
+        latency: Duration::from_millis(40),
+        overhead: Bytes(320),
+        playlist_fetch: mode,
+        packaging: Packaging::SingleFile,
+        ..base(Trace::constant(kbps(2_000)), video, audio)
+    };
+    spec.build()
 }
 
 #[test]
 fn pin_lazy_playlists() {
-    base(Trace::constant(kbps(2_000)), 2, 1)
-        .tap(|s| {
-            s.latency = Duration::from_millis(40);
-            s.overhead = Bytes(320);
-            s.playlist_fetch = PlaylistFetch::Lazy;
-            s.packaging = Packaging::SingleFile;
-        })
-        .check("lazy playlists");
+    check("lazy playlists", || playlists(PlaylistFetch::Lazy, 2, 1));
 }
 
 #[test]
 fn pin_eager_playlists() {
-    base(Trace::constant(kbps(2_000)), 1, 0)
-        .tap(|s| {
-            s.latency = Duration::from_millis(40);
-            s.overhead = Bytes(320);
-            s.playlist_fetch = PlaylistFetch::Eager;
-            s.packaging = Packaging::SingleFile;
-        })
-        .check("eager playlists");
+    check("eager playlists", || playlists(PlaylistFetch::Eager, 1, 0));
 }
 
 #[test]
 fn pin_muxed_delivery() {
-    base(Trace::constant(kbps(2_000)), 1, 0)
-        .tap(|s| s.delivery = DeliveryMode::Muxed)
-        .check("muxed");
+    check("muxed", || {
+        let spec = SessionSpec {
+            delivery: DeliveryMode::Muxed,
+            ..base(Trace::constant(kbps(2_000)), 1, 0)
+        };
+        spec.build()
+    });
 }
 
 #[test]
 fn pin_edge_cache() {
-    base(Trace::constant(kbps(2_000)), 1, 0)
-        .tap(|s| {
-            s.latency = Duration::from_millis(10);
-            s.edge = Some((Bytes(1 << 32), Duration::from_millis(80)));
-        })
-        .check("edge cache");
+    check("edge cache", || {
+        let spec = SessionSpec {
+            latency: Duration::from_millis(10),
+            ..base(Trace::constant(kbps(2_000)), 1, 0)
+        };
+        spec.build().with_transfer_path(Box::new(EdgeCache {
+            cache: CdnCache::new(Bytes(1 << 32)),
+            miss_penalty: Duration::from_millis(80),
+        }))
+    });
 }
 
 #[test]
 fn pin_deadline_cutoff() {
-    base(Trace::constant(kbps(1)), 0, 0)
-        .tap(|s| s.deadline = Some(Instant::from_secs(600)))
-        .check("deadline");
+    check("deadline", || {
+        let spec = base(Trace::constant(kbps(1)), 0, 0);
+        spec.build().with_deadline(Instant::from_secs(600))
+    });
 }
 
 #[test]
 fn pin_byte_range_packaging() {
-    base(Trace::constant(kbps(1_500)), 1, 0)
-        .tap(|s| {
-            s.latency = Duration::from_millis(20);
-            s.overhead = Bytes(320);
-            s.packaging = Packaging::SingleFile;
-        })
-        .check("byte ranges");
+    check("byte ranges", || {
+        let spec = SessionSpec {
+            latency: Duration::from_millis(20),
+            overhead: Bytes(320),
+            packaging: Packaging::SingleFile,
+            ..base(Trace::constant(kbps(1_500)), 1, 0)
+        };
+        spec.build()
+    });
 }
 
 /// The starved session cut off at its first stall end, 50.922016 s, the
 /// instant a chunk arrival resumes playback.
 #[test]
 fn pin_deadline_at_a_stall_end() {
-    base(Trace::constant(kbps(500)), 5, 2)
-        .tap(|s| s.deadline = Some(Instant::from_micros(50_922_016)))
-        .check("deadline stall");
+    check("deadline stall", || {
+        let spec = base(Trace::constant(kbps(500)), 5, 2);
+        spec.build().with_deadline(Instant::from_micros(50_922_016))
+    });
 }

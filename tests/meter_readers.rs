@@ -9,25 +9,22 @@
 //! check can fail: ExoPlayer, a meter reader, plays a different session
 //! when its window is forced to zero.
 
-use abr_bench::setup::{dash_view, drama, hls_all_view, player_config, PlayerKind};
+use abr_bench::setup::{dash_view, drama, hls_all_view, PlayerKind, SessionSpec};
 use abr_unmuxed::core::combos::ComboLadder;
 use abr_unmuxed::core::{
     BbaPolicy, BestPracticePolicy, CappedPolicy, DashJsPolicy, ExoPlayerPolicy, MpcPolicy,
     ShakaPolicy,
 };
 use abr_unmuxed::event::time::Duration;
-use abr_unmuxed::httpsim::origin::Origin;
 use abr_unmuxed::media::combo::curated_subset;
 use abr_unmuxed::media::content::SharedContent;
 use abr_unmuxed::media::track::TrackId;
 use abr_unmuxed::media::units::{BitsPerSec, Bytes};
-use abr_unmuxed::net::link::Link;
 use abr_unmuxed::net::trace::Trace;
 use abr_unmuxed::obs::ObsHandle;
 use abr_unmuxed::player::log::SessionLog;
 use abr_unmuxed::player::policy::{AbrPolicy, SelectionContext, TransferRecord};
 use abr_unmuxed::player::session::DeliveryMode;
-use abr_unmuxed::player::Session;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -119,12 +116,12 @@ fn run(
     trace: Trace,
     delivery: DeliveryMode,
 ) -> SessionLog {
-    let origin = Origin::with_overhead(SharedContent::clone(content), Bytes::ZERO);
-    let link = Link::with_latency(trace, Duration::from_millis(20));
-    let config = player_config(kind, content.chunk_duration());
-    Session::new(origin, link, policy, config)
-        .with_delivery(delivery)
-        .run()
+    SessionSpec {
+        delivery,
+        ..SessionSpec::new(content, kind, policy, trace)
+    }
+    .build()
+    .run()
 }
 
 /// The constructors of every policy that answers

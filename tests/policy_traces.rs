@@ -19,22 +19,20 @@ mod common;
 
 use abr_bench::mc::mc_policies;
 use abr_bench::setup::{
-    dash_view, drama, hls_all_view, hls_sub_view, player_config, run_session_obs, PlayerKind,
+    dash_view, drama, hls_all_view, hls_sub_view, run_traced, PlayerKind, SessionSpec,
 };
 use abr_core::{BbaPolicy, BestPracticePolicy, ExoPlayerPolicy, MpcPolicy, ShakaPolicy};
 use abr_event::time::Duration;
 use abr_httpsim::cache::CdnCache;
 use abr_httpsim::edge::EdgeCache;
-use abr_httpsim::origin::Origin;
 use abr_manifest::build::{build_master_playlist_ext, Packaging};
 use abr_manifest::view::BoundHls;
 use abr_manifest::MasterPlaylist;
 use abr_media::combo::curated_subset;
 use abr_media::units::Bytes;
-use abr_net::link::Link;
 use abr_net::trace::Trace;
 use abr_obs::export::to_jsonl;
-use abr_obs::{Event, ObsHandle};
+use abr_obs::Event;
 use abr_player::policy::AbrPolicy;
 use abr_player::session::{DeliveryMode, PlaylistFetch, Session};
 use common::fnv1a;
@@ -123,7 +121,10 @@ fn every_policy_trace_matches_its_pin() {
     let mut actual = Vec::new();
     for (label, kind, policy) in sessions() {
         let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
-        let (_, events) = run_session_obs(&content, kind, policy, trace, None);
+        let (_, events) = run_traced(
+            SessionSpec::new(&content, kind, policy, trace).build(),
+            None,
+        );
         let decisions = events
             .iter()
             .filter(|e| matches!(e.event, Event::PolicyDecision { .. }))
@@ -180,15 +181,14 @@ fn delivery_sessions() -> Vec<(&'static str, Session)> {
     let dash = dash_view(&content);
     let sub = hls_sub_view(&content, &[2, 0, 1]);
     let all = hls_all_view(&content);
-    let session = |kind, policy: Box<dyn AbrPolicy>| {
-        Session::new(
-            Origin::with_overhead(content.clone(), Bytes(320)),
-            Link::with_latency(
-                Trace::fig3_varying_600k(Duration::from_secs(3600)),
-                Duration::from_millis(100),
-            ),
+    let spec = |kind, policy: Box<dyn AbrPolicy>| SessionSpec {
+        overhead: Bytes(320),
+        latency: Duration::from_millis(100),
+        ..SessionSpec::new(
+            &content,
+            kind,
             policy,
-            player_config(kind, content.chunk_duration()),
+            Trace::fig3_varying_600k(Duration::from_secs(3600)),
         )
     };
     let tagged = Packaging::SegmentFiles {
@@ -197,11 +197,14 @@ fn delivery_sessions() -> Vec<(&'static str, Session)> {
     vec![
         (
             "dash/ExoPlayer muxed edge",
-            session(
-                PlayerKind::ExoPlayer,
-                Box::new(ExoPlayerPolicy::dash(&dash)),
-            )
-            .with_delivery(DeliveryMode::Muxed)
+            SessionSpec {
+                delivery: DeliveryMode::Muxed,
+                ..spec(
+                    PlayerKind::ExoPlayer,
+                    Box::new(ExoPlayerPolicy::dash(&dash)),
+                )
+            }
+            .build()
             .with_transfer_path(Box::new(EdgeCache {
                 cache: CdnCache::new(Bytes(1 << 32)),
                 miss_penalty: Duration::from_millis(30),
@@ -209,18 +212,24 @@ fn delivery_sessions() -> Vec<(&'static str, Session)> {
         ),
         (
             "hls/bestpractice single-file eager",
-            session(
-                PlayerKind::BestPractice,
-                Box::new(BestPracticePolicy::from_hls(&sub)),
-            )
-            .with_packaging(Packaging::SingleFile)
-            .with_playlist_fetch(PlaylistFetch::Eager),
+            SessionSpec {
+                packaging: Packaging::SingleFile,
+                playlist_fetch: PlaylistFetch::Eager,
+                ..spec(
+                    PlayerKind::BestPractice,
+                    Box::new(BestPracticePolicy::from_hls(&sub)),
+                )
+            }
+            .build(),
         ),
         (
             "hls/mpc lazy",
-            session(PlayerKind::Mpc, Box::new(MpcPolicy::from_hls(&all)))
-                .with_packaging(tagged)
-                .with_playlist_fetch(PlaylistFetch::Lazy),
+            SessionSpec {
+                packaging: tagged,
+                playlist_fetch: PlaylistFetch::Lazy,
+                ..spec(PlayerKind::Mpc, Box::new(MpcPolicy::from_hls(&all)))
+            }
+            .build(),
         ),
     ]
 }
@@ -229,10 +238,8 @@ fn delivery_sessions() -> Vec<(&'static str, Session)> {
 fn every_delivery_path_trace_matches_its_pin() {
     let mut actual = Vec::new();
     for (label, session) in delivery_sessions() {
-        let (obs, tracer) = ObsHandle::recording();
-        let log = session.with_obs(obs).run();
+        let (log, events) = run_traced(session, None);
         assert!(log.completed(), "{label}: the session plays to the end");
-        let events = tracer.take();
         let digest = fnv1a(&to_jsonl(&events));
         println!("    (\"{label}\", 0x{digest:016x}),");
         actual.push((label, digest));
