@@ -2,7 +2,8 @@
 //! EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 
 use crate::profiling::WorkloadProfile;
-use crate::report::{ascii_plot, table, Series};
+use crate::report::Form::{Dec, Join, Mb, Plain};
+use crate::report::{ascii_plot, table, Row, Series};
 use crate::runner::{self, SessionOutcome};
 use crate::setup::*;
 use abr_core::{BestPracticePolicy, DashJsPolicy, ExoPlayerPolicy, ShakaPolicy};
@@ -447,78 +448,39 @@ pub fn run_sessions(
 /// check for the content substitution).
 fn t1() -> ExperimentResult {
     let c = drama();
-    let mut rows = Vec::new();
-    let mut json_tracks = Vec::new();
-    for &id in c.track_ids() {
+    let rows = c.track_ids().iter().map(|&id| {
         let t = c.track(id);
         let sizes: Vec<Bytes> = (0..c.num_chunks()).map(|i| c.chunk_size(id, i)).collect();
         let m = measure(&sizes, c.chunk_duration());
-        rows.push(vec![
-            t.name(),
-            t.avg.kbps().to_string(),
-            t.peak.kbps().to_string(),
-            t.declared.kbps().to_string(),
-            t.detail.label(),
-            m.avg.kbps().to_string(),
-            m.peak.kbps().to_string(),
-        ]);
-        json_tracks.push(json!({
-            "track": t.name(),
-            "avg_kbps": t.avg.kbps(),
-            "peak_kbps": t.peak.kbps(),
-            "declared_kbps": t.declared.kbps(),
-            "measured_avg_kbps": m.avg.kbps(),
-            "measured_peak_kbps": m.peak.kbps(),
-        }));
-    }
-    let text = table(
-        &[
-            "Track",
-            "Avg (paper)",
-            "Peak (paper)",
-            "Declared",
-            "Detail",
-            "Avg (measured)",
-            "Peak (measured)",
-        ],
-        &rows,
-    );
+        let (avg, peak) = (m.avg.kbps(), m.peak.kbps());
+        Row::default()
+            .cell("Track", "track", t.name(), Plain)
+            .cell("Avg (paper)", "avg_kbps", t.avg.kbps(), Plain)
+            .cell("Peak (paper)", "peak_kbps", t.peak.kbps(), Plain)
+            .cell("Declared", "declared_kbps", t.declared.kbps(), Plain)
+            .cell("Detail", None, t.detail.label(), Plain)
+            .cell("Avg (measured)", "measured_avg_kbps", avg, Plain)
+            .cell("Peak (measured)", "measured_peak_kbps", peak, Plain)
+    });
+    let (text, tracks) = table(rows);
     ExperimentResult {
         id: "t1",
         title: "Table 1: video and audio of a YouTube drama show",
         text,
-        json: json!({ "tracks": json_tracks }),
+        json: json!({ "tracks": tracks }),
     }
 }
 
 fn combo_table(combos: &[Combo]) -> (String, Value) {
     let c = drama();
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    for &combo in combos {
+    let (text, combos) = table(combos.iter().map(|&combo| {
         let b = combo_bitrate(c.video(), c.audio(), combo);
-        rows.push(vec![
-            combo.to_string(),
-            b.avg.kbps().to_string(),
-            b.peak.kbps().to_string(),
-        ]);
-        jrows.push(json!({
-            "combo": combo.to_string(),
-            "avg_kbps": b.avg.kbps(),
-            "peak_kbps": b.peak.kbps(),
-        }));
-    }
-    (
-        table(
-            &[
-                "Video/Audio Combination",
-                "Average Bitrate (Kbps)",
-                "Peak Bitrate (Kbps)",
-            ],
-            &rows,
-        ),
-        json!({ "combos": jrows }),
-    )
+        Row::default()
+            .cell("Video/Audio Combination", "combo", combo.to_string(), Plain)
+            .cell("Average Bitrate (Kbps)", "avg_kbps", b.avg.kbps(), Plain)
+            .cell("Peak Bitrate (Kbps)", "peak_kbps", b.peak.kbps(), Plain)
+    }));
+    (text, json!({ "combos": combos }))
 }
 
 /// Table 2: the full 18-combination set (`H_all`).
@@ -796,44 +758,23 @@ fn f3fix(jobs: usize) -> ExperimentResult {
         "bestpractice (same manifest)",
     ];
     let logs = logs(&arms, jobs);
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    for (label, log) in players.iter().zip(&logs) {
+    let (mut text, rows) = table(players.iter().zip(&logs).map(|(label, log)| {
         let q = abr_qoe::summarize(log);
+        let stall_s = q.total_stall.as_secs_f64();
         let audio_used: Vec<String> = log
             .distinct_tracks(MediaType::Audio)
             .iter()
             .map(|i| format!("A{}", i + 1))
             .collect();
-        rows.push(vec![
-            label.to_string(),
-            audio_used.join("/"),
-            q.stall_count.to_string(),
-            format!("{:.1}", q.total_stall.as_secs_f64()),
-            q.mean_video_kbps.to_string(),
-            q.mean_audio_kbps.to_string(),
-            format!("{:.2}", q.score),
-        ]);
-        jrows.push(json!({
-            "player": label,
-            "audio_tracks": audio_used,
-            "stalls": q.stall_count,
-            "total_stall_s": q.total_stall.as_secs_f64(),
-            "score": q.score,
-        }));
-    }
-    let mut text = table(
-        &[
-            "Player",
-            "Audio used",
-            "Stalls",
-            "Stall s",
-            "Video Kbps",
-            "Audio Kbps",
-            "QoE",
-        ],
-        &rows,
-    );
+        Row::default()
+            .cell("Player", "player", label, Plain)
+            .cell("Audio used", "audio_tracks", audio_used, Join("/"))
+            .cell("Stalls", "stalls", q.stall_count, Plain)
+            .cell("Stall s", "total_stall_s", stall_s, Dec(1))
+            .cell("Video Kbps", None, q.mean_video_kbps, Plain)
+            .cell("Audio Kbps", None, q.mean_audio_kbps, Plain)
+            .cell("QoE", "score", q.score, Dec(2))
+    }));
     text.push_str(concat!(
         "\nthe stock player pins A3 and rebuffers; giving it the §4.1 per-track\n",
         "bitrate extension restores audio adaptation and removes (nearly) all\n",
@@ -843,7 +784,7 @@ fn f3fix(jobs: usize) -> ExperimentResult {
         id: "f3fix",
         title: "F3-fix: §4.1 repairs evaluated on the Fig 3 setup",
         text,
-        json: json!({ "rows": jrows }),
+        json: json!({ "rows": rows }),
     }
 }
 
@@ -945,26 +886,18 @@ fn f4x() -> ExperimentResult {
     let content = drama();
     let view = hls_all_view(&content);
     let policy = ShakaPolicy::hls(&view);
-    let mut rows = Vec::new();
-    let mut picks = Vec::new();
-    for kbps in (300..=700).step_by(25) {
-        let pick = policy.choice_for_estimate(BitsPerSec::from_kbps(kbps));
-        let bw = combo_bitrate(content.video(), content.audio(), pick)
-            .peak
-            .kbps();
-        rows.push(vec![kbps.to_string(), pick.to_string(), bw.to_string()]);
-        picks.push(pick);
-    }
+    let choice = |kbps| policy.choice_for_estimate(BitsPerSec::from_kbps(kbps));
+    let estimates = (300..=700).step_by(25);
+    let picks: Vec<Combo> = estimates.clone().map(choice).collect();
+    let (mut text, _) = table(estimates.zip(&picks).map(|(kbps, &pick)| {
+        let bw = combo_bitrate(content.video(), content.audio(), pick).peak;
+        Row::default()
+            .cell("Estimate (Kbps)", None, kbps, Plain)
+            .cell("Selected combination", None, pick.to_string(), Plain)
+            .cell("Combo BANDWIDTH (Kbps)", None, bw.kbps(), Plain)
+    }));
     let mut distinct: Vec<String> = picks.iter().map(ToString::to_string).collect();
     distinct.dedup();
-    let mut text = table(
-        &[
-            "Estimate (Kbps)",
-            "Selected combination",
-            "Combo BANDWIDTH (Kbps)",
-        ],
-        &rows,
-    );
     let _ = write!(
         text,
         "\ndistinct selections across the sweep: {} — {}\n\
@@ -1070,66 +1003,35 @@ fn shootout(id: &'static str, jobs: usize) -> ExperimentResult {
     let content = (arms[0].spec)().content;
     let allowed = curated_subset(content.video(), content.audio());
     let bp1 = id == "bp1";
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    for (arm, log) in arms.iter().zip(&logs) {
+    // BP5 prints its rates and switches but keeps its JSON compact.
+    let key = |key| bp1.then_some(key);
+    let (text, rows) = table(arms.iter().zip(&logs).map(|(arm, log)| {
         let tname = arm
             .label
             .split('/')
             .nth(1)
             .expect("`<id>/<trace>/<kind>` label");
         let q = abr_qoe::summarize(log);
+        let stall_s = q.total_stall.as_secs_f64();
+        let (video, audio) = (q.mean_video_kbps, q.mean_audio_kbps);
         let switches = q.video_switches + q.audio_switches;
-        let mut row = vec![
-            tname.to_string(),
-            q.policy.clone(),
-            format!("{:.2}", q.score),
-            q.stall_count.to_string(),
-            format!("{:.1}", q.total_stall.as_secs_f64()),
-            q.mean_video_kbps.to_string(),
-            q.mean_audio_kbps.to_string(),
-            switches.to_string(),
-        ];
-        let mut jrow = json!({
-            "trace": tname,
-            "policy": q.policy,
-            "score": q.score,
-            "stalls": q.stall_count,
-            "total_stall_s": q.total_stall.as_secs_f64(),
-        });
-        if bp1 {
-            let off = abr_qoe::off_manifest_chunks(log, &allowed);
-            row.extend([
-                format!("{:.1}", q.max_imbalance.as_secs_f64()),
-                off.to_string(),
-            ]);
-            let extra = json!({
-                "mean_video_kbps": q.mean_video_kbps,
-                "mean_audio_kbps": q.mean_audio_kbps,
-                "switches": switches,
-                "max_imbalance_s": q.max_imbalance.as_secs_f64(),
-                "off_curated_chunks": off,
-            });
-            if let (Value::Object(jrow), Value::Object(extra)) = (&mut jrow, extra) {
-                jrow.extend(extra);
-            }
+        let row = Row::default()
+            .cell("Trace", "trace", tname, Plain)
+            .cell("Policy", "policy", &q.policy, Plain)
+            .cell("QoE", "score", q.score, Dec(2))
+            .cell("Stalls", "stalls", q.stall_count, Plain)
+            .cell("Stall s", "total_stall_s", stall_s, Dec(1))
+            .cell("Video Kbps", key("mean_video_kbps"), video, Plain)
+            .cell("Audio Kbps", key("mean_audio_kbps"), audio, Plain)
+            .cell("Switches", key("switches"), switches, Plain);
+        if !bp1 {
+            return row;
         }
-        rows.push(row);
-        jrows.push(jrow);
-    }
-    let mut headers = vec![
-        "Trace",
-        "Policy",
-        "QoE",
-        "Stalls",
-        "Stall s",
-        "Video Kbps",
-        "Audio Kbps",
-        "Switches",
-    ];
-    if bp1 {
-        headers.extend(["Max imbal s", "Off-curated"]);
-    }
+        let imbalance = q.max_imbalance.as_secs_f64();
+        let off = abr_qoe::off_manifest_chunks(log, &allowed);
+        row.cell("Max imbal s", "max_imbalance_s", imbalance, Dec(1))
+            .cell("Off-curated", "off_curated_chunks", off, Plain)
+    }));
     ExperimentResult {
         id,
         title: if bp1 {
@@ -1137,8 +1039,8 @@ fn shootout(id: &'static str, jobs: usize) -> ExperimentResult {
         } else {
             "BP5: corpus sweep — every policy over every named network profile"
         },
-        text: table(&headers, &rows),
-        json: json!({ "rows": jrows }),
+        text,
+        json: json!({ "rows": rows }),
     }
 }
 
@@ -1147,43 +1049,24 @@ fn shootout(id: &'static str, jobs: usize) -> ExperimentResult {
 fn bp2(jobs: usize) -> ExperimentResult {
     let modes = ["chunk-level sync", "independent"];
     let logs = logs(&arms("bp2").expect("bp2 runs sessions"), jobs);
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    for (label, log) in modes.iter().zip(&logs) {
+    let (text, rows) = table(modes.iter().zip(&logs).map(|(label, log)| {
         let q = abr_qoe::summarize(log);
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.2}", q.score),
-            q.stall_count.to_string(),
-            format!("{:.1}", q.total_stall.as_secs_f64()),
-            format!("{:.1}", q.mean_imbalance.as_secs_f64()),
-            format!("{:.1}", q.max_imbalance.as_secs_f64()),
-        ]);
-        jrows.push(json!({
-            "mode": label,
-            "score": q.score,
-            "stalls": q.stall_count,
-            "total_stall_s": q.total_stall.as_secs_f64(),
-            "mean_imbalance_s": q.mean_imbalance.as_secs_f64(),
-            "max_imbalance_s": q.max_imbalance.as_secs_f64(),
-        }));
-    }
-    let text = table(
-        &[
-            "Prefetch mode",
-            "QoE",
-            "Stalls",
-            "Stall s",
-            "Mean imbal s",
-            "Max imbal s",
-        ],
-        &rows,
-    );
+        let stall_s = q.total_stall.as_secs_f64();
+        let mean_imbalance = q.mean_imbalance.as_secs_f64();
+        let max_imbalance = q.max_imbalance.as_secs_f64();
+        Row::default()
+            .cell("Prefetch mode", "mode", label, Plain)
+            .cell("QoE", "score", q.score, Dec(2))
+            .cell("Stalls", "stalls", q.stall_count, Plain)
+            .cell("Stall s", "total_stall_s", stall_s, Dec(1))
+            .cell("Mean imbal s", "mean_imbalance_s", mean_imbalance, Dec(1))
+            .cell("Max imbal s", "max_imbalance_s", max_imbalance, Dec(1))
+    }));
     ExperimentResult {
         id: "bp2",
         title: "BP2: §4.2 prefetch-balance ablation (best-practice policy)",
         text,
-        json: json!({ "rows": jrows }),
+        json: json!({ "rows": rows }),
     }
 }
 
@@ -1238,42 +1121,19 @@ fn bp4(jobs: usize) -> ExperimentResult {
         "lazy (§4.1 warns against)",
     ];
     let logs = logs(&arms("bp4").expect("bp4 runs sessions"), jobs);
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    for (label, log) in modes.iter().zip(&logs) {
+    let (mut text, rows) = table(modes.iter().zip(&logs).map(|(label, log)| {
         let q = abr_qoe::summarize(log);
-        rows.push(vec![
-            label.to_string(),
-            log.playlist_fetches.len().to_string(),
-            format!(
-                "{:.2}",
-                q.startup_delay
-                    .map_or(f64::NAN, abr_event::Duration::as_secs_f64)
-            ),
-            q.stall_count.to_string(),
-            format!("{:.1}", q.total_stall.as_secs_f64()),
-            format!("{:.2}", q.score),
-        ]);
-        jrows.push(json!({
-            "mode": label,
-            "playlist_fetches": log.playlist_fetches.len(),
-            "startup_s": q.startup_delay.map(abr_event::Duration::as_secs_f64),
-            "stalls": q.stall_count,
-            "total_stall_s": q.total_stall.as_secs_f64(),
-            "score": q.score,
-        }));
-    }
-    let mut text = table(
-        &[
-            "Playlist fetching",
-            "Fetches",
-            "Startup s",
-            "Stalls",
-            "Stall s",
-            "QoE",
-        ],
-        &rows,
-    );
+        let fetches = log.playlist_fetches.len();
+        let startup = q.startup_delay.map(abr_event::Duration::as_secs_f64);
+        let stall_s = q.total_stall.as_secs_f64();
+        Row::default()
+            .cell("Playlist fetching", "mode", label, Plain)
+            .cell("Fetches", "playlist_fetches", fetches, Plain)
+            .cell("Startup s", "startup_s", startup, Dec(2))
+            .cell("Stalls", "stalls", q.stall_count, Plain)
+            .cell("Stall s", "total_stall_s", stall_s, Dec(1))
+            .cell("QoE", "score", q.score, Dec(2))
+    }));
     text.push_str(concat!(
         "\nlazy fetching pays a playlist round trip at every first use of a\n",
         "track (and the adaptation logic is blind to per-track bitrates until\n",
@@ -1283,7 +1143,7 @@ fn bp4(jobs: usize) -> ExperimentResult {
         id: "bp4",
         title: "BP4: §4.1 footnote — lazy vs eager playlist fetching",
         text,
-        json: json!({ "rows": jrows }),
+        json: json!({ "rows": rows }),
     }
 }
 
@@ -1346,21 +1206,16 @@ fn m1() -> ExperimentResult {
     }
     let mux_b_hits = mux.stats().hits;
 
-    let mut lang_rows = Vec::new();
-    for l in 1..=5usize {
-        let d = demuxed_storage_multilang(&content, l);
-        let m = muxed_storage_multilang(&content, l);
-        lang_rows.push(vec![
-            l.to_string(),
-            format!("{:.1}", d.get() as f64 / 1e6),
-            format!("{:.1}", m.get() as f64 / 1e6),
-            format!("x{:.2}", m.get() as f64 / d.get() as f64),
-        ]);
-    }
-    let lang_table = table(
-        &["Languages", "Demuxed MB", "Muxed MB", "Expansion"],
-        &lang_rows,
-    );
+    let (lang_table, _) = table((1..=5usize).map(|l| {
+        let d = demuxed_storage_multilang(&content, l).get();
+        let m = muxed_storage_multilang(&content, l).get();
+        let expansion = format!("x{:.2}", m as f64 / d as f64);
+        Row::default()
+            .cell("Languages", None, l, Plain)
+            .cell("Demuxed MB", None, d, Mb(1))
+            .cell("Muxed MB", None, m, Mb(1))
+            .cell("Expansion", None, expansion, Plain)
+    }));
     let text = format!(
         concat!(
             "Origin storage (Table 1 content, 6 video × 3 audio):\n",
@@ -1402,42 +1257,19 @@ fn m1() -> ExperimentResult {
 fn m2(jobs: usize) -> ExperimentResult {
     let modes = ["demuxed", "muxed"];
     let logs = logs(&arms("m2").expect("m2 runs sessions"), jobs);
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    for (label, log) in modes.iter().zip(&logs) {
+    let (mut text, rows) = table(modes.iter().zip(&logs).map(|(label, log)| {
         let q = abr_qoe::summarize(log);
-        let final_estimate = log
-            .transfers
-            .last()
-            .and_then(|t| t.estimate_after)
-            .map_or(0, abr_media::BitsPerSec::kbps);
-        rows.push(vec![
-            label.to_string(),
-            final_estimate.to_string(),
-            q.mean_video_kbps.to_string(),
-            q.mean_audio_kbps.to_string(),
-            format!("{:.1}", q.max_imbalance.as_secs_f64()),
-            q.stall_count.to_string(),
-        ]);
-        jrows.push(json!({
-            "mode": label,
-            "final_estimate_kbps": final_estimate,
-            "mean_video_kbps": q.mean_video_kbps,
-            "mean_audio_kbps": q.mean_audio_kbps,
-            "max_imbalance_s": q.max_imbalance.as_secs_f64(),
-        }));
-    }
-    let mut text = table(
-        &[
-            "Delivery",
-            "Final estimate Kbps",
-            "Video Kbps",
-            "Audio Kbps",
-            "Max imbal s",
-            "Stalls",
-        ],
-        &rows,
-    );
+        let last = log.transfers.last().and_then(|t| t.estimate_after);
+        let kbps = last.map_or(0, abr_media::BitsPerSec::kbps);
+        let max_imbalance = q.max_imbalance.as_secs_f64();
+        Row::default()
+            .cell("Delivery", "mode", label, Plain)
+            .cell("Final estimate Kbps", "final_estimate_kbps", kbps, Plain)
+            .cell("Video Kbps", "mean_video_kbps", q.mean_video_kbps, Plain)
+            .cell("Audio Kbps", "mean_audio_kbps", q.mean_audio_kbps, Plain)
+            .cell("Max imbal s", "max_imbalance_s", max_imbalance, Dec(1))
+            .cell("Stalls", None, q.stall_count, Plain)
+    }));
     text.push_str(concat!(
         "\nShaka's per-flow estimator on a 2 Mbps link. Demuxed, audio and\n",
         "video share the link: the estimate sits at its 500 Kbps default to\n",
@@ -1450,7 +1282,7 @@ fn m2(jobs: usize) -> ExperimentResult {
         id: "m2",
         title: "M2: muxed delivery dissolves the coordination problem (at M×N cost)",
         text,
-        json: json!({ "rows": jrows }),
+        json: json!({ "rows": rows }),
     }
 }
 
@@ -1465,11 +1297,10 @@ fn m3(jobs: usize) -> ExperimentResult {
         let edge = edge.expect("m3 viewers share an edge").borrow();
         (log, edge.cache.stats())
     });
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
     // Per edge: viewer A, then viewer B, each with the edge's counters
     // once it has run; B's share is the difference.
-    for (label, viewers) in ["demuxed", "muxed"].iter().zip(viewers.chunks(2)) {
+    let edges = ["demuxed", "muxed"].iter().zip(viewers.chunks(2));
+    let (mut text, rows) = table(edges.map(|(label, viewers)| {
         let [(_, before), (b_log, stats)] = viewers else {
             unreachable!("two viewers per edge");
         };
@@ -1477,37 +1308,15 @@ fn m3(jobs: usize) -> ExperimentResult {
         let origin = stats.bytes_from_origin.get() - before.bytes_from_origin.get();
         let origin_mb = origin as f64 / 1e6;
         let qb = abr_qoe::summarize(b_log);
-        rows.push(vec![
-            label.to_string(),
-            b_hits.to_string(),
-            b_misses.to_string(),
-            format!(
-                "{:.2}",
-                qb.startup_delay
-                    .map_or(f64::NAN, abr_event::Duration::as_secs_f64)
-            ),
-            qb.stall_count.to_string(),
-            format!("{origin_mb:.1}"),
-        ]);
-        jrows.push(json!({
-            "mode": label,
-            "viewer_b_hits": b_hits,
-            "viewer_b_misses": b_misses,
-            "viewer_b_startup_s": qb.startup_delay.map(abr_event::Duration::as_secs_f64),
-            "viewer_b_origin_mb": origin_mb,
-        }));
-    }
-    let mut text = table(
-        &[
-            "Delivery",
-            "B hits",
-            "B misses",
-            "B startup s",
-            "B stalls",
-            "B origin MB",
-        ],
-        &rows,
-    );
+        let startup = qb.startup_delay.map(abr_event::Duration::as_secs_f64);
+        Row::default()
+            .cell("Delivery", "mode", label, Plain)
+            .cell("B hits", "viewer_b_hits", b_hits, Plain)
+            .cell("B misses", "viewer_b_misses", b_misses, Plain)
+            .cell("B startup s", "viewer_b_startup_s", startup, Dec(2))
+            .cell("B stalls", None, qb.stall_count, Plain)
+            .cell("B origin MB", "viewer_b_origin_mb", origin_mb, Dec(1))
+    }));
     text.push_str(concat!(
         "\nviewer A watched V4+A2; viewer B watches V4+A1 through the same\n",
         "edge. Demuxed, all of B's video chunks hit the warmed cache (only\n",
@@ -1519,7 +1328,7 @@ fn m3(jobs: usize) -> ExperimentResult {
         id: "m3",
         title: "M3: two viewers through one edge cache — demuxed vs muxed",
         text,
-        json: json!({ "rows": jrows }),
+        json: json!({ "rows": rows }),
     }
 }
 

@@ -8,8 +8,9 @@
 
 use super::driver::DriverOutput;
 use super::{FleetResult, FleetSpec};
-use crate::report::table;
-use serde_json::{json, Value};
+use crate::report::Form::{Dec, Mb, Pct, Plain};
+use crate::report::{table, Row};
+use serde_json::{json, Map, Value};
 
 /// Five-number summary over one per-session metric.
 struct Dist {
@@ -37,25 +38,16 @@ fn dist(mut values: Vec<f64>) -> Dist {
 }
 
 impl Dist {
-    fn row(&self, label: &str) -> Vec<String> {
-        vec![
-            label.to_string(),
-            format!("{:.2}", self.p50),
-            format!("{:.2}", self.p90),
-            format!("{:.2}", self.p99),
-            format!("{:.2}", self.mean),
-            format!("{:.2}", self.max),
-        ]
-    }
-
-    fn json(&self) -> Value {
-        json!({
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "mean": self.mean,
-            "max": self.max,
-        })
+    /// The metric's table row: `label`, then each statistic, which is
+    /// also the row's JSON.
+    fn row(&self, label: &str) -> Row {
+        Row::default()
+            .cell("Metric", None, label, Plain)
+            .cell("p50", "p50", self.p50, Dec(2))
+            .cell("p90", "p90", self.p90, Dec(2))
+            .cell("p99", "p99", self.p99, Dec(2))
+            .cell("mean", "mean", self.mean, Dec(2))
+            .cell("max", "max", self.max, Dec(2))
     }
 }
 
@@ -101,76 +93,54 @@ pub(super) fn render(
     let score = dist(summaries.iter().map(|q| q.score).collect());
     let completed = summaries.iter().filter(|q| q.completed).count();
 
-    let dist_table = table(
-        &["Metric", "p50", "p90", "p99", "mean", "max"],
-        &[
-            startup.row("Startup s"),
-            stalls.row("Stalls"),
-            stall_s.row("Stall s"),
-            video_kbps.row("Video Kbps"),
-            switches.row("Switches"),
-            score.row("QoE score"),
-        ],
-    );
+    let metrics = [
+        ("Startup s", "startup_s", &startup),
+        ("Stalls", "stalls", &stalls),
+        ("Stall s", "stall_s", &stall_s),
+        ("Video Kbps", "video_kbps", &video_kbps),
+        ("Switches", "switches", &switches),
+        ("QoE score", "score", &score),
+    ];
+    let (dist_table, jdists) = table(metrics.iter().map(|(label, _, d)| d.row(label)));
+    let jdists: Map = metrics
+        .iter()
+        .zip(jdists)
+        .map(|((_, key, _), dist)| (key.to_string(), dist))
+        .collect();
 
     // Per-domain shared-infrastructure counters. Uplink utilization is
     // busy time over the whole fleet horizon (windows × window width).
     let horizon_us = out.windows * spec.window_ms * 1_000;
-    let mut domain_rows = Vec::new();
-    let mut jdomains = Vec::new();
-    let mut fleet_hits = 0u64;
-    let mut fleet_misses = 0u64;
-    let mut fleet_origin_bytes = 0u64;
-    let mut fleet_evictions = 0u64;
-    for d in &out.domains {
-        let hit_ratio = d.cache.hit_ratio();
+    let (domain_table, jdomains) = table(out.domains.iter().map(|d| {
         let util = if horizon_us == 0 {
             0.0
         } else {
             d.uplink.busy_us as f64 / horizon_us as f64
         };
-        fleet_hits += d.cache.hits;
-        fleet_misses += d.cache.misses;
-        fleet_origin_bytes += d.cache.bytes_from_origin.get();
-        fleet_evictions += d.cache.evictions;
-        domain_rows.push(vec![
-            d.domain.to_string(),
-            d.sessions.to_string(),
-            d.peak_active.to_string(),
-            format!("{:.1}", hit_ratio * 100.0),
-            format!("{:.1}", d.cache.bytes_from_origin.get() as f64 / 1e6),
-            d.cache.evictions.to_string(),
-            format!("{:.1}", util * 100.0),
-            format!("{:.1}", d.uplink.max_delay.as_secs_f64() * 1_000.0),
-        ]);
-        jdomains.push(json!({
-            "domain": d.domain,
-            "sessions": d.sessions,
-            "peak_active": d.peak_active,
-            "hits": d.cache.hits,
-            "misses": d.cache.misses,
-            "hit_ratio": hit_ratio,
-            "origin_bytes": d.cache.bytes_from_origin.get(),
-            "evictions": d.cache.evictions,
-            "uplink_bytes": d.uplink.bytes,
-            "uplink_busy_us": d.uplink.busy_us,
-            "uplink_utilization": util,
-            "uplink_max_delay_ms": d.uplink.max_delay.as_secs_f64() * 1_000.0,
-        }));
-    }
-    let domain_table = table(
-        &[
-            "Domain",
-            "Sessions",
-            "Peak",
-            "Hit %",
-            "Origin MB",
-            "Evict",
-            "Uplink %",
-            "MaxDelay ms",
-        ],
-        &domain_rows,
-    );
+        let origin = d.cache.bytes_from_origin.get();
+        let max_delay_ms = d.uplink.max_delay.as_secs_f64() * 1_000.0;
+        Row::default()
+            .cell("Domain", "domain", d.domain, Plain)
+            .cell("Sessions", "sessions", d.sessions, Plain)
+            .cell("Peak", "peak_active", d.peak_active, Plain)
+            .json("hits", d.cache.hits)
+            .json("misses", d.cache.misses)
+            .cell("Hit %", "hit_ratio", d.cache.hit_ratio(), Pct(1))
+            .cell("Origin MB", "origin_bytes", origin, Mb(1))
+            .cell("Evict", "evictions", d.cache.evictions, Plain)
+            .json("uplink_bytes", d.uplink.bytes)
+            .json("uplink_busy_us", d.uplink.busy_us)
+            .cell("Uplink %", "uplink_utilization", util, Pct(1))
+            .cell("MaxDelay ms", "uplink_max_delay_ms", max_delay_ms, Dec(1))
+    }));
+    let fleet_hits: u64 = out.domains.iter().map(|d| d.cache.hits).sum();
+    let fleet_misses: u64 = out.domains.iter().map(|d| d.cache.misses).sum();
+    let fleet_origin_bytes: u64 = out
+        .domains
+        .iter()
+        .map(|d| d.cache.bytes_from_origin.get())
+        .sum();
+    let fleet_evictions: u64 = out.domains.iter().map(|d| d.cache.evictions).sum();
 
     let fleet_requests = fleet_hits + fleet_misses;
     let fleet_hit_ratio = if fleet_requests == 0 {
@@ -239,14 +209,6 @@ pub(super) fn render(
         "deadline_secs": spec.deadline_secs,
         "seed": spec.seed,
     });
-    let jdists = json!({
-        "startup_s": startup.json(),
-        "stalls": stalls.json(),
-        "stall_s": stall_s.json(),
-        "video_kbps": video_kbps.json(),
-        "switches": switches.json(),
-        "score": score.json(),
-    });
     let jvalue = json!({
         "spec": jspec,
         "distributions": jdists,
@@ -266,31 +228,29 @@ pub(super) fn render_comparison(
     demuxed: &FleetResult,
     muxed: &FleetResult,
 ) -> (String, Value) {
-    let pick =
-        |r: &FleetResult, key: &str| -> f64 { r.json["totals"][key].as_f64().unwrap_or(0.0) };
-    let row = |label: &str, key: &str, scale: f64, precision: usize| -> Vec<String> {
+    let pick = |r: &FleetResult, key: &str| -> f64 {
+        let total = r.json["totals"][key].as_f64();
+        total.unwrap_or_else(|| panic!("fleet totals have no `{key}`"))
+    };
+    let row = |label: &str, key: &str, scale: f64, precision: usize| {
         let d = pick(demuxed, key) * scale;
         let m = pick(muxed, key) * scale;
-        vec![
-            label.to_string(),
-            format!("{d:.precision$}"),
-            format!("{m:.precision$}"),
-            format!("{:+.precision$}", d - m),
-        ]
+        Row::default()
+            .cell("Metric", None, label, Plain)
+            .cell("Demuxed", None, d, Dec(precision))
+            .cell("Muxed", None, m, Dec(precision))
+            .cell("Delta", None, format!("{:+.precision$}", d - m), Plain)
     };
-    let comparison = table(
-        &["Metric", "Demuxed", "Muxed", "Delta"],
-        &[
-            row("Cache hit %", "hit_ratio", 100.0, 1),
-            row("Origin MB", "origin_bytes", 1e-6, 1),
-            row("Throttled windows", "throttled_windows", 1.0, 0),
-            row("Stalls/session", "stalls_mean", 1.0, 2),
-            row("Stall s/session", "stall_s_mean", 1.0, 2),
-            row("Video Kbps", "video_kbps_mean", 1.0, 0),
-            row("Startup s", "startup_s_mean", 1.0, 2),
-            row("QoE score", "score_mean", 1.0, 2),
-        ],
-    );
+    let (comparison, _) = table([
+        row("Cache hit %", "hit_ratio", 100.0, 1),
+        row("Origin MB", "origin_bytes", 1e-6, 1),
+        row("Throttled windows", "throttled_windows", 1.0, 0),
+        row("Stalls/session", "stalls_mean", 1.0, 2),
+        row("Stall s/session", "stall_s_mean", 1.0, 2),
+        row("Video Kbps", "video_kbps_mean", 1.0, 0),
+        row("Startup s", "startup_s_mean", 1.0, 2),
+        row("QoE score", "score_mean", 1.0, 2),
+    ]);
     let text = format!(
         "fleet comparison: {} sessions x 2 deliveries | {} domains | seed {}\n\
          {comparison}\n\
@@ -341,13 +301,32 @@ mod tests {
         let sorted = dist(vec![1.0, 2.0, 3.0, 10.0, 20.0]);
         let shuffled = dist(vec![20.0, 3.0, 1.0, 10.0, 2.0]);
         assert_eq!(sorted.row("x"), shuffled.row("x"));
-        assert_eq!(sorted.json(), shuffled.json());
     }
 
     #[test]
     fn rows_render_two_decimals() {
-        let row = dist(vec![1.0, 2.0]).row("Stalls");
-        assert_eq!(row, ["Stalls", "2.00", "2.00", "2.00", "1.50", "2.00"]);
+        let (text, json) = table([dist(vec![1.0, 2.0]).row("Stalls")]);
+        assert!(
+            text.contains("| Stalls | 2.00 | 2.00 | 2.00 | 1.50 | 2.00 |"),
+            "{text}"
+        );
+        let json = serde_json::to_string(&json[0]).expect("serialize");
+        assert_eq!(
+            json,
+            r#"{"max":2.0,"mean":1.5,"p50":2.0,"p90":2.0,"p99":2.0}"#
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet totals have no `hit_ratio`")]
+    fn comparison_rejects_a_missing_total() {
+        let result = || FleetResult {
+            text: String::new(),
+            json: json!({ "totals": json!({}) }),
+            sessions: 0,
+            logs: None,
+        };
+        let _ = render_comparison(&FleetSpec::small(1), &result(), &result());
     }
 
     #[test]

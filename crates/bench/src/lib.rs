@@ -11,7 +11,8 @@
 //!   realization content cuts, round-tripped manifest views and trace
 //!   corpora built once and `Arc`-shared across every session, worker
 //!   and origin that streams them.
-//! * [`report`] — fixed-width tables and ASCII time-series plots.
+//! * [`report`] — fixed-width tables, each line one row of cells that
+//!   renders both its text and its JSON, and ASCII time-series plots.
 //! * [`experiments`] — one function per experiment id (`t1`…`m1`);
 //!   [`experiments::run`] dispatches by id, the `exp` binary is the CLI.
 //! * [`runner`] — the deterministic parallel sweep engine: a scoped-thread

@@ -19,7 +19,8 @@ use std::rc::Rc;
 
 use crate::corpus::ScenarioCorpus;
 use crate::profiling::WorkloadProfile;
-use crate::report::table;
+use crate::report::Form::{Dec, Plain};
+use crate::report::{table, Row};
 use crate::runner;
 use crate::setup::{dash_policy_over, PlayerKind, SessionSpec};
 use abr_core::combos::ComboLadder;
@@ -275,58 +276,31 @@ fn aggregate(
         cells[cell.trace * policies.len() + cell.policy].fold(q);
     }
 
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    for (t, tname) in corpus_names.iter().enumerate() {
-        for (p, arm) in policies.iter().enumerate() {
-            let s = &cells[t * policies.len() + p];
-            let mean_score = s.score_sum / s.n as f64;
-            rows.push(vec![
-                tname.to_string(),
-                arm.label(),
-                format!("{mean_score:.2}"),
-                format!("{:.2}", s.score_min),
-                format!("{:.2}", s.stall_count as f64 / s.n as f64),
-                format!("{:.1}", s.stall_secs / s.n as f64),
-                (s.video_kbps_sum / s.n as u64).to_string(),
-                s.incomplete.to_string(),
-            ]);
-            jrows.push(json!({
-                "trace": *tname,
-                "policy": arm.label(),
-                "seeds": s.n,
-                "mean_score": mean_score,
-                "min_score": s.score_min,
-                "mean_stalls": s.stall_count as f64 / s.n as f64,
-                "mean_stall_s": s.stall_secs / s.n as f64,
-                "mean_video_kbps": s.video_kbps_sum / s.n as u64,
-                "incomplete": s.incomplete,
-            }));
-        }
-    }
+    let labels = corpus_names
+        .iter()
+        .flat_map(|tname| policies.iter().map(move |arm| (tname, arm.label())));
+    let (body, rows) = table(labels.zip(&cells).map(|((tname, policy), s)| {
+        let n = s.n as f64;
+        let stalls = s.stall_count as f64 / n;
+        let video_kbps = s.video_kbps_sum / s.n as u64;
+        Row::default()
+            .cell("Trace", "trace", tname, Plain)
+            .cell("Policy", "policy", policy, Plain)
+            .json("seeds", s.n)
+            .cell("QoE mean", "mean_score", s.score_sum / n, Dec(2))
+            .cell("QoE min", "min_score", s.score_min, Dec(2))
+            .cell("Stalls/run", "mean_stalls", stalls, Dec(2))
+            .cell("Stall s", "mean_stall_s", s.stall_secs / n, Dec(1))
+            .cell("Video Kbps", "mean_video_kbps", video_kbps, Plain)
+            .cell("Incomplete", "incomplete", s.incomplete, Plain)
+    }));
     let sessions = grid.len();
-    let header = format!(
-        "{} seeds x {} traces x {} policies = {} sessions\n",
+    let text = format!(
+        "{} seeds x {} traces x {} policies = {} sessions\n{body}",
         seeds,
         corpus_names.len(),
         policies.len(),
         sessions
-    );
-    let text = format!(
-        "{header}{}",
-        table(
-            &[
-                "Trace",
-                "Policy",
-                "QoE mean",
-                "QoE min",
-                "Stalls/run",
-                "Stall s",
-                "Video Kbps",
-                "Incomplete",
-            ],
-            &rows,
-        )
     );
     McResult {
         text,
@@ -336,7 +310,7 @@ fn aggregate(
             "policies": policies.len(),
             "sessions": sessions,
             "trace_secs": TRACE_SECS,
-            "rows": jrows,
+            "rows": rows,
         }),
         sessions,
     }

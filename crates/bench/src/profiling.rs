@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use crate::runner::{RunnerProfile, WorkerStats};
 
 /// Where a profiled workload's host time went: pool phases, per-worker
-/// utilization, the per-session wall-time distribution, and the merged
+/// utilization, the per-item wall-time distribution, and the merged
 /// span call tree.
 #[derive(Debug, Clone)]
 pub struct WorkloadProfile {
@@ -28,6 +28,9 @@ pub struct WorkloadProfile {
     pub jobs: usize,
     /// Sessions dispatched.
     pub sessions: u64,
+    /// Pool work items they ran in: one per session, except that an
+    /// edge experiment runs the viewers of one edge as one item.
+    pub items: u64,
     /// End-to-end host time of the profiled run (spec build + pool).
     pub wall_ns: u64,
     /// Spec/grid construction time before the pool started.
@@ -40,12 +43,12 @@ pub struct WorkloadProfile {
     pub merge_ns: u64,
     /// Per-worker accounting, in worker order.
     pub workers: Vec<WorkerStats>,
-    /// Per-session host wall time distribution.
-    pub session_wall: HistogramSnapshot,
+    /// Host wall time per work item.
+    pub item_wall: HistogramSnapshot,
     /// Merged span tree across all sessions (spec order).
     pub spans: ProfileReport,
     /// Workload-specific annotation lines (e.g. the fleet peak-memory
-    /// estimate), rendered verbatim after the session-wall line.
+    /// estimate), rendered verbatim after the item-wall line.
     pub notes: Vec<String>,
 }
 
@@ -76,13 +79,14 @@ impl WorkloadProfile {
             workload: workload.into(),
             jobs: pool.jobs,
             sessions: pool.items,
+            items: pool.items,
             wall_ns: setup_ns + pool.wall_ns,
             setup_ns,
             spawn_ns: pool.spawn_ns,
             run_ns: pool.run_ns,
             merge_ns: pool.merge_ns,
             workers: pool.workers,
-            session_wall: pool.item_wall,
+            item_wall: pool.item_wall,
             spans: pool.spans,
             notes: Vec::new(),
         }
@@ -96,14 +100,14 @@ impl WorkloadProfile {
     }
 
     /// The human-readable rendering: phase summary, worker utilization,
-    /// per-session wall quantiles, then the span self/total-time table
+    /// per-item wall quantiles, then the span self/total-time table
     /// with the hottest spans.
     pub fn text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "profile: {} ({} sessions, {} jobs)",
-            self.workload, self.sessions, self.jobs
+            "profile: {} ({} sessions in {} items, {} jobs)",
+            self.workload, self.sessions, self.items, self.jobs
         );
         let _ = writeln!(
             out,
@@ -137,17 +141,17 @@ impl WorkloadProfile {
             );
         }
         let q = |p: f64| {
-            self.session_wall
+            self.item_wall
                 .quantile(p)
                 .map_or_else(|| "-".to_string(), |v| fmt_ns(v as u64))
         };
         let _ = writeln!(
             out,
-            "session wall: p50 {} | p90 {} | p99 {} (n = {})",
+            "item wall: p50 {} | p90 {} | p99 {} (n = {})",
             q(0.50),
             q(0.90),
             q(0.99),
-            self.session_wall.count,
+            self.item_wall.count,
         );
         for note in &self.notes {
             out.push_str(note);
@@ -178,6 +182,7 @@ impl WorkloadProfile {
             "workload": self.workload,
             "jobs": self.jobs,
             "sessions": self.sessions,
+            "items": self.items,
             "wall_ns": self.wall_ns,
             "phases": serde_json::json!({
                 "setup_ns": self.setup_ns,
@@ -192,12 +197,12 @@ impl WorkloadProfile {
                 "busy_ns": w.busy_ns,
                 "alive_ns": w.alive_ns,
             })).collect::<Vec<_>>(),
-            "session_wall_ns": serde_json::json!({
-                "count": self.session_wall.count,
-                "p50": self.session_wall.quantile(0.50),
-                "p90": self.session_wall.quantile(0.90),
-                "p99": self.session_wall.quantile(0.99),
-                "max": self.session_wall.max,
+            "item_wall_ns": serde_json::json!({
+                "count": self.item_wall.count,
+                "p50": self.item_wall.quantile(0.50),
+                "p90": self.item_wall.quantile(0.90),
+                "p99": self.item_wall.quantile(0.99),
+                "max": self.item_wall.max,
             }),
             "notes": self.notes,
             "attributed": self.attributed(),
@@ -230,12 +235,12 @@ mod tests {
     fn text_names_phases_workers_and_spans() {
         let p = sample();
         let text = p.text();
-        assert!(text.contains("profile: test (4 sessions, 2 jobs)"));
+        assert!(text.contains("profile: test (4 sessions in 4 items, 2 jobs)"));
         assert!(text.contains("phases: setup"));
         assert!(text.contains("session.run"));
         assert!(text.contains("dispatch.transfer_complete"));
         assert!(text.contains("hot spans by self time:"));
-        assert!(text.contains("session wall: p50"));
+        assert!(text.contains("item wall: p50"));
     }
 
     #[test]

@@ -1,13 +1,120 @@
 //! Plain-text rendering: fixed-width tables and ASCII time-series plots.
+//!
+//! Every report table is a list of `Row`s. A cell is added once, with
+//! its column header, its JSON key (if it has one), its value and the
+//! `Form` its text takes; `table` renders the text table and each row's
+//! JSON object from those same cells.
 
+use serde::Serialize;
+use serde_json::{Map, Value};
 use std::fmt::Write as _;
 
-/// Renders a fixed-width table with a header row.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let cols = headers.len();
+/// How a cell's value prints in the text table. Its JSON form is the
+/// value itself.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Form {
+    /// A string as it is, an integer in decimal.
+    Plain,
+    /// A number with this many decimals; a missing one (`None`, which
+    /// is `null` in JSON) prints `NaN`.
+    Dec(usize),
+    /// A fraction as a percentage (× 100), with this many decimals.
+    Pct(usize),
+    /// A byte count in MB (÷ 10⁶), with this many decimals.
+    Mb(usize),
+    /// A list of strings, joined by this separator.
+    Join(&'static str),
+}
+
+impl Form {
+    fn text(self, value: &Value) -> String {
+        let num = || match value {
+            Value::Null => f64::NAN,
+            v => v
+                .as_f64()
+                .unwrap_or_else(|| panic!("{v:?} is not a number")),
+        };
+        match self {
+            Form::Plain => match value {
+                Value::String(s) => s.clone(),
+                Value::Number(n) => n.to_string(),
+                v => panic!("{v:?} has no plain text form"),
+            },
+            Form::Dec(p) => format!("{:.p$}", num()),
+            Form::Pct(p) => format!("{:.p$}", num() * 100.0),
+            Form::Mb(p) => format!("{:.p$}", num() / 1e6),
+            Form::Join(sep) => {
+                let items = value.as_array().expect("a list to join");
+                let items: Vec<String> = items.iter().map(|v| Form::Plain.text(v)).collect();
+                items.join(sep)
+            }
+        }
+    }
+}
+
+/// One row of a report table, built a cell at a time.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Row {
+    headers: Vec<&'static str>,
+    cells: Vec<String>,
+    json: Map,
+}
+
+impl Row {
+    /// Adds a column: `value` prints under `header` in `form` and, unless
+    /// `key` is `None`, also goes into the row's JSON as `key`.
+    #[must_use]
+    pub(crate) fn cell(
+        mut self,
+        header: &'static str,
+        key: impl Into<Option<&'static str>>,
+        value: impl Serialize,
+        form: Form,
+    ) -> Row {
+        let value = value.to_value();
+        self.headers.push(header);
+        self.cells.push(form.text(&value));
+        match key.into() {
+            Some(key) => self.json(key, value),
+            None => self,
+        }
+    }
+
+    /// Adds `value` to the row's JSON only, as `key`.
+    #[must_use]
+    pub(crate) fn json(mut self, key: &'static str, value: impl Serialize) -> Row {
+        let old = self.json.insert(key.to_string(), value.to_value());
+        assert!(old.is_none(), "JSON key `{key}` given twice");
+        self
+    }
+}
+
+/// Renders `rows` as one fixed-width table under their headers, and
+/// returns it with each row's JSON object, in row order.
+///
+/// # Panics
+/// If a row's columns differ from the first row's.
+pub(crate) fn table(rows: impl IntoIterator<Item = Row>) -> (String, Vec<Value>) {
+    let mut headers: Option<Vec<&str>> = None;
+    let (mut cells, mut json) = (Vec::new(), Vec::new());
+    for row in rows {
+        let headers = headers.get_or_insert_with(|| row.headers.clone());
+        assert!(
+            row.headers == *headers,
+            "ragged row: columns {:?} under headers {headers:?}",
+            row.headers
+        );
+        cells.push(row.cells);
+        json.push(Value::Object(row.json));
+    }
+    (grid(&headers.unwrap_or_default(), &cells), json)
+}
+
+/// Lays `rows` out under `headers`, each column as wide as its widest
+/// cell.
+fn grid(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
-        assert_eq!(row.len(), cols, "row width mismatch");
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.chars().count());
         }
@@ -135,15 +242,15 @@ pub fn ascii_plot(title: &str, series: &[Series<'_>], width: usize, height: usiz
 mod tests {
     use super::*;
 
+    use Form::{Dec, Join, Mb, Pct, Plain};
+
     #[test]
     fn table_alignment() {
-        let t = table(
-            &["Combo", "Kbps"],
-            &[
-                vec!["V1+A1".into(), "253".into()],
-                vec!["V6+A3".into(), "4838".into()],
-            ],
-        );
+        let combo = |name: &str, kbps: u64| {
+            let row = Row::default().cell("Combo", "combo", name, Plain);
+            row.cell("Kbps", "kbps", kbps, Plain)
+        };
+        let (t, _) = table([combo("V1+A1", 253), combo("V6+A3", 4838)]);
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 6);
         assert!(lines[1].contains("Combo"));
@@ -155,9 +262,62 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row width mismatch")]
+    #[should_panic(expected = "ragged row")]
     fn table_rejects_ragged_rows() {
-        table(&["a", "b"], &[vec!["only-one".into()]]);
+        let a = |text: &str| Row::default().cell("a", None, text, Plain);
+        let _ = table([a("x").cell("b", None, "y", Plain), a("only-one")]);
+    }
+
+    #[test]
+    fn cells_can_be_text_only_or_json_only() {
+        let row = Row::default()
+            .cell("Track", "track", "V1", Plain)
+            .cell("Detail", None, "low", Plain)
+            .json("seeds", 3u64);
+        let (text, json) = table([row]);
+        assert!(text.contains("| Track | Detail |"), "{text}");
+        assert!(text.contains("| V1    | low    |"), "{text}");
+        assert!(!text.contains('3'), "a JSON-only cell printed: {text}");
+        let json = serde_json::to_string(&json).expect("serialize");
+        assert_eq!(json, r#"[{"seeds":3,"track":"V1"}]"#);
+    }
+
+    #[test]
+    fn a_missing_value_is_nan_in_text_and_null_in_json() {
+        let row = Row::default().cell("Startup s", "startup_s", None::<f64>, Dec(2));
+        let (text, json) = table([row]);
+        assert!(text.contains("| NaN       |"), "{text}");
+        assert_eq!(json[0]["startup_s"], Value::Null);
+    }
+
+    #[test]
+    fn each_cell_prints_in_its_own_form() {
+        let x = 1.256;
+        let row = Row::default()
+            .cell("a", "a", x, Dec(0))
+            .cell("b", None, x, Dec(1))
+            .cell("c", None, x, Dec(2))
+            .cell("ratio", "ratio", 0.4567, Pct(1))
+            .cell("MB", "bytes", 2_345_678u64, Mb(1))
+            .cell("Audio", "audio", ["A1", "A3"], Join("/"));
+        let (text, json) = table([row]);
+        assert!(
+            text.contains("| 1 | 1.3 | 1.26 | 45.7  | 2.3 | A1/A3 |"),
+            "{text}"
+        );
+        // JSON keeps each value whole, in its own type.
+        assert_eq!(json[0]["a"], x);
+        assert_eq!(json[0]["ratio"], 0.4567);
+        assert_eq!(json[0]["bytes"], 2_345_678u64);
+        assert_eq!(json[0]["audio"], Value::from(vec!["A1", "A3"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "JSON key `score` given twice")]
+    fn a_json_key_is_given_once() {
+        let _ = Row::default()
+            .cell("QoE", "score", 1.0, Dec(2))
+            .json("score", 2.0);
     }
 
     #[test]
@@ -211,7 +371,8 @@ mod tests {
 
     #[test]
     fn table_golden_string() {
-        let t = table(&["k", "value"], &[vec!["a".into(), "1".into()]]);
+        let row = Row::default().cell("k", None, "a", Plain);
+        let (t, _) = table([row.cell("value", None, 1u64, Plain)]);
         assert_eq!(
             t,
             "+---+-------+\n\
@@ -224,7 +385,7 @@ mod tests {
 
     #[test]
     fn table_with_no_rows_renders_header_only() {
-        let t = table(&["Metric", "Value"], &[]);
+        let t = grid(&["Metric", "Value"], &[]);
         assert_eq!(
             t,
             "+--------+-------+\n\

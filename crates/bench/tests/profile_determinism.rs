@@ -148,7 +148,8 @@ fn traced_session_is_identical_with_profiler_attached() {
 /// `exp --id <id> --profile` runs the same sessions as the plain path:
 /// for a three-arm sweep, a 24-session grid and a single session, at
 /// every worker count, the profiled outcomes match the serial unprofiled
-/// ones and the pool's worker rows account for every spec.
+/// ones and the pool's worker rows account for every spec. M3's header
+/// counts its four sessions and the two edge items they ran in.
 #[test]
 fn profiled_sessions_match_traced_sessions() {
     for id in ["f3fix", "bp1", "f4b"] {
@@ -175,6 +176,18 @@ fn profiled_sessions_match_traced_sessions() {
             assert_eq!(profile.sessions, plain.len() as u64, "{id} at jobs={jobs}");
         }
     }
+    // An edge experiment runs the viewers of one edge as one work item;
+    // the header counts both, and the wall quantiles are per item.
+    let (_, profile) = run_sessions("m3", 1, true).expect("m3 runs sessions");
+    let text = profile.expect("profiled run returns a profile").text();
+    assert!(
+        text.starts_with("profile: m3 (4 sessions in 2 items, 1 jobs)\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("item wall: p50") && text.contains("(n = 2)"),
+        "{text}"
+    );
 }
 
 #[test]

@@ -16,7 +16,9 @@
 //!   (`tests/fleet_determinism.rs`), one golden pins them all.
 //! * `results/fleet_comparison.txt` — the demuxed-vs-muxed head-to-head
 //!   over the same topology (`exp fleet … --delivery both`), the fleet
-//!   engine's headline artifact.
+//!   engine's headline artifact. Its compact JSON has no checked-in
+//!   golden; the test pins its length and FNV-1a digest instead, as
+//!   `tests/mc_pins.rs` does for `exp mc`.
 //! * `results/fleet_evict.txt` — the same head-to-head with 64 sessions
 //!   behind a 16 MB per-domain cache, so thousands of LRU evictions per
 //!   domain reach the artifact (the goldens above never evict): pins the
@@ -31,6 +33,8 @@
 //! then review the diff with `git diff results/` before committing — the
 //! update path writes whatever the code now produces, so the review is
 //! the only check that the change was really intended.
+
+mod common;
 
 use abr_bench::experiments::{all_ids, run_jobs, traced_sessions};
 use abr_obs::export::to_jsonl;
@@ -126,6 +130,11 @@ fn fleet_comparison_matches_golden() {
     };
     let result = abr_bench::fleet::run_fleet_comparison(&spec, 1);
     check_golden("results/fleet_comparison.txt", &result.text);
+    let json = serde_json::to_string(&result.json).expect("serialize");
+    assert_eq!(
+        (json.len(), common::fnv1a(&json)),
+        (4560, 0xa835_a6fa_05f3_19f0)
+    );
 }
 
 #[test]
